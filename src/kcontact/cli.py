@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -108,13 +107,6 @@ def _load_config(path):
     return plan
 
 
-def _workers() -> int:
-    try:
-        return max(1, int(os.environ.get("KCONTACT_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 # -- list -------------------------------------------------------------------
 
 def cmd_list(args) -> int:
@@ -129,21 +121,18 @@ def cmd_list(args) -> int:
             for key, s in ex.sections.items():
                 modes = ",".join(s.modes) if s.modes else "none"
                 print(f"    {key:32s} kind={s.kind:5s} passes: {modes}")
-        if ex.solutions or ex.name == "hunter-saxton":
+        if ex.solutions:
             print("  solutions:")
             for key in ex.solutions:
                 print(f"    {key}")
-            if ex.name == "hunter-saxton":
-                print("    logarithmic")
         if ex.families:
             print("  complete families:", ", ".join(ex.families))
         return EXIT_PASS
     print(f"{'example':26s} {'n':>2s} {'k':>2s}  sections/solutions")
     for name in names:
         ex = corpus.load(name)
-        extra = len(ex.solutions) + (1 if name == "hunter-saxton" else 0)
         print(f"{name:26s} {ex.chart.n:2d} {ex.chart.k:2d}  "
-              f"{len(ex.sections)} sections, {extra} solutions")
+              f"{len(ex.sections)} sections, {len(ex.solutions)} solutions")
     return EXIT_PASS
 
 
@@ -164,16 +153,12 @@ def cmd_check_hj(args, plan) -> int:
         if fam_builder is None:
             raise ConfigError(f"example {example.name} has no family {args.family!r}; "
                               f"known: {sorted(example.families)}")
-        fam_params = {k: v for k, v in overrides.items()}
-        defaults = dict(example.defaults)
-        defaults.update({"a": 1.0})
-        defaults.update(fam_params)
-        fam = fam_builder(defaults)
+        fam = fam_builder({**example.defaults, **overrides})
         axes = [np.linspace(lo, hi, args.param_grid) for lo, hi in fam.param_box]
         mesh = np.array(np.meshgrid(*axes)).reshape(len(axes), -1).T
         h = example.hamiltonian({k: v for k, v in overrides.items() if k in example.defaults})
         ver = verify_complete(fam, h, mode, mesh, count=count, seed=seed,
-                              res_tol=tol, rt_tol=args.roundtrip_tol, workers=_workers())
+                              res_tol=tol, rt_tol=args.roundtrip_tol)
         verdict = "PASS" if ver.passed(tol, args.roundtrip_tol) else "FAIL"
         report = {
             "command": "check-hj",
@@ -380,7 +365,7 @@ def _reference_base(example, ref_key, overrides, kind):
     P = dict(entry.defaults)
     P.update({k: v for k, v in overrides.items() if k in P})
     entry.constraint(P)
-    f = entry.build(P)
+    f = entry._point_map(P)
 
     def base(t):
         q, p, z = f(list(t))
@@ -524,6 +509,9 @@ def main(argv=None) -> int:
         return EXIT_INTEGRABILITY
     except KContactError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONTRACT
+    except ArithmeticError as exc:
+        print(f"arithmetic error: {exc}", file=sys.stderr)
         return EXIT_CONTRACT
 
 

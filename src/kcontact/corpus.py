@@ -65,13 +65,43 @@ class SectionEntry:
 @dataclass(frozen=True)
 class SolutionEntry:
     key: str
-    build: callable  # params -> (f, df) closed-form map over the grid variables
+    build: callable  # params -> closed-form map t -> (q, p, z) of the grid variables
     defaults: dict
-    modes: tuple  # modes whose map residual the solution passes
+    modes: tuple  # modes whose map residual the solution passes, or params -> those modes
     constraint: callable  # params -> None, raises ContractError naming the equation
     default_grid: callable  # params -> GridSpec
     tol: float = 1e-10
     note: str = ""
+
+    def _point_map(self, P):
+        """The closed-form map t -> (q, p, z) at parameters ``P``."""
+        return self.build(P)
+
+    def _sample(self, chart: ChartSpec, grid: GridSpec, P) -> SolutionMap:
+        return closed_solution_map(chart, grid, self.build(P))
+
+
+class _LiftedSolution(SolutionEntry):
+    """A closed-form base map t -> q lifted through a section over Q.
+
+    ``build(P)`` returns the pair (base map, section); sampling lifts the
+    base map through the section, chaining derivatives as :func:`lift` does.
+    """
+
+    def _point_map(self, P):
+        base, section = self.build(P)
+
+        def f(t):
+            q = base(t)
+            return q, section.p_at(q), section.z_at(q)
+
+        return f
+
+    def _sample(self, chart, grid, P):
+        from .integrate import lift
+
+        base, section = self.build(P)
+        return lift(section, closed_base_map(grid, base, d=chart.n))
 
 
 @dataclass(frozen=True)
@@ -209,6 +239,9 @@ def _monotone_invert(g, w, r_max: float = 1.0, tol: float = 1e-14, max_expand: i
 
 CHART_12 = ChartSpec(n=1, k=2)
 
+# Slope a of the bundled complete families when the parameters do not set it.
+_FAMILY_SLOPE = 1.0
+
 
 def telegrapher_params_from_line(R: float, L: float, G: float, C_cap: float):
     """Line constants per unit length -> (kappa, lambda, epsilon)."""
@@ -224,6 +257,9 @@ def telegrapher_params_from_line(R: float, L: float, G: float, C_cap: float):
 
 def telegrapher_quadratic_roots(kappa: float, lam: float, eps: float, c: float):
     """Both roots of (c^2 - 1/kappa) a^2 + lambda c a + eps = 0."""
+    if kappa == 0.0:
+        raise ContractError("the slope quadratic (c^2 - 1/kappa) a^2 + lambda c a + epsilon = 0 "
+                            "needs kappa != 0")
     A = c * c - 1.0 / kappa
     if A == 0.0:
         raise ContractError("the slope quadratic degenerates when c^2 equals 1/kappa")
@@ -273,7 +309,7 @@ def _tel_zdep_section(P):
 
 
 def _tel_family(P):
-    a, lam = P["a"], P["lambda"]
+    a, lam = P.get("a", _FAMILY_SLOPE), P["lambda"]
 
     def phi(q, par, z):
         u = q[0]
@@ -378,7 +414,7 @@ TELEGRAPHER = ExampleSystem(
             "exponential", _tel_exponential,
             {"kappa": 1.0, "lambda": 1.0, "epsilon": 0.0, "c": 2.0, "a": None,
              "u0": 1.0, "C0": 0.0, "C1": 0.0},
-            modes=("standard", "evolution"),
+            modes=_tel_exp_modes,
             constraint=_tel_exp_constraint,
             default_grid=_default_grid([0.0, 0.0], [0.02, 0.02], [50, 50]),
         ),
@@ -447,10 +483,6 @@ def _tel_qz_constraint(P):
         )
     if P["mode"] not in ("standard", "evolution"):
         raise ContractError("mode parameter must be standard or evolution")
-
-
-def _tel_qz_modes(P):
-    return (P["mode"],)
 
 
 def _tel_qz_pde(fields, grid, P):
@@ -590,7 +622,7 @@ def _hs_quadratic_gauge(P):
 
 
 def _hs_family(P):
-    a = P["a"]
+    a = P.get("a", _FAMILY_SLOPE)
 
     def phi(q, par, z):
         return DarbouxPoint([q[0]], [[a * z[0] + par[0]], [-a * z[1] + par[1]]], list(z))
@@ -726,7 +758,7 @@ HUNTER_SAXTON = ExampleSystem(
         "linear": SolutionEntry(
             "linear", _hs_linear,
             {"mu": 3.0, "c": 0.5, "C1": 0.0, "K": 0.0, "u0": 0.0},
-            modes=("standard", "evolution"),
+            modes=_hs_linear_modes,
             constraint=_hs_linear_constraint,
             default_grid=_default_grid([0.0, 0.0], [0.05, 0.05], [9, 9]),
             tol=1e-12,
@@ -738,6 +770,15 @@ HUNTER_SAXTON = ExampleSystem(
             constraint=lambda P: None,
             default_grid=_default_grid([0.0, 0.0], [0.05, 0.05], [9, 9]),
             tol=1e-12,
+        ),
+        "logarithmic": _LiftedSolution(
+            "logarithmic", _hs_logarithmic,
+            {"mu": 3.0, "c": 0.5, "C1": 0.0, "C": 1.0, "delta": -1.0},
+            modes=("standard", "evolution"),
+            constraint=_hs_log_constraint,
+            default_grid=_default_grid([0.0, 0.5], [0.02, 0.02], [9, 9]),
+            tol=1e-6,
+            note="square-root slope branch: base map by monotone inversion, lifted through log-zind",
         ),
     },
     families={"complete": _hs_family},
@@ -786,7 +827,7 @@ def _fo_zdep_section(P):
 
 
 def _fo_family(P):
-    a = P["a"]
+    a = P.get("a", _FAMILY_SLOPE)
 
     def phi(q, par, z):
         return DarbouxPoint([q[0]], [[a * z[0] + par[0]], [-a * z[1] + par[1]]], list(z))
@@ -1144,12 +1185,9 @@ def analytic(name: str, solution_key: str, params=None, grid: GridSpec = None) -
     """Closed-form solution of a built-in example, sampled with exact derivatives.
 
     Parameter constraints are checked first; a violation names the
-    offending relation.  The special key "logarithmic" of the nonlinear
-    transport example goes through monotone inversion and a section lift.
+    offending relation.
     """
     ex = load(name)
-    if name == "hunter-saxton" and solution_key == "logarithmic":
-        return _hs_logarithmic_map(ex, params, grid)
     try:
         entry = ex.solutions[solution_key]
     except KeyError:
@@ -1161,34 +1199,14 @@ def analytic(name: str, solution_key: str, params=None, grid: GridSpec = None) -
     P.update(params or {})
     entry.constraint(P)
     grid = grid if grid is not None else entry.default_grid(P)
-    return closed_solution_map(ex.chart, grid, entry.build(P))
-
-
-_HS_LOG_DEFAULTS = {"mu": 3.0, "c": 0.5, "C1": 0.0, "C": 1.0, "delta": -1.0}
-
-
-def _hs_logarithmic_map(ex: ExampleSystem, params, grid: GridSpec) -> SolutionMap:
-    from .integrate import lift
-
-    P = dict(_HS_LOG_DEFAULTS)
-    P.update(params or {})
-    _hs_log_constraint(P)
-    if grid is None:
-        grid = GridSpec([0.0, 0.5], [0.02, 0.02], [9, 9])
-    base, section = _hs_logarithmic(P)
-    return lift(section, closed_base_map(grid, base, d=1))
+    return entry._sample(ex.chart, grid, P)
 
 
 def solution_modes(name: str, solution_key: str, params=None) -> tuple:
     """Modes whose map residual the given closed-form solution satisfies."""
-    ex = load(name)
-    if name == "hunter-saxton" and solution_key == "logarithmic":
-        return ("standard", "evolution")
-    entry = ex.solutions[solution_key]
+    entry = load(name).solutions[solution_key]
+    if not callable(entry.modes):
+        return entry.modes
     P = dict(entry.defaults)
     P.update(params or {})
-    if name == "telegrapher" and solution_key == "exponential":
-        return _tel_exp_modes(P)
-    if name == "hunter-saxton" and solution_key == "linear":
-        return _hs_linear_modes(P)
-    return entry.modes
+    return entry.modes(P)

@@ -107,17 +107,23 @@ def fd_grad(h: ScalarField, pt: DarbouxPoint, step: float = 1e-5) -> Gradient:
     return Gradient(g[:n], g[n:n + n * k].reshape(k, n), g[n + n * k:])
 
 
+def _h_of_p(h: ScalarField, q, z):
+    """h as a function of the flat (row-major) momentum block at fixed (q, z)."""
+    chart, q, z = h.chart, list(q), list(z)
+    return lambda ps: h.fn(_point_from_coords(chart, q + list(ps) + z))
+
+
+def _p_grad(h: ScalarField, q, z, p_flat) -> list:
+    """Gradient of h in the flat momentum block at fixed (q, z), in one dual pass.
+
+    Entries stay dual-capable when (q, p, z) carry duals of an enclosing pass.
+    """
+    return dm.derive1(_h_of_p(h, q, z), list(p_flat))[1]
+
+
 def _p_value_grad_hess(h: ScalarField, q, z, p_flat):
     """Value, gradient, Hessian of h in the momentum block at fixed (q, z)."""
-    chart = h.chart
-    n, k = chart.n, chart.k
-    q = [float(v) for v in q]
-    z = [float(v) for v in z]
-
-    def f(ps):
-        coords = q + list(ps) + z
-        return h.fn(_point_from_coords(chart, coords))
-
+    f = _h_of_p(h, [float(v) for v in q], [float(v) for v in z])
     val, g, H = dm.derive2(f, [float(v) for v in p_flat])
     return val, np.asarray(g, dtype=float), np.asarray(H, dtype=float)
 
@@ -158,19 +164,14 @@ def invert_fibre_derivative(
     decrease.  Raises :class:`RegularityError` on a singular Hessian and
     :class:`SolverError` (carrying the last residual) on non-convergence.
     """
-    chart = h.chart
-    k, n = chart.k, chart.n
+    k, n = h.chart.k, h.chart.n
     qf = [float(x) for x in q]
     zf = [float(x) for x in z]
     v = np.asarray(v, dtype=float).reshape(k * n)
     p = np.asarray(p_init, dtype=float).reshape(k * n).copy()
 
     def residual(ps):
-        def f(vs):
-            return h.fn(_point_from_coords(chart, qf + list(vs) + zf))
-
-        _, g = dm.derive1(f, list(ps))
-        return np.asarray(g, dtype=float) - v
+        return np.asarray(_p_grad(h, qf, zf, ps), dtype=float) - v
 
     res = residual(p)
     rnorm = float(np.max(np.abs(res)))

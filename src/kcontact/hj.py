@@ -17,18 +17,20 @@ entries and the uncorrected residual fixes their difference.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from . import dual as dm
 from .errors import ContractError, DomainError, NoSolutionError
-from .fields import ScalarField, grad
+from .fields import ScalarField, _p_grad, _point_from_coords
 from .geometry import DarbouxPoint
 from .grids import BaseField
 from .sections import (
     SectionZDep,
     SectionZInd,
-    _zdep_jacobians,
+    _coeff_jacobian,
+    _flat,
     check_holonomic,
     check_max_coisotropic,
     default_box,
@@ -87,6 +89,26 @@ class GaugeMatrix:
     def __call__(self, q, z):
         return self.fn(q, z)
 
+    def _at(self, h: ScalarField, gamma: SectionZDep, q, z):
+        """``C(q, z)`` plus the sample's :func:`_zdep_ingredients`, in that order."""
+        return self(q, z), _zdep_ingredients(h, gamma, q, z)
+
+
+class _DiagonalGauge(GaugeMatrix):
+    """Gauge matrix of the diagonal solver.
+
+    ``fn`` is ``partial(_diag_rows, h, gamma, mode)``.  When the check runs
+    on that same ``h`` and ``gamma``, the entries are solved from the
+    ingredients the residual uses, so each sample builds them once.
+    """
+
+    def _at(self, h, gamma, q, z):
+        own_h, own_gamma, mode = self.fn.args
+        if h is not own_h or gamma is not own_gamma:
+            return super()._at(h, gamma, q, z)
+        entries, ing = _diag_C_generic(h, gamma, mode, q, z)
+        return _diag_matrix(entries), ing
+
 
 def _resolve_samples(samples, box, dim, count, seed):
     if samples is not None:
@@ -100,16 +122,9 @@ def _top_offenders(values, points, keep=3):
     return [(float(values[i]), tuple(float(x) for x in points[i])) for i in order]
 
 
-def _section_point_coords(gamma: SectionZInd, q):
-    p = gamma.p_at(q)
-    flat_p = [p[a][i] for a in range(gamma.chart.k) for i in range(gamma.chart.n)]
-    return list(q) + flat_p + list(gamma.z_at(q))
-
-
 def _h_on_zind(h: ScalarField, gamma: SectionZInd, q):
-    from .fields import _point_from_coords
-
-    return h.fn(_point_from_coords(h.chart, _section_point_coords(gamma, q)))
+    coords = list(q) + _flat(gamma.p_at(q)) + list(gamma.z_at(q))
+    return h.fn(_point_from_coords(h.chart, coords))
 
 
 def project_Q(h: ScalarField, gamma: SectionZInd) -> BaseField:
@@ -120,10 +135,7 @@ def project_Q(h: ScalarField, gamma: SectionZInd) -> BaseField:
     ``h`` has exactly these q-blocks, so the projection does not depend on
     the representative.
     """
-    from .fields import _point_from_coords
-
-    chart = h.chart
-    n, k = chart.n, chart.k
+    n, k = h.chart.n, h.chart.k
 
     def make_comp(alpha):
         def comp(q):
@@ -131,13 +143,7 @@ def project_Q(h: ScalarField, gamma: SectionZInd) -> BaseField:
             if not gamma.in_domain(qs):
                 raise DomainError(f"projected field evaluated outside the section domain at {qs}")
             p = gamma.p_at(qs)
-            z = gamma.z_at(qs)
-            flat_p = [p[a][i] for a in range(k) for i in range(n)]
-
-            def hp(ps):
-                return h.fn(_point_from_coords(chart, qs + list(ps) + z))
-
-            _, gp = dm.derive1(hp, flat_p)
+            gp = _p_grad(h, qs, gamma.z_at(qs), _flat(p))
             return gp[alpha * n:(alpha + 1) * n]
 
         return comp
@@ -202,13 +208,9 @@ def gamma_beta(h: ScalarField, gamma: SectionZDep, q, z) -> np.ndarray:
     Component b is (dh/dz^b on the section) plus the momentum gradient of
     h contracted with the z^b-derivatives of the section coefficients.
     """
-    pt = gamma.at(q, z)
-    g = grad(h, pt)
-    _, _, dz = _zdep_jacobians(gamma, q, z)
-    k = gamma.chart.k
-    return np.array([
-        float(g.d_z[b]) + float(np.sum(g.d_p * dz[:, :, b])) for b in range(k)
-    ])
+    if not h.in_domain(gamma.at(q, z)):
+        raise DomainError(f"point outside declared domain of field {h.name}")
+    return np.array([float(x) for x in _zdep_ingredients(h, gamma, q, z)[2]])
 
 
 def _zdep_ingredients(h: ScalarField, gamma: SectionZDep, q, z):
@@ -218,34 +220,21 @@ def _zdep_ingredients(h: ScalarField, gamma: SectionZDep, q, z):
     coefficients, z-Jacobian of the coefficients); everything is
     dual-capable in (q, z).
     """
-    from .fields import _point_from_coords
-
     chart = gamma.chart
     n, k = chart.n, chart.k
     qs, zs = list(q), list(z)
 
     def composite(qvars):
-        p = gamma.p_at(qvars, zs)
-        flat = [p[a][i] for a in range(k) for i in range(n)]
-        return h.fn(_point_from_coords(chart, list(qvars) + flat + zs))
+        return h.fn(_point_from_coords(chart, list(qvars) + _flat(gamma.p_at(qvars, zs)) + zs))
 
     hval, dq_h = dm.derive1(composite, qs)
 
     p = gamma.p_at(qs, zs)
-
-    def flat_p(vars_):
-        rows = gamma.p_at(vars_[:n], vars_[n:])
-        return [rows[a][i] for a in range(k) for i in range(n)]
-
-    _, rows = dm.jacobian(flat_p, qs + zs)
+    _, rows = _coeff_jacobian(gamma, qs + zs)
     dz_p = [[[rows[a * n + i][n + b] for b in range(k)] for i in range(n)] for a in range(k)]
 
-    flat = [p[a][i] for a in range(k) for i in range(n)]
-
-    def hp(ps):
-        return h.fn(_point_from_coords(chart, qs + list(ps) + zs))
-
-    _, gp = dm.derive1(hp, flat)
+    flat = _flat(p)
+    gp = _p_grad(h, qs, zs, flat)
     U = [[gp[a * n + i] for i in range(n)] for a in range(k)]
 
     def hz(zvars):
@@ -263,10 +252,10 @@ def _zdep_ingredients(h: ScalarField, gamma: SectionZDep, q, z):
     return hval, dq_h, Gamma, p, dz_p
 
 
-def _zdep_residual_at(h, gamma, C_entries, q, z):
-    """Max over j of the z-dependent identity residual at one base point."""
+def _zdep_residual_at(gamma, C_entries, ing):
+    """Max over j of the z-dependent identity residual from one point's ingredients."""
     n, k = gamma.chart.n, gamma.chart.k
-    hval, dq_h, Gamma, p, dz_p = _zdep_ingredients(h, gamma, q, z)
+    _, dq_h, Gamma, p, dz_p = ing
     worst = 0.0
     for j in range(n):
         acc = dq_h[j]
@@ -276,7 +265,7 @@ def _zdep_residual_at(h, gamma, C_entries, q, z):
             for b in range(k):
                 acc = acc + C_entries[a][b] * dz_p[a][j][b]
         worst = max(worst, abs(float(acc)))
-    return worst, float(hval)
+    return worst
 
 
 def hj_zdep_residual(
@@ -308,10 +297,11 @@ def hj_zdep_residual(
         q, z = row[:n], row[n:]
         if not gamma.in_domain(q, z):
             continue
-        Cm = np.asarray(C(q, z), dtype=float)
+        Cm, ing = C._at(h, gamma, q, z)
+        Cm = np.asarray(Cm, dtype=float)
         if Cm.shape != (k, k):
             raise ContractError(f"gauge matrix has shape {Cm.shape}, expected {(k, k)}")
-        res, hval = _zdep_residual_at(h, gamma, Cm, q, z)
+        res, hval = _zdep_residual_at(gamma, Cm, ing), float(ing[0])
         tr = float(np.trace(Cm))
         where = tuple(round(float(x), 6) for x in row)
         if mode == "standard":
@@ -332,15 +322,20 @@ def hj_zdep_residual(
 
 
 def _diag_C_generic(h: ScalarField, gamma: SectionZDep, mode: str, q, z):
-    """Diagonal gauge-matrix entries at one base point, dual-capable for k <= 2."""
+    """Diagonal gauge-matrix entries at one base point, dual-capable for k <= 2.
+
+    Returns the entries and the point's :func:`_zdep_ingredients` they
+    were solved from.
+    """
     chart = gamma.chart
     n, k = chart.n, chart.k
     if n != 1:
         raise ContractError("the diagonal gauge-matrix solver covers the n = 1 regime only")
-    hval, dq_h, Gamma, p, dz_p = _zdep_ingredients(h, gamma, q, z)
+    ing = _zdep_ingredients(h, gamma, q, z)
+    hval, dq_h, Gamma, p, dz_p = ing
     s = -hval if mode == "standard" else 0.0
     if k == 1:
-        return [s]
+        return [s], ing
     xi = dq_h[0]
     for b in range(k):
         xi = xi + Gamma[b] * p[b][0]
@@ -350,19 +345,19 @@ def _diag_C_generic(h: ScalarField, gamma: SectionZDep, mode: str, q, z):
         det = d[0] - d[1]
         if abs(float(det)) <= 1e-12 * scale:
             if abs(float(s * d[0] + xi)) <= 1e-9 * scale:
-                return [s * 0.5, s * 0.5]
+                return [s * 0.5, s * 0.5], ing
             raise NoSolutionError(
                 "diagonal gauge-matrix system is singular and inconsistent at this point"
             )
         c0 = (-xi - s * d[1]) / det
-        return [c0, s - c0]
+        return [c0, s - c0], ing
     # k >= 3: underdetermined; return the minimum-norm solution numerically.
     M = np.vstack([np.array([float(x) for x in d]), np.ones(k)])
     rhs = np.array([-float(xi), float(s)])
     sol, *_ = np.linalg.lstsq(M, rhs, rcond=None)
     if np.max(np.abs(M @ sol - rhs)) > 1e-9 * scale:
         raise NoSolutionError("diagonal gauge-matrix system has no solution at this point")
-    return list(sol)
+    return list(sol), ing
 
 
 def solve_diagonal_C(h: ScalarField, gamma: SectionZDep, mode: str, q, z) -> np.ndarray:
@@ -372,19 +367,22 @@ def solve_diagonal_C(h: ScalarField, gamma: SectionZDep, mode: str, q, z) -> np.
     the uncorrected residual fixes the rest (a two-unknown linear solve
     for k = 2, trace-only for k = 1, minimum-norm for k >= 3).
     """
-    entries = _diag_C_generic(h, gamma, mode, q, z)
+    entries, _ = _diag_C_generic(h, gamma, mode, q, z)
     return np.diag([float(c) for c in entries])
+
+
+def _diag_matrix(entries):
+    k = len(entries)
+    return [[entries[a] if a == b else 0.0 for b in range(k)] for a in range(k)]
+
+
+def _diag_rows(h, gamma, mode, q, z):
+    return _diag_matrix(_diag_C_generic(h, gamma, mode, q, z)[0])
 
 
 def diagonal_gauge_matrix(h: ScalarField, gamma: SectionZDep, mode: str) -> GaugeMatrix:
     """Gauge matrix backed by the pointwise diagonal solver (dual-capable)."""
-
-    def fn(q, z):
-        entries = _diag_C_generic(h, gamma, mode, q, z)
-        k = gamma.chart.k
-        return [[entries[a] if a == b else 0.0 for b in range(k)] for a in range(k)]
-
-    return GaugeMatrix(fn, label=f"diagonal-{mode}")
+    return _DiagonalGauge(partial(_diag_rows, h, gamma, mode), label=f"diagonal-{mode}")
 
 
 def project_zdep(h: ScalarField, gamma: SectionZDep, C: GaugeMatrix) -> BaseField:
@@ -395,10 +393,7 @@ def project_zdep(h: ScalarField, gamma: SectionZDep, C: GaugeMatrix) -> BaseFiel
     it and composing with the section reproduces candidate solutions of
     the field equations.
     """
-    from .fields import _point_from_coords
-
-    chart = gamma.chart
-    n, k = chart.n, chart.k
+    n, k = gamma.chart.n, gamma.chart.k
 
     def make_comp(alpha):
         def comp(x):
@@ -408,12 +403,7 @@ def project_zdep(h: ScalarField, gamma: SectionZDep, C: GaugeMatrix) -> BaseFiel
                     f"projected field evaluated outside the section domain at {qs}, {zs}"
                 )
             p = gamma.p_at(qs, zs)
-            flat = [p[a][i] for a in range(k) for i in range(n)]
-
-            def hp(ps):
-                return h.fn(_point_from_coords(chart, qs + list(ps) + zs))
-
-            _, gp = dm.derive1(hp, flat)
+            gp = _p_grad(h, qs, zs, _flat(p))
             U = [gp[alpha * n + i] for i in range(n)]
             Cm = C(qs, zs)
             zblocks = []
@@ -485,14 +475,12 @@ def verify_complete(
     seed: int = 0,
     res_tol: float = 1e-10,
     rt_tol: float = 1e-12,
-    workers: int = 1,
 ) -> CompleteVerification:
     """Check every parameter slice of a candidate complete solution.
 
     Each slice runs the z-dependent residual with the diagonal solver; the
     supplied inverse is round-trip-checked on the same base samples.
-    ``params`` is an array of parameter tuples (one row per slice); slices
-    are independent, so ``workers`` > 1 spreads them over a thread pool.
+    ``params`` is an array of parameter tuples (one row per slice).
     """
     chart = family.chart
     n, k = chart.n, chart.k
@@ -538,17 +526,9 @@ def verify_complete(
             bad.append((tuple(lam), f"inverse round-trip error {rt:.3e} > {rt_tol:.1e}"))
         return tuple(lam), rep, rt, bad
 
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(verify_one, params))
-    else:
-        results = [verify_one(lam) for lam in params]
-
     sup_res, sup_rt = 0.0, 0.0
     failures, reports = [], []
-    for lam, rep, rt, bad in results:
+    for lam, rep, rt, bad in map(verify_one, params):
         failures.extend(bad)
         if rep is not None:
             reports.append((lam, rep))

@@ -28,7 +28,7 @@ from .hj import (
     project_Q,
     project_zdep,
 )
-from .sections import SectionZInd
+from .sections import SectionZInd, _coeff_jacobian
 
 __all__ = [
     "commutator_defect",
@@ -211,23 +211,13 @@ def lift(gamma, sigma: BaseMap) -> SolutionMap:
             def closed_derivative(t):
                 x = np.atleast_1d(np.asarray(sigma.closed_form(t), dtype=float))
                 dx = np.asarray(sigma.closed_derivative(t), dtype=float).reshape(k, sigma.d)
-                if zind:
-                    def flat_coeffs(qs):
-                        rows = gamma.p_at(qs)
-                        return [rows[a][i] for a in range(k) for i in range(n)] + list(gamma.z_at(qs))
-
-                    _, rows = dm.jacobian(flat_coeffs, list(x))
-                    J = np.asarray(rows, dtype=float)  # (k*n + k, n)
+                _, rows = _coeff_jacobian(gamma, x)
+                J = np.asarray(rows, dtype=float)
+                if zind:  # J is (k*n + k, n): momentum rows, then z-values
                     dq = dx
                     dp = np.einsum("ci,bi->bc", J[: k * n], dx).reshape(k, k, n)
                     dz = np.einsum("ci,bi->bc", J[k * n:], dx)
-                else:
-                    def flat_coeffs(xs):
-                        rows = gamma.p_at(xs[:n], xs[n:])
-                        return [rows[a][i] for a in range(k) for i in range(n)]
-
-                    _, rows = dm.jacobian(flat_coeffs, list(x))
-                    J = np.asarray(rows, dtype=float)  # (k*n, n+k)
+                else:  # J is (k*n, n + k)
                     dq = dx[:, :n]
                     dp = np.einsum("cj,bj->bc", J, dx).reshape(k, k, n)
                     dz = dx[:, n:]

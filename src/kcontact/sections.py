@@ -110,6 +110,27 @@ def from_potentials(chart: ChartSpec, W, domain=None, name: str = "") -> Section
     return SectionZInd(chart, gamma_p=gamma_p, gamma_z=lambda q: list(W(q)), domain=domain, name=name)
 
 
+def _flat(rows) -> list:
+    """Momentum coefficient rows as one flat, row-major list."""
+    return [x for row in rows for x in row]
+
+
+def _coeff_jacobian(gamma, x):
+    """Section coefficients and their Jacobian rows in one dual pass.
+
+    For a :class:`SectionZDep` the pass is over ``x`` = (q, z) and the
+    outputs are the flat momentum coefficients.  For a
+    :class:`SectionZInd` it is over ``x`` = q and the k z-values follow the
+    momentum coefficients.  Returns ``(vals, rows)`` as
+    :func:`kcontact.dual.jacobian` does; entries stay dual-capable when
+    ``x`` carries duals of an enclosing pass.
+    """
+    if isinstance(gamma, SectionZDep):
+        n = gamma.chart.n
+        return dm.jacobian(lambda v: _flat(gamma.p_at(v[:n], v[n:])), list(x))
+    return dm.jacobian(lambda v: _flat(gamma.p_at(v)) + list(gamma.z_at(v)), list(x))
+
+
 def check_holonomic(gamma: SectionZInd, samples) -> float:
     """Max defect |gamma_p - d(gamma_z)/dq| over the sample points.
 
@@ -117,32 +138,16 @@ def check_holonomic(gamma: SectionZInd, samples) -> float:
     extra-coordinate functions, i.e. the section is a first-prolongation
     graph; its image is then tangent to the kernel of the structure forms.
     """
+    k, n = gamma.chart.k, gamma.chart.n
     worst = 0.0
     for q in np.atleast_2d(np.asarray(samples, dtype=float)):
         if not gamma.in_domain(q):
             continue
-        qs = list(q)
-        _, rows = dm.jacobian(lambda v: gamma.z_at(v), qs)
-        gp = gamma.p_at(qs)
-        for a in range(gamma.chart.k):
-            for i in range(gamma.chart.n):
-                worst = max(worst, abs(float(gp[a][i]) - float(rows[a][i])))
+        vals, rows = _coeff_jacobian(gamma, q)
+        for a in range(k):
+            for i in range(n):
+                worst = max(worst, abs(float(vals[a * n + i]) - float(rows[k * n + a][i])))
     return worst
-
-
-def _zdep_jacobians(gamma: SectionZDep, q, z):
-    """Coefficient values plus q- and z-derivatives at one base point."""
-    k, n = gamma.chart.k, gamma.chart.n
-    qs, zs = list(q), list(z)
-
-    def flat(vars_):
-        rows = gamma.p_at(vars_[:n], vars_[n:])
-        return [rows[a][i] for a in range(k) for i in range(n)]
-
-    vals, rows = dm.jacobian(flat, qs + zs)
-    gp = np.array(vals, dtype=float).reshape(k, n)
-    jac = np.array(rows, dtype=float).reshape(k, n, n + k)
-    return gp, jac[:, :, :n], jac[:, :, n:]  # d/dq, d/dz
 
 
 def check_max_coisotropic(gamma: SectionZDep, samples) -> float:
@@ -160,11 +165,13 @@ def check_max_coisotropic(gamma: SectionZDep, samples) -> float:
         q, z = qz[:n], qz[n:]
         if not gamma.in_domain(q, z):
             continue
-        gp, dq, dz = _zdep_jacobians(gamma, q, z)
+        vals, rows = _coeff_jacobian(gamma, list(q) + list(z))
+        gp = np.array(vals, dtype=float).reshape(k, n)
+        jac = np.array(rows, dtype=float).reshape(k, n, n + k)
         for a in range(k):
-            A = dq[a].T.copy()  # A[i, j] = d gamma_j^a / d q^i
+            A = jac[a, :, :n].T.copy()  # A[i, j] = d gamma_j^a / d q^i
             for b in range(k):
-                A += np.outer(gp[b], dz[a, :, b])  # + gamma_i^b * d gamma_j^a / d z^b
+                A += np.outer(gp[b], jac[a, :, n + b])  # + gamma_i^b * d gamma_j^a / d z^b
             worst = max(worst, float(np.max(np.abs(A - A.T))))
     return worst
 
@@ -179,8 +186,9 @@ def check_isotropic_slices(gamma: SectionZDep, z, samples) -> float:
     for q in np.atleast_2d(np.asarray(samples, dtype=float)):
         if not gamma.in_domain(q, z):
             continue
-        _, dq, _ = _zdep_jacobians(gamma, q, z)
+        _, rows = _coeff_jacobian(gamma, list(q) + list(z))
+        jac = np.array(rows, dtype=float).reshape(k, n, n + k)
         for a in range(k):
-            A = dq[a].T  # A[i, j] = d gamma_j^a / d q^i
+            A = jac[a, :, :n].T  # A[i, j] = d gamma_j^a / d q^i
             worst = max(worst, float(np.max(np.abs(A - A.T))))
     return worst

@@ -1,9 +1,12 @@
 """Command-line contract: exit codes, reports, CSV output, determinism."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import kcontact
 from kcontact import cli
 from kcontact import corpus
 
@@ -131,6 +134,14 @@ def test_simulate_divergence_exit_4(tmp_path):
     assert code == 4
 
 
+def test_simulate_zero_kappa_exit_3(tmp_path, capsys):
+    # 1/kappa in the slope quadratic: a contract violation naming the relation, not a crash
+    code = run(["simulate", "--example", "telegrapher", "--solution", "exponential",
+                "--set", "kappa=0", "--out", str(tmp_path)])
+    assert code == 3
+    assert "kappa != 0" in capsys.readouterr().err
+
+
 def test_config_file_plan(tmp_path, capsys):
     cfg = tmp_path / "run.ini"
     cfg.write_text(
@@ -157,8 +168,11 @@ def test_config_missing_file_exit_2(capsys):
 
 
 def test_console_script_entrypoint():
+    # the child imports the same kcontact as this process, installed or not
+    src = str(Path(kcontact.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-m", "kcontact.cli", "list"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "telegrapher" in proc.stdout
 

@@ -72,7 +72,7 @@ def test_every_solution_passes_its_own_residual(name, key):
     ex = corpus.load(name)
     psi = corpus.analytic(name, key)
     h = ex.hamiltonian()
-    tol = 1e-6 if key == "logarithmic" else ex.solutions[key].tol if key in ex.solutions else 1e-10
+    tol = ex.solutions[key].tol
     for mode in corpus.solution_modes(name, key):
         assert kc.map_residual(psi, h, mode=mode).max() <= tol
 

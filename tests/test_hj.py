@@ -1,6 +1,8 @@
 """Hamilton-Jacobi checks: projections, all four residuals, the diagonal
 gauge-matrix solver, and complete-solution verification."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -53,6 +55,30 @@ def test_project_q_hs_components():
     gut, gux = 2 * u, 3 * u * u
     assert f.eval(0, [u])[0] == pytest.approx(-2 * gux + 4 * u * gut + mu)
     assert f.eval(1, [u])[0] == pytest.approx(-2 * gut)
+
+
+def _counting(h):
+    """``h`` with its evaluations counted in ``calls[0]``."""
+    calls = [0]
+
+    def fn(pt):
+        calls[0] += 1
+        return h.fn(pt)
+
+    return dataclasses.replace(h, fn=fn), calls
+
+
+def test_project_zdep_explicit_gauge_one_h_pass_per_component():
+    ex = corpus.load("hunter-saxton")
+    entry = ex.sections["zdep-quadratic"]
+    P = dict(entry.defaults)
+    h, calls = _counting(ex.hamiltonian())
+    f = kc.project_zdep(h, entry.build(P), entry.gauge(P))
+    points = ([0.1, 0.2, -0.3], [0.5, -0.4, 0.25], [-0.7, 0.0, 0.9])
+    for x in points:
+        for a in range(2):
+            f.eval(a, x)
+    assert calls[0] == 2 * len(points)
 
 
 def test_project_q_is_representative_independent(rng):
@@ -419,11 +445,26 @@ def test_complete_family_broken_inverse_flagged(rng):
     assert ver.sup_roundtrip == pytest.approx(2 * a * zmax, abs=1e-12)
 
 
-def test_verify_complete_workers_agree():
-    ex = corpus.load("telegrapher")
-    h = ex.hamiltonian()
-    fam = ex.families["complete"]({**ex.defaults, "a": 1.0})
-    v1 = kc.verify_complete(fam, h, "standard", _param_mesh(), count=20, seed=3, workers=1)
-    v2 = kc.verify_complete(fam, h, "standard", _param_mesh(), count=20, seed=3, workers=4)
-    assert v1.sup_residual == v2.sup_residual
-    assert v1.sup_roundtrip == v2.sup_roundtrip
+@pytest.mark.parametrize("name", ["telegrapher", "hunter-saxton", "first-order-dissipative"])
+def test_diagonal_gauge_shares_the_residual_ingredients(name, rng):
+    """The diagonal gauge is solved from the ingredients the residual builds,
+    so the sweep evaluates h exactly as often as with an explicit gauge."""
+    ex = corpus.load(name)
+    h, calls = _counting(ex.hamiltonian())
+    entry = ex.sections["zdep-family"]
+    gamma = entry.build(dict(entry.defaults))
+    samples = 2.0 * rng.random((15, 3)) - 1.0
+    zero = kc.GaugeMatrix(lambda q, z: [[0.0, 0.0], [0.0, 0.0]])
+    kc.hj_zdep_residual(h, gamma, zero, mode="evolution", samples=samples)
+    explicit, calls[0] = calls[0], 0
+    C = kc.diagonal_gauge_matrix(h, gamma, "evolution")
+    rep = kc.hj_zdep_residual(h, gamma, C, mode="evolution", samples=samples)
+    assert explicit > 0 and calls[0] == explicit
+    # checked against another Hamiltonian, the gauge keeps the entries solved for its own
+    other = ex.hamiltonian({k: 2.0 * v + 0.5 for k, v in ex.defaults.items()})
+    wrapped = kc.GaugeMatrix(lambda q, z: kc.solve_diagonal_C(h, gamma, "evolution", q, z))
+    mixed = kc.hj_zdep_residual(other, gamma, C, mode="evolution", samples=samples)
+    assert mixed.sup_residual > 1e-6
+    assert mixed.sup_residual == kc.hj_zdep_residual(other, gamma, wrapped, mode="evolution",
+                                                     samples=samples).sup_residual
+    assert rep.sup_residual <= 1e-10

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kcontact as kc
-from kcontact.sections import _zdep_jacobians, default_box, sample_box
+from kcontact.sections import _coeff_jacobian, default_box, sample_box
 
 CH12 = kc.ChartSpec(1, 2)
 CH21 = kc.ChartSpec(2, 1)
@@ -143,11 +143,13 @@ def test_coisotropy_defect_terms_antisymmetric(rng):
     for _ in range(5):
         q = 2.0 * rng.random(3) - 1.0
         z = 2.0 * rng.random(2) - 1.0
-        gp, dq, dz = _zdep_jacobians(gamma, q, z)
+        vals, rows = _coeff_jacobian(gamma, list(q) + list(z))
+        gp = np.array(vals, dtype=float).reshape(2, 3)
+        jac = np.array(rows, dtype=float).reshape(2, 3, 5)
         for a in range(2):
-            A = dq[a].T.copy()
+            A = jac[a, :, :3].T.copy()
             for b in range(2):
-                A += np.outer(gp[b], dz[a, :, b])
+                A += np.outer(gp[b], jac[a, :, 3 + b])
             D = A - A.T
             assert np.max(np.abs(D + D.T)) == 0.0  # exact cancellation
 
