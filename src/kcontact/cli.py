@@ -276,6 +276,12 @@ def cmd_simulate(args, plan) -> int:
         tolerances["residual"] = float(check["residual_tolerance"])
 
     if args.solution:
+        known = sorted(set(corpus._solution_entry(example, args.solution).defaults)
+                       | set(example.defaults))
+        for key in overrides:
+            if key not in known:
+                raise ConfigError(f"unknown parameter {key!r} for solution {args.solution}; "
+                                  f"known: {known}")
         grid = None
         if args.origin or args.spacing or args.counts or plan.get("grid"):
             grid = _grid_from(args, plan, {})

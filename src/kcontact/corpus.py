@@ -1181,6 +1181,16 @@ def load(name: str) -> ExampleSystem:
         ) from None
 
 
+def _solution_entry(ex: ExampleSystem, solution_key: str) -> SolutionEntry:
+    try:
+        return ex.solutions[solution_key]
+    except KeyError:
+        raise ConfigError(
+            f"unknown solution {solution_key!r} for example {ex.name}; "
+            f"known: {sorted(ex.solutions)}"
+        ) from None
+
+
 def analytic(name: str, solution_key: str, params=None, grid: GridSpec = None) -> SolutionMap:
     """Closed-form solution of a built-in example, sampled with exact derivatives.
 
@@ -1188,13 +1198,7 @@ def analytic(name: str, solution_key: str, params=None, grid: GridSpec = None) -
     offending relation.
     """
     ex = load(name)
-    try:
-        entry = ex.solutions[solution_key]
-    except KeyError:
-        raise ConfigError(
-            f"unknown solution {solution_key!r} for example {name}; "
-            f"known: {sorted(ex.solutions)}"
-        ) from None
+    entry = _solution_entry(ex, solution_key)
     P = dict(entry.defaults)
     P.update(params or {})
     entry.constraint(P)
@@ -1204,7 +1208,7 @@ def analytic(name: str, solution_key: str, params=None, grid: GridSpec = None) -
 
 def solution_modes(name: str, solution_key: str, params=None) -> tuple:
     """Modes whose map residual the given closed-form solution satisfies."""
-    entry = load(name).solutions[solution_key]
+    entry = _solution_entry(load(name), solution_key)
     if not callable(entry.modes):
         return entry.modes
     P = dict(entry.defaults)

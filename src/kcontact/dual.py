@@ -11,12 +11,28 @@ avoids perturbation confusion when passes nest.
 User-supplied callables stay differentiable as long as they use ordinary
 scalar arithmetic and the math helpers exported here (``exp``, ``log``,
 ``sqrt``, ...) instead of the ``math``/``numpy`` versions.
+
+Lanes.  Grid sweeps evaluate one callable at many points in a single pass
+by handing it :class:`_Lanes` values, each carrying one float per point,
+wherever a float would go (also inside duals and the object arrays of a
+:class:`~kcontact.geometry.DarbouxPoint`).  Under lanes a callable may use
+``+ - * /`` and ``**``, ``abs``, the math helpers exported here,
+elementwise arithmetic on the point's arrays, and comparisons or branches
+on which every lane agrees.  Each lane's result is bit-identical to the
+scalar pass at that point: numpy rounds ``+ - * /`` exactly, and ``**``
+and the helpers apply the scalar ``math``/Python operation lane by lane.
+Anything else (a zero divisor, a math domain error, ``float()`` of a lane
+value, a branch on which lanes disagree, a numpy function or a new numpy
+array made from lane values) raises :class:`_Unbatchable` or another
+exception, and the caller falls back to one scalar evaluation per point,
+which reproduces the scalar values and errors.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 
 import numpy as np
 
@@ -142,19 +158,19 @@ class Dual:
     # -- comparisons look at values only -----------------------------------
 
     def __lt__(self, other):
-        return value(self) < value(other)
+        return _cmp_value(self) < _cmp_value(other)
 
     def __le__(self, other):
-        return value(self) <= value(other)
+        return _cmp_value(self) <= _cmp_value(other)
 
     def __gt__(self, other):
-        return value(self) > value(other)
+        return _cmp_value(self) > _cmp_value(other)
 
     def __ge__(self, other):
-        return value(self) >= value(other)
+        return _cmp_value(self) >= _cmp_value(other)
 
     def __abs__(self):
-        s = 1.0 if value(self) >= 0.0 else -1.0
+        s = 1.0 if _cmp_value(self) >= 0.0 else -1.0
         return self * s
 
     def __float__(self):
@@ -176,11 +192,167 @@ def _bcast(fn, arr):
     return out
 
 
-def value(x):
-    """Strip all dual layers off `x` and return the underlying float."""
+def _strip(x):
     while isinstance(x, Dual):
         x = x.a
-    return float(x)
+    return x
+
+
+def value(x):
+    """Strip all dual layers off `x` and return the underlying float."""
+    return float(_strip(x))
+
+
+def _cmp_value(x):
+    """What comparisons see: the underlying float, or the lanes under the duals."""
+    x = _strip(x)
+    return x if isinstance(x, _Lanes) else float(x)
+
+
+# -- lanes: one float per sample point, travelling as one scalar -------------
+
+class _Unbatchable(Exception):
+    """A lane pass met an operation that its lanes cannot take together."""
+
+
+# Operands that mix with lanes as Python floats do (np.float64 is a float).
+# np.float32 is left out: with a Python float it computes in single precision.
+_REAL = (float, int, np.integer)
+
+
+def _div(a, b):
+    if (b == 0.0).any() if isinstance(b, np.ndarray) else b == 0.0:
+        raise _Unbatchable("division by zero in a lane")
+    return a / b
+
+
+def _lane_op(op, reflected=False):
+    def method(self, other):
+        o = self._arg(other)
+        if o is NotImplemented:
+            return o
+        return _Lanes(op(o, self.v) if reflected else op(self.v, o))
+
+    return method
+
+
+def _lane_cmp(op):
+    def method(self, other):
+        o = self._arg(other)
+        return o if o is NotImplemented else self._agree(op(self.v, o))
+
+    return method
+
+
+class _Lanes:
+    """m floats, one per lane, that a callable sees as a single scalar.
+
+    ``+ - * /`` act lane-wise with real numbers and other lanes, not with
+    numpy arrays; duals take lanes as their value and partial entries.
+    Comparisons and ``bool`` give the common answer of the lanes; they
+    raise :class:`_Unbatchable` when the lanes disagree, as do ``float()``
+    and a zero divisor in any lane.  ``__array_ufunc__ = None`` keeps numpy
+    functions off it, and ``__array__`` raises: numpy would build an object
+    array from lanes where the scalar pass builds a float array, and the
+    sums and matrix products of the two can round differently.  Object
+    arrays of lanes are built element by element (``np.fromiter``).
+    """
+
+    __slots__ = ("v",)
+    __array_ufunc__ = None
+
+    def __init__(self, v):
+        self.v = v
+
+    def _arg(self, other):
+        if isinstance(other, _Lanes):
+            return other.v
+        if isinstance(other, _REAL):
+            return float(other)
+        return NotImplemented
+
+    @staticmethod
+    def _agree(mask):
+        if mask.all():
+            return True
+        if not mask.any():
+            return False
+        raise _Unbatchable("lanes disagree on a comparison")
+
+    def _each(self, fn, other=None):
+        """Apply the scalar operation ``fn`` lane by lane, with an optional second operand."""
+        xs = self.v.tolist()
+        try:
+            if other is None:
+                out = [fn(x) for x in xs]
+            elif isinstance(other, _Lanes):
+                out = [fn(x, y) for x, y in zip(xs, other.v.tolist())]
+            else:
+                out = [fn(x, other) for x in xs]
+        except (ArithmeticError, ValueError) as exc:
+            raise _Unbatchable(f"lane operation failed: {exc}") from exc
+        if any(type(x) is not float for x in out):
+            raise _Unbatchable("a lane left the real numbers")
+        return _Lanes(np.array(out))
+
+    __add__ = _lane_op(operator.add)
+    __radd__ = _lane_op(operator.add, reflected=True)
+    __sub__ = _lane_op(operator.sub)
+    __rsub__ = _lane_op(operator.sub, reflected=True)
+    __mul__ = _lane_op(operator.mul)
+    __rmul__ = _lane_op(operator.mul, reflected=True)
+    __truediv__ = _lane_op(_div)
+    __rtruediv__ = _lane_op(_div, reflected=True)
+
+    def __pow__(self, other):
+        o = other if isinstance(other, _Lanes) else self._arg(other)
+        return o if o is NotImplemented else self._each(pow, o)
+
+    def __rpow__(self, other):
+        o = self._arg(other)
+        return o if o is NotImplemented else self._each(lambda x, base: base ** x, o)
+
+    def __neg__(self):
+        return _Lanes(-self.v)
+
+    def __abs__(self):
+        return _Lanes(np.abs(self.v))
+
+    __lt__ = _lane_cmp(operator.lt)
+    __le__ = _lane_cmp(operator.le)
+    __gt__ = _lane_cmp(operator.gt)
+    __ge__ = _lane_cmp(operator.ge)
+    __eq__ = _lane_cmp(operator.eq)
+    __ne__ = _lane_cmp(operator.ne)
+
+    def __bool__(self):
+        return self._agree(self.v != 0.0)
+
+    def __float__(self):
+        raise _Unbatchable("float() of a lane value")
+
+    def __array__(self, dtype=None, copy=None):
+        raise _Unbatchable("a numpy array built from lane values")
+
+    def __repr__(self):
+        return f"_Lanes({self.v!r})"
+
+
+def _lanes_of(X) -> list:
+    """The columns of an (m, d) float array as d lane values."""
+    return [_Lanes(col) for col in X.T]
+
+
+def _lane_values(x, m: int) -> np.ndarray:
+    """The m floats of one output of a lane pass; a plain number is broadcast."""
+    x = _strip(x)
+    return x.v if isinstance(x, _Lanes) else np.full(m, float(x))
+
+
+def _lane_array(outs, m: int) -> np.ndarray:
+    """The outputs of a lane pass, a sequence or nested lists, as a float array, lanes first."""
+    return np.stack([_lane_array(x, m) if isinstance(x, (list, tuple)) else _lane_values(x, m)
+                     for x in outs], axis=1)
 
 
 # -- math helpers that dispatch on Dual ------------------------------------
@@ -189,12 +361,16 @@ def exp(x):
     if isinstance(x, Dual):
         inner = exp(x.a)
         return x._chain(inner, inner)
+    if isinstance(x, _Lanes):
+        return x._each(math.exp)
     return math.exp(x)
 
 
 def log(x):
     if isinstance(x, Dual):
         return x._chain(log(x.a), 1.0 / x.a)
+    if isinstance(x, _Lanes):
+        return x._each(math.log)
     return math.log(x)
 
 
@@ -202,18 +378,24 @@ def sqrt(x):
     if isinstance(x, Dual):
         inner = sqrt(x.a)
         return x._chain(inner, 0.5 / inner)
+    if isinstance(x, _Lanes):
+        return x._each(math.sqrt)
     return math.sqrt(x)
 
 
 def sin(x):
     if isinstance(x, Dual):
         return x._chain(sin(x.a), cos(x.a))
+    if isinstance(x, _Lanes):
+        return x._each(math.sin)
     return math.sin(x)
 
 
 def cos(x):
     if isinstance(x, Dual):
         return x._chain(cos(x.a), -sin(x.a))
+    if isinstance(x, _Lanes):
+        return x._each(math.cos)
     return math.cos(x)
 
 
@@ -221,6 +403,8 @@ def tanh(x):
     if isinstance(x, Dual):
         t = tanh(x.a)
         return x._chain(t, 1.0 - t * t)
+    if isinstance(x, _Lanes):
+        return x._each(math.tanh)
     return math.tanh(x)
 
 
@@ -231,7 +415,7 @@ def fabs(x):
 
 
 def sign(x):
-    v = value(x) if isinstance(x, Dual) else x
+    v = _cmp_value(x) if isinstance(x, (Dual, _Lanes)) else x
     return 1.0 if v > 0.0 else (-1.0 if v < 0.0 else 0.0)
 
 

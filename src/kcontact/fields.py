@@ -67,10 +67,9 @@ class ScalarField:
 
 def _point_from_coords(chart: ChartSpec, coords) -> DarbouxPoint:
     n, k = chart.n, chart.k
-    q = np.array(coords[:n], dtype=object)
-    p = np.array(coords[n:n + n * k], dtype=object).reshape(k, n)
-    z = np.array(coords[n + n * k:], dtype=object)
-    return DarbouxPoint(q, p, z)
+    # element by element, so lane values are stored as they are (see kcontact.dual)
+    flat = np.fromiter(coords, dtype=object, count=len(coords))
+    return DarbouxPoint(flat[:n], flat[n:n + n * k].reshape(k, n), flat[n + n * k:])
 
 
 def grad(h: ScalarField, pt: DarbouxPoint) -> Gradient:

@@ -93,13 +93,21 @@ class GaugeMatrix:
         """``C(q, z)`` plus the sample's :func:`_zdep_ingredients`, in that order."""
         return self(q, z), _zdep_ingredients(h, gamma, q, z)
 
+    def _projection_parts(self, h: ScalarField, gamma: SectionZDep, q, z):
+        """What :func:`project_zdep` reads at (q, z): coefficients p, momentum-gradient rows U, C."""
+        p = gamma.p_at(q, z)
+        gp = _p_grad(h, q, z, _flat(p))
+        n, k = gamma.chart.n, gamma.chart.k
+        return p, [[gp[a * n + i] for i in range(n)] for a in range(k)], self(q, z)
+
 
 class _DiagonalGauge(GaugeMatrix):
     """Gauge matrix of the diagonal solver.
 
     ``fn`` is ``partial(_diag_rows, h, gamma, mode)``.  When the check runs
     on that same ``h`` and ``gamma``, the entries are solved from the
-    ingredients the residual uses, so each sample builds them once.
+    ingredients the residual and the projection use, so each point builds
+    them once.
     """
 
     def _at(self, h, gamma, q, z):
@@ -108,6 +116,13 @@ class _DiagonalGauge(GaugeMatrix):
             return super()._at(h, gamma, q, z)
         entries, ing = _diag_C_generic(h, gamma, mode, q, z)
         return _diag_matrix(entries), ing
+
+    def _projection_parts(self, h, gamma, q, z):
+        own_h, own_gamma, _ = self.fn.args
+        if h is not own_h or gamma is not own_gamma:
+            return super()._projection_parts(h, gamma, q, z)
+        C, ing = self._at(h, gamma, q, z)
+        return ing[3], ing[5], C  # coefficients p, momentum-gradient rows U, C
 
 
 def _resolve_samples(samples, box, dim, count, seed):
@@ -217,8 +232,8 @@ def _zdep_ingredients(h: ScalarField, gamma: SectionZDep, q, z):
     """Shared pieces of the z-dependent identity at one base point.
 
     Returns (h value on section, d_q(h on section), Gamma, section
-    coefficients, z-Jacobian of the coefficients); everything is
-    dual-capable in (q, z).
+    coefficients, z-Jacobian of the coefficients, momentum-gradient rows U
+    of h on the section); everything is dual-capable in (q, z).
     """
     chart = gamma.chart
     n, k = chart.n, chart.k
@@ -249,13 +264,13 @@ def _zdep_ingredients(h: ScalarField, gamma: SectionZDep, q, z):
             for i in range(n):
                 acc = acc + U[a][i] * dz_p[a][i][b]
         Gamma.append(acc)
-    return hval, dq_h, Gamma, p, dz_p
+    return hval, dq_h, Gamma, p, dz_p, U
 
 
 def _zdep_residual_at(gamma, C_entries, ing):
     """Max over j of the z-dependent identity residual from one point's ingredients."""
     n, k = gamma.chart.n, gamma.chart.k
-    _, dq_h, Gamma, p, dz_p = ing
+    _, dq_h, Gamma, p, dz_p, _ = ing
     worst = 0.0
     for j in range(n):
         acc = dq_h[j]
@@ -332,7 +347,7 @@ def _diag_C_generic(h: ScalarField, gamma: SectionZDep, mode: str, q, z):
     if n != 1:
         raise ContractError("the diagonal gauge-matrix solver covers the n = 1 regime only")
     ing = _zdep_ingredients(h, gamma, q, z)
-    hval, dq_h, Gamma, p, dz_p = ing
+    hval, dq_h, Gamma, p, dz_p, _ = ing
     s = -hval if mode == "standard" else 0.0
     if k == 1:
         return [s], ing
@@ -402,10 +417,8 @@ def project_zdep(h: ScalarField, gamma: SectionZDep, C: GaugeMatrix) -> BaseFiel
                 raise DomainError(
                     f"projected field evaluated outside the section domain at {qs}, {zs}"
                 )
-            p = gamma.p_at(qs, zs)
-            gp = _p_grad(h, qs, zs, _flat(p))
-            U = [gp[alpha * n + i] for i in range(n)]
-            Cm = C(qs, zs)
+            p, U_rows, Cm = C._projection_parts(h, gamma, qs, zs)
+            U = U_rows[alpha]
             zblocks = []
             for b in range(k):
                 acc = Cm[alpha][b]

@@ -6,11 +6,18 @@ fields commute the result does not depend on the direction order; the far
 corner of every sweep is re-integrated with the directions reversed and
 the two endpoints must agree, which turns integrability into a runtime
 assertion.
+
+The grid lines of one sweep direction are independent, so they advance
+together as the lanes of one field evaluation (see :mod:`kcontact.dual`);
+the node derivatives of an integrated map and the section Jacobians of a
+lift are filled the same way.  Whenever a lane pass raises, the work is
+redone point by point, which gives the scalar values or the scalar error.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache, partial
 
 import numpy as np
 
@@ -72,16 +79,45 @@ def commutator_defect(f: BaseField, samples) -> float:
     return worst
 
 
-def _rk4_line(f: BaseField, axis: int, x0: np.ndarray, h: float, cells: int, steps_per_cell: int):
-    """Integrate one grid line; yields the state after every cell."""
+# Points per lane pass.  Wider passes spread the Python cost of each dual
+# operation over more points; the cap bounds the lane arrays one pass holds.
+_LANE_CHUNK = 256
+
+
+def _lanes(fn, X: np.ndarray):
+    """``fn`` on the rows of ``X`` in lane passes of up to ``_LANE_CHUNK`` rows.
+
+    Returns the passes' outputs concatenated, or ``None`` when any pass
+    raised anything at all, including an overflow or invalid operation in
+    any lane.  The caller then evaluates point by point, which reproduces
+    the scalar values, warnings and errors.
+    """
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise", under="ignore"):
+            return np.concatenate([fn(X[i:i + _LANE_CHUNK]) for i in range(0, len(X), _LANE_CHUNK)])
+    except Exception:  # noqa: BLE001 - the point-by-point path is the reference
+        return None
+
+
+def _lane_eval(f: BaseField, a: int, X: np.ndarray) -> np.ndarray:
+    """``f.eval(a, x)`` for every row ``x`` of the (m, dim) array ``X``, in one lane pass."""
+    return dm._lane_array(f.comps[a](dm._lanes_of(X)), X.shape[0])
+
+
+def _rk4_line(field_at, axis: int, x0: np.ndarray, h: float, cells: int, steps_per_cell: int):
+    """Integrate along direction ``axis``; yields the state after every cell.
+
+    ``field_at(x)`` is the direction field; ``x0`` is one point, or an
+    (m, dim) array of lines advanced together by a lane evaluation.
+    """
     dt = h / steps_per_cell
     x = np.asarray(x0, dtype=float)
     for _ in range(cells):
         for _ in range(steps_per_cell):
-            k1 = f.eval(axis, x)
-            k2 = f.eval(axis, x + 0.5 * dt * k1)
-            k3 = f.eval(axis, x + 0.5 * dt * k2)
-            k4 = f.eval(axis, x + dt * k3)
+            k1 = field_at(x)
+            k2 = field_at(x + 0.5 * dt * k1)
+            k3 = field_at(x + 0.5 * dt * k2)
+            k4 = field_at(x + dt * k3)
             x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             if not np.all(np.isfinite(x)) or np.max(np.abs(x)) > BLOWUP_GUARD:
                 raise DivergenceError(f"flow along direction {axis} exceeded the blow-up guard")
@@ -93,9 +129,45 @@ def _integrate_path(f: BaseField, x0, legs, steps_per_cell: int) -> np.ndarray:
     for axis, h, cells in legs:
         if cells == 0:
             continue
-        for x in _rk4_line(f, axis, x, h, cells, steps_per_cell):
+        for x in _rk4_line(partial(f.eval, axis), axis, x, h, cells, steps_per_cell):
             pass
     return x
+
+
+def _sweep(f: BaseField, values: np.ndarray, axis: int, h: float, steps_per_cell: int) -> None:
+    """Fill the grid lines of direction ``axis`` from their first nodes.
+
+    All lines advance together as the lanes of one pass per field
+    evaluation; if that pass raises, the lines are redone one at a time.
+    """
+    k, dim = values.ndim - 1, values.shape[-1]
+    lead, tail = (slice(None),) * axis, (0,) * (k - axis - 1)
+    cells = values.shape[axis] - 1
+    starts = values[lead + (0,) + tail]
+    if starts.size > dim:
+        def advance(X):  # (m, dim) line starts -> (m, cells, dim) states after each cell
+            return np.stack(list(_rk4_line(partial(_lane_eval, f, axis), axis, X, h, cells,
+                                           steps_per_cell)), axis=1)
+
+        lines = _lanes(advance, starts.reshape(-1, dim))
+        if lines is not None:
+            values[lead + (slice(1, None),) + tail] = lines.reshape(starts.shape[:-1] + (cells, dim))
+            return
+    for pre in np.ndindex(*values.shape[:axis]):
+        x = values[pre + (0,) + tail]
+        for step, xn in enumerate(_rk4_line(partial(f.eval, axis), axis, x, h, cells, steps_per_cell),
+                                  start=1):
+            values[pre + (step,) + tail] = xn
+
+
+def _grid_node(grid: GridSpec, t):
+    """Index of the node of ``grid`` within 1e-9 of ``t``, or ``None``."""
+    idx = tuple(int(round((t[d] - grid.origin[d]) / grid.spacing[d])) for d in range(grid.k))
+    if any(i < 0 or i >= grid.counts[d] for d, i in enumerate(idx)):
+        return None
+    if float(np.max(np.abs(grid.t(idx) - np.asarray(t, dtype=float)))) > 1e-9:
+        return None
+    return idx
 
 
 def integral_section(
@@ -129,18 +201,14 @@ def integral_section(
     values = np.empty(grid.shape + (f.dim,))
     values[(0,) * k] = start
     for axis in range(k):
-        prefix_shape = grid.counts[:axis]
-        h = grid.spacing[axis]
-        cells = grid.counts[axis] - 1
-        for pre in np.ndindex(*prefix_shape):
-            base_idx = pre + (0,) * (k - axis)
-            x = values[base_idx]
-            for step, xn in enumerate(_rk4_line(f, axis, x, h, cells, steps_per_cell), start=1):
-                values[pre + (step,) + (0,) * (k - axis - 1)] = xn
+        _sweep(f, values, axis, grid.spacing[axis], steps_per_cell)
 
+    # The reversed path's first leg (direction k-1 from the start) is the
+    # forward sweep's first line of that direction, so it starts from there.
     forward_legs = [(a, grid.spacing[a], grid.counts[a] - 1) for a in range(k)]
     corner_fwd = values[tuple(c - 1 for c in grid.counts)]
-    corner_rev = _integrate_path(f, start, forward_legs[::-1], steps_per_cell)
+    corner_rev = _integrate_path(f, values[(0,) * (k - 1) + (-1,)], forward_legs[::-1][1:],
+                                 steps_per_cell)
     gap = float(np.max(np.abs(corner_fwd - corner_rev)))
     if gap > order_tol:
         raise IntegrabilityError(
@@ -151,18 +219,26 @@ def integral_section(
     # Node values satisfy the flow equations, so the field itself provides
     # the direction derivatives at grid nodes (no difference stencils).
     def node_of(t):
-        idx = tuple(int(round((t[d] - grid.origin[d]) / grid.spacing[d])) for d in range(k))
-        if any(i < 0 or i >= grid.counts[d] for d, i in enumerate(idx)):
-            raise ContractError("integrated base map is only defined on its grid nodes")
-        if float(np.max(np.abs(grid.t(idx) - np.asarray(t, dtype=float)))) > 1e-9:
+        idx = _grid_node(grid, t)
+        if idx is None:
             raise ContractError("integrated base map is only defined on its grid nodes")
         return idx
 
     def closed_form(t):
         return values[node_of(t)]
 
+    @cache
+    def node_derivatives():
+        table = _lanes(lambda X: np.stack([_lane_eval(f, a, X) for a in range(k)], axis=1),
+                       values.reshape(-1, f.dim))
+        return None if table is None else table.reshape(grid.shape + (k, f.dim))
+
     def closed_derivative(t):
-        x = values[node_of(t)]
+        idx = node_of(t)
+        table = node_derivatives()
+        if table is not None:
+            return table[idx].copy()
+        x = values[idx]
         return np.stack([f.eval(a, x) for a in range(k)])
 
     return BaseMap(grid, values, closed_form=closed_form,
@@ -208,11 +284,24 @@ def lift(gamma, sigma: BaseMap) -> SolutionMap:
                 x = np.atleast_1d(sigma.closed_form(t))
                 return gamma.at(x[:n], x[n:])
         if sigma.closed_derivative is not None:
+            @cache
+            def node_jacobians():
+                """Section Jacobians at the base points ``sigma.values``, from lane passes."""
+                table = _lanes(lambda X: dm._lane_array(_coeff_jacobian(gamma, dm._lanes_of(X))[1],
+                                                        len(X)), sigma.values.reshape(-1, sigma.d))
+                return None if table is None else table.reshape(grid.shape + table.shape[1:])
+
             def closed_derivative(t):
                 x = np.atleast_1d(np.asarray(sigma.closed_form(t), dtype=float))
                 dx = np.asarray(sigma.closed_derivative(t), dtype=float).reshape(k, sigma.d)
-                _, rows = _coeff_jacobian(gamma, x)
-                J = np.asarray(rows, dtype=float)
+                table = node_jacobians()
+                idx = None if table is None else _grid_node(grid, t)
+                # the table row holds the Jacobian at the node's stored base point
+                if idx is not None and sigma.values[idx].tobytes() == x.tobytes():
+                    J = table[idx]
+                else:
+                    _, rows = _coeff_jacobian(gamma, x)
+                    J = np.asarray(rows, dtype=float)
                 if zind:  # J is (k*n + k, n): momentum rows, then z-values
                     dq = dx
                     dp = np.einsum("ci,bi->bc", J[: k * n], dx).reshape(k, k, n)

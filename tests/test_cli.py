@@ -59,6 +59,16 @@ def test_check_hj_set_overrides(capsys):
     assert code == 2
 
 
+def test_simulate_solution_unknown_parameter_exit_2(capsys, tmp_path):
+    code = run(["simulate", "--example", "telegrapher", "--solution", "exponential",
+                "--set", "zeta=1", "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    # the known names are the solution's parameters plus the example's
+    assert "'zeta'" in err and "'u0'" in err and "'kappa'" in err
+    assert not (tmp_path / "summary.json").exists()
+
+
 def test_check_hj_contract_exit_3(capsys):
     code = run(["check-hj", "--example", "telegrapher",
                 "--section", "zdep-family-broken-trace", "--mode", "evolution"])

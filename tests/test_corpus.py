@@ -21,6 +21,8 @@ def test_registry_and_unknown_key():
         corpus.load("nope")
     with pytest.raises(kc.ConfigError):
         corpus.analytic("telegrapher", "nope")
+    with pytest.raises(kc.ConfigError, match=r"known: \['linear', 'logarithmic', 'quadratic'\]"):
+        corpus.solution_modes("hunter-saxton", "nope")
 
 
 def test_displayed_hamiltonian_values():

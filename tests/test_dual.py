@@ -4,8 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import kcontact as kc
+from kcontact import corpus
 from kcontact import dual as dm
+from kcontact.integrate import _lane_eval
+from kcontact.sections import _coeff_jacobian
 
 
 def fd_gradient(f, xs, step=1e-6):
@@ -87,3 +93,121 @@ def test_array_broadcast():
     val, grad = dm.derive1(lambda x: (x[0] * arr)[1], [3.0])
     assert val == pytest.approx(6.0)
     assert grad[0] == pytest.approx(2.0)
+
+
+# -- lanes: many points through one pass ----------------------------------------
+
+def lanes(*xs):
+    return dm._Lanes(np.array(xs, dtype=float))
+
+
+def test_lane_arithmetic_matches_scalar_arithmetic(rng):
+    xs = list(4.0 * rng.random(200) - 2.0)
+    ys = list(4.0 * rng.random(200) + 0.5)
+    X, Y = lanes(*xs), lanes(*ys)
+    cases = [
+        (X + Y, [x + y for x, y in zip(xs, ys)]),
+        (X - 0.3, [x - 0.3 for x in xs]),
+        (2 * X, [2 * x for x in xs]),
+        (X / Y, [x / y for x, y in zip(xs, ys)]),
+        (1.5 / Y, [1.5 / y for y in ys]),
+        (Y ** 2.5, [y ** 2.5 for y in ys]),
+        (X ** 3, [x ** 3 for x in xs]),
+        (abs(-X), [abs(x) for x in xs]),
+    ]
+    for got, want in cases:
+        assert got.v.tolist() == want
+
+
+@pytest.mark.parametrize("name", ["exp", "log", "sqrt", "sin", "cos", "tanh"])
+def test_lane_math_helpers_apply_math_per_lane(name, rng):
+    # np.exp and np.tanh round differently from math.exp/math.tanh on a share
+    # of inputs, so the helpers must not use numpy for lanes.
+    xs = list(3.0 * rng.random(2000) + 1e-3)
+    got = getattr(dm, name)(dm._Lanes(np.array(xs)))
+    assert got.v.tolist() == [getattr(math, name)(x) for x in xs]
+
+
+@pytest.mark.parametrize("f", FUNCS)
+def test_lane_gradients_match_scalar_gradients(f, rng):
+    pts = 2.0 * rng.random((30, 3)) - 1.0
+    val, grad = dm.derive1(f, dm._lanes_of(pts))
+    assert np.array_equal(dm._lane_values(val, len(pts)), [float(dm.derive1(f, list(p))[0]) for p in pts])
+    want = np.array([[float(g) for g in dm.derive1(f, list(p))[1]] for p in pts])
+    assert np.array_equal(dm._lane_array(grad, len(pts)), want)
+
+
+def test_lane_comparisons_need_agreement():
+    X = lanes(0.5, 1.0, 2.0)
+    assert X > 0.0 and not (X > 3.0) and bool(X)
+    assert dm.sign(X) == 1.0 and dm.sign(-X) == -1.0
+    v, g = dm.derive1(lambda x: abs(x[0]), [-X])  # abs batches when the signs agree
+    assert v.v.tolist() == [0.5, 1.0, 2.0] and g[0] == -1.0
+    for disagree in (lambda: X > 1.0, lambda: X == 1.0, lambda: bool(X - 1.0),
+                     lambda: dm.sign(X - 1.0), lambda: dm.derive1(lambda x: abs(x[0]), [X - 1.0])):
+        with pytest.raises(dm._Unbatchable):
+            disagree()
+
+
+def test_lane_operations_without_a_common_answer_raise():
+    X = lanes(-1.0, 0.0, 1.0)
+    for op in (lambda: 1.0 / X, lambda: X / (X * 0.0), lambda: dm.sqrt(X), lambda: dm.log(X),
+               lambda: float(X), lambda: dm.value(dm.Dual(X, (1.0,), 10 ** 9)),
+               lambda: X ** 0.5, lambda: np.asarray([X, X]), lambda: np.exp(X),
+               lambda: X * np.array([1.0, 2.0]), lambda: np.array([1.0]) + X):
+        with pytest.raises((dm._Unbatchable, TypeError)):
+            op()
+    with pytest.raises(dm._Unbatchable):
+        np.asarray([X])
+
+
+SECTION_CASES = [(name, key, mode) for name in corpus.EXAMPLE_NAMES
+                 for key in corpus.load(name).sections for mode in ("standard", "evolution")]
+
+
+def _projected(name, key, mode):
+    """Section, projected field, and whether that field's lane pass is expected to batch."""
+    ex = corpus.load(name)
+    entry = ex.sections[key]
+    P = dict(entry.defaults)
+    gamma = entry.build(P)
+    h = ex.hamiltonian({k: v for k, v in P.items() if k in ex.defaults})
+    if entry.kind == "zind":
+        return gamma, kc.project_Q(h, gamma), True
+    if entry.gauge is not None:
+        return gamma, kc.project_zdep(h, gamma, entry.gauge(P)), True
+    # the diagonal solver scales its singularity test with float(): it always falls back
+    return gamma, kc.project_zdep(h, gamma, kc.diagonal_gauge_matrix(h, gamma, mode)), False
+
+
+def _per_point(fn, X):
+    try:
+        return np.array([fn(x) for x in X])
+    except Exception as exc:  # noqa: BLE001 - any scalar error must stop the lane pass too
+        return exc
+
+
+def _check_lane_pass(lane_fn, ref, batchable):
+    if isinstance(ref, Exception):
+        with pytest.raises(Exception):
+            lane_fn()
+    elif not batchable:
+        with pytest.raises(dm._Unbatchable):
+            lane_fn()
+    else:
+        assert np.array_equal(lane_fn(), ref)
+
+
+@pytest.mark.parametrize("name,key,mode", SECTION_CASES)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_lane_pass_matches_per_point_scalar_pass(name, key, mode, data):
+    # points from [-1, 2] straddle the domain edge of the square-root sections
+    gamma, f, batchable = _projected(name, key, mode)
+    row = st.lists(st.floats(-1.0, 2.0), min_size=f.dim, max_size=f.dim)
+    X = np.array(data.draw(st.lists(row, min_size=1, max_size=6)))
+    for a in range(f.k):
+        _check_lane_pass(lambda: _lane_eval(f, a, X), _per_point(lambda x: f.eval(a, x), X), batchable)
+    ref = _per_point(lambda x: np.asarray(_coeff_jacobian(gamma, x)[1], dtype=float), X)
+    _check_lane_pass(lambda: dm._lane_array(_coeff_jacobian(gamma, dm._lanes_of(X))[1], len(X)),
+                     ref, True)

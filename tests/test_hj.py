@@ -81,6 +81,26 @@ def test_project_zdep_explicit_gauge_one_h_pass_per_component():
     assert calls[0] == 2 * len(points)
 
 
+@pytest.mark.parametrize("name", ["telegrapher", "hunter-saxton", "first-order-dissipative"])
+def test_project_zdep_diagonal_gauge_one_ingredient_build_per_component(name):
+    ex = corpus.load(name)
+    entry = ex.sections["zdep-family"]
+    h, calls = _counting(ex.hamiltonian())
+    gamma = entry.build(dict(entry.defaults))
+    C = kc.diagonal_gauge_matrix(h, gamma, "standard")
+    f = kc.project_zdep(h, gamma, C)
+    # the same gauge entries through the generic path: C(q, z) plus its own momentum gradient
+    generic = kc.project_zdep(h, gamma, kc.GaugeMatrix(C.fn))
+    for x in ([0.1, 0.2, -0.3], [0.5, -0.4, 0.25], [-0.7, 0.0, 0.9]):
+        for a in range(2):
+            before = calls[0]
+            got = f.eval(a, x)
+            assert calls[0] - before == 3
+            before = calls[0]
+            assert np.array_equal(got, generic.eval(a, x))
+            assert calls[0] - before == 4
+
+
 def test_project_q_is_representative_independent(rng):
     ex, h = tel()
     entry = ex.sections["classical-zind"]

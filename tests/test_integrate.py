@@ -2,14 +2,16 @@
 end-to-end pipeline."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 import kcontact as kc
 from kcontact import corpus
+from kcontact import dual as dm
 from kcontact.grids import BaseField, BaseMap, GridSpec
-from kcontact.integrate import _integrate_path
+from kcontact.integrate import _integrate_path, _lane_eval
 
 CH12 = kc.ChartSpec(1, 2)
 
@@ -95,6 +97,136 @@ def test_flow_order_independence_k3():
         ends.append(_integrate_path(f, start, [legs[p] for p in perm], steps_per_cell=4))
     for e in ends[1:]:
         assert np.max(np.abs(e - ends[0])) <= 1e-8
+
+
+def per_line_values(f, start, grid, steps_per_cell=4):
+    """Reference: every grid line integrated on its own, one scalar evaluation at a time."""
+    k = grid.k
+    values = np.empty(grid.shape + (f.dim,))
+    values[(0,) * k] = start
+    for axis in range(k):
+        dt = grid.spacing[axis] / steps_per_cell
+        tail = (0,) * (k - axis - 1)
+        for pre in np.ndindex(*grid.counts[:axis]):
+            x = values[pre + (0,) + tail]
+            for cell in range(1, grid.counts[axis]):
+                for _ in range(steps_per_cell):
+                    k1 = f.eval(axis, x)
+                    k2 = f.eval(axis, x + 0.5 * dt * k1)
+                    k3 = f.eval(axis, x + 0.5 * dt * k2)
+                    k4 = f.eval(axis, x + dt * k3)
+                    x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                values[pre + (cell,) + tail] = x
+    return values
+
+
+def outcome(fn):
+    try:
+        return fn()
+    except Exception as exc:  # noqa: BLE001 - the comparison is on type and message
+        return type(exc), str(exc)
+
+
+def counted(f):
+    """``f`` with its component calls counted in ``calls[0]``."""
+    calls = [0]
+
+    def wrap(c):
+        def comp(x):
+            calls[0] += 1
+            return c(x)
+
+        return comp
+
+    return BaseField(dim=f.dim, comps=[wrap(c) for c in f.comps]), calls
+
+
+def test_k3_lane_sweep_matches_per_line_loop():
+    # nonlinear fields that commute: coordinate j of component a is c_aj g_j(x_j)
+    f = BaseField(dim=3, comps=[
+        lambda x, c=c: [c[0] * x[0], c[1] * x[1] * x[1], c[2] * dm.cos(x[2])]
+        for c in ((0.3, -0.2, 0.1), (-0.5, 0.4, 0.2), (0.1, 0.1, -0.3))
+    ])
+    grid = GridSpec([0.0, 0.0, 0.0], [0.1, 0.05, 0.2], [4, 5, 3])
+    start = [1.0, -0.7, 0.5]
+    fc, calls = counted(f)
+    sigma = kc.integral_section(fc, start, grid)
+    assert np.array_equal(sigma.values, per_line_values(f, start, grid))
+    assert sigma.notes[-1].startswith("direction-order corner agreement")
+    # one lane pass per stage for each sweep direction after the first
+    per_line = sum(int(np.prod(grid.counts[:a])) * (grid.counts[a] - 1) * 16 for a in range(3))
+    assert calls[0] < per_line / 3
+    for idx in grid.indices():
+        x = sigma.values[idx]
+        want = np.stack([f.eval(a, x) for a in range(3)])
+        assert np.array_equal(sigma.closed_derivative(grid.t(idx)), want)
+
+
+def test_k1_direction_order_corners_coincide():
+    f = BaseField(dim=1, comps=[lambda x: [0.3 * x[0] * x[0] + 0.1]])
+    sigma = kc.integral_section(f, [0.4], GridSpec([0.0], [0.1], [6]))
+    assert sigma.notes[-1] == "direction-order corner agreement 0.000e+00"
+
+
+def _fallback_case(case):
+    """A field whose direction-1 lane pass fails, and the starts of its direction-1 lines."""
+    grid = GridSpec([0.0, 0.0], [0.1, 0.1], [5, 4])
+    axis0 = lambda x: [1.0, 0.0]  # noqa: E731 - moves s, so the lines start at s = 0, 0.1, ...
+    starts = per_line_values(BaseField(dim=2, comps=[axis0, lambda x: [0.0, 0.0]]),
+                             [0.0, 1.0], grid)[:, 0]
+    s1, s2 = starts[1, 0], starts[2, 0]
+    e2, cut = math.exp(s2), 0.5 * (s1 + s2)
+    axis1 = {
+        # the two branches agree in value but the lines take different ones
+        "branch": lambda x: [0.0, 0.5 * x[1] if x[0] > cut else x[1] * 0.5],
+        # line 2 divides by exactly zero
+        "zero-divisor": lambda x: [0.0, 1.0 / (dm.exp(x[0]) - e2)],
+        # lines 2.. take the square root of a negative number
+        "sqrt-negative": lambda x: [0.0, dm.sqrt(cut - x[0])],
+    }[case]
+    return BaseField(dim=2, comps=[axis0, axis1]), grid, starts
+
+
+@pytest.mark.parametrize("case", ["branch", "zero-divisor", "sqrt-negative"])
+def test_failed_lane_pass_reproduces_the_scalar_path(case):
+    f, grid, starts = _fallback_case(case)
+    with pytest.raises(dm._Unbatchable):
+        _lane_eval(f, 1, starts)
+    got = outcome(lambda: kc.integral_section(f, [0.0, 1.0], grid).values)
+    want = outcome(lambda: per_line_values(f, [0.0, 1.0], grid))
+    if isinstance(want, np.ndarray):
+        assert np.array_equal(got, want)
+    else:
+        assert got == want and want[0] in (ZeroDivisionError, ValueError)
+
+
+def test_lanes_straddling_the_log_section_domain_fall_back():
+    ex = corpus.load("hunter-saxton")
+    entry = ex.sections["log-zind"]
+    f = kc.project_Q(ex.hamiltonian(), entry.build(dict(entry.defaults)))
+    # the lines of direction 1 start at u = 0.5 ... 0.34 and leave the domain
+    # u > -1/2 one after another, so the lane pass meets a split domain test
+    grid = GridSpec([0.0, 0.0], [0.01, 0.03], [5, 5])
+    with pytest.raises(dm._Unbatchable):
+        _lane_eval(f, 1, np.array([[-0.45], [-0.55]]))
+    got = outcome(lambda: kc.integral_section(f, [0.5], grid))
+    want = outcome(lambda: per_line_values(f, [0.5], grid))
+    assert got == want and want[0] is kc.DomainError
+
+
+def test_lift_lane_jacobians_match_scalar_jacobians():
+    ex = corpus.load("telegrapher")
+    entry = ex.sections["classical-zind"]
+    gamma = entry.build(dict(entry.defaults))
+    sigma = kc.integral_section(kc.project_Q(ex.hamiltonian(), gamma), [1.0],
+                                GridSpec([0.0, 0.0], [0.02, 0.02], [6, 7]))
+    # node values that match no closed-form value force the per-node scalar Jacobians
+    shifted = BaseMap(sigma.grid, sigma.values + 1e-3, closed_form=sigma.closed_form,
+                      closed_derivative=sigma.closed_derivative)
+    lanes_d = kc.lift(gamma, sigma).derivatives()
+    scalar_d = kc.lift(gamma, shifted).derivatives()
+    for a, b in zip(lanes_d, scalar_d):
+        assert np.array_equal(a, b)
 
 
 def test_fourth_order_convergence():
