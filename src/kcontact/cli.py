@@ -38,13 +38,7 @@ from .errors import (
 from .geometry import ChartSpec, DarbouxPoint
 from .grids import GridSpec
 from .hdw import map_residual
-from .hj import (
-    diagonal_gauge_matrix,
-    hj_classical_zind,
-    hj_evolution_zind,
-    hj_zdep_residual,
-    verify_complete,
-)
+from .hj import _check, verify_complete
 from .integrate import end_to_end
 
 EXIT_PASS = 0
@@ -138,6 +132,26 @@ def cmd_list(args) -> int:
 
 # -- check-hj ----------------------------------------------------------------
 
+def _section_run(example, key, overrides):
+    """Entry ``key`` of ``example``, its parameters with ``overrides``, the section and h.
+
+    Unknown section or parameter names raise :class:`ConfigError` naming the known ones.
+    """
+    entry = example.sections.get(key or "")
+    if entry is None:
+        raise ConfigError(f"example {example.name} has no section {key!r}; "
+                          f"known: {sorted(example.sections)}")
+    params = dict(entry.defaults)
+    for name, val in overrides.items():
+        if name not in params:
+            raise ConfigError(f"unknown parameter {name!r} for section {entry.key}; "
+                              f"known: {sorted(params)}")
+        params[name] = val
+    gamma = entry.build(params)
+    h = example.hamiltonian({k: v for k, v in params.items() if k in example.defaults})
+    return entry, params, gamma, h
+
+
 def cmd_check_hj(args, plan) -> int:
     example = corpus.load(args.example)
     overrides = dict(plan.get("params", {}))
@@ -182,32 +196,13 @@ def cmd_check_hj(args, plan) -> int:
         print(out)
         return EXIT_PASS if verdict == "PASS" else EXIT_FAIL
 
-    entry = example.sections.get(args.section or "")
-    if entry is None:
-        raise ConfigError(f"example {example.name} has no section {args.section!r}; "
-                          f"known: {sorted(example.sections)}")
-    params = dict(entry.defaults)
-    for key, val in overrides.items():
-        if key not in params:
-            raise ConfigError(f"unknown parameter {key!r} for section {entry.key}; "
-                              f"known: {sorted(params)}")
-        params[key] = val
-    gamma = entry.build(params)
-    h = example.make_h({**example.defaults,
-                        **{k: v for k, v in params.items() if k in example.defaults}})
+    entry, params, gamma, h = _section_run(example, args.section, overrides)
     box = entry.box
     if args.box:
         vals = _parse_floats(args.box)
         box = tuple((vals[i], vals[i + 1]) for i in range(0, len(vals), 2))
-
-    if entry.kind == "zind":
-        if mode == "standard":
-            rep = hj_classical_zind(h, gamma, box=box, count=count, seed=seed)
-        else:
-            rep = hj_evolution_zind(h, gamma, box=box, count=count, seed=seed)
-    else:
-        C = entry.gauge(params) if entry.gauge is not None else diagonal_gauge_matrix(h, gamma, mode)
-        rep = hj_zdep_residual(h, gamma, C, mode=mode, box=box, count=count, seed=seed)
+    C = entry.gauge(params) if entry.gauge is not None else None
+    rep, _ = _check(h, gamma, mode, C, box=box, count=count, seed=seed)
 
     verdict = rep.verdict(tol)
     report = {
@@ -313,18 +308,7 @@ def cmd_simulate(args, plan) -> int:
         print(text)
         return EXIT_PASS if summary["verdict"] == "PASS" else EXIT_FAIL
 
-    entry = example.sections.get(args.section or "")
-    if entry is None:
-        raise ConfigError(f"example {example.name} has no section {args.section!r}; "
-                          f"known: {sorted(example.sections)}")
-    params = dict(entry.defaults)
-    for key, val in overrides.items():
-        if key not in params:
-            raise ConfigError(f"unknown parameter {key!r} for section {entry.key}")
-        params[key] = val
-    gamma = entry.build(params)
-    h = example.make_h({**example.defaults,
-                        **{k: v for k, v in params.items() if k in example.defaults}})
+    entry, params, gamma, h = _section_run(example, args.section, overrides)
     sim = dict(entry.sim or {})
     grid = _grid_from(args, plan, sim)
     start = _parse_floats(args.start or plan.get("grid", {}).get("start", "")) or sim.get("start")

@@ -234,13 +234,68 @@ def _monotone_invert(g, w, r_max: float = 1.0, tol: float = 1e-14, max_expand: i
 
 
 # --------------------------------------------------------------------------
-# telegrapher
+# linear z-level sections and complete families (k = 2, n = 1)
 # --------------------------------------------------------------------------
 
 CHART_12 = ChartSpec(n=1, k=2)
 
 # Slope a of the bundled complete families when the parameters do not set it.
 _FAMILY_SLOPE = 1.0
+
+
+def _linear_p(a, lam):
+    """Momentum rows p^t = a z^t - lam u + c_t and p^x = -a z^x + c_x.
+
+    ``lam`` None leaves the u term out rather than adding ``- 0.0 * u``,
+    which could turn a zero's sign.
+    """
+
+    def rows(u, z, ct, cx):
+        pt = a * z[0] + ct if lam is None else a * z[0] - lam * u + ct
+        return [[pt], [-a * z[1] + cx]]
+
+    return rows
+
+
+def _linear_zdep_section(name, offsets, damping=None):
+    """Builder of the z-level section of :func:`_linear_p`; ``offsets`` name c_t, c_x."""
+
+    def build(P):
+        rows = _linear_p(P["a"], P[damping] if damping else None)
+        ct, cx = P[offsets[0]], P[offsets[1]]
+        return SectionZDep(CHART_12, lambda q, z: rows(q[0], z, ct, cx), name=name)
+
+    return build
+
+
+def _linear_family(name, damping=None):
+    """Builder of the complete family with parameters c_t, c_x of :func:`_linear_p`."""
+
+    def build(P):
+        a = P.get("a", _FAMILY_SLOPE)
+        lam = P[damping] if damping else None
+        rows = _linear_p(a, lam)
+
+        def phi(q, par, z):
+            u = q[0]
+            return DarbouxPoint([u], rows(u, z, par[0], par[1]), list(z))
+
+        def phi_inverse(pt):
+            u = float(pt.q[0])
+            ct = float(pt.p[0, 0]) - a * float(pt.z[0])
+            if lam is not None:
+                ct = ct + lam * u
+            return [u, ct, float(pt.p[1, 0]) + a * float(pt.z[1]), float(pt.z[0]), float(pt.z[1])]
+
+        return CompleteSolutionFamily(CHART_12, phi, ((-1.0, 1.0), (-1.0, 1.0)),
+                                      phi_inverse=phi_inverse, name=name)
+
+    return build
+
+
+# --------------------------------------------------------------------------
+# telegrapher
+# --------------------------------------------------------------------------
 
 
 def telegrapher_params_from_line(R: float, L: float, G: float, C_cap: float):
@@ -298,32 +353,7 @@ def _tel_zind_section(P):
     return from_potentials(CHART_12, W, name="telegrapher-zind")
 
 
-def _tel_zdep_section(P):
-    a, lam, mu, nu = P["a"], P["lambda"], P["mu"], P["nu"]
-
-    def gamma_p(q, z):
-        u = q[0]
-        return [[a * z[0] - lam * u + mu], [-a * z[1] + nu]]
-
-    return SectionZDep(CHART_12, gamma_p, name="telegrapher-zdep")
-
-
-def _tel_family(P):
-    a, lam = P.get("a", _FAMILY_SLOPE), P["lambda"]
-
-    def phi(q, par, z):
-        u = q[0]
-        return DarbouxPoint(
-            [u], [[a * z[0] - lam * u + par[0]], [-a * z[1] + par[1]]], list(z)
-        )
-
-    def phi_inverse(pt):
-        u = float(pt.q[0])
-        return [u, float(pt.p[0, 0]) - a * float(pt.z[0]) + lam * u,
-                float(pt.p[1, 0]) + a * float(pt.z[1]), float(pt.z[0]), float(pt.z[1])]
-
-    return CompleteSolutionFamily(CHART_12, phi, ((-1.0, 1.0), (-1.0, 1.0)),
-                                  phi_inverse=phi_inverse, name="telegrapher-complete")
+_tel_zdep_section = _linear_zdep_section("telegrapher-zdep", ("mu", "nu"), damping="lambda")
 
 
 def _tel_exponential(P):
@@ -419,7 +449,7 @@ TELEGRAPHER = ExampleSystem(
             default_grid=_default_grid([0.0, 0.0], [0.02, 0.02], [50, 50]),
         ),
     },
-    families={"complete": _tel_family},
+    families={"complete": _linear_family("telegrapher-complete", damping="lambda")},
     pde_residual=_tel_pde,
     expected=(
         ExpectedCase("check-hj", "classical-zind", "standard", "PASS"),
@@ -594,15 +624,6 @@ def _hs_noncommuting_section(P):
                            domain=domain, name="hs-noncommuting")
 
 
-def _hs_zdep_section(P):
-    a, rho, sigma = P["a"], P["rho"], P["sigma"]
-
-    def gamma_p(q, z):
-        return [[a * z[0] + rho], [-a * z[1] + sigma]]
-
-    return SectionZDep(CHART_12, gamma_p, name="hs-zdep")
-
-
 def _hs_quadratic_section(P):
     mu = P["mu"]
 
@@ -619,20 +640,6 @@ def _hs_quadratic_gauge(P):
         return [[1.0, -2.0 * z[0] * (0.5 * mu - z[0])], [0.0, -1.0]]
 
     return GaugeMatrix(fn, label="hs-quadratic-commuting")
-
-
-def _hs_family(P):
-    a = P.get("a", _FAMILY_SLOPE)
-
-    def phi(q, par, z):
-        return DarbouxPoint([q[0]], [[a * z[0] + par[0]], [-a * z[1] + par[1]]], list(z))
-
-    def phi_inverse(pt):
-        return [float(pt.q[0]), float(pt.p[0, 0]) - a * float(pt.z[0]),
-                float(pt.p[1, 0]) + a * float(pt.z[1]), float(pt.z[0]), float(pt.z[1])]
-
-    return CompleteSolutionFamily(CHART_12, phi, ((-1.0, 1.0), (-1.0, 1.0)),
-                                  phi_inverse=phi_inverse, name="hs-complete")
 
 
 def _hs_linear(P):
@@ -740,7 +747,7 @@ HUNTER_SAXTON = ExampleSystem(
             note="passes the evolution check but projects onto non-commuting directions",
         ),
         "zdep-family": SectionEntry(
-            "zdep-family", "zdep", _hs_zdep_section,
+            "zdep-family", "zdep", _linear_zdep_section("hs-zdep", ("rho", "sigma")),
             {"mu": 3.0, "a": 1.0, "rho": 0.0, "sigma": 0.0},
             modes=("standard", "evolution"),
         ),
@@ -781,7 +788,7 @@ HUNTER_SAXTON = ExampleSystem(
             note="square-root slope branch: base map by monotone inversion, lifted through log-zind",
         ),
     },
-    families={"complete": _hs_family},
+    families={"complete": _linear_family("hs-complete")},
     pde_residual=_hs_pde,
     expected=(
         ExpectedCase("check-hj", "standard-zind", "standard", "PASS"),
@@ -817,29 +824,6 @@ def _h_first_order(P):
     return ScalarField(CHART_12, fn, params=dict(P), name="first-order-dissipative")
 
 
-def _fo_zdep_section(P):
-    a, rho, sigma = P["a"], P["rho"], P["sigma"]
-
-    def gamma_p(q, z):
-        return [[a * z[0] + rho], [-a * z[1] + sigma]]
-
-    return SectionZDep(CHART_12, gamma_p, name="first-order-zdep")
-
-
-def _fo_family(P):
-    a = P.get("a", _FAMILY_SLOPE)
-
-    def phi(q, par, z):
-        return DarbouxPoint([q[0]], [[a * z[0] + par[0]], [-a * z[1] + par[1]]], list(z))
-
-    def phi_inverse(pt):
-        return [float(pt.q[0]), float(pt.p[0, 0]) - a * float(pt.z[0]),
-                float(pt.p[1, 0]) + a * float(pt.z[1]), float(pt.z[0]), float(pt.z[1])]
-
-    return CompleteSolutionFamily(CHART_12, phi, ((-1.0, 1.0), (-1.0, 1.0)),
-                                  phi_inverse=phi_inverse, name="first-order-complete")
-
-
 def _fo_standing(P):
     lam, Z, mode = P["lambda"], P["Z"], P["mode"]
 
@@ -868,7 +852,7 @@ FIRST_ORDER = ExampleSystem(
     defaults={"lambda": 1.0},
     sections={
         "zdep-family": SectionEntry(
-            "zdep-family", "zdep", _fo_zdep_section,
+            "zdep-family", "zdep", _linear_zdep_section("first-order-zdep", ("rho", "sigma")),
             {"lambda": 1.0, "a": 1.0, "rho": 0.0, "sigma": 0.0},
             modes=("standard", "evolution"),
         ),
@@ -891,7 +875,7 @@ FIRST_ORDER = ExampleSystem(
             tol=1e-12,
         ),
     },
-    families={"complete": _fo_family},
+    families={"complete": _linear_family("first-order-complete")},
     expected=(
         ExpectedCase("check-hj", "zdep-family", "standard", "PASS"),
         ExpectedCase("check-hj", "zdep-family", "evolution", "PASS"),

@@ -357,60 +357,31 @@ def _lane_array(outs, m: int) -> np.ndarray:
 
 # -- math helpers that dispatch on Dual ------------------------------------
 
-def exp(x):
-    if isinstance(x, Dual):
-        inner = exp(x.a)
-        return x._chain(inner, inner)
-    if isinstance(x, _Lanes):
-        return x._each(math.exp)
-    return math.exp(x)
+def _helper(fn, slope):
+    """The math helper of ``fn``: plain on numbers, lane by lane on lanes, and
+    chained through a dual with derivative ``slope(x, fn(x))`` at its value x."""
+
+    def helper(x):
+        if isinstance(x, Dual):
+            fa = helper(x.a)
+            return x._chain(fa, slope(x.a, fa))
+        if isinstance(x, _Lanes):
+            return x._each(fn)
+        return fn(x)
+
+    helper.__name__ = helper.__qualname__ = fn.__name__
+    return helper
 
 
-def log(x):
-    if isinstance(x, Dual):
-        return x._chain(log(x.a), 1.0 / x.a)
-    if isinstance(x, _Lanes):
-        return x._each(math.log)
-    return math.log(x)
-
-
-def sqrt(x):
-    if isinstance(x, Dual):
-        inner = sqrt(x.a)
-        return x._chain(inner, 0.5 / inner)
-    if isinstance(x, _Lanes):
-        return x._each(math.sqrt)
-    return math.sqrt(x)
-
-
-def sin(x):
-    if isinstance(x, Dual):
-        return x._chain(sin(x.a), cos(x.a))
-    if isinstance(x, _Lanes):
-        return x._each(math.sin)
-    return math.sin(x)
-
-
-def cos(x):
-    if isinstance(x, Dual):
-        return x._chain(cos(x.a), -sin(x.a))
-    if isinstance(x, _Lanes):
-        return x._each(math.cos)
-    return math.cos(x)
-
-
-def tanh(x):
-    if isinstance(x, Dual):
-        t = tanh(x.a)
-        return x._chain(t, 1.0 - t * t)
-    if isinstance(x, _Lanes):
-        return x._each(math.tanh)
-    return math.tanh(x)
+exp = _helper(math.exp, lambda x, e: e)
+log = _helper(math.log, lambda x, _: 1.0 / x)
+sqrt = _helper(math.sqrt, lambda x, r: 0.5 / r)
+sin = _helper(math.sin, lambda x, _: cos(x))
+cos = _helper(math.cos, lambda x, _: -sin(x))
+tanh = _helper(math.tanh, lambda x, t: 1.0 - t * t)
 
 
 def fabs(x):
-    if isinstance(x, Dual):
-        return abs(x)
     return abs(x)
 
 
@@ -460,14 +431,12 @@ def jacobian(f, xs):
 
 
 def derive2(f, xs):
-    """Value, gradient, and Hessian of scalar ``f`` at ``xs`` via nested passes."""
+    """Value, gradient, and Hessian of scalar ``f`` at ``xs`` via one nested pass."""
     m = len(xs)
 
-    def grad_vec(ys):
-        _, g = derive1(f, ys)
-        return g
+    def grad_then_value(ys):
+        val, g = derive1(f, ys)
+        return g + [val]
 
-    vals, rows = jacobian(grad_vec, xs)
-    val, grad = derive1(f, xs)  # cheap second pass keeps the code simple
-    hess = [[rows[i][j] for j in range(m)] for i in range(m)]
-    return val, grad, hess
+    vals, rows = jacobian(grad_then_value, xs)
+    return vals[m], vals[:m], rows[:m]

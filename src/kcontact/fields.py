@@ -120,17 +120,15 @@ def _p_grad(h: ScalarField, q, z, p_flat) -> list:
     return dm.derive1(_h_of_p(h, q, z), list(p_flat))[1]
 
 
-def _p_value_grad_hess(h: ScalarField, q, z, p_flat):
-    """Value, gradient, Hessian of h in the momentum block at fixed (q, z)."""
+def _p_hess(h: ScalarField, q, z, p_flat) -> np.ndarray:
+    """Hessian of h in the flat momentum block at fixed (q, z)."""
     f = _h_of_p(h, [float(v) for v in q], [float(v) for v in z])
-    val, g, H = dm.derive2(f, [float(v) for v in p_flat])
-    return val, np.asarray(g, dtype=float), np.asarray(H, dtype=float)
+    return np.asarray(dm.derive2(f, [float(v) for v in p_flat])[2], dtype=float)
 
 
 def p_hessian(h: ScalarField, pt: DarbouxPoint) -> np.ndarray:
     """The (nk x nk) matrix of second momentum derivatives at ``pt``."""
-    _, _, H = _p_value_grad_hess(h, pt.q, pt.z, np.asarray(pt.p, dtype=float).reshape(-1))
-    return H
+    return _p_hess(h, pt.q, pt.z, np.asarray(pt.p, dtype=float).reshape(-1))
 
 
 def check_regularity(h: ScalarField, pt: DarbouxPoint, rtol: float = 1e-9):
@@ -177,7 +175,7 @@ def invert_fibre_derivative(
     for _ in range(max_iter):
         if rnorm < tol:
             return p.reshape(k, n)
-        _, _, H = _p_value_grad_hess(h, qf, zf, p)
+        H = _p_hess(h, qf, zf, p)
         sv = np.linalg.svd(H, compute_uv=False)
         if sv[-1] <= 1e-14 * max(sv[0], 1.0):
             raise RegularityError("fibre Hessian is singular during Newton iteration")

@@ -9,9 +9,11 @@ Four checks are provided, one per combination of section kind and mode:
                                   -(h on section) (standard) or 0 (evolution).
 
 "Identically zero" is replaced by sup-norms over declared sample boxes
-(default [-1, 1]^dim, 500 points).  The gauge-matrix solver implements the
-diagonal two-unknown pattern: the trace fixes the sum of the two diagonal
-entries and the uncorrected residual fixes their difference.
+(default [-1, 1]^dim, 500 points); all four checks share one sweep that
+admits the samples inside the section domain and reports the sup and the
+worst offenders.  The gauge-matrix solver implements the diagonal
+two-unknown pattern: the trace fixes the sum of the two diagonal entries
+and the uncorrected residual fixes their difference.
 """
 
 from __future__ import annotations
@@ -137,6 +139,28 @@ def _top_offenders(values, points, keep=3):
     return [(float(values[i]), tuple(float(x) for x in points[i])) for i in order]
 
 
+def _sweep(label, pts, seed, admit, residual) -> HJReport:
+    """One residual per sample row that ``admit`` accepts; their sup and worst offenders."""
+    vals, used = [], []
+    for row in pts:
+        if admit(row):
+            vals.append(residual(row))
+            used.append(row)
+    if not used:
+        raise ContractError("no admissible sample points inside the section domain")
+    vals = np.asarray(vals)
+    return HJReport(label, float(np.max(vals)), len(used), _top_offenders(vals, used), seed)
+
+
+def _holonomic_samples(h: ScalarField, gamma: SectionZInd, samples, box, count, seed):
+    """The base samples of a check over Q, once the section is known to be holonomic on them."""
+    pts, seed = _resolve_samples(samples, box, h.chart.n, count, seed)
+    defect = check_holonomic(gamma, pts)
+    if defect > HOLONOMY_TOL:
+        raise ContractError(f"section is not holonomic (defect {defect:.3e})")
+    return pts, seed
+
+
 def _h_on_zind(h: ScalarField, gamma: SectionZInd, q):
     coords = list(q) + _flat(gamma.p_at(q)) + list(gamma.z_at(q))
     return h.fn(_point_from_coords(h.chart, coords))
@@ -175,20 +199,9 @@ def hj_classical_zind(
     seed: int = 0,
 ) -> HJReport:
     """sup |h on section| over the samples (section must be holonomic)."""
-    pts, seed = _resolve_samples(samples, box, h.chart.n, count, seed)
-    defect = check_holonomic(gamma, pts)
-    if defect > HOLONOMY_TOL:
-        raise ContractError(f"section is not holonomic (defect {defect:.3e})")
-    vals, used = [], []
-    for q in pts:
-        if not gamma.in_domain(q):
-            continue
-        vals.append(abs(float(_h_on_zind(h, gamma, list(q)))))
-        used.append(q)
-    if not used:
-        raise ContractError("no admissible sample points inside the section domain")
-    vals = np.asarray(vals)
-    return HJReport("classical-zind", float(np.max(vals)), len(used), _top_offenders(vals, used), seed)
+    pts, seed = _holonomic_samples(h, gamma, samples, box, count, seed)
+    return _sweep("classical-zind", pts, seed, gamma.in_domain,
+                  lambda q: abs(float(_h_on_zind(h, gamma, list(q)))))
 
 
 def hj_evolution_zind(
@@ -200,21 +213,13 @@ def hj_evolution_zind(
     seed: int = 0,
 ) -> HJReport:
     """sup-norm of the exact q-gradient of (h on section) over the samples."""
-    pts, seed = _resolve_samples(samples, box, h.chart.n, count, seed)
-    defect = check_holonomic(gamma, pts)
-    if defect > HOLONOMY_TOL:
-        raise ContractError(f"section is not holonomic (defect {defect:.3e})")
-    vals, used = [], []
-    for q in pts:
-        if not gamma.in_domain(q):
-            continue
+    pts, seed = _holonomic_samples(h, gamma, samples, box, count, seed)
+
+    def residual(q):
         _, g = dm.derive1(lambda qs: _h_on_zind(h, gamma, qs), list(q))
-        vals.append(max(abs(float(x)) for x in g))
-        used.append(q)
-    if not used:
-        raise ContractError("no admissible sample points inside the section domain")
-    vals = np.asarray(vals)
-    return HJReport("evolution-zind", float(np.max(vals)), len(used), _top_offenders(vals, used), seed)
+        return max(abs(float(x)) for x in g)
+
+    return _sweep("evolution-zind", pts, seed, gamma.in_domain, residual)
 
 
 def gamma_beta(h: ScalarField, gamma: SectionZDep, q, z) -> np.ndarray:
@@ -307,12 +312,9 @@ def hj_zdep_residual(
     defect = check_max_coisotropic(gamma, pts)
     if defect > COISO_TOL:
         raise ContractError(f"section is not maximally coisotropic (defect {defect:.3e})")
-    vals, used = [], []
-    for row in pts:
-        q, z = row[:n], row[n:]
-        if not gamma.in_domain(q, z):
-            continue
-        Cm, ing = C._at(h, gamma, q, z)
+
+    def residual(row):
+        Cm, ing = C._at(h, gamma, row[:n], row[n:])
         Cm = np.asarray(Cm, dtype=float)
         if Cm.shape != (k, k):
             raise ContractError(f"gauge matrix has shape {Cm.shape}, expected {(k, k)}")
@@ -327,13 +329,24 @@ def hj_zdep_residual(
         else:
             if abs(tr) > TRACE_TOL_EVOLUTION:
                 raise ContractError(f"gauge matrix trace {tr:.6e} != 0 at {where}")
-        vals.append(res)
-        used.append(row)
-    if not used:
-        raise ContractError("no admissible sample points inside the section domain")
-    vals = np.asarray(vals)
-    return HJReport(f"{'classical' if mode == 'standard' else 'evolution'}-zdep",
-                    float(np.max(vals)), len(used), _top_offenders(vals, used), seed)
+        return res
+
+    return _sweep(f"{'classical' if mode == 'standard' else 'evolution'}-zdep", pts, seed,
+                  lambda row: gamma.in_domain(row[:n], row[n:]), residual)
+
+
+def _check(h: ScalarField, gamma, mode: str, C: GaugeMatrix = None, **sampling):
+    """The HJ check of ``gamma`` in ``mode`` and the gauge matrix it used (None over Q).
+
+    A z-level section without ``C`` uses the diagonal gauge.
+    """
+    if mode not in ("standard", "evolution"):
+        raise ContractError(f"unknown mode {mode!r}")
+    if isinstance(gamma, SectionZInd):
+        check = hj_classical_zind if mode == "standard" else hj_evolution_zind
+        return check(h, gamma, **sampling), None
+    C = C if C is not None else diagonal_gauge_matrix(h, gamma, mode)
+    return hj_zdep_residual(h, gamma, C, mode=mode, **sampling), C
 
 
 def _diag_C_generic(h: ScalarField, gamma: SectionZDep, mode: str, q, z):
@@ -508,15 +521,15 @@ def verify_complete(
             f"family takes {family.param_dim} parameters, got rows of length {params.shape[1]}"
         )
     pts, seed = _resolve_samples(base_samples, box, n + k, count, seed)
-
-    def verify_one(lam):
-        gamma = family.section_of(lam)
+    sup_res, sup_rt = 0.0, 0.0
+    failures, reports = [], []
+    for lam in params:
+        key, gamma = tuple(lam), family.section_of(lam)
         try:
-            C = diagonal_gauge_matrix(h, gamma, mode)
-            rep = hj_zdep_residual(h, gamma, C, mode=mode, samples=pts)
+            rep, _ = _check(h, gamma, mode, samples=pts)
         except (ContractError, NoSolutionError) as exc:
-            return tuple(lam), None, 0.0, [(tuple(lam), str(exc))]
-        bad = []
+            failures.append((key, str(exc)))
+            continue
         rt = 0.0
         for row in pts:
             q, z = row[:n], row[n:]
@@ -528,25 +541,18 @@ def verify_complete(
             )
             sect = max(float(np.max(np.abs(pt.q - q))), float(np.max(np.abs(pt.z - z))))
             if sect > 1e-12:
-                bad.append((tuple(lam), f"family is not a section at {tuple(row)}"))
+                failures.append((key, f"family is not a section at {tuple(row)}"))
                 break
             if family.phi_inverse is not None:
                 back = np.asarray(family.phi_inverse(pt), dtype=float)
                 rt = max(rt, float(np.max(np.abs(back - np.concatenate([q, lam, z])))))
         if rep.sup_residual > res_tol:
-            bad.append((tuple(lam), f"sup residual {rep.sup_residual:.3e} > {res_tol:.1e}"))
+            failures.append((key, f"sup residual {rep.sup_residual:.3e} > {res_tol:.1e}"))
         if rt > rt_tol:
-            bad.append((tuple(lam), f"inverse round-trip error {rt:.3e} > {rt_tol:.1e}"))
-        return tuple(lam), rep, rt, bad
-
-    sup_res, sup_rt = 0.0, 0.0
-    failures, reports = [], []
-    for lam, rep, rt, bad in map(verify_one, params):
-        failures.extend(bad)
-        if rep is not None:
-            reports.append((lam, rep))
-            sup_res = max(sup_res, rep.sup_residual)
-            sup_rt = max(sup_rt, rt)
+            failures.append((key, f"inverse round-trip error {rt:.3e} > {rt_tol:.1e}"))
+        reports.append((key, rep))
+        sup_res = max(sup_res, rep.sup_residual)
+        sup_rt = max(sup_rt, rt)
     return CompleteVerification(
         mode=mode,
         sup_residual=sup_res,

@@ -26,15 +26,7 @@ from .errors import ContractError, DivergenceError, IntegrabilityError, KContact
 from .fields import ScalarField
 from .grids import BaseField, BaseMap, GridSpec, SolutionMap
 from .hdw import ResidualGrid, map_residual
-from .hj import (
-    GaugeMatrix,
-    diagonal_gauge_matrix,
-    hj_classical_zind,
-    hj_evolution_zind,
-    hj_zdep_residual,
-    project_Q,
-    project_zdep,
-)
+from .hj import GaugeMatrix, _check, project_Q, project_zdep
 from .sections import SectionZInd, _coeff_jacobian
 
 __all__ = [
@@ -54,7 +46,6 @@ DEFAULT_TOLERANCES = {
     "hj": 1e-8,
     "residual": 1e-6,
     "order": ORDER_TOL,
-    "commutator": COMMUTATOR_WARN,
 }
 
 
@@ -383,27 +374,22 @@ def end_to_end(
     integration, lift, and field-equation residuals of the lifted map.
 
     ``reference``, when given, is a closed-form base map (t -> base point)
-    compared against the integrated one.  Failures of the residual checks
+    compared against the integrated one.  ``tolerances`` overrides entries
+    of :data:`DEFAULT_TOLERANCES`: ``hj`` (sup HJ residual), ``residual``
+    (map residual) and ``order`` (direction-order check); any other key
+    raises :class:`ContractError`.  Failures of the residual checks
     produce a FAIL report naming the stage; structural errors raise, with
     the stage recorded on the exception.
     """
+    unknown = sorted(set(tolerances or {}) - set(DEFAULT_TOLERANCES))
+    if unknown:
+        raise ContractError(f"unknown tolerance keys {unknown}; known: {sorted(DEFAULT_TOLERANCES)}")
     tol = dict(DEFAULT_TOLERANCES)
     tol.update(tolerances or {})
     report = EndToEndReport(mode=mode, passed=False)
 
-    zind = isinstance(gamma, SectionZInd)
     with _tagged("hj"):
-        if zind:
-            if mode == "standard":
-                rep = hj_classical_zind(h, gamma, samples=hj_samples, box=box,
-                                        count=hj_count, seed=seed)
-            else:
-                rep = hj_evolution_zind(h, gamma, samples=hj_samples, box=box,
-                                        count=hj_count, seed=seed)
-        else:
-            Cm = C if C is not None else diagonal_gauge_matrix(h, gamma, mode)
-            rep = hj_zdep_residual(h, gamma, Cm, mode=mode, samples=hj_samples, box=box,
-                                   count=hj_count, seed=seed)
+        rep, C = _check(h, gamma, mode, C, samples=hj_samples, box=box, count=hj_count, seed=seed)
     report.hj_report = rep
     if rep.sup_residual > tol["hj"]:
         report.failed_stage = "hj"
@@ -413,11 +399,7 @@ def end_to_end(
         return report
 
     with _tagged("project"):
-        if zind:
-            base_field = project_Q(h, gamma)
-        else:
-            Cm = C if C is not None else diagonal_gauge_matrix(h, gamma, mode)
-            base_field = project_zdep(h, gamma, Cm)
+        base_field = project_Q(h, gamma) if C is None else project_zdep(h, gamma, C)
 
     with _tagged("integrate"):
         sigma = integral_section(f=base_field, start=start, grid=grid,

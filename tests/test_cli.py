@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import kcontact
 from kcontact import cli
 from kcontact import corpus
@@ -57,6 +59,28 @@ def test_check_hj_set_overrides(capsys):
     code = run(["check-hj", "--example", "telegrapher", "--section", "classical-zind",
                 "--mode", "standard", "--set", "zeta=1"])
     assert code == 2
+
+
+@pytest.mark.parametrize("command", ["check-hj", "simulate"])
+def test_section_unknown_parameter_names_the_known_ones(command, capsys, tmp_path):
+    code = run([command, "--example", "telegrapher", "--section", "classical-zind",
+                "--mode", "standard", "--set", "zeta=1", "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "'zeta'" in err and "'C0'" in err and "'kappa'" in err
+    assert not any(tmp_path.iterdir())
+
+
+def test_cli_corpus_reports_match_recorded_digests(tmp_path, monkeypatch):
+    """Every shipped case passes and writes the report bytes recorded for CLI seed 0."""
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    monkeypatch.syspath_prepend(str(bench))
+    import workloads
+
+    plan = workloads.cli_corpus(0, outdir=tmp_path)
+    for job in plan.jobs:
+        assert job.check(job.run()) is None, job.label
+    assert plan.reports == json.loads((bench / "cli_digests.json").read_text())["0"]
 
 
 def test_simulate_solution_unknown_parameter_exit_2(capsys, tmp_path):

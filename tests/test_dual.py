@@ -57,6 +57,21 @@ def test_derive2_hessian():
     assert H[1][1] == pytest.approx(e, rel=1e-12)
 
 
+def test_derive2_is_one_nested_pass():
+    calls = []
+
+    def f(v):
+        calls.append(v)
+        return v[0] ** 3 * v[1] + dm.sin(v[0] - v[1])
+
+    xs = [0.4, -0.3]
+    val, grad, H = dm.derive2(f, xs)
+    assert len(calls) == 1
+    # value and gradient of the nested pass are those of a plain first-order pass
+    assert (val, grad) == dm.derive1(f, xs)
+    assert H[0][1] == pytest.approx(3 * 0.4 ** 2 + math.sin(0.7), rel=1e-12)
+
+
 def test_jacobian_rows():
     f = lambda v: [v[0] * v[1], v[0] + dm.sin(v[1])]
     vals, rows = dm.jacobian(f, [2.0, 0.5])

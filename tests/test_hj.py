@@ -190,6 +190,30 @@ def test_both_roots_pass_evolution_only_paired_constants_pass_classical():
         assert kc.hj_classical_zind(h, shifted, samples=U_SAMPLES).sup_residual > 1e-2
 
 
+def test_sweeps_admit_only_samples_inside_the_section_domain():
+    ex, h = hs()
+    entry = ex.sections["log-zind"]  # domain u > -c = -0.5
+    gamma = entry.build(dict(entry.defaults))
+    samples = np.linspace(-1.0, 1.0, 9).reshape(-1, 1)
+    for check in (kc.hj_classical_zind, kc.hj_evolution_zind):
+        rep = check(h, gamma, samples=samples)
+        assert rep.sample_count == 6
+        assert all(pt[0] > -0.5 for _, pt in rep.worst)
+        with pytest.raises(kc.ContractError, match="no admissible sample points"):
+            check(h, gamma, samples=samples[:3])
+    ex, h = tel()
+    entry = ex.sections["zdep-family"]
+    gamma = kc.SectionZDep(CH12, entry.build(dict(entry.defaults)).gamma_p,
+                           domain=lambda q, z: z[0] > 0.0)
+    rows = np.random.default_rng(3).uniform(-1.0, 1.0, (40, 3))
+    C = kc.diagonal_gauge_matrix(h, gamma, "standard")
+    rep = kc.hj_zdep_residual(h, gamma, C, samples=rows)
+    assert rep.sample_count == int(np.sum(rows[:, 1] > 0.0))
+    assert all(pt[1] > 0.0 for _, pt in rep.worst)
+    with pytest.raises(kc.ContractError, match="no admissible sample points"):
+        kc.hj_zdep_residual(h, gamma, C, samples=rows[rows[:, 1] <= 0.0])
+
+
 # -- z-dependent pieces -----------------------------------------------------------
 
 def test_gamma_beta_z_independent_linear_slope():

@@ -11,7 +11,7 @@ import kcontact as kc
 from kcontact import corpus
 from kcontact import dual as dm
 from kcontact.grids import BaseField, BaseMap, GridSpec
-from kcontact.integrate import _integrate_path, _lane_eval
+from kcontact.integrate import DEFAULT_TOLERANCES, _integrate_path, _lane_eval
 
 CH12 = kc.ChartSpec(1, 2)
 
@@ -372,3 +372,26 @@ def test_end_to_end_stage_tagging():
         kc.end_to_end(h, gamma, "evolution", grid, start=[1.0],
                       hj_samples=np.linspace(0.8, 1.6, 9).reshape(-1, 1))
     assert getattr(err.value, "stage", None) == "integrate"
+
+
+def test_end_to_end_unknown_mode_fails_in_the_hj_stage():
+    # no stage after hj may run with a mode the checks do not know
+    ex = corpus.load("hunter-saxton")
+    entry = ex.sections["standard-zind"]
+    grid = GridSpec([0.0, 0.0], [0.05, 0.05], [3, 3])
+    with pytest.raises(kc.ContractError, match="unknown mode 'evolutoin'") as err:
+        kc.end_to_end(ex.hamiltonian(), entry.build(dict(entry.defaults)), "evolutoin", grid,
+                      start=[0.0], hj_count=5)
+    assert err.value.stage == "hj"
+
+
+def test_end_to_end_rejects_unknown_tolerance_keys():
+    h = kc.ScalarField(CH12, lambda pt: 0.0)
+    gamma = kc.SectionZInd(CH12, gamma_p=lambda q: [[0.0], [0.0]],
+                           gamma_z=lambda q: [0.0, 0.0])
+    grid = GridSpec([0.0, 0.0], [0.1, 0.1], [3, 3])
+    with pytest.raises(kc.ContractError, match="residul") as err:
+        kc.end_to_end(h, gamma, "standard", grid, start=[0.2], tolerances={"residul": 1e-30})
+    for key in ("'hj'", "'residual'", "'order'"):
+        assert key in str(err.value)
+    assert sorted(DEFAULT_TOLERANCES) == ["hj", "order", "residual"]
