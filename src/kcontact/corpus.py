@@ -281,11 +281,11 @@ def _linear_family(name, damping=None):
             return DarbouxPoint([u], rows(u, z, par[0], par[1]), list(z))
 
         def phi_inverse(pt):
-            u = float(pt.q[0])
-            ct = float(pt.p[0, 0]) - a * float(pt.z[0])
+            u = pt.q[0]
+            ct = pt.p[0, 0] - a * pt.z[0]
             if lam is not None:
                 ct = ct + lam * u
-            return [u, ct, float(pt.p[1, 0]) + a * float(pt.z[1]), float(pt.z[0]), float(pt.z[1])]
+            return [u, ct, pt.p[1, 0] + a * pt.z[1], pt.z[0], pt.z[1]]
 
         return CompleteSolutionFamily(CHART_12, phi, ((-1.0, 1.0), (-1.0, 1.0)),
                                       phi_inverse=phi_inverse, name=name)

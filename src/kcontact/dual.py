@@ -12,10 +12,11 @@ User-supplied callables stay differentiable as long as they use ordinary
 scalar arithmetic and the math helpers exported here (``exp``, ``log``,
 ``sqrt``, ...) instead of the ``math``/``numpy`` versions.
 
-Lanes.  Grid sweeps evaluate one callable at many points in a single pass
-by handing it :class:`_Lanes` values, each carrying one float per point,
-wherever a float would go (also inside duals and the object arrays of a
-:class:`~kcontact.geometry.DarbouxPoint`).  Under lanes a callable may use
+Lanes.  Grid and sample sweeps evaluate one callable at many points in a
+single pass by handing it :class:`_Lanes` values, each carrying one float
+per point, wherever a float would go (also inside duals and the object
+arrays of a :class:`~kcontact.geometry.DarbouxPoint`, which are built
+element by element when given lane values).  Under lanes a callable may use
 ``+ - * /`` and ``**``, ``abs``, the math helpers exported here,
 elementwise arithmetic on the point's arrays, and comparisons or branches
 on which every lane agrees.  Each lane's result is bit-identical to the
@@ -30,6 +31,7 @@ which reproduces the scalar values and errors.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -338,6 +340,26 @@ class _Lanes:
         return f"_Lanes({self.v!r})"
 
 
+# Points per lane pass.  Wider passes spread the Python cost of each dual
+# operation over more points; the cap bounds the lane arrays one pass holds.
+_LANE_CHUNK = 256
+
+
+def _lanes(fn, X: np.ndarray):
+    """``fn`` on the rows of ``X`` in lane passes of up to ``_LANE_CHUNK`` rows.
+
+    Returns the passes' outputs concatenated, or ``None`` when any pass
+    raised anything at all, including an overflow or invalid operation in
+    any lane.  The caller then evaluates point by point, which reproduces
+    the scalar values, warnings and errors.
+    """
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise", under="ignore"):
+            return np.concatenate([fn(X[i:i + _LANE_CHUNK]) for i in range(0, len(X), _LANE_CHUNK)])
+    except Exception:  # noqa: BLE001 - the point-by-point path is the reference
+        return None
+
+
 def _lanes_of(X) -> list:
     """The columns of an (m, d) float array as d lane values."""
     return [_Lanes(col) for col in X.T]
@@ -353,6 +375,33 @@ def _lane_array(outs, m: int) -> np.ndarray:
     """The outputs of a lane pass, a sequence or nested lists, as a float array, lanes first."""
     return np.stack([_lane_array(x, m) if isinstance(x, (list, tuple)) else _lane_values(x, m)
                      for x in outs], axis=1)
+
+
+def _object_array(x) -> np.ndarray:
+    """Nested lists of lanes and numbers as an object array, built element by element.
+
+    ``np.asarray`` would call ``_Lanes.__array__``.  Ragged nesting raises
+    ``ValueError`` and a non-finite lane or number ``_Unbatchable``: the
+    scalar pass rejects both, so it has to decide.
+    """
+    if any(isinstance(v, (list, tuple)) for v in x):
+        return np.stack([_object_array(v) for v in x])
+    if not all(np.isfinite(v.v).all() if isinstance(v, _Lanes) else
+               not isinstance(v, _REAL) or math.isfinite(v) for v in x):
+        raise _Unbatchable("a non-finite entry in a lane pass")
+    return np.fromiter(x, dtype=object, count=len(x))
+
+
+def _mag(x):
+    """|x| of the value under any duals: a float, or lane by lane."""
+    return abs(_cmp_value(x))
+
+
+def _vmax(*xs):
+    """``max(xs)`` of floats; the lane-wise maximum when any of them is lanes."""
+    if not any(isinstance(x, _Lanes) for x in xs):
+        return max(xs)
+    return _Lanes(functools.reduce(np.maximum, [x.v if isinstance(x, _Lanes) else x for x in xs]))
 
 
 # -- math helpers that dispatch on Dual ------------------------------------

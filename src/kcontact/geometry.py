@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import dual as dm
 from .errors import ShapeError
 
 __all__ = [
@@ -71,7 +72,10 @@ class ChartSpec:
 
 
 def _as_array(x, name):
-    arr = np.asarray(x)
+    try:
+        arr = np.asarray(x)
+    except dm._Unbatchable:  # lane values inside: stored as they are (see kcontact.dual)
+        return dm._object_array(x)
     if arr.dtype != object:
         arr = arr.astype(float)
         if not np.all(np.isfinite(arr)):

@@ -14,6 +14,12 @@ admits the samples inside the section domain and reports the sup and the
 worst offenders.  The gauge-matrix solver implements the diagonal
 two-unknown pattern: the trace fixes the sum of the two diagonal entries
 and the uncorrected residual fixes their difference.
+
+The sweeps and the section and round-trip checks of :func:`verify_complete`
+evaluate all admitted samples together as lanes (see :mod:`kcontact.dual`).
+When a lane pass raises, a lane fails a check or a result is not finite,
+the samples run one by one instead, which gives the scalar values or the
+scalar error with its offending sample.
 """
 
 from __future__ import annotations
@@ -139,16 +145,33 @@ def _top_offenders(values, points, keep=3):
     return [(float(values[i]), tuple(float(x) for x in points[i])) for i in order]
 
 
+def _known_mode(mode: str) -> None:
+    if mode not in ("standard", "evolution"):
+        raise ContractError(f"unknown mode {mode!r}")
+
+
 def _sweep(label, pts, seed, admit, residual) -> HJReport:
-    """One residual per sample row that ``admit`` accepts; their sup and worst offenders."""
-    vals, used = [], []
-    for row in pts:
-        if admit(row):
-            vals.append(residual(row))
-            used.append(row)
-    if not used:
-        raise ContractError("no admissible sample points inside the section domain")
-    vals = np.asarray(vals)
+    """One residual per sample row that ``admit`` accepts; their sup and worst offenders.
+
+    ``residual`` takes a row of floats, or of lanes holding all admitted
+    rows at once; it runs row by row when the lane pass fails.
+    """
+    vals = used = None
+    try:
+        used = [row for row in pts if admit(row)]
+    except Exception:  # noqa: BLE001 - the row loop raises it in row order
+        pass
+    if used:
+        vals = dm._lanes(lambda X: dm._lane_values(residual(dm._lanes_of(X)), len(X)), np.array(used))
+    if vals is None or not np.all(np.isfinite(vals)):
+        vals, used = [], []
+        for row in pts:
+            if admit(row):
+                vals.append(residual(row))
+                used.append(row)
+        if not used:
+            raise ContractError("no admissible sample points inside the section domain")
+        vals = np.asarray(vals)
     return HJReport(label, float(np.max(vals)), len(used), _top_offenders(vals, used), seed)
 
 
@@ -201,7 +224,7 @@ def hj_classical_zind(
     """sup |h on section| over the samples (section must be holonomic)."""
     pts, seed = _holonomic_samples(h, gamma, samples, box, count, seed)
     return _sweep("classical-zind", pts, seed, gamma.in_domain,
-                  lambda q: abs(float(_h_on_zind(h, gamma, list(q)))))
+                  lambda q: dm._mag(_h_on_zind(h, gamma, list(q))))
 
 
 def hj_evolution_zind(
@@ -217,7 +240,7 @@ def hj_evolution_zind(
 
     def residual(q):
         _, g = dm.derive1(lambda qs: _h_on_zind(h, gamma, qs), list(q))
-        return max(abs(float(x)) for x in g)
+        return dm._vmax(*(dm._mag(x) for x in g))
 
     return _sweep("evolution-zind", pts, seed, gamma.in_domain, residual)
 
@@ -284,8 +307,31 @@ def _zdep_residual_at(gamma, C_entries, ing):
         for a in range(k):
             for b in range(k):
                 acc = acc + C_entries[a][b] * dz_p[a][j][b]
-        worst = max(worst, abs(float(acc)))
+        worst = dm._vmax(worst, dm._mag(acc))
     return worst
+
+
+def _gauge_floats(Cm, k: int):
+    """The gauge matrix as floats, checked for shape, and its trace.
+
+    That is ``np.asarray(Cm, dtype=float)`` and ``np.trace``, or under lanes
+    the k x k rows of lane values and their diagonal summed left to right
+    from 0, which is how numpy sums a diagonal shorter than 8.
+    """
+    try:
+        Cm = np.asarray(Cm, dtype=float)
+    except dm._Unbatchable:
+        rows = [[dm._cmp_value(c) for c in row] for row in Cm]
+        if k >= 8 or len(rows) != k or any(len(row) != k for row in rows):
+            raise
+        return rows, sum(rows[a][a] for a in range(k))
+    if Cm.shape != (k, k):
+        raise ContractError(f"gauge matrix has shape {Cm.shape}, expected {(k, k)}")
+    return Cm, float(np.trace(Cm))
+
+
+def _where(row):
+    return tuple(round(float(x), 6) for x in row)
 
 
 def hj_zdep_residual(
@@ -304,8 +350,7 @@ def hj_zdep_residual(
     condition, and the trace of ``C`` matches the mode (-(h on section)
     for standard, 0 for evolution) at every sample.
     """
-    if mode not in ("standard", "evolution"):
-        raise ContractError(f"unknown mode {mode!r}")
+    _known_mode(mode)
     chart = gamma.chart
     n, k = chart.n, chart.k
     pts, seed = _resolve_samples(samples, box, n + k, count, seed)
@@ -315,20 +360,16 @@ def hj_zdep_residual(
 
     def residual(row):
         Cm, ing = C._at(h, gamma, row[:n], row[n:])
-        Cm = np.asarray(Cm, dtype=float)
-        if Cm.shape != (k, k):
-            raise ContractError(f"gauge matrix has shape {Cm.shape}, expected {(k, k)}")
-        res, hval = _zdep_residual_at(gamma, Cm, ing), float(ing[0])
-        tr = float(np.trace(Cm))
-        where = tuple(round(float(x), 6) for x in row)
+        Cm, tr = _gauge_floats(Cm, k)
+        res, hval = _zdep_residual_at(gamma, Cm, ing), dm._cmp_value(ing[0])
         if mode == "standard":
             if abs(tr + hval) > TRACE_TOL_STANDARD:
                 raise ContractError(
-                    f"gauge matrix trace {tr:.6e} != -(h on section) {-hval:.6e} at {where}"
+                    f"gauge matrix trace {tr:.6e} != -(h on section) {-hval:.6e} at {_where(row)}"
                 )
         else:
             if abs(tr) > TRACE_TOL_EVOLUTION:
-                raise ContractError(f"gauge matrix trace {tr:.6e} != 0 at {where}")
+                raise ContractError(f"gauge matrix trace {tr:.6e} != 0 at {_where(row)}")
         return res
 
     return _sweep(f"{'classical' if mode == 'standard' else 'evolution'}-zdep", pts, seed,
@@ -338,11 +379,14 @@ def hj_zdep_residual(
 def _check(h: ScalarField, gamma, mode: str, C: GaugeMatrix = None, **sampling):
     """The HJ check of ``gamma`` in ``mode`` and the gauge matrix it used (None over Q).
 
-    A z-level section without ``C`` uses the diagonal gauge.
+    A z-level section without ``C`` uses the diagonal gauge; a section over
+    Q takes none.
     """
-    if mode not in ("standard", "evolution"):
-        raise ContractError(f"unknown mode {mode!r}")
+    _known_mode(mode)
     if isinstance(gamma, SectionZInd):
+        if C is not None:
+            raise ContractError("a gauge matrix applies to sections over Q x R^k only, "
+                                "this section is over Q")
         check = hj_classical_zind if mode == "standard" else hj_evolution_zind
         return check(h, gamma, **sampling), None
     C = C if C is not None else diagonal_gauge_matrix(h, gamma, mode)
@@ -368,11 +412,12 @@ def _diag_C_generic(h: ScalarField, gamma: SectionZDep, mode: str, q, z):
     for b in range(k):
         xi = xi + Gamma[b] * p[b][0]
     d = [dz_p[a][0][a] for a in range(k)]
-    scale = max(1.0, abs(float(xi)), max(abs(float(x)) for x in d))
+    # per lane under lanes; lanes that take different branches fall back
+    scale = dm._vmax(1.0, dm._mag(xi), dm._vmax(*(dm._mag(x) for x in d)))
     if k == 2:
         det = d[0] - d[1]
-        if abs(float(det)) <= 1e-12 * scale:
-            if abs(float(s * d[0] + xi)) <= 1e-9 * scale:
+        if dm._mag(det) <= 1e-12 * scale:
+            if dm._mag(s * d[0] + xi) <= 1e-9 * scale:
                 return [s * 0.5, s * 0.5], ing
             raise NoSolutionError(
                 "diagonal gauge-matrix system is singular and inconsistent at this point"
@@ -490,6 +535,51 @@ class CompleteVerification:
         return not self.failures and self.sup_residual <= res_tol and self.sup_roundtrip <= rt_tol
 
 
+_SECTION_TOL = 1e-12  # largest |(q, z) of phi(q, lam, z) - (q, z)| of a section
+
+
+def _roundtrip_lanes(family: CompleteSolutionFamily, lam, n: int, X: np.ndarray) -> np.ndarray:
+    """Section error and inverse round-trip error of every row of ``X``, in one lane pass."""
+    m, row = len(X), dm._lanes_of(X)
+    pt = family.phi(row[:n], list(lam), row[n:])
+    sect = np.maximum(np.max(np.abs(dm._lane_array(list(pt.q), m) - X[:, :n]), axis=1),
+                      np.max(np.abs(dm._lane_array(list(pt.z), m) - X[:, n:]), axis=1))
+    rt = np.zeros(m)
+    if family.phi_inverse is not None:
+        back = dm._lane_array(family.phi_inverse(pt), m)
+        rt = np.max(np.abs(back - np.concatenate([X[:, :n], np.tile(lam, (m, 1)), X[:, n:]], axis=1)),
+                    axis=1)
+    return np.stack([sect, rt], axis=1)
+
+
+def _roundtrip(family: CompleteSolutionFamily, lam, pts: np.ndarray, n: int):
+    """Largest inverse round-trip error over the samples, and the first sample
+    that ``phi`` does not send to its own (q, z), where the check stops (or None).
+
+    All samples run in lane passes; when one raises, a sample is off the
+    section or an error is not finite, they run one by one.
+    """
+    errs = dm._lanes(partial(_roundtrip_lanes, family, lam, n), pts)
+    if errs is not None and np.all(np.isfinite(errs)) and np.all(errs[:, 0] <= _SECTION_TOL):
+        return float(np.max(errs[:, 1])), None
+    rt = 0.0
+    for row in pts:
+        q, z = row[:n], row[n:]
+        pt = family.phi(list(q), list(lam), list(z))
+        pt = DarbouxPoint(
+            np.asarray(pt.q, dtype=float),
+            np.asarray(pt.p, dtype=float),
+            np.asarray(pt.z, dtype=float),
+        )
+        sect = max(float(np.max(np.abs(pt.q - q))), float(np.max(np.abs(pt.z - z))))
+        if sect > _SECTION_TOL:
+            return rt, row
+        if family.phi_inverse is not None:
+            back = np.asarray(family.phi_inverse(pt), dtype=float)
+            rt = max(rt, float(np.max(np.abs(back - np.concatenate([q, lam, z])))))
+    return rt, None
+
+
 def verify_complete(
     family: CompleteSolutionFamily,
     h: ScalarField,
@@ -506,8 +596,10 @@ def verify_complete(
 
     Each slice runs the z-dependent residual with the diagonal solver; the
     supplied inverse is round-trip-checked on the same base samples.
-    ``params`` is an array of parameter tuples (one row per slice).
+    ``params`` is an array of parameter tuples (one row per slice); failures
+    and reports are keyed by a slice's parameters as a tuple of floats.
     """
+    _known_mode(mode)
     chart = family.chart
     n, k = chart.n, chart.k
     if family.param_dim != k * n:
@@ -524,28 +616,15 @@ def verify_complete(
     sup_res, sup_rt = 0.0, 0.0
     failures, reports = [], []
     for lam in params:
-        key, gamma = tuple(lam), family.section_of(lam)
+        key, gamma = tuple(float(x) for x in lam), family.section_of(lam)
         try:
             rep, _ = _check(h, gamma, mode, samples=pts)
         except (ContractError, NoSolutionError) as exc:
             failures.append((key, str(exc)))
             continue
-        rt = 0.0
-        for row in pts:
-            q, z = row[:n], row[n:]
-            pt = family.phi(list(q), list(lam), list(z))
-            pt = DarbouxPoint(
-                np.asarray(pt.q, dtype=float),
-                np.asarray(pt.p, dtype=float),
-                np.asarray(pt.z, dtype=float),
-            )
-            sect = max(float(np.max(np.abs(pt.q - q))), float(np.max(np.abs(pt.z - z))))
-            if sect > 1e-12:
-                failures.append((key, f"family is not a section at {tuple(row)}"))
-                break
-            if family.phi_inverse is not None:
-                back = np.asarray(family.phi_inverse(pt), dtype=float)
-                rt = max(rt, float(np.max(np.abs(back - np.concatenate([q, lam, z])))))
+        rt, off = _roundtrip(family, lam, pts, n)
+        if off is not None:
+            failures.append((key, f"family is not a section at {tuple(float(x) for x in off)}"))
         if rep.sup_residual > res_tol:
             failures.append((key, f"sup residual {rep.sup_residual:.3e} > {res_tol:.1e}"))
         if rt > rt_tol:

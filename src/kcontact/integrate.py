@@ -70,26 +70,6 @@ def commutator_defect(f: BaseField, samples) -> float:
     return worst
 
 
-# Points per lane pass.  Wider passes spread the Python cost of each dual
-# operation over more points; the cap bounds the lane arrays one pass holds.
-_LANE_CHUNK = 256
-
-
-def _lanes(fn, X: np.ndarray):
-    """``fn`` on the rows of ``X`` in lane passes of up to ``_LANE_CHUNK`` rows.
-
-    Returns the passes' outputs concatenated, or ``None`` when any pass
-    raised anything at all, including an overflow or invalid operation in
-    any lane.  The caller then evaluates point by point, which reproduces
-    the scalar values, warnings and errors.
-    """
-    try:
-        with np.errstate(over="raise", divide="raise", invalid="raise", under="ignore"):
-            return np.concatenate([fn(X[i:i + _LANE_CHUNK]) for i in range(0, len(X), _LANE_CHUNK)])
-    except Exception:  # noqa: BLE001 - the point-by-point path is the reference
-        return None
-
-
 def _lane_eval(f: BaseField, a: int, X: np.ndarray) -> np.ndarray:
     """``f.eval(a, x)`` for every row ``x`` of the (m, dim) array ``X``, in one lane pass."""
     return dm._lane_array(f.comps[a](dm._lanes_of(X)), X.shape[0])
@@ -140,7 +120,7 @@ def _sweep(f: BaseField, values: np.ndarray, axis: int, h: float, steps_per_cell
             return np.stack(list(_rk4_line(partial(_lane_eval, f, axis), axis, X, h, cells,
                                            steps_per_cell)), axis=1)
 
-        lines = _lanes(advance, starts.reshape(-1, dim))
+        lines = dm._lanes(advance, starts.reshape(-1, dim))
         if lines is not None:
             values[lead + (slice(1, None),) + tail] = lines.reshape(starts.shape[:-1] + (cells, dim))
             return
@@ -220,8 +200,8 @@ def integral_section(
 
     @cache
     def node_derivatives():
-        table = _lanes(lambda X: np.stack([_lane_eval(f, a, X) for a in range(k)], axis=1),
-                       values.reshape(-1, f.dim))
+        table = dm._lanes(lambda X: np.stack([_lane_eval(f, a, X) for a in range(k)], axis=1),
+                          values.reshape(-1, f.dim))
         return None if table is None else table.reshape(grid.shape + (k, f.dim))
 
     def closed_derivative(t):
@@ -278,8 +258,8 @@ def lift(gamma, sigma: BaseMap) -> SolutionMap:
             @cache
             def node_jacobians():
                 """Section Jacobians at the base points ``sigma.values``, from lane passes."""
-                table = _lanes(lambda X: dm._lane_array(_coeff_jacobian(gamma, dm._lanes_of(X))[1],
-                                                        len(X)), sigma.values.reshape(-1, sigma.d))
+                table = dm._lanes(lambda X: dm._lane_array(_coeff_jacobian(gamma, dm._lanes_of(X))[1],
+                                                           len(X)), sigma.values.reshape(-1, sigma.d))
                 return None if table is None else table.reshape(grid.shape + table.shape[1:])
 
             def closed_derivative(t):

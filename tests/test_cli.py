@@ -229,3 +229,23 @@ def test_expected_corpus_verdicts_via_cli(tmp_path):
                 assert code == 1, (name, case)
             else:
                 assert code == int(case.verdict.split(":")[1]), (name, case)
+
+
+def test_check_hj_family_unknown_mode_from_config_exit_3(tmp_path, capsys):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[run]\nexample = telegrapher\nfamily = complete\nmode = bogus\n"
+                   f"[output]\ndir = {tmp_path}/out\n")
+    assert run(["check-hj", "--config", str(cfg)]) == 3
+    assert "unknown mode 'bogus'" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "hj_report.json").exists()
+
+
+def test_check_hj_family_failures_name_plain_parameter_tuples(tmp_path, capsys):
+    code = run(["check-hj", "--example", "telegrapher", "--family", "complete",
+                "--param-grid", "2", "--samples", "20", "--tol", "1e-300",
+                "--out", str(tmp_path)])
+    assert code == 1
+    report = json.loads((tmp_path / "hj_report.json").read_text())
+    keys = [key for key, _ in report["failures"]]
+    assert keys and set(keys) <= {"(-1.0, -1.0)", "(1.0, -1.0)", "(-1.0, 1.0)", "(1.0, 1.0)"}
+    assert report["failures"][0][1].startswith("sup residual")

@@ -181,18 +181,16 @@ SECTION_CASES = [(name, key, mode) for name in corpus.EXAMPLE_NAMES
 
 
 def _projected(name, key, mode):
-    """Section, projected field, and whether that field's lane pass is expected to batch."""
+    """Section and projected field (with the diagonal gauge when the entry has none)."""
     ex = corpus.load(name)
     entry = ex.sections[key]
     P = dict(entry.defaults)
     gamma = entry.build(P)
     h = ex.hamiltonian({k: v for k, v in P.items() if k in ex.defaults})
     if entry.kind == "zind":
-        return gamma, kc.project_Q(h, gamma), True
-    if entry.gauge is not None:
-        return gamma, kc.project_zdep(h, gamma, entry.gauge(P)), True
-    # the diagonal solver scales its singularity test with float(): it always falls back
-    return gamma, kc.project_zdep(h, gamma, kc.diagonal_gauge_matrix(h, gamma, mode)), False
+        return gamma, kc.project_Q(h, gamma)
+    C = entry.gauge(P) if entry.gauge is not None else kc.diagonal_gauge_matrix(h, gamma, mode)
+    return gamma, kc.project_zdep(h, gamma, C)
 
 
 def _per_point(fn, X):
@@ -202,12 +200,9 @@ def _per_point(fn, X):
         return exc
 
 
-def _check_lane_pass(lane_fn, ref, batchable):
+def _check_lane_pass(lane_fn, ref):
     if isinstance(ref, Exception):
         with pytest.raises(Exception):
-            lane_fn()
-    elif not batchable:
-        with pytest.raises(dm._Unbatchable):
             lane_fn()
     else:
         assert np.array_equal(lane_fn(), ref)
@@ -218,11 +213,11 @@ def _check_lane_pass(lane_fn, ref, batchable):
 @given(data=st.data())
 def test_lane_pass_matches_per_point_scalar_pass(name, key, mode, data):
     # points from [-1, 2] straddle the domain edge of the square-root sections
-    gamma, f, batchable = _projected(name, key, mode)
+    gamma, f = _projected(name, key, mode)
     row = st.lists(st.floats(-1.0, 2.0), min_size=f.dim, max_size=f.dim)
     X = np.array(data.draw(st.lists(row, min_size=1, max_size=6)))
     for a in range(f.k):
-        _check_lane_pass(lambda: _lane_eval(f, a, X), _per_point(lambda x: f.eval(a, x), X), batchable)
+        _check_lane_pass(lambda: _lane_eval(f, a, X), _per_point(lambda x: f.eval(a, x), X))
     ref = _per_point(lambda x: np.asarray(_coeff_jacobian(gamma, x)[1], dtype=float), X)
     _check_lane_pass(lambda: dm._lane_array(_coeff_jacobian(gamma, dm._lanes_of(X))[1], len(X)),
-                     ref, True)
+                     ref)

@@ -1,13 +1,18 @@
 """Hamilton-Jacobi checks: projections, all four residuals, the diagonal
 gauge-matrix solver, and complete-solution verification."""
 
+import contextlib
 import dataclasses
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kcontact as kc
-from kcontact import corpus
+from kcontact import corpus, hj
 from kcontact import dual as dm
 
 CH12 = kc.ChartSpec(1, 2)
@@ -512,3 +517,216 @@ def test_diagonal_gauge_shares_the_residual_ingredients(name, rng):
     assert mixed.sup_residual == kc.hj_zdep_residual(other, gamma, wrapped, mode="evolution",
                                                      samples=samples).sup_residual
     assert rep.sup_residual <= 1e-10
+
+
+def test_verify_complete_rejects_an_unknown_mode_up_front():
+    ex = corpus.load("telegrapher")
+    fam = ex.families["complete"]({**ex.defaults, "a": 1.0})
+    with pytest.raises(kc.ContractError, match="unknown mode 'bogus'"):
+        kc.verify_complete(fam, ex.hamiltonian(), "bogus", _param_mesh(2), count=5)
+
+
+def test_verify_complete_keys_slices_by_plain_floats():
+    ex = corpus.load("telegrapher")
+    fam = ex.families["complete"]({**ex.defaults, "a": 1.0})
+    ver = kc.verify_complete(fam, ex.hamiltonian(), "standard", _param_mesh(2), count=5,
+                             res_tol=1e-300)
+    for key, _ in ver.failures + ver.reports:
+        assert type(key) is tuple and all(type(x) is float for x in key)
+    assert str(ver.failures[0][0]) == "(-1.0, -1.0)"
+
+
+# -- lane sweeps against the rows one by one -------------------------------------------------
+
+def _rows_one_by_one():
+    """Every lane pass refused, so sweeps and round trips run their per-row loops."""
+    return mock.patch.object(dm, "_lanes", lambda fn, X: None)
+
+
+def _run(fn, lanes=True):
+    """Outcome of ``fn`` (value, or exception type and message) and the per-row
+    residual arrays its sweeps produced, with or without lane passes."""
+    seen, top = [], hj._top_offenders
+
+    def spy(values, points, keep=3):
+        seen.append(np.array(values, dtype=float))
+        return top(values, points, keep)
+
+    lanes_off = contextlib.nullcontext() if lanes else _rows_one_by_one()
+    with mock.patch.object(hj, "_top_offenders", spy), lanes_off:
+        try:
+            out = fn()
+        except Exception as exc:  # noqa: BLE001 - the comparison is on type and message
+            out = (type(exc), str(exc))
+    return out, seen
+
+
+def _assert_sweep_matches_rows(check, X):
+    """The lane sweep gives the row-by-row outcome, and each row's residual is
+    that row checked alone without lanes (rows outside the domain are skipped)."""
+    got, seen = _run(lambda: check(X))
+    want, _ = _run(lambda: check(X), lanes=False)
+    assert repr(got) == repr(want)
+    if not isinstance(want, kc.HJReport):
+        return want
+    vals, used = [], []
+    for row in X:
+        one, _ = _run(lambda: check(row[None, :]), lanes=False)
+        if isinstance(one, tuple) and "no admissible sample points" in one[1]:
+            continue
+        vals.append(one.sup_residual)
+        used.append(row)
+    assert np.array_equal(seen[0], vals, equal_nan=True)
+    assert repr(got.sup_residual) == repr(float(np.max(vals)))
+    assert got.sample_count == len(used)
+    assert got.worst == hj._top_offenders(np.array(vals), used)
+    return got
+
+
+def _section_case(name, key):
+    ex = corpus.load(name)
+    entry = ex.sections[key]
+    P = dict(entry.defaults)
+    gamma = entry.build(P)
+    h = ex.hamiltonian({k: v for k, v in P.items() if k in ex.defaults})
+    C = entry.gauge(P) if entry.gauge is not None else None
+    dim = gamma.chart.n + (0 if entry.kind == "zind" else gamma.chart.k)
+    return h, gamma, C, dim
+
+
+def _rows(data, dim, lo=-1.0, hi=2.0, most=8):
+    row = st.lists(st.floats(lo, hi), min_size=dim, max_size=dim)
+    return np.array(data.draw(st.lists(row, min_size=1, max_size=most)), dtype=float)
+
+
+SECTIONS = [(name, key) for name in corpus.EXAMPLE_NAMES for key in corpus.load(name).sections]
+
+
+@pytest.mark.parametrize("name,key", SECTIONS)
+@pytest.mark.parametrize("mode", ["standard", "evolution"])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_lane_sweep_matches_the_rows_one_by_one(name, key, mode, data):
+    # rows from [-1, 2] straddle the domain edges of the square-root and log sections
+    h, gamma, C, dim = _section_case(name, key)
+    _assert_sweep_matches_rows(lambda S: hj._check(h, gamma, mode, C, samples=S)[0],
+                               _rows(data, dim))
+
+
+def _families():
+    """Every corpus family, plus a telegrapher family whose inverse is wrong and one
+    that leaves the section off u = 0, both written so that lanes can run them."""
+    out = {}
+    for name in corpus.EXAMPLE_NAMES:
+        ex = corpus.load(name)
+        for key, build in ex.families.items():
+            out[f"{name}/{key}"] = (ex.hamiltonian(), build({**ex.defaults, "a": 1.0}))
+    h, good = out["telegrapher/complete"]
+
+    def wrong_inverse(pt):
+        back = good.phi_inverse(pt)
+        return back[:1] + [back[1] + 2.0 * pt.z[0]] + back[2:]
+
+    def off_section(q, lam, z):
+        pt = good.phi(q, lam, z)
+        return kc.DarbouxPoint([q[0] * (1.0 + 1e-9 * q[0])], [[pt.p[0, 0]], [pt.p[1, 0]]], list(z))
+
+    out["wrong-inverse"] = (h, dataclasses.replace(good, phi_inverse=wrong_inverse))
+    out["off-section"] = (h, dataclasses.replace(good, phi=off_section))
+    return out
+
+
+FAMILIES = _families()
+
+
+@pytest.mark.parametrize("fam_key", sorted(FAMILIES))
+@pytest.mark.parametrize("mode", ["standard", "evolution"])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_verify_complete_lanes_match_the_rows_one_by_one(fam_key, mode, data):
+    h, fam = FAMILIES[fam_key]
+    X = _rows(data, 3, -1.0, 1.0)
+    params = _rows(data, 2, -1.0, 1.0, most=3)
+    got, seen = _run(lambda: kc.verify_complete(fam, h, mode, params, base_samples=X))
+    want, want_seen = _run(lambda: kc.verify_complete(fam, h, mode, params, base_samples=X),
+                           lanes=False)
+    assert repr(got) == repr(want)
+    assert len(seen) == len(want_seen)
+    assert all(np.array_equal(a, b) for a, b in zip(seen, want_seen))
+    for lam in params:
+        _assert_sweep_matches_rows(lambda S: hj._check(h, fam.section_of(lam), mode, samples=S)[0],
+                                   X)
+
+
+def test_verify_complete_flags_a_wrong_inverse_and_the_first_row_off_the_section():
+    h, _ = FAMILIES["wrong-inverse"]
+    X = np.array([[0.0, 0.5, -0.25], [0.5, -0.75, 0.5], [-0.5, 0.25, 0.0]])
+    ver = kc.verify_complete(FAMILIES["wrong-inverse"][1], h, "evolution", [[0.5, -0.5]],
+                             base_samples=X)
+    assert ver.sup_roundtrip == 2.0 * 0.75
+    ver = kc.verify_complete(FAMILIES["off-section"][1], h, "evolution", [[0.5, -0.5]],
+                             base_samples=X)
+    # u = 0 stays on the section, so the check stops at the second row
+    assert ver.failures[0] == ((0.5, -0.5), "family is not a section at (0.5, -0.75, 0.5)")
+
+
+def _trace_mismatch():
+    ex, h = tel()
+    gamma = ex.sections["zdep-family"].build(dict(ex.sections["zdep-family"].defaults))
+    # the trace vanishes at u = 0.1 and u = 0.2, so only the third row fails
+    C = kc.GaugeMatrix(lambda q, z: [[(q[0] - 0.1) * (q[0] - 0.2), 0.0], [0.0, 0.0]])
+    return (lambda S: kc.hj_zdep_residual(h, gamma, C, mode="evolution", samples=S),
+            np.array([[0.1, 0.5, -0.5], [0.2, -0.3, 0.4], [0.3, 0.25, 0.75], [0.1, 0.0, 0.0]]),
+            kc.ContractError, "gauge matrix trace 2.000000e-02 != 0 at (0.3, 0.25, 0.75)")
+
+
+def _singular_diagonal():
+    # d_z of the coefficients is 1e-7 apart; the singularity threshold 1e-12 * scale
+    # grows with xi = 1e6 u, so the first row is regular and the second singular
+    h = kc.ScalarField(CH12, lambda pt: 5e5 * pt.q[0] * pt.q[0])
+    gamma = kc.SectionZDep(CH12, gamma_p=lambda q, z: [[1e-7 * z[0]], [0.0 * z[1]]])
+    C = kc.diagonal_gauge_matrix(h, gamma, "evolution")
+    return (lambda S: kc.hj_zdep_residual(h, gamma, C, mode="evolution", samples=S),
+            np.array([[1e-4, 0.5, -0.5], [0.5, 0.1, 0.2], [2e-4, 0.3, 0.3]]),
+            kc.NoSolutionError,
+            "diagonal gauge-matrix system is singular and inconsistent at this point")
+
+
+def _math_domain():
+    ex, h = tel()
+    gamma = kc.SectionZDep(CH12, gamma_p=lambda q, z: [[dm.log(z[0] + 0.5)], [-z[1]]])
+    return (lambda S: hj._check(h, gamma, "standard", samples=S)[0],
+            np.array([[0.1, 0.5, -0.5], [0.2, -0.75, 0.4], [0.3, -0.9, 0.1]]),
+            ValueError, "math domain error")
+
+
+@pytest.mark.parametrize("case", [_trace_mismatch, _singular_diagonal, _math_domain])
+def test_failed_lane_sweep_raises_the_scalar_error(case):
+    check, X, kind, message = case()
+    # the lane pass meets rows that do not agree, so the rows run one by one
+    assert _assert_sweep_matches_rows(check, X) == (kind, message)
+
+
+def test_verify_complete_runs_the_samples_as_lanes():
+    """Guard that the lane path is taken: each lane pass of up to 256 samples costs
+    three h evaluations and four phi calls (three for the section coefficients,
+    one for the round trip), not that many per sample."""
+    ex = corpus.load("telegrapher")
+    h, h_calls = _counting(ex.hamiltonian())
+    fam = ex.families["complete"]({**ex.defaults, "a": 1.0})
+    phi_calls = [0]
+
+    def phi(q, lam, z):
+        phi_calls[0] += 1
+        return fam.phi(q, lam, z)
+
+    counted = dataclasses.replace(fam, phi=phi)
+    samples = np.random.default_rng(1).uniform(-1.0, 1.0, (729, 3))
+    ver = kc.verify_complete(counted, h, "standard", [[0.5, -0.5]], base_samples=samples)
+    passes = math.ceil(729 / dm._LANE_CHUNK)
+    assert h_calls[0] == 3 * passes < 4 * 729
+    assert phi_calls[0] == 4 * passes
+    assert ver.failures == [] and ver.sample_count == 729
+    want, _ = _run(lambda: kc.verify_complete(fam, ex.hamiltonian(), "standard", [[0.5, -0.5]],
+                                              base_samples=samples), lanes=False)
+    assert repr(ver) == repr(want)

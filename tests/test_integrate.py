@@ -395,3 +395,16 @@ def test_end_to_end_rejects_unknown_tolerance_keys():
     for key in ("'hj'", "'residual'", "'order'"):
         assert key in str(err.value)
     assert sorted(DEFAULT_TOLERANCES) == ["hj", "order", "residual"]
+
+
+def test_end_to_end_rejects_a_gauge_for_a_section_over_q():
+    # a section over Q has no gauge term, so a gauge matrix passed with it is an error
+    ex = corpus.load("telegrapher")
+    entry = ex.sections["classical-zind"]
+    gamma = entry.build(dict(entry.defaults))
+    C = kc.GaugeMatrix(lambda q, z: [[0.0]])
+    grid = GridSpec([0.0, 0.0], [0.02, 0.02], [3, 3])
+    with pytest.raises(kc.ContractError, match="section is over Q") as err:
+        kc.end_to_end(ex.hamiltonian(), gamma, "standard", grid, start=[1.0], C=C,
+                      hj_samples=np.linspace(0.5, 2.0, 5).reshape(-1, 1))
+    assert err.value.stage == "hj"
