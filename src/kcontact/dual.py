@@ -25,8 +25,18 @@ and the helpers apply the scalar ``math``/Python operation lane by lane.
 Anything else (a zero divisor, a math domain error, ``float()`` of a lane
 value, a branch on which lanes disagree, a numpy function or a new numpy
 array made from lane values) raises :class:`_Unbatchable` or another
-exception, and the caller falls back to one scalar evaluation per point,
-which reproduces the scalar values and errors.
+exception.
+
+Every batched site (the Hamilton-Jacobi sweeps, the holonomy and symmetry
+checks of sections, the section and round-trip checks of complete
+families, the RK4 lines of an integral section, its node derivatives and
+the section Jacobians of a lift) goes through one helper, :func:`_rows`.
+It runs a per-row function on all rows as lanes, in passes of up to
+``_LANE_CHUNK`` rows; when a pass raises, a result is not finite or a row
+fails the site's predicate, it runs the rows one by one in row order
+instead, which reproduces the scalar values and the first scalar error,
+and stops after the first row that fails the predicate.  A single row
+always runs as floats.
 """
 
 from __future__ import annotations
@@ -170,6 +180,11 @@ class Dual:
 
     def __ge__(self, other):
         return _cmp_value(self) >= _cmp_value(other)
+
+    def __eq__(self, other):  # ``!=`` negates it; duals are not hashable
+        if not isinstance(other, (Dual, _Lanes) + _REAL):
+            return NotImplemented
+        return _cmp_value(self) == _cmp_value(other)
 
     def __abs__(self):
         s = 1.0 if _cmp_value(self) >= 0.0 else -1.0
@@ -336,9 +351,6 @@ class _Lanes:
     def __array__(self, dtype=None, copy=None):
         raise _Unbatchable("a numpy array built from lane values")
 
-    def __repr__(self):
-        return f"_Lanes({self.v!r})"
-
 
 # Points per lane pass.  Wider passes spread the Python cost of each dual
 # operation over more points; the cap bounds the lane arrays one pass holds.
@@ -350,13 +362,12 @@ def _lanes(fn, X: np.ndarray):
 
     Returns the passes' outputs concatenated, or ``None`` when any pass
     raised anything at all, including an overflow or invalid operation in
-    any lane.  The caller then evaluates point by point, which reproduces
-    the scalar values, warnings and errors.
+    any lane.
     """
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise", under="ignore"):
             return np.concatenate([fn(X[i:i + _LANE_CHUNK]) for i in range(0, len(X), _LANE_CHUNK)])
-    except Exception:  # noqa: BLE001 - the point-by-point path is the reference
+    except Exception:  # noqa: BLE001 - the row-by-row path is the reference
         return None
 
 
@@ -365,16 +376,37 @@ def _lanes_of(X) -> list:
     return [_Lanes(col) for col in X.T]
 
 
-def _lane_values(x, m: int) -> np.ndarray:
-    """The m floats of one output of a lane pass; a plain number is broadcast."""
+def _lane_array(x, m: int) -> np.ndarray:
+    """The output of a lane pass as floats, lanes first: a number or lanes
+    (a plain number is broadcast), or nested sequences of them."""
+    if isinstance(x, (list, tuple, np.ndarray)):
+        return np.stack([_lane_array(v, m) for v in x], axis=1)
     x = _strip(x)
     return x.v if isinstance(x, _Lanes) else np.full(m, float(x))
 
 
-def _lane_array(outs, m: int) -> np.ndarray:
-    """The outputs of a lane pass, a sequence or nested lists, as a float array, lanes first."""
-    return np.stack([_lane_array(x, m) if isinstance(x, (list, tuple)) else _lane_values(x, m)
-                     for x in outs], axis=1)
+def _rows(fn, X: np.ndarray, ok=None) -> np.ndarray:
+    """``fn`` on every row of the (m, d) float array ``X``, one float result row per row.
+
+    ``fn`` takes a row of floats (a row of ``X``) or of lanes (a list of d
+    lane values) and returns a number or nested sequences of numbers.
+    ``ok``, when given, takes a result row, or the stacked result rows and
+    then answers per row.  All rows run as lanes, unless there is only one;
+    when a lane pass raises, a result is not finite or a row fails ``ok``,
+    the rows run one by one in row order, which gives the scalar values or
+    raises the first scalar error, and stop after the first row that fails
+    ``ok``: the result then ends with that row.
+    """
+    if len(X) > 1:
+        out = _lanes(lambda C: _lane_array(fn(_lanes_of(C)), len(C)), X)
+        if out is not None and np.all(np.isfinite(out)) and (ok is None or np.all(ok(out))):
+            return out
+    out = []
+    for x in X:
+        out.append(np.asarray(fn(x), dtype=float))
+        if ok is not None and not ok(out[-1]):
+            break
+    return np.array(out)
 
 
 def _object_array(x) -> np.ndarray:

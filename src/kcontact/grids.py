@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import dual as dm
 from .errors import ShapeError
 from .geometry import ChartSpec, DarbouxPoint
 
@@ -112,7 +113,10 @@ class BaseField:
         return len(self.comps)
 
     def eval(self, a: int, x) -> np.ndarray:
-        return np.asarray([float(v) for v in self.comps[a](list(x))], dtype=float)
+        """Component ``a`` at ``x`` as floats; a list of lanes at a point of lanes (see
+        :mod:`kcontact.dual`)."""
+        out = [dm._cmp_value(v) for v in self.comps[a](list(x))]
+        return out if any(isinstance(v, dm._Lanes) for v in out) else np.asarray(out, dtype=float)
 
 
 @dataclass

@@ -16,10 +16,9 @@ two-unknown pattern: the trace fixes the sum of the two diagonal entries
 and the uncorrected residual fixes their difference.
 
 The sweeps and the section and round-trip checks of :func:`verify_complete`
-evaluate all admitted samples together as lanes (see :mod:`kcontact.dual`).
-When a lane pass raises, a lane fails a check or a result is not finite,
-the samples run one by one instead, which gives the scalar values or the
-scalar error with its offending sample.
+evaluate all admitted samples together through :func:`kcontact.dual._rows`,
+which runs them one by one, with the scalar values or the scalar error and
+its offending sample, whenever the lanes cannot take them together.
 """
 
 from __future__ import annotations
@@ -32,12 +31,12 @@ import numpy as np
 from . import dual as dm
 from .errors import ContractError, DomainError, NoSolutionError
 from .fields import ScalarField, _p_grad, _point_from_coords
-from .geometry import DarbouxPoint
 from .grids import BaseField
 from .sections import (
     SectionZDep,
     SectionZInd,
     _coeff_jacobian,
+    _domain_rows,
     _flat,
     check_holonomic,
     check_max_coisotropic,
@@ -150,28 +149,14 @@ def _known_mode(mode: str) -> None:
         raise ContractError(f"unknown mode {mode!r}")
 
 
-def _sweep(label, pts, seed, admit, residual) -> HJReport:
-    """One residual per sample row that ``admit`` accepts; their sup and worst offenders.
+def _sweep(label, pts, seed, gamma, residual) -> HJReport:
+    """One residual per sample row inside the domain of ``gamma``; their sup and worst offenders.
 
-    ``residual`` takes a row of floats, or of lanes holding all admitted
-    rows at once; it runs row by row when the lane pass fails.
+    ``residual`` takes a row of floats or of lanes (see :func:`kcontact.dual._rows`).
     """
-    vals = used = None
-    try:
-        used = [row for row in pts if admit(row)]
-    except Exception:  # noqa: BLE001 - the row loop raises it in row order
-        pass
-    if used:
-        vals = dm._lanes(lambda X: dm._lane_values(residual(dm._lanes_of(X)), len(X)), np.array(used))
-    if vals is None or not np.all(np.isfinite(vals)):
-        vals, used = [], []
-        for row in pts:
-            if admit(row):
-                vals.append(residual(row))
-                used.append(row)
-        if not used:
-            raise ContractError("no admissible sample points inside the section domain")
-        vals = np.asarray(vals)
+    used, vals = _domain_rows(gamma, pts, residual)
+    if not len(used):
+        raise ContractError("no admissible sample points inside the section domain")
     return HJReport(label, float(np.max(vals)), len(used), _top_offenders(vals, used), seed)
 
 
@@ -179,7 +164,7 @@ def _holonomic_samples(h: ScalarField, gamma: SectionZInd, samples, box, count, 
     """The base samples of a check over Q, once the section is known to be holonomic on them."""
     pts, seed = _resolve_samples(samples, box, h.chart.n, count, seed)
     defect = check_holonomic(gamma, pts)
-    if defect > HOLONOMY_TOL:
+    if not defect <= HOLONOMY_TOL:
         raise ContractError(f"section is not holonomic (defect {defect:.3e})")
     return pts, seed
 
@@ -223,7 +208,7 @@ def hj_classical_zind(
 ) -> HJReport:
     """sup |h on section| over the samples (section must be holonomic)."""
     pts, seed = _holonomic_samples(h, gamma, samples, box, count, seed)
-    return _sweep("classical-zind", pts, seed, gamma.in_domain,
+    return _sweep("classical-zind", pts, seed, gamma,
                   lambda q: dm._mag(_h_on_zind(h, gamma, list(q))))
 
 
@@ -242,7 +227,7 @@ def hj_evolution_zind(
         _, g = dm.derive1(lambda qs: _h_on_zind(h, gamma, qs), list(q))
         return dm._vmax(*(dm._mag(x) for x in g))
 
-    return _sweep("evolution-zind", pts, seed, gamma.in_domain, residual)
+    return _sweep("evolution-zind", pts, seed, gamma, residual)
 
 
 def gamma_beta(h: ScalarField, gamma: SectionZDep, q, z) -> np.ndarray:
@@ -355,7 +340,7 @@ def hj_zdep_residual(
     n, k = chart.n, chart.k
     pts, seed = _resolve_samples(samples, box, n + k, count, seed)
     defect = check_max_coisotropic(gamma, pts)
-    if defect > COISO_TOL:
+    if not defect <= COISO_TOL:
         raise ContractError(f"section is not maximally coisotropic (defect {defect:.3e})")
 
     def residual(row):
@@ -372,8 +357,8 @@ def hj_zdep_residual(
                 raise ContractError(f"gauge matrix trace {tr:.6e} != 0 at {_where(row)}")
         return res
 
-    return _sweep(f"{'classical' if mode == 'standard' else 'evolution'}-zdep", pts, seed,
-                  lambda row: gamma.in_domain(row[:n], row[n:]), residual)
+    return _sweep(f"{'classical' if mode == 'standard' else 'evolution'}-zdep", pts, seed, gamma,
+                  residual)
 
 
 def _check(h: ScalarField, gamma, mode: str, C: GaugeMatrix = None, **sampling):
@@ -538,46 +523,26 @@ class CompleteVerification:
 _SECTION_TOL = 1e-12  # largest |(q, z) of phi(q, lam, z) - (q, z)| of a section
 
 
-def _roundtrip_lanes(family: CompleteSolutionFamily, lam, n: int, X: np.ndarray) -> np.ndarray:
-    """Section error and inverse round-trip error of every row of ``X``, in one lane pass."""
-    m, row = len(X), dm._lanes_of(X)
-    pt = family.phi(row[:n], list(lam), row[n:])
-    sect = np.maximum(np.max(np.abs(dm._lane_array(list(pt.q), m) - X[:, :n]), axis=1),
-                      np.max(np.abs(dm._lane_array(list(pt.z), m) - X[:, n:]), axis=1))
-    rt = np.zeros(m)
-    if family.phi_inverse is not None:
-        back = dm._lane_array(family.phi_inverse(pt), m)
-        rt = np.max(np.abs(back - np.concatenate([X[:, :n], np.tile(lam, (m, 1)), X[:, n:]], axis=1)),
-                    axis=1)
-    return np.stack([sect, rt], axis=1)
+def _roundtrip_errors(family: CompleteSolutionFamily, lam, n: int, row) -> list:
+    """Section error of one sample row (floats or lanes), then the entries of its
+    inverse round-trip error: zeros without an inverse or off the section, where
+    ``phi_inverse`` does not run."""
+    q, z, lam = list(row[:n]), list(row[n:]), list(lam)
+    pt = family.phi(q, lam, z)
+    sect = dm._vmax(*(dm._mag(a - b) for a, b in zip(list(pt.q) + list(pt.z), q + z)))
+    ref = q + lam + z
+    if family.phi_inverse is None or sect > _SECTION_TOL:
+        return [sect] + [0.0] * len(ref)
+    return [sect] + [a - b for a, b in zip(family.phi_inverse(pt), ref)]
 
 
 def _roundtrip(family: CompleteSolutionFamily, lam, pts: np.ndarray, n: int):
     """Largest inverse round-trip error over the samples, and the first sample
-    that ``phi`` does not send to its own (q, z), where the check stops (or None).
-
-    All samples run in lane passes; when one raises, a sample is off the
-    section or an error is not finite, they run one by one.
-    """
-    errs = dm._lanes(partial(_roundtrip_lanes, family, lam, n), pts)
-    if errs is not None and np.all(np.isfinite(errs)) and np.all(errs[:, 0] <= _SECTION_TOL):
-        return float(np.max(errs[:, 1])), None
-    rt = 0.0
-    for row in pts:
-        q, z = row[:n], row[n:]
-        pt = family.phi(list(q), list(lam), list(z))
-        pt = DarbouxPoint(
-            np.asarray(pt.q, dtype=float),
-            np.asarray(pt.p, dtype=float),
-            np.asarray(pt.z, dtype=float),
-        )
-        sect = max(float(np.max(np.abs(pt.q - q))), float(np.max(np.abs(pt.z - z))))
-        if sect > _SECTION_TOL:
-            return rt, row
-        if family.phi_inverse is not None:
-            back = np.asarray(family.phi_inverse(pt), dtype=float)
-            rt = max(rt, float(np.max(np.abs(back - np.concatenate([q, lam, z])))))
-    return rt, None
+    that ``phi`` does not send to its own (q, z), where the check stops (or None)."""
+    errs = dm._rows(partial(_roundtrip_errors, family, lam, n), pts,
+                    ok=lambda e: np.logical_not(e[..., 0] > _SECTION_TOL))
+    rt = max([0.0] + np.max(np.abs(errs[:, 1:]), axis=1).tolist())
+    return rt, (pts[len(errs) - 1] if errs[-1, 0] > _SECTION_TOL else None)
 
 
 def verify_complete(

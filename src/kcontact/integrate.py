@@ -8,16 +8,16 @@ the two endpoints must agree, which turns integrability into a runtime
 assertion.
 
 The grid lines of one sweep direction are independent, so they advance
-together as the lanes of one field evaluation (see :mod:`kcontact.dual`);
-the node derivatives of an integrated map and the section Jacobians of a
-lift are filled the same way.  Whenever a lane pass raises, the work is
-redone point by point, which gives the scalar values or the scalar error.
+together as the lanes of one pass through :func:`kcontact.dual._rows`; the
+node derivatives of an integrated map and the section Jacobians of a lift
+are filled the same way.  Whenever the lanes cannot take them together,
+the rows run one by one, which gives the scalar values or the scalar error.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache, partial
+from functools import cache
 
 import numpy as np
 
@@ -72,63 +72,46 @@ def commutator_defect(f: BaseField, samples) -> float:
 
 def _lane_eval(f: BaseField, a: int, X: np.ndarray) -> np.ndarray:
     """``f.eval(a, x)`` for every row ``x`` of the (m, dim) array ``X``, in one lane pass."""
-    return dm._lane_array(f.comps[a](dm._lanes_of(X)), X.shape[0])
+    return dm._lane_array(f.eval(a, dm._lanes_of(X)), X.shape[0])
 
 
-def _rk4_line(field_at, axis: int, x0: np.ndarray, h: float, cells: int, steps_per_cell: int):
-    """Integrate along direction ``axis``; yields the state after every cell.
+def _rk4_line(f: BaseField, axis: int, x0, h: float, cells: int, steps_per_cell: int) -> list:
+    """Integrate component ``axis`` of ``f`` from ``x0``; the state after every cell.
 
-    ``field_at(x)`` is the direction field; ``x0`` is one point, or an
-    (m, dim) array of lines advanced together by a lane evaluation.
+    ``x0`` is one point as floats, or as lanes holding many lines at once.
     """
     dt = h / steps_per_cell
-    x = np.asarray(x0, dtype=float)
+    x, states = list(x0), []
     for _ in range(cells):
         for _ in range(steps_per_cell):
-            k1 = field_at(x)
-            k2 = field_at(x + 0.5 * dt * k1)
-            k3 = field_at(x + 0.5 * dt * k2)
-            k4 = field_at(x + dt * k3)
-            x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.all(np.isfinite(x)) or np.max(np.abs(x)) > BLOWUP_GUARD:
+            k1 = f.eval(axis, x)
+            k2 = f.eval(axis, [v + 0.5 * dt * d for v, d in zip(x, k1)])
+            k3 = f.eval(axis, [v + 0.5 * dt * d for v, d in zip(x, k2)])
+            k4 = f.eval(axis, [v + dt * d for v, d in zip(x, k3)])
+            x = [v + (dt / 6.0) * (a + 2.0 * b + 2.0 * c + d) for v, a, b, c, d in zip(x, k1, k2, k3, k4)]
+            if not all(dm._mag(v) <= BLOWUP_GUARD for v in x):  # also when not finite
                 raise DivergenceError(f"flow along direction {axis} exceeded the blow-up guard")
-        yield x
+        states.append(x)
+    return states
 
 
 def _integrate_path(f: BaseField, x0, legs, steps_per_cell: int) -> np.ndarray:
     x = np.asarray(x0, dtype=float)
     for axis, h, cells in legs:
-        if cells == 0:
-            continue
-        for x in _rk4_line(partial(f.eval, axis), axis, x, h, cells, steps_per_cell):
-            pass
+        if cells > 0:
+            x = np.asarray(_rk4_line(f, axis, x, h, cells, steps_per_cell)[-1], dtype=float)
     return x
 
 
 def _sweep(f: BaseField, values: np.ndarray, axis: int, h: float, steps_per_cell: int) -> None:
-    """Fill the grid lines of direction ``axis`` from their first nodes.
-
-    All lines advance together as the lanes of one pass per field
-    evaluation; if that pass raises, the lines are redone one at a time.
-    """
+    """Fill the grid lines of direction ``axis`` from their first nodes, all lines in one
+    :func:`kcontact.dual._rows` pass."""
     k, dim = values.ndim - 1, values.shape[-1]
     lead, tail = (slice(None),) * axis, (0,) * (k - axis - 1)
     cells = values.shape[axis] - 1
     starts = values[lead + (0,) + tail]
-    if starts.size > dim:
-        def advance(X):  # (m, dim) line starts -> (m, cells, dim) states after each cell
-            return np.stack(list(_rk4_line(partial(_lane_eval, f, axis), axis, X, h, cells,
-                                           steps_per_cell)), axis=1)
-
-        lines = dm._lanes(advance, starts.reshape(-1, dim))
-        if lines is not None:
-            values[lead + (slice(1, None),) + tail] = lines.reshape(starts.shape[:-1] + (cells, dim))
-            return
-    for pre in np.ndindex(*values.shape[:axis]):
-        x = values[pre + (0,) + tail]
-        for step, xn in enumerate(_rk4_line(partial(f.eval, axis), axis, x, h, cells, steps_per_cell),
-                                  start=1):
-            values[pre + (step,) + tail] = xn
+    lines = dm._rows(lambda x: _rk4_line(f, axis, x, h, cells, steps_per_cell), starts.reshape(-1, dim))
+    values[lead + (slice(1, None),) + tail] = lines.reshape(starts.shape[:-1] + (cells, dim))
 
 
 def _grid_node(grid: GridSpec, t):
@@ -200,17 +183,12 @@ def integral_section(
 
     @cache
     def node_derivatives():
-        table = dm._lanes(lambda X: np.stack([_lane_eval(f, a, X) for a in range(k)], axis=1),
-                          values.reshape(-1, f.dim))
-        return None if table is None else table.reshape(grid.shape + (k, f.dim))
+        return dm._rows(lambda x: [f.eval(a, x) for a in range(k)],
+                        values.reshape(-1, f.dim)).reshape(grid.shape + (k, f.dim))
 
     def closed_derivative(t):
         idx = node_of(t)
-        table = node_derivatives()
-        if table is not None:
-            return table[idx].copy()
-        x = values[idx]
-        return np.stack([f.eval(a, x) for a in range(k)])
+        return node_derivatives()[idx].copy()
 
     return BaseMap(grid, values, closed_form=closed_form,
                    closed_derivative=closed_derivative, notes=notes)
@@ -233,43 +211,34 @@ def lift(gamma, sigma: BaseMap) -> SolutionMap:
     if not zind and sigma.d != n + k:
         raise ContractError(f"base map dimension {sigma.d} does not match n+k={n + k}")
 
+    at = gamma.at if zind else (lambda x: gamma.at(x[:n], x[n:]))
     q = np.empty(grid.shape + (n,))
     p = np.empty(grid.shape + (k, n))
     z = np.empty(grid.shape + (k,))
     for idx in grid.indices():
-        x = sigma.values[idx]
-        if zind:
-            pt = gamma.at(x)
-        else:
-            pt = gamma.at(x[:n], x[n:])
+        pt = at(sigma.values[idx])
         q[idx], p[idx], z[idx] = pt.q, pt.p, pt.z
 
     closed_form = None
     closed_derivative = None
     if sigma.closed_form is not None:
-        if zind:
-            def closed_form(t):
-                return gamma.at(np.atleast_1d(sigma.closed_form(t)))
-        else:
-            def closed_form(t):
-                x = np.atleast_1d(sigma.closed_form(t))
-                return gamma.at(x[:n], x[n:])
+        def closed_form(t):
+            return at(np.atleast_1d(sigma.closed_form(t)))
+
         if sigma.closed_derivative is not None:
             @cache
             def node_jacobians():
-                """Section Jacobians at the base points ``sigma.values``, from lane passes."""
-                table = dm._lanes(lambda X: dm._lane_array(_coeff_jacobian(gamma, dm._lanes_of(X))[1],
-                                                           len(X)), sigma.values.reshape(-1, sigma.d))
-                return None if table is None else table.reshape(grid.shape + table.shape[1:])
+                """Section Jacobians at the base points ``sigma.values``."""
+                table = dm._rows(lambda x: _coeff_jacobian(gamma, x)[1], sigma.values.reshape(-1, sigma.d))
+                return table.reshape(grid.shape + table.shape[1:])
 
             def closed_derivative(t):
                 x = np.atleast_1d(np.asarray(sigma.closed_form(t), dtype=float))
                 dx = np.asarray(sigma.closed_derivative(t), dtype=float).reshape(k, sigma.d)
-                table = node_jacobians()
-                idx = None if table is None else _grid_node(grid, t)
+                idx = _grid_node(grid, t)
                 # the table row holds the Jacobian at the node's stored base point
                 if idx is not None and sigma.values[idx].tobytes() == x.tobytes():
-                    J = table[idx]
+                    J = node_jacobians()[idx]
                 else:
                     _, rows = _coeff_jacobian(gamma, x)
                     J = np.asarray(rows, dtype=float)

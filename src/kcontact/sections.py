@@ -131,64 +131,88 @@ def _coeff_jacobian(gamma, x):
     return dm.jacobian(lambda v: _flat(gamma.p_at(v)) + list(gamma.z_at(v)), list(x))
 
 
+def _domain_rows(gamma, pts: np.ndarray, fn):
+    """The sample rows inside the domain of ``gamma`` (all of them, unchecked, when
+    it declares none), and ``fn`` on each of them through :func:`kcontact.dual._rows`.
+
+    An error of the domain predicate is raised after the errors of ``fn`` on
+    the rows before it, as one loop over the rows would meet them.
+    """
+    used, late = pts, None
+    if gamma.domain is not None:
+        n, keep = gamma.chart.n, []
+        inside = gamma.in_domain if isinstance(gamma, SectionZInd) else (
+            lambda row: gamma.in_domain(row[:n], row[n:]))
+        for row in pts:
+            try:
+                if inside(row):
+                    keep.append(row)
+            except Exception as exc:  # noqa: BLE001 - raised below, in row order
+                late = exc
+                break
+        used = np.array(keep).reshape(-1, pts.shape[1])
+    out = dm._rows(fn, used)
+    if late is not None:
+        raise late
+    return used, out
+
+
+def _sup_gap(gamma, samples, row_gaps) -> float:
+    """Max |entry| of ``row_gaps(row)`` over the sample rows inside the domain of
+    ``gamma`` (NaN if an entry is NaN)."""
+    _, gaps = _domain_rows(gamma, np.atleast_2d(np.asarray(samples, dtype=float)), row_gaps)
+    return float(np.max(np.abs(gaps), initial=0.0))
+
+
+def _holonomy_gaps(gamma: SectionZInd, q) -> list:
+    """gamma_p - d(gamma_z)/dq at one base row (floats or lanes), row-major."""
+    k, n = gamma.chart.k, gamma.chart.n
+    vals, rows = _coeff_jacobian(gamma, q)
+    return [vals[a * n + i] - rows[k * n + a][i] for a in range(k) for i in range(n)]
+
+
+def _symmetry_gaps(gamma: SectionZDep, qz, corrected: bool) -> list:
+    """A - A^T of every component a at one (q, z) row (floats or lanes), where
+    A[i][j] = d gamma_j^a / d q^i, plus gamma_i^b * d gamma_j^a / d z^b summed
+    over b when ``corrected``."""
+    k, n = gamma.chart.k, gamma.chart.n
+    vals, rows = _coeff_jacobian(gamma, qz)
+
+    def A(a, i, j):
+        acc = rows[a * n + j][i]
+        for b in range(k if corrected else 0):
+            acc = acc + vals[b * n + i] * rows[a * n + j][n + b]
+        return acc
+
+    return [A(a, i, j) - A(a, j, i) for a in range(k) for i in range(n) for j in range(n)]
+
+
 def check_holonomic(gamma: SectionZInd, samples) -> float:
-    """Max defect |gamma_p - d(gamma_z)/dq| over the sample points.
+    """Max defect |gamma_p - d(gamma_z)/dq| over the sample points (NaN if one is NaN).
 
     Zero defect means the momentum coefficients are the derivatives of the
     extra-coordinate functions, i.e. the section is a first-prolongation
     graph; its image is then tangent to the kernel of the structure forms.
     """
-    k, n = gamma.chart.k, gamma.chart.n
-    worst = 0.0
-    for q in np.atleast_2d(np.asarray(samples, dtype=float)):
-        if not gamma.in_domain(q):
-            continue
-        vals, rows = _coeff_jacobian(gamma, q)
-        for a in range(k):
-            for i in range(n):
-                worst = max(worst, abs(float(vals[a * n + i]) - float(rows[k * n + a][i])))
-    return worst
+    return _sup_gap(gamma, samples, lambda q: _holonomy_gaps(gamma, q))
 
 
 def check_max_coisotropic(gamma: SectionZDep, samples) -> float:
-    """Max defect of the symmetric compatibility condition over samples.
+    """Max defect of the symmetric compatibility condition over samples (NaN if one is NaN).
 
     The condition compares, for every component a and index pair (i, j),
     the q-derivative of the coefficients corrected by z-derivatives along
     the section; for n = 1 it is vacuous and the defect is identically 0.
     """
-    k, n = gamma.chart.k, gamma.chart.n
-    if n == 1:
+    if gamma.chart.n == 1:
         return 0.0
-    worst = 0.0
-    for qz in np.atleast_2d(np.asarray(samples, dtype=float)):
-        q, z = qz[:n], qz[n:]
-        if not gamma.in_domain(q, z):
-            continue
-        vals, rows = _coeff_jacobian(gamma, list(q) + list(z))
-        gp = np.array(vals, dtype=float).reshape(k, n)
-        jac = np.array(rows, dtype=float).reshape(k, n, n + k)
-        for a in range(k):
-            A = jac[a, :, :n].T.copy()  # A[i, j] = d gamma_j^a / d q^i
-            for b in range(k):
-                A += np.outer(gp[b], jac[a, :, n + b])  # + gamma_i^b * d gamma_j^a / d z^b
-            worst = max(worst, float(np.max(np.abs(A - A.T))))
-    return worst
+    return _sup_gap(gamma, samples, lambda qz: _symmetry_gaps(gamma, qz, corrected=True))
 
 
 def check_isotropic_slices(gamma: SectionZDep, z, samples) -> float:
-    """Max antisymmetry defect of the q-derivatives at the fixed slice ``z``."""
-    k, n = gamma.chart.k, gamma.chart.n
-    if n == 1:
+    """Max antisymmetry defect of the q-derivatives at the fixed slice ``z`` (NaN if one is NaN)."""
+    if gamma.chart.n == 1:
         return 0.0
-    worst = 0.0
-    z = np.asarray(z, dtype=float)
-    for q in np.atleast_2d(np.asarray(samples, dtype=float)):
-        if not gamma.in_domain(q, z):
-            continue
-        _, rows = _coeff_jacobian(gamma, list(q) + list(z))
-        jac = np.array(rows, dtype=float).reshape(k, n, n + k)
-        for a in range(k):
-            A = jac[a, :, :n].T  # A[i, j] = d gamma_j^a / d q^i
-            worst = max(worst, float(np.max(np.abs(A - A.T))))
-    return worst
+    q = np.atleast_2d(np.asarray(samples, dtype=float))
+    qz = np.hstack([q, np.tile(np.asarray(z, dtype=float), (len(q), 1))])
+    return _sup_gap(gamma, qz, lambda row: _symmetry_gaps(gamma, row, corrected=False))

@@ -249,3 +249,28 @@ def test_check_hj_family_failures_name_plain_parameter_tuples(tmp_path, capsys):
     keys = [key for key, _ in report["failures"]]
     assert keys and set(keys) <= {"(-1.0, -1.0)", "(1.0, -1.0)", "(-1.0, 1.0)", "(1.0, 1.0)"}
     assert report["failures"][0][1].startswith("sup residual")
+
+
+def test_simulate_solution_reports_the_pde_residual(tmp_path, capsys):
+    assert run(["simulate", "--example", "telegrapher", "--solution", "exponential",
+                "--out", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    ex = corpus.load("telegrapher")
+    psi = corpus.analytic("telegrapher", "exponential")
+    pde = ex.pde_residual({"u": psi.q[..., 0], "zt": psi.z[..., 0]}, psi.grid, dict(ex.defaults))
+    assert summary["max_pde_residual"] == float(abs(pde).max()) <= 5e-3  # O(h^2) stencils
+
+
+def test_simulate_section_against_the_logarithmic_reference(tmp_path, capsys):
+    # the lifted logarithmic solution on a window where its base map stays in the log-zind domain
+    sol = corpus.load("hunter-saxton").solutions["logarithmic"]
+    base, _ = sol.build({**sol.defaults, "delta": 1.0})
+    start = base([0.0, -2.0])[0]
+    errors = []
+    for u0 in (start, start + 0.01):
+        assert run(["simulate", "--example", "hunter-saxton", "--section", "log-zind",
+                    "--reference", "logarithmic", "--set", "delta=1", "--mode", "standard",
+                    "--origin", "0,-2", "--spacing", "0.02,0.02", "--counts", "9,9",
+                    "--start", repr(u0), "--out", str(tmp_path)]) == 0
+        errors.append(json.loads((tmp_path / "summary.json").read_text())["compare_error"])
+    assert errors[0] <= 1e-8 < 1e-3 < errors[1]

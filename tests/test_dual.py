@@ -147,7 +147,7 @@ def test_lane_math_helpers_apply_math_per_lane(name, rng):
 def test_lane_gradients_match_scalar_gradients(f, rng):
     pts = 2.0 * rng.random((30, 3)) - 1.0
     val, grad = dm.derive1(f, dm._lanes_of(pts))
-    assert np.array_equal(dm._lane_values(val, len(pts)), [float(dm.derive1(f, list(p))[0]) for p in pts])
+    assert np.array_equal(dm._lane_array(val, len(pts)), [float(dm.derive1(f, list(p))[0]) for p in pts])
     want = np.array([[float(g) for g in dm.derive1(f, list(p))[1]] for p in pts])
     assert np.array_equal(dm._lane_array(grad, len(pts)), want)
 
@@ -221,3 +221,118 @@ def test_lane_pass_matches_per_point_scalar_pass(name, key, mode, data):
     ref = _per_point(lambda x: np.asarray(_coeff_jacobian(gamma, x)[1], dtype=float), X)
     _check_lane_pass(lambda: dm._lane_array(_coeff_jacobian(gamma, dm._lanes_of(X))[1], len(X)),
                      ref)
+
+
+# -- comparisons and operators on duals -----------------------------------------
+
+def test_dual_equality_compares_values():
+    x = dm.Dual(0.0, (1.0,), 0)
+    assert x == 0.0 and 0.0 == x and not (x != 0.0) and x <= 0.0
+    assert x != 1.0 and x == dm.Dual(0.0, (2.0,), 0) and x == np.float64(0.0)
+    assert x != None and not (x == "0.0")  # noqa: E711 - other types are never equal
+    with pytest.raises(TypeError):
+        hash(x)
+
+
+def test_dual_equality_under_lanes_needs_agreement():
+    x = dm.Dual(lanes(1.0, 1.0, 1.0), (1.0,), 0)
+    assert x == 1.0 and x != 2.0 and not (x != 1.0)
+    with pytest.raises(dm._Unbatchable):
+        dm.Dual(lanes(1.0, 2.0), (1.0,), 0) == 1.0
+
+
+def test_dual_orderings_float_and_repr():
+    x, y = dm.Dual(1.0, (1.0,), 0), dm.Dual(2.0, (0.0,), 0)
+    assert x < y and x < 1.5 and not (y < x)
+    assert x <= 1.0 and x <= y and not (y <= x)
+    assert y >= x and y >= 2.0 and not (x >= y)
+    assert float(dm.Dual(dm.Dual(2.5, (1.0,), 1), (0.0,), 2)) == 2.5
+    assert repr(x) == "Dual(1.0, (1.0,), lev=0)"
+
+
+def test_reflected_power_matches_scalar_pow():
+    val, grad = dm.derive1(lambda v: 2.0 ** v[0], [0.7])
+    assert val == 2.0 ** 0.7 == pow(2.0, 0.7)
+    assert grad[0] == pytest.approx(math.log(2.0) * 2.0 ** 0.7, rel=1e-15)
+    xs = [-1.5, 0.0, 0.3, 2.0]
+    assert (3.0 ** lanes(*xs)).v.tolist() == [pow(3.0, x) for x in xs]
+    with pytest.raises(dm._Unbatchable):
+        (-2.0) ** lanes(0.5, 1.0)  # a complex lane is not real
+
+
+def test_fabs_is_abs():
+    assert dm.fabs(-1.5) == 1.5
+    v, g = dm.derive1(lambda x: dm.fabs(x[0]), [-2.0])
+    assert v == 2.0 and g[0] == -1.0
+    assert dm.fabs(lanes(-1.0, 2.0)).v.tolist() == [1.0, 2.0]
+
+
+# -- the lane-or-row helper -------------------------------------------------------
+
+def _counting(fn):
+    calls = []
+
+    def wrapped(row):
+        calls.append(isinstance(row[0], dm._Lanes))
+        return fn(row)
+
+    return wrapped, calls
+
+
+def test_rows_run_as_lanes_in_chunks(rng):
+    X = 2.0 * rng.random((600, 2)) - 1.0
+    f, calls = _counting(lambda r: [r[0] * r[1], dm.exp(r[0]) - 1.0])
+    got = dm._rows(f, X)
+    assert calls == [True] * math.ceil(600 / dm._LANE_CHUNK)
+    assert np.array_equal(got, [[x * y, math.exp(x) - 1.0] for x, y in X])
+    # a plain number is broadcast over the lanes
+    assert np.array_equal(dm._rows(lambda r: 2.0, X[:3]), [2.0, 2.0, 2.0])
+
+
+def test_a_single_row_runs_as_floats():
+    f, calls = _counting(lambda r: r[0] + 1.0)
+    assert np.array_equal(dm._rows(f, np.array([[0.5]])), [1.5]) and calls == [False]
+    assert dm._rows(f, np.empty((0, 1))).shape == (0,)
+
+
+def test_rows_fall_back_in_row_order():
+    X = np.array([[1.0], [-1.0], [2.0], [-2.0]])
+    f, calls = _counting(lambda r: dm.sqrt(r[0]) if r[0] < 1.5 else dm.log(-r[0]))
+    with pytest.raises(ValueError, match="math domain error"):  # the second row's error
+        dm._rows(f, X)
+    assert calls == [True, False, False]
+    # a non-finite lane result runs the rows too, and keeps their values
+    g, calls = _counting(lambda r: r[0] + 1.0)
+    assert np.array_equal(dm._rows(g, np.array([[0.0], [math.inf]])), [1.0, math.inf])
+    assert calls == [True, False, False]
+
+
+def test_rows_stop_after_the_first_row_failing_ok():
+    X = np.array([[0.1], [0.2], [5.0], [0.3], [6.0]])
+    f, calls = _counting(lambda r: [r[0], 2.0 * r[0]])
+    got = dm._rows(f, X, ok=lambda e: e[..., 0] < 1.0)
+    assert np.array_equal(got, [[0.1, 0.2], [0.2, 0.4], [5.0, 10.0]])
+    assert calls == [True, False, False, False]
+    assert np.array_equal(dm._rows(f, X[:2], ok=lambda e: e[..., 0] < 1.0), [[0.1, 0.2], [0.2, 0.4]])
+
+
+def test_only_dual_runs_lane_passes():
+    """Every batched site goes through ``dual._rows``: no other module makes a lane
+    pass or catches a failed one itself."""
+    import ast
+    import pathlib
+
+    lane_names = {"_lanes", "_LANE_CHUNK", "_lanes_of", "_lane_array", "_rows", "_lane_eval"}
+
+    def names(node):
+        return {n.attr if isinstance(n, ast.Attribute) else n.id for n in ast.walk(node)
+                if isinstance(n, (ast.Attribute, ast.Name))}
+
+    for path in sorted(pathlib.Path(dm.__file__).parent.glob("*.py")):
+        if path.name == "dual.py":
+            continue
+        tree = ast.parse(path.read_text())
+        assert not names(tree) & {"_lanes", "_LANE_CHUNK"}, path.name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Try):
+                assert not names(ast.Module(body=node.body, type_ignores=[])) & lane_names, path.name

@@ -283,3 +283,13 @@ def test_affine_examples_standard_equals_evolution_blocks(rng):
             for a in range(h.chart.k):
                 assert np.max(np.abs(ks.comp[a].q - ke.comp[a].q)) <= 1e-12
                 assert np.max(np.abs(ks.comp[a].p - ke.comp[a].p)) <= 1e-12
+
+
+def test_residual_grid_interior_max_skips_the_boundary_ring():
+    r_q = np.zeros((4, 5))
+    r_q[0, 2] = 5.0  # boundary
+    r_q[2, 3] = 0.25  # interior
+    r_p, r_z = np.zeros((4, 5)), np.full((4, 5), 0.125)
+    res = kc.ResidualGrid(r_q, r_p, r_z)
+    assert res.max() == 5.0
+    assert res.interior_max() == 0.25

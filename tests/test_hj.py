@@ -730,3 +730,63 @@ def test_verify_complete_runs_the_samples_as_lanes():
     want, _ = _run(lambda: kc.verify_complete(fam, ex.hamiltonian(), "standard", [[0.5, -0.5]],
                                               base_samples=samples), lanes=False)
     assert repr(ver) == repr(want)
+
+
+# -- preconditions and sample admission ---------------------------------------------------
+
+def test_non_finite_defects_fail_the_preconditions():
+    nan = float("nan")
+    _, h = tel()
+    gamma = kc.SectionZInd(CH12, gamma_p=lambda q: [[nan * q[0]], [1.0]], gamma_z=lambda q: [0.0, q[0]])
+    for check in (kc.hj_classical_zind, kc.hj_evolution_zind):
+        with pytest.raises(kc.ContractError, match=r"not holonomic \(defect nan\)"):
+            check(h, gamma, samples=U_SAMPLES)
+    chart = kc.ChartSpec(2, 1)
+    skew = kc.SectionZDep(chart, gamma_p=lambda q, z: [[q[1], nan * q[0]]])
+    h2 = kc.ScalarField(chart, lambda pt: pt.p[0, 0] * pt.p[0, 1])
+    with pytest.raises(kc.ContractError, match=r"not maximally coisotropic \(defect nan\)"):
+        kc.hj_zdep_residual(h2, skew, kc.GaugeMatrix(lambda q, z: [[0.0]]), mode="evolution",
+                            samples=[[0.3, -0.8, 0.1]])
+
+
+@pytest.mark.parametrize("key", ["classical-zind", "zdep-family"])
+def test_sweeps_without_a_domain_admit_every_row_unchecked(key, rng):
+    ex, h = tel()
+    entry = ex.sections[key]
+    gamma = entry.build(dict(entry.defaults))
+    assert gamma.domain is None
+    samples = rng.uniform(0.5, 1.5, (40, 1 if entry.kind == "zind" else 3))
+    with mock.patch.object(type(gamma), "in_domain", side_effect=AssertionError("admission ran")):
+        rep, _ = hj._check(h, gamma, "standard", samples=samples)
+    assert rep.sample_count == 40
+
+
+def test_a_raising_domain_predicate_keeps_the_row_order_of_errors():
+    _, h = tel()
+
+    def domain(q, z):
+        if q[0] > 0.8:
+            raise ZeroDivisionError("domain predicate failed")
+        return True
+
+    gamma = kc.SectionZDep(CH12, gamma_p=lambda q, z: [[dm.log(z[0] + 0.5)], [-z[1]]], domain=domain)
+    ok, log_fails, predicate_fails = [0.1, 0.5, 0.0], [0.2, -0.9, 0.1], [0.9, 0.1, 0.1]
+    for X, want in (([ok, log_fails, predicate_fails], "math domain error"),
+                    ([ok, predicate_fails, log_fails], "domain predicate failed")):
+        for lanes in (True, False):
+            got, _ = _run(lambda: hj._check(h, gamma, "standard", samples=np.array(X)), lanes)
+            assert got[1] == want
+
+
+@pytest.mark.parametrize("mode", ["standard", "evolution"])
+def test_diagonal_gauge_for_three_components_solves_the_identity(mode):
+    # k = 3 leaves the diagonal system underdetermined: the solver takes its minimum-norm solution
+    chart = kc.ChartSpec(1, 3)
+    h = kc.ScalarField(chart, lambda pt: pt.p[0, 0] * pt.p[1, 0] + pt.q[0] * pt.z[2] + pt.p[2, 0] ** 2)
+    gamma = kc.SectionZDep(chart, gamma_p=lambda q, z: [[z[0] + q[0]], [2.0 * z[1]], [q[0] * z[2]]])
+    C = kc.solve_diagonal_C(h, gamma, mode, [0.3], [0.1, 0.2, -0.4])
+    assert np.count_nonzero(C - np.diag(np.diag(C))) == 0
+    want = 0.0 if mode == "evolution" else -h(gamma.at([0.3], [0.1, 0.2, -0.4]))
+    assert np.trace(C) == pytest.approx(want, abs=1e-12)
+    rep = kc.hj_zdep_residual(h, gamma, kc.diagonal_gauge_matrix(h, gamma, mode), mode=mode, count=50)
+    assert rep.sample_count == 50 and rep.sup_residual <= 1e-12

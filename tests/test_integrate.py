@@ -229,6 +229,35 @@ def test_lift_lane_jacobians_match_scalar_jacobians():
         assert np.array_equal(a, b)
 
 
+def test_grid_axis_lists_the_node_coordinates():
+    grid = GridSpec([0.0, 1.0], [0.5, 0.25], [3, 4])
+    assert grid.axis(0).tolist() == [0.0, 0.5, 1.0]
+    assert grid.axis(1).tolist() == [1.0, 1.25, 1.5, 1.75]
+    assert all(grid.t(idx)[d] == grid.axis(d)[idx[d]] for idx in grid.indices() for d in range(2))
+
+
+@pytest.mark.parametrize("name,key", [("telegrapher", "classical-zind"),
+                                      ("hunter-saxton", "zdep-quadratic")])
+def test_lift_closed_form_is_the_lifted_node_point(name, key):
+    ex = corpus.load(name)
+    entry = ex.sections[key]
+    P = dict(entry.defaults)
+    gamma = entry.build(P)
+    h = ex.hamiltonian({k: v for k, v in P.items() if k in ex.defaults})
+    if entry.kind == "zind":
+        f, start = kc.project_Q(h, gamma), [1.0]
+    else:
+        f, start = kc.project_zdep(h, gamma, entry.gauge(P)), [0.0, 0.0, 0.0]
+    grid = GridSpec([0.0, 0.0], [0.02, 0.02], [4, 5])
+    psi = kc.lift(gamma, kc.integral_section(f, start, grid))
+    for idx in grid.indices():
+        got, want = psi.closed_form(grid.t(idx)), psi.point(idx)
+        for a, b in ((got.q, want.q), (got.p, want.p), (got.z, want.z)):
+            assert np.array_equal(a, b)
+    with pytest.raises(kc.ContractError, match="only defined on its grid nodes"):
+        psi.closed_form([0.01, 0.0])
+
+
 def test_fourth_order_convergence():
     a, c, kappa, u0 = -2.0 / 3.0, 2.0, 1.0, 1.0
     f = scalar_field(lambda u: c * a * u, lambda u: -a / kappa * u)

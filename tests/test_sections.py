@@ -182,3 +182,20 @@ def test_domain_predicate_respected():
         gamma.at([0.1])
     samples = np.array([[0.1], [1.0]])  # out-of-domain rows are skipped
     assert kc.check_holonomic(gamma, samples) == pytest.approx(1.0)
+
+
+def test_non_finite_defects_are_reported_not_swallowed():
+    nan = float("nan")
+    # NaN momentum: builtin max(0.0, nan) made this defect 0.0
+    gamma = kc.SectionZInd(CH12, gamma_p=lambda q: [[nan * q[0]], [1.0]], gamma_z=lambda q: [0.0, q[0]])
+    for samples in ([[0.5]], [[0.5], [1.0], [1.5]]):
+        assert np.isnan(kc.check_holonomic(gamma, samples))
+    # ... and max(worst, nan) made a NaN after a finite defect vanish
+    later = kc.SectionZInd(CH12, gamma_p=lambda q: [[nan if q[0] > 0.25 else 1.0], [1.0]],
+                           gamma_z=lambda q: [0.0, q[0]])
+    assert kc.check_holonomic(later, [[0.0]]) == 1.0
+    assert np.isnan(kc.check_holonomic(later, [[0.0], [0.5]]))
+    skew = kc.SectionZDep(CH21, gamma_p=lambda q, z: [[q[1], nan * q[0]]])
+    samples = np.array([[0.3, -0.8, 0.1], [1.0, 2.0, -0.5]])
+    assert np.isnan(kc.check_max_coisotropic(skew, samples))
+    assert np.isnan(kc.check_isotropic_slices(skew, [0.0], samples[:, :2]))
