@@ -28,9 +28,10 @@ array made from lane values) raises :class:`_Unbatchable` or another
 exception.
 
 Every batched site (the Hamilton-Jacobi sweeps, the holonomy and symmetry
-checks of sections, the section and round-trip checks of complete
-families, the RK4 lines of an integral section, its node derivatives and
-the section Jacobians of a lift) goes through one helper, :func:`_rows`.
+checks of sections, the section and round-trip checks of complete families,
+the RK4 lines of an integral section, its node derivatives, the section points
+and Jacobians of a lift, h and its gradient on the nodes of a map residual and
+of a second-order balance) goes through one helper, :func:`_rows`.
 It runs a per-row function on all rows as lanes, in passes of up to
 ``_LANE_CHUNK`` rows; when a pass raises, a result is not finite or a row
 fails the site's predicate, it runs the rows one by one in row order
@@ -169,17 +170,9 @@ class Dual:
 
     # -- comparisons look at values only -----------------------------------
 
-    def __lt__(self, other):
-        return _cmp_value(self) < _cmp_value(other)
-
-    def __le__(self, other):
-        return _cmp_value(self) <= _cmp_value(other)
-
-    def __gt__(self, other):
-        return _cmp_value(self) > _cmp_value(other)
-
-    def __ge__(self, other):
-        return _cmp_value(self) >= _cmp_value(other)
+    __lt__, __le__, __gt__, __ge__ = (
+        lambda self, other, op=op: op(_cmp_value(self), _cmp_value(other))
+        for op in (operator.lt, operator.le, operator.gt, operator.ge))
 
     def __eq__(self, other):  # ``!=`` negates it; duals are not hashable
         if not isinstance(other, (Dual, _Lanes) + _REAL):
@@ -430,10 +423,9 @@ def _mag(x):
 
 
 def _vmax(*xs):
-    """``max(xs)`` of floats; the lane-wise maximum when any of them is lanes."""
-    if not any(isinstance(x, _Lanes) for x in xs):
-        return max(xs)
-    return _Lanes(functools.reduce(np.maximum, [x.v if isinstance(x, _Lanes) else x for x in xs]))
+    """The maximum of floats, lane-wise when any of them is lanes; NaN when any is NaN."""
+    out = functools.reduce(np.maximum, [x.v if isinstance(x, _Lanes) else x for x in xs])
+    return _Lanes(out) if isinstance(out, np.ndarray) else float(out)
 
 
 # -- math helpers that dispatch on Dual ------------------------------------

@@ -187,16 +187,20 @@ class SolutionMap:
 
         Returns arrays of shapes ``grid.shape + (k, n)``, ``+ (k, k, n)``
         and ``+ (k, k)`` (leading extra index = direction), from the closed
-        form when available and grid differences otherwise.
+        form when available and grid differences otherwise.  A closed form
+        made by :func:`kcontact.integrate.lift` gives them as whole-grid tables.
         """
         n, k = self.chart.n, self.chart.k
         dq = np.empty(self.grid.shape + (k, n))
         dp = np.empty(self.grid.shape + (k, k, n))
         dz = np.empty(self.grid.shape + (k, k))
         if self.closed_derivative is not None:
-            for idx in self.grid.indices():
-                a, b, c = self.closed_derivative(self.grid.t(idx))
-                dq[idx], dp[idx], dz[idx] = a, b, c
+            table = getattr(self.closed_derivative, "_nodes", lambda g: None)(self.grid)
+            if table is not None:
+                dq[...], dp[...], dz[...] = table
+            else:
+                for idx in self.grid.indices():
+                    dq[idx], dp[idx], dz[idx] = self.closed_derivative(self.grid.t(idx))
             return dq, dp, dz
         for beta in range(k):
             dq[..., beta, :] = grid_derivative(self.q, self.grid, beta)

@@ -19,8 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, RegularityError, ShapeError
-from .fields import ScalarField, check_regularity, grad, invert_fibre_derivative
+from . import dual as dm
+from .errors import ContractError, DomainError, RegularityError, ShapeError
+from .fields import ScalarField, _point_from_coords, check_regularity, grad, invert_fibre_derivative
 from .geometry import ChartSpec, DarbouxPoint, KTangent, Tangent
 from .grids import BaseMap, GridSpec, SolutionMap, grid_derivative
 from .sections import default_box, sample_box
@@ -76,17 +77,12 @@ class GaugeElement:
     coeffs: KTangent
 
     def __post_init__(self):
-        k, n = self.chart.k, self.chart.n
-        if self.coeffs.k != k:
+        if self.coeffs.k != self.chart.k:
             raise ShapeError("gauge element has wrong number of components")
-        p_trace = np.zeros(n)
-        z_trace = 0.0
-        for a, t in enumerate(self.coeffs.comp):
-            if np.max(np.abs(t.q)) > 0.0:
-                raise ContractError("gauge elements must have zero q-blocks")
-            p_trace += t.p[a]
-            z_trace += t.z[a]
-        if np.max(np.abs(p_trace)) > 1e-12 or abs(z_trace) > 1e-12:
+        q, p, z = _blocks(self.coeffs)
+        if np.max(np.abs(q)) > 0.0:
+            raise ContractError("gauge elements must have zero q-blocks")
+        if np.max(np.abs(np.diagonal(p).sum(axis=-1))) > 1e-12 or abs(np.trace(z)) > 1e-12:
             raise ContractError("gauge element diagonal traces must vanish")
 
 
@@ -116,23 +112,27 @@ def canonical_kvf(h: ScalarField, mode: str = "standard") -> KVectorField:
 def kvf_residual(kvf: KVectorField, h: ScalarField, mode: str, pt: DarbouxPoint):
     """Residual triple (r_q, r_p, r_z) of the pointwise field equations."""
     _check_mode(mode)
-    chart = h.chart
-    chart.check_point(pt)
+    h.chart.check_point(pt)
     X = kvf.at(pt)
     g = grad(h, pt)
-    r_q = max(
-        abs(float(X.comp[b].q[i] - g.d_p[b, i]))
-        for b in range(chart.k)
-        for i in range(chart.n)
-    )
-    r_p = 0.0
-    for i in range(chart.n):
-        s = sum(float(X.comp[a].p[a, i]) for a in range(chart.k))
-        r_p = max(r_p, abs(s + float(g.d_q[i]) + float(np.dot(pt.p[:, i], g.d_z))))
-    sum_pdp = float(np.sum(pt.p * g.d_p))
-    rhs = sum_pdp - (h(pt) if mode == "standard" else 0.0)
-    r_z = abs(sum(float(X.comp[a].z[a]) for a in range(chart.k)) - rhs)
-    return r_q, r_p, r_z
+    hval = h(pt) if mode == "standard" else 0.0
+    return tuple(float(r) for r in _residuals(*_blocks(X), pt.p, g.d_q, g.d_p, g.d_z, hval))
+
+
+def _blocks(kt: KTangent) -> list:
+    """The q, p and z blocks of the components of a k-tangent, stacked component first."""
+    return [np.array([getattr(t, b) for t in kt.comp], dtype=float) for b in "qpz"]
+
+
+def _residuals(dq, dp, dz, p, d_q, d_p, d_z, hval):
+    """r_q, r_p, r_z for direction derivatives (dq, dp, dz) (of a map, or a k-tangent's blocks) at
+    momenta p where h has gradient (d_q, d_p, d_z) and value ``hval`` (0 in evolution mode).
+    Leading node axes broadcast; each sum runs as numpy runs it on one node."""
+    bal = np.diagonal(dp, axis1=-3, axis2=-2).sum(axis=-1)  # sum_a d p_i^a / d t^a
+    rhs = np.sum((p * d_p).reshape(p.shape[:-2] + (-1,)), axis=-1) - hval
+    return (np.max(np.abs(dq - d_p), axis=(-2, -1)),
+            np.max(np.abs(bal + d_q + np.einsum("...ai,...a->...i", p, d_z)), axis=-1),
+            np.abs(np.trace(dz, axis1=-2, axis2=-1) - rhs))
 
 
 def gauge_basis(chart: ChartSpec, pt: DarbouxPoint = None) -> list:
@@ -144,34 +144,20 @@ def gauge_basis(chart: ChartSpec, pt: DarbouxPoint = None) -> list:
     plus trace-balanced pairs of consecutive diagonal slots.
     """
     n, k = chart.n, chart.k
-    out = []
 
-    def element(build):
+    def element(*entries):
+        """The element with the given (component, block, slot, value) entries."""
         kt = KTangent.zero(chart)
-        build(kt)
+        for a, block, slot, v in entries:
+            getattr(kt.comp[a], block)[slot] = v
         return GaugeElement(chart, kt)
 
-    for a in range(k):
-        for b in range(k):
-            if a == b:
-                continue
-            for i in range(n):
-                def ins_p(kt, a=a, b=b, i=i):
-                    kt.comp[a].p[b, i] = 1.0
-                out.append(element(ins_p))
-            def ins_z(kt, a=a, b=b):
-                kt.comp[a].z[b] = 1.0
-            out.append(element(ins_z))
+    out = []
+    for a, b in ((a, b) for a in range(k) for b in range(k) if a != b):
+        out += [element((a, "p", (b, i), 1.0)) for i in range(n)] + [element((a, "z", b, 1.0))]
     for a in range(k - 1):
-        for i in range(n):
-            def bal_p(kt, a=a, i=i):
-                kt.comp[a].p[a, i] = 1.0
-                kt.comp[a + 1].p[a + 1, i] = -1.0
-            out.append(element(bal_p))
-        def bal_z(kt, a=a):
-            kt.comp[a].z[a] = 1.0
-            kt.comp[a + 1].z[a + 1] = -1.0
-        out.append(element(bal_z))
+        out += [element((a, "p", (a, i), 1.0), (a + 1, "p", (a + 1, i), -1.0)) for i in range(n)]
+        out.append(element((a, "z", a, 1.0), (a + 1, "z", a + 1, -1.0)))
     assert len(out) == (n + 1) * (k * k - 1)
     return out
 
@@ -195,44 +181,64 @@ def add_gauge(kvf: KVectorField, gauge: GaugeElement) -> KVectorField:
 
 @dataclass
 class ResidualGrid:
-    """Per-node residual triple of the field equations for a candidate map."""
+    """Per-node residual triple of the field equations for a candidate map.
+
+    :meth:`max` and :meth:`interior_max` are NaN if an entry they cover is NaN."""
 
     r_q: np.ndarray
     r_p: np.ndarray
     r_z: np.ndarray
 
     def max(self) -> float:
-        return float(max(np.max(self.r_q), np.max(self.r_p), np.max(self.r_z)))
+        return float(np.max([np.max(self.r_q), np.max(self.r_p), np.max(self.r_z)]))
 
     def interior_max(self) -> float:
         sl = tuple(slice(1, -1) for _ in self.r_q.shape)
-        return float(max(np.max(self.r_q[sl]), np.max(self.r_p[sl]), np.max(self.r_z[sl])))
+        return float(np.max([np.max(self.r_q[sl]), np.max(self.r_p[sl]), np.max(self.r_z[sl])]))
+
+
+def _node_gradients(h: ScalarField, q, p, z, value: bool, field: KVectorField = None):
+    """d_q, d_p, d_z of h and (``value``) h at the nodes (q, p, z): ``grad(h, pt)`` and ``h(pt)``
+    with their errors, first failing node first, from one :func:`kcontact.dual._rows` pass
+    (h from a plain evaluation: the dual one rounds differently).  With ``field``, the first
+    node where one of them is not finite runs ``field.at``, which raises there."""
+    chart = h.chart
+    n, k = chart.n, chart.k
+    X = np.concatenate([a.reshape(-1, d) for a, d in ((q, n), (p, k * n), (z, k))], axis=1)
+
+    def row(x):
+        x = list(x)
+        pt = DarbouxPoint(x[:n], [x[n + a * n:n + a * n + n] for a in range(k)], x[n + n * k:])
+        if not h.in_domain(pt):
+            raise DomainError(f"point outside declared domain of field {h.name}")
+        coords = [v if isinstance(v, dm._Lanes) else float(v) for v in x]
+        _, g = dm.derive1(lambda xs: h.fn(_point_from_coords(chart, xs)), coords)
+        return g + [h.fn(pt)] if value else g
+
+    G = dm._rows(row, X, None if field is None else lambda r: np.all(np.isfinite(r), axis=-1))
+    if field is not None and not np.all(np.isfinite(G[-1])):
+        field.at(DarbouxPoint.from_flat(chart, X[len(G) - 1]))
+    G = G.reshape(q.shape[:-1] + (-1,))
+    g_p = G[..., n:n + n * k].reshape(p.shape)
+    return G[..., :n], g_p, G[..., n + n * k:n + n * k + k], G[..., -1] if value else None
 
 
 def map_residual(psi: SolutionMap, h: ScalarField, mode: str = "standard") -> ResidualGrid:
     """Field-equation residuals of a candidate map on every grid node.
 
     Direction derivatives come from the closed form when the map carries
-    one and from grid differences otherwise.
+    one and from grid differences otherwise.  h and its gradient on all nodes
+    come from one batched pass (:func:`_node_gradients`).
     """
     _check_mode(mode)
     chart = h.chart
     if psi.chart != chart:
         raise ShapeError("solution map chart does not match the Hamiltonian chart")
-    n, k = chart.n, chart.k
     dq, dp, dz = psi.derivatives()
-    r_q = np.zeros(psi.grid.shape)
-    r_p = np.zeros(psi.grid.shape)
-    r_z = np.zeros(psi.grid.shape)
-    for idx in psi.grid.indices():
-        pt = psi.point(idx)
-        g = grad(h, pt)
-        r_q[idx] = np.max(np.abs(dq[idx] - g.d_p))
-        bal = dp[idx].diagonal(axis1=0, axis2=1).T.sum(axis=0)  # sum_a d p_i^a / d t^a
-        r_p[idx] = np.max(np.abs(bal + g.d_q + np.einsum("ai,a->i", pt.p, g.d_z)))
-        rhs = float(np.sum(pt.p * g.d_p)) - (h(pt) if mode == "standard" else 0.0)
-        r_z[idx] = abs(float(np.trace(dz[idx])) - rhs)
-    return ResidualGrid(r_q, r_p, r_z)
+    chart.check_point(psi.point((0,) * chart.k))
+    standard = mode == "standard"
+    g_q, g_p, g_z, hval = _node_gradients(h, psi.q, psi.p, psi.z, standard)
+    return ResidualGrid(*_residuals(dq, dp, dz, psi.p, g_q, g_p, g_z, hval if standard else 0.0))
 
 
 def evolution_lift(H: ScalarField, X: KVectorField, check_tol: float = 1e-10) -> KVectorField:
@@ -245,20 +251,16 @@ def evolution_lift(H: ScalarField, X: KVectorField, check_tol: float = 1e-10) ->
     the result solves the evolution field equations for H.
     """
     chart = H.chart
-    n, k = chart.n, chart.k
+    k = chart.k
 
     def at(pt: DarbouxPoint) -> KTangent:
         g = grad(H, pt)
         xt = X.at(pt)
         if np.max(np.abs(g.d_z)) > check_tol:
             raise ContractError("lift input Hamiltonian depends on the extra coordinates")
-        defect = 0.0
-        for a in range(k):
-            defect = max(defect, float(np.max(np.abs(xt.comp[a].q - g.d_p[a]))))
-        for i in range(n):
-            s = sum(float(xt.comp[a].p[a, i]) for a in range(k))
-            defect = max(defect, abs(s + float(g.d_q[i])))
-        if defect > check_tol:
+        r_q, r_p, _ = _residuals(*_blocks(xt), pt.p, g.d_q, g.d_p, np.zeros(k), 0.0)
+        defect = float(np.max([r_q, r_p]))
+        if not defect <= check_tol:
             raise ContractError(
                 f"input field does not solve the momentum-sector equations (defect {defect:.3e})"
             )
@@ -275,21 +277,15 @@ def evolution_lift(H: ScalarField, X: KVectorField, check_tol: float = 1e-10) ->
 def _affine_z_coefficients(h: ScalarField, rng, samples: int = 50, tol: float = 1e-10):
     """The constant z-gradient of an affine-in-z Hamiltonian (probabilistic check)."""
     chart = h.chart
-    box = default_box(chart.dim)
-    pts = sample_box(box, samples, rng)
-    A = None
-    for row in pts:
-        pt = DarbouxPoint.from_flat(chart, row)
-        if not h.in_domain(pt):
-            continue
-        g = grad(h, pt)
-        if A is None:
-            A = g.d_z
-        elif np.max(np.abs(g.d_z - A)) > tol:
-            raise ContractError("Hamiltonian is not affine in the extra coordinates")
-    if A is None:
+    n, k = chart.n, chart.k
+    X = np.array([x for x in sample_box(default_box(chart.dim), samples, rng)
+                  if h.in_domain(DarbouxPoint.from_flat(chart, x))]).reshape(-1, chart.dim)
+    if not len(X):
         raise ContractError("no admissible sample points for the affinity check")
-    return A
+    d_z = _node_gradients(h, X[:, :n], X[:, n:n + n * k].reshape(-1, k, n), X[:, n + n * k:], False)[2]
+    if np.any(np.max(np.abs(d_z - d_z[0]), axis=-1) > tol):  # per sample; NaN compares false
+        raise ContractError("Hamiltonian is not affine in the extra coordinates")
+    return d_z[0]
 
 
 def second_order_residual(
@@ -331,10 +327,7 @@ def second_order_residual(
         try:
             work = GridSpec(grid.origin - pad * grid.spacing, grid.spacing,
                             [c + 2 * pad for c in grid.counts])
-            padded = np.empty(work.shape + (n,))
-            for idx in work.indices():
-                padded[idx] = np.atleast_1d(np.asarray(qmap.closed_form(work.t(idx)), dtype=float))
-            values = padded
+            values = BaseMap.from_function(work, qmap.closed_form, d=n).values
         except (ContractError, ValueError, ArithmeticError):
             pad, work, values = 0, grid, qmap.values
 
@@ -363,17 +356,10 @@ def second_order_residual(
     for a in range(k):
         div_P += grid_derivative(P[..., a, :], work, a)
 
-    field = canonical_kvf(h, mode)
-    out = np.empty(grid.shape + (n,))
+    # the balance term sum_a (X_a)_i^a of the canonical field: k shares trace_p / k, summed from 0
     inner = tuple(slice(pad, pad + c) for c in grid.counts)
-    div_P = div_P[inner]
-    values = values[inner]
-    P = P[inner]
-    for idx in grid.indices():
-        pt = DarbouxPoint(values[idx], P[idx], z0)
-        X = field.at(pt)
-        balance = np.array([
-            sum(float(X.comp[a].p[a, i]) for a in range(k)) for i in range(n)
-        ])
-        out[idx] = div_P[idx] - balance
-    return out
+    values, P = values[inner], P[inner]
+    g_q, _, g_z, _ = _node_gradients(h, values, P, np.zeros(grid.shape + (k,)), mode == "standard",
+                                     canonical_kvf(h, mode))
+    trace_p = -(g_q + np.einsum("...ai,...a->...i", P, g_z))
+    return div_P[inner] - sum(trace_p / k for _ in range(k))

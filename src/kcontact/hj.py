@@ -531,7 +531,7 @@ def _roundtrip_errors(family: CompleteSolutionFamily, lam, n: int, row) -> list:
     pt = family.phi(q, lam, z)
     sect = dm._vmax(*(dm._mag(a - b) for a, b in zip(list(pt.q) + list(pt.z), q + z)))
     ref = q + lam + z
-    if family.phi_inverse is None or sect > _SECTION_TOL:
+    if family.phi_inverse is None or not sect <= _SECTION_TOL:
         return [sect] + [0.0] * len(ref)
     return [sect] + [a - b for a, b in zip(family.phi_inverse(pt), ref)]
 
@@ -540,9 +540,9 @@ def _roundtrip(family: CompleteSolutionFamily, lam, pts: np.ndarray, n: int):
     """Largest inverse round-trip error over the samples, and the first sample
     that ``phi`` does not send to its own (q, z), where the check stops (or None)."""
     errs = dm._rows(partial(_roundtrip_errors, family, lam, n), pts,
-                    ok=lambda e: np.logical_not(e[..., 0] > _SECTION_TOL))
-    rt = max([0.0] + np.max(np.abs(errs[:, 1:]), axis=1).tolist())
-    return rt, (pts[len(errs) - 1] if errs[-1, 0] > _SECTION_TOL else None)
+                    ok=lambda e: e[..., 0] <= _SECTION_TOL)
+    rt = float(np.max(np.abs(errs[:, 1:]), initial=0.0))
+    return rt, (None if errs[-1, 0] <= _SECTION_TOL else pts[len(errs) - 1])
 
 
 def verify_complete(
@@ -562,7 +562,9 @@ def verify_complete(
     Each slice runs the z-dependent residual with the diagonal solver; the
     supplied inverse is round-trip-checked on the same base samples.
     ``params`` is an array of parameter tuples (one row per slice); failures
-    and reports are keyed by a slice's parameters as a tuple of floats.
+    and reports are keyed by a slice's parameters as a tuple of floats.  A NaN
+    residual, round-trip or section error is a failure of its slice and makes
+    the matching sup NaN.
     """
     _known_mode(mode)
     chart = family.chart
@@ -590,13 +592,12 @@ def verify_complete(
         rt, off = _roundtrip(family, lam, pts, n)
         if off is not None:
             failures.append((key, f"family is not a section at {tuple(float(x) for x in off)}"))
-        if rep.sup_residual > res_tol:
+        if not rep.sup_residual <= res_tol:
             failures.append((key, f"sup residual {rep.sup_residual:.3e} > {res_tol:.1e}"))
-        if rt > rt_tol:
+        if not rt <= rt_tol:
             failures.append((key, f"inverse round-trip error {rt:.3e} > {rt_tol:.1e}"))
         reports.append((key, rep))
-        sup_res = max(sup_res, rep.sup_residual)
-        sup_rt = max(sup_rt, rt)
+        sup_res, sup_rt = dm._vmax(sup_res, rep.sup_residual), dm._vmax(sup_rt, rt)
     return CompleteVerification(
         mode=mode,
         sup_residual=sup_res,

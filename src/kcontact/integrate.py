@@ -9,13 +9,14 @@ assertion.
 
 The grid lines of one sweep direction are independent, so they advance
 together as the lanes of one pass through :func:`kcontact.dual._rows`; the
-node derivatives of an integrated map and the section Jacobians of a lift
-are filled the same way.  Whenever the lanes cannot take them together,
-the rows run one by one, which gives the scalar values or the scalar error.
+node derivatives of an integrated map and the section points and Jacobians
+of a lift are filled the same way.  Whenever the lanes cannot take them
+together, the rows run one by one, which gives the scalar values or error.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cache
 
@@ -24,6 +25,7 @@ import numpy as np
 from . import dual as dm
 from .errors import ContractError, DivergenceError, IntegrabilityError, KContactError
 from .fields import ScalarField
+from .geometry import DarbouxPoint
 from .grids import BaseField, BaseMap, GridSpec, SolutionMap
 from .hdw import ResidualGrid, map_residual
 from .hj import GaugeMatrix, _check, project_Q, project_zdep
@@ -50,7 +52,7 @@ DEFAULT_TOLERANCES = {
 
 
 def commutator_defect(f: BaseField, samples) -> float:
-    """Max pairwise Lie-bracket norm of the component fields over samples.
+    """Max pairwise Lie-bracket norm of the component fields over samples (NaN if one is NaN).
 
     Brackets are assembled from exact (dual-number) Jacobians as
     J_b Z_a - J_a Z_b; a zero value on a region is the integrability
@@ -66,7 +68,7 @@ def commutator_defect(f: BaseField, samples) -> float:
         for a in range(f.k):
             for b in range(a + 1, f.k):
                 bracket = jacs[b] @ vals[a] - jacs[a] @ vals[b]
-                worst = max(worst, float(np.max(np.abs(bracket))))
+                worst = dm._vmax(worst, float(np.max(np.abs(bracket))))
     return worst
 
 
@@ -145,12 +147,9 @@ def integral_section(
     start = np.asarray(start, dtype=float)
     if start.shape != (f.dim,):
         raise ContractError(f"start point has shape {start.shape}, field lives on dimension {f.dim}")
-    notes = []
     defect = commutator_defect(f, [start])
-    if defect > COMMUTATOR_WARN:
-        notes.append(f"commutator defect {defect:.3e} above {COMMUTATOR_WARN:.1e} at the start point")
-    else:
-        notes.append(f"commutator defect {defect:.3e} at the start point")
+    above = "" if defect <= COMMUTATOR_WARN else f" above {COMMUTATOR_WARN:.1e}"
+    notes = [f"commutator defect {defect:.3e}{above} at the start point"]
 
     values = np.empty(grid.shape + (f.dim,))
     values[(0,) * k] = start
@@ -190,6 +189,9 @@ def integral_section(
         idx = node_of(t)
         return node_derivatives()[idx].copy()
 
+    # whole-grid tables of both on the nodes of ``grid`` (see lift and SolutionMap.derivatives)
+    closed_form._nodes = lambda g: values if g is grid else None
+    closed_derivative._nodes = lambda g: node_derivatives() if g is grid else None
     return BaseMap(grid, values, closed_form=closed_form,
                    closed_derivative=closed_derivative, notes=notes)
 
@@ -199,7 +201,8 @@ def lift(gamma, sigma: BaseMap) -> SolutionMap:
 
     Works for sections over Q (base dimension n) and over Q x R^k (base
     dimension n + k).  Closed-form derivatives are chained through the
-    section coefficients exactly when the base map carries them.
+    section coefficients exactly when the base map carries them.  Points and
+    section Jacobians over all nodes come from batched passes.
     """
     chart = gamma.chart
     n, k = chart.n, chart.k
@@ -212,15 +215,23 @@ def lift(gamma, sigma: BaseMap) -> SolutionMap:
         raise ContractError(f"base map dimension {sigma.d} does not match n+k={n + k}")
 
     at = gamma.at if zind else (lambda x: gamma.at(x[:n], x[n:]))
-    q = np.empty(grid.shape + (n,))
-    p = np.empty(grid.shape + (k, n))
-    z = np.empty(grid.shape + (k,))
-    for idx in grid.indices():
-        pt = at(sigma.values[idx])
-        q[idx], p[idx], z[idx] = pt.q, pt.p, pt.z
 
-    closed_form = None
-    closed_derivative = None
+    def section_row(x):
+        """p, z over one base row: ``at`` on floats, its domain test and coefficients on lanes."""
+        if not isinstance(x, list):
+            pt = at(x)
+        elif not (gamma.in_domain(x) if zind else gamma.in_domain(x[:n], x[n:])):
+            raise dm._Unbatchable("a base point outside the section domain")
+        else:
+            pt = DarbouxPoint(x[:n], gamma.p_at(x) if zind else gamma.p_at(x[:n], x[n:]),
+                              gamma.z_at(x) if zind else x[n:])
+        return list(pt.p.reshape(-1)) + list(pt.z)
+
+    pz = dm._rows(section_row, sigma.values.reshape(-1, sigma.d)).reshape(grid.shape + (-1,))
+    q, z = sigma.values[..., :n].copy(), pz[..., k * n:].copy()
+    p = pz[..., :k * n].reshape(grid.shape + (k, n))
+
+    closed_form = closed_derivative = None
     if sigma.closed_form is not None:
         def closed_form(t):
             return at(np.atleast_1d(sigma.closed_form(t)))
@@ -232,25 +243,37 @@ def lift(gamma, sigma: BaseMap) -> SolutionMap:
                 table = dm._rows(lambda x: _coeff_jacobian(gamma, x)[1], sigma.values.reshape(-1, sigma.d))
                 return table.reshape(grid.shape + table.shape[1:])
 
-            def closed_derivative(t):
+            def base_derivative(t, idx=None):
+                """Base derivatives at ``t``; the section Jacobian there, from the table at a node."""
                 x = np.atleast_1d(np.asarray(sigma.closed_form(t), dtype=float))
                 dx = np.asarray(sigma.closed_derivative(t), dtype=float).reshape(k, sigma.d)
-                idx = _grid_node(grid, t)
-                # the table row holds the Jacobian at the node's stored base point
-                if idx is not None and sigma.values[idx].tobytes() == x.tobytes():
-                    J = node_jacobians()[idx]
-                else:
-                    _, rows = _coeff_jacobian(gamma, x)
-                    J = np.asarray(rows, dtype=float)
+                idx = _grid_node(grid, t) if idx is None else idx
+                if idx is None or sigma.values[idx].tobytes() != x.tobytes():
+                    return dx, np.asarray(_coeff_jacobian(gamma, x)[1], dtype=float)
+                return dx, node_jacobians()[idx]
+
+            def chain(dx, J):
+                """(dq, dp, dz) from base derivatives and section Jacobians (leading node axes)."""
+                lead = dx.shape[:-2] + (k, k, n)
                 if zind:  # J is (k*n + k, n): momentum rows, then z-values
-                    dq = dx
-                    dp = np.einsum("ci,bi->bc", J[: k * n], dx).reshape(k, k, n)
-                    dz = np.einsum("ci,bi->bc", J[k * n:], dx)
-                else:  # J is (k*n, n + k)
-                    dq = dx[:, :n]
-                    dp = np.einsum("cj,bj->bc", J, dx).reshape(k, k, n)
-                    dz = dx[:, n:]
-                return dq, dp, dz
+                    return (dx, np.einsum("...ci,...bi->...bc", J[..., :k * n, :], dx).reshape(lead),
+                            np.einsum("...ci,...bi->...bc", J[..., k * n:, :], dx))
+                # J is (k*n, n + k)
+                return dx[..., :n], np.einsum("...cj,...bj->...bc", J, dx).reshape(lead), dx[..., n:]
+
+            def closed_derivative(t):
+                return chain(*base_derivative(t))
+
+            @cache
+            def node_table():
+                X, dX = (getattr(f, "_nodes", lambda g: None)(grid)
+                         for f in (sigma.closed_form, sigma.closed_derivative))
+                if X is sigma.values and dX is not None:  # the closed form gives the stored points
+                    return chain(dX, node_jacobians())
+                rows = [base_derivative(grid.t(idx), idx) for idx in grid.indices()]
+                return chain(*(np.stack(a).reshape(grid.shape + a[0].shape) for a in zip(*rows)))
+
+            closed_derivative._nodes = lambda g: node_table() if g is grid else None
 
     return SolutionMap(chart, grid, q, p, z, closed_form=closed_form,
                        closed_derivative=closed_derivative, notes=list(sigma.notes))
@@ -290,18 +313,14 @@ class EndToEndReport:
         return out
 
 
+@contextmanager
 def _tagged(stage):
-    class _Tag:
-        def __enter__(self):
-            return None
-
-        def __exit__(self, exc_type, exc, tb):
-            if exc is not None and isinstance(exc, KContactError):
-                exc.stage = stage
-                exc.args = (f"[stage {stage}] {exc.args[0] if exc.args else ''}",) + exc.args[1:]
-            return False
-
-    return _Tag()
+    try:
+        yield
+    except KContactError as exc:
+        exc.stage = stage
+        exc.args = (f"[stage {stage}] {exc.args[0] if exc.args else ''}",) + exc.args[1:]
+        raise
 
 
 def end_to_end(
@@ -328,7 +347,8 @@ def end_to_end(
     (map residual) and ``order`` (direction-order check); any other key
     raises :class:`ContractError`.  Failures of the residual checks
     produce a FAIL report naming the stage; structural errors raise, with
-    the stage recorded on the exception.
+    the stage recorded on the exception.  A NaN residual fails its check,
+    and a NaN at any node makes ``compare_error`` NaN.
     """
     unknown = sorted(set(tolerances or {}) - set(DEFAULT_TOLERANCES))
     if unknown:
@@ -340,7 +360,7 @@ def end_to_end(
     with _tagged("hj"):
         rep, C = _check(h, gamma, mode, C, samples=hj_samples, box=box, count=hj_count, seed=seed)
     report.hj_report = rep
-    if rep.sup_residual > tol["hj"]:
+    if not rep.sup_residual <= tol["hj"]:
         report.failed_stage = "hj"
         report.notes.append(
             f"hj residual {rep.sup_residual:.3e} exceeds tolerance {tol['hj']:.1e}"
@@ -363,17 +383,15 @@ def end_to_end(
     with _tagged("residual"):
         res = map_residual(psi, h, mode=mode)
     report.residuals = res
-    if res.max() > tol["residual"]:
+    if not res.max() <= tol["residual"]:
         report.failed_stage = "residual"
         report.notes.append(f"map residual {res.max():.3e} exceeds tolerance {tol['residual']:.1e}")
         return report
 
     if reference is not None:
-        err = 0.0
-        for idx in grid.indices():
-            ref = np.atleast_1d(np.asarray(reference(grid.t(idx)), dtype=float))
-            err = max(err, float(np.max(np.abs(sigma.values[idx] - ref))))
-        report.compare_error = err
+        report.compare_error = float(np.max([
+            np.max(np.abs(sigma.values[idx] - np.atleast_1d(np.asarray(reference(grid.t(idx)), dtype=float))))
+            for idx in grid.indices()]))
 
     report.passed = True
     return report

@@ -336,3 +336,11 @@ def test_only_dual_runs_lane_passes():
         for node in ast.walk(tree):
             if isinstance(node, ast.Try):
                 assert not names(ast.Module(body=node.body, type_ignores=[])) & lane_names, path.name
+
+
+def test_vmax_propagates_nan_on_floats_as_on_lanes():
+    nan = float("nan")
+    assert math.isnan(dm._vmax(0.0, nan)) and math.isnan(dm._vmax(nan, 1.0, 0.5))
+    assert dm._vmax(0.0, 2.0, 1.0) == 2.0 and type(dm._vmax(0.0, 2.0)) is float
+    lanes = dm._vmax(dm._Lanes(np.array([0.0, 3.0])), nan, 1.0)
+    assert np.isnan(lanes.v).all()

@@ -13,6 +13,8 @@ from conftest import corpus_hamiltonians, random_point
 
 CH12 = kc.ChartSpec(1, 2)
 
+NAN = float("nan")
+
 
 # -- canonical fields --------------------------------------------------------
 
@@ -293,3 +295,37 @@ def test_residual_grid_interior_max_skips_the_boundary_ring():
     res = kc.ResidualGrid(r_q, r_p, r_z)
     assert res.max() == 5.0
     assert res.interior_max() == 0.25
+
+
+def test_residual_grid_maxima_are_nan_when_an_entry_is_nan():
+    r_q, r_z = np.zeros((4, 5)), np.full((4, 5), 0.125)
+    res = kc.ResidualGrid(r_q, np.full((4, 5), np.nan), r_z)
+    assert np.isnan(res.max()) and np.isnan(res.interior_max())
+    r_p = np.zeros((4, 5))
+    r_p[2, 2] = np.nan
+    assert np.isnan(kc.ResidualGrid(r_q, r_p, r_z).interior_max())
+
+
+def test_evolution_lift_rejects_a_nan_defect():
+    H0 = kc.ScalarField(CH12, lambda pt: 0.5 * (pt.p[0, 0] ** 2 - pt.p[1, 0] ** 2))
+    H = kc.ScalarField(CH12, lambda pt: H0.fn(pt) + pt.q[0] * NAN)
+    with pytest.raises(kc.ContractError, match="defect nan"):
+        kc.evolution_lift(H, _canonical_conservative(H0)).at(
+            kc.DarbouxPoint([0.3], [[1.5], [0.7]], [0.1, -0.4]))
+
+
+@pytest.mark.parametrize("mode", ["standard", "evolution"])
+def test_second_order_raises_where_the_canonical_field_has_a_non_finite_entry(mode):
+    # the added term leaves the momentum derivatives at fixed q finite, so the momenta
+    # are reconstructed; its gradient is NaN from the node u > cut on, where the
+    # canonical field cannot be built
+    P = {"kappa": 1.0, "lambda": 1.0, "epsilon": 0.0}
+    h0 = corpus.load("telegrapher").hamiltonian(P)
+    grid = GridSpec([0.0, 0.0], [1e-3, 1e-3], [6, 6])
+    qmap = BaseMap.from_function(grid, lambda t: [0.5 + 10.0 * t[0] + t[1]])
+    cut = float(np.sort(qmap.values.reshape(-1))[20])
+    h = kc.ScalarField(CH12, lambda pt: h0.fn(pt) + (
+        pt.q[0] * NAN if pt.q[0] > cut else 0.0))
+    with pytest.raises(kc.ShapeError, match="q contains non-finite entries"):
+        kc.second_order_residual(h, qmap, mode)
+    assert np.isfinite(kc.second_order_residual(h0, qmap, mode)).all()

@@ -4,6 +4,7 @@ gauge-matrix solver, and complete-solution verification."""
 import contextlib
 import dataclasses
 import math
+import types
 from unittest import mock
 
 import numpy as np
@@ -790,3 +791,58 @@ def test_diagonal_gauge_for_three_components_solves_the_identity(mode):
     assert np.trace(C) == pytest.approx(want, abs=1e-12)
     rep = kc.hj_zdep_residual(h, gamma, kc.diagonal_gauge_matrix(h, gamma, mode), mode=mode, count=50)
     assert rep.sample_count == 50 and rep.sup_residual <= 1e-12
+
+
+# -- a NaN residual is a failure, never a pass -------------------------------------------
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("mode", ["standard", "evolution"])
+def test_a_nan_zdep_residual_fails_the_check(mode):
+    h = kc.ScalarField(CH12, lambda pt: pt.q[0] * NAN)
+    gamma = kc.SectionZDep(CH12, gamma_p=lambda q, z: [[z[0]], [z[1]]])
+    zero = kc.GaugeMatrix(lambda q, z: [[0.0, 0.0], [0.0, 0.0]])
+    rep = kc.hj_zdep_residual(h, gamma, zero, mode=mode, count=20)
+    assert math.isnan(rep.sup_residual) and rep.verdict(1e-10) == "FAIL"
+
+
+def test_a_nan_entry_of_the_q_gradient_fails_evolution_zind():
+    # the gradient along the section is (0, NaN): the NaN is not its first entry
+    chart = kc.ChartSpec(2, 1)
+    h = kc.ScalarField(chart, lambda pt: pt.q[1] * 1e300 * 1e300 * 0.0 + pt.p[0, 0] ** 2)
+    gamma = kc.SectionZInd(chart, gamma_p=lambda q: [[0.0, 0.0]], gamma_z=lambda q: [0.0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        rep = kc.hj_evolution_zind(h, gamma, count=20)
+    assert math.isnan(rep.sup_residual) and rep.verdict(1e-10) == "FAIL"
+
+
+def test_verify_complete_records_a_nan_slice_residual_as_a_failure():
+    ex, h = tel()
+    h_nan = kc.ScalarField(CH12, lambda pt: h.fn(pt) + pt.q[0] * NAN)
+    fam = ex.families["complete"]({**ex.defaults, "a": 1.0})
+    X = np.array([[0.0, 0.5, -0.25], [0.5, -0.75, 0.5], [-0.5, 0.25, 0.0]])
+    ver = kc.verify_complete(fam, h_nan, "evolution", [[0.5, -0.5]], base_samples=X)
+    assert math.isnan(ver.sup_residual) and not ver.passed(1e-10)
+    assert ver.failures == [((0.5, -0.5), "sup residual nan > 1.0e-10")]
+
+
+def test_verify_complete_records_a_nan_round_trip_as_a_failure():
+    h, good = FAMILIES["telegrapher/complete"]
+    fam = dataclasses.replace(good, phi_inverse=lambda pt: [NAN] + good.phi_inverse(pt)[1:])
+    X = np.array([[0.0, 0.5, -0.25], [0.5, -0.75, 0.5], [-0.5, 0.25, 0.0]])
+    ver = kc.verify_complete(fam, h, "evolution", [[0.5, -0.5]], base_samples=X)
+    assert math.isnan(ver.sup_roundtrip) and not ver.passed(1e-10)
+    assert ver.failures == [((0.5, -0.5), "inverse round-trip error nan > 1.0e-12")]
+
+
+def test_verify_complete_counts_a_nan_section_error_as_off_the_section():
+    h, good = FAMILIES["telegrapher/complete"]
+
+    def phi(q, lam, z):  # z^x comes back NaN, which no section check may read as 0
+        return types.SimpleNamespace(q=list(q), p=good.phi(q, lam, z).p, z=[z[0], NAN])
+
+    X = np.array([[0.0, 0.5, -0.25], [0.5, -0.75, 0.5]])
+    ver = kc.verify_complete(dataclasses.replace(good, phi=phi), h, "evolution", [[0.5, -0.5]],
+                             base_samples=X)
+    assert ver.failures == [((0.5, -0.5), "family is not a section at (0.0, 0.5, -0.25)")]

@@ -437,3 +437,48 @@ def test_end_to_end_rejects_a_gauge_for_a_section_over_q():
         kc.end_to_end(ex.hamiltonian(), gamma, "standard", grid, start=[1.0], C=C,
                       hj_samples=np.linspace(0.5, 2.0, 5).reshape(-1, 1))
     assert err.value.stage == "hj"
+
+
+# -- a NaN is a failure, never a pass ----------------------------------------------------
+
+NAN = float("nan")
+
+
+def test_a_nan_commutator_defect_is_reported():
+    f = scalar_field(lambda u: NAN * u, lambda u: 1.0)
+    assert math.isnan(kc.commutator_defect(f, [[0.5], [1.0]]))
+
+
+def _tel_with_nan_above(cut):
+    """Telegrapher h plus a term that is NaN, with a NaN q-derivative, where u > cut."""
+    ex = corpus.load("telegrapher")
+    h0 = ex.hamiltonian()
+    h = kc.ScalarField(CH12, lambda pt: h0.fn(pt) + (
+        pt.q[0] * NAN if pt.q[0] > cut else 0.0))
+    entry = ex.sections["classical-zind"]
+    return h, entry.build(dict(entry.defaults))
+
+
+def test_end_to_end_fails_a_nan_map_residual():
+    # the HJ samples stay below the cut, the lifted nodes cross it
+    h, gamma = _tel_with_nan_above(1.2)
+    grid = GridSpec([0.0, 0.0], [0.02, 0.02], [5, 30])
+    rep = kc.end_to_end(h, gamma, "standard", grid, start=[1.0],
+                        hj_samples=np.linspace(0.5, 1.1, 9).reshape(-1, 1))
+    assert rep.hj_report.sup_residual <= 1e-8
+    assert not rep.passed and rep.failed_stage == "residual"
+    assert math.isnan(rep.residuals.max())
+
+
+def test_end_to_end_reports_a_nan_compare_error():
+    h, gamma = _tel_with_nan_above(10.0)
+    grid = GridSpec([0.0, 0.0], [0.02, 0.02], [4, 4])
+    a, c = -2.0 / 3.0, 2.0
+
+    def reference(t):
+        u = np.exp(a * (c * t[0] - t[1]))
+        return [NAN if t[1] > 0.03 else u]
+
+    rep = kc.end_to_end(h, gamma, "standard", grid, start=[1.0], reference=reference,
+                        hj_samples=np.linspace(0.5, 1.1, 9).reshape(-1, 1))
+    assert rep.passed and math.isnan(rep.compare_error)
