@@ -54,7 +54,10 @@ def _fmt(x: float) -> str:
 
 
 def _json_dump(obj, path: Path = None) -> str:
-    text = json.dumps(obj, indent=2, sort_keys=True)
+    """``obj`` as JSON text, also written to ``path`` if given.  A non-finite float is written
+    as ``null``: the first pass reads it back as None (keys sorted there, as given)."""
+    plain = json.loads(json.dumps(obj, sort_keys=True), parse_constant=lambda _: None)
+    text = json.dumps(plain, indent=2, allow_nan=False)
     if path is not None:
         path.write_text(text + "\n", encoding="utf-8")
     return text
@@ -91,13 +94,9 @@ def _load_config(path):
         plan.update({k: v for k, v in cp.items("run")})
     if cp.has_section("params"):
         plan["params"] = {k: float(v) for k, v in cp.items("params")}
-    if cp.has_section("grid"):
-        g = dict(cp.items("grid"))
-        plan["grid"] = g
-    if cp.has_section("check"):
-        plan["check"] = dict(cp.items("check"))
-    if cp.has_section("output"):
-        plan["output"] = dict(cp.items("output"))
+    for section in ("grid", "check", "output"):
+        if cp.has_section(section):
+            plan[section] = dict(cp.items(section))
     return plan
 
 
@@ -375,15 +374,13 @@ def cmd_gauge(args) -> int:
     chart = ChartSpec(args.n, args.k)
     expected = (chart.n + 1) * (chart.k ** 2 - 1)
     rng = np.random.default_rng(args.seed or 0)
-    worst = None
+    worst = None  # the first numeric nullity that differs from the analytic one, else the last
     for _ in range(args.points):
         pt = DarbouxPoint(2.0 * rng.random(chart.n) - 1.0,
                           2.0 * rng.random((chart.k, chart.n)) - 1.0,
                           2.0 * rng.random(chart.k) - 1.0)
-        d = kernel_deficiency(chart, pt)
-        if worst is None or d != expected:
-            worst = d
-        if d != expected:
+        worst = kernel_deficiency(chart, pt)
+        if worst != expected:
             break
     ok = worst == expected
     print(f"gauge kernel n={args.n} k={args.k}: analytic {expected}, numeric {worst}, "
@@ -467,21 +464,12 @@ def main(argv=None) -> int:
             args.example = plan.get("example")
         if args.example is None:
             raise ConfigError("an example key is required (--example or config [run] example)")
-        if args.command == "check-hj":
-            if not args.section and not args.family:
-                args.section = plan.get("section")
-                args.family = plan.get("family")
-            if not args.mode:
-                args.mode = plan.get("mode")
-            return cmd_check_hj(args, plan)
-        if args.command == "simulate":
-            if not args.section and not args.solution:
-                args.section = plan.get("section")
-                args.solution = plan.get("solution")
-            if not args.mode:
-                args.mode = plan.get("mode")
-            return cmd_simulate(args, plan)
-        raise ConfigError(f"unknown command {args.command!r}")
+        other = "family" if args.command == "check-hj" else "solution"  # the section's alternative
+        if not args.section and not getattr(args, other):
+            args.section = plan.get("section")
+            setattr(args, other, plan.get(other))
+        args.mode = args.mode or plan.get("mode")
+        return (cmd_check_hj if args.command == "check-hj" else cmd_simulate)(args, plan)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -31,7 +31,8 @@ Every batched site (the Hamilton-Jacobi sweeps, the holonomy and symmetry
 checks of sections, the section and round-trip checks of complete families,
 the RK4 lines of an integral section, its node derivatives, the section points
 and Jacobians of a lift, h and its gradient on the nodes of a map residual and
-of a second-order balance) goes through one helper, :func:`_rows`.
+of a second-order balance, the residual and Hessian passes of the batched
+fibre-inversion Newton) goes through one helper, :func:`_rows`.
 It runs a per-row function on all rows as lanes, in passes of up to
 ``_LANE_CHUNK`` rows; when a pass raises, a result is not finite or a row
 fails the site's predicate, it runs the rows one by one in row order

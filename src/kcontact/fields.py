@@ -144,6 +144,77 @@ def check_regularity(h: ScalarField, pt: DarbouxPoint, rtol: float = 1e-9):
     return (smax > 0.0 and smin > rtol * smax), smin
 
 
+def _floats(xs) -> list:
+    """Entries of a row as Python floats, lane values left as they are."""
+    return [x if isinstance(x, dm._Lanes) else float(x) for x in xs]
+
+
+def _newton_steps(H, R, singular):
+    """The Newton steps H_i^-1 r_i of stacked Hessians, each as a one-matrix solve gives it;
+    ``singular(i)`` for the first row i whose Hessian fails the SVD test or the solver."""
+    try:
+        sv = np.linalg.svd(H, compute_uv=False)
+        if np.all(sv[:, -1] > 1e-14 * np.maximum(sv[:, 0], 1.0)):
+            return np.linalg.solve(H, R[..., None])[..., 0]
+    except np.linalg.LinAlgError:  # a non-finite Hessian, or one the solver finds singular
+        pass
+    if len(H) == 1:
+        raise singular(0)
+    return np.concatenate([_newton_steps(H[i:i + 1], R[i:i + 1], lambda _, i=i: singular(i))
+                           for i in range(len(H))])
+
+
+def _newton(h: ScalarField, Q, Z, V, P, tol: float = 1e-12, max_iter: int = 50, where=lambda i: ""):
+    """The momenta solving d h / d p = v at fixed (q, z), one node per row of (Q, Z, V), from
+    the starts P (momenta and v flattened row-major): damped Newton, with per-row state.
+
+    The rows not yet converged (the active set) share each residual pass
+    (``_p_grad``) and Hessian pass (``derive2``) as lanes of
+    :func:`kcontact.dual._rows`, so every row takes the iterates of a
+    one-row call, which runs as floats.  An error names the first failing
+    row of the failing pass with the suffix ``where(row)``.
+    """
+    n, k = h.chart.n, h.chart.k
+    QZ = np.concatenate([np.asarray(Q, dtype=float), np.asarray(Z, dtype=float)], axis=1)
+    p, V = np.array(P, dtype=float), np.asarray(V, dtype=float)
+
+    def split(x):  # q and z as floats, p as given (an array row, as the scalar iteration had it)
+        return _floats(x[:n]), _floats(x[n:n + k]), x[n + k:]
+
+    def residual(rows, ps):
+        R = dm._rows(lambda x: _p_grad(h, *split(x)), np.concatenate([QZ[rows], ps], axis=1)) - V[rows]
+        return R, np.max(np.abs(R), axis=1)
+
+    def hessian(x):
+        q, z, ps = split(x)
+        return dm.derive2(_h_of_p(h, q, z), _floats(ps))[2]
+
+    res, rnorm = residual(np.arange(len(p)), p)
+    for _ in range(max_iter):
+        act = np.flatnonzero(~(rnorm < tol))
+        if not len(act):
+            break
+        H = dm._rows(hessian, np.concatenate([QZ[act], p[act]], axis=1))
+        step = _newton_steps(H, res[act], lambda i: RegularityError(
+            f"fibre Hessian is singular during Newton iteration{where(act[i])}"))
+        trial, tres, tnorm = p[act], res[act], rnorm[act]
+        scale, halving = np.ones(len(act)), np.arange(len(act))
+        for _ in range(10):  # halve the steps of the rows whose residual did not decrease
+            rows = act[halving]
+            trial[halving] = p[rows] - scale[halving, None] * step[halving]
+            tres[halving], tnorm[halving] = residual(rows, trial[halving])
+            halving = halving[~((tnorm[halving] < rnorm[rows]) | (tnorm[halving] < tol))]
+            if not len(halving):
+                break
+            scale[halving] *= 0.5
+        p[act], res[act], rnorm[act] = trial, tres, tnorm
+    if not np.all(rnorm < tol):
+        i = np.flatnonzero(~(rnorm < tol))[0]
+        raise SolverError(f"fibre-derivative inversion did not converge (last residual {rnorm[i]:.3e})"
+                          f"{where(i)}", residual=float(rnorm[i]))
+    return p
+
+
 def invert_fibre_derivative(
     h: ScalarField,
     q,
@@ -162,40 +233,6 @@ def invert_fibre_derivative(
     :class:`SolverError` (carrying the last residual) on non-convergence.
     """
     k, n = h.chart.k, h.chart.n
-    qf = [float(x) for x in q]
-    zf = [float(x) for x in z]
-    v = np.asarray(v, dtype=float).reshape(k * n)
-    p = np.asarray(p_init, dtype=float).reshape(k * n).copy()
-
-    def residual(ps):
-        return np.asarray(_p_grad(h, qf, zf, ps), dtype=float) - v
-
-    res = residual(p)
-    rnorm = float(np.max(np.abs(res)))
-    for _ in range(max_iter):
-        if rnorm < tol:
-            return p.reshape(k, n)
-        H = _p_hess(h, qf, zf, p)
-        sv = np.linalg.svd(H, compute_uv=False)
-        if sv[-1] <= 1e-14 * max(sv[0], 1.0):
-            raise RegularityError("fibre Hessian is singular during Newton iteration")
-        try:
-            step = np.linalg.solve(H, res)
-        except np.linalg.LinAlgError as exc:
-            raise RegularityError("fibre Hessian is singular during Newton iteration") from exc
-        trial, tres, tnorm = p, res, rnorm
-        scale = 1.0
-        for _ in range(10):
-            trial = p - scale * step
-            tres = residual(trial)
-            tnorm = float(np.max(np.abs(tres)))
-            if tnorm < rnorm or tnorm < tol:
-                break
-            scale *= 0.5
-        p, res, rnorm = trial, tres, tnorm
-    if rnorm < tol:
-        return p.reshape(k, n)
-    raise SolverError(
-        f"fibre-derivative inversion did not converge (last residual {rnorm:.3e})",
-        residual=rnorm,
-    )
+    row = [[float(x) for x in q]], [[float(x) for x in z]]
+    return _newton(h, *row, np.reshape(v, (1, k * n)), np.reshape(p_init, (1, k * n)), tol,
+                   max_iter)[0].reshape(k, n)

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import dual as dm
 from .errors import ContractError, DomainError, RegularityError, ShapeError
-from .fields import ScalarField, _point_from_coords, check_regularity, grad, invert_fibre_derivative
+from .fields import ScalarField, _floats, _newton, _point_from_coords, check_regularity, grad
 from .geometry import ChartSpec, DarbouxPoint, KTangent, Tangent
 from .grids import BaseMap, GridSpec, SolutionMap, grid_derivative
 from .sections import default_box, sample_box
@@ -211,8 +211,7 @@ def _node_gradients(h: ScalarField, q, p, z, value: bool, field: KVectorField = 
         pt = DarbouxPoint(x[:n], [x[n + a * n:n + a * n + n] for a in range(k)], x[n + n * k:])
         if not h.in_domain(pt):
             raise DomainError(f"point outside declared domain of field {h.name}")
-        coords = [v if isinstance(v, dm._Lanes) else float(v) for v in x]
-        _, g = dm.derive1(lambda xs: h.fn(_point_from_coords(chart, xs)), coords)
+        _, g = dm.derive1(lambda xs: h.fn(_point_from_coords(chart, xs)), _floats(x))
         return g + [h.fn(pt)] if value else g
 
     G = dm._rows(row, X, None if field is None else lambda r: np.all(np.isfinite(r), axis=-1))
@@ -283,9 +282,32 @@ def _affine_z_coefficients(h: ScalarField, rng, samples: int = 50, tol: float = 
     if not len(X):
         raise ContractError("no admissible sample points for the affinity check")
     d_z = _node_gradients(h, X[:, :n], X[:, n:n + n * k].reshape(-1, k, n), X[:, n + n * k:], False)[2]
-    if np.any(np.max(np.abs(d_z - d_z[0]), axis=-1) > tol):  # per sample; NaN compares false
+    if not np.all(np.max(np.abs(d_z - d_z[0]), axis=-1) <= tol):  # per sample; NaN fails
         raise ContractError("Hamiltonian is not affine in the extra coordinates")
     return d_z[0]
+
+
+def _fibre_momenta(h: ScalarField, values, v, start) -> np.ndarray:
+    """Momenta inverting the fibre derivative (d h / d p = v at z = 0) on the nodes of a grid.
+
+    The first node starts from ``start``; then, axis by axis, each step along
+    the axis is one batched Newton over the lines of the face swept so far
+    (later indices 0), each node started from its predecessor on its line.
+    """
+    n, k = h.chart.n, h.chart.k
+    shape, nodes = values.shape[:-1], np.arange(values[..., 0].size).reshape(values.shape[:-1])
+    Q, V, P = values.reshape(-1, n), v.reshape(-1, k * n), np.empty((nodes.size, k * n))
+
+    def solve(rows, starts):
+        P[rows] = _newton(h, Q[rows], np.zeros((len(rows), k)), V[rows], starts, where=lambda i: (
+            f" at work-grid node {tuple(int(c) for c in np.unravel_index(rows[i], shape))}"))
+
+    solve(nodes[(0,) * k].reshape(1), start.reshape(1, -1))
+    for axis in range(k):
+        face = nodes[(slice(None),) * (axis + 1) + (0,) * (k - axis - 1)]
+        for j in range(1, shape[axis]):
+            solve(face[..., j].reshape(-1), P[face[..., j - 1].reshape(-1)])
+    return P.reshape(shape + (k, n))
 
 
 def second_order_residual(
@@ -339,18 +361,13 @@ def second_order_residual(
         for b in range(k):
             v[..., b, :] = grid_derivative(values, work, b)
 
-    z0 = np.zeros(k)
-    P = np.empty(work.shape + (k, n))
     prev = np.zeros((k, n)) if p_init is None else np.asarray(p_init, dtype=float)
-    first = next(iter(work.indices()))
-    ok, smin = check_regularity(h, DarbouxPoint(values[first], prev, z0))
+    ok, smin = check_regularity(h, DarbouxPoint(values[(0,) * k], prev, np.zeros(k)))
     if not ok:
         raise RegularityError(
             f"fibre Hessian is singular near the reconstruction start (min singular value {smin:.3e})"
         )
-    for idx in work.indices():
-        prev = invert_fibre_derivative(h, values[idx], z0, v[idx], prev)
-        P[idx] = prev
+    P = _fibre_momenta(h, values, v, prev)
 
     div_P = np.zeros(work.shape + (n,))
     for a in range(k):

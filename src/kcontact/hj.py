@@ -348,12 +348,12 @@ def hj_zdep_residual(
         Cm, tr = _gauge_floats(Cm, k)
         res, hval = _zdep_residual_at(gamma, Cm, ing), dm._cmp_value(ing[0])
         if mode == "standard":
-            if abs(tr + hval) > TRACE_TOL_STANDARD:
+            if not abs(tr + hval) <= TRACE_TOL_STANDARD:
                 raise ContractError(
                     f"gauge matrix trace {tr:.6e} != -(h on section) {-hval:.6e} at {_where(row)}"
                 )
         else:
-            if abs(tr) > TRACE_TOL_EVOLUTION:
+            if not abs(tr) <= TRACE_TOL_EVOLUTION:
                 raise ContractError(f"gauge matrix trace {tr:.6e} != 0 at {_where(row)}")
         return res
 

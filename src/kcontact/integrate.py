@@ -192,8 +192,10 @@ def integral_section(
     # whole-grid tables of both on the nodes of ``grid`` (see lift and SolutionMap.derivatives)
     closed_form._nodes = lambda g: values if g is grid else None
     closed_derivative._nodes = lambda g: node_derivatives() if g is grid else None
-    return BaseMap(grid, values, closed_form=closed_form,
-                   closed_derivative=closed_derivative, notes=notes)
+    sigma = BaseMap(grid, values, closed_form=closed_form,
+                    closed_derivative=closed_derivative, notes=notes)
+    sigma._commutator = defect  # read by end_to_end, which reports it
+    return sigma
 
 
 def lift(gamma, sigma: BaseMap) -> SolutionMap:
@@ -373,7 +375,7 @@ def end_to_end(
     with _tagged("integrate"):
         sigma = integral_section(f=base_field, start=start, grid=grid,
                                  steps_per_cell=steps_per_cell, order_tol=tol["order"])
-    report.commutator = commutator_defect(base_field, [np.asarray(start, dtype=float)])
+    report.commutator = sigma._commutator
     report.notes.extend(sigma.notes)
 
     with _tagged("lift"):

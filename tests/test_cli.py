@@ -274,3 +274,16 @@ def test_simulate_section_against_the_logarithmic_reference(tmp_path, capsys):
                     "--start", repr(u0), "--out", str(tmp_path)]) == 0
         errors.append(json.loads((tmp_path / "summary.json").read_text())["compare_error"])
     assert errors[0] <= 1e-8 < 1e-3 < errors[1]
+
+
+def test_json_reports_write_non_finite_numbers_as_null():
+    def refuse(token):
+        raise ValueError(f"not JSON: {token}")
+
+    report = {"sup_residual": float("nan"), "worst": [1.5, float("inf"), (-float("inf"), 2)],
+              "nested": {"x": float("nan"), "n": 3, "s": "nan"}}
+    text = cli._json_dump(report)
+    assert json.loads(text, parse_constant=refuse) == {
+        "sup_residual": None, "worst": [1.5, None, [None, 2]], "nested": {"x": None, "n": 3, "s": "nan"}}
+    finite = {"a": 0.1, "b": [1, 2.5e-300], "c": {"d": True}}
+    assert cli._json_dump(finite) == json.dumps(finite, indent=2, sort_keys=True)

@@ -7,6 +7,7 @@ import pytest
 import kcontact as kc
 from kcontact import corpus
 from kcontact import dual as dm
+from kcontact import fields
 
 from conftest import corpus_hamiltonians, random_point
 
@@ -148,3 +149,110 @@ def test_domain_error_on_grad():
     h = kc.ScalarField(CH12, lambda pt: dm.log(pt.q[0]), domain=lambda pt: pt.q[0] > 0)
     with pytest.raises(kc.DomainError):
         kc.grad(h, kc.DarbouxPoint([-1.0], [[0.0], [0.0]], [0.0, 0.0]))
+
+
+# -- batched fibre inversion ----------------------------------------------------
+
+def _scalar_newton(h, q, z, v, p, tol=1e-12, max_iter=50):
+    """The one-node damped Newton iteration written out as the reference.
+
+    Returns the momenta and the numbers of Newton steps and step halvings."""
+    k, n = h.chart.k, h.chart.n
+    qf, zf = [float(x) for x in q], [float(x) for x in z]
+    v = np.asarray(v, dtype=float).reshape(k * n)
+    p = np.asarray(p, dtype=float).reshape(k * n).copy()
+    res = np.asarray(fields._p_grad(h, qf, zf, p), dtype=float) - v
+    rnorm, steps, halvings = float(np.max(np.abs(res))), 0, 0
+    for _ in range(max_iter):
+        if rnorm < tol:
+            break
+        H = fields._p_hess(h, qf, zf, p)
+        sv = np.linalg.svd(H, compute_uv=False)
+        assert sv[-1] > 1e-14 * max(sv[0], 1.0)
+        step, scale, steps = np.linalg.solve(H, res), 1.0, steps + 1
+        for _ in range(10):
+            trial = p - scale * step
+            tres = np.asarray(fields._p_grad(h, qf, zf, trial), dtype=float) - v
+            tnorm = float(np.max(np.abs(tres)))
+            if tnorm < rnorm or tnorm < tol:
+                break
+            scale, halvings = scale * 0.5, halvings + 1
+        p, res, rnorm = trial, tres, tnorm
+    assert rnorm < tol
+    return p, steps, halvings
+
+
+def _saturating():
+    """A fibre-regular Hamiltonian whose momentum gradient saturates (s / sqrt(1 + s^2)),
+    so Newton overshoots from far starts and halves its steps; its Hessian depends on q
+    and p."""
+    def fn(pt):
+        s = pt.p[0, 0] + 0.5 * pt.p[1, 0]
+        return dm.sqrt(1.0 + s * s) + 0.5 * (1.0 + pt.q[0] ** 2) * pt.p[1, 0] ** 2 + pt.z[0]
+
+    return kc.ScalarField(CH12, fn, name="saturating")
+
+
+def _random_nodes(h, rng, count):
+    """``count`` rows (q, z, v, start); for the saturating field v stays within its reach."""
+    k, n = h.chart.k, h.chart.n
+    Q = 2.0 * rng.random((count, n)) - 1.0
+    Z = 2.0 * rng.random((count, k)) - 1.0
+    V = 10.0 * (2.0 * rng.random((count, k * n)) - 1.0)
+    P0 = 2.0 * rng.random((count, k * n)) - 1.0
+    if h.name == "saturating":
+        V[:, 0] *= 0.09
+    return Q, Z, V, P0
+
+
+@pytest.mark.parametrize("name", ["hunter-saxton", "telegrapher", "membrane", "saturating"])
+def test_batched_newton_rows_reproduce_the_scalar_iteration(name, rng):
+    h = _saturating() if name == "saturating" else corpus.load(name).hamiltonian()
+    k, n = h.chart.k, h.chart.n
+    Q, Z, V, P0 = _random_nodes(h, rng, 300)
+    for i in range(0, 300, 7):  # rows that start converged
+        P0[i] = _scalar_newton(h, Q[i], Z[i], V[i], P0[i])[0]
+    P = fields._newton(h, Q, Z, V, P0)
+    assert P.shape == (300, k * n)
+    steps, halvings = [], 0
+    for i in range(300):
+        ref, s, hv = _scalar_newton(h, Q[i], Z[i], V[i], P0[i])
+        steps.append(s)
+        halvings += hv
+        assert P[i].tobytes() == ref.tobytes()
+        one = kc.invert_fibre_derivative(h, Q[i], Z[i], V[i].reshape(k, n), P0[i].reshape(k, n))
+        assert one.reshape(-1).tobytes() == ref.tobytes()
+    # rows leave the active set after different numbers of steps
+    assert min(steps) == 0 and max(steps) >= 1
+    if name == "saturating":
+        assert max(steps) >= 6 and halvings > 50
+
+
+def test_batched_newton_falls_back_for_a_hamiltonian_that_refuses_lanes(rng):
+    hs = corpus.load("hunter-saxton").hamiltonian()
+    h = kc.ScalarField(CH12, lambda pt: hs.fn(pt) + 0.0 * float(dm.value(pt.q[0])))
+    Q, Z, V, P0 = _random_nodes(h, rng, 20)
+    P = fields._newton(h, Q, Z, V, P0)
+    for i in range(20):
+        assert P[i].tobytes() == _scalar_newton(hs, Q[i], Z[i], V[i], P0[i])[0].tobytes()
+
+
+def test_batched_newton_names_the_first_row_that_fails(rng):
+    h = corpus.load("telegrapher").hamiltonian()
+    Q, Z, V, P0 = _random_nodes(h, rng, 6)
+    V[4, 1] = V[2, 0] = np.nan
+    with pytest.raises(kc.SolverError, match=r"did not converge \(last residual nan\) at row 2$") as exc:
+        fields._newton(h, Q, Z, V, P0, where=lambda i: f" at row {i}")
+    assert np.isnan(exc.value.residual)
+    with pytest.raises(kc.SolverError, match=r"\(last residual nan\)$"):
+        kc.invert_fibre_derivative(h, Q[2], Z[2], V[2].reshape(2, 1), P0[2].reshape(2, 1))
+    fo = corpus.load("first-order-dissipative").hamiltonian()
+    with pytest.raises(kc.RegularityError, match="singular during Newton iteration at row 0$"):
+        fields._newton(fo, Q, Z, V, P0, where=lambda i: f" at row {i}")
+
+
+def test_a_non_finite_fibre_hessian_is_singular():
+    # the Hessian is NaN at the start, where numpy's SVD does not converge
+    h = kc.ScalarField(CH12, lambda pt: 0.5 * pt.p[0, 0] ** 2 * (1.0 + pt.q[0]) + 0.5 * pt.p[1, 0] ** 2)
+    with pytest.raises(kc.RegularityError, match="singular during Newton iteration$"):
+        kc.invert_fibre_derivative(h, [np.nan], [0.0, 0.0], [[0.3], [0.4]], [[0.0], [0.0]])

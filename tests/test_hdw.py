@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import kcontact as kc
-from kcontact import corpus
+from kcontact import corpus, hdw
+from kcontact import dual as dm
 from kcontact.grids import BaseMap, GridSpec, SolutionMap
 from kcontact.geometry import eval_eta, pair
 
@@ -318,14 +319,71 @@ def test_evolution_lift_rejects_a_nan_defect():
 def test_second_order_raises_where_the_canonical_field_has_a_non_finite_entry(mode):
     # the added term leaves the momentum derivatives at fixed q finite, so the momenta
     # are reconstructed; its gradient is NaN from the node u > cut on, where the
-    # canonical field cannot be built
+    # canonical field cannot be built (only at z = 0, as on the nodes: the affinity
+    # check's samples, at random z, keep a finite z-derivative)
     P = {"kappa": 1.0, "lambda": 1.0, "epsilon": 0.0}
     h0 = corpus.load("telegrapher").hamiltonian(P)
     grid = GridSpec([0.0, 0.0], [1e-3, 1e-3], [6, 6])
     qmap = BaseMap.from_function(grid, lambda t: [0.5 + 10.0 * t[0] + t[1]])
     cut = float(np.sort(qmap.values.reshape(-1))[20])
     h = kc.ScalarField(CH12, lambda pt: h0.fn(pt) + (
-        pt.q[0] * NAN if pt.q[0] > cut else 0.0))
+        pt.q[0] * NAN if pt.q[0] > cut and pt.z[0] == 0.0 else 0.0))
     with pytest.raises(kc.ShapeError, match="q contains non-finite entries"):
         kc.second_order_residual(h, qmap, mode)
     assert np.isfinite(kc.second_order_residual(h0, qmap, mode)).all()
+
+
+def test_the_affinity_check_fails_a_nan_z_derivative():
+    h = kc.ScalarField(CH12, lambda pt: 0.5 * (pt.p[0, 0] ** 2 - pt.p[1, 0] ** 2)
+                       + pt.z[0] * (1.0 if pt.q[0] > 0 else NAN))
+    qmap = BaseMap.from_function(GridSpec([0.0, 0.0], [0.01, 0.01], [5, 5]), lambda t: [0.1])
+    with pytest.raises(kc.ContractError, match="not affine"):
+        kc.second_order_residual(h, qmap)
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e-16])
+def test_second_order_names_the_node_with_a_singular_fibre_hessian(offset):
+    # d^2 h / d(p_0)^2 = q - 2 + offset is at most 1e-16 only at the node (2, 2), where
+    # q = 0.25 i + 0.75 j = 2: singular to the solver, or only to the SVD test
+    h = kc.ScalarField(CH12, lambda pt: 0.5 * ((pt.q[0] - 2.0 + offset) * pt.p[0, 0] ** 2
+                                               - pt.p[1, 0] ** 2) + pt.z[0])
+    grid = GridSpec([0.0, 0.0], [0.25, 0.25], [4, 5])
+    values = np.array([[[0.25 * i + 0.75 * j] for j in range(5)] for i in range(4)])
+    with pytest.raises(kc.RegularityError, match=r"singular during Newton iteration at work-grid node \(2, 2\)$"):
+        kc.second_order_residual(h, BaseMap(grid, values))
+
+
+def test_second_order_names_the_node_where_the_inversion_fails():
+    # a NaN direction derivative at grid node (1, 2): node (3, 4) of the grid padded by two rings
+    h = corpus.load("telegrapher").hamiltonian()
+    grid = GridSpec([0.0, 0.0], [1e-3, 1e-3], [4, 4])
+
+    def derivative(t):
+        bad = abs(t[0] - 1e-3) < 1e-9 and abs(t[1] - 2e-3) < 1e-9
+        return [[NAN if bad else 0.5], [-0.25]]
+
+    qmap = BaseMap.from_function(grid, lambda t: [0.5 * t[0] - 0.25 * t[1]], df=derivative)
+    with pytest.raises(kc.SolverError, match=r"\(last residual nan\) at work-grid node \(3, 4\)$"):
+        kc.second_order_residual(h, qmap)
+    assert np.isfinite(kc.second_order_residual(h, BaseMap.from_function(
+        grid, qmap.closed_form, df=lambda t: [[0.5], [-0.25]]))).all()
+
+
+@pytest.mark.parametrize("shape", [(6,), (4, 5), (3, 4, 3)])
+def test_second_order_momenta_follow_the_lines_of_the_last_axis(shape):
+    # each node is warm-started from its predecessor on its line along the last axis, and
+    # the face at last index 0 the same way one dimension lower: the one-node inversions
+    # chained in that order give the momenta bit for bit
+    k = len(shape)
+    chart = kc.ChartSpec(1, k)
+    h = kc.ScalarField(chart, lambda pt: sum(dm.sqrt(1.0 + (a + 1.0 + pt.q[0] ** 2) * pt.p[a, 0] ** 2)
+                                             for a in range(k)) + pt.z[0])
+    rng = np.random.default_rng(7)
+    values, v = rng.random(shape + (1,)), 0.9 * (2.0 * rng.random(shape + (k, 1)) - 1.0)
+    P = hdw._fibre_momenta(h, values, v, np.zeros((k, 1)))
+    ref = np.empty_like(P)
+    for idx in np.ndindex(*shape):
+        last = max((a for a in range(k) if idx[a]), default=None)
+        prev = np.zeros((k, 1)) if last is None else ref[idx[:last] + (idx[last] - 1,) + idx[last + 1:]]
+        ref[idx] = kc.invert_fibre_derivative(h, values[idx], np.zeros(k), v[idx], prev)
+    assert P.tobytes() == ref.tobytes()

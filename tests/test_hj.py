@@ -800,11 +800,28 @@ NAN = float("nan")
 
 @pytest.mark.parametrize("mode", ["standard", "evolution"])
 def test_a_nan_zdep_residual_fails_the_check(mode):
+    # the NaN off-diagonal gauge entry leaves the trace at 0 = -h: both trace checks pass
+    h = kc.ScalarField(CH12, lambda pt: pt.q[0] * 0.0)
+    gamma = kc.SectionZDep(CH12, gamma_p=lambda q, z: [[z[0]], [z[1]]])
+    gauge = kc.GaugeMatrix(lambda q, z: [[0.0, NAN], [0.0, 0.0]])
+    rep = kc.hj_zdep_residual(h, gamma, gauge, mode=mode, count=20)
+    assert math.isnan(rep.sup_residual) and rep.verdict(1e-10) == "FAIL"
+
+
+def test_a_nan_gauge_trace_check_fails_in_standard_mode():
     h = kc.ScalarField(CH12, lambda pt: pt.q[0] * NAN)
     gamma = kc.SectionZDep(CH12, gamma_p=lambda q, z: [[z[0]], [z[1]]])
     zero = kc.GaugeMatrix(lambda q, z: [[0.0, 0.0], [0.0, 0.0]])
-    rep = kc.hj_zdep_residual(h, gamma, zero, mode=mode, count=20)
-    assert math.isnan(rep.sup_residual) and rep.verdict(1e-10) == "FAIL"
+    with pytest.raises(kc.ContractError, match=r"gauge matrix trace 0.000000e\+00 != -\(h on section\) nan"):
+        kc.hj_zdep_residual(h, gamma, zero, mode="standard", count=20)
+
+
+def test_a_nan_gauge_trace_fails_in_evolution_mode():
+    h = kc.ScalarField(CH12, lambda pt: pt.q[0] * 0.0)
+    gamma = kc.SectionZDep(CH12, gamma_p=lambda q, z: [[z[0]], [z[1]]])
+    gauge = kc.GaugeMatrix(lambda q, z: [[NAN if q[0] > 0.0 else 0.0, 0.0], [0.0, 0.0]])
+    with pytest.raises(kc.ContractError, match="gauge matrix trace nan != 0 at"):
+        kc.hj_zdep_residual(h, gamma, gauge, mode="evolution", count=20)
 
 
 def test_a_nan_entry_of_the_q_gradient_fails_evolution_zind():
@@ -823,8 +840,9 @@ def test_verify_complete_records_a_nan_slice_residual_as_a_failure():
     fam = ex.families["complete"]({**ex.defaults, "a": 1.0})
     X = np.array([[0.0, 0.5, -0.25], [0.5, -0.75, 0.5], [-0.5, 0.25, 0.0]])
     ver = kc.verify_complete(fam, h_nan, "evolution", [[0.5, -0.5]], base_samples=X)
-    assert math.isnan(ver.sup_residual) and not ver.passed(1e-10)
-    assert ver.failures == [((0.5, -0.5), "sup residual nan > 1.0e-10")]
+    # the diagonal gauge solved from h_nan is NaN, so the slice fails at its trace check
+    assert not ver.passed(1e-10) and ver.reports == []
+    assert ver.failures == [((0.5, -0.5), "gauge matrix trace nan != 0 at (0.0, 0.5, -0.25)")]
 
 
 def test_verify_complete_records_a_nan_round_trip_as_a_failure():

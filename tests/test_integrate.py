@@ -482,3 +482,25 @@ def test_end_to_end_reports_a_nan_compare_error():
     rep = kc.end_to_end(h, gamma, "standard", grid, start=[1.0], reference=reference,
                         hj_samples=np.linspace(0.5, 1.1, 9).reshape(-1, 1))
     assert rep.passed and math.isnan(rep.compare_error)
+
+
+def test_end_to_end_computes_the_start_commutator_defect_once(monkeypatch):
+    from kcontact import integrate
+
+    ex = corpus.load("hunter-saxton")
+    h = ex.hamiltonian()
+    entry = ex.sections["zdep-quadratic"]
+    gamma = entry.build(dict(entry.defaults))
+    grid = GridSpec([0.0, 0.0], [0.05, 0.05], [5, 5])
+
+    def run():
+        return kc.end_to_end(h, gamma, "evolution", grid, start=[0.0, 0.0, 0.0],
+                             C=entry.gauge(dict(entry.defaults)), hj_count=40, seed=2)
+
+    before = run().summary()
+    calls = []
+    inner = integrate.commutator_defect
+    monkeypatch.setattr(integrate, "commutator_defect", lambda *a: calls.append(a) or inner(*a))
+    rep = run()
+    assert len(calls) == 1 and rep.commutator == inner(*calls[0])
+    assert rep.summary() == before and rep.commutator == before["commutator_defect"]
