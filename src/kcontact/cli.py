@@ -94,9 +94,13 @@ def _load_config(path):
         plan.update({k: v for k, v in cp.items("run")})
     if cp.has_section("params"):
         plan["params"] = {k: float(v) for k, v in cp.items("params")}
-    for section in ("grid", "check", "output"):
-        if cp.has_section(section):
-            plan[section] = dict(cp.items(section))
+    if cp.has_section("grid"):
+        g = dict(cp.items("grid"))
+        plan["grid"] = g
+    if cp.has_section("check"):
+        plan["check"] = dict(cp.items("check"))
+    if cp.has_section("output"):
+        plan["output"] = dict(cp.items("output"))
     return plan
 
 
@@ -374,13 +378,15 @@ def cmd_gauge(args) -> int:
     chart = ChartSpec(args.n, args.k)
     expected = (chart.n + 1) * (chart.k ** 2 - 1)
     rng = np.random.default_rng(args.seed or 0)
-    worst = None  # the first numeric nullity that differs from the analytic one, else the last
+    worst = None
     for _ in range(args.points):
         pt = DarbouxPoint(2.0 * rng.random(chart.n) - 1.0,
                           2.0 * rng.random((chart.k, chart.n)) - 1.0,
                           2.0 * rng.random(chart.k) - 1.0)
-        worst = kernel_deficiency(chart, pt)
-        if worst != expected:
+        d = kernel_deficiency(chart, pt)
+        if worst is None or d != expected:
+            worst = d
+        if d != expected:
             break
     ok = worst == expected
     print(f"gauge kernel n={args.n} k={args.k}: analytic {expected}, numeric {worst}, "
@@ -464,12 +470,21 @@ def main(argv=None) -> int:
             args.example = plan.get("example")
         if args.example is None:
             raise ConfigError("an example key is required (--example or config [run] example)")
-        other = "family" if args.command == "check-hj" else "solution"  # the section's alternative
-        if not args.section and not getattr(args, other):
-            args.section = plan.get("section")
-            setattr(args, other, plan.get(other))
-        args.mode = args.mode or plan.get("mode")
-        return (cmd_check_hj if args.command == "check-hj" else cmd_simulate)(args, plan)
+        if args.command == "check-hj":
+            if not args.section and not args.family:
+                args.section = plan.get("section")
+                args.family = plan.get("family")
+            if not args.mode:
+                args.mode = plan.get("mode")
+            return cmd_check_hj(args, plan)
+        if args.command == "simulate":
+            if not args.section and not args.solution:
+                args.section = plan.get("section")
+                args.solution = plan.get("solution")
+            if not args.mode:
+                args.mode = plan.get("mode")
+            return cmd_simulate(args, plan)
+        raise ConfigError(f"unknown command {args.command!r}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

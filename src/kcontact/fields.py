@@ -158,10 +158,16 @@ def _newton_steps(H, R, singular):
             return np.linalg.solve(H, R[..., None])[..., 0]
     except np.linalg.LinAlgError:  # a non-finite Hessian, or one the solver finds singular
         pass
-    if len(H) == 1:
-        raise singular(0)
-    return np.concatenate([_newton_steps(H[i:i + 1], R[i:i + 1], lambda _, i=i: singular(i))
-                           for i in range(len(H))])
+    steps = []
+    for i in range(len(H)):  # the scalar rules, one row at a time
+        try:
+            sv = np.linalg.svd(H[i], compute_uv=False)
+            if sv[-1] <= 1e-14 * max(sv[0], 1.0):
+                raise singular(i)
+            steps.append(np.linalg.solve(H[i:i + 1], R[i:i + 1, :, None])[..., 0])
+        except np.linalg.LinAlgError as exc:
+            raise singular(i) from exc
+    return np.concatenate(steps)
 
 
 def _newton(h: ScalarField, Q, Z, V, P, tol: float = 1e-12, max_iter: int = 50, where=lambda i: ""):

@@ -214,13 +214,22 @@ class KTangent:
 def eval_eta(chart: ChartSpec, pt: DarbouxPoint) -> list[Covector]:
     """The k structure one-forms at ``pt``: component a is dz^a - sum_i p_i^a dq^i."""
     chart.check_point(pt)
-    return [Covector(-pt.p[a].astype(float), np.zeros((chart.k, chart.n)), np.eye(chart.k)[a])
-            for a in range(chart.k)]
+    out = []
+    for a in range(chart.k):
+        dz = np.zeros(chart.k)
+        dz[a] = 1.0
+        out.append(Covector(-pt.p[a].astype(float), np.zeros((chart.k, chart.n)), dz))
+    return out
 
 
 def reeb_fields(chart: ChartSpec) -> list[Tangent]:
     """The k distinguished vertical fields d/dz^a (constant in this chart)."""
-    return [Tangent(np.zeros(chart.n), np.zeros((chart.k, chart.n)), z) for z in np.eye(chart.k)]
+    out = []
+    for a in range(chart.k):
+        z = np.zeros(chart.k)
+        z[a] = 1.0
+        out.append(Tangent(np.zeros(chart.n), np.zeros((chart.k, chart.n)), z))
+    return out
 
 
 def pair(cov: Covector, tan: Tangent) -> float:

@@ -835,6 +835,22 @@ def test_a_nan_entry_of_the_q_gradient_fails_evolution_zind():
 
 
 def test_verify_complete_records_a_nan_slice_residual_as_a_failure():
+    # d p / d z is nearly 1e300 * identity, so the finite diagonal gauge of trace 0 times the
+    # z-Jacobian overflows to inf - inf in the residual while the trace check passes
+    def phi(q, lam, z):
+        return kc.DarbouxPoint([q[0]], [[1e300 * z[0] + lam[0]], [(1e300 - 1e289) * z[1] + lam[1]]],
+                               list(z))
+
+    fam = kc.CompleteSolutionFamily(CH12, phi, ((-1.0, 1.0), (-1.0, 1.0)))
+    h = kc.ScalarField(CH12, lambda pt: 1e300 * pt.q[0])
+    X = np.array([[0.0, 0.5, -0.25], [0.5, -0.75, 0.5], [-0.5, 0.25, 0.0]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        ver = kc.verify_complete(fam, h, "evolution", [[0.5, -0.5]], base_samples=X)
+    assert math.isnan(ver.sup_residual) and not ver.passed(1e-10)
+    assert ver.failures == [((0.5, -0.5), "sup residual nan > 1.0e-10")]
+
+
+def test_verify_complete_records_a_nan_gauge_trace_as_a_failure():
     ex, h = tel()
     h_nan = kc.ScalarField(CH12, lambda pt: h.fn(pt) + pt.q[0] * NAN)
     fam = ex.families["complete"]({**ex.defaults, "a": 1.0})
