@@ -101,7 +101,7 @@ class _LiftedSolution(SolutionEntry):
         from .integrate import lift
 
         base, section = self.build(P)
-        return lift(section, closed_base_map(grid, base, d=chart.n))
+        return lift(section, closed_base_map(grid, base))
 
 
 @dataclass(frozen=True)
@@ -183,7 +183,7 @@ def closed_solution_map(chart: ChartSpec, grid: GridSpec, f) -> SolutionMap:
     return SolutionMap.from_function(chart, grid, as_point, derivative)
 
 
-def closed_base_map(grid: GridSpec, f, d: int) -> BaseMap:
+def closed_base_map(grid: GridSpec, f) -> BaseMap:
     """Sample a dual-capable closed base map with exact derivatives."""
 
     def func(t):
@@ -193,7 +193,7 @@ def closed_base_map(grid: GridSpec, f, d: int) -> BaseMap:
         _, rows = dm.jacobian(lambda ts: list(f(ts)), [float(v) for v in t])
         return np.array(rows, dtype=float).T  # (k, d)
 
-    return BaseMap.from_function(grid, func, derivative, d=d)
+    return BaseMap.from_function(grid, func, derivative)
 
 
 def _default_grid(origin, spacing, counts):

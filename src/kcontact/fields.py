@@ -72,17 +72,40 @@ def _point_from_coords(chart: ChartSpec, coords) -> DarbouxPoint:
     return DarbouxPoint(flat[:n], flat[n:n + n * k].reshape(k, n), flat[n + n * k:])
 
 
+def _floats(xs) -> list:
+    """Entries of a row as Python floats, lane values left as they are."""
+    return [x if isinstance(x, dm._Lanes) else float(x) for x in xs]
+
+
+def _node_gradients(h: ScalarField, q, p, z, value: bool, kvf=None):
+    """d_q, d_p, d_z of h and (``value``) h at the nodes (q, p, z): ``grad(h, pt)`` and ``h(pt)``
+    with their errors, first failing node first, from one :func:`kcontact.dual._rows` pass
+    (h from a plain evaluation: the dual one rounds differently).  With a k-vector field
+    ``kvf``, the first node where one of them is not finite runs ``kvf.at``, which raises there."""
+    chart = h.chart
+    n, k = chart.n, chart.k
+    X = np.concatenate([a.reshape(-1, d) for a, d in ((q, n), (p, k * n), (z, k))], axis=1)
+
+    def row(x):
+        x = list(x)
+        pt = DarbouxPoint(x[:n], [x[n + a * n:n + a * n + n] for a in range(k)], x[n + n * k:])
+        if not h.in_domain(pt):
+            raise DomainError(f"point outside declared domain of field {h.name}")
+        _, g = dm.derive1(lambda xs: h.fn(_point_from_coords(chart, xs)), _floats(x))
+        return g + [h.fn(pt)] if value else g
+
+    G = dm._rows(row, X, None if kvf is None else lambda r: np.all(np.isfinite(r), axis=-1))
+    if kvf is not None and not np.all(np.isfinite(G[-1])):
+        kvf.at(DarbouxPoint.from_flat(chart, X[len(G) - 1]))
+    G = G.reshape(q.shape[:-1] + (-1,))
+    g_p = G[..., n:n + n * k].reshape(p.shape)
+    return G[..., :n], g_p, G[..., n + n * k:n + n * k + k], G[..., -1] if value else None
+
+
 def grad(h: ScalarField, pt: DarbouxPoint) -> Gradient:
     """Exact first derivatives of ``h`` at ``pt`` via forward duals."""
-    chart = h.chart
-    chart.check_point(pt)
-    if not h.in_domain(pt):
-        raise DomainError(f"point outside declared domain of field {h.name}")
-    coords = [float(v) for v in pt.flat()]
-    _, g = dm.derive1(lambda xs: h.fn(_point_from_coords(chart, xs)), coords)
-    n, k = chart.n, chart.k
-    g = np.asarray(g, dtype=float)
-    return Gradient(g[:n], g[n:n + n * k].reshape(k, n), g[n + n * k:])
+    h.chart.check_point(pt)
+    return Gradient(*(g[0] for g in _node_gradients(h, pt.q[None], pt.p[None], pt.z[None], False)[:3]))
 
 
 def fd_grad(h: ScalarField, pt: DarbouxPoint, step: float = 1e-5) -> Gradient:
@@ -120,15 +143,14 @@ def _p_grad(h: ScalarField, q, z, p_flat) -> list:
     return dm.derive1(_h_of_p(h, q, z), list(p_flat))[1]
 
 
-def _p_hess(h: ScalarField, q, z, p_flat) -> np.ndarray:
-    """Hessian of h in the flat momentum block at fixed (q, z)."""
-    f = _h_of_p(h, [float(v) for v in q], [float(v) for v in z])
-    return np.asarray(dm.derive2(f, [float(v) for v in p_flat])[2], dtype=float)
+def _p_hess(h: ScalarField, q, z, p_flat) -> list:
+    """Hessian of h in the flat momentum block at fixed (q, z); lanes where the row has them."""
+    return dm.derive2(_h_of_p(h, _floats(q), _floats(z)), _floats(p_flat))[2]
 
 
 def p_hessian(h: ScalarField, pt: DarbouxPoint) -> np.ndarray:
     """The (nk x nk) matrix of second momentum derivatives at ``pt``."""
-    return _p_hess(h, pt.q, pt.z, np.asarray(pt.p, dtype=float).reshape(-1))
+    return np.asarray(_p_hess(h, pt.q, pt.z, np.asarray(pt.p, dtype=float).reshape(-1)), dtype=float)
 
 
 def check_regularity(h: ScalarField, pt: DarbouxPoint, rtol: float = 1e-9):
@@ -142,11 +164,6 @@ def check_regularity(h: ScalarField, pt: DarbouxPoint, rtol: float = 1e-9):
     smax = float(sv[0]) if sv.size else 0.0
     smin = float(sv[-1]) if sv.size else 0.0
     return (smax > 0.0 and smin > rtol * smax), smin
-
-
-def _floats(xs) -> list:
-    """Entries of a row as Python floats, lane values left as they are."""
-    return [x if isinstance(x, dm._Lanes) else float(x) for x in xs]
 
 
 def _newton_steps(H, R, singular):
@@ -175,7 +192,7 @@ def _newton(h: ScalarField, Q, Z, V, P, tol: float = 1e-12, max_iter: int = 50, 
     the starts P (momenta and v flattened row-major): damped Newton, with per-row state.
 
     The rows not yet converged (the active set) share each residual pass
-    (``_p_grad``) and Hessian pass (``derive2``) as lanes of
+    (``_p_grad``) and Hessian pass (``_p_hess``) as lanes of
     :func:`kcontact.dual._rows`, so every row takes the iterates of a
     one-row call, which runs as floats.  An error names the first failing
     row of the failing pass with the suffix ``where(row)``.
@@ -191,16 +208,12 @@ def _newton(h: ScalarField, Q, Z, V, P, tol: float = 1e-12, max_iter: int = 50, 
         R = dm._rows(lambda x: _p_grad(h, *split(x)), np.concatenate([QZ[rows], ps], axis=1)) - V[rows]
         return R, np.max(np.abs(R), axis=1)
 
-    def hessian(x):
-        q, z, ps = split(x)
-        return dm.derive2(_h_of_p(h, q, z), _floats(ps))[2]
-
     res, rnorm = residual(np.arange(len(p)), p)
     for _ in range(max_iter):
         act = np.flatnonzero(~(rnorm < tol))
         if not len(act):
             break
-        H = dm._rows(hessian, np.concatenate([QZ[act], p[act]], axis=1))
+        H = dm._rows(lambda x: _p_hess(h, *split(x)), np.concatenate([QZ[act], p[act]], axis=1))
         step = _newton_steps(H, res[act], lambda i: RegularityError(
             f"fibre Hessian is singular during Newton iteration{where(act[i])}"))
         trial, tres, tnorm = p[act], res[act], rnorm[act]

@@ -119,6 +119,21 @@ class BaseField:
         return out if any(isinstance(v, dm._Lanes) for v in out) else np.asarray(out, dtype=float)
 
 
+def _sample(grid: GridSpec, fn, shapes) -> list:
+    """``fn(t)`` at every node ``t`` of ``grid``, in node order: one array of shape
+    ``grid.shape + s`` per entry of ``fn(t)`` and of ``shapes``, where an entry ``None`` takes
+    its shape from the first node.  The node coordinates have the bits of :meth:`GridSpec.t`."""
+    T = grid.origin + grid.spacing * np.indices(grid.shape, dtype=float).reshape(grid.k, -1).T
+    out = []
+    for m, t in enumerate(T):
+        for j, v in enumerate(fn(t)):
+            v = np.asarray(v, dtype=float)
+            if not m:
+                out.append(np.empty((len(T),) + (v.shape if shapes[j] is None else shapes[j])))
+            out[j][m] = v
+    return [a.reshape(grid.shape + a.shape[1:]) for a in out]
+
+
 @dataclass
 class BaseMap:
     """A sampled map from a grid into a base manifold of dimension ``d``.
@@ -133,19 +148,28 @@ class BaseMap:
     closed_form: callable = None
     closed_derivative: callable = None
     notes: list = field(default_factory=list)
+    # () -> the derivatives() table, set by the code that made the map; a map rebuilt from
+    # its parts starts without one
+    _table: callable = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def d(self) -> int:
         return self.values.shape[-1]
 
     @staticmethod
-    def from_function(grid: GridSpec, f, df=None, d=None) -> "BaseMap":
-        probe = np.atleast_1d(np.asarray(f(grid.t(tuple(0 for _ in grid.counts))), dtype=float))
-        d = probe.size if d is None else d
-        vals = np.empty(grid.shape + (d,))
-        for idx in grid.indices():
-            vals[idx] = np.atleast_1d(np.asarray(f(grid.t(idx)), dtype=float))
-        return BaseMap(grid, vals, closed_form=f, closed_derivative=df)
+    def from_function(grid: GridSpec, f, df=None) -> "BaseMap":
+        values, = _sample(grid, lambda t: [np.atleast_1d(f(t))], [None])
+        return BaseMap(grid, values, closed_form=f, closed_derivative=df)
+
+    def derivatives(self) -> np.ndarray:
+        """Direction derivatives on every node, shape ``grid.shape + (k, d)``: the node table
+        when the map has one (:func:`kcontact.integrate.integral_section`), else the closed
+        derivative at every node, else grid differences."""
+        if self._table is not None:
+            return self._table().copy()
+        if self.closed_derivative is not None:
+            return _sample(self.grid, lambda t: [self.closed_derivative(t)], [(self.grid.k, self.d)])[0]
+        return np.stack([grid_derivative(self.values, self.grid, b) for b in range(self.grid.k)], axis=-2)
 
 
 @dataclass
@@ -166,6 +190,7 @@ class SolutionMap:
     closed_form: callable = None
     closed_derivative: callable = None
     notes: list = field(default_factory=list)
+    _table: callable = field(default=None, init=False, repr=False, compare=False)  # as for BaseMap
 
     def point(self, idx) -> DarbouxPoint:
         return DarbouxPoint(self.q[idx], self.p[idx], self.z[idx])
@@ -174,36 +199,27 @@ class SolutionMap:
     def from_function(chart: ChartSpec, grid: GridSpec, f, df=None) -> "SolutionMap":
         if grid.k != chart.k:
             raise ShapeError(f"grid has {grid.k} directions, chart has k={chart.k}")
-        q = np.empty(grid.shape + (chart.n,))
-        p = np.empty(grid.shape + (chart.k, chart.n))
-        z = np.empty(grid.shape + (chart.k,))
-        for idx in grid.indices():
-            pt = f(grid.t(idx))
-            q[idx], p[idx], z[idx] = pt.q, pt.p, pt.z
+        n, k = chart.n, chart.k
+
+        def blocks(t):
+            pt = f(t)
+            return pt.q, pt.p, pt.z
+
+        q, p, z = _sample(grid, blocks, [(n,), (k, n), (k,)])
         return SolutionMap(chart, grid, q, p, z, closed_form=f, closed_derivative=df)
 
     def derivatives(self):
         """Direction derivatives of (q, p, z) on every node.
 
         Returns arrays of shapes ``grid.shape + (k, n)``, ``+ (k, k, n)``
-        and ``+ (k, k)`` (leading extra index = direction), from the closed
-        form when available and grid differences otherwise.  A closed form
-        made by :func:`kcontact.integrate.lift` gives them as whole-grid tables.
+        and ``+ (k, k)`` (leading extra index = direction): the node table
+        when the map has one (:func:`kcontact.integrate.lift`), else the
+        closed derivative at every node, else grid differences.
         """
         n, k = self.chart.n, self.chart.k
-        dq = np.empty(self.grid.shape + (k, n))
-        dp = np.empty(self.grid.shape + (k, k, n))
-        dz = np.empty(self.grid.shape + (k, k))
+        if self._table is not None:
+            return tuple(a.copy() for a in self._table())
         if self.closed_derivative is not None:
-            table = getattr(self.closed_derivative, "_nodes", lambda g: None)(self.grid)
-            if table is not None:
-                dq[...], dp[...], dz[...] = table
-            else:
-                for idx in self.grid.indices():
-                    dq[idx], dp[idx], dz[idx] = self.closed_derivative(self.grid.t(idx))
-            return dq, dp, dz
-        for beta in range(k):
-            dq[..., beta, :] = grid_derivative(self.q, self.grid, beta)
-            dp[..., beta, :, :] = grid_derivative(self.p, self.grid, beta)
-            dz[..., beta, :] = grid_derivative(self.z, self.grid, beta)
-        return dq, dp, dz
+            return tuple(_sample(self.grid, self.closed_derivative, [(k, n), (k, k, n), (k, k)]))
+        return tuple(np.stack([grid_derivative(a, self.grid, b) for b in range(k)], axis=k)
+                     for a in (self.q, self.p, self.z))

@@ -19,9 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import dual as dm
-from .errors import ContractError, DomainError, RegularityError, ShapeError
-from .fields import ScalarField, _floats, _newton, _point_from_coords, check_regularity, grad
+from .errors import ContractError, RegularityError, ShapeError
+from .fields import ScalarField, _newton, _node_gradients, check_regularity, grad
 from .geometry import ChartSpec, DarbouxPoint, KTangent, Tangent
 from .grids import BaseMap, GridSpec, SolutionMap, grid_derivative
 from .sections import default_box, sample_box
@@ -197,37 +196,12 @@ class ResidualGrid:
         return float(np.max([np.max(self.r_q[sl]), np.max(self.r_p[sl]), np.max(self.r_z[sl])]))
 
 
-def _node_gradients(h: ScalarField, q, p, z, value: bool, field: KVectorField = None):
-    """d_q, d_p, d_z of h and (``value``) h at the nodes (q, p, z): ``grad(h, pt)`` and ``h(pt)``
-    with their errors, first failing node first, from one :func:`kcontact.dual._rows` pass
-    (h from a plain evaluation: the dual one rounds differently).  With ``field``, the first
-    node where one of them is not finite runs ``field.at``, which raises there."""
-    chart = h.chart
-    n, k = chart.n, chart.k
-    X = np.concatenate([a.reshape(-1, d) for a, d in ((q, n), (p, k * n), (z, k))], axis=1)
-
-    def row(x):
-        x = list(x)
-        pt = DarbouxPoint(x[:n], [x[n + a * n:n + a * n + n] for a in range(k)], x[n + n * k:])
-        if not h.in_domain(pt):
-            raise DomainError(f"point outside declared domain of field {h.name}")
-        _, g = dm.derive1(lambda xs: h.fn(_point_from_coords(chart, xs)), _floats(x))
-        return g + [h.fn(pt)] if value else g
-
-    G = dm._rows(row, X, None if field is None else lambda r: np.all(np.isfinite(r), axis=-1))
-    if field is not None and not np.all(np.isfinite(G[-1])):
-        field.at(DarbouxPoint.from_flat(chart, X[len(G) - 1]))
-    G = G.reshape(q.shape[:-1] + (-1,))
-    g_p = G[..., n:n + n * k].reshape(p.shape)
-    return G[..., :n], g_p, G[..., n + n * k:n + n * k + k], G[..., -1] if value else None
-
-
 def map_residual(psi: SolutionMap, h: ScalarField, mode: str = "standard") -> ResidualGrid:
     """Field-equation residuals of a candidate map on every grid node.
 
-    Direction derivatives come from the closed form when the map carries
-    one and from grid differences otherwise.  h and its gradient on all nodes
-    come from one batched pass (:func:`_node_gradients`).
+    Direction derivatives come from :meth:`SolutionMap.derivatives`.  h and
+    its gradient on all nodes come from one batched pass
+    (:func:`kcontact.fields._node_gradients`).
     """
     _check_mode(mode)
     chart = h.chart
@@ -320,8 +294,8 @@ def second_order_residual(
     """Residual of the induced second-order system on a sampled base map.
 
     Requires ``h`` affine in the extra coordinates (checked on random
-    points) and regular.  Momenta are reconstructed from the grid
-    derivatives of ``qmap`` by fibre-derivative inversion; the returned
+    points) and regular.  Momenta are reconstructed from the node derivatives
+    (:meth:`BaseMap.derivatives`, padded) by fibre-derivative inversion; the returned
     array has shape ``grid.shape + (n,)``.  The ``mode`` argument selects
     which canonical field supplies the balance term; for an affine
     coupling the two choices agree identically, and the test suite holds
@@ -344,22 +318,15 @@ def second_order_residual(
     # Maps that only know their own nodes (integrated flows) refuse the
     # padding evaluation, in which case we fall back to the bare grid.
     pad = 2 if qmap.closed_form is not None else 0
-    work, values = grid, qmap.values
+    work = qmap
     if pad:
         try:
-            work = GridSpec(grid.origin - pad * grid.spacing, grid.spacing,
-                            [c + 2 * pad for c in grid.counts])
-            values = BaseMap.from_function(work, qmap.closed_form, d=n).values
+            work = BaseMap.from_function(GridSpec(grid.origin - pad * grid.spacing, grid.spacing,
+                                                  [c + 2 * pad for c in grid.counts]),
+                                         qmap.closed_form, qmap.closed_derivative)
         except (ContractError, ValueError, ArithmeticError):
-            pad, work, values = 0, grid, qmap.values
-
-    v = np.empty(work.shape + (k, n))
-    if qmap.closed_derivative is not None:
-        for idx in work.indices():
-            v[idx] = np.asarray(qmap.closed_derivative(work.t(idx)), dtype=float)
-    else:
-        for b in range(k):
-            v[..., b, :] = grid_derivative(values, work, b)
+            pad = 0
+    values, v = work.values, work.derivatives()
 
     prev = np.zeros((k, n)) if p_init is None else np.asarray(p_init, dtype=float)
     ok, smin = check_regularity(h, DarbouxPoint(values[(0,) * k], prev, np.zeros(k)))
@@ -369,9 +336,9 @@ def second_order_residual(
         )
     P = _fibre_momenta(h, values, v, prev)
 
-    div_P = np.zeros(work.shape + (n,))
+    div_P = np.zeros(work.grid.shape + (n,))
     for a in range(k):
-        div_P += grid_derivative(P[..., a, :], work, a)
+        div_P += grid_derivative(P[..., a, :], work.grid, a)
 
     # the balance term sum_a (X_a)_i^a of the canonical field: k shares trace_p / k, summed from 0
     inner = tuple(slice(pad, pad + c) for c in grid.counts)

@@ -564,7 +564,7 @@ def verify_complete(
     ``params`` is an array of parameter tuples (one row per slice); failures
     and reports are keyed by a slice's parameters as a tuple of floats.  A NaN
     residual, round-trip or section error is a failure of its slice and makes
-    the matching sup NaN.
+    the matching sup NaN; a slice that fails before its residual makes both sups NaN.
     """
     _known_mode(mode)
     chart = family.chart
@@ -588,6 +588,7 @@ def verify_complete(
             rep, _ = _check(h, gamma, mode, samples=pts)
         except (ContractError, NoSolutionError) as exc:
             failures.append((key, str(exc)))
+            sup_res = sup_rt = np.nan  # a slice without a residual leaves both sups unknown
             continue
         rt, off = _roundtrip(family, lam, pts, n)
         if off is not None:

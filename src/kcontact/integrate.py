@@ -72,11 +72,6 @@ def commutator_defect(f: BaseField, samples) -> float:
     return worst
 
 
-def _lane_eval(f: BaseField, a: int, X: np.ndarray) -> np.ndarray:
-    """``f.eval(a, x)`` for every row ``x`` of the (m, dim) array ``X``, in one lane pass."""
-    return dm._lane_array(f.eval(a, dm._lanes_of(X)), X.shape[0])
-
-
 def _rk4_line(f: BaseField, axis: int, x0, h: float, cells: int, steps_per_cell: int) -> list:
     """Integrate component ``axis`` of ``f`` from ``x0``; the state after every cell.
 
@@ -189,11 +184,9 @@ def integral_section(
         idx = node_of(t)
         return node_derivatives()[idx].copy()
 
-    # whole-grid tables of both on the nodes of ``grid`` (see lift and SolutionMap.derivatives)
-    closed_form._nodes = lambda g: values if g is grid else None
-    closed_derivative._nodes = lambda g: node_derivatives() if g is grid else None
     sigma = BaseMap(grid, values, closed_form=closed_form,
                     closed_derivative=closed_derivative, notes=notes)
+    sigma._table = node_derivatives
     sigma._commutator = defect  # read by end_to_end, which reports it
     return sigma
 
@@ -232,53 +225,45 @@ def lift(gamma, sigma: BaseMap) -> SolutionMap:
     pz = dm._rows(section_row, sigma.values.reshape(-1, sigma.d)).reshape(grid.shape + (-1,))
     q, z = sigma.values[..., :n].copy(), pz[..., k * n:].copy()
     p = pz[..., :k * n].reshape(grid.shape + (k, n))
+    psi = SolutionMap(chart, grid, q, p, z, notes=list(sigma.notes))
+    if sigma.closed_form is None:
+        return psi
 
-    closed_form = closed_derivative = None
-    if sigma.closed_form is not None:
-        def closed_form(t):
-            return at(np.atleast_1d(sigma.closed_form(t)))
+    def closed_form(t):
+        return at(np.atleast_1d(sigma.closed_form(t)))
 
-        if sigma.closed_derivative is not None:
-            @cache
-            def node_jacobians():
-                """Section Jacobians at the base points ``sigma.values``."""
-                table = dm._rows(lambda x: _coeff_jacobian(gamma, x)[1], sigma.values.reshape(-1, sigma.d))
-                return table.reshape(grid.shape + table.shape[1:])
+    psi.closed_form = closed_form
+    if sigma.closed_derivative is None:
+        return psi
 
-            def base_derivative(t, idx=None):
-                """Base derivatives at ``t``; the section Jacobian there, from the table at a node."""
-                x = np.atleast_1d(np.asarray(sigma.closed_form(t), dtype=float))
-                dx = np.asarray(sigma.closed_derivative(t), dtype=float).reshape(k, sigma.d)
-                idx = _grid_node(grid, t) if idx is None else idx
-                if idx is None or sigma.values[idx].tobytes() != x.tobytes():
-                    return dx, np.asarray(_coeff_jacobian(gamma, x)[1], dtype=float)
-                return dx, node_jacobians()[idx]
+    def chain(dx, J):
+        """(dq, dp, dz) from base derivatives and section Jacobians (leading node axes)."""
+        lead = dx.shape[:-2] + (k, k, n)
+        if zind:  # J is (k*n + k, n): momentum rows, then z-values
+            return (dx, np.einsum("...ci,...bi->...bc", J[..., :k * n, :], dx).reshape(lead),
+                    np.einsum("...ci,...bi->...bc", J[..., k * n:, :], dx))
+        # J is (k*n, n + k)
+        return dx[..., :n], np.einsum("...cj,...bj->...bc", J, dx).reshape(lead), dx[..., n:]
 
-            def chain(dx, J):
-                """(dq, dp, dz) from base derivatives and section Jacobians (leading node axes)."""
-                lead = dx.shape[:-2] + (k, k, n)
-                if zind:  # J is (k*n + k, n): momentum rows, then z-values
-                    return (dx, np.einsum("...ci,...bi->...bc", J[..., :k * n, :], dx).reshape(lead),
-                            np.einsum("...ci,...bi->...bc", J[..., k * n:, :], dx))
-                # J is (k*n, n + k)
-                return dx[..., :n], np.einsum("...cj,...bj->...bc", J, dx).reshape(lead), dx[..., n:]
+    def jacobians(X):
+        """Section Jacobians at the base points ``X`` (leading axes kept), in one pass."""
+        J = dm._rows(lambda x: _coeff_jacobian(gamma, x)[1], X.reshape(-1, sigma.d))
+        return J.reshape(X.shape[:-1] + J.shape[1:])
 
-            def closed_derivative(t):
-                return chain(*base_derivative(t))
+    def closed_derivative(t):
+        x = np.atleast_1d(np.asarray(sigma.closed_form(t), dtype=float))
+        return chain(np.asarray(sigma.closed_derivative(t), dtype=float).reshape(k, sigma.d), jacobians(x))
 
-            @cache
-            def node_table():
-                X, dX = (getattr(f, "_nodes", lambda g: None)(grid)
-                         for f in (sigma.closed_form, sigma.closed_derivative))
-                if X is sigma.values and dX is not None:  # the closed form gives the stored points
-                    return chain(dX, node_jacobians())
-                rows = [base_derivative(grid.t(idx), idx) for idx in grid.indices()]
-                return chain(*(np.stack(a).reshape(grid.shape + a[0].shape) for a in zip(*rows)))
+    @cache
+    def node_table():
+        """``closed_derivative`` on every node: each callable over all nodes in turn."""
+        X = sigma.values  # where the map has a node table, its closed form gives these
+        if sigma._table is None:
+            X = BaseMap.from_function(grid, sigma.closed_form).values
+        return chain(sigma.derivatives(), jacobians(X))
 
-            closed_derivative._nodes = lambda g: node_table() if g is grid else None
-
-    return SolutionMap(chart, grid, q, p, z, closed_form=closed_form,
-                       closed_derivative=closed_derivative, notes=list(sigma.notes))
+    psi.closed_derivative, psi._table = closed_derivative, node_table
+    return psi
 
 
 @dataclass
@@ -391,9 +376,8 @@ def end_to_end(
         return report
 
     if reference is not None:
-        report.compare_error = float(np.max([
-            np.max(np.abs(sigma.values[idx] - np.atleast_1d(np.asarray(reference(grid.t(idx)), dtype=float))))
-            for idx in grid.indices()]))
+        ref = BaseMap.from_function(grid, reference).values
+        report.compare_error = float(np.max(np.abs(sigma.values - ref)))
 
     report.passed = True
     return report

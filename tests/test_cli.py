@@ -176,6 +176,13 @@ def test_simulate_zero_kappa_exit_3(tmp_path, capsys):
     assert "kappa != 0" in capsys.readouterr().err
 
 
+def test_simulate_grid_with_too_few_nodes_exit_3(tmp_path, capsys):
+    code = run(["simulate", "--example", "telegrapher", "--section", "classical-zind",
+                "--mode", "standard", "--counts", "2,50", "--out", str(tmp_path)])
+    assert code == 3
+    assert "grids need at least 3 nodes per direction" in capsys.readouterr().err
+
+
 def test_config_file_plan(tmp_path, capsys):
     cfg = tmp_path / "run.ini"
     cfg.write_text(

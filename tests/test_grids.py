@@ -1,0 +1,65 @@
+"""Sampled maps: the node sampler and the one source of node derivatives per map."""
+
+import dataclasses
+
+import numpy as np
+
+import kcontact as kc
+from kcontact import corpus
+from kcontact import dual as dm
+from kcontact.grids import BaseMap, GridSpec, SolutionMap
+
+GRID = GridSpec([0.1, -0.3], [0.013, 0.07], [4, 3])
+
+
+def per_node(fn, grid, shape):
+    return np.array([fn(grid.t(idx)) for idx in grid.indices()], dtype=float).reshape(grid.shape + shape)
+
+
+def test_the_sampler_calls_once_per_node_at_the_coordinates_of_grid_t():
+    grid = GridSpec([0.1, -0.3, 0.7], [0.013, 0.07, 1e-3], [3, 4, 5])
+    seen = []
+    base = BaseMap.from_function(grid, lambda t: seen.append(t.copy()) or [t[0] * t[2]])
+    assert [t.tobytes() for t in seen] == [grid.t(idx).tobytes() for idx in grid.indices()]
+    assert base.values.tobytes() == per_node(lambda t: [t[0] * t[2]], grid, (1,)).tobytes()
+
+
+def test_base_map_derivatives_from_the_closed_derivative_else_from_differences():
+    closed = corpus.closed_base_map(GRID, lambda t: [dm.exp(t[0]) * t[1], t[0] - t[1] ** 2])
+    assert closed.d == 2
+    assert closed.derivatives().tobytes() == per_node(closed.closed_derivative, GRID, (2, 2)).tobytes()
+    bare = BaseMap(GRID, closed.values)
+    want = np.stack([kc.grid_derivative(bare.values, GRID, b) for b in range(2)], axis=-2)
+    assert bare.derivatives().tobytes() == want.tobytes()
+
+
+def test_solution_map_derivatives_from_the_closed_derivative_else_from_differences():
+    psi = corpus.analytic("telegrapher", "exponential", grid=GRID)
+    got = psi.derivatives()
+    for i, shape in enumerate([(2, 1), (2, 2, 1), (2, 2)]):
+        assert got[i].tobytes() == per_node(lambda t: psi.closed_derivative(t)[i], GRID, shape).tobytes()
+    bare = SolutionMap(psi.chart, GRID, psi.q, psi.p, psi.z)
+    dq, dp, dz = bare.derivatives()
+    assert dq[..., 1, :].tobytes() == kc.grid_derivative(psi.q, GRID, 1).tobytes()
+    assert dp[..., 0, :, :].tobytes() == kc.grid_derivative(psi.p, GRID, 0).tobytes()
+    assert dz[..., 1, :].tobytes() == kc.grid_derivative(psi.z, GRID, 1).tobytes()
+
+
+def test_a_node_table_is_kept_only_by_the_map_that_was_made_with_it():
+    ex = corpus.load("telegrapher")
+    entry = ex.sections["classical-zind"]
+    gamma = entry.build(dict(entry.defaults))
+    sigma = kc.integral_section(kc.project_Q(ex.hamiltonian(), gamma), [1.0], GRID)
+    table, want = sigma.derivatives(), per_node(sigma.closed_derivative, GRID, (2, 1))
+    assert table.tobytes() == want.tobytes()
+    table[...] = 0.0  # a copy: the table itself is unchanged
+    assert sigma.derivatives().tobytes() == want.tobytes()
+    rebuilt = [dataclasses.replace(sigma),
+               BaseMap(sigma.grid, sigma.values, sigma.closed_form, sigma.closed_derivative)]
+    assert sigma._table is not None and all(m._table is None for m in rebuilt)
+    assert all(m.derivatives().tobytes() == sigma.derivatives().tobytes() for m in rebuilt)
+
+    psi = kc.lift(gamma, sigma)
+    copied = dataclasses.replace(psi)
+    assert psi._table is not None and copied._table is None
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(copied.derivatives(), psi.derivatives()))

@@ -861,6 +861,17 @@ def test_verify_complete_records_a_nan_gauge_trace_as_a_failure():
     assert ver.failures == [((0.5, -0.5), "gauge matrix trace nan != 0 at (0.0, 0.5, -0.25)")]
 
 
+def test_verify_complete_slices_failing_before_their_residual_leave_nan_sups():
+    ex, h = tel()
+    h_nan = kc.ScalarField(CH12, lambda pt: h.fn(pt) + pt.q[0] * NAN)
+    fam = ex.families["complete"]({**ex.defaults, "a": 1.0})
+    X = np.array([[0.0, 0.5, -0.25], [0.5, -0.75, 0.5], [-0.5, 0.25, 0.0]])
+    ver = kc.verify_complete(fam, h_nan, "evolution", [[0.5, -0.5], [-0.5, 0.5]], base_samples=X)
+    assert [key for key, _ in ver.failures] == [(0.5, -0.5), (-0.5, 0.5)] and ver.reports == []
+    # no slice has a residual, so neither sup may read 0
+    assert math.isnan(ver.sup_residual) and math.isnan(ver.sup_roundtrip)
+
+
 def test_verify_complete_records_a_nan_round_trip_as_a_failure():
     h, good = FAMILIES["telegrapher/complete"]
     fam = dataclasses.replace(good, phi_inverse=lambda pt: [NAN] + good.phi_inverse(pt)[1:])

@@ -11,13 +11,18 @@ import kcontact as kc
 from kcontact import corpus
 from kcontact import dual as dm
 from kcontact.grids import BaseField, BaseMap, GridSpec
-from kcontact.integrate import DEFAULT_TOLERANCES, _integrate_path, _lane_eval
+from kcontact.integrate import DEFAULT_TOLERANCES, _integrate_path
 
 CH12 = kc.ChartSpec(1, 2)
 
 
 def scalar_field(*fns):
     return BaseField(dim=1, comps=[lambda x, f=f: [f(x[0])] for f in fns])
+
+
+def _lane_eval(f, a, X):
+    """``f.eval(a, x)`` for every row ``x`` of the (m, dim) array ``X``, in one lane pass."""
+    return dm._lane_array(f.eval(a, dm._lanes_of(X)), X.shape[0])
 
 
 # -- commutators ----------------------------------------------------------------
@@ -324,7 +329,7 @@ def test_lift_closed_derivative_chain_rule():
     gamma = entry.build(dict(entry.defaults))
     a, c = -2.0 / 3.0, 2.0
     grid = GridSpec([0.0, 0.0], [0.02, 0.02], [5, 5])
-    base = corpus.closed_base_map(grid, lambda t: [dm.exp(a * (c * t[0] - t[1]))], d=1)
+    base = corpus.closed_base_map(grid, lambda t: [dm.exp(a * (c * t[0] - t[1]))])
     psi = kc.lift(gamma, base)
     h = corpus.load("telegrapher").hamiltonian()
     assert kc.map_residual(psi, h, "standard").max() <= 1e-12

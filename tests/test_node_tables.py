@@ -132,7 +132,7 @@ def _base_maps(entry, P, gamma, h):
         f = lambda t: [0.9 + 0.1 * t[0] - 0.05 * t[1] * t[1]] * n  # noqa: E731
     else:
         f = lambda t: [0.2 + 0.1 * t[0]] * n + [0.1 * t[1], -0.05 * t[0]] + [0.0] * (k - 2)  # noqa: E731
-    maps = [corpus.closed_base_map(grid, f, d=n if entry.kind == "zind" else n + k)]
+    maps = [corpus.closed_base_map(grid, f)]
     if entry.sim is not None and "noncommuting" not in entry.key:
         field = kc.project_Q(h, gamma) if entry.kind == "zind" else kc.project_zdep(h, gamma, entry.gauge(P))
         sim = entry.sim
@@ -269,7 +269,7 @@ CURVED = kc.SectionZInd(kc.ChartSpec(1, 2), gamma_p=lambda q: [[q[0] * q[0]], [d
 
 def test_a_base_map_whose_closed_form_is_not_its_stored_values():
     base = corpus.closed_base_map(GridSpec([0.0, 0.0], [0.05, 0.05], [4, 5]),
-                                  lambda t: [0.9 + 0.1 * t[0] * t[1]], d=1)
+                                  lambda t: [0.9 + 0.1 * t[0] * t[1]])
     moved = BaseMap(base.grid, base.values + 1e-3, closed_form=base.closed_form,
                     closed_derivative=base.closed_derivative)
     psi = kc.lift(CURVED, moved)
@@ -298,7 +298,7 @@ def test_an_integrated_map_whose_values_were_replaced_uses_its_closed_form():
 def test_a_lifted_derivative_moved_onto_another_grid_is_evaluated_there():
     ex, entry, P, gamma, h = _section("telegrapher", "classical-zind")
     base = corpus.closed_base_map(GridSpec([0.0, 0.0], [0.05, 0.05], [4, 5]),
-                                  lambda t: [0.9 + 0.1 * t[0] * t[1]], d=1)
+                                  lambda t: [0.9 + 0.1 * t[0] * t[1]])
     psi = kc.lift(gamma, base)
     other = GridSpec([0.01, 0.0], [0.05, 0.05], [4, 5])
     moved = SolutionMap(psi.chart, other, psi.q, psi.p, psi.z, closed_form=psi.closed_form,
@@ -337,7 +337,7 @@ def test_section_points_on_lanes_that_disagree_on_a_branch():
     gamma = kc.SectionZInd(chart, gamma_p=lambda q: [[q[0] * 3.0 if q[0] > 0.5 else 3.0 * q[0]], [0.25]],
                            gamma_z=lambda q: [q[0] * q[0], dm.exp(q[0])])
     sigma = corpus.closed_base_map(GridSpec([0.0, 0.0], [0.1, 0.1], [4, 3]),
-                                   lambda t: [0.3 + t[0] + 0.5 * t[1]], d=1)
+                                   lambda t: [0.3 + t[0] + 0.5 * t[1]])
     psi = kc.lift(gamma, sigma)
     points, derivatives = ref_lift(gamma, sigma)
     assert same((psi.q, psi.p, psi.z), points)
