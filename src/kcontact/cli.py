@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -78,8 +79,28 @@ def _parse_sets(pairs):
     return out
 
 
-def _parse_floats(text):
-    return [float(x) for x in str(text).replace(";", ",").split(",") if x.strip()]
+def _number(text, what, kind=float, least=None):
+    """``text`` (a flag's value or a config entry) as a ``kind`` number, finite and at least
+    ``least`` when that is given; anything else raises :class:`ConfigError` naming ``what``."""
+    try:
+        x = kind(text)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{what} expects {'an integer' if kind is int else 'a number'}, "
+                          f"got {text!r}") from None
+    if least is not None and not least <= x < math.inf:
+        raise ConfigError(f"{what} must be a finite number >= {least}, got {text!r}")
+    return x
+
+
+def _parse_floats(text, what, kind=float):
+    return [_number(x, what, kind) for x in str(text).replace(";", ",").split(",") if x.strip()]
+
+
+def _numbers_where_numeric(overrides, defaults):
+    """Text is a legal parameter value only where the default is text (a solution's ``mode``)."""
+    for name, val in overrides.items():
+        if isinstance(val, str) and not isinstance(defaults.get(name), str):
+            raise ConfigError(f"parameter {name!r} expects a number, got {val!r}")
 
 
 def _load_config(path):
@@ -93,7 +114,7 @@ def _load_config(path):
     if cp.has_section("run"):
         plan.update({k: v for k, v in cp.items("run")})
     if cp.has_section("params"):
-        plan["params"] = {k: float(v) for k, v in cp.items("params")}
+        plan["params"] = {k: _number(v, f"[params] {k}") for k, v in cp.items("params")}
     if cp.has_section("grid"):
         g = dict(cp.items("grid"))
         plan["grid"] = g
@@ -150,6 +171,7 @@ def _section_run(example, key, overrides):
             raise ConfigError(f"unknown parameter {name!r} for section {entry.key}; "
                               f"known: {sorted(params)}")
         params[name] = val
+    _numbers_where_numeric(overrides, entry.defaults)
     gamma = entry.build(params)
     h = example.hamiltonian({k: v for k, v in params.items() if k in example.defaults})
     return entry, params, gamma, h
@@ -160,23 +182,28 @@ def cmd_check_hj(args, plan) -> int:
     overrides = dict(plan.get("params", {}))
     overrides.update(_parse_sets(args.set))
     mode = args.mode or plan.get("mode", "standard")
-    seed = args.seed if args.seed is not None else int(plan.get("seed", 0))
+    seed = _number(args.seed if args.seed is not None else plan.get("seed", 0), "seed", int, 0)
     check = plan.get("check", {})
-    tol = args.tol if args.tol is not None else float(check.get("tolerance", 1e-10))
-    count = args.samples if args.samples is not None else int(check.get("samples", 500))
+    tol = _number(args.tol if args.tol is not None else check.get("tolerance", 1e-10),
+                  "tolerance", least=0.0)
+    count = _number(args.samples if args.samples is not None else check.get("samples", 500),
+                    "samples", int, 1)
 
     if args.family:
         fam_builder = example.families.get(args.family)
         if fam_builder is None:
             raise ConfigError(f"example {example.name} has no family {args.family!r}; "
                               f"known: {sorted(example.families)}")
+        _numbers_where_numeric(overrides, example.defaults)
         fam = fam_builder({**example.defaults, **overrides})
-        axes = [np.linspace(lo, hi, args.param_grid) for lo, hi in fam.param_box]
+        steps = _number(args.param_grid, "--param-grid", int, 1)
+        rt_tol = _number(args.roundtrip_tol, "--roundtrip-tol", least=0.0)
+        axes = [np.linspace(lo, hi, steps) for lo, hi in fam.param_box]
         mesh = np.array(np.meshgrid(*axes)).reshape(len(axes), -1).T
         h = example.hamiltonian({k: v for k, v in overrides.items() if k in example.defaults})
         ver = verify_complete(fam, h, mode, mesh, count=count, seed=seed,
-                              res_tol=tol, rt_tol=args.roundtrip_tol)
-        verdict = "PASS" if ver.passed(tol, args.roundtrip_tol) else "FAIL"
+                              res_tol=tol, rt_tol=rt_tol)
+        verdict = "PASS" if ver.passed(tol, rt_tol) else "FAIL"
         report = {
             "command": "check-hj",
             "example": example.name,
@@ -202,7 +229,9 @@ def cmd_check_hj(args, plan) -> int:
     entry, params, gamma, h = _section_run(example, args.section, overrides)
     box = entry.box
     if args.box:
-        vals = _parse_floats(args.box)
+        vals = _parse_floats(args.box, "--box")
+        if len(vals) % 2:
+            raise ConfigError(f"--box expects lo,hi pairs, got {args.box!r}")
         box = tuple((vals[i], vals[i + 1]) for i in range(0, len(vals), 2))
     C = entry.gauge(params) if entry.gauge is not None else None
     rep, _ = _check(h, gamma, mode, C, box=box, count=count, seed=seed)
@@ -230,9 +259,9 @@ def cmd_check_hj(args, plan) -> int:
 
 def _grid_from(args, plan, default) -> GridSpec:
     g = plan.get("grid", {})
-    origin = _parse_floats(args.origin or g.get("origin", "")) or default.get("origin")
-    spacing = _parse_floats(args.spacing or g.get("spacing", "")) or default.get("spacing")
-    counts = [int(x) for x in _parse_floats(args.counts or g.get("counts", ""))] or default.get("counts")
+    origin, spacing, counts = (
+        _parse_floats(getattr(args, key) or g.get(key, ""), key, kind) or default.get(key)
+        for key, kind in (("origin", float), ("spacing", float), ("counts", int)))
     if origin is None or spacing is None or counts is None:
         raise ConfigError("simulate needs a grid: pass --origin/--spacing/--counts "
                           "or a [grid] config section (or use a section with defaults)")
@@ -263,23 +292,19 @@ def cmd_simulate(args, plan) -> int:
     overrides = dict(plan.get("params", {}))
     overrides.update(_parse_sets(args.set))
     mode = args.mode or plan.get("mode", "standard")
-    seed = args.seed if args.seed is not None else int(plan.get("seed", 0))
+    seed = _number(args.seed if args.seed is not None else plan.get("seed", 0), "seed", int, 0)
+    tol = args.tol if args.tol is not None else plan.get("check", {}).get("residual_tolerance")
+    tolerances = {} if tol is None else {"residual": _number(tol, "residual tolerance", least=0.0)}
     outdir = Path(args.out or plan.get("output", {}).get("dir", "."))
     outdir.mkdir(parents=True, exist_ok=True)
-    tolerances = {}
-    check = plan.get("check", {})
-    if args.tol is not None:
-        tolerances["residual"] = args.tol
-    elif "residual_tolerance" in check:
-        tolerances["residual"] = float(check["residual_tolerance"])
 
     if args.solution:
-        known = sorted(set(corpus._solution_entry(example, args.solution).defaults)
-                       | set(example.defaults))
+        defaults = {**example.defaults, **corpus._solution_entry(example, args.solution).defaults}
         for key in overrides:
-            if key not in known:
+            if key not in defaults:
                 raise ConfigError(f"unknown parameter {key!r} for solution {args.solution}; "
-                                  f"known: {known}")
+                                  f"known: {sorted(defaults)}")
+        _numbers_where_numeric(overrides, defaults)
         grid = None
         if args.origin or args.spacing or args.counts or plan.get("grid"):
             grid = _grid_from(args, plan, {})
@@ -314,7 +339,8 @@ def cmd_simulate(args, plan) -> int:
     entry, params, gamma, h = _section_run(example, args.section, overrides)
     sim = dict(entry.sim or {})
     grid = _grid_from(args, plan, sim)
-    start = _parse_floats(args.start or plan.get("grid", {}).get("start", "")) or sim.get("start")
+    start = (_parse_floats(args.start or plan.get("grid", {}).get("start", ""), "start")
+             or sim.get("start"))
     if start is None:
         raise ConfigError("simulate needs a start point (--start or section default)")
 
@@ -377,9 +403,9 @@ def cmd_gauge(args) -> int:
 
     chart = ChartSpec(args.n, args.k)
     expected = (chart.n + 1) * (chart.k ** 2 - 1)
-    rng = np.random.default_rng(args.seed or 0)
+    rng = np.random.default_rng(_number(args.seed or 0, "--seed", int, 0))
     worst = None
-    for _ in range(args.points):
+    for _ in range(_number(args.points, "--points", int, 1)):
         pt = DarbouxPoint(2.0 * rng.random(chart.n) - 1.0,
                           2.0 * rng.random((chart.k, chart.n)) - 1.0,
                           2.0 * rng.random(chart.k) - 1.0)

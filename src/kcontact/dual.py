@@ -346,9 +346,13 @@ class _Lanes:
         raise _Unbatchable("a numpy array built from lane values")
 
 
-# Points per lane pass.  Wider passes spread the Python cost of each dual
-# operation over more points; the cap bounds the lane arrays one pass holds.
-_LANE_CHUNK = 256
+# Points per lane pass.  A pass is nearly all fixed Python cost: on one slice
+# of the telegrapher complete family (2 CPUs, Python 3.11.7, numpy 2.4.6) the
+# HJ sweep pass takes 159 us at 50 rows and 252 us at 4096 (about 23 ns per
+# row), the round-trip pass 46 and 85 us (about 10 ns).  The largest site in
+# the benchmark and the CLI corpus has 2500 rows, so each runs in one pass;
+# the cap bounds the lane arrays one pass holds on larger inputs.
+_LANE_CHUNK = 4096
 
 
 def _lanes(fn, X: np.ndarray):

@@ -579,6 +579,8 @@ def verify_complete(
         raise ContractError(
             f"family takes {family.param_dim} parameters, got rows of length {params.shape[1]}"
         )
+    if not len(params):
+        raise ContractError("no parameter rows to check")
     pts, seed = _resolve_samples(base_samples, box, n + k, count, seed)
     sup_res, sup_rt = 0.0, 0.0
     failures, reports = [], []

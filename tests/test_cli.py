@@ -208,6 +208,55 @@ def test_config_missing_file_exit_2(capsys):
     assert run(["check-hj", "--config", "/nonexistent.ini"]) == 2
 
 
+_TEL_FAMILY = ["check-hj", "--example", "telegrapher", "--family", "complete"]
+_TEL_CHECK = ["check-hj", "--example", "telegrapher", "--section", "classical-zind"]
+_TEL_SIM = ["simulate", "--example", "telegrapher", "--section", "classical-zind"]
+_TEL_SOLUTION = ["simulate", "--example", "telegrapher", "--solution", "exponential"]
+
+
+@pytest.mark.parametrize("argv, config, message", [
+    # no work to check
+    (_TEL_FAMILY + ["--param-grid", "0"], None, "--param-grid must be a finite number >= 1, got 0"),
+    (_TEL_FAMILY + ["--samples", "0"], None, "samples must be a finite number >= 1, got 0"),
+    (_TEL_CHECK + ["--samples", "-3"], None, "samples must be a finite number >= 1, got -3"),
+    (_TEL_CHECK, "[check]\nsamples = 0\n", "samples must be a finite number >= 1, got '0'"),
+    (["gauge", "--n", "1", "--k", "2", "--points", "0"], None, "--points must be a finite number >= 1"),
+    # text where a number belongs
+    (_TEL_SIM + ["--counts", "abc"], None, "counts expects an integer, got 'abc'"),
+    (_TEL_SIM + ["--counts", "3.7,3"], None, "counts expects an integer, got '3.7'"),
+    (_TEL_SIM + ["--origin", "abc"], None, "origin expects a number, got 'abc'"),
+    (_TEL_SIM + ["--spacing", "0.1,x"], None, "spacing expects a number, got 'x'"),
+    (_TEL_SIM + ["--start", "abc"], None, "start expects a number, got 'abc'"),
+    (_TEL_SIM, "[grid]\ncounts = 9,abc\n", "counts expects an integer, got 'abc'"),
+    (_TEL_CHECK, "[params]\nkappa = abc\n", "[params] kappa expects a number, got 'abc'"),
+    (_TEL_CHECK + ["--set", "C1=abc"], None, "parameter 'C1' expects a number, got 'abc'"),
+    (_TEL_FAMILY + ["--set", "lambda=abc"], None, "parameter 'lambda' expects a number"),
+    (_TEL_SOLUTION + ["--set", "a=abc"], None, "parameter 'a' expects a number, got 'abc'"),
+    (_TEL_CHECK + ["--box", "0.5"], None, "--box expects lo,hi pairs, got '0.5'"),
+    (_TEL_CHECK + ["--seed", "-1"], None, "seed must be a finite number >= 0, got -1"),
+    # tolerances that cannot pass or fail a check
+    (_TEL_CHECK + ["--tol", "nan"], None, "tolerance must be a finite number >= 0.0, got nan"),
+    (_TEL_CHECK + ["--tol", "-1"], None, "tolerance must be a finite number >= 0.0, got -1.0"),
+    (_TEL_CHECK, "[check]\ntolerance = inf\n", "tolerance must be a finite number >= 0.0, got 'inf'"),
+    (_TEL_FAMILY + ["--roundtrip-tol", "nan"], None, "--roundtrip-tol must be a finite number >= 0.0"),
+    (_TEL_SIM + ["--tol", "nan"], None, "residual tolerance must be a finite number >= 0.0, got nan"),
+    (_TEL_SIM + ["--tol", "-1"], None, "residual tolerance must be a finite number >= 0.0"),
+    (_TEL_SIM, "[check]\nresidual_tolerance = -1e-6\n", "residual tolerance must be a finite number"),
+])
+def test_bad_numbers_are_configuration_errors(argv, config, message, tmp_path, capsys):
+    """Each input is refused with exit 2 and a one-line message, before any report is written."""
+    if config is not None:
+        (tmp_path / "run.ini").write_text(config)
+        argv = argv + ["--config", str(tmp_path / "run.ini")]
+    if argv[0] != "gauge":
+        argv = argv + ["--out", str(tmp_path / "out")]
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert message in err and "Traceback" not in out + err
+    assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
+
+
 def test_console_script_entrypoint():
     # the child imports the same kcontact as this process, installed or not
     src = str(Path(kcontact.__file__).resolve().parents[1])

@@ -284,13 +284,29 @@ def _counting(fn):
 
 
 def test_rows_run_as_lanes_in_chunks(rng):
-    X = 2.0 * rng.random((600, 2)) - 1.0
+    m = 2 * dm._LANE_CHUNK + 1
+    X = 2.0 * rng.random((m, 2)) - 1.0
     f, calls = _counting(lambda r: [r[0] * r[1], dm.exp(r[0]) - 1.0])
     got = dm._rows(f, X)
-    assert calls == [True] * math.ceil(600 / dm._LANE_CHUNK)
+    assert calls == [True] * 3
     assert np.array_equal(got, [[x * y, math.exp(x) - 1.0] for x, y in X])
     # a plain number is broadcast over the lanes
     assert np.array_equal(dm._rows(lambda r: 2.0, X[:3]), [2.0, 2.0, 2.0])
+
+
+def test_a_failing_last_pass_runs_every_row_one_by_one(rng):
+    m = 2 * dm._LANE_CHUNK + 2  # the last pass holds two rows
+    X = 0.5 + rng.random((m, 1))
+    X[-1] = 0.0  # a zero divisor in the last row only: the scalar value
+    f, calls = _counting(lambda r: 1.0 / r[0])
+    with np.errstate(divide="ignore"):
+        got, want = dm._rows(f, X), [1.0 / x for x in X[:, 0]]
+    assert np.array_equal(got, want) and got[-1] == math.inf
+    assert calls == [True] * 3 + [False] * m
+    g, calls = _counting(lambda r: dm.log(r[0]))  # a domain error there: the scalar error
+    with pytest.raises(ValueError, match="math domain error"):
+        dm._rows(g, X)
+    assert calls == [True] * 3 + [False] * m
 
 
 def test_a_single_row_runs_as_floats():

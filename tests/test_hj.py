@@ -709,9 +709,9 @@ def test_failed_lane_sweep_raises_the_scalar_error(case):
 
 
 def test_verify_complete_runs_the_samples_as_lanes():
-    """Guard that the lane path is taken: each lane pass of up to 256 samples costs
-    three h evaluations and four phi calls (three for the section coefficients,
-    one for the round trip), not that many per sample."""
+    """Guard that the lane path is taken: each lane pass of up to ``_LANE_CHUNK``
+    samples (all 729 here) costs three h evaluations and four phi calls (three for
+    the section coefficients, one for the round trip), not that many per sample."""
     ex = corpus.load("telegrapher")
     h, h_calls = _counting(ex.hamiltonian())
     fam = ex.families["complete"]({**ex.defaults, "a": 1.0})

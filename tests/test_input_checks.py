@@ -1,4 +1,4 @@
-"""Input checks of the grids, integration, lift and residual entry points."""
+"""Input checks of the grids, integration, lift, residual and complete-family entry points."""
 
 import numpy as np
 import pytest
@@ -49,6 +49,10 @@ CASES = {
                           kc.ShapeError, "base grid has 3 directions, chart has k=2"),
     "second-order dimension": (lambda: kc.second_order_residual(_tel()[0], BaseMap(GRID, np.ones((3, 4, 2)))),
                                kc.ShapeError, "base map has dimension 2, chart has n=1"),
+    "complete family without slices": (
+        lambda: kc.verify_complete(corpus.load("telegrapher").families["complete"]({"lambda": 1.0}),
+                                   _tel()[0], "standard", np.empty((0, 2)), count=5),
+        kc.ContractError, "no parameter rows"),
 }
 
 
