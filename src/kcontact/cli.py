@@ -24,23 +24,13 @@ from pathlib import Path
 import numpy as np
 
 from . import corpus
-from .errors import (
-    ConfigError,
-    ContractError,
-    DivergenceError,
-    DomainError,
-    IntegrabilityError,
-    KContactError,
-    NoSolutionError,
-    RegularityError,
-    ShapeError,
-    SolverError,
-)
+from .errors import ConfigError, DivergenceError, IntegrabilityError, KContactError
 from .geometry import ChartSpec, DarbouxPoint
 from .grids import GridSpec
 from .hdw import map_residual
 from .hj import _check, verify_complete
-from .integrate import end_to_end
+from .integrate import DEFAULT_TOLERANCES, end_to_end
+from .sections import sample_box
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -96,11 +86,16 @@ def _parse_floats(text, what, kind=float):
     return [_number(x, what, kind) for x in str(text).replace(";", ",").split(",") if x.strip()]
 
 
-def _numbers_where_numeric(overrides, defaults):
-    """Text is a legal parameter value only where the default is text (a solution's ``mode``)."""
+def _params(defaults, overrides, what):
+    """``defaults`` updated with ``overrides``.  An unknown name, then text where the default is
+    not text (only a solution's ``mode`` is), raises :class:`ConfigError` naming ``what``."""
+    for name in overrides:
+        if name not in defaults:
+            raise ConfigError(f"unknown parameter {name!r} for {what}; known: {sorted(defaults)}")
     for name, val in overrides.items():
-        if isinstance(val, str) and not isinstance(defaults.get(name), str):
+        if isinstance(val, str) and not isinstance(defaults[name], str):
             raise ConfigError(f"parameter {name!r} expects a number, got {val!r}")
+    return {**defaults, **overrides}
 
 
 def _load_config(path):
@@ -110,18 +105,12 @@ def _load_config(path):
     read = cp.read(path)
     if not read:
         raise ConfigError(f"config file {path!r} not found or unreadable")
-    plan = {}
-    if cp.has_section("run"):
-        plan.update({k: v for k, v in cp.items("run")})
+    plan = dict(cp.items("run")) if cp.has_section("run") else {}
     if cp.has_section("params"):
         plan["params"] = {k: _number(v, f"[params] {k}") for k, v in cp.items("params")}
-    if cp.has_section("grid"):
-        g = dict(cp.items("grid"))
-        plan["grid"] = g
-    if cp.has_section("check"):
-        plan["check"] = dict(cp.items("check"))
-    if cp.has_section("output"):
-        plan["output"] = dict(cp.items("output"))
+    for name in ("grid", "check", "output"):
+        if cp.has_section(name):
+            plan[name] = dict(cp.items(name))
     return plan
 
 
@@ -154,7 +143,21 @@ def cmd_list(args) -> int:
     return EXIT_PASS
 
 
-# -- check-hj ----------------------------------------------------------------
+# -- run bodies ----------------------------------------------------------------
+#
+# Each takes the resolved arguments, the config plan, the example and the parameter
+# overrides, and returns its report fields (the head is added by main) plus the
+# (map, residuals) pair of psi.csv, or None.
+
+def _hj_limits(args, plan):
+    """Tolerance and sample count of a ``check-hj`` sweep."""
+    check = plan.get("check", {})
+    tol = _number(args.tol if args.tol is not None else check.get("tolerance", 1e-10),
+                  "tolerance", least=0.0)
+    count = _number(args.samples if args.samples is not None else check.get("samples", 500),
+                    "samples", int, 1)
+    return tol, count
+
 
 def _section_run(example, key, overrides):
     """Entry ``key`` of ``example``, its parameters with ``overrides``, the section and h.
@@ -165,67 +168,31 @@ def _section_run(example, key, overrides):
     if entry is None:
         raise ConfigError(f"example {example.name} has no section {key!r}; "
                           f"known: {sorted(example.sections)}")
-    params = dict(entry.defaults)
-    for name, val in overrides.items():
-        if name not in params:
-            raise ConfigError(f"unknown parameter {name!r} for section {entry.key}; "
-                              f"known: {sorted(params)}")
-        params[name] = val
-    _numbers_where_numeric(overrides, entry.defaults)
-    gamma = entry.build(params)
+    params = _params(entry.defaults, overrides, f"section {entry.key}")
     h = example.hamiltonian({k: v for k, v in params.items() if k in example.defaults})
-    return entry, params, gamma, h
+    return entry, params, entry.build(params), h
 
 
-def cmd_check_hj(args, plan) -> int:
-    example = corpus.load(args.example)
-    overrides = dict(plan.get("params", {}))
-    overrides.update(_parse_sets(args.set))
-    mode = args.mode or plan.get("mode", "standard")
-    seed = _number(args.seed if args.seed is not None else plan.get("seed", 0), "seed", int, 0)
-    check = plan.get("check", {})
-    tol = _number(args.tol if args.tol is not None else check.get("tolerance", 1e-10),
-                  "tolerance", least=0.0)
-    count = _number(args.samples if args.samples is not None else check.get("samples", 500),
-                    "samples", int, 1)
+def _check_family(args, plan, example, overrides):
+    tol, count = _hj_limits(args, plan)
+    build = example.families.get(args.family)
+    if build is None:
+        raise ConfigError(f"example {example.name} has no family {args.family!r}; "
+                          f"known: {sorted(example.families)}")
+    params = _params(example.defaults, overrides, f"family {args.family}")
+    fam = build(params)
+    steps = _number(args.param_grid, "--param-grid", int, 1)
+    rt_tol = _number(args.roundtrip_tol, "--roundtrip-tol", least=0.0)
+    axes = [np.linspace(lo, hi, steps) for lo, hi in fam.param_box]
+    mesh = np.array(np.meshgrid(*axes)).reshape(len(axes), -1).T
+    ver = verify_complete(fam, example.hamiltonian(params), args.mode, mesh, count=count,
+                          seed=args.seed, res_tol=tol, rt_tol=rt_tol)
+    return {"family": args.family, **ver.summary(), "tolerance": tol,
+            "verdict": "PASS" if ver.passed(tol, rt_tol) else "FAIL"}, None
 
-    if args.family:
-        fam_builder = example.families.get(args.family)
-        if fam_builder is None:
-            raise ConfigError(f"example {example.name} has no family {args.family!r}; "
-                              f"known: {sorted(example.families)}")
-        _numbers_where_numeric(overrides, example.defaults)
-        fam = fam_builder({**example.defaults, **overrides})
-        steps = _number(args.param_grid, "--param-grid", int, 1)
-        rt_tol = _number(args.roundtrip_tol, "--roundtrip-tol", least=0.0)
-        axes = [np.linspace(lo, hi, steps) for lo, hi in fam.param_box]
-        mesh = np.array(np.meshgrid(*axes)).reshape(len(axes), -1).T
-        h = example.hamiltonian({k: v for k, v in overrides.items() if k in example.defaults})
-        ver = verify_complete(fam, h, mode, mesh, count=count, seed=seed,
-                              res_tol=tol, rt_tol=rt_tol)
-        verdict = "PASS" if ver.passed(tol, rt_tol) else "FAIL"
-        report = {
-            "command": "check-hj",
-            "example": example.name,
-            "family": args.family,
-            "mode": mode,
-            "seed": seed,
-            "samples": ver.sample_count,
-            "parameter_count": ver.param_count,
-            "sup_residual": ver.sup_residual,
-            "sup_roundtrip": ver.sup_roundtrip,
-            "tolerance": tol,
-            "verdict": verdict,
-            "per_parameter": [
-                {"parameters": list(lam), "sup_residual": rep.sup_residual}
-                for lam, rep in ver.reports
-            ],
-            "failures": [list(map(str, f)) for f in ver.failures],
-        }
-        out = _emit(report, args, plan, "hj_report.json")
-        print(out)
-        return EXIT_PASS if verdict == "PASS" else EXIT_FAIL
 
+def _check_section(args, plan, example, overrides):
+    tol, count = _hj_limits(args, plan)
     entry, params, gamma, h = _section_run(example, args.section, overrides)
     box = entry.box
     if args.box:
@@ -234,28 +201,17 @@ def cmd_check_hj(args, plan) -> int:
             raise ConfigError(f"--box expects lo,hi pairs, got {args.box!r}")
         box = tuple((vals[i], vals[i + 1]) for i in range(0, len(vals), 2))
     C = entry.gauge(params) if entry.gauge is not None else None
-    rep, _ = _check(h, gamma, mode, C, box=box, count=count, seed=seed)
-
-    verdict = rep.verdict(tol)
-    report = {
-        "command": "check-hj",
-        "example": example.name,
-        "section": entry.key,
-        "mode": mode,
-        "seed": seed,
-        "samples": rep.sample_count,
-        "sup_residual": rep.sup_residual,
-        "tolerance": tol,
-        "verdict": verdict,
-        "params": {k: params[k] for k in sorted(params) if params[k] is not None},
-        "worst": [{"residual": r, "point": list(pt)} for r, pt in rep.worst],
-    }
-    out = _emit(report, args, plan, "hj_report.json")
-    print(out)
-    return EXIT_PASS if verdict == "PASS" else EXIT_FAIL
+    rep, _ = _check(h, gamma, args.mode, C, box=box, count=count, seed=args.seed)
+    return {"section": entry.key, **rep.summary(), "tolerance": tol, "verdict": rep.verdict(tol),
+            "params": {k: params[k] for k in sorted(params) if params[k] is not None}}, None
 
 
-# -- simulate ----------------------------------------------------------------
+def _residual_tol(args, plan):
+    tol = args.tol if args.tol is not None else plan.get("check", {}).get("residual_tolerance")
+    if tol is None:
+        return DEFAULT_TOLERANCES["residual"]
+    return _number(tol, "residual tolerance", least=0.0)
+
 
 def _grid_from(args, plan, default) -> GridSpec:
     g = plan.get("grid", {})
@@ -266,6 +222,46 @@ def _grid_from(args, plan, default) -> GridSpec:
         raise ConfigError("simulate needs a grid: pass --origin/--spacing/--counts "
                           "or a [grid] config section (or use a section with defaults)")
     return GridSpec(origin, spacing, counts)
+
+
+def _simulate_solution(args, plan, example, overrides):
+    tol = _residual_tol(args, plan)
+    entry = corpus._solution_entry(example, args.solution)
+    _params({**example.defaults, **entry.defaults}, overrides, f"solution {args.solution}")
+    grid = None
+    if args.origin or args.spacing or args.counts or plan.get("grid"):
+        grid = _grid_from(args, plan, {})
+    psi = corpus.analytic(example.name, args.solution, params=overrides, grid=grid)
+    P = example.resolve({k: v for k, v in overrides.items() if k in example.defaults})
+    res = map_residual(psi, example.hamiltonian(P), mode=args.mode)
+    report = {"solution": args.solution, "grid_counts": list(psi.grid.counts), **res.summary()}
+    if example.pde_residual is not None:
+        pde = example.pde_residual({"u": psi.q[..., 0], "zt": psi.z[..., 0]}, psi.grid, P)
+        report["max_pde_residual"] = float(np.max(np.abs(pde)))
+    report.update(tolerance=tol, verdict="PASS" if res.max() <= tol else "FAIL")
+    return report, (psi, res)
+
+
+def _simulate_section(args, plan, example, overrides):
+    tol = _residual_tol(args, plan)
+    entry, params, gamma, h = _section_run(example, args.section, overrides)
+    sim = entry.sim or {}
+    grid = _grid_from(args, plan, sim)
+    start = (_parse_floats(args.start or plan.get("grid", {}).get("start", ""), "start")
+             or sim.get("start"))
+    if start is None:
+        raise ConfigError("simulate needs a start point (--start or section default)")
+    ref_key = args.reference or sim.get("reference")
+    reference = (corpus.reference_base(example.name, ref_key, overrides, entry.kind == "zdep")
+                 if ref_key else None)
+    C = entry.gauge(params) if entry.gauge is not None else None
+    hj_samples = None
+    if entry.box is not None:
+        hj_samples = sample_box(entry.box, 200, np.random.default_rng(args.seed))
+    rep = end_to_end(h, gamma, args.mode, grid, start=start, C=C, hj_samples=hj_samples,
+                     reference=reference, tolerances={"residual": tol}, seed=args.seed)
+    report = {"section": entry.key, "verdict": "PASS" if rep.passed else "FAIL", **rep.summary()}
+    return report, (None if rep.solution is None else (rep.solution, rep.residuals))
 
 
 def _csv_solution(psi, res, path: Path):
@@ -285,115 +281,6 @@ def _csv_solution(psi, res, path: Path):
         row += [_fmt(res.r_q[idx]), _fmt(res.r_p[idx]), _fmt(res.r_z[idx])]
         lines.append(",".join(row))
     path.write_text("\r\n".join(lines) + "\r\n", encoding="utf-8")
-
-
-def cmd_simulate(args, plan) -> int:
-    example = corpus.load(args.example)
-    overrides = dict(plan.get("params", {}))
-    overrides.update(_parse_sets(args.set))
-    mode = args.mode or plan.get("mode", "standard")
-    seed = _number(args.seed if args.seed is not None else plan.get("seed", 0), "seed", int, 0)
-    tol = args.tol if args.tol is not None else plan.get("check", {}).get("residual_tolerance")
-    tolerances = {} if tol is None else {"residual": _number(tol, "residual tolerance", least=0.0)}
-    outdir = Path(args.out or plan.get("output", {}).get("dir", "."))
-    outdir.mkdir(parents=True, exist_ok=True)
-
-    if args.solution:
-        defaults = {**example.defaults, **corpus._solution_entry(example, args.solution).defaults}
-        for key in overrides:
-            if key not in defaults:
-                raise ConfigError(f"unknown parameter {key!r} for solution {args.solution}; "
-                                  f"known: {sorted(defaults)}")
-        _numbers_where_numeric(overrides, defaults)
-        grid = None
-        if args.origin or args.spacing or args.counts or plan.get("grid"):
-            grid = _grid_from(args, plan, {})
-        psi = corpus.analytic(example.name, args.solution, params=overrides, grid=grid)
-        h = example.hamiltonian({k: v for k, v in overrides.items() if k in example.defaults})
-        res = map_residual(psi, h, mode=mode)
-        _csv_solution(psi, res, outdir / "psi.csv")
-        summary = {
-            "command": "simulate",
-            "example": example.name,
-            "solution": args.solution,
-            "mode": mode,
-            "seed": seed,
-            "grid_counts": list(psi.grid.counts),
-            "max_r_q": float(np.max(res.r_q)),
-            "max_r_p": float(np.max(res.r_p)),
-            "max_r_z": float(np.max(res.r_z)),
-        }
-        if example.pde_residual is not None:
-            fields = {"u": psi.q[..., 0], "zt": psi.z[..., 0]}
-            P = dict(example.defaults)
-            P.update({k: v for k, v in overrides.items() if k in P})
-            pde = example.pde_residual(fields, psi.grid, P)
-            summary["max_pde_residual"] = float(np.max(np.abs(pde)))
-        tol = tolerances.get("residual", 1e-6)
-        summary["tolerance"] = tol
-        summary["verdict"] = "PASS" if res.max() <= tol else "FAIL"
-        text = _json_dump(summary, outdir / "summary.json")
-        print(text)
-        return EXIT_PASS if summary["verdict"] == "PASS" else EXIT_FAIL
-
-    entry, params, gamma, h = _section_run(example, args.section, overrides)
-    sim = dict(entry.sim or {})
-    grid = _grid_from(args, plan, sim)
-    start = (_parse_floats(args.start or plan.get("grid", {}).get("start", ""), "start")
-             or sim.get("start"))
-    if start is None:
-        raise ConfigError("simulate needs a start point (--start or section default)")
-
-    reference = None
-    ref_key = args.reference or sim.get("reference")
-    if ref_key:
-        ref_psi_f = _reference_base(example, ref_key, overrides, entry.kind)
-        reference = ref_psi_f
-
-    C = entry.gauge(params) if entry.gauge is not None else None
-    hj_samples = None
-    if entry.box is not None:
-        rng = np.random.default_rng(seed)
-        from .sections import sample_box
-
-        hj_samples = sample_box(entry.box, 200, rng)
-    rep = end_to_end(h, gamma, mode, grid, start=start, C=C, hj_samples=hj_samples,
-                     reference=reference, tolerances=tolerances, seed=seed)
-    if rep.solution is not None:
-        res = rep.residuals
-        _csv_solution(rep.solution, res, outdir / "psi.csv")
-    summary = {
-        "command": "simulate",
-        "example": example.name,
-        "section": entry.key,
-        "mode": mode,
-        "seed": seed,
-        "verdict": "PASS" if rep.passed else "FAIL",
-    }
-    summary.update(rep.summary())
-    text = _json_dump(summary, outdir / "summary.json")
-    print(text)
-    return EXIT_PASS if rep.passed else EXIT_FAIL
-
-
-def _reference_base(example, ref_key, overrides, kind):
-    """Closed-form base map (q-block, plus z-block for z-level sections)."""
-    if ref_key not in example.solutions:
-        raise ConfigError(f"unknown reference solution {ref_key!r} for {example.name}")
-    entry = example.solutions[ref_key]
-    P = dict(entry.defaults)
-    P.update({k: v for k, v in overrides.items() if k in P})
-    entry.constraint(P)
-    f = entry._point_map(P)
-
-    def base(t):
-        q, p, z = f(list(t))
-        vals = [float(v) for v in q]
-        if kind == "zdep":
-            vals += [float(v) for v in z]
-        return vals
-
-    return base
 
 
 # -- gauge -------------------------------------------------------------------
@@ -422,14 +309,27 @@ def cmd_gauge(args) -> int:
 
 # -- shared ------------------------------------------------------------------
 
-def _emit(report, args, plan, filename):
-    outdir = args.out or plan.get("output", {}).get("dir")
+def _emit(report, outdir, filename, csv=None) -> int:
+    """Print ``report`` and map its verdict to the exit code.  Given ``outdir``, create it (only
+    now, so a refused or aborted run leaves none), write ``psi.csv`` from the ``(map,
+    residuals)`` pair ``csv`` if there is one, and the report as ``filename``."""
     path = None
     if outdir:
-        path = Path(outdir)
-        path.mkdir(parents=True, exist_ok=True)
-        path = path / filename
-    return _json_dump(report, path)
+        outdir = Path(outdir)
+        outdir.mkdir(parents=True, exist_ok=True)
+        if csv is not None:
+            _csv_solution(*csv, outdir / "psi.csv")
+        path = outdir / filename
+    print(_json_dump(report, path))
+    return EXIT_PASS if report["verdict"] == "PASS" else EXIT_FAIL
+
+
+# command -> report file, output directory without --out or [output] dir, and the body of
+# each run kind, the first named kind winning
+_COMMANDS = {
+    "check-hj": ("hj_report.json", None, {"family": _check_family, "section": _check_section}),
+    "simulate": ("summary.json", ".", {"solution": _simulate_solution, "section": _simulate_section}),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -491,35 +391,27 @@ def main(argv=None) -> int:
             return cmd_list(args)
         if args.command == "gauge":
             return cmd_gauge(args)
-        plan = _load_config(getattr(args, "config", None))
-        if not getattr(args, "example", None):
-            args.example = plan.get("example")
+        filename, default_dir, bodies = _COMMANDS[args.command]
+        plan = _load_config(args.config)
+        args.example = args.example or plan.get("example")
         if args.example is None:
             raise ConfigError("an example key is required (--example or config [run] example)")
-        if args.command == "check-hj":
-            if not args.section and not args.family:
-                args.section = plan.get("section")
-                args.family = plan.get("family")
-            if not args.mode:
-                args.mode = plan.get("mode")
-            return cmd_check_hj(args, plan)
-        if args.command == "simulate":
-            if not args.section and not args.solution:
-                args.section = plan.get("section")
-                args.solution = plan.get("solution")
-            if not args.mode:
-                args.mode = plan.get("mode")
-            return cmd_simulate(args, plan)
-        raise ConfigError(f"unknown command {args.command!r}")
+        example = corpus.load(args.example)
+        if not any(getattr(args, kind) for kind in bodies):
+            for kind in bodies:
+                setattr(args, kind, plan.get(kind))
+        body = bodies[next((kind for kind in bodies if getattr(args, kind)), "section")]
+        overrides = dict(plan.get("params", {}))
+        overrides.update(_parse_sets(args.set))
+        args.mode = args.mode or plan.get("mode", "standard")
+        args.seed = _number(args.seed if args.seed is not None else plan.get("seed", 0), "seed", int, 0)
+        outdir = args.out or plan.get("output", {}).get("dir") or default_dir
+        head = {"command": args.command, "example": example.name, "mode": args.mode, "seed": args.seed}
+        report, csv = body(args, plan, example, overrides)
+        return _emit({**head, **report}, outdir, filename, csv)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ContractError, ShapeError, DomainError, RegularityError,
-            NoSolutionError, SolverError) as exc:
-        stage = getattr(exc, "stage", None)
-        where = f" (stage {stage})" if stage else ""
-        print(f"contract error{where}: {exc}", file=sys.stderr)
-        return EXIT_CONTRACT
     except DivergenceError as exc:
         print(f"divergence: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
@@ -527,7 +419,7 @@ def main(argv=None) -> int:
         print(f"integrability: {exc}", file=sys.stderr)
         return EXIT_INTEGRABILITY
     except KContactError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"contract error: {exc}", file=sys.stderr)
         return EXIT_CONTRACT
     except ArithmeticError as exc:
         print(f"arithmetic error: {exc}", file=sys.stderr)

@@ -28,6 +28,7 @@ __all__ = [
     "EXAMPLE_NAMES",
     "load",
     "analytic",
+    "reference_base",
     "solution_modes",
     "closed_solution_map",
     "closed_base_map",
@@ -1188,6 +1189,26 @@ def analytic(name: str, solution_key: str, params=None, grid: GridSpec = None) -
     entry.constraint(P)
     grid = grid if grid is not None else entry.default_grid(P)
     return entry._sample(ex.chart, grid, P)
+
+
+def reference_base(name: str, solution_key: str, params=None, with_z: bool = False):
+    """Closed-form base map t -> q of a built-in solution (t -> (q, z) with ``with_z``), as
+    a list of floats: the reference an integrated section is compared against.
+
+    Entries of ``params`` that the solution does not take are ignored; its
+    constraint is checked first.
+    """
+    entry = _solution_entry(load(name), solution_key)
+    P = dict(entry.defaults)
+    P.update({k: v for k, v in (params or {}).items() if k in P})
+    entry.constraint(P)
+    f = entry._point_map(P)
+
+    def base(t):
+        q, _, z = f(list(t))
+        return [float(v) for v in (list(q) + list(z) if with_z else q)]
+
+    return base
 
 
 def solution_modes(name: str, solution_key: str, params=None) -> tuple:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dual as dm
-from .errors import ShapeError
+from .errors import ContractError, ShapeError
 from .geometry import ChartSpec, DarbouxPoint
 
 __all__ = [
@@ -39,6 +39,8 @@ class GridSpec:
         counts = tuple(int(c) for c in np.atleast_1d(counts))
         if not (origin.shape == spacing.shape == (len(counts),)):
             raise ShapeError("grid origin/spacing/counts have inconsistent lengths")
+        if not (np.all(np.isfinite(origin)) and np.all(np.isfinite(spacing))):
+            raise ContractError("grid origin and spacing must be finite")
         if np.any(spacing <= 0.0):
             raise ShapeError("grid spacing must be positive")
         if any(c < 3 for c in counts):

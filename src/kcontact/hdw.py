@@ -195,6 +195,10 @@ class ResidualGrid:
         sl = tuple(slice(1, -1) for _ in self.r_q.shape)
         return float(np.max([np.max(self.r_q[sl]), np.max(self.r_p[sl]), np.max(self.r_z[sl])]))
 
+    def summary(self) -> dict:
+        return {"max_r_q": float(np.max(self.r_q)), "max_r_p": float(np.max(self.r_p)),
+                "max_r_z": float(np.max(self.r_z))}
+
 
 def map_residual(psi: SolutionMap, h: ScalarField, mode: str = "standard") -> ResidualGrid:
     """Field-equation residuals of a candidate map on every grid node.

@@ -80,6 +80,10 @@ class HJReport:
     def verdict(self, tol: float) -> str:
         return "PASS" if self.sup_residual <= tol else "FAIL"
 
+    def summary(self) -> dict:
+        return {"samples": self.sample_count, "sup_residual": self.sup_residual,
+                "worst": [{"residual": r, "point": list(pt)} for r, pt in self.worst]}
+
 
 @dataclass(frozen=True)
 class GaugeMatrix:
@@ -518,6 +522,13 @@ class CompleteVerification:
 
     def passed(self, res_tol: float, rt_tol: float = 1e-12) -> bool:
         return not self.failures and self.sup_residual <= res_tol and self.sup_roundtrip <= rt_tol
+
+    def summary(self) -> dict:
+        return {"samples": self.sample_count, "parameter_count": self.param_count,
+                "sup_residual": self.sup_residual, "sup_roundtrip": self.sup_roundtrip,
+                "per_parameter": [{"parameters": list(lam), "sup_residual": rep.sup_residual}
+                                  for lam, rep in self.reports],
+                "failures": [list(map(str, f)) for f in self.failures]}
 
 
 _SECTION_TOL = 1e-12  # largest |(q, z) of phi(q, lam, z) - (q, z)| of a section

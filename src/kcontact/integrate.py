@@ -292,9 +292,7 @@ class EndToEndReport:
             out["hj_sup_residual"] = self.hj_report.sup_residual
             out["hj_samples"] = self.hj_report.sample_count
         if self.residuals is not None:
-            out["max_r_q"] = float(np.max(self.residuals.r_q))
-            out["max_r_p"] = float(np.max(self.residuals.r_p))
-            out["max_r_z"] = float(np.max(self.residuals.r_z))
+            out.update(self.residuals.summary())
         if self.compare_error is not None:
             out["compare_error"] = self.compare_error
         return out

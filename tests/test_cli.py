@@ -61,13 +61,17 @@ def test_check_hj_set_overrides(capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("command", ["check-hj", "simulate"])
-def test_section_unknown_parameter_names_the_known_ones(command, capsys, tmp_path):
-    code = run([command, "--example", "telegrapher", "--section", "classical-zind",
+@pytest.mark.parametrize("command, run_kind, known", [
+    ("check-hj", ["--section", "classical-zind"], ["'C0'", "'kappa'"]),
+    ("simulate", ["--section", "classical-zind"], ["'C0'", "'kappa'"]),
+    ("check-hj", ["--family", "complete"], ["'epsilon'", "'kappa'", "'lambda'"]),
+], ids=["check-hj", "simulate", "check-hj-family"])
+def test_section_unknown_parameter_names_the_known_ones(command, run_kind, known, capsys, tmp_path):
+    code = run([command, "--example", "telegrapher", *run_kind,
                 "--mode", "standard", "--set", "zeta=1", "--out", str(tmp_path)])
     assert code == 2
     err = capsys.readouterr().err
-    assert "'zeta'" in err and "'C0'" in err and "'kappa'" in err
+    assert "'zeta'" in err and all(name in err for name in known)
     assert not any(tmp_path.iterdir())
 
 
@@ -156,8 +160,9 @@ def test_simulate_pipeline_with_reference(tmp_path, capsys):
 
 def test_simulate_integrability_exit_5(tmp_path, capsys):
     code = run(["simulate", "--example", "hunter-saxton", "--section", "noncommuting-zind",
-                "--mode", "evolution", "--out", str(tmp_path)])
+                "--mode", "evolution", "--out", str(tmp_path / "out")])
     assert code == 5
+    assert not (tmp_path / "out").exists()
 
 
 def test_simulate_divergence_exit_4(tmp_path):
@@ -242,6 +247,16 @@ _TEL_SOLUTION = ["simulate", "--example", "telegrapher", "--solution", "exponent
     (_TEL_SIM + ["--tol", "nan"], None, "residual tolerance must be a finite number >= 0.0, got nan"),
     (_TEL_SIM + ["--tol", "-1"], None, "residual tolerance must be a finite number >= 0.0"),
     (_TEL_SIM, "[check]\nresidual_tolerance = -1e-6\n", "residual tolerance must be a finite number"),
+    # names the registry does not hold, and plans that cannot be completed
+    (_TEL_CHECK + ["--set", "kappa"], None, "--set expects name=value, got 'kappa'"),
+    (["check-hj", "--example", "telegrapher", "--section", "nope"], None,
+     "example telegrapher has no section 'nope'; known: ['classical-zind', "),
+    (["check-hj", "--example", "telegrapher", "--family", "nope"], None,
+     "example telegrapher has no family 'nope'; known: ['complete']"),
+    (_TEL_SIM + ["--reference", "nope"], None,
+     "unknown solution 'nope' for example telegrapher; known: ['exponential']"),
+    (["simulate", "--example", "telegrapher", "--section", "zdep-family"],
+     "[grid]\norigin = 0,0\nspacing = 0.1,0.1\ncounts = 5,5\n", "simulate needs a start point"),
 ])
 def test_bad_numbers_are_configuration_errors(argv, config, message, tmp_path, capsys):
     """Each input is refused with exit 2 and a one-line message, before any report is written."""
@@ -254,7 +269,26 @@ def test_bad_numbers_are_configuration_errors(argv, config, message, tmp_path, c
     out, err = capsys.readouterr()
     assert err.startswith("config error: ") and err.count("\n") == 1
     assert message in err and "Traceback" not in out + err
-    assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
+    assert not (tmp_path / "out").exists()
+
+
+_HS_LOG = ["simulate", "--example", "hunter-saxton", "--section", "log-zind", "--reference",
+           "logarithmic", "--set", "delta=1", "--origin", "0,-2", "--spacing", "0.02,0.02",
+           "--counts", "9,9"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (_TEL_SIM + ["--origin", "nan,0"], "grid origin and spacing must be finite"),
+    (_TEL_SIM + ["--spacing", "inf,0.02"], "grid origin and spacing must be finite"),
+    # a pipeline error names its stage once
+    (_HS_LOG + ["--start", "0.6"], "[stage integrate] projected field evaluated outside the section"),
+])
+def test_contract_violations_exit_3_and_write_nothing(argv, message, tmp_path, capsys):
+    assert run(argv + ["--out", str(tmp_path / "out")]) == 3
+    out, err = capsys.readouterr()
+    assert not out and err.startswith(f"contract error: {message}") and err.count("\n") == 1
+    assert err.count("stage") == message.count("stage")
+    assert not (tmp_path / "out").exists()
 
 
 def test_console_script_entrypoint():

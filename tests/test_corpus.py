@@ -23,6 +23,8 @@ def test_registry_and_unknown_key():
         corpus.analytic("telegrapher", "nope")
     with pytest.raises(kc.ConfigError, match=r"known: \['linear', 'logarithmic', 'quadratic'\]"):
         corpus.solution_modes("hunter-saxton", "nope")
+    with pytest.raises(kc.ConfigError, match=r"known: \['exponential'\]"):
+        corpus.reference_base("telegrapher", "nope")
 
 
 def test_displayed_hamiltonian_values():
@@ -132,6 +134,17 @@ def test_logarithmic_branches_and_inversion(rng):
     assert kc.map_residual(psi2, h, "evolution").max() <= 1e-6
     with pytest.raises(kc.ContractError):
         corpus.analytic("hunter-saxton", "logarithmic", params={"mu": -1.0})
+
+
+def test_reference_base_is_the_q_and_z_of_the_solution_point_map():
+    sol = corpus.load("hunter-saxton").solutions["logarithmic"]
+    f = sol._point_map({**sol.defaults, "delta": 1.0})
+    q_only = corpus.reference_base("hunter-saxton", "logarithmic", {"delta": 1})
+    with_z = corpus.reference_base("hunter-saxton", "logarithmic", {"delta": 1}, with_z=True)
+    for t in ([0.0, -2.0], [0.08, -1.9]):
+        q, _, z = f(t)
+        assert q_only(t) == [float(v) for v in q]
+        assert with_z(t) == [float(v) for v in q] + [float(v) for v in z]
 
 
 def test_expected_cases_reference_real_entries():

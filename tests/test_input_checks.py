@@ -32,6 +32,10 @@ CASES = {
     "grid lengths": (lambda: GridSpec([0.0, 0.0], [0.1], [3, 3]),
                      kc.ShapeError, "inconsistent lengths"),
     "grid spacing": (lambda: GridSpec([0.0], [0.0], [3]), kc.ShapeError, "spacing must be positive"),
+    "grid origin not finite": (lambda: GridSpec([np.nan, 0.0], [0.1, 0.1], [3, 3]),
+                               kc.ContractError, "origin and spacing must be finite"),
+    "grid spacing not finite": (lambda: GridSpec([0.0, 0.0], [np.inf, 0.1], [3, 3]),
+                                kc.ContractError, "origin and spacing must be finite"),
     "grid counts": (lambda: GridSpec([0.0, 0.0], [0.1, 0.1], [2, 50]), kc.ShapeError, "at least 3 nodes"),
     "solution map chart": (lambda: SolutionMap.from_function(CH12, GRID3, None),
                            kc.ShapeError, "grid has 3 directions, chart has k=2"),
