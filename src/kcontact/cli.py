@@ -88,13 +88,16 @@ def _parse_floats(text, what, kind=float):
 
 def _params(defaults, overrides, what):
     """``defaults`` updated with ``overrides``.  An unknown name, then text where the default is
-    not text (only a solution's ``mode`` is), raises :class:`ConfigError` naming ``what``."""
+    not text (only a solution's ``mode`` is), then a number that is not finite, raises
+    :class:`ConfigError` naming ``what`` or the parameter."""
     for name in overrides:
         if name not in defaults:
             raise ConfigError(f"unknown parameter {name!r} for {what}; known: {sorted(defaults)}")
     for name, val in overrides.items():
         if isinstance(val, str) and not isinstance(defaults[name], str):
             raise ConfigError(f"parameter {name!r} expects a number, got {val!r}")
+        if not isinstance(val, str) and not math.isfinite(val):
+            raise ConfigError(f"parameter {name!r} must be a finite number, got {val!r}")
     return {**defaults, **overrides}
 
 

@@ -142,7 +142,8 @@ class BaseMap:
 
     ``values`` has shape ``grid.shape + (d,)``.  ``closed_form`` and
     ``closed_derivative`` (t -> value / t -> (k, d) array of direction
-    derivatives) are optional exact descriptions.
+    derivatives) are optional exact descriptions.  Integrated maps are node
+    data: no closed form, and a node table only the map made with it keeps.
     """
 
     grid: GridSpec

@@ -299,11 +299,11 @@ def second_order_residual(
 
     Requires ``h`` affine in the extra coordinates (checked on random
     points) and regular.  Momenta are reconstructed from the node derivatives
-    (:meth:`BaseMap.derivatives`, padded) by fibre-derivative inversion; the returned
-    array has shape ``grid.shape + (n,)``.  The ``mode`` argument selects
-    which canonical field supplies the balance term; for an affine
-    coupling the two choices agree identically, and the test suite holds
-    the implementation to that.
+    (:meth:`BaseMap.derivatives`, padded if the map has a closed form) by
+    fibre-derivative inversion; the result has shape ``grid.shape + (n,)``.
+    The ``mode`` argument selects which canonical field supplies the balance
+    term; for an affine coupling the two choices agree identically, and the
+    test suite holds the implementation to that.
     """
     _check_mode(mode)
     chart = h.chart
@@ -319,8 +319,8 @@ def second_order_residual(
     # A closed-form base map lets us pad the grid by two rings, so every
     # difference stencil below is central on the reported nodes; otherwise
     # the one-sided seams cost an order of accuracy near the boundary.
-    # Maps that only know their own nodes (integrated flows) refuse the
-    # padding evaluation, in which case we fall back to the bare grid.
+    # Node data (integrated flows) is not padded, and a closed form that fails on
+    # the padded rings (say a square root below the first node) uses the bare grid.
     pad = 2 if qmap.closed_form is not None else 0
     work = qmap
     if pad:

@@ -111,16 +111,6 @@ def _sweep(f: BaseField, values: np.ndarray, axis: int, h: float, steps_per_cell
     values[lead + (slice(1, None),) + tail] = lines.reshape(starts.shape[:-1] + (cells, dim))
 
 
-def _grid_node(grid: GridSpec, t):
-    """Index of the node of ``grid`` within 1e-9 of ``t``, or ``None``."""
-    idx = tuple(int(round((t[d] - grid.origin[d]) / grid.spacing[d])) for d in range(grid.k))
-    if any(i < 0 or i >= grid.counts[d] for d, i in enumerate(idx)):
-        return None
-    if float(np.max(np.abs(grid.t(idx) - np.asarray(t, dtype=float)))) > 1e-9:
-        return None
-    return idx
-
-
 def integral_section(
     f: BaseField,
     start,
@@ -134,7 +124,9 @@ def integral_section(
     the directions reversed and both endpoints must agree within
     ``order_tol`` (:class:`IntegrabilityError` otherwise).  A commutator
     defect above the advisory threshold is recorded in the output notes,
-    not fatal.
+    not fatal; a start point that is not finite raises :class:`ContractError`.
+    The result is node data: the values, the field on every node as its node
+    table, and no closed form (a map rebuilt from its parts differences its nodes).
     """
     k = grid.k
     if f.k != k:
@@ -142,6 +134,8 @@ def integral_section(
     start = np.asarray(start, dtype=float)
     if start.shape != (f.dim,):
         raise ContractError(f"start point has shape {start.shape}, field lives on dimension {f.dim}")
+    if not np.all(np.isfinite(start)):
+        raise ContractError(f"start point must be finite, got {start.tolist()}")
     defect = commutator_defect(f, [start])
     above = "" if defect <= COMMUTATOR_WARN else f" above {COMMUTATOR_WARN:.1e}"
     notes = [f"commutator defect {defect:.3e}{above} at the start point"]
@@ -166,26 +160,12 @@ def integral_section(
 
     # Node values satisfy the flow equations, so the field itself provides
     # the direction derivatives at grid nodes (no difference stencils).
-    def node_of(t):
-        idx = _grid_node(grid, t)
-        if idx is None:
-            raise ContractError("integrated base map is only defined on its grid nodes")
-        return idx
-
-    def closed_form(t):
-        return values[node_of(t)]
-
     @cache
     def node_derivatives():
         return dm._rows(lambda x: [f.eval(a, x) for a in range(k)],
                         values.reshape(-1, f.dim)).reshape(grid.shape + (k, f.dim))
 
-    def closed_derivative(t):
-        idx = node_of(t)
-        return node_derivatives()[idx].copy()
-
-    sigma = BaseMap(grid, values, closed_form=closed_form,
-                    closed_derivative=closed_derivative, notes=notes)
+    sigma = BaseMap(grid, values, notes=notes)
     sigma._table = node_derivatives
     sigma._commutator = defect  # read by end_to_end, which reports it
     return sigma
@@ -195,9 +175,10 @@ def lift(gamma, sigma: BaseMap) -> SolutionMap:
     """Compose a base map with a section to get a phase-space candidate map.
 
     Works for sections over Q (base dimension n) and over Q x R^k (base
-    dimension n + k).  Closed-form derivatives are chained through the
-    section coefficients exactly when the base map carries them.  Points and
-    section Jacobians over all nodes come from batched passes.
+    dimension n + k).  The result is node data without a closed form.  A base
+    map with a node table or a closed derivative gives it a node table: the base
+    derivatives chained through the section Jacobians at the stored base values.
+    Points and section Jacobians over all nodes come from batched passes.
     """
     chart = gamma.chart
     n, k = chart.n, chart.k
@@ -209,12 +190,10 @@ def lift(gamma, sigma: BaseMap) -> SolutionMap:
     if not zind and sigma.d != n + k:
         raise ContractError(f"base map dimension {sigma.d} does not match n+k={n + k}")
 
-    at = gamma.at if zind else (lambda x: gamma.at(x[:n], x[n:]))
-
     def section_row(x):
-        """p, z over one base row: ``at`` on floats, its domain test and coefficients on lanes."""
+        """p, z over one base row: ``gamma.at`` on floats, domain test and coefficients on lanes."""
         if not isinstance(x, list):
-            pt = at(x)
+            pt = gamma.at(x) if zind else gamma.at(x[:n], x[n:])
         elif not (gamma.in_domain(x) if zind else gamma.in_domain(x[:n], x[n:])):
             raise dm._Unbatchable("a base point outside the section domain")
         else:
@@ -226,43 +205,24 @@ def lift(gamma, sigma: BaseMap) -> SolutionMap:
     q, z = sigma.values[..., :n].copy(), pz[..., k * n:].copy()
     p = pz[..., :k * n].reshape(grid.shape + (k, n))
     psi = SolutionMap(chart, grid, q, p, z, notes=list(sigma.notes))
-    if sigma.closed_form is None:
+    if sigma._table is None and sigma.closed_derivative is None:
         return psi
 
-    def closed_form(t):
-        return at(np.atleast_1d(sigma.closed_form(t)))
-
-    psi.closed_form = closed_form
-    if sigma.closed_derivative is None:
-        return psi
-
-    def chain(dx, J):
-        """(dq, dp, dz) from base derivatives and section Jacobians (leading node axes)."""
-        lead = dx.shape[:-2] + (k, k, n)
+    @cache
+    def node_table():
+        """(dq, dp, dz) on every node: the base derivatives chained through the section
+        Jacobians at the stored base values, which ``p`` and ``z`` were lifted from."""
+        dx = sigma.derivatives()
+        J = dm._rows(lambda x: _coeff_jacobian(gamma, x)[1], sigma.values.reshape(-1, sigma.d))
+        J = J.reshape(grid.shape + J.shape[1:])
+        lead = grid.shape + (k, k, n)
         if zind:  # J is (k*n + k, n): momentum rows, then z-values
             return (dx, np.einsum("...ci,...bi->...bc", J[..., :k * n, :], dx).reshape(lead),
                     np.einsum("...ci,...bi->...bc", J[..., k * n:, :], dx))
         # J is (k*n, n + k)
         return dx[..., :n], np.einsum("...cj,...bj->...bc", J, dx).reshape(lead), dx[..., n:]
 
-    def jacobians(X):
-        """Section Jacobians at the base points ``X`` (leading axes kept), in one pass."""
-        J = dm._rows(lambda x: _coeff_jacobian(gamma, x)[1], X.reshape(-1, sigma.d))
-        return J.reshape(X.shape[:-1] + J.shape[1:])
-
-    def closed_derivative(t):
-        x = np.atleast_1d(np.asarray(sigma.closed_form(t), dtype=float))
-        return chain(np.asarray(sigma.closed_derivative(t), dtype=float).reshape(k, sigma.d), jacobians(x))
-
-    @cache
-    def node_table():
-        """``closed_derivative`` on every node: each callable over all nodes in turn."""
-        X = sigma.values  # where the map has a node table, its closed form gives these
-        if sigma._table is None:
-            X = BaseMap.from_function(grid, sigma.closed_form).values
-        return chain(sigma.derivatives(), jacobians(X))
-
-    psi.closed_derivative, psi._table = closed_derivative, node_table
+    psi._table = node_table
     return psi
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dual as dm
-from .errors import DomainError
+from .errors import ContractError, DomainError, ShapeError
 from .geometry import ChartSpec, DarbouxPoint
 
 __all__ = [
@@ -29,8 +29,10 @@ __all__ = [
 
 
 def sample_box(bounds, count: int, rng) -> np.ndarray:
-    """``count`` uniform samples from the product of the given intervals."""
+    """``count`` uniform samples from the product of the given intervals, which must be finite."""
     bounds = np.asarray(bounds, dtype=float)
+    if not np.all(np.isfinite(bounds)):
+        raise ContractError(f"sampling box bounds must be finite, got {bounds.tolist()}")
     lo, hi = bounds[:, 0], bounds[:, 1]
     return lo + (hi - lo) * rng.random((count, bounds.shape[0]))
 
@@ -42,7 +44,7 @@ def default_box(d: int, half_width: float = 1.0):
 def _mat(rows, k, n):
     out = [list(r) if hasattr(r, "__len__") else [r] for r in rows]
     if len(out) != k or any(len(r) != n for r in out):
-        raise ValueError(f"section coefficients must form a {k} x {n} block")
+        raise ShapeError(f"section coefficients must form a {k} x {n} block")
     return out
 
 

@@ -257,6 +257,11 @@ _TEL_SOLUTION = ["simulate", "--example", "telegrapher", "--solution", "exponent
      "unknown solution 'nope' for example telegrapher; known: ['exponential']"),
     (["simulate", "--example", "telegrapher", "--section", "zdep-family"],
      "[grid]\norigin = 0,0\nspacing = 0.1,0.1\ncounts = 5,5\n", "simulate needs a start point"),
+    # numbers that are not finite, for any parameter
+    (_TEL_CHECK + ["--set", "kappa=nan"], None, "parameter 'kappa' must be a finite number, got nan"),
+    (_TEL_CHECK, "[params]\nkappa = nan\n", "parameter 'kappa' must be a finite number, got nan"),
+    (_TEL_FAMILY + ["--set", "kappa=inf"], None, "parameter 'kappa' must be a finite number, got inf"),
+    (_TEL_SOLUTION + ["--set", "u0=nan"], None, "parameter 'u0' must be a finite number, got nan"),
 ])
 def test_bad_numbers_are_configuration_errors(argv, config, message, tmp_path, capsys):
     """Each input is refused with exit 2 and a one-line message, before any report is written."""
@@ -282,6 +287,10 @@ _HS_LOG = ["simulate", "--example", "hunter-saxton", "--section", "log-zind", "-
     (_TEL_SIM + ["--spacing", "inf,0.02"], "grid origin and spacing must be finite"),
     # a pipeline error names its stage once
     (_HS_LOG + ["--start", "0.6"], "[stage integrate] projected field evaluated outside the section"),
+    # a start point or sampling box that is not finite
+    (_TEL_SIM + ["--counts", "9,9", "--start", "inf"], "[stage integrate] start point must be finite"),
+    (_TEL_SIM + ["--counts", "9,9", "--start", "nan"], "[stage integrate] start point must be finite"),
+    (_TEL_CHECK + ["--box", "nan,1"], "sampling box bounds must be finite"),
 ])
 def test_contract_violations_exit_3_and_write_nothing(argv, message, tmp_path, capsys):
     assert run(argv + ["--out", str(tmp_path / "out")]) == 3

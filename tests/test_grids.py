@@ -49,17 +49,22 @@ def test_a_node_table_is_kept_only_by_the_map_that_was_made_with_it():
     ex = corpus.load("telegrapher")
     entry = ex.sections["classical-zind"]
     gamma = entry.build(dict(entry.defaults))
-    sigma = kc.integral_section(kc.project_Q(ex.hamiltonian(), gamma), [1.0], GRID)
-    table, want = sigma.derivatives(), per_node(sigma.closed_derivative, GRID, (2, 1))
+    f = kc.project_Q(ex.hamiltonian(), gamma)
+    sigma = kc.integral_section(f, [1.0], GRID)
+    assert sigma.closed_form is None and sigma.closed_derivative is None
+    want = np.array([[f.eval(a, sigma.values[idx]) for a in range(2)]
+                     for idx in GRID.indices()]).reshape(GRID.shape + (2, 1))
+    table = sigma.derivatives()
     assert table.tobytes() == want.tobytes()
     table[...] = 0.0  # a copy: the table itself is unchanged
     assert sigma.derivatives().tobytes() == want.tobytes()
-    rebuilt = [dataclasses.replace(sigma),
-               BaseMap(sigma.grid, sigma.values, sigma.closed_form, sigma.closed_derivative)]
+    rebuilt = [dataclasses.replace(sigma), BaseMap(sigma.grid, sigma.values)]
     assert sigma._table is not None and all(m._table is None for m in rebuilt)
-    assert all(m.derivatives().tobytes() == sigma.derivatives().tobytes() for m in rebuilt)
+    differences = np.stack([kc.grid_derivative(sigma.values, GRID, b) for b in range(2)], axis=-2)
+    assert all(m.derivatives().tobytes() == differences.tobytes() for m in rebuilt)
 
     psi = kc.lift(gamma, sigma)
     copied = dataclasses.replace(psi)
-    assert psi._table is not None and copied._table is None
-    assert all(a.tobytes() == b.tobytes() for a, b in zip(copied.derivatives(), psi.derivatives()))
+    assert psi._table is not None and copied._table is None and copied.closed_derivative is None
+    bare = SolutionMap(psi.chart, GRID, psi.q, psi.p, psi.z)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(copied.derivatives(), bare.derivatives()))

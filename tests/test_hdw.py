@@ -260,8 +260,8 @@ def test_second_order_rejects_non_affine_and_non_regular():
 
 
 def test_second_order_accepts_integrated_base_map():
-    # maps produced by flow integration only know their own nodes; the
-    # reconstruction must fall back to the unpadded grid, not crash
+    # an integrated map is node data with a node table and no closed form, so
+    # the reconstruction runs on the unpadded grid from that table
     ex = corpus.load("telegrapher")
     h = ex.hamiltonian()
     entry = ex.sections["classical-zind"]
@@ -273,6 +273,18 @@ def test_second_order_accepts_integrated_base_map():
     sigma = integral_section(project_Q(h, gamma), [1.0], grid)
     res = kc.second_order_residual(h, sigma, "standard")
     assert np.max(np.abs(_interior(res))) <= 1e-6
+
+
+def test_second_order_closed_form_failing_on_the_padding_uses_the_bare_grid():
+    # the square root has no value two rings below t0 = 0.01, so the padded
+    # map cannot be sampled and the residual is that of the bare node values
+    h = corpus.load("telegrapher").hamiltonian()
+    grid = GridSpec([0.01, 0.0], [0.01, 0.01], [5, 5])
+    qmap = BaseMap.from_function(grid, lambda t: [0.5 + 0.2 * dm.sqrt(t[0]) - 0.1 * t[1]])
+    with pytest.raises(ValueError):
+        qmap.closed_form(grid.origin - 2 * grid.spacing)
+    got = kc.second_order_residual(h, qmap, "standard")
+    assert got.tobytes() == kc.second_order_residual(h, BaseMap(grid, qmap.values), "standard").tobytes()
 
 
 def test_affine_examples_standard_equals_evolution_blocks(rng):

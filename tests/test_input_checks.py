@@ -1,4 +1,7 @@
-"""Input checks of the grids, integration, lift, residual and complete-family entry points."""
+"""Input checks of the grids, integration, lift, residual, section, gauge, point and
+complete-family entry points."""
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -6,6 +9,7 @@ import pytest
 import kcontact as kc
 from kcontact import corpus
 from kcontact.grids import BaseField, BaseMap, GridSpec, SolutionMap
+from kcontact.sections import sample_box
 
 CH12 = kc.ChartSpec(1, 2)
 GRID = GridSpec([0.0, 0.0], [0.1, 0.1], [3, 4])
@@ -26,6 +30,23 @@ def _zdep():
 
 def _tel_map(grid):
     return corpus.analytic("telegrapher", "exponential", grid=grid)
+
+
+def _tel_family():
+    return corpus.load("telegrapher").families["complete"]({"lambda": 1.0})
+
+
+def _gauge(block, slot):
+    """A gauge element on CH12 with a single unit entry at ``slot`` of ``block`` of component 0."""
+    kt = kc.KTangent.zero(CH12)
+    getattr(kt.comp[0], block)[slot] = 1.0
+    return kc.GaugeElement(CH12, kt)
+
+
+def _zdep_gauge_shape():
+    ex = corpus.load("hunter-saxton")
+    return kc.hj_zdep_residual(ex.hamiltonian(), _zdep(), kc.GaugeMatrix(lambda q, z: np.eye(3)),
+                               samples=[[0.1, 0.2, 0.3]])
 
 
 CASES = {
@@ -53,9 +74,37 @@ CASES = {
                           kc.ShapeError, "base grid has 3 directions, chart has k=2"),
     "second-order dimension": (lambda: kc.second_order_residual(_tel()[0], BaseMap(GRID, np.ones((3, 4, 2)))),
                                kc.ShapeError, "base map has dimension 2, chart has n=1"),
+    "section start not finite": (lambda: kc.integral_section(FIELD, [np.inf], GRID),
+                                 kc.ContractError, r"start point must be finite, got \[inf\]"),
+    "sampling box not finite": (lambda: sample_box([(np.nan, 1.0)], 3, np.random.default_rng(0)),
+                                kc.ContractError, "sampling box bounds must be finite"),
+    "section coefficient block": (
+        lambda: kc.SectionZInd(CH12, gamma_p=lambda q: [[q[0]]], gamma_z=lambda q: [0.0, 0.0]).p_at([0.5]),
+        kc.ShapeError, "section coefficients must form a 2 x 1 block"),
+    "gauge matrix shape": (_zdep_gauge_shape, kc.ContractError, r"gauge matrix has shape \(3, 3\)"),
+    "gauge element components": (lambda: kc.GaugeElement(CH12, kc.KTangent.zero(kc.ChartSpec(1, 3))),
+                                 kc.ShapeError, "wrong number of components"),
+    "gauge element q-block": (lambda: _gauge("q", 0), kc.ContractError, "zero q-blocks"),
+    "gauge element trace": (lambda: _gauge("p", (0, 0)), kc.ContractError, "traces must vanish"),
+    "flat point length": (lambda: kc.DarbouxPoint.from_flat(CH12, [0.0] * 3),
+                          kc.ShapeError, "flat point has length 3, chart needs 5"),
+    "flat k-tangent shape": (lambda: kc.KTangent.from_flat(CH12, np.zeros(3)),
+                             kc.ShapeError, r"flat k-tangent has shape \(3,\), chart needs \(10,\)"),
+    "chi components": (lambda: kc.chi(CH12, kc.DarbouxPoint.from_flat(CH12, [0.0] * 5),
+                                      kc.KTangent.zero(kc.ChartSpec(1, 3))),
+                       kc.ShapeError, "k-tangent has 3 components, chart needs 2"),
+    "chi blocks": (lambda: kc.chi(CH12, kc.DarbouxPoint.from_flat(CH12, [0.0] * 5),
+                                  kc.KTangent([kc.Tangent.zero(kc.ChartSpec(2, 2))] * 2)),
+                   kc.ShapeError, "component blocks do not fit the chart"),
+    "complete family parameter count": (
+        lambda: kc.verify_complete(dataclasses.replace(_tel_family(), param_box=((0.0, 1.0),)),
+                                   _tel()[0], "standard", np.zeros((1, 1)), count=5),
+        kc.ContractError, "needs k\\*n = 2 parameters, this one declares 1"),
+    "complete family row length": (
+        lambda: kc.verify_complete(_tel_family(), _tel()[0], "standard", np.zeros((2, 3)), count=5),
+        kc.ContractError, "family takes 2 parameters, got rows of length 3"),
     "complete family without slices": (
-        lambda: kc.verify_complete(corpus.load("telegrapher").families["complete"]({"lambda": 1.0}),
-                                   _tel()[0], "standard", np.empty((0, 2)), count=5),
+        lambda: kc.verify_complete(_tel_family(), _tel()[0], "standard", np.empty((0, 2)), count=5),
         kc.ContractError, "no parameter rows"),
 }
 
