@@ -202,6 +202,10 @@ def _check_section(args, plan, example, overrides):
         vals = _parse_floats(args.box, "--box")
         if len(vals) % 2:
             raise ConfigError(f"--box expects lo,hi pairs, got {args.box!r}")
+        dim = gamma.chart.n + (gamma.chart.k if entry.kind == "zdep" else 0)
+        if len(vals) != 2 * dim:
+            raise ConfigError(f"--box expects {dim} lo,hi pairs for section {entry.key}, "
+                              f"got {len(vals) // 2}")
         box = tuple((vals[i], vals[i + 1]) for i in range(0, len(vals), 2))
     C = entry.gauge(params) if entry.gauge is not None else None
     rep, _ = _check(h, gamma, args.mode, C, box=box, count=count, seed=args.seed)

@@ -187,12 +187,26 @@ def _newton_steps(H, R, singular):
     return np.concatenate(steps)
 
 
-def _newton(h: ScalarField, Q, Z, V, P, tol: float = 1e-12, max_iter: int = 50, where=lambda i: ""):
+def _newton_passes(h: ScalarField, x0=None) -> tuple:
+    """The residual pass (``_p_grad``) and the flat Hessian pass (``_p_hess``) of
+    :func:`_newton` on a row (q, z, p); with a float row ``x0``, each recorded there
+    as a :func:`kcontact.dual._program` when it can be."""
+    n, k = h.chart.n, h.chart.k
+
+    def split(x):  # q and z as floats, p as given (an array row, as the scalar iteration had it)
+        return _floats(x[:n]), _floats(x[n:n + k]), x[n + k:]
+
+    passes = (lambda x: _p_grad(h, *split(x)), lambda x: [v for r in _p_hess(h, *split(x)) for v in r])
+    return passes if x0 is None else tuple(dm._program(f, x0) or f for f in passes)
+
+
+def _newton(h: ScalarField, Q, Z, V, P, tol: float = 1e-12, max_iter: int = 50, where=lambda i: "",
+            passes=None):
     """The momenta solving d h / d p = v at fixed (q, z), one node per row of (Q, Z, V), from
     the starts P (momenta and v flattened row-major): damped Newton, with per-row state.
 
-    The rows not yet converged (the active set) share each residual pass
-    (``_p_grad``) and Hessian pass (``_p_hess``) as lanes of
+    The rows not yet converged (the active set) share each residual pass and Hessian pass
+    (``passes``, default :func:`_newton_passes`) as lanes of
     :func:`kcontact.dual._rows`, so every row takes the iterates of a
     one-row call, which runs as floats.  An error names the first failing
     row of the failing pass with the suffix ``where(row)``.
@@ -200,12 +214,10 @@ def _newton(h: ScalarField, Q, Z, V, P, tol: float = 1e-12, max_iter: int = 50, 
     n, k = h.chart.n, h.chart.k
     QZ = np.concatenate([np.asarray(Q, dtype=float), np.asarray(Z, dtype=float)], axis=1)
     p, V = np.array(P, dtype=float), np.asarray(V, dtype=float)
-
-    def split(x):  # q and z as floats, p as given (an array row, as the scalar iteration had it)
-        return _floats(x[:n]), _floats(x[n:n + k]), x[n + k:]
+    grad_pass, hess_pass = passes or _newton_passes(h)
 
     def residual(rows, ps):
-        R = dm._rows(lambda x: _p_grad(h, *split(x)), np.concatenate([QZ[rows], ps], axis=1)) - V[rows]
+        R = dm._rows(grad_pass, np.concatenate([QZ[rows], ps], axis=1)) - V[rows]
         return R, np.max(np.abs(R), axis=1)
 
     res, rnorm = residual(np.arange(len(p)), p)
@@ -213,7 +225,7 @@ def _newton(h: ScalarField, Q, Z, V, P, tol: float = 1e-12, max_iter: int = 50, 
         act = np.flatnonzero(~(rnorm < tol))
         if not len(act):
             break
-        H = dm._rows(lambda x: _p_hess(h, *split(x)), np.concatenate([QZ[act], p[act]], axis=1))
+        H = dm._rows(hess_pass, np.concatenate([QZ[act], p[act]], axis=1)).reshape(len(act), k * n, k * n)
         step = _newton_steps(H, res[act], lambda i: RegularityError(
             f"fibre Hessian is singular during Newton iteration{where(act[i])}"))
         trial, tres, tnorm = p[act], res[act], rnorm[act]

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, RegularityError, ShapeError
-from .fields import ScalarField, _newton, _node_gradients, check_regularity, grad
+from .fields import ScalarField, _newton, _newton_passes, _node_gradients, check_regularity, grad
 from .geometry import ChartSpec, DarbouxPoint, KTangent, Tangent
 from .grids import BaseMap, GridSpec, SolutionMap, grid_derivative
 from .sections import default_box, sample_box
@@ -275,10 +275,11 @@ def _fibre_momenta(h: ScalarField, values, v, start) -> np.ndarray:
     n, k = h.chart.n, h.chart.k
     shape, nodes = values.shape[:-1], np.arange(values[..., 0].size).reshape(values.shape[:-1])
     Q, V, P = values.reshape(-1, n), v.reshape(-1, k * n), np.empty((nodes.size, k * n))
+    passes = _newton_passes(h, np.concatenate([Q[0], np.zeros(k), start.reshape(-1)]))  # the first row
 
     def solve(rows, starts):
         P[rows] = _newton(h, Q[rows], np.zeros((len(rows), k)), V[rows], starts, where=lambda i: (
-            f" at work-grid node {tuple(int(c) for c in np.unravel_index(rows[i], shape))}"))
+            f" at work-grid node {tuple(int(c) for c in np.unravel_index(rows[i], shape))}"), passes=passes)
 
     solve(nodes[(0,) * k].reshape(1), start.reshape(1, -1))
     for axis in range(k):

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, partial
 
 import numpy as np
 
@@ -56,58 +56,74 @@ def commutator_defect(f: BaseField, samples) -> float:
 
     Brackets are assembled from exact (dual-number) Jacobians as
     J_b Z_a - J_a Z_b; a zero value on a region is the integrability
-    criterion for the flow composition below.
+    criterion for the flow composition below.  Each component's Jacobians and values
+    over all samples come from one :func:`kcontact.dual._rows` pass.
     """
+    X = np.atleast_2d(np.asarray(samples, dtype=float))
+
+    def jacobian_then_value(comp):  # (samples, dim + 1, dim): the Jacobian rows, then Z
+        def row(x):
+            vals, rows = dm.jacobian(lambda y: list(comp(y)), list(x))
+            return rows + [vals]
+        return dm._rows(row, X)
+
+    JZ = [jacobian_then_value(comp) for comp in f.comps]
     worst = 0.0
-    for x in np.atleast_2d(np.asarray(samples, dtype=float)):
-        vals, jacs = [], []
-        for a in range(f.k):
-            v, rows = dm.jacobian(lambda y, a=a: list(f.comps[a](y)), list(x))
-            vals.append(np.asarray(v, dtype=float))
-            jacs.append(np.asarray(rows, dtype=float))
-        for a in range(f.k):
-            for b in range(a + 1, f.k):
-                bracket = jacs[b] @ vals[a] - jacs[a] @ vals[b]
-                worst = dm._vmax(worst, float(np.max(np.abs(bracket))))
+    for a in range(f.k):
+        for b in range(a + 1, f.k):
+            bracket = JZ[b][:, :-1] @ JZ[a][:, -1, :, None] - JZ[a][:, :-1] @ JZ[b][:, -1, :, None]
+            worst = dm._vmax(worst, float(np.max(np.abs(bracket))))
     return worst
 
 
-def _rk4_line(f: BaseField, axis: int, x0, h: float, cells: int, steps_per_cell: int) -> list:
+def _rk4_step(f: BaseField, axis: int, dt: float, x) -> list:
+    """One fourth-order step of component ``axis`` of ``f`` from ``x``: four field
+    evaluations, the state update and the blow-up guard."""
+    k1 = f.eval(axis, x)
+    k2 = f.eval(axis, [v + 0.5 * dt * d for v, d in zip(x, k1)])
+    k3 = f.eval(axis, [v + 0.5 * dt * d for v, d in zip(x, k2)])
+    k4 = f.eval(axis, [v + dt * d for v, d in zip(x, k3)])
+    x = [v + (dt / 6.0) * (a + 2.0 * b + 2.0 * c + d) for v, a, b, c, d in zip(x, k1, k2, k3, k4)]
+    if not all(dm._mag(v) <= BLOWUP_GUARD for v in x):  # also when not finite
+        raise DivergenceError(f"flow along direction {axis} exceeded the blow-up guard")
+    return x
+
+
+def _rk4_line(f: BaseField, axis: int, x0, h: float, cells: int, steps_per_cell: int,
+              program=None) -> list:
     """Integrate component ``axis`` of ``f`` from ``x0``; the state after every cell.
 
-    ``x0`` is one point as floats, or as lanes holding many lines at once.
+    ``x0`` is one point as floats, or as lanes holding many lines at once.  Each step
+    runs ``program``, the recorded :func:`_rk4_step` of this axis and step size, when given.
     """
-    dt = h / steps_per_cell
-    x, states = list(x0), []
+    step = program or partial(_rk4_step, f, axis, h / steps_per_cell)
+    x, states = x0, []
     for _ in range(cells):
         for _ in range(steps_per_cell):
-            k1 = f.eval(axis, x)
-            k2 = f.eval(axis, [v + 0.5 * dt * d for v, d in zip(x, k1)])
-            k3 = f.eval(axis, [v + 0.5 * dt * d for v, d in zip(x, k2)])
-            k4 = f.eval(axis, [v + dt * d for v, d in zip(x, k3)])
-            x = [v + (dt / 6.0) * (a + 2.0 * b + 2.0 * c + d) for v, a, b, c, d in zip(x, k1, k2, k3, k4)]
-            if not all(dm._mag(v) <= BLOWUP_GUARD for v in x):  # also when not finite
-                raise DivergenceError(f"flow along direction {axis} exceeded the blow-up guard")
+            x = step(x)
         states.append(x)
     return states
 
 
-def _integrate_path(f: BaseField, x0, legs, steps_per_cell: int) -> np.ndarray:
+def _integrate_path(f: BaseField, x0, legs, steps_per_cell: int, programs=None) -> np.ndarray:
     x = np.asarray(x0, dtype=float)
     for axis, h, cells in legs:
         if cells > 0:
-            x = np.asarray(_rk4_line(f, axis, x, h, cells, steps_per_cell)[-1], dtype=float)
+            x = np.asarray(_rk4_line(f, axis, x, h, cells, steps_per_cell,
+                                     programs and programs[axis])[-1], dtype=float)
     return x
 
 
-def _sweep(f: BaseField, values: np.ndarray, axis: int, h: float, steps_per_cell: int) -> None:
+def _sweep(f: BaseField, values: np.ndarray, axis: int, h: float, steps_per_cell: int,
+           program=None) -> None:
     """Fill the grid lines of direction ``axis`` from their first nodes, all lines in one
     :func:`kcontact.dual._rows` pass."""
     k, dim = values.ndim - 1, values.shape[-1]
     lead, tail = (slice(None),) * axis, (0,) * (k - axis - 1)
     cells = values.shape[axis] - 1
     starts = values[lead + (0,) + tail]
-    lines = dm._rows(lambda x: _rk4_line(f, axis, x, h, cells, steps_per_cell), starts.reshape(-1, dim))
+    lines = dm._rows(lambda x: _rk4_line(f, axis, x, h, cells, steps_per_cell, program),
+                     starts.reshape(-1, dim))
     values[lead + (slice(1, None),) + tail] = lines.reshape(starts.shape[:-1] + (cells, dim))
 
 
@@ -136,21 +152,27 @@ def integral_section(
         raise ContractError(f"start point has shape {start.shape}, field lives on dimension {f.dim}")
     if not np.all(np.isfinite(start)):
         raise ContractError(f"start point must be finite, got {start.tolist()}")
+    if np.max(np.abs(start)) > BLOWUP_GUARD:
+        raise ContractError(f"start point {start.tolist()} exceeds the blow-up guard {BLOWUP_GUARD:.0e}")
     defect = commutator_defect(f, [start])
     above = "" if defect <= COMMUTATOR_WARN else f" above {COMMUTATOR_WARN:.1e}"
     notes = [f"commutator defect {defect:.3e}{above} at the start point"]
 
+    # One step per direction, recorded at the start (the first node of every first line)
+    # and replayed on every line of the sweeps and the reversed corner path.
+    programs = [dm._program(partial(_rk4_step, f, a, grid.spacing[a] / steps_per_cell), start)
+                for a in range(k)]
     values = np.empty(grid.shape + (f.dim,))
     values[(0,) * k] = start
     for axis in range(k):
-        _sweep(f, values, axis, grid.spacing[axis], steps_per_cell)
+        _sweep(f, values, axis, grid.spacing[axis], steps_per_cell, programs[axis])
 
     # The reversed path's first leg (direction k-1 from the start) is the
     # forward sweep's first line of that direction, so it starts from there.
     forward_legs = [(a, grid.spacing[a], grid.counts[a] - 1) for a in range(k)]
     corner_fwd = values[tuple(c - 1 for c in grid.counts)]
     corner_rev = _integrate_path(f, values[(0,) * (k - 1) + (-1,)], forward_legs[::-1][1:],
-                                 steps_per_cell)
+                                 steps_per_cell, programs)
     gap = float(np.max(np.abs(corner_fwd - corner_rev)))
     if gap > order_tol:
         raise IntegrabilityError(
