@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -262,6 +263,10 @@ _TEL_SOLUTION = ["simulate", "--example", "telegrapher", "--solution", "exponent
     (_TEL_CHECK, "[params]\nkappa = nan\n", "parameter 'kappa' must be a finite number, got nan"),
     (_TEL_FAMILY + ["--set", "kappa=inf"], None, "parameter 'kappa' must be a finite number, got inf"),
     (_TEL_SOLUTION + ["--set", "u0=nan"], None, "parameter 'u0' must be a finite number, got nan"),
+    # a sampling box with another number of intervals than the section samples
+    (_TEL_CHECK + ["--box", "0.5,1,0,1"], None, "--box expects 1 lo,hi pairs for section classical-zind, got 2"),
+    (["check-hj", "--example", "telegrapher", "--section", "zdep-family", "--box", "0.5,1"], None,
+     "--box expects 3 lo,hi pairs for section zdep-family, got 1"),
 ])
 def test_bad_numbers_are_configuration_errors(argv, config, message, tmp_path, capsys):
     """Each input is refused with exit 2 and a one-line message, before any report is written."""
@@ -291,9 +296,13 @@ _HS_LOG = ["simulate", "--example", "hunter-saxton", "--section", "log-zind", "-
     (_TEL_SIM + ["--counts", "9,9", "--start", "inf"], "[stage integrate] start point must be finite"),
     (_TEL_SIM + ["--counts", "9,9", "--start", "nan"], "[stage integrate] start point must be finite"),
     (_TEL_CHECK + ["--box", "nan,1"], "sampling box bounds must be finite"),
+    # a finite start beyond the blow-up guard is refused before any field is evaluated
+    (_TEL_SIM + ["--counts", "9,9", "--start", "1e300"], "[stage integrate] start point [1e+300] exceeds"),
 ])
 def test_contract_violations_exit_3_and_write_nothing(argv, message, tmp_path, capsys):
-    assert run(argv + ["--out", str(tmp_path / "out")]) == 3
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy warning on the way
+        assert run(argv + ["--out", str(tmp_path / "out")]) == 3
     out, err = capsys.readouterr()
     assert not out and err.startswith(f"contract error: {message}") and err.count("\n") == 1
     assert err.count("stage") == message.count("stage")

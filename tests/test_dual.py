@@ -364,3 +364,92 @@ def test_vmax_propagates_nan_on_floats_as_on_lanes():
     assert dm._vmax(0.0, 2.0, 1.0) == 2.0 and type(dm._vmax(0.0, 2.0)) is float
     lanes = dm._vmax(dm._Lanes(np.array([0.0, 3.0])), nan, 1.0)
     assert np.isnan(lanes.v).all()
+
+
+# -- record once, replay many -------------------------------------------------------
+
+def _branchy(r):
+    """Every kind of recorded operation, a branch, and a dead product."""
+    s = r[0] * r[1] - 0.25 / r[1]
+    _ = 3.0 * s  # reaches no output
+    t = dm.exp(0.5 * s) + r[1] ** 1.5 + 2.0 ** r[0] - abs(-r[0])
+    return [s + t if s > 0.0 else s - t, dm.sin(r[0]) * dm.sqrt(r[1]), 1.0]
+
+
+def _scalar_rows(fn, X):
+    """``fn`` on every row of ``X`` as Python floats, as one float array."""
+    return np.array([np.asarray(fn([float(v) for v in x]), dtype=float) for x in X])
+
+
+def test_a_replay_gives_the_values_of_the_recorded_function(rng):
+    X = np.column_stack([2.0 * rng.random(40) - 1.0, 0.5 + rng.random(40)])
+    prog = dm._program(_branchy, [0.8, 1.2])
+    assert prog is not None
+    want = _scalar_rows(_branchy, X)
+    assert np.array_equal(np.array([prog(list(x)) for x in X]), want)  # each row as floats
+    # rows on both sides of the branch: the lanes disagree, so every row runs as floats
+    assert np.array_equal(dm._rows(prog, X), want)
+    # rows on the recorded side of the branch: one lane pass, no row of the original
+    side = X[X[:, 0] * X[:, 1] - 0.25 / X[:, 1] > 0.0]
+    g, fn_calls = _counting(_branchy)
+    f, calls = _counting(dm._program(g, [0.8, 1.2]))
+    assert np.array_equal(dm._rows(f, side), _scalar_rows(_branchy, side))
+    assert calls == [True] and fn_calls == [True]  # the recording itself
+
+
+def test_a_replayed_float_row_raises_the_scalar_zero_division():
+    fn = lambda r: [1.0 / (r[0] - 1.0)]  # noqa: E731
+    prog = dm._program(fn, [2.0])
+    assert prog([3.0]).tolist() == [0.5]
+    with pytest.raises(ZeroDivisionError):
+        prog([1.0])
+    with pytest.raises(dm._Unbatchable):  # a zero divisor in one lane
+        prog([lanes(3.0, 1.0)])
+
+
+def test_a_replay_keeps_operations_that_can_raise_but_reach_no_output():
+    # the unused Jacobian row of sqrt(v[1]) holds 0.5 / sqrt(v[1]), which divides by zero at 0
+    fn = lambda r: dm.jacobian(lambda v: [v[0] * v[0], dm.sqrt(v[1])], r)[1][0]  # noqa: E731
+    prog = dm._program(fn, [1.0, 1.0])
+    assert prog is not None
+    X = np.array([[1.0, 1.0], [2.0, 0.0]])
+    for row_fn in (fn, prog):
+        with pytest.raises(ZeroDivisionError):
+            dm._rows(row_fn, X)
+        with pytest.raises(dm._Unbatchable):
+            row_fn(dm._lanes_of(X))
+
+
+@pytest.mark.parametrize("fn", [
+    lambda r: [float(r[0]) * 2.0],  # float() of a lane
+    lambda r: [r[0] * (1.0 if dm._vmax(r[0], 0.0) > 0.5 else 2.0)],  # a lane from _vmax
+    lambda r: [np.exp(r[0])],  # numpy on a lane
+    lambda r: [dm._Lanes(np.array([1.0])) + r[0]],  # a lane the recording did not make
+    lambda r: [r[0] if np.all(np.isfinite(np.array([r[0].v]))) else 0.0],  # numpy on .v
+])
+def test_a_value_the_recording_did_not_make_refuses_the_program(fn):
+    assert dm._program(fn, [1.0]) is None
+
+
+def test_a_failed_recorded_operation_refuses_the_program_even_when_caught():
+    def fn(r):
+        try:
+            return [1.0 / r[0]]
+        except (ZeroDivisionError, dm._Unbatchable):
+            return [0.0]
+
+    assert dm._program(fn, [0.0]) is None and dm._program(fn, [2.0])([4.0]).tolist() == [0.25]
+
+
+def test_a_replay_tests_the_finiteness_of_point_entries():
+    # the point's q is dead, but building it tests that it is finite, as the scalar pass does
+    def fn(r):
+        kc.DarbouxPoint([r[0] * 1e300], [[0.0]], [0.0])
+        return [r[0] + 1.0]
+
+    prog = dm._program(fn, [1.0])
+    assert prog([2.0]).tolist() == [3.0]
+    with pytest.raises(kc.ShapeError, match="q contains non-finite entries"), np.errstate(over="ignore"):
+        prog([np.float64(1e10)])
+    with pytest.raises(dm._Unbatchable), np.errstate(over="ignore"):
+        prog([lanes(1.0, 1e10)])

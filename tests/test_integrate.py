@@ -7,6 +7,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kcontact as kc
 from kcontact import corpus
@@ -49,6 +51,55 @@ def test_commutator_constant_fields(rng):
 
 
 # -- integral sections ------------------------------------------------------------
+
+def per_point_commutator_defect(f, samples):
+    """Reference: one Jacobian per component per sample, as a loop."""
+    worst = 0.0
+    for x in np.atleast_2d(np.asarray(samples, dtype=float)):
+        vals, jacs = [], []
+        for a in range(f.k):
+            v, rows = dm.jacobian(lambda y, a=a: list(f.comps[a](y)), list(x))
+            vals.append(np.asarray(v, dtype=float))
+            jacs.append(np.asarray(rows, dtype=float))
+        for a in range(f.k):
+            for b in range(a + 1, f.k):
+                bracket = jacs[b] @ vals[a] - jacs[a] @ vals[b]
+                worst = dm._vmax(worst, float(np.max(np.abs(bracket))))
+    return worst
+
+
+def projected_fields():
+    """(label, projected field) of every corpus section, with its gauge or the diagonal one."""
+    for name in corpus.EXAMPLE_NAMES:
+        ex = corpus.load(name)
+        for key, entry in ex.sections.items():
+            P = dict(entry.defaults)
+            gamma, h = entry.build(P), ex.hamiltonian({k: v for k, v in P.items() if k in ex.defaults})
+            if entry.kind == "zind":
+                yield f"{name}/{key}", kc.project_Q(h, gamma)
+            else:
+                C = entry.gauge(P) if entry.gauge else kc.diagonal_gauge_matrix(h, gamma, "standard")
+                yield f"{name}/{key}", kc.project_zdep(h, gamma, C)
+
+
+def test_commutator_defect_matches_the_per_point_loop(rng):
+    for label, f in projected_fields():
+        X = rng.uniform(-0.5, 0.5, (40, f.dim))
+        got, want = commutator_defect_outcome(f, X), per_point_outcome(f, X)
+        assert got == want if isinstance(want, tuple) else np.array_equal(got, want, equal_nan=True), label
+    # a NaN bracket at one sample is the sup
+    f = BaseField(dim=2, comps=[lambda x: [1.0, 0.0], lambda x: [0.0, x[0] * x[1]]])
+    X = np.array([[0.5, 1.0], [math.nan, 1.0], [2.0, 1.0]])
+    assert math.isnan(kc.commutator_defect(f, X)) and math.isnan(per_point_commutator_defect(f, X))
+
+
+def commutator_defect_outcome(f, X):
+    return outcome(lambda: kc.commutator_defect(f, X))
+
+
+def per_point_outcome(f, X):
+    return outcome(lambda: per_point_commutator_defect(f, X))
+
 
 def test_integral_section_zero_field():
     f = BaseField(dim=2, comps=[lambda x: [0.0, 0.0], lambda x: [0.0, 0.0]])
@@ -486,3 +537,129 @@ def test_end_to_end_computes_the_start_commutator_defect_once(monkeypatch):
     rep = run()
     assert len(calls) == 1 and rep.commutator == inner(*calls[0])
     assert rep.summary() == before and rep.commutator == before["commutator_defect"]
+
+
+# -- one RK4 step recorded per direction and replayed on every line ------------------
+
+def programs_made(monkeypatch):
+    """The programs ``dual._program`` gives from here on, None where it refuses one."""
+    made, record = [], dm._program
+    monkeypatch.setattr(dm, "_program", lambda fn, x0: made.append(record(fn, x0)) or made[-1])
+    return made
+
+
+def recording_refused():
+    return mock.patch.object(dm, "_program", lambda fn, x0: None)
+
+
+def exact_lines(axis0, axis1, counts=(4, 5)):
+    """A k = 2 field on a grid whose direction-0 flow at constant speed is exact in RK4."""
+    return BaseField(dim=2, comps=[lambda x: axis0, axis1]), GridSpec([0.0, 0.0], [0.5, 0.25], counts)
+
+
+def test_a_lane_crossing_a_branch_partway_along_its_line_gets_the_scalar_values(monkeypatch):
+    # line s = x0 moves at speed 1 + s until x1 = 1.7, then at 0.5: each crosses at its own step
+    f, grid = exact_lines([1.0, 0.0], lambda x: [0.0, 1.0 + x[0] if x[1] < 1.7 else 0.5])
+    made = programs_made(monkeypatch)
+    values = kc.integral_section(f, [0.0, 1.0], grid, order_tol=math.inf).values
+    assert len(made) == 2 and None not in made
+    want = per_line_values(f, [0.0, 1.0], grid)
+    assert np.array_equal(values, want)
+    assert np.min(want[:, -1, 1]) > 1.7 > np.max(want[:, 1, 1])  # every line crossed partway
+
+
+def test_a_division_by_zero_in_an_unused_gradient_entry_still_raises(monkeypatch):
+    # x1 falls by exactly 0.5 per direction-0 cell, to 0 on the last line of direction 1,
+    # where the unused gradient 0.5 / sqrt(x1) of the second entry divides by zero
+    f, grid = exact_lines([0.0, -1.0], lambda x: [0.0, dm.jacobian(
+        lambda v: [v[0] * v[0], dm.sqrt(v[1])], x)[1][0][0]], counts=(4, 4))
+    made = programs_made(monkeypatch)
+    got = outcome(lambda: kc.integral_section(f, [0.0, 1.5], grid))
+    assert len(made) == 2 and None not in made
+    assert got == outcome(lambda: per_line_values(f, [0.0, 1.5], grid)) and got[0] is ZeroDivisionError
+
+
+def test_a_non_finite_point_inside_a_replayed_step_raises_the_scalar_shape_error(monkeypatch):
+    # the point is built and dropped; on every line but the first its q overflows
+    def axis1(x):
+        kc.DarbouxPoint([x[0] * 1e300 * 1e10], [[0.0]], [0.0])
+        return [0.0, 1.0]
+
+    f, grid = exact_lines([1.0, 0.0], axis1)
+    made = programs_made(monkeypatch)
+    with np.errstate(over="ignore"):
+        got = outcome(lambda: kc.integral_section(f, [0.0, 1.0], grid))
+        want = outcome(lambda: per_line_values(f, [0.0, 1.0], grid))
+    assert len(made) == 2 and None not in made
+    assert got == want and want == (kc.ShapeError, "q contains non-finite entries")
+
+
+@pytest.mark.parametrize("speed", [
+    lambda x: 1.0 + x[0] if float(x[1]) < 1.6 else 0.5,
+    lambda x: 1.0 + x[0] if dm._vmax(dm._cmp_value(x[1]), 0.0) < 1.6 else 0.5,
+])
+def test_a_field_using_float_or_vmax_records_no_program(speed, monkeypatch):
+    f, grid = exact_lines([1.0, 0.0], lambda x: [0.0, speed(x)])
+    made = programs_made(monkeypatch)
+    values = kc.integral_section(f, [0.0, 1.0], grid, order_tol=math.inf).values
+    assert made[0] is not None and made[1] is None
+    assert np.array_equal(values, per_line_values(f, [0.0, 1.0], grid))
+
+
+def _k3_field():
+    return BaseField(dim=3, comps=[
+        lambda x, c=c: [c[0] * x[0], c[1] * x[1] * x[1], c[2] * dm.cos(x[2])]
+        for c in ((0.3, -0.2, 0.1), (-0.5, 0.4, 0.2), (0.1, 0.1, -0.3))
+    ])
+
+
+@pytest.mark.parametrize("f, start, grid", [
+    (_k3_field(), [1.0, -0.7, 0.5], GridSpec([0.0, 0.0, 0.0], [0.1, 0.05, 0.2], [4, 5, 3])),
+    (BaseField(dim=1, comps=[lambda x: [0.3 * x[0] * x[0] + 0.1]]), [0.4], GridSpec([0.0], [0.1], [6])),
+])
+def test_replayed_sweeps_and_corners_are_the_values_without_recording(f, start, grid, monkeypatch):
+    made = programs_made(monkeypatch)
+    sigma = kc.integral_section(f, start, grid)
+    assert len(made) == grid.k and None not in made
+    with recording_refused():
+        ref = kc.integral_section(f, start, grid)
+    assert sigma.values.tobytes() == ref.values.tobytes() and sigma.notes == ref.notes
+    assert sigma.derivatives().tobytes() == ref.derivatives().tobytes()
+
+
+SIMULATED = [(name, key, mode) for name in corpus.EXAMPLE_NAMES
+             for key, entry in corpus.load(name).sections.items() if entry.sim is not None
+             for mode in ("standard", "evolution")]
+
+
+def _end_to_end_outcome(run):
+    try:
+        rep = run()
+    except Exception as exc:  # noqa: BLE001 - the comparison is on the error's repr
+        return repr(exc)
+    psi = rep.solution
+    arrays = () if psi is None else (psi.q, psi.p, psi.z) + psi.derivatives()
+    return repr(rep.summary()), [a.tobytes() for a in arrays]
+
+
+@pytest.mark.parametrize("name, key, mode", SIMULATED)
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_end_to_end_is_the_same_with_recording_refused(name, key, mode, data):
+    ex = corpus.load(name)
+    entry = ex.sections[key]
+    P = dict(entry.defaults)
+    gamma, h = entry.build(P), ex.hamiltonian({k: v for k, v in P.items() if k in ex.defaults})
+    sim = entry.sim
+    shift = data.draw(st.lists(st.floats(-0.3, 0.3), min_size=len(sim["start"]), max_size=len(sim["start"])))
+    counts = data.draw(st.lists(st.integers(3, 9), min_size=2, max_size=2))
+    grid = GridSpec(sim["origin"], sim["spacing"], counts)
+
+    def run():  # every HJ residual passes, so both modes integrate
+        return kc.end_to_end(h, gamma, mode, grid, start=np.add(sim["start"], shift),
+                             C=entry.gauge(P) if entry.gauge else None, hj_count=20,
+                             tolerances={"hj": math.inf})
+
+    got = _end_to_end_outcome(run)
+    with recording_refused():
+        assert _end_to_end_outcome(run) == got
