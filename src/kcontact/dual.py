@@ -39,6 +39,18 @@ fails the site's predicate, it runs the rows one by one in row order
 instead, which reproduces the scalar values and the first scalar error,
 and stops after the first row that fails the predicate.  A single row
 always runs as floats.
+
+Record once, replay many.  A site that runs one per-row function many times (an
+RK4 step on every line, a Newton pass on every node) records it at one row with
+:func:`_program`: the lanes then hold registers, and every float-level operation
+and every test of a value (a comparison, ``bool``, a divisor's zero test, the
+finiteness test of an object array) is logged, a test with its answer.  The
+replay runs the outputs, the tests and every operation that can raise, with what
+they read, on a row of floats or of lanes.  On lanes a test with another answer
+or a failed helper raises :class:`_Unbatchable`, so :func:`_rows` falls back as
+before; on floats any failure runs the recorded function on that row instead.
+A function that reads lane values otherwise (``float()``, :func:`_vmax`, numpy)
+records no program and runs as it is.
 """
 
 from __future__ import annotations
@@ -237,10 +249,6 @@ def _div(a, b):
     return a / b
 
 
-def _rpow(x, base):
-    return base ** x
-
-
 def _lane_op(op, reflected=False):
     def method(self, other):
         o = self._arg(other)
@@ -296,6 +304,9 @@ class _Lanes:
 
     def _each(self, fn, other=None):
         """Apply the scalar operation ``fn`` lane by lane, with an optional second operand."""
+        if isinstance(self.v, _Reg):  # a recording logs one operation (see _program)
+            o = () if other is None else (other.v if isinstance(other, _Lanes) else other,)
+            return _Lanes(self.v.log(fn, *o))
         xs = self.v.tolist()
         try:
             if other is None:
@@ -325,7 +336,7 @@ class _Lanes:
 
     def __rpow__(self, other):
         o = self._arg(other)
-        return o if o is NotImplemented else self._each(_rpow, o)
+        return o if o is NotImplemented else self._each(lambda x, base: base ** x, o)
 
     def __neg__(self):
         return _Lanes(-self.v)
@@ -344,6 +355,8 @@ class _Lanes:
         return self._agree(self.v != 0.0)
 
     def __float__(self):
+        if isinstance(self.v, _Reg):
+            self.v.fail("float() of a recorded value")  # even where the caller catches it
         raise _Unbatchable("float() of a lane value")
 
     def __array__(self, dtype=None, copy=None):
@@ -439,176 +452,106 @@ def _vmax(*xs):
 
 # -- record once, replay many: one call as a straight-line program ------------
 
-# How a float replay and a lane replay apply each operation of a recording.  Those not
-# named here (``**`` and the helpers) apply the scalar operation, on lanes lane by lane.
-_SAFE = (operator.add, operator.sub, operator.mul, operator.neg, abs, operator.lt, operator.le,
-         operator.gt, operator.ge, operator.eq, operator.ne)  # they cannot raise on floats
-_MODES = {**{op: (op, op) for op in _SAFE}, operator.truediv: (operator.truediv, _div),
-          math.isfinite: (math.isfinite, np.isfinite)}
+# The float and the lane form of each recorded operation.  Those in _SAFE cannot raise on
+# floats (a division follows a test of its divisor); the others are kept when dead.
+_SAFE = (operator.add, operator.sub, operator.mul, operator.truediv, operator.neg, abs,
+         operator.lt, operator.le, operator.gt, operator.ge, operator.eq, operator.ne)
+_FORMS = {**{op: (op, op) for op in _SAFE}, math.isfinite: (math.isfinite, np.isfinite)}
 
 
-def _real(fn):
-    """``fn`` on floats, failing where a lane would leave the real numbers."""
-    def run(*xs):
-        out = fn(*xs)
-        if type(out) is not float:
-            raise _Unbatchable("a value left the real numbers")
-        return out
-    return run
-
-
-def _modes(fn):
-    """(float, lane) replays of an operation of a recording."""
-    return _MODES.get(fn) or (_real(fn), lambda x, *y: _Lanes(x)._each(
+def _forms(fn):  # float() fails where a lane would leave the real numbers
+    return _FORMS.get(fn) or (lambda *xs: float(fn(*xs)), lambda x, *y: _Lanes(x)._each(
         fn, *(_Lanes(v) if isinstance(v, np.ndarray) else v for v in y)).v)
 
 
-def _checked(test, want, agree):
-    """A guard of a replay: ``agree(test(...))`` must be ``want``, else the replay misses."""
-    def run(*xs):
-        if agree(test(*xs)) is not want:
-            raise _Unbatchable("a replayed test has another answer")
-    return run
+def _checked(test, answer, agree, *xs):
+    if agree(test(*xs)) is not answer:
+        raise _Unbatchable("a replayed test has another answer")
 
 
-class _Tape:
-    """The operations of one recording: ``ops[i] = (fn, args, guard)`` makes register i by
-    ``fn`` from the registers ``args`` (an input or a constant when ``fn`` is None), or tests
-    them when ``guard`` holds the answer the recording got; ``vals`` holds the registers'
-    floats.  ``broken`` marks a recording that met a value or an error it cannot replay."""
+def _logged(fn, reflected=False, test=False):
+    return lambda self, *other: self.log(fn, *other, reflected=reflected, test=test)
 
-    def __init__(self):
-        self.ops, self.vals, self.broken = [], [], False
 
-    def push(self, fn, args, val, guard=None):
-        self.ops.append((fn, args, guard))
-        self.vals.append(val)
-        return len(self.ops) - 1
+class _Reg:
+    """What a lane holds while :func:`_program` records: register ``r`` of ``tape`` and its
+    float ``x``.  ``tape[i] = (fn, args, answer, x)`` makes register i by ``fn`` from the
+    registers ``args`` (an input or a constant when ``fn`` is None), or tests them when it
+    has an ``answer``; a None entry marks a recording that failed."""
+
+    __slots__ = ("tape", "r", "x")
+
+    def __init__(self, tape, fn, args, x, answer=None):
+        self.tape, self.r, self.x = tape, len(tape), x
+        tape.append((fn, args, answer, x))
 
     def fail(self, why):
-        self.broken = True
+        self.tape.append(None)  # stands even where the caller catches the error
         raise _Unbatchable(why)
 
-    def reg(self, x):
-        """The register of an operand: its own, or a new constant; NotImplemented otherwise."""
-        if isinstance(x, _Taped) and x.tape is self:
-            return x.r
-        if isinstance(x, _Lanes):
-            self.fail("a lane value the recording did not make")
-        return self.push(None, (), float(x)) if isinstance(x, _REAL) else NotImplemented
-
-    def emit(self, fn, *xs, guard=False):
-        args = [self.reg(x) for x in xs]
-        if NotImplemented in args:
-            return NotImplemented
+    def log(self, fn, *other, reflected=False, test=False):
+        """``fn`` on this register and ``other`` registers or numbers (``other`` first when
+        ``reflected``): a new register, or a test's answer as a lane mask."""
+        xs = other + (self,) if reflected else (self,) + other
+        xs = [_Reg(self.tape, None, (), float(x)) if isinstance(x, _REAL) else x for x in xs]
+        if not all(isinstance(x, _Reg) and x.tape is self.tape for x in xs):
+            self.fail("a value the recording did not make")
         try:
-            val = _modes(fn)[0](*[self.vals[a] for a in args])
+            val = _forms(fn)[0](*[x.x for x in xs])
         except Exception as exc:  # noqa: BLE001 - the site then runs without a program
             self.fail(f"a recorded operation failed: {exc!r}")
-        if guard:
-            self.push(fn, args, None, val)
-            return val
-        return _Taped(self, self.push(fn, args, val))
+        out = _Reg(self.tape, fn, [x.r for x in xs], val, val if test else None)
+        return np.array([val]) if test else out
 
+    def __array_ufunc__(self, ufunc, method, *xs, **kwargs):  # np.abs, and np.isfinite
+        if ufunc not in (np.absolute, np.isfinite) or len(xs) != 1 or kwargs:
+            self.fail("numpy used on a recorded value")
+        return self.log(abs) if ufunc is np.absolute else self.log(math.isfinite, test=True)
 
-class _Probe:
-    """``.v`` of a recorded value: ``np.isfinite`` of it is a guard, other numpy use fails."""
-
-    def __init__(self, x):
-        self.x = x
-
-    def __array_ufunc__(self, ufunc, method, *args, **kwargs):
-        if ufunc is not np.isfinite or method != "__call__" or kwargs:
-            self.x.tape.fail("a recorded value used by numpy")
-        return np.array([self.x.tape.emit(math.isfinite, self.x, guard=True)])
-
-
-def _taped(fn, reflected=False, guard=False):
-    def method(self, *other):
-        return self.tape.emit(fn, *(other + (self,) if reflected else (self,) + other), guard=guard)
-    return method
-
-
-class _Taped(_Lanes):
-    """One lane standing for a row entry while :func:`_program` records: register ``r`` of
-    ``tape``.  Each operation computes its float as a scalar pass does and logs itself;
-    comparisons and ``bool`` log guards."""
-
-    __slots__ = ("tape", "r")
-    v = property(_Probe)
-
-    def __init__(self, tape, r):
-        self.tape, self.r = tape, r
-
-    def _each(self, fn, *other):
-        return self.tape.emit(fn, self, *other)
-
-    __add__, __radd__ = _taped(operator.add), _taped(operator.add, True)
-    __sub__, __rsub__ = _taped(operator.sub), _taped(operator.sub, True)
-    __mul__, __rmul__ = _taped(operator.mul), _taped(operator.mul, True)
-    __truediv__, __rtruediv__ = _taped(operator.truediv), _taped(operator.truediv, True)
-    __pow__, __rpow__ = _taped(pow), _taped(_rpow)
-    __neg__, __abs__ = _taped(operator.neg), _taped(abs)
-    __lt__, __le__, __gt__, __ge__, __eq__, __ne__ = (
-        _taped(op, guard=True) for op in (operator.lt, operator.le, operator.gt, operator.ge,
-                                          operator.eq, operator.ne))
-
-    def __bool__(self):
-        return self.tape.emit(operator.ne, self, 0.0, guard=True)
+    __add__, __radd__ = _logged(operator.add), _logged(operator.add, True)
+    __sub__, __rsub__ = _logged(operator.sub), _logged(operator.sub, True)
+    __mul__, __rmul__ = _logged(operator.mul), _logged(operator.mul, True)
+    __truediv__, __rtruediv__ = _logged(operator.truediv), _logged(operator.truediv, True)
+    __neg__ = _logged(operator.neg)
+    __lt__, __le__, __gt__, __ge__, __eq__, __ne__ = (_logged(op, test=True) for op in _SAFE[6:])
 
 
 def _program(fn, x0):
-    """``fn`` recorded once at the float row ``x0`` as a straight-line program, or ``None``.
-
-    ``fn`` takes a row and returns a flat sequence of numbers, as for :func:`_rows`.  The
-    recording logs every float-level operation, every test of a value (comparisons,
-    ``bool``, the finiteness test of :func:`_object_array`) as a guard with its answer, and
-    then keeps the outputs, the guards and every operation that can raise, with what they
-    read.  The returned replay takes a row of floats or of lanes.  On lanes a guard with
-    another answer, a zero divisor or a failed helper raises :class:`_Unbatchable`.  On a
-    float row any such miss reruns ``fn`` on the row, which gives the scalar values or
-    error.  ``None`` when recording met an error or a value it did not make (a lane from
-    :func:`_vmax`, ``float()`` of a lane, numpy on lanes).
-    """
-    tape = _Tape()
-    xs = [_Taped(tape, tape.push(None, (), float(v))) for v in x0]
+    """``fn`` (a row to a flat sequence of numbers, as for :func:`_rows`) recorded at the
+    float row ``x0``: a replay that takes a row of floats or of lanes, or ``None`` when the
+    recording failed or met a value it did not make.  See the module notes."""
+    tape = []
+    xs = [_Lanes(_Reg(tape, None, (), float(v))) for v in x0]
     try:
-        outs = [tape.reg(_strip(v)) for v in fn(xs)]
+        outs = [v.v if isinstance(v, _Lanes) else _Reg(tape, None, (), float(v)) for v in map(_strip, fn(xs))]
     except Exception:  # noqa: BLE001 - the site then runs without a program
         return None
-    if tape.broken or NotImplemented in outs:
+    if None in tape or not all(isinstance(o, _Reg) and o.tape is tape for o in outs):
         return None
-    live = set(outs)
-    for i in range(len(tape.ops) - 1, len(xs) - 1, -1):
-        op, args, guard = tape.ops[i]
-        if i in live or guard is not None or op not in _SAFE and op is not None:
-            live.update(args, (i,))
-    d, order = len(xs), sorted(live | set(range(len(xs))))
-    at = {r: j for j, r in enumerate(order)}
-    outs, regs = [at[r] for r in outs], [tape.vals[r] for r in order]
-    # (fn, i, a, b): register i becomes fn(r[a], r[b]), or fn tests them, in order
-    on_floats, on_lanes = [], []
-    for r in order[d:]:
-        op, args, guard = tape.ops[r]
-        if op is None:
-            continue
-        for steps, f, agree in zip((on_floats, on_lanes), _modes(op), (bool, _Lanes._agree)):
-            f = f if guard is None else _checked(f, guard, agree)
-            steps.append((f if len(args) == 2 else lambda a, _, f=f: f(a),
-                          at[r], at[args[0]], at[args[-1]]))
+    # backwards, keeping the outputs, the tests, what can raise and what they read;
+    # (fn, i, a, b) sets register i to fn(r[a], r[b]), or tests them
+    outs, vals = [o.r for o in outs], [op[3] for op in tape]
+    live, on_floats, on_lanes = set(outs), [], []
+    for i in range(len(tape) - 1, len(xs) - 1, -1):
+        op, args, answer, _ = tape[i]
+        if op is not None and (i in live or answer is not None or op not in _SAFE):
+            live.update(args)
+            for steps, f, agree in zip((on_floats, on_lanes), _forms(op), (bool, _Lanes._agree)):
+                f = f if answer is None else functools.partial(_checked, f, answer, agree)
+                steps.insert(0, (f if len(args) == 2 else lambda a, _, f=f: f(a), i, args[0], args[-1]))
 
-    def run(steps, r):
+    def run(steps, x):
+        r = x + vals[len(x):]
         for f, i, a, b in steps:
             r[i] = f(r[a], r[b])
         return [r[o] for o in outs]
 
     def replay(x):
         if isinstance(x[0], _Lanes):
-            out = run(on_lanes, [v.v for v in x] + regs[d:])
-            return [_Lanes(v) if isinstance(v, np.ndarray) else v for v in out]
+            return [_Lanes(v) if isinstance(v, np.ndarray) else v for v in run(on_lanes, [v.v for v in x])]
         try:
-            return np.array(run(on_floats, [float(v) for v in x] + regs[d:]))
-        except Exception:  # noqa: BLE001 - a miss: the recorded function decides
+            return np.array(run(on_floats, [float(v) for v in x]))
+        except Exception:  # noqa: BLE001 - any failure: the recorded function decides
             return fn(x)
 
     return replay

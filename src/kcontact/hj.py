@@ -137,16 +137,13 @@ class _DiagonalGauge(GaugeMatrix):
 
 
 def _resolve_samples(samples, box, dim, count, seed):
-    """The sample rows of a check, ``dim`` coordinates each: ``samples``, else ``count`` draws
-    from ``box`` (default: the unit box)."""
     if samples is not None:
         pts, seed = np.atleast_2d(np.asarray(samples, dtype=float)), None
-    elif box is not None and len(box) != dim:
-        raise ContractError(f"sampling box has {len(box)} intervals, the check samples {dim} coordinates")
     else:
         pts = sample_box(box if box is not None else default_box(dim), count, np.random.default_rng(seed))
     if pts.shape[1] != dim:
-        raise ContractError(f"sample points have {pts.shape[1]} coordinates, the check samples {dim}")
+        raise ContractError(f"sample rows or sampling box intervals number {pts.shape[1]}, "
+                            f"the check samples {dim} coordinates")
     return pts, seed
 
 

@@ -56,18 +56,14 @@ def commutator_defect(f: BaseField, samples) -> float:
 
     Brackets are assembled from exact (dual-number) Jacobians as
     J_b Z_a - J_a Z_b; a zero value on a region is the integrability
-    criterion for the flow composition below.  Each component's Jacobians and values
-    over all samples come from one :func:`kcontact.dual._rows` pass.
+    criterion for the flow composition below.
     """
+    def jacobian_and_value(comp, x):  # the Jacobian rows of comp at x, then its value
+        vals, rows = dm.jacobian(lambda y: list(comp(y)), list(x))
+        return rows + [vals]
+
     X = np.atleast_2d(np.asarray(samples, dtype=float))
-
-    def jacobian_then_value(comp):  # (samples, dim + 1, dim): the Jacobian rows, then Z
-        def row(x):
-            vals, rows = dm.jacobian(lambda y: list(comp(y)), list(x))
-            return rows + [vals]
-        return dm._rows(row, X)
-
-    JZ = [jacobian_then_value(comp) for comp in f.comps]
+    JZ = [dm._rows(partial(jacobian_and_value, comp), X) for comp in f.comps]  # one pass each
     worst = 0.0
     for a in range(f.k):
         for b in range(a + 1, f.k):
@@ -77,8 +73,7 @@ def commutator_defect(f: BaseField, samples) -> float:
 
 
 def _rk4_step(f: BaseField, axis: int, dt: float, x) -> list:
-    """One fourth-order step of component ``axis`` of ``f`` from ``x``: four field
-    evaluations, the state update and the blow-up guard."""
+    """One RK4 step of component ``axis`` of ``f``: four evaluations, the update and the guard."""
     k1 = f.eval(axis, x)
     k2 = f.eval(axis, [v + 0.5 * dt * d for v, d in zip(x, k1)])
     k3 = f.eval(axis, [v + 0.5 * dt * d for v, d in zip(x, k2)])
@@ -89,41 +84,32 @@ def _rk4_step(f: BaseField, axis: int, dt: float, x) -> list:
     return x
 
 
-def _rk4_line(f: BaseField, axis: int, x0, h: float, cells: int, steps_per_cell: int,
-              program=None) -> list:
-    """Integrate component ``axis`` of ``f`` from ``x0``; the state after every cell.
-
-    ``x0`` is one point as floats, or as lanes holding many lines at once.  Each step
-    runs ``program``, the recorded :func:`_rk4_step` of this axis and step size, when given.
-    """
-    step = program or partial(_rk4_step, f, axis, h / steps_per_cell)
-    x, states = x0, []
-    for _ in range(cells):
-        for _ in range(steps_per_cell):
-            x = step(x)
-        states.append(x)
-    return states
-
-
-def _integrate_path(f: BaseField, x0, legs, steps_per_cell: int, programs=None) -> np.ndarray:
+def _integrate_path(f: BaseField, x0, legs, steps_per_cell: int, steps=None) -> np.ndarray:
     x = np.asarray(x0, dtype=float)
     for axis, h, cells in legs:
-        if cells > 0:
-            x = np.asarray(_rk4_line(f, axis, x, h, cells, steps_per_cell,
-                                     programs and programs[axis])[-1], dtype=float)
-    return x
+        step = steps[axis] if steps else partial(_rk4_step, f, axis, h / steps_per_cell)
+        for _ in range(cells * steps_per_cell):
+            x = step(x)
+    return np.asarray(x, dtype=float)
 
 
-def _sweep(f: BaseField, values: np.ndarray, axis: int, h: float, steps_per_cell: int,
-           program=None) -> None:
-    """Fill the grid lines of direction ``axis`` from their first nodes, all lines in one
-    :func:`kcontact.dual._rows` pass."""
+def _sweep(step, values: np.ndarray, axis: int, steps_per_cell: int) -> None:
+    """Fill the grid lines of direction ``axis`` from their first nodes by ``step`` (an RK4
+    step or its program), all lines in one :func:`kcontact.dual._rows` pass."""
     k, dim = values.ndim - 1, values.shape[-1]
     lead, tail = (slice(None),) * axis, (0,) * (k - axis - 1)
     cells = values.shape[axis] - 1
     starts = values[lead + (0,) + tail]
-    lines = dm._rows(lambda x: _rk4_line(f, axis, x, h, cells, steps_per_cell, program),
-                     starts.reshape(-1, dim))
+
+    def line(x):  # the state after every cell, from one point as floats or many as lanes
+        states = []
+        for _ in range(cells):
+            for _ in range(steps_per_cell):
+                x = step(x)
+            states.append(x)
+        return states
+
+    lines = dm._rows(line, starts.reshape(-1, dim))
     values[lead + (slice(1, None),) + tail] = lines.reshape(starts.shape[:-1] + (cells, dim))
 
 
@@ -158,21 +144,20 @@ def integral_section(
     above = "" if defect <= COMMUTATOR_WARN else f" above {COMMUTATOR_WARN:.1e}"
     notes = [f"commutator defect {defect:.3e}{above} at the start point"]
 
-    # One step per direction, recorded at the start (the first node of every first line)
-    # and replayed on every line of the sweeps and the reversed corner path.
-    programs = [dm._program(partial(_rk4_step, f, a, grid.spacing[a] / steps_per_cell), start)
-                for a in range(k)]
+    # One step per direction, recorded at the start, which begins the first line of every
+    # direction, and replayed on every line of the sweeps and of the reversed corner path.
+    steps = [partial(_rk4_step, f, a, grid.spacing[a] / steps_per_cell) for a in range(k)]
+    steps = [dm._program(step, start) or step for step in steps]
     values = np.empty(grid.shape + (f.dim,))
     values[(0,) * k] = start
     for axis in range(k):
-        _sweep(f, values, axis, grid.spacing[axis], steps_per_cell, programs[axis])
+        _sweep(steps[axis], values, axis, steps_per_cell)
 
     # The reversed path's first leg (direction k-1 from the start) is the
     # forward sweep's first line of that direction, so it starts from there.
-    forward_legs = [(a, grid.spacing[a], grid.counts[a] - 1) for a in range(k)]
+    legs = [(a, grid.spacing[a], grid.counts[a] - 1) for a in range(k)][::-1][1:]
     corner_fwd = values[tuple(c - 1 for c in grid.counts)]
-    corner_rev = _integrate_path(f, values[(0,) * (k - 1) + (-1,)], forward_legs[::-1][1:],
-                                 steps_per_cell, programs)
+    corner_rev = _integrate_path(f, values[(0,) * (k - 1) + (-1,)], legs, steps_per_cell, steps)
     gap = float(np.max(np.abs(corner_fwd - corner_rev)))
     if gap > order_tol:
         raise IntegrabilityError(

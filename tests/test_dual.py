@@ -407,17 +407,27 @@ def test_a_replayed_float_row_raises_the_scalar_zero_division():
         prog([lanes(3.0, 1.0)])
 
 
-def test_a_replay_keeps_operations_that_can_raise_but_reach_no_output():
+@pytest.mark.parametrize("fn, error", [
     # the unused Jacobian row of sqrt(v[1]) holds 0.5 / sqrt(v[1]), which divides by zero at 0
-    fn = lambda r: dm.jacobian(lambda v: [v[0] * v[0], dm.sqrt(v[1])], r)[1][0]  # noqa: E731
+    (lambda r: dm.jacobian(lambda v: [v[0] * v[0], dm.sqrt(v[1])], r)[1][0], ZeroDivisionError),
+    # the unused value log(v[1]) has no real value below 0
+    (lambda r: dm.jacobian(lambda v: [v[0] * v[0], dm.log(v[1])], r)[1][0], ValueError),
+])
+def test_a_replay_keeps_operations_that_can_raise_but_reach_no_output(fn, error):
     prog = dm._program(fn, [1.0, 1.0])
     assert prog is not None
-    X = np.array([[1.0, 1.0], [2.0, 0.0]])
+    X = np.array([[1.0, 1.0], [2.0, 0.0 if error is ZeroDivisionError else -1.0]])
     for row_fn in (fn, prog):
-        with pytest.raises(ZeroDivisionError):
+        with pytest.raises(error):
             dm._rows(row_fn, X)
         with pytest.raises(dm._Unbatchable):
             row_fn(dm._lanes_of(X))
+
+
+def test_a_lane_of_another_recording_refuses_the_program():
+    kept = []
+    assert dm._program(lambda r: kept.append(r[0]) or [r[0]], [1.0]) is not None
+    assert dm._program(lambda r: [r[0] + kept[0]], [2.0]) is None
 
 
 @pytest.mark.parametrize("fn", [
@@ -434,11 +444,19 @@ def test_a_value_the_recording_did_not_make_refuses_the_program(fn):
 def test_a_failed_recorded_operation_refuses_the_program_even_when_caught():
     def fn(r):
         try:
-            return [1.0 / r[0]]
-        except (ZeroDivisionError, dm._Unbatchable):
+            return [dm.log(r[0])]
+        except (ValueError, dm._Unbatchable):
             return [0.0]
 
-    assert dm._program(fn, [0.0]) is None and dm._program(fn, [2.0])([4.0]).tolist() == [0.25]
+    assert dm._program(fn, [-1.0]) is None and dm._program(fn, [math.e])([1.0]).tolist() == [0.0]
+
+    def gn(r):  # a lane pass always takes the except branch, a float row never
+        try:
+            return [float(r[0])]
+        except Exception:  # noqa: BLE001
+            return [0.0]
+
+    assert dm._program(gn, [1.0]) is None
 
 
 def test_a_replay_tests_the_finiteness_of_point_entries():

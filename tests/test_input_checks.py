@@ -106,10 +106,10 @@ CASES = {
     "section start beyond the blow-up guard": (lambda: kc.integral_section(FIELD, [-1e300], GRID),
                                                kc.ContractError, "exceeds the blow-up guard 1e\\+09"),
     "sampling box width": (lambda: kc.hj_classical_zind(*_tel(), box=[(0.5, 1.0), (0.0, 1.0)], count=5),
-                           kc.ContractError, "sampling box has 2 intervals, the check samples 1"),
+                           kc.ContractError, "intervals number 2, the check samples 1 coordinates"),
     "sample width": (lambda: kc.hj_zdep_residual(corpus.load("hunter-saxton").hamiltonian(), _zdep(),
                                                  kc.GaugeMatrix(lambda q, z: np.eye(2)), samples=[[0.1, 0.2]]),
-                     kc.ContractError, "sample points have 2 coordinates, the check samples 3"),
+                     kc.ContractError, "intervals number 2, the check samples 3 coordinates"),
     "complete family without slices": (
         lambda: kc.verify_complete(_tel_family(), _tel()[0], "standard", np.empty((0, 2)), count=5),
         kc.ContractError, "no parameter rows"),
