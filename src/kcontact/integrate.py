@@ -12,6 +12,9 @@ together as the lanes of one pass through :func:`kcontact.dual._rows`; the
 node derivatives of an integrated map and the section points and Jacobians
 of a lift are filled the same way.  Whenever the lanes cannot take them
 together, the rows run one by one, which gives the scalar values or error.
+One RK4 step per direction (:func:`_rk4_step`) is recorded at the start point
+and replayed on every line and on the reversed corner path
+(:func:`kcontact.dual._program`).
 """
 
 from __future__ import annotations
