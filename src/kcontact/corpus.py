@@ -209,7 +209,7 @@ def _monotone_invert(g, w, r_max: float = 1.0, tol: float = 1e-14, max_expand: i
     """
     if isinstance(w, dm.Dual):
         if isinstance(w.a, dm.Dual):
-            raise NotImplementedError("monotone inversion supports one dual level")
+            raise ContractError("monotone inversion supports one dual level")
         r0 = _monotone_invert(g, w.a, r_max=r_max, tol=tol)
         _, slope = dm.derive1(lambda rs: g(rs[0]), [r0])
         return dm.Dual(r0, tuple(x / slope[0] for x in w.b), w.lev)
@@ -512,8 +512,7 @@ def _tel_qz_constraint(P):
             "the effective-damping exponential needs lambda, a, and c nonzero "
             "(the constant extra coordinate solves lambda*Z*a*c = -(a^2 (c^2 - 1/kappa) + epsilon))"
         )
-    if P["mode"] not in ("standard", "evolution"):
-        raise ContractError("mode parameter must be standard or evolution")
+    _mode_constraint(P)
 
 
 def _tel_qz_pde(fields, grid, P):
@@ -841,7 +840,7 @@ def _fo_standing(P):
     return f
 
 
-def _fo_standing_constraint(P):
+def _mode_constraint(P):
     if P["mode"] not in ("standard", "evolution"):
         raise ContractError("mode parameter must be standard or evolution")
 
@@ -863,7 +862,7 @@ FIRST_ORDER = ExampleSystem(
             "standing-standard", _fo_standing,
             {"lambda": 1.0, "Z": 0.0, "mode": "standard"},
             modes=("standard",),
-            constraint=_fo_standing_constraint,
+            constraint=_mode_constraint,
             default_grid=_default_grid([0.0, 0.0], [0.05, 0.05], [9, 9]),
             tol=1e-12,
         ),
@@ -871,7 +870,7 @@ FIRST_ORDER = ExampleSystem(
             "standing-evolution", _fo_standing,
             {"lambda": 1.0, "Z": 0.0, "mode": "evolution"},
             modes=("evolution",),
-            constraint=_fo_standing_constraint,
+            constraint=_mode_constraint,
             default_grid=_default_grid([0.0, 0.0], [0.05, 0.05], [9, 9]),
             tol=1e-12,
         ),

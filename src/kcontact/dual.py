@@ -50,7 +50,8 @@ they read, on a row of floats or of lanes.  On lanes a test with another answer
 or a failed helper raises :class:`_Unbatchable`, so :func:`_rows` falls back as
 before; on floats any failure runs the recorded function on that row instead.
 A function that reads lane values otherwise (``float()``, :func:`_vmax`, numpy)
-records no program and runs as it is.
+records no program and runs as it is.  The recording folds ``x * 1``, ``x / 1``, ``x + -0``
+and ``x - 0`` into x, and a lane replay reads constants as arrays kept per lane width.
 """
 
 from __future__ import annotations
@@ -457,6 +458,11 @@ def _vmax(*xs):
 _SAFE = (operator.add, operator.sub, operator.mul, operator.truediv, operator.neg, abs,
          operator.lt, operator.le, operator.gt, operator.ge, operator.eq, operator.ne)
 _FORMS = {**{op: (op, op) for op in _SAFE}, math.isfinite: (math.isfinite, np.isfinite)}
+# x * 1, 1 * x, x / 1, x + -0, -0 + x and x - 0 are x, bit for bit: the recording reads x.
+# Keys are (fn, reflected, constant.hex()); the hex tells -0.0 from 0.0.
+_UNITS = {(fn, reflected, c.hex()) for fn, reflected, c in (
+    (operator.mul, False, 1.0), (operator.mul, True, 1.0), (operator.truediv, False, 1.0),
+    (operator.add, False, -0.0), (operator.add, True, -0.0), (operator.sub, False, 0.0))}
 
 
 def _forms(fn):  # float() fails where a lane would leave the real numbers
@@ -491,7 +497,11 @@ class _Reg:
 
     def log(self, fn, *other, reflected=False, test=False):
         """``fn`` on this register and ``other`` registers or numbers (``other`` first when
-        ``reflected``): a new register, or a test's answer as a lane mask."""
+        ``reflected``): a new register, this one for an identity of ``_UNITS``, or a test's
+        answer as a lane mask."""
+        if len(other) == 1 and isinstance(other[0], _REAL) and (
+                fn, reflected, float(other[0]).hex()) in _UNITS:
+            return self
         xs = other + (self,) if reflected else (self,) + other
         xs = [_Reg(self.tape, None, (), float(x)) if isinstance(x, _REAL) else x for x in xs]
         if not all(isinstance(x, _Reg) and x.tape is self.tape for x in xs):
@@ -540,17 +550,25 @@ def _program(fn, x0):
                 f = f if answer is None else functools.partial(_checked, f, answer, agree)
                 steps.insert(0, (f if len(args) == 2 else lambda a, _, f=f: f(a), i, args[0], args[-1]))
 
-    def run(steps, x):
-        r = x + vals[len(x):]
+    # on m lanes the constants the kept steps read are lane-wide: one array per value and m
+    consts, wide = vals[len(xs):], {}
+    read = {j - len(xs) for s in on_lanes for j in s[2:] if j >= len(xs) and tape[j][0] is None}
+
+    def run(steps, x, start):
+        r = x + start
         for f, i, a, b in steps:
             r[i] = f(r[a], r[b])
         return [r[o] for o in outs]
 
     def replay(x):
         if isinstance(x[0], _Lanes):
-            return [_Lanes(v) if isinstance(v, np.ndarray) else v for v in run(on_lanes, [v.v for v in x])]
+            x, m = [v.v for v in x], len(x[0].v)
+            if m not in wide:
+                full = {consts[j].hex(): np.full(m, consts[j]) for j in read}
+                wide[m] = [full[c.hex()] if j in read else c for j, c in enumerate(consts)]
+            return [_Lanes(v) if isinstance(v, np.ndarray) else v for v in run(on_lanes, x, wide[m])]
         try:
-            return np.array(run(on_floats, [float(v) for v in x]))
+            return np.array(run(on_floats, [float(v) for v in x], consts))
         except Exception:  # noqa: BLE001 - any failure: the recorded function decides
             return fn(x)
 

@@ -124,16 +124,26 @@ class BaseField:
 def _sample(grid: GridSpec, fn, shapes) -> list:
     """``fn(t)`` at every node ``t`` of ``grid``, in node order: one array of shape
     ``grid.shape + s`` per entry of ``fn(t)`` and of ``shapes``, where an entry ``None`` takes
-    its shape from the first node.  The node coordinates have the bits of :meth:`GridSpec.t`."""
+    its shape from the first node; a node whose entry has another shape raises
+    :class:`ShapeError`.  The node coordinates have the bits of :meth:`GridSpec.t`."""
     T = grid.origin + grid.spacing * np.indices(grid.shape, dtype=float).reshape(grid.k, -1).T
+    nodes = [fn(t) for t in T]
     out = []
-    for m, t in enumerate(T):
-        for j, v in enumerate(fn(t)):
-            v = np.asarray(v, dtype=float)
-            if not m:
-                out.append(np.empty((len(T),) + (v.shape if shapes[j] is None else shapes[j])))
-            out[j][m] = v
-    return [a.reshape(grid.shape + a.shape[1:]) for a in out]
+    for j, s in enumerate(shapes):
+        vs = [v[j] for v in nodes]
+        s = np.shape(vs[0]) if s is None else tuple(s)
+        try:  # one conversion; a ValueError is entries of several shapes or not numbers
+            a = np.array(vs, dtype=float)
+            if a.shape[1:] == s:
+                out.append(a.reshape(grid.shape + s))
+                continue
+        except ValueError:
+            if all(np.shape(v) == s for v in vs):
+                raise
+        m = next(m for m, v in enumerate(vs) if np.shape(v) != s)
+        raise ShapeError(f"sampled entry {j} has shape {np.shape(vs[m])} at grid node "
+                         f"{tuple(map(int, np.unravel_index(m, grid.shape)))}, expected {s}")
+    return out
 
 
 @dataclass
@@ -161,7 +171,8 @@ class BaseMap:
 
     @staticmethod
     def from_function(grid: GridSpec, f, df=None) -> "BaseMap":
-        values, = _sample(grid, lambda t: [np.atleast_1d(f(t))], [None])
+        values, = _sample(grid, lambda t: [f(t)], [None])
+        values = values[..., None] if values.ndim == grid.k else values  # a scalar closed form
         return BaseMap(grid, values, closed_form=f, closed_derivative=df)
 
     def derivatives(self) -> np.ndarray:

@@ -329,7 +329,7 @@ def second_order_residual(
             work = BaseMap.from_function(GridSpec(grid.origin - pad * grid.spacing, grid.spacing,
                                                   [c + 2 * pad for c in grid.counts]),
                                          qmap.closed_form, qmap.closed_derivative)
-        except (ContractError, ValueError, ArithmeticError):
+        except (ContractError, ShapeError, ValueError, ArithmeticError):
             pad = 0
     values, v = work.values, work.derivatives()
 

@@ -31,6 +31,8 @@ __all__ = [
 def sample_box(bounds, count: int, rng) -> np.ndarray:
     """``count`` uniform samples from the product of the given intervals, which must be finite."""
     bounds = np.asarray(bounds, dtype=float)
+    if bounds.ndim != 2 or bounds.shape[1] != 2:
+        raise ContractError(f"sampling box must be (d, 2) lo/hi bounds, got shape {bounds.shape}")
     if not np.all(np.isfinite(bounds)):
         raise ContractError(f"sampling box bounds must be finite, got {bounds.tolist()}")
     lo, hi = bounds[:, 0], bounds[:, 1]

@@ -6,6 +6,7 @@ import pytest
 
 import kcontact as kc
 from kcontact import corpus
+from kcontact import dual as dm
 from kcontact.corpus import ThermoFields, thermo_balance_residual
 from kcontact.grids import GridSpec
 
@@ -88,6 +89,66 @@ def test_solution_constraints_name_the_equation():
         corpus.analytic("membrane", "separable", params={"lambda": 0.0})
     with pytest.raises(kc.ContractError, match="mu"):
         corpus.analytic("hunter-saxton", "linear", params={"mu": 0.0})
+
+
+def _build(name, key):
+    """A section, or a solution's closed form without its constraint, at overridden defaults."""
+    ex = corpus.load(name)
+    entry = ex.sections.get(key) or ex.solutions[key]
+    return lambda over: entry.build({**entry.defaults, **over})
+
+
+def _constraint(name, key):
+    entry = corpus.load(name).solutions[key]
+    return lambda over: entry.constraint({**entry.defaults, **over})
+
+
+CONSTRAINTS = {
+    "negative line resistance": (lambda over: corpus.telegrapher_params_from_line(**over),
+                                 {"R": -1.0, "L": 1.0, "G": 0.0, "C_cap": 1.0},
+                                 "series resistance and shunt conductance must be non-negative"),
+    "degenerate slope quadratic": (_build("telegrapher", "classical-zind"), {"kappa": 0.25},
+                                   "degenerates when c\\^2 equals 1/kappa"),
+    "slope quadratic without real roots": (_build("telegrapher", "classical-zind"),
+                                           {"lambda": 0.0, "epsilon": 1.0}, "has no real roots"),
+    "zero exponential slope": (_constraint("telegrapher", "exponential"), {"a": 0.0},
+                               "needs a nonzero slope a"),
+    "effective damping without damping": (
+        _constraint("telegrapher-quadratic-z", "exponential-effective-damping"), {"lambda": 0.0},
+        "needs lambda, a, and c nonzero"),
+    "effective damping mode": (_constraint("telegrapher-quadratic-z", "exponential-effective-damping"),
+                               {"mode": "other"}, "mode parameter must be standard or evolution"),
+    "explicit hunter-saxton section at mu = 0": (_build("hunter-saxton", "standard-zind"), {"mu": 0.0},
+                                                 "the explicit family needs mu != 0"),
+    "square-root section at mu = 0": (_build("hunter-saxton", "log-zind"), {"mu": 0.0},
+                                      "the square-root slope family needs mu > 0"),
+    "non-commuting section without admixture": (_build("hunter-saxton", "noncommuting-zind"), {"W": 0.0},
+                                                "needs mu > 0 and W != 0"),
+    "logarithmic closed form at mu = 0": (_build("hunter-saxton", "logarithmic"), {"mu": 0.0},
+                                          "the logarithmic branch needs mu > 0"),
+    "logarithmic branch selector": (_constraint("hunter-saxton", "logarithmic"), {"delta": 0.5},
+                                    "branch selector delta must be \\+1 or -1"),
+    "standing wave mode": (_constraint("first-order-dissipative", "standing-standard"), {"mode": "other"},
+                           "mode parameter must be standard or evolution"),
+    "separable profile without growth": (_build("membrane", "separable-evolution"),
+                                         {"kappa": 0.0, "c": 0.0}, "needs 2s \\+ lambda != 0"),
+    "separable growth rate off its equation": (_constraint("membrane", "separable"), {"kappa": -1e6},
+                                               "violates s\\^2 \\+ lambda s"),
+}
+
+
+@pytest.mark.parametrize("case", CONSTRAINTS)
+def test_a_parameter_override_breaking_a_constraint_raises_naming_it(case):
+    call, override, message = CONSTRAINTS[case]
+    with pytest.raises(kc.ContractError, match=message):
+        call(override)
+
+
+def test_monotone_inversion_refuses_nested_duals_with_a_contract_error():
+    sol = corpus.load("hunter-saxton").solutions["logarithmic"]
+    base, _ = sol.build(dict(sol.defaults))
+    with pytest.raises(kc.ContractError, match="monotone inversion supports one dual level"):
+        dm.derive2(lambda t: base(t)[0], [0.1, 0.6])
 
 
 def test_telegrapher_exponential_mode_gating():

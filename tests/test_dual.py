@@ -471,3 +471,51 @@ def test_a_replay_tests_the_finiteness_of_point_entries():
         prog([np.float64(1e10)])
     with pytest.raises(dm._Unbatchable), np.errstate(over="ignore"):
         prog([lanes(1.0, 1e10)])
+
+
+# x * 1, 1 * x, x / 1, x + -0, -0 + x and x - 0 are x bit for bit, so a recording folds them
+FOLDED = {
+    "x * 1": lambda r: [r[0] * 1.0], "1 * x": lambda r: [1 * r[0]], "x / 1": lambda r: [r[0] / 1.0],
+    "x + -0": lambda r: [r[0] + -0.0], "-0 + x": lambda r: [-0.0 + r[0]], "x - 0": lambda r: [r[0] - 0.0],
+    "a unit gradient times x": lambda r: [dm.derive1(lambda v: v[0] * 1.0 - 0.0, r)[1][0] * r[0]],
+}
+# ... and these are not identities: x + 0 turns -0 into +0, x * 0 is NaN at inf and -0 below 0
+KEPT = {
+    "x + 0": lambda r: [r[0] + 0.0], "0 + x": lambda r: [0.0 + r[0]], "x - -0": lambda r: [r[0] - -0.0],
+    "0 - x": lambda r: [0.0 - r[0]], "x * 0": lambda r: [r[0] * 0.0], "0 * x": lambda r: [0.0 * r[0]],
+    "x * -1": lambda r: [r[0] * -1.0], "x / -1": lambda r: [r[0] / -1.0],
+}
+EDGES = [0.0, -0.0, 1e-300, -1e-300, 1.5, math.inf, -math.inf, math.nan]
+
+
+@pytest.mark.parametrize("case", list(FOLDED) + list(KEPT))
+def test_a_replayed_identity_has_the_bits_of_the_unrecorded_function(case):
+    fn = {**FOLDED, **KEPT}[case]
+    prog = dm._program(fn, [0.7])
+    X = np.array(EDGES)[:, None]
+    with np.errstate(all="ignore"):
+        want = _scalar_rows(fn, X)
+        assert np.array([prog([x]) for x in EDGES]).tobytes() == want.tobytes()  # float rows
+    assert dm._rows(prog, X).tobytes() == want.tobytes()  # lanes, or rows where lanes refuse
+    L = dm._lanes_of(np.array([[0.7], [-1.5]]))
+    # a folded identity reads its operand: the replay hands back the input lane itself
+    assert (prog(L)[0].v is L[0].v) == (case in FOLDED)
+
+
+def test_adding_plus_zero_and_multiplying_by_zero_stay_operations():
+    plus = dm._program(lambda r: [r[0] + 0.0], [0.7])
+    assert math.copysign(1.0, plus([-0.0])[0]) == 1.0
+    assert math.copysign(1.0, plus(dm._lanes_of(np.array([[-0.0], [1.0]])))[0].v[0]) == 1.0
+    times = dm._program(lambda r: [r[0] * 0.0], [0.7])
+    assert math.copysign(1.0, times([-1.5])[0]) == -1.0
+    assert math.isnan(times([math.inf])[0])
+
+
+def test_one_program_replays_at_several_lane_widths(rng):
+    # constants live lane-wide per width; each width, and a width seen before, gives the scalar rows
+    X = np.column_stack([2.0 * rng.random(400) - 1.0, 0.5 + rng.random(400)])
+    side = X[X[:, 0] * X[:, 1] - 0.25 / X[:, 1] > 0.0][:40]
+    f, calls = _counting(dm._program(_branchy, [0.8, 1.2]))
+    for rows in (side, side[:7], side, side[:2]):
+        assert dm._rows(f, rows).tobytes() == _scalar_rows(_branchy, rows).tobytes()
+    assert calls == [True] * 4  # every width ran as one lane pass

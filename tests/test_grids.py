@@ -3,6 +3,7 @@
 import dataclasses
 
 import numpy as np
+import pytest
 
 import kcontact as kc
 from kcontact import corpus
@@ -68,3 +69,25 @@ def test_a_node_table_is_kept_only_by_the_map_that_was_made_with_it():
     assert psi._table is not None and copied._table is None and copied.closed_derivative is None
     bare = SolutionMap(psi.chart, GRID, psi.q, psi.p, psi.z)
     assert all(a.tobytes() == b.tobytes() for a, b in zip(copied.derivatives(), bare.derivatives()))
+
+
+@pytest.mark.parametrize("later,shape", [(3.0, r"\(\)"), ([3.0, 4.0, 5.0], r"\(3,\)")])
+def test_a_node_entry_of_another_shape_than_the_first_raises_naming_the_node(later, shape):
+    def f(t):
+        return [1.0, 2.0] if t[1] == GRID.origin[1] else later
+
+    with pytest.raises(kc.ShapeError, match=rf"entry 0 has shape {shape} at grid node \(0, 1\), "
+                                            r"expected \(2,\)"):
+        BaseMap.from_function(GRID, f)
+
+
+def test_a_closed_derivative_of_another_shape_than_declared_raises():
+    bare = BaseMap(GRID, np.zeros(GRID.shape + (1,)), closed_derivative=lambda t: [[1.0]])
+    with pytest.raises(kc.ShapeError, match=r"has shape \(1, 1\) at grid node \(0, 0\), expected \(2, 1\)"):
+        bare.derivatives()
+
+
+def test_a_scalar_closed_form_samples_to_one_column():
+    base = BaseMap.from_function(GRID, lambda t: t[0] * t[1])
+    assert base.values.shape == GRID.shape + (1,)
+    assert base.values.tobytes() == per_node(lambda t: [t[0] * t[1]], GRID, (1,)).tobytes()

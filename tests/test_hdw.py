@@ -287,6 +287,22 @@ def test_second_order_closed_form_failing_on_the_padding_uses_the_bare_grid():
     assert got.tobytes() == kc.second_order_residual(h, BaseMap(grid, qmap.values), "standard").tobytes()
 
 
+def test_second_order_closed_form_of_another_shape_on_the_padding_uses_the_bare_grid():
+    # a scalar below t0 = 0, one-entry lists on the grid: the padded map is refused, not broadcast
+    h = corpus.load("telegrapher").hamiltonian()
+    grid = GridSpec([0.0, 0.0], [0.01, 0.01], [5, 5])
+
+    def f(t):
+        q = 0.5 + 0.2 * t[0] - 0.1 * t[1]
+        return [q] if t[0] >= 0.0 else q
+
+    qmap = BaseMap.from_function(grid, f)
+    with pytest.raises(kc.ShapeError):
+        BaseMap.from_function(GridSpec(grid.origin - 2 * grid.spacing, grid.spacing, [9, 9]), f)
+    got = kc.second_order_residual(h, qmap, "standard")
+    assert got.tobytes() == kc.second_order_residual(h, BaseMap(grid, qmap.values), "standard").tobytes()
+
+
 def test_affine_examples_standard_equals_evolution_blocks(rng):
     for name in ["telegrapher", "membrane", "hunter-saxton", "first-order-dissipative"]:
         h = corpus.load(name).hamiltonian()

@@ -113,6 +113,11 @@ CASES = {
     "complete family without slices": (
         lambda: kc.verify_complete(_tel_family(), _tel()[0], "standard", np.empty((0, 2)), count=5),
         kc.ContractError, "no parameter rows"),
+    "flat sampling box": (lambda: kc.hj_classical_zind(*_tel(), box=[0.5, 2.0], count=5),
+                          kc.ContractError, r"sampling box must be \(d, 2\) lo/hi bounds, got shape \(2,\)"),
+    "sampling box row without a hi bound": (
+        lambda: kc.hj_classical_zind(*_tel(), box=[[0.5]], count=5),
+        kc.ContractError, r"sampling box must be \(d, 2\) lo/hi bounds, got shape \(1, 1\)"),
 }
 
 
