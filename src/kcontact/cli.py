@@ -86,21 +86,6 @@ def _parse_floats(text, what, kind=float):
     return [_number(x, what, kind) for x in str(text).replace(";", ",").split(",") if x.strip()]
 
 
-def _params(defaults, overrides, what):
-    """``defaults`` updated with ``overrides``.  An unknown name, then text where the default is
-    not text (only a solution's ``mode`` is), then a number that is not finite, raises
-    :class:`ConfigError` naming ``what`` or the parameter."""
-    for name in overrides:
-        if name not in defaults:
-            raise ConfigError(f"unknown parameter {name!r} for {what}; known: {sorted(defaults)}")
-    for name, val in overrides.items():
-        if isinstance(val, str) and not isinstance(defaults[name], str):
-            raise ConfigError(f"parameter {name!r} expects a number, got {val!r}")
-        if not isinstance(val, str) and not math.isfinite(val):
-            raise ConfigError(f"parameter {name!r} must be a finite number, got {val!r}")
-    return {**defaults, **overrides}
-
-
 def _load_config(path):
     if not path:
         return {}
@@ -171,7 +156,7 @@ def _section_run(example, key, overrides):
     if entry is None:
         raise ConfigError(f"example {example.name} has no section {key!r}; "
                           f"known: {sorted(example.sections)}")
-    params = _params(entry.defaults, overrides, f"section {entry.key}")
+    params = corpus._params(entry.defaults, overrides, f"section {entry.key}")
     h = example.hamiltonian({k: v for k, v in params.items() if k in example.defaults})
     return entry, params, entry.build(params), h
 
@@ -182,7 +167,7 @@ def _check_family(args, plan, example, overrides):
     if build is None:
         raise ConfigError(f"example {example.name} has no family {args.family!r}; "
                           f"known: {sorted(example.families)}")
-    params = _params(example.defaults, overrides, f"family {args.family}")
+    params = corpus._params(example.defaults, overrides, f"family {args.family}")
     fam = build(params)
     steps = _number(args.param_grid, "--param-grid", int, 1)
     rt_tol = _number(args.roundtrip_tol, "--roundtrip-tol", least=0.0)
@@ -234,7 +219,7 @@ def _grid_from(args, plan, default) -> GridSpec:
 def _simulate_solution(args, plan, example, overrides):
     tol = _residual_tol(args, plan)
     entry = corpus._solution_entry(example, args.solution)
-    _params({**example.defaults, **entry.defaults}, overrides, f"solution {args.solution}")
+    corpus._params({**example.defaults, **entry.defaults}, overrides, f"solution {args.solution}")
     grid = None
     if args.origin or args.spacing or args.counts or plan.get("grid"):
         grid = _grid_from(args, plan, {})

@@ -8,13 +8,15 @@ no derivative formula is transcribed by hand.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import dual as dm
 from .errors import ConfigError, ContractError, ShapeError
-from .fields import ScalarField
+from .fields import ScalarField, _node_gradients
 from .geometry import ChartSpec, DarbouxPoint
 from .grids import BaseMap, GridSpec, SolutionMap, grid_derivative, grid_second_derivative
 from .hj import CompleteSolutionFamily, GaugeMatrix
@@ -137,16 +139,35 @@ class ExampleSystem:
     note: str = ""
 
     def resolve(self, overrides=None) -> dict:
-        params = dict(self.defaults)
-        for k, v in (overrides or {}).items():
-            if k not in params:
-                raise ConfigError(f"unknown parameter {k!r} for example {self.name}; "
-                                  f"known: {sorted(params)}")
-            params[k] = v
-        return params
+        return _params(self.defaults, overrides, f"example {self.name}")
 
     def hamiltonian(self, overrides=None) -> ScalarField:
         return self.make_h(self.resolve(overrides))
+
+
+def _params(defaults, overrides, what) -> dict:
+    """``defaults`` updated with ``overrides``, for every example, section, family and solution.
+    An unknown name, then a value that is not a number where the default is (text only for a text
+    default such as ``mode``, None only for a None default), then a number that is not finite,
+    raises :class:`ConfigError` naming ``what`` or the parameter."""
+    overrides = dict(overrides or {})
+    for name in overrides:
+        if name not in defaults:
+            raise ConfigError(f"unknown parameter {name!r} for {what}; known: {sorted(defaults)}")
+    for name, val in overrides.items():
+        if isinstance(defaults[name], str) or val is None and defaults[name] is None:
+            continue
+        if not isinstance(val, numbers.Real):
+            raise ConfigError(f"parameter {name!r} expects a number, got {val!r}")
+        if not math.isfinite(val):
+            raise ConfigError(f"parameter {name!r} must be a finite number, got {val!r}")
+    return {**defaults, **overrides}
+
+
+def _nonzero(P, name, what):
+    """Refuse a zero parameter ``name`` that ``what`` divides by."""
+    if P[name] == 0.0:
+        raise ContractError(f"parameter {name!r} must be nonzero: the {what} divides by it")
 
 
 # --------------------------------------------------------------------------
@@ -326,15 +347,17 @@ def telegrapher_quadratic_roots(kappa: float, lam: float, eps: float, c: float):
     return ((-lam * c + r) / (2.0 * A), (-lam * c - r) / (2.0 * A))
 
 
-def _h_telegrapher(P):
+def _h_telegrapher(P, coupling=lambda lam, z: lam * z, name="telegrapher"):
+    """The telegrapher Hamiltonian, with the extra-coordinate term ``coupling(lambda, z^t)``."""
+    _nonzero(P, "kappa", "telegrapher Hamiltonian")
     kappa, lam, eps = P["kappa"], P["lambda"], P["epsilon"]
 
     def fn(pt):
         u = pt.q[0]
         pt_, px = pt.p[0, 0], pt.p[1, 0]
-        return 0.5 * (pt_ * pt_ - px * px / kappa) + 0.5 * eps * u * u + lam * pt.z[0]
+        return 0.5 * (pt_ * pt_ - px * px / kappa) + 0.5 * eps * u * u + coupling(lam, pt.z[0])
 
-    return ScalarField(CHART_12, fn, params=dict(P), name="telegrapher")
+    return ScalarField(CHART_12, fn, params=dict(P), name=name)
 
 
 def _tel_resolve_a(P):
@@ -373,7 +396,8 @@ def _tel_exponential(P):
 
 
 def _tel_exp_constraint(P):
-    a = _tel_resolve_a(P)
+    a = _tel_resolve_a(P)  # without a given slope, the slope quadratic refuses kappa = 0 itself
+    _nonzero(P, "kappa", "exponential profile")
     kappa, lam, eps, c = P["kappa"], P["lambda"], P["epsilon"], P["c"]
     val = (c * c - 1.0 / kappa) * a * a + lam * c * a + eps
     if abs(val) > 1e-10 * max(1.0, abs(a)):
@@ -471,14 +495,7 @@ TELEGRAPHER = ExampleSystem(
 # --------------------------------------------------------------------------
 
 def _h_telegrapher_qz(P):
-    kappa, lam, eps = P["kappa"], P["lambda"], P["epsilon"]
-
-    def fn(pt):
-        u = pt.q[0]
-        pt_, px = pt.p[0, 0], pt.p[1, 0]
-        return 0.5 * (pt_ * pt_ - px * px / kappa) + 0.5 * eps * u * u + 0.5 * lam * pt.z[0] * pt.z[0]
-
-    return ScalarField(CHART_12, fn, params=dict(P), name="telegrapher-quadratic-z")
+    return _h_telegrapher(P, lambda lam, z: 0.5 * lam * z * z, "telegrapher-quadratic-z")
 
 
 def _tel_qz_effective_z(P):
@@ -507,6 +524,7 @@ def _tel_qz_solution(P):
 
 
 def _tel_qz_constraint(P):
+    _nonzero(P, "kappa", "effective-damping profile")
     if P["lambda"] == 0.0 or P["a"] == 0.0 or P["c"] == 0.0:
         raise ContractError(
             "the effective-damping exponential needs lambda, a, and c nonzero "
@@ -600,7 +618,7 @@ def _hs_log_potentials(mu, c, C1, delta, W_extra):
     return W
 
 
-def _hs_log_section(P):
+def _hs_log_section(P, W_extra=0.0, name="hs-log-zind"):
     mu, c, C1, delta = P["mu"], P["c"], P["C1"], P["delta"]
     if mu <= 0.0:
         raise ContractError("the square-root slope family needs mu > 0")
@@ -608,20 +626,14 @@ def _hs_log_section(P):
     def domain(q):
         return delta * (q[0] + c) > 1e-12
 
-    return from_potentials(CHART_12, _hs_log_potentials(mu, c, C1, delta, 0.0),
-                           domain=domain, name="hs-log-zind")
+    return from_potentials(CHART_12, _hs_log_potentials(mu, c, C1, delta, W_extra),
+                           domain=domain, name=name)
 
 
 def _hs_noncommuting_section(P):
-    mu, c, C1, delta, W_extra = P["mu"], P["c"], P["C1"], P["delta"], P["W"]
-    if mu <= 0.0 or W_extra == 0.0:
+    if P["mu"] <= 0.0 or P["W"] == 0.0:
         raise ContractError("the non-commuting admixture needs mu > 0 and W != 0")
-
-    def domain(q):
-        return delta * (q[0] + c) > 1e-12
-
-    return from_potentials(CHART_12, _hs_log_potentials(mu, c, C1, delta, W_extra),
-                           domain=domain, name="hs-noncommuting")
+    return _hs_log_section(P, P["W"], "hs-noncommuting")
 
 
 def _hs_quadratic_section(P):
@@ -892,6 +904,7 @@ CHART_13 = ChartSpec(n=1, k=3)
 
 
 def _h_membrane(P):
+    _nonzero(P, "c", "membrane Hamiltonian")
     c, kappa, lam = P["c"], P["kappa"], P["lambda"]
 
     def fn(pt):
@@ -947,6 +960,7 @@ def _membrane_solution(P):
 
 
 def _membrane_constraint(P):
+    _nonzero(P, "c", "membrane Hamiltonian")
     s = _membrane_growth(P)
     val = s * s + P["lambda"] * s + P["kappa"] + P["c"] ** 2 * (P["a"] ** 2 + P["b"] ** 2)
     if abs(val) > 1e-10:
@@ -1005,22 +1019,31 @@ def thermo_chart(k: int) -> ChartSpec:
     return ChartSpec(n=k + 2, k=k)
 
 
-def _h_thermo(P):
-    k = int(P["k"])
-    chart = thermo_chart(k)
-    cu, cn, ct, cp = P["u_quad"], P["n_quad"], P["t_quad"], P["p_quad"]
+def _thermo_fn(k, U, Phi):
+    """h = U(xi, beta, V) + Phi(N, T, P) on :func:`thermo_chart`, with
+    N^m = p[m, 0], T[l][m] = -p[m, 1 + l] and P^m = p[m, k + 1]."""
 
     def fn(pt):
-        U = cu * 0.5 * sum(pt.q[i] * pt.q[i] for i in range(k + 2))
-        N = [pt.p[m, 0] for m in range(k)]
-        T = [[-pt.p[m, 1 + l] for l in range(k)] for m in range(k)]
-        Pfl = [pt.p[m, k + 1] for m in range(k)]
-        Phi = (cn * 0.5 * sum(x * x for x in N)
-               + ct * 0.5 * sum(T[m][l] * T[m][l] for m in range(k) for l in range(k))
-               + cp * 0.5 * sum(x * x for x in Pfl))
-        return U + Phi
+        q, p = pt.q, pt.p
+        T = [[-p[m, 1 + l] for m in range(k)] for l in range(k)]
+        return U(q[0], list(q[1:1 + k]), q[k + 1]) + Phi(list(p[:, 0]), T, list(p[:, k + 1]))
 
-    return ScalarField(chart, fn, params=dict(P), name="thermo-eit")
+    return fn
+
+
+def _h_thermo(P):
+    k = int(P["k"])
+    cu, cn, ct, cp = P["u_quad"], P["n_quad"], P["t_quad"], P["p_quad"]
+
+    def U(xi, beta, V):
+        return cu * 0.5 * sum(x * x for x in [xi] + beta + [V])
+
+    def Phi(N, T, Pfl):
+        return (cn * 0.5 * sum(x * x for x in N)
+                + ct * 0.5 * sum(T[l][m] * T[l][m] for m in range(k) for l in range(k))
+                + cp * 0.5 * sum(x * x for x in Pfl))
+
+    return ScalarField(thermo_chart(k), _thermo_fn(k, U, Phi), params=dict(P), name="thermo-eit")
 
 
 THERMO = ExampleSystem(
@@ -1054,7 +1077,7 @@ class ThermoFields:
 
 @dataclass
 class ThermoResiduals:
-    """Finite-difference residual blocks of the thermodynamic field equations."""
+    """Finite-difference residual blocks of the thermodynamic field equations (maxima NaN on a NaN)."""
 
     constitutive_xi: np.ndarray  # grid + (k,)
     constitutive_beta: np.ndarray  # grid + (k, k)
@@ -1066,83 +1089,48 @@ class ThermoResiduals:
     entropy_evolution: np.ndarray  # grid
 
     def max_constitutive(self) -> float:
-        return float(max(np.max(np.abs(self.constitutive_xi)),
-                         np.max(np.abs(self.constitutive_beta)),
-                         np.max(np.abs(self.constitutive_V))))
+        return float(np.max([np.max(np.abs(b)) for b in (self.constitutive_xi, self.constitutive_beta,
+                                                          self.constitutive_V)]))
 
     def max_balance(self) -> float:
-        return float(max(np.max(np.abs(self.balance_N)),
-                         np.max(np.abs(self.balance_T)),
-                         np.max(np.abs(self.balance_P))))
+        return float(np.max([np.max(np.abs(b)) for b in (self.balance_N, self.balance_T, self.balance_P)]))
 
 
 def thermo_balance_residual(fields: ThermoFields, U, Phi, grid: GridSpec) -> ThermoResiduals:
     """Residuals of the constitutive, balance, and entropy blocks.
 
     ``U(xi, beta, V)`` and ``Phi(N, T, P)`` are the two halves of the
-    generating Hamiltonian (``beta``, ``N``, ``P`` lists of length k, ``T``
-    a k x k nested list); both must be dual-capable.  Field derivatives
-    are grid finite differences; potential derivatives are exact.
+    generating Hamiltonian h = U + Phi (``beta``, ``N``, ``P`` lists of length
+    k, ``T`` a k x k nested list); both must be dual-capable.  The blocks are
+    the q-, p- and z-field equations of h for the fields packed on
+    :func:`thermo_chart`.  Field derivatives are grid finite differences; h and
+    its gradient come from the node pass of :func:`~kcontact.hdw.map_residual`,
+    so U and Phi get lane values and a non-finite field entry raises ShapeError.
     """
     k = grid.k
     shp = grid.shape
-    if fields.xi.shape != shp or fields.N.shape != shp + (k,) or fields.T.shape != shp + (k, k):
+    tails = {"xi": (), "beta": (k,), "V": (), "N": (k,), "T": (k, k), "P": (k,), "S": (k,)}
+    if any(np.shape(getattr(fields, f)) != shp + t for f, t in tails.items()):
         raise ShapeError("thermo field arrays do not match the grid")
+    q = np.concatenate([fields.xi[..., None], fields.beta, fields.V[..., None]], axis=-1, dtype=float)
+    p = np.concatenate([fields.N[..., None], -np.swapaxes(fields.T, -1, -2), fields.P[..., None]],
+                       axis=-1, dtype=float)
+    chart = thermo_chart(k)
+    psi = SolutionMap(chart, grid, q, p, np.asarray(fields.S, dtype=float))
+    dq, dp, dz = psi.derivatives()
+    dU, dPhi, _, hval = _node_gradients(ScalarField(chart, _thermo_fn(k, U, Phi)), psi.q, psi.p, psi.z, True)
 
-    d_xi = np.stack([grid_derivative(fields.xi, grid, m) for m in range(k)], axis=-1)
-    d_beta = np.stack([grid_derivative(fields.beta, grid, m) for m in range(k)], axis=-1)
-    d_V = np.stack([grid_derivative(fields.V, grid, m) for m in range(k)], axis=-1)
-    div_N = sum(grid_derivative(fields.N[..., m], grid, m) for m in range(k))
-    div_T = sum(grid_derivative(fields.T[..., :, m], grid, m) for m in range(k))
-    div_P = sum(grid_derivative(fields.P[..., m], grid, m) for m in range(k))
-    div_S = sum(grid_derivative(fields.S[..., m], grid, m) for m in range(k))
-
-    c_xi = np.empty(shp + (k,))
-    c_beta = np.empty(shp + (k, k))
-    c_V = np.empty(shp + (k,))
-    b_N = np.empty(shp)
-    b_T = np.empty(shp + (k,))
-    b_P = np.empty(shp)
-    e_std = np.empty(shp)
-    e_ev = np.empty(shp)
-
-    for idx in grid.indices():
-        xi, V = float(fields.xi[idx]), float(fields.V[idx])
-        beta = [float(x) for x in fields.beta[idx]]
-        N = [float(x) for x in fields.N[idx]]
-        T = [[float(x) for x in row] for row in fields.T[idx]]
-        Pfl = [float(x) for x in fields.P[idx]]
-
-        uval, du = dm.derive1(lambda v: U(v[0], v[1:1 + k], v[1 + k]), [xi] + beta + [V])
-        dU_xi, dU_beta, dU_V = du[0], du[1:1 + k], du[1 + k]
-
-        def phi_flat(v):
-            Nv = v[:k]
-            Tv = [[v[k + l * k + m] for m in range(k)] for l in range(k)]
-            Pv = v[k + k * k:]
-            return Phi(Nv, Tv, Pv)
-
-        flat = N + [T[l][m] for l in range(k) for m in range(k)] + Pfl
-        pval, dphi = dm.derive1(phi_flat, flat)
-        dPhi_N = dphi[:k]
-        dPhi_T = np.array(dphi[k:k + k * k], dtype=float).reshape(k, k)
-        dPhi_P = dphi[k + k * k:]
-
-        c_xi[idx] = d_xi[idx] - np.array(dPhi_N, dtype=float)
-        c_beta[idx] = d_beta[idx] + dPhi_T  # d beta_l / dx^m + dPhi/dT[l][m]
-        c_V[idx] = d_V[idx] - np.array(dPhi_P, dtype=float)
-        b_N[idx] = div_N[idx] + dU_xi
-        b_T[idx] = div_T[idx] - np.array(dU_beta, dtype=float)
-        b_P[idx] = div_P[idx] + dU_V
-
-        source = (sum(N[m] * float(dPhi_N[m]) for m in range(k))
-                  + float(np.sum(np.array(T, dtype=float) * dPhi_T))
-                  + sum(Pfl[m] * float(dPhi_P[m]) for m in range(k)))
-        hval = float(uval) + float(pval)
-        e_std[idx] = div_S[idx] - (source - hval)
-        e_ev[idx] = div_S[idx] - source
-
-    return ThermoResiduals(c_xi, c_beta, c_V, b_N, b_T, b_P, e_std, e_ev)
+    R = dq - dPhi  # d q^i / d x^m - dh / d p_i^m
+    B = sum(dp[..., m, m, :] for m in range(k)) + dU  # sum_m d p_i^m / d x^m + dh / d q^i
+    div_S = sum(dz[..., m, m] for m in range(k))
+    # sum p dh/dp block by block, each summed as one node sums it: N, T[l][m] with l outer, P
+    pdp = psi.p * dPhi
+    source = (sum(pdp[..., m, 0] for m in range(k))
+              + np.sum(np.swapaxes(pdp[..., 1:1 + k], -1, -2).reshape(shp + (-1,)), axis=-1)
+              + sum(pdp[..., m, k + 1] for m in range(k)))
+    return ThermoResiduals(R[..., 0], np.swapaxes(R[..., 1:1 + k], -1, -2), R[..., k + 1],
+                           B[..., 0], -B[..., 1:1 + k], B[..., k + 1],  # T = -p: its balance is -B
+                           div_S - (source - hval), div_S - source)
 
 
 # --------------------------------------------------------------------------
@@ -1183,8 +1171,7 @@ def analytic(name: str, solution_key: str, params=None, grid: GridSpec = None) -
     """
     ex = load(name)
     entry = _solution_entry(ex, solution_key)
-    P = dict(entry.defaults)
-    P.update(params or {})
+    P = _params(entry.defaults, params, f"solution {solution_key}")
     entry.constraint(P)
     grid = grid if grid is not None else entry.default_grid(P)
     return entry._sample(ex.chart, grid, P)
@@ -1198,8 +1185,8 @@ def reference_base(name: str, solution_key: str, params=None, with_z: bool = Fal
     constraint is checked first.
     """
     entry = _solution_entry(load(name), solution_key)
-    P = dict(entry.defaults)
-    P.update({k: v for k, v in (params or {}).items() if k in P})
+    P = _params(entry.defaults, {k: v for k, v in (params or {}).items() if k in entry.defaults},
+                f"solution {solution_key}")
     entry.constraint(P)
     f = entry._point_map(P)
 
@@ -1213,8 +1200,5 @@ def reference_base(name: str, solution_key: str, params=None, with_z: bool = Fal
 def solution_modes(name: str, solution_key: str, params=None) -> tuple:
     """Modes whose map residual the given closed-form solution satisfies."""
     entry = _solution_entry(load(name), solution_key)
-    if not callable(entry.modes):
-        return entry.modes
-    P = dict(entry.defaults)
-    P.update(params or {})
-    return entry.modes(P)
+    P = _params(entry.defaults, params, f"solution {solution_key}")
+    return entry.modes(P) if callable(entry.modes) else entry.modes

@@ -138,7 +138,10 @@ class _DiagonalGauge(GaugeMatrix):
 
 def _resolve_samples(samples, box, dim, count, seed):
     if samples is not None:
-        pts, seed = np.atleast_2d(np.asarray(samples, dtype=float)), None
+        try:
+            pts, seed = np.atleast_2d(np.asarray(samples, dtype=float)), None
+        except (TypeError, ValueError):
+            raise ContractError("samples must be rows of numbers of one width") from None
     else:
         pts = sample_box(box if box is not None else default_box(dim), count, np.random.default_rng(seed))
     if pts.shape[1] != dim:

@@ -30,7 +30,10 @@ __all__ = [
 
 def sample_box(bounds, count: int, rng) -> np.ndarray:
     """``count`` uniform samples from the product of the given intervals, which must be finite."""
-    bounds = np.asarray(bounds, dtype=float)
+    try:
+        bounds = np.asarray(bounds, dtype=float)
+    except (TypeError, ValueError):
+        raise ContractError(f"sampling box must be (d, 2) lo/hi bounds, got {bounds!r}") from None
     if bounds.ndim != 2 or bounds.shape[1] != 2:
         raise ContractError(f"sampling box must be (d, 2) lo/hi bounds, got shape {bounds.shape}")
     if not np.all(np.isfinite(bounds)):

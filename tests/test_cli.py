@@ -258,6 +258,8 @@ _TEL_SOLUTION = ["simulate", "--example", "telegrapher", "--solution", "exponent
      "unknown solution 'nope' for example telegrapher; known: ['exponential']"),
     (["simulate", "--example", "telegrapher", "--section", "zdep-family"],
      "[grid]\norigin = 0,0\nspacing = 0.1,0.1\ncounts = 5,5\n", "simulate needs a start point"),
+    (["check-hj", "--section", "classical-zind"], None, "an example key is required"),
+    (["simulate", "--example", "telegrapher", "--section", "zdep-family"], None, "simulate needs a grid"),
     # numbers that are not finite, for any parameter
     (_TEL_CHECK + ["--set", "kappa=nan"], None, "parameter 'kappa' must be a finite number, got nan"),
     (_TEL_CHECK, "[params]\nkappa = nan\n", "parameter 'kappa' must be a finite number, got nan"),
@@ -298,6 +300,16 @@ _HS_LOG = ["simulate", "--example", "hunter-saxton", "--section", "log-zind", "-
     (_TEL_CHECK + ["--box", "nan,1"], "sampling box bounds must be finite"),
     # a finite start beyond the blow-up guard is refused before any field is evaluated
     (_TEL_SIM + ["--counts", "9,9", "--start", "1e300"], "[stage integrate] start point [1e+300] exceeds"),
+    # a zero parameter that the Hamiltonian or the profile divides by, refused before any evaluation
+    (_TEL_CHECK + ["--set", "kappa=0", "--set", "a=1"],
+     "parameter 'kappa' must be nonzero: the telegrapher Hamiltonian divides by it"),
+    (_TEL_FAMILY + ["--set", "kappa=0"], "parameter 'kappa' must be nonzero: the telegrapher Hamiltonian"),
+    (_TEL_SOLUTION + ["--set", "kappa=0", "--set", "a=1"],
+     "parameter 'kappa' must be nonzero: the exponential profile divides by it"),
+    (["simulate", "--example", "telegrapher-quadratic-z", "--solution", "exponential-effective-damping",
+      "--set", "kappa=0"], "parameter 'kappa' must be nonzero: the effective-damping profile divides by it"),
+    (["simulate", "--example", "membrane", "--solution", "separable", "--set", "c=0"],
+     "parameter 'c' must be nonzero: the membrane Hamiltonian divides by it"),
 ])
 def test_contract_violations_exit_3_and_write_nothing(argv, message, tmp_path, capsys):
     with warnings.catch_warnings():
@@ -306,6 +318,20 @@ def test_contract_violations_exit_3_and_write_nothing(argv, message, tmp_path, c
     out, err = capsys.readouterr()
     assert not out and err.startswith(f"contract error: {message}") and err.count("\n") == 1
     assert err.count("stage") == message.count("stage")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    # argparse refuses a flag value of the wrong type before any plan is read
+    (_TEL_CHECK + ["--samples", "x"], 2, "kcontact check-hj: error: argument --samples: invalid int value: 'x'"),
+    # a closed form overflowing inside a math helper
+    (_TEL_SOLUTION + ["--origin", "0,0", "--spacing", "1,1100", "--counts", "3,3"], 3,
+     "arithmetic error: math range error"),
+])
+def test_other_refusals_exit_with_their_code_and_message(argv, code, message, tmp_path, capsys):
+    assert run(argv + ["--out", str(tmp_path / "out")]) == code
+    out, err = capsys.readouterr()
+    assert not out and err.splitlines()[-1] == message
     assert not (tmp_path / "out").exists()
 
 

@@ -306,3 +306,155 @@ def test_thermo_shape_mismatch():
                        fields.T, fields.P, fields.S)
     with pytest.raises(kc.ShapeError):
         thermo_balance_residual(bad, U=lambda *a: 0.0, Phi=lambda *a: 0.0, grid=grid)
+
+
+def _ref_thermo_residual(fields, U, Phi, grid):
+    """The per-node loop the balance-law residual replaced: two scalar gradient passes per
+    node.  Also returns where the plain value of h differs from the value of the dual pass."""
+    from kcontact.grids import grid_derivative
+
+    k, shp = grid.k, grid.shape
+    d_xi = np.stack([grid_derivative(fields.xi, grid, m) for m in range(k)], axis=-1)
+    d_beta = np.stack([grid_derivative(fields.beta, grid, m) for m in range(k)], axis=-1)
+    d_V = np.stack([grid_derivative(fields.V, grid, m) for m in range(k)], axis=-1)
+    div_N = sum(grid_derivative(fields.N[..., m], grid, m) for m in range(k))
+    div_T = sum(grid_derivative(fields.T[..., :, m], grid, m) for m in range(k))
+    div_P = sum(grid_derivative(fields.P[..., m], grid, m) for m in range(k))
+    div_S = sum(grid_derivative(fields.S[..., m], grid, m) for m in range(k))
+    out = {name: np.empty(shp + tail) for name, tail in (
+        ("c_xi", (k,)), ("c_beta", (k, k)), ("c_V", (k,)), ("b_N", ()), ("b_T", (k,)), ("b_P", ()),
+        ("e_std", ()), ("e_ev", ()))}
+    plain_differs = np.zeros(shp, dtype=bool)
+    for idx in grid.indices():
+        xi, V = float(fields.xi[idx]), float(fields.V[idx])
+        beta = [float(x) for x in fields.beta[idx]]
+        N = [float(x) for x in fields.N[idx]]
+        T = [[float(x) for x in row] for row in fields.T[idx]]
+        Pfl = [float(x) for x in fields.P[idx]]
+        uval, du = dm.derive1(lambda v: U(v[0], v[1:1 + k], v[1 + k]), [xi] + beta + [V])
+
+        def phi_flat(v):
+            return Phi(v[:k], [[v[k + l * k + m] for m in range(k)] for l in range(k)], v[k + k * k:])
+
+        pval, dphi = dm.derive1(phi_flat, N + [T[l][m] for l in range(k) for m in range(k)] + Pfl)
+        dPhi_N, dPhi_P = dphi[:k], dphi[k + k * k:]
+        dPhi_T = np.array(dphi[k:k + k * k], dtype=float).reshape(k, k)
+        out["c_xi"][idx] = d_xi[idx] - np.array(dPhi_N, dtype=float)
+        out["c_beta"][idx] = d_beta[idx] + dPhi_T
+        out["c_V"][idx] = d_V[idx] - np.array(dPhi_P, dtype=float)
+        out["b_N"][idx] = div_N[idx] + du[0]
+        out["b_T"][idx] = div_T[idx] - np.array(du[1:1 + k], dtype=float)
+        out["b_P"][idx] = div_P[idx] + du[1 + k]
+        source = (sum(N[m] * float(dPhi_N[m]) for m in range(k))
+                  + float(np.sum(np.array(T, dtype=float) * dPhi_T))
+                  + sum(Pfl[m] * float(dPhi_P[m]) for m in range(k)))
+        hval = float(uval) + float(pval)
+        out["e_std"][idx] = div_S[idx] - (source - hval)
+        out["e_ev"][idx] = div_S[idx] - source
+        plain_differs[idx] = U(xi, beta, V) + Phi(N, T, Pfl) != hval
+    return out, plain_differs
+
+
+def _thermo_random_fields(grid, rng):
+    k, shp = grid.k, grid.shape
+    return ThermoFields(*(0.5 + rng.random(shp + tail) for tail in
+                          ((), (k,), (), (k,), (k, k), (k,), (k,))))
+
+
+def _thermo_U(xi, beta, V):
+    return xi * xi / V + dm.exp(0.3 * xi) * sum(b * b / (1.0 + b) for b in beta) + 1.0 / (xi * V)
+
+
+def _thermo_Phi(N, T, P):
+    k = len(N)
+    return (sum(N[m] * N[m] / P[m] for m in range(k))
+            + sum(T[l][m] * T[l][m] * T[m][l] / (N[l] + P[m]) for l in range(k) for m in range(k))
+            + dm.sqrt(sum(x for x in P)) / N[0])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_thermo_residual_matches_the_per_node_loop(k):
+    grid = GridSpec([0.0] * k, [0.07] * k, [5 - (k == 3)] * k)
+    fields = _thermo_random_fields(grid, np.random.default_rng(100 + k))
+    res = thermo_balance_residual(fields, _thermo_U, _thermo_Phi, grid)
+    ref, plain_differs = _ref_thermo_residual(fields, _thermo_U, _thermo_Phi, grid)
+    blocks = ("c_xi", "c_beta", "c_V", "b_N", "b_T", "b_P", "e_ev")
+    for name, got in zip(blocks, (res.constitutive_xi, res.constitutive_beta, res.constitutive_V,
+                                  res.balance_N, res.balance_T, res.balance_P, res.entropy_evolution)):
+        assert got.shape == ref[name].shape and got.tobytes() == ref[name].tobytes(), name
+    same = res.entropy_standard == ref["e_std"]
+    assert np.all(same | plain_differs)
+    assert np.all(np.abs(res.entropy_standard - ref["e_std"]) <= 1e-13 * np.abs(ref["e_std"]))
+
+
+def test_thermo_residual_lanes_give_the_node_by_node_values():
+    # float() sends the pass node by node: the values are those of the lane pass
+    k = 2
+    grid = GridSpec([0.0] * k, [0.07] * k, [4, 5])
+    fields = _thermo_random_fields(grid, np.random.default_rng(7))
+
+    def U_float(xi, beta, V):
+        return _thermo_U(xi, beta, V) + 0.0 * float(xi)
+
+    lanes = thermo_balance_residual(fields, _thermo_U, _thermo_Phi, grid)
+    nodes = thermo_balance_residual(fields, U_float, _thermo_Phi, grid)
+    for a, b in zip(vars(lanes).values(), vars(nodes).values()):
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("name", ["xi", "beta", "V", "N", "T", "P", "S"])
+def test_thermo_non_finite_field_raises_shape_error(name):
+    grid = GridSpec([0.0, 0.0], [0.1, 0.1], [4, 4])
+    fields = _thermo_random_fields(grid, np.random.default_rng(3))
+    getattr(fields, name)[(2, 1)] = np.nan
+    with pytest.raises(kc.ShapeError, match="non-finite"):
+        thermo_balance_residual(fields, _thermo_U, _thermo_Phi, grid)
+
+
+_THERMO_BLOCKS = ("constitutive_xi", "constitutive_beta", "constitutive_V",
+                  "balance_N", "balance_T", "balance_P")
+
+
+@pytest.mark.parametrize("block", _THERMO_BLOCKS)
+def test_thermo_maxima_keep_a_nan_of_any_block(block):
+    grid = GridSpec([0.0, 0.0], [0.1, 0.1], [4, 4])
+    res = thermo_balance_residual(_const_fields(grid, 2), U=lambda *a: 0.0, Phi=lambda *a: 0.0, grid=grid)
+    getattr(res, block)[(1, 2)] = np.nan
+    constitutive = block.startswith("constitutive")
+    assert np.isnan(res.max_constitutive() if constitutive else res.max_balance())
+    assert (res.max_balance() if constitutive else res.max_constitutive()) == 0.0
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: corpus.analytic("telegrapher", "exponential", params={"zeta": 1.0}),
+     kc.ConfigError, "unknown parameter 'zeta' for solution exponential; known: \\['C0', "),
+    (lambda: corpus.solution_modes("hunter-saxton", "quadratic", params={"zeta": 1.0}),
+     kc.ConfigError, "unknown parameter 'zeta' for solution quadratic"),
+    (lambda: corpus.load("membrane").hamiltonian({"zeta": 1.0}),
+     kc.ConfigError, "unknown parameter 'zeta' for example membrane"),
+    (lambda: corpus.analytic("telegrapher", "exponential", params={"kappa": "abc"}),
+     kc.ConfigError, "parameter 'kappa' expects a number, got 'abc'"),
+    (lambda: corpus.load("telegrapher").hamiltonian({"kappa": [1.0]}),
+     kc.ConfigError, "parameter 'kappa' expects a number, got \\[1.0\\]"),
+    (lambda: corpus.reference_base("telegrapher", "exponential", params={"zeta": 1.0, "u0": np.inf}),
+     kc.ConfigError, "parameter 'u0' must be a finite number, got inf"),
+    (lambda: corpus.analytic("telegrapher", "exponential", params={"kappa": 0.0, "a": 1.0}),
+     kc.ContractError, "parameter 'kappa' must be nonzero: the exponential profile divides by it"),
+    (lambda: corpus.analytic("telegrapher-quadratic-z", "exponential-effective-damping", params={"kappa": 0.0}),
+     kc.ContractError, "parameter 'kappa' must be nonzero: the effective-damping profile"),
+    (lambda: corpus.load("telegrapher-quadratic-z").hamiltonian({"kappa": 0.0}),
+     kc.ContractError, "parameter 'kappa' must be nonzero: the telegrapher Hamiltonian divides by it"),
+    (lambda: corpus.analytic("membrane", "separable", params={"c": 0.0}),
+     kc.ContractError, "parameter 'c' must be nonzero: the membrane Hamiltonian divides by it"),
+    (lambda: corpus.load("membrane").hamiltonian({"c": 0.0}),
+     kc.ContractError, "parameter 'c' must be nonzero: the membrane Hamiltonian divides by it"),
+])
+def test_the_parameter_resolver_refuses_what_the_cli_refuses(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
+def test_the_parameter_resolver_keeps_text_modes_and_none_defaults():
+    assert corpus.solution_modes("telegrapher", "exponential", {"a": None}) == ("standard", "evolution")
+    with pytest.raises(kc.ContractError, match="mode parameter must be standard or evolution"):
+        corpus.analytic("first-order-dissipative", "standing-standard", params={"mode": "other"})

@@ -114,6 +114,43 @@ def test_array_broadcast():
     assert grad[0] == pytest.approx(2.0)
 
 
+_ARR = np.array([2.0, 4.0])
+
+
+@pytest.mark.parametrize("f, x", [
+    (lambda v: (v[0] + _ARR)[1], [0.7]),  # Dual + array broadcasts entry by entry
+    (lambda v: (v[0] / _ARR)[1], [0.7]),
+    (lambda v: (_ARR / v[0])[1], [0.7]),  # array / Dual, through the reflected division
+    (lambda v: v[0] ** 0 + v[1], [0.7, 1.3]),
+    (lambda v: v[0] ** 1 * v[1], [0.7, 1.3]),
+    (lambda v: v[0] ** v[1], [0.7, 1.3]),  # a dual exponent
+])
+def test_array_operands_and_special_powers_match_the_plain_function(f, x):
+    val, grad = dm.derive1(f, x)
+    assert val == pytest.approx(f(x), rel=1e-15)
+    assert grad == pytest.approx(fd_gradient(f, x), rel=1e-8, abs=1e-10)
+
+
+def test_powers_zero_and_one_and_a_dual_exponent_keep_their_exact_forms():
+    _, g0 = dm.derive1(lambda v: v[0] ** 0, [0.7])
+    v1, g1 = dm.derive1(lambda v: v[0] ** 1, [0.7])
+    v2, g2 = dm.derive1(lambda v: v[0] ** v[1], [0.7, 1.3])
+    assert g0 == [0.0] and (v1, g1) == (0.7, [1.0])
+    assert v2 == math.exp(math.log(0.7) * 1.3)
+    assert g2[1] == pytest.approx(math.log(0.7) * 0.7 ** 1.3, rel=1e-15)
+
+
+def test_a_non_finite_point_entry_in_a_lane_pass_gives_the_scalar_shape_error():
+    # the output never reads the NaN momentum: only the refusal of the lane pass finds it
+    def fn(x):
+        return kc.DarbouxPoint(x[:1], [[x[1]], [x[2]]], x[3:]).q[0] * 2.0
+
+    X = np.array([[0.1, 0.2, 0.3, 0.4, 0.5], [0.1, np.nan, 0.3, 0.4, 0.5], [0.2] * 5])
+    for rows in (X, X[1:2]):
+        with pytest.raises(kc.ShapeError, match="p contains non-finite entries"):
+            dm._rows(fn, rows)
+
+
 # -- lanes: many points through one pass ----------------------------------------
 
 def lanes(*xs):

@@ -49,6 +49,29 @@ def _zdep_gauge_shape():
                                samples=[[0.1, 0.2, 0.3]])
 
 
+def _cut_zdep(name="cut"):
+    """A section over Q x R^2 whose domain holds no point."""
+    return kc.SectionZDep(CH12, lambda q, z: [[0.0], [z[0]]], domain=lambda q, z: False, name=name)
+
+
+def _cut_h():
+    """The telegrapher Hamiltonian on a domain that holds no point."""
+    h = _tel()[0]
+    return kc.ScalarField(h.chart, h.fn, domain=lambda pt: False, name="cut")
+
+
+def _membrane_zdep_no_diagonal_solution():
+    # momenta constant in z: every diagonal entry d vanishes, while xi = kappa u + lambda p^t = 5
+    ch13 = kc.ChartSpec(1, 3)
+    gamma = kc.SectionZDep(ch13, lambda q, z: [[1.0], [0.0], [0.0]])
+    return kc.solve_diagonal_C(corpus.load("membrane").hamiltonian(), gamma, "evolution", [1.0], [0.0] * 3)
+
+
+def _hs_log_zind():
+    entry = corpus.load("hunter-saxton").sections["log-zind"]
+    return entry.build(dict(entry.defaults))
+
+
 CASES = {
     "grid lengths": (lambda: GridSpec([0.0, 0.0], [0.1], [3, 3]),
                      kc.ShapeError, "inconsistent lengths"),
@@ -118,6 +141,34 @@ CASES = {
     "sampling box row without a hi bound": (
         lambda: kc.hj_classical_zind(*_tel(), box=[[0.5]], count=5),
         kc.ContractError, r"sampling box must be \(d, 2\) lo/hi bounds, got shape \(1, 1\)"),
+    "ragged sampling box": (lambda: kc.hj_classical_zind(*_tel(), box=[[0.5, 2.0], [1.0]], count=5),
+                            kc.ContractError, r"sampling box must be \(d, 2\) lo/hi bounds, got \[\[0.5, 2.0\], \[1.0\]\]"),
+    "ragged samples": (lambda: kc.hj_classical_zind(*_tel(), samples=[[0.5], [0.6, 0.7]]),
+                       kc.ContractError, "samples must be rows of numbers of one width"),
+    "diagonal gauge system without a solution, k = 3": (
+        _membrane_zdep_no_diagonal_solution, kc.NoSolutionError,
+        "diagonal gauge-matrix system has no solution at this point"),
+    "projected field outside the section domain": (
+        lambda: kc.project_zdep(corpus.load("hunter-saxton").hamiltonian(), _cut_zdep(),
+                                kc.GaugeMatrix(lambda q, z: np.eye(2))).comps[0]([0.5, 0.0, 0.0]),
+        kc.DomainError, r"projected field evaluated outside the section domain at \[0.5\], \[0.0, 0.0\]"),
+    "z-derivative of h outside the field domain": (
+        lambda: kc.gamma_beta(_cut_h(), _zdep(), [0.5], [0.0, 0.0]),
+        kc.DomainError, "point outside declared domain of field cut"),
+    "z-dependent section point outside its domain": (lambda: _cut_zdep().at([0.5], [0.0, 0.0]),
+                                                     kc.DomainError, "base point outside domain of section cut"),
+    "field value outside its domain": (lambda: _cut_h()(kc.DarbouxPoint.from_flat(CH12, [0.0] * 5)),
+                                       kc.DomainError, "point outside declared domain of field 'cut'"),
+    "unknown map residual mode": (lambda: kc.map_residual(_tel_map(GRID), _tel()[0], mode="nope"),
+                                  kc.ContractError, "mode must be one of \\('standard', 'evolution'\\), got 'nope'"),
+    "no admissible sample for the affinity check": (
+        lambda: kc.second_order_residual(_cut_h(), BaseMap(GRID, np.ones(GRID.shape + (1,)))),
+        kc.ContractError, "no admissible sample points for the affinity check"),
+    "monotone inversion without a bracket": (lambda: corpus._monotone_invert(lambda r: r, -1.0),
+                                             kc.ContractError, "could not bracket the target value"),
+    "lift with every node outside the section domain": (
+        lambda: kc.lift(_hs_log_zind(), BaseMap(GRID, np.full(GRID.shape + (1,), -1.0))),
+        kc.DomainError, "base point outside domain of section hs-log-zind"),
 }
 
 
