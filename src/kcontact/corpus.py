@@ -182,14 +182,6 @@ def closed_solution_map(chart: ChartSpec, grid: GridSpec, f) -> SolutionMap:
     """
     n, k = chart.n, chart.k
 
-    def as_point(t):
-        q, p, z = f(list(t))
-        return DarbouxPoint(
-            np.array([float(v) for v in q]),
-            np.array([[float(v) for v in row] for row in p]),
-            np.array([float(v) for v in z]),
-        )
-
     def flat(t):
         q, p, z = f(list(t))
         return list(q) + [p[a][i] for a in range(k) for i in range(n)] + list(z)
@@ -202,7 +194,7 @@ def closed_solution_map(chart: ChartSpec, grid: GridSpec, f) -> SolutionMap:
         dz = J[n + k * n:].T
         return dq, dp, dz
 
-    return SolutionMap.from_function(chart, grid, as_point, derivative)
+    return SolutionMap.from_function(chart, grid, lambda t: DarbouxPoint(*f(list(t))), derivative)
 
 
 def closed_base_map(grid: GridSpec, f) -> BaseMap:
@@ -222,7 +214,24 @@ def _default_grid(origin, spacing, counts):
     return lambda params: GridSpec(origin, spacing, counts)
 
 
-def _monotone_invert(g, w, r_max: float = 1.0, tol: float = 1e-14, max_expand: int = 200):
+def _mode_pair(keys, build, defaults, **entry):
+    """The standard and evolution entries, named by ``keys`` in that order, of one closed form
+    with a ``mode`` parameter: each defaults to its own mode, last, and passes that mode only."""
+    return {key: SolutionEntry(key, build, {**defaults, "mode": mode}, modes=(mode,), **entry)
+            for key, mode in zip(keys, ("standard", "evolution"))}
+
+
+def _mode_constraint(P):
+    if P["mode"] not in ("standard", "evolution"):
+        raise ContractError("mode parameter must be standard or evolution")
+
+
+_INVERT_R_MAX = 1.0  # first upper end of the bracket of a monotone inversion
+_INVERT_MAX_EXPAND = 200  # how often that end may double before the inversion gives up
+_INVERT_TOL = 1e-14  # relative bracket width at which its bisection stops
+
+
+def _monotone_invert(g, w):
     """Solve g(r) = w for r > 0, g strictly monotone; dual-capable in ``w``.
 
     First derivatives propagate through the inverse-function rule; nested
@@ -231,12 +240,12 @@ def _monotone_invert(g, w, r_max: float = 1.0, tol: float = 1e-14, max_expand: i
     if isinstance(w, dm.Dual):
         if isinstance(w.a, dm.Dual):
             raise ContractError("monotone inversion supports one dual level")
-        r0 = _monotone_invert(g, w.a, r_max=r_max, tol=tol)
+        r0 = _monotone_invert(g, w.a)
         _, slope = dm.derive1(lambda rs: g(rs[0]), [r0])
         return dm.Dual(r0, tuple(x / slope[0] for x in w.b), w.lev)
     w = float(w)
-    lo, hi = 1e-300, r_max
-    for _ in range(max_expand):
+    lo, hi = 1e-300, _INVERT_R_MAX
+    for _ in range(_INVERT_MAX_EXPAND):
         glo, ghi = g(lo), g(hi)
         if (glo - w) * (ghi - w) <= 0.0:
             break
@@ -250,7 +259,7 @@ def _monotone_invert(g, w, r_max: float = 1.0, tol: float = 1e-14, max_expand: i
             hi = mid
         else:
             lo = mid
-        if hi - lo < tol * max(1.0, abs(mid)):
+        if hi - lo < _INVERT_TOL * max(1.0, abs(mid)):
             break
     return 0.5 * (lo + hi)
 
@@ -411,18 +420,23 @@ def _tel_exp_constraint(P):
 
 def _tel_exp_modes(P):
     lam, c, C0, C1 = P["lambda"], P["c"], P["C0"], P["C1"]
-    modes = ["evolution"]
-    if abs(lam * (c * C1 + C0)) <= 1e-12:
-        modes.insert(0, "standard")
-    return tuple(modes)
+    return ("standard", "evolution") if abs(lam * (c * C1 + C0)) <= 1e-12 else ("evolution",)
 
 
-def _tel_pde(fields, grid, P):
-    u = fields["u"]
-    u_t = grid_derivative(u, grid, 0)
-    u_tt = grid_second_derivative(u, grid, 0)
-    u_xx = grid_second_derivative(u, grid, 1)
-    return u_tt - P["kappa"] * u_xx + P["lambda"] * u_t + P["epsilon"] * u
+def _damped_wave(speed2, mass, field_damping=False):
+    """Residual u_tt - speed2(P) (u_xx + ...) + lambda u_t + P[mass] u of the damped wave
+    equation on the grid of ``u``; with ``field_damping`` lambda is scaled by the field z^t."""
+
+    def residual(fields, grid, P):
+        u = fields["u"]
+        laplacian = grid_second_derivative(u, grid, 1)
+        for axis in range(2, grid.k):
+            laplacian = laplacian + grid_second_derivative(u, grid, axis)
+        damping = P["lambda"] * fields["zt"] if field_damping else P["lambda"]
+        return (grid_second_derivative(u, grid, 0) - speed2(P) * laplacian
+                + damping * grid_derivative(u, grid, 0) + P[mass] * u)
+
+    return residual
 
 
 def _broken_trace_gauge(P):
@@ -475,7 +489,7 @@ TELEGRAPHER = ExampleSystem(
         ),
     },
     families={"complete": _linear_family("telegrapher-complete", damping="lambda")},
-    pde_residual=_tel_pde,
+    pde_residual=_damped_wave(lambda P: P["kappa"], "epsilon"),
     expected=(
         ExpectedCase("check-hj", "classical-zind", "standard", "PASS"),
         ExpectedCase("check-hj", "classical-zind-wrong-root", "standard", "FAIL"),
@@ -498,16 +512,11 @@ def _h_telegrapher_qz(P):
     return _h_telegrapher(P, lambda lam, z: 0.5 * lam * z * z, "telegrapher-quadratic-z")
 
 
-def _tel_qz_effective_z(P):
-    kappa, lam, eps, c, a = P["kappa"], P["lambda"], P["epsilon"], P["c"], P["a"]
-    return -(a * a * (c * c - 1.0 / kappa) + eps) / (lam * a * c)
-
-
 def _tel_qz_solution(P):
     kappa, lam, eps, c, a, u0 = P["kappa"], P["lambda"], P["epsilon"], P["c"], P["a"], P["u0"]
     mode = P["mode"]
-    Z = _tel_qz_effective_z(P)
     drift = a * a * (c * c - 1.0 / kappa)
+    Z = -(drift + eps) / (lam * a * c)  # the constant extra coordinate z^t
     if mode == "standard":
         beta = -kappa * (drift - eps) / (4.0 * a)
     else:
@@ -533,39 +542,18 @@ def _tel_qz_constraint(P):
     _mode_constraint(P)
 
 
-def _tel_qz_pde(fields, grid, P):
-    u, zt = fields["u"], fields["zt"]
-    u_t = grid_derivative(u, grid, 0)
-    u_tt = grid_second_derivative(u, grid, 0)
-    u_xx = grid_second_derivative(u, grid, 1)
-    return u_tt - P["kappa"] * u_xx + P["lambda"] * zt * u_t + P["epsilon"] * u
-
-
 TELEGRAPHER_QZ = ExampleSystem(
     name="telegrapher-quadratic-z",
     chart=CHART_12,
     make_h=_h_telegrapher_qz,
     defaults={"kappa": 1.0, "lambda": 1.0, "epsilon": 0.0},
-    solutions={
-        "exponential-effective-damping": SolutionEntry(
-            "exponential-effective-damping", _tel_qz_solution,
-            {"kappa": 1.0, "lambda": 1.0, "epsilon": 0.0, "c": 2.0, "a": -2.0 / 3.0,
-             "u0": 1.0, "mode": "standard"},
-            modes=("standard",),
-            constraint=_tel_qz_constraint,
-            default_grid=_default_grid([0.0, 0.0], [0.01, 0.01], [21, 21]),
-        ),
-        "exponential-effective-damping-evolution": SolutionEntry(
-            "exponential-effective-damping-evolution", _tel_qz_solution,
-            {"kappa": 1.0, "lambda": 1.0, "epsilon": 0.0, "c": 2.0, "a": -2.0 / 3.0,
-             "u0": 1.0, "mode": "evolution"},
-            modes=("evolution",),
-            constraint=_tel_qz_constraint,
-            default_grid=_default_grid([0.0, 0.0], [0.01, 0.01], [21, 21]),
-        ),
-    },
-    pde_residual=_tel_qz_pde,
-    expected=(),
+    solutions=_mode_pair(
+        ("exponential-effective-damping", "exponential-effective-damping-evolution"), _tel_qz_solution,
+        {"kappa": 1.0, "lambda": 1.0, "epsilon": 0.0, "c": 2.0, "a": -2.0 / 3.0, "u0": 1.0},
+        constraint=_tel_qz_constraint,
+        default_grid=_default_grid([0.0, 0.0], [0.01, 0.01], [21, 21]),
+    ),
+    pde_residual=_damped_wave(lambda P: P["kappa"], "epsilon", field_damping=True),
     note="quadratic extra-coordinate coupling: damping coefficient becomes a field",
 )
 
@@ -852,11 +840,6 @@ def _fo_standing(P):
     return f
 
 
-def _mode_constraint(P):
-    if P["mode"] not in ("standard", "evolution"):
-        raise ContractError("mode parameter must be standard or evolution")
-
-
 FIRST_ORDER = ExampleSystem(
     name="first-order-dissipative",
     chart=CHART_12,
@@ -869,24 +852,12 @@ FIRST_ORDER = ExampleSystem(
             modes=("standard", "evolution"),
         ),
     },
-    solutions={
-        "standing-standard": SolutionEntry(
-            "standing-standard", _fo_standing,
-            {"lambda": 1.0, "Z": 0.0, "mode": "standard"},
-            modes=("standard",),
-            constraint=_mode_constraint,
-            default_grid=_default_grid([0.0, 0.0], [0.05, 0.05], [9, 9]),
-            tol=1e-12,
-        ),
-        "standing-evolution": SolutionEntry(
-            "standing-evolution", _fo_standing,
-            {"lambda": 1.0, "Z": 0.0, "mode": "evolution"},
-            modes=("evolution",),
-            constraint=_mode_constraint,
-            default_grid=_default_grid([0.0, 0.0], [0.05, 0.05], [9, 9]),
-            tol=1e-12,
-        ),
-    },
+    solutions=_mode_pair(
+        ("standing-standard", "standing-evolution"), _fo_standing, {"lambda": 1.0, "Z": 0.0},
+        constraint=_mode_constraint,
+        default_grid=_default_grid([0.0, 0.0], [0.05, 0.05], [9, 9]),
+        tol=1e-12,
+    ),
     families={"complete": _linear_family("first-order-complete")},
     expected=(
         ExpectedCase("check-hj", "zdep-family", "standard", "PASS"),
@@ -970,39 +941,18 @@ def _membrane_constraint(P):
         )
 
 
-def _membrane_pde(fields, grid, P):
-    u = fields["u"]
-    u_t = grid_derivative(u, grid, 0)
-    u_tt = grid_second_derivative(u, grid, 0)
-    u_xx = grid_second_derivative(u, grid, 1)
-    u_yy = grid_second_derivative(u, grid, 2)
-    return u_tt - P["c"] ** 2 * (u_xx + u_yy) + P["lambda"] * u_t + P["kappa"] * u
-
-
 MEMBRANE = ExampleSystem(
     name="membrane",
     chart=CHART_13,
     make_h=_h_membrane,
     defaults={"c": 1.0, "kappa": 1.0, "lambda": 4.0},
-    solutions={
-        "separable": SolutionEntry(
-            "separable", _membrane_solution,
-            {"c": 1.0, "kappa": 1.0, "lambda": 4.0, "a": 1.0, "b": 1.0,
-             "u0": 0.5, "branch": 1.0, "mode": "standard"},
-            modes=("standard",),
-            constraint=_membrane_constraint,
-            default_grid=_default_grid([0.0, 0.0, 0.0], [0.0005, 0.0005, 0.0005], [9, 9, 9]),
-        ),
-        "separable-evolution": SolutionEntry(
-            "separable-evolution", _membrane_solution,
-            {"c": 1.0, "kappa": 1.0, "lambda": 4.0, "a": 1.0, "b": 1.0,
-             "u0": 0.5, "branch": 1.0, "mode": "evolution"},
-            modes=("evolution",),
-            constraint=_membrane_constraint,
-            default_grid=_default_grid([0.0, 0.0, 0.0], [0.0005, 0.0005, 0.0005], [9, 9, 9]),
-        ),
-    },
-    pde_residual=_membrane_pde,
+    solutions=_mode_pair(
+        ("separable", "separable-evolution"), _membrane_solution,
+        {"c": 1.0, "kappa": 1.0, "lambda": 4.0, "a": 1.0, "b": 1.0, "u0": 0.5, "branch": 1.0},
+        constraint=_membrane_constraint,
+        default_grid=_default_grid([0.0, 0.0, 0.0], [0.0005, 0.0005, 0.0005], [9, 9, 9]),
+    ),
+    pde_residual=_damped_wave(lambda P: P["c"] ** 2, "kappa"),
     expected=(
         ExpectedCase("simulate", None, "standard", "PASS", solution="separable"),
     ),
@@ -1051,7 +1001,6 @@ THERMO = ExampleSystem(
     chart=thermo_chart(2),
     make_h=_h_thermo,
     defaults={"k": 2, "u_quad": 0.0, "n_quad": 1.0, "t_quad": 1.0, "p_quad": 1.0},
-    expected=(),
     note="balance-law field theory: intensives, fluxes, and entropy fluxes on a k-grid "
          "(verification only; no closed solution family is shipped)",
 )

@@ -10,7 +10,8 @@ avoids perturbation confusion when passes nest.
 
 User-supplied callables stay differentiable as long as they use ordinary
 scalar arithmetic and the math helpers exported here (``exp``, ``log``,
-``sqrt``, ...) instead of the ``math``/``numpy`` versions.
+``sqrt``, ...) instead of the ``math``/``numpy`` versions.  A dual times a
+point's array (``pt.q[0] * pt.p``) broadcasts element by element.
 
 Lanes.  Grid and sample sweeps evaluate one callable at many points in a
 single pass by handing it :class:`_Lanes` values, each carrying one float

@@ -58,11 +58,14 @@ class ScalarField:
 
     def __call__(self, pt: DarbouxPoint):
         if self.domain is not None and not self.domain(pt):
-            raise DomainError(f"point outside declared domain of field {self.name or self.fn!r}")
+            raise self._outside()
         return self.fn(pt)
 
     def in_domain(self, pt: DarbouxPoint) -> bool:
         return self.domain is None or bool(self.domain(pt))
+
+    def _outside(self) -> DomainError:
+        return DomainError(f"point outside declared domain of field {self.name or repr(self.fn)}")
 
 
 def _point_from_coords(chart: ChartSpec, coords) -> DarbouxPoint:
@@ -90,7 +93,7 @@ def _node_gradients(h: ScalarField, q, p, z, value: bool, kvf=None):
         x = list(x)
         pt = DarbouxPoint(x[:n], [x[n + a * n:n + a * n + n] for a in range(k)], x[n + n * k:])
         if not h.in_domain(pt):
-            raise DomainError(f"point outside declared domain of field {h.name}")
+            raise h._outside()
         _, g = dm.derive1(lambda xs: h.fn(_point_from_coords(chart, xs)), _floats(x))
         return g + [h.fn(pt)] if value else g
 

@@ -65,6 +65,7 @@ COISO_TOL = 1e-10
 TRACE_TOL_STANDARD = 1e-10
 TRACE_TOL_EVOLUTION = 1e-12
 DEFAULT_SAMPLES = 500
+_WORST_KEPT = 3  # worst offenders a report lists
 
 
 @dataclass
@@ -150,8 +151,8 @@ def _resolve_samples(samples, box, dim, count, seed):
     return pts, seed
 
 
-def _top_offenders(values, points, keep=3):
-    order = np.argsort(values)[::-1][:keep]
+def _top_offenders(values, points):
+    order = np.argsort(values)[::-1][:_WORST_KEPT]
     return [(float(values[i]), tuple(float(x) for x in points[i])) for i in order]
 
 
@@ -248,7 +249,7 @@ def gamma_beta(h: ScalarField, gamma: SectionZDep, q, z) -> np.ndarray:
     h contracted with the z^b-derivatives of the section coefficients.
     """
     if not h.in_domain(gamma.at(q, z)):
-        raise DomainError(f"point outside declared domain of field {h.name}")
+        raise h._outside()
     return np.array([float(x) for x in _zdep_ingredients(h, gamma, q, z)[2]])
 
 
@@ -321,6 +322,8 @@ def _gauge_floats(Cm, k: int):
         if k >= 8 or len(rows) != k or any(len(row) != k for row in rows):
             raise
         return rows, sum(rows[a][a] for a in range(k))
+    except (TypeError, ValueError):  # ragged rows, or entries that are not numbers
+        raise ContractError(f"gauge matrix is not a {k} x {k} array of numbers") from None
     if Cm.shape != (k, k):
         raise ContractError(f"gauge matrix has shape {Cm.shape}, expected {(k, k)}")
     return Cm, float(np.trace(Cm))

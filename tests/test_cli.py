@@ -6,6 +6,7 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -124,6 +125,14 @@ def test_gauge_command(capsys):
     assert "analytic 0, numeric 0, PASS" in out
     assert run(["gauge", "--n", "3", "--k", "2"]) == 0
     assert "analytic 12, numeric 12, PASS" in capsys.readouterr().out
+
+
+def test_gauge_command_fails_at_the_first_mismatch(capsys):
+    counts = iter([6, 5, 6, 4])  # the analytic count for n = 1, k = 2 is 6
+    with mock.patch("kcontact.geometry.kernel_deficiency", lambda chart, pt: next(counts)):
+        assert run(["gauge", "--n", "1", "--k", "2", "--points", "4"]) == 1
+    assert "analytic 6, numeric 5, FAIL" in capsys.readouterr().out
+    assert next(counts) == 6  # no point after the first mismatch was checked
 
 
 def test_simulate_solution_csv_and_determinism(tmp_path, capsys):

@@ -117,6 +117,12 @@ def test_array_broadcast():
 _ARR = np.array([2.0, 4.0])
 
 
+def _h_times_array(v):
+    """A Hamiltonian written with the point's arrays, on the flat coordinates ``grad`` seeds."""
+    pt = kc.DarbouxPoint.from_flat(kc.ChartSpec(1, 2), v)
+    return (pt.q[0] * (pt.p * pt.p)).sum()  # a dual times an array of duals
+
+
 @pytest.mark.parametrize("f, x", [
     (lambda v: (v[0] + _ARR)[1], [0.7]),  # Dual + array broadcasts entry by entry
     (lambda v: (v[0] / _ARR)[1], [0.7]),
@@ -124,11 +130,22 @@ _ARR = np.array([2.0, 4.0])
     (lambda v: v[0] ** 0 + v[1], [0.7, 1.3]),
     (lambda v: v[0] ** 1 * v[1], [0.7, 1.3]),
     (lambda v: v[0] ** v[1], [0.7, 1.3]),  # a dual exponent
+    (_h_times_array, [0.7, -0.4, 1.3, 0.2, -0.9]),
 ])
 def test_array_operands_and_special_powers_match_the_plain_function(f, x):
     val, grad = dm.derive1(f, x)
     assert val == pytest.approx(f(x), rel=1e-15)
     assert grad == pytest.approx(fd_gradient(f, x), rel=1e-8, abs=1e-10)
+
+
+def test_an_outer_dual_divided_by_an_inner_dual_is_exact():
+    # inside the inner pass x is a dual of the outer one: x / y runs y's reflected division
+    def d_dy(xs):
+        return dm.derive1(lambda ys: xs[0] / ys[0], [0.8])[1][0]  # d/dy (x / y) = -x / y^2
+
+    val, grad = dm.derive1(d_dy, [1.5])
+    assert val == pytest.approx(-1.5 / 0.8 ** 2, rel=1e-15)
+    assert grad[0] == pytest.approx(-1.0 / 0.8 ** 2, rel=1e-15)  # d/dx (-x / y^2)
 
 
 def test_powers_zero_and_one_and_a_dual_exponent_keep_their_exact_forms():

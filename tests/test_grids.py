@@ -87,6 +87,23 @@ def test_a_closed_derivative_of_another_shape_than_declared_raises():
         bare.derivatives()
 
 
+def test_a_closed_form_that_returns_text_raises_the_conversion_error():
+    with pytest.raises(ValueError, match="could not convert string to float") as err:
+        BaseMap.from_function(GRID, lambda t: ["text"])
+    assert type(err.value) is ValueError
+
+
+@pytest.mark.parametrize("counts", [[4, 3], [3, 5]])
+def test_second_differences_are_exact_on_a_quadratic(counts):
+    # three nodes along an axis take the 3-point boundary stencil, four or more the 4-point one
+    grid = GridSpec([0.2, -0.1], [0.5, 0.25], counts)
+    t0, t1 = (grid.origin[a] + grid.spacing[a] * np.indices(grid.shape)[a] for a in range(2))
+    values = 3.0 * t0 * t0 - t0 * t1 + 2.0 * t1 * t1
+    for axis, want in ((0, 6.0), (1, 4.0)):
+        got = kc.grids.grid_second_derivative(values, grid, axis)
+        assert got == pytest.approx(np.full(grid.shape, want), rel=1e-12)
+
+
 def test_a_scalar_closed_form_samples_to_one_column():
     base = BaseMap.from_function(GRID, lambda t: t[0] * t[1])
     assert base.values.shape == GRID.shape + (1,)

@@ -107,6 +107,18 @@ def test_project_zdep_diagonal_gauge_one_ingredient_build_per_component(name):
             assert calls[0] - before == 4
 
 
+def test_a_diagonal_gauge_used_with_another_section_takes_the_plain_path():
+    ex = corpus.load("telegrapher")
+    entry = ex.sections["zdep-family"]
+    h = ex.hamiltonian()
+    own, other = (entry.build({**entry.defaults, "mu": mu}) for mu in (0.0, 0.3))
+    C = kc.diagonal_gauge_matrix(h, own, "standard")
+    f, plain = (kc.project_zdep(h, other, G) for G in (C, kc.GaugeMatrix(C.fn)))
+    for x in ([0.1, 0.2, -0.3], [0.5, -0.4, 0.25]):
+        for a in range(2):
+            assert np.array_equal(f.eval(a, x), plain.eval(a, x))
+
+
 def test_project_q_is_representative_independent(rng):
     ex, h = tel()
     entry = ex.sections["classical-zind"]
@@ -549,9 +561,9 @@ def _run(fn, lanes=True):
     residual arrays its sweeps produced, with or without lane passes."""
     seen, top = [], hj._top_offenders
 
-    def spy(values, points, keep=3):
+    def spy(values, points):
         seen.append(np.array(values, dtype=float))
-        return top(values, points, keep)
+        return top(values, points)
 
     lanes_off = contextlib.nullcontext() if lanes else _rows_one_by_one()
     with mock.patch.object(hj, "_top_offenders", spy), lanes_off:
@@ -701,7 +713,16 @@ def _math_domain():
             ValueError, "math domain error")
 
 
-@pytest.mark.parametrize("case", [_trace_mismatch, _singular_diagonal, _math_domain])
+def _ragged_gauge():
+    ex, h = tel()
+    gamma = ex.sections["zdep-family"].build(dict(ex.sections["zdep-family"].defaults))
+    C = kc.GaugeMatrix(lambda q, z: [[z[0], 0.0], [0.0]])  # the second row is short
+    return (lambda S: kc.hj_zdep_residual(h, gamma, C, mode="evolution", samples=S),
+            np.array([[0.1, 0.5, -0.5], [0.2, -0.3, 0.4]]),
+            kc.ContractError, "gauge matrix is not a 2 x 2 array of numbers")
+
+
+@pytest.mark.parametrize("case", [_trace_mismatch, _singular_diagonal, _math_domain, _ragged_gauge])
 def test_failed_lane_sweep_raises_the_scalar_error(case):
     check, X, kind, message = case()
     # the lane pass meets rows that do not agree, so the rows run one by one

@@ -2,6 +2,7 @@
 complete-family entry points."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -52,6 +53,10 @@ def _zdep_gauge_shape():
 def _cut_zdep(name="cut"):
     """A section over Q x R^2 whose domain holds no point."""
     return kc.SectionZDep(CH12, lambda q, z: [[0.0], [z[0]]], domain=lambda q, z: False, name=name)
+
+
+def _q0(pt):
+    return pt.q[0]
 
 
 def _cut_h():
@@ -158,7 +163,10 @@ CASES = {
     "z-dependent section point outside its domain": (lambda: _cut_zdep().at([0.5], [0.0, 0.0]),
                                                      kc.DomainError, "base point outside domain of section cut"),
     "field value outside its domain": (lambda: _cut_h()(kc.DarbouxPoint.from_flat(CH12, [0.0] * 5)),
-                                       kc.DomainError, "point outside declared domain of field 'cut'"),
+                                       kc.DomainError, "point outside declared domain of field cut"),
+    "unnamed field value outside its domain": (
+        lambda: kc.ScalarField(CH12, _q0, domain=lambda pt: False)(kc.DarbouxPoint.from_flat(CH12, [0.0] * 5)),
+        kc.DomainError, re.escape(f"point outside declared domain of field {_q0!r}")),
     "unknown map residual mode": (lambda: kc.map_residual(_tel_map(GRID), _tel()[0], mode="nope"),
                                   kc.ContractError, "mode must be one of \\('standard', 'evolution'\\), got 'nope'"),
     "no admissible sample for the affinity check": (
