@@ -1,9 +1,9 @@
 """Built-in example systems: Hamiltonians, candidate sections (valid and
 deliberately broken), closed-form solutions, and expected verdicts.
 
-Closed-form solutions are written as dual-capable maps; their exact
-direction derivatives are produced generically by one jacobian pass, so
-no derivative formula is transcribed by hand.
+Each closed-form solution is a dual-capable map t -> (q, p, z), the logarithmic one a
+base map composed with its section; one jacobian pass produces the exact direction
+derivatives of every one of them, so no derivative formula is transcribed by hand.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dual as dm
-from .errors import ConfigError, ContractError, ShapeError
+from .errors import ConfigError, ContractError, DomainError, ShapeError
 from .fields import ScalarField, _node_gradients
 from .geometry import ChartSpec, DarbouxPoint
 from .grids import BaseMap, GridSpec, SolutionMap, grid_derivative, grid_second_derivative
@@ -72,39 +72,9 @@ class SolutionEntry:
     defaults: dict
     modes: tuple  # modes whose map residual the solution passes, or params -> those modes
     constraint: callable  # params -> None, raises ContractError naming the equation
-    default_grid: callable  # params -> GridSpec
+    default_grid: GridSpec
     tol: float = 1e-10
     note: str = ""
-
-    def _point_map(self, P):
-        """The closed-form map t -> (q, p, z) at parameters ``P``."""
-        return self.build(P)
-
-    def _sample(self, chart: ChartSpec, grid: GridSpec, P) -> SolutionMap:
-        return closed_solution_map(chart, grid, self.build(P))
-
-
-class _LiftedSolution(SolutionEntry):
-    """A closed-form base map t -> q lifted through a section over Q.
-
-    ``build(P)`` returns the pair (base map, section); sampling lifts the
-    base map through the section, chaining derivatives as :func:`lift` does.
-    """
-
-    def _point_map(self, P):
-        base, section = self.build(P)
-
-        def f(t):
-            q = base(t)
-            return q, section.p_at(q), section.z_at(q)
-
-        return f
-
-    def _sample(self, chart, grid, P):
-        from .integrate import lift
-
-        base, section = self.build(P)
-        return lift(section, closed_base_map(grid, base))
 
 
 @dataclass(frozen=True)
@@ -210,20 +180,18 @@ def closed_base_map(grid: GridSpec, f) -> BaseMap:
     return BaseMap.from_function(grid, func, derivative)
 
 
-def _default_grid(origin, spacing, counts):
-    return lambda params: GridSpec(origin, spacing, counts)
-
-
-def _mode_pair(keys, build, defaults, **entry):
+def _mode_pair(keys, build, defaults, constraint=lambda P: None, **entry):
     """The standard and evolution entries, named by ``keys`` in that order, of one closed form
     with a ``mode`` parameter: each defaults to its own mode, last, and passes that mode only."""
-    return {key: SolutionEntry(key, build, {**defaults, "mode": mode}, modes=(mode,), **entry)
+
+    def checked(P):
+        constraint(P)
+        if P["mode"] not in ("standard", "evolution"):
+            raise ContractError("mode parameter must be standard or evolution")
+
+    return {key: SolutionEntry(key, build, {**defaults, "mode": mode}, modes=(mode,),
+                               constraint=checked, **entry)
             for key, mode in zip(keys, ("standard", "evolution"))}
-
-
-def _mode_constraint(P):
-    if P["mode"] not in ("standard", "evolution"):
-        raise ContractError("mode parameter must be standard or evolution")
 
 
 _INVERT_R_MAX = 1.0  # first upper end of the bracket of a monotone inversion
@@ -485,7 +453,7 @@ TELEGRAPHER = ExampleSystem(
              "u0": 1.0, "C0": 0.0, "C1": 0.0},
             modes=_tel_exp_modes,
             constraint=_tel_exp_constraint,
-            default_grid=_default_grid([0.0, 0.0], [0.02, 0.02], [50, 50]),
+            default_grid=GridSpec([0.0, 0.0], [0.02, 0.02], [50, 50]),
         ),
     },
     families={"complete": _linear_family("telegrapher-complete", damping="lambda")},
@@ -539,7 +507,6 @@ def _tel_qz_constraint(P):
             "the effective-damping exponential needs lambda, a, and c nonzero "
             "(the constant extra coordinate solves lambda*Z*a*c = -(a^2 (c^2 - 1/kappa) + epsilon))"
         )
-    _mode_constraint(P)
 
 
 TELEGRAPHER_QZ = ExampleSystem(
@@ -551,7 +518,7 @@ TELEGRAPHER_QZ = ExampleSystem(
         ("exponential-effective-damping", "exponential-effective-damping-evolution"), _tel_qz_solution,
         {"kappa": 1.0, "lambda": 1.0, "epsilon": 0.0, "c": 2.0, "a": -2.0 / 3.0, "u0": 1.0},
         constraint=_tel_qz_constraint,
-        default_grid=_default_grid([0.0, 0.0], [0.01, 0.01], [21, 21]),
+        default_grid=GridSpec([0.0, 0.0], [0.01, 0.01], [21, 21]),
     ),
     pde_residual=_damped_wave(lambda P: P["kappa"], "epsilon", field_damping=True),
     note="quadratic extra-coordinate coupling: damping coefficient becomes a field",
@@ -686,12 +653,15 @@ def _hs_logarithmic(P):
 
     section = _hs_log_section({"mu": mu, "c": c, "C1": C1, "delta": delta})
 
-    def base(t):
+    def f(t):
         w = t[1] + c * t[0] + C
         r = _monotone_invert(G, w)
-        return [delta * r * r - c]
+        q = [delta * r * r - c]
+        if not section.in_domain(q):
+            raise DomainError(f"base point outside domain of section {section.name}")
+        return q, section.p_at(q), section.z_at(q)
 
-    return base, section
+    return f
 
 
 def _hs_log_constraint(P):
@@ -767,7 +737,7 @@ HUNTER_SAXTON = ExampleSystem(
             {"mu": 3.0, "c": 0.5, "C1": 0.0, "K": 0.0, "u0": 0.0},
             modes=_hs_linear_modes,
             constraint=_hs_linear_constraint,
-            default_grid=_default_grid([0.0, 0.0], [0.05, 0.05], [9, 9]),
+            default_grid=GridSpec([0.0, 0.0], [0.05, 0.05], [9, 9]),
             tol=1e-12,
         ),
         "quadratic": SolutionEntry(
@@ -775,15 +745,15 @@ HUNTER_SAXTON = ExampleSystem(
             {"mu": 3.0, "c0": 0.0, "c1": 0.0, "c2": 0.0},
             modes=("evolution",),
             constraint=lambda P: None,
-            default_grid=_default_grid([0.0, 0.0], [0.05, 0.05], [9, 9]),
+            default_grid=GridSpec([0.0, 0.0], [0.05, 0.05], [9, 9]),
             tol=1e-12,
         ),
-        "logarithmic": _LiftedSolution(
+        "logarithmic": SolutionEntry(
             "logarithmic", _hs_logarithmic,
             {"mu": 3.0, "c": 0.5, "C1": 0.0, "C": 1.0, "delta": -1.0},
             modes=("standard", "evolution"),
             constraint=_hs_log_constraint,
-            default_grid=_default_grid([0.0, 0.5], [0.02, 0.02], [9, 9]),
+            default_grid=GridSpec([0.0, 0.5], [0.02, 0.02], [9, 9]),
             tol=1e-6,
             note="square-root slope branch: base map by monotone inversion, lifted through log-zind",
         ),
@@ -854,8 +824,7 @@ FIRST_ORDER = ExampleSystem(
     },
     solutions=_mode_pair(
         ("standing-standard", "standing-evolution"), _fo_standing, {"lambda": 1.0, "Z": 0.0},
-        constraint=_mode_constraint,
-        default_grid=_default_grid([0.0, 0.0], [0.05, 0.05], [9, 9]),
+        default_grid=GridSpec([0.0, 0.0], [0.05, 0.05], [9, 9]),
         tol=1e-12,
     ),
     families={"complete": _linear_family("first-order-complete")},
@@ -950,7 +919,7 @@ MEMBRANE = ExampleSystem(
         ("separable", "separable-evolution"), _membrane_solution,
         {"c": 1.0, "kappa": 1.0, "lambda": 4.0, "a": 1.0, "b": 1.0, "u0": 0.5, "branch": 1.0},
         constraint=_membrane_constraint,
-        default_grid=_default_grid([0.0, 0.0, 0.0], [0.0005, 0.0005, 0.0005], [9, 9, 9]),
+        default_grid=GridSpec([0.0, 0.0, 0.0], [0.0005, 0.0005, 0.0005], [9, 9, 9]),
     ),
     pde_residual=_damped_wave(lambda P: P["c"] ** 2, "kappa"),
     expected=(
@@ -1122,8 +1091,8 @@ def analytic(name: str, solution_key: str, params=None, grid: GridSpec = None) -
     entry = _solution_entry(ex, solution_key)
     P = _params(entry.defaults, params, f"solution {solution_key}")
     entry.constraint(P)
-    grid = grid if grid is not None else entry.default_grid(P)
-    return entry._sample(ex.chart, grid, P)
+    grid = grid if grid is not None else entry.default_grid
+    return closed_solution_map(ex.chart, grid, entry.build(P))
 
 
 def reference_base(name: str, solution_key: str, params=None, with_z: bool = False):
@@ -1137,7 +1106,7 @@ def reference_base(name: str, solution_key: str, params=None, with_z: bool = Fal
     P = _params(entry.defaults, {k: v for k, v in (params or {}).items() if k in entry.defaults},
                 f"solution {solution_key}")
     entry.constraint(P)
-    f = entry._point_map(P)
+    f = entry.build(P)
 
     def base(t):
         q, _, z = f(list(t))

@@ -269,22 +269,16 @@ def _zdep_ingredients(h: ScalarField, gamma: SectionZDep, q, z):
 
     hval, dq_h = dm.derive1(composite, qs)
 
-    p = gamma.p_at(qs, zs)
-    _, rows = _coeff_jacobian(gamma, qs + zs)
+    flat, rows = _coeff_jacobian(gamma, qs + zs)
+    p = [flat[a * n:(a + 1) * n] for a in range(k)]
     dz_p = [[[rows[a * n + i][n + b] for b in range(k)] for i in range(n)] for a in range(k)]
 
-    flat = _flat(p)
-    gp = _p_grad(h, qs, zs, flat)
-    U = [[gp[a * n + i] for i in range(n)] for a in range(k)]
-
-    def hz(zvars):
-        return h.fn(_point_from_coords(chart, qs + flat + list(zvars)))
-
-    _, gz = dm.derive1(hz, zs)
+    _, g = dm.derive1(lambda pz: h.fn(_point_from_coords(chart, qs + list(pz))), flat + zs)
+    U = [[g[a * n + i] for i in range(n)] for a in range(k)]
 
     Gamma = []
     for b in range(k):
-        acc = gz[b]
+        acc = g[k * n + b]
         for a in range(k):
             for i in range(n):
                 acc = acc + U[a][i] * dz_p[a][i][b]
@@ -308,6 +302,16 @@ def _zdep_residual_at(gamma, C_entries, ing):
     return worst
 
 
+def _gauge_shape(Cm, k: int) -> None:
+    """Refuse a gauge matrix of floats, lanes or duals that is not k rows of k entries."""
+    try:
+        widths = [len(row) for row in Cm]
+    except TypeError:  # a number, or numbers in place of rows
+        widths = None
+    if widths != [k] * k:
+        raise ContractError(f"gauge matrix is not a {k} x {k} array of numbers")
+
+
 def _gauge_floats(Cm, k: int):
     """The gauge matrix as floats, checked for shape, and its trace.
 
@@ -318,9 +322,10 @@ def _gauge_floats(Cm, k: int):
     try:
         Cm = np.asarray(Cm, dtype=float)
     except dm._Unbatchable:
-        rows = [[dm._cmp_value(c) for c in row] for row in Cm]
-        if k >= 8 or len(rows) != k or any(len(row) != k for row in rows):
+        if k >= 8:
             raise
+        _gauge_shape(Cm, k)
+        rows = [[dm._cmp_value(c) for c in row] for row in Cm]
         return rows, sum(rows[a][a] for a in range(k))
     except (TypeError, ValueError):  # ragged rows, or entries that are not numbers
         raise ContractError(f"gauge matrix is not a {k} x {k} array of numbers") from None
@@ -475,6 +480,7 @@ def project_zdep(h: ScalarField, gamma: SectionZDep, C: GaugeMatrix) -> BaseFiel
                     f"projected field evaluated outside the section domain at {qs}, {zs}"
                 )
             p, U_rows, Cm = C._projection_parts(h, gamma, qs, zs)
+            _gauge_shape(Cm, k)
             U = U_rows[alpha]
             zblocks = []
             for b in range(k):

@@ -134,6 +134,8 @@ CONSTRAINTS = {
                                          {"kappa": 0.0, "c": 0.0}, "needs 2s \\+ lambda != 0"),
     "separable growth rate off its equation": (_constraint("membrane", "separable"), {"kappa": -1e6},
                                                "violates s\\^2 \\+ lambda s"),
+    "separable mode": (_constraint("membrane", "separable"), {"mode": "bogus"},
+                       "mode parameter must be standard or evolution"),
 }
 
 
@@ -146,9 +148,63 @@ def test_a_parameter_override_breaking_a_constraint_raises_naming_it(case):
 
 def test_monotone_inversion_refuses_nested_duals_with_a_contract_error():
     sol = corpus.load("hunter-saxton").solutions["logarithmic"]
-    base, _ = sol.build(dict(sol.defaults))
+    f = sol.build(dict(sol.defaults))
     with pytest.raises(kc.ContractError, match="monotone inversion supports one dual level"):
-        dm.derive2(lambda t: base(t)[0], [0.1, 0.6])
+        dm.derive2(lambda t: f(t)[0][0], [0.1, 0.6])
+
+
+@pytest.mark.parametrize("name,key", ALL_SOLUTIONS)
+def test_every_solution_builds_a_closed_form_on_its_default_grid(name, key):
+    ex = corpus.load(name)
+    entry = ex.solutions[key]
+    assert isinstance(entry.default_grid, GridSpec)
+    f = entry.build(dict(entry.defaults))
+    assert callable(f)
+    q, p, z = f(list(entry.default_grid.origin))
+    n, k = ex.chart.n, ex.chart.k
+    assert [np.shape(q), np.shape(p), np.shape(z)] == [(n,), (k, n), (k,)]
+
+
+def _lifted_logarithmic(P, grid):
+    """The logarithmic branch as its base map lifted through ``log-zind``: the reference
+    for the closed form that composes the two."""
+    mu, c, C, delta = P["mu"], P["c"], P["C"], P["delta"]
+    entry = corpus.load("hunter-saxton").sections["log-zind"]
+    section = entry.build({key: P[key] for key in entry.defaults})
+
+    def G(r):
+        return delta * (-0.5 * r * r / mu + r / (mu * mu) - dm.log(1.0 + mu * r) / mu ** 3)
+
+    def base(t):
+        r = corpus._monotone_invert(G, t[1] + c * t[0] + C)
+        return [delta * r * r - c]
+
+    return kc.lift(section, corpus.closed_base_map(grid, base)), base, section
+
+
+@pytest.mark.parametrize("over,grid", [
+    ({}, None),
+    ({"delta": 1.0}, GridSpec([0.0, -2.0], [0.02, 0.02], [9, 9])),  # the simulate window of test_cli
+])
+def test_logarithmic_closed_form_matches_its_lifted_base_map(over, grid):
+    entry = corpus.load("hunter-saxton").solutions["logarithmic"]
+    P = {**entry.defaults, **over}
+    grid = grid or entry.default_grid
+    psi = corpus.analytic("hunter-saxton", "logarithmic", over, grid=grid)
+    want, base, section = _lifted_logarithmic(P, grid)
+    for a, b in zip((psi.q, psi.p, psi.z), (want.q, want.p, want.z)):
+        assert a.tobytes() == b.tobytes()
+    (dq, dp, dz), (wq, wp, wz) = psi.derivatives(), want.derivatives()
+    assert dq.tobytes() == wq.tobytes()
+    # nested duals through the section replace the product with the section Jacobian
+    np.testing.assert_allclose(dp, wp, rtol=1e-15, atol=0.0)
+    np.testing.assert_allclose(dz, wz, rtol=1e-15, atol=0.0)
+    q_only = corpus.reference_base("hunter-saxton", "logarithmic", over)
+    with_z = corpus.reference_base("hunter-saxton", "logarithmic", over, with_z=True)
+    for idx in grid.indices():
+        t = list(grid.t(idx))
+        q = [float(v) for v in base(t)]
+        assert q_only(t) == q and with_z(t) == q + [float(v) for v in section.z_at(q)]
 
 
 def test_telegrapher_exponential_mode_gating():
@@ -199,7 +255,7 @@ def test_logarithmic_branches_and_inversion(rng):
 
 def test_reference_base_is_the_q_and_z_of_the_solution_point_map():
     sol = corpus.load("hunter-saxton").solutions["logarithmic"]
-    f = sol._point_map({**sol.defaults, "delta": 1.0})
+    f = sol.build({**sol.defaults, "delta": 1.0})
     q_only = corpus.reference_base("hunter-saxton", "logarithmic", {"delta": 1})
     with_z = corpus.reference_base("hunter-saxton", "logarithmic", {"delta": 1}, with_z=True)
     for t in ([0.0, -2.0], [0.08, -1.9]):

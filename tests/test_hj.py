@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 import kcontact as kc
 from kcontact import corpus, hj
 from kcontact import dual as dm
+from kcontact.fields import _p_grad, _point_from_coords
+from kcontact.sections import _coeff_jacobian, _flat
 
 CH12 = kc.ChartSpec(1, 2)
 U_SAMPLES = np.linspace(0.5, 2.0, 25).reshape(-1, 1)
@@ -101,10 +103,10 @@ def test_project_zdep_diagonal_gauge_one_ingredient_build_per_component(name):
         for a in range(2):
             before = calls[0]
             got = f.eval(a, x)
-            assert calls[0] - before == 3
+            assert calls[0] - before == 2
             before = calls[0]
             assert np.array_equal(got, generic.eval(a, x))
-            assert calls[0] - before == 4
+            assert calls[0] - before == 3
 
 
 def test_a_diagonal_gauge_used_with_another_section_takes_the_plain_path():
@@ -271,6 +273,63 @@ def test_gamma_beta_matches_fd_directional(rng):
             hm = h(gamma.at(q, zm))
             fd = (hp - hm) / (2 * step)
             assert out[b] == pytest.approx(fd, rel=1e-6, abs=1e-7)
+
+
+def _four_pass_ingredients(h, gamma, q, z):
+    """The reference build of :func:`hj._zdep_ingredients`: the q-gradient of h on the
+    section, the coefficients and their Jacobian, then dh/dp and dh/dz in a pass each."""
+    chart = gamma.chart
+    n, k = chart.n, chart.k
+    qs, zs = list(q), list(z)
+
+    def composite(qvars):
+        return h.fn(_point_from_coords(chart, list(qvars) + _flat(gamma.p_at(qvars, zs)) + zs))
+
+    hval, dq_h = dm.derive1(composite, qs)
+    p = gamma.p_at(qs, zs)
+    _, rows = _coeff_jacobian(gamma, qs + zs)
+    dz_p = [[[rows[a * n + i][n + b] for b in range(k)] for i in range(n)] for a in range(k)]
+    flat = _flat(p)
+    gp = _p_grad(h, qs, zs, flat)
+    U = [[gp[a * n + i] for i in range(n)] for a in range(k)]
+    _, gz = dm.derive1(lambda zvars: h.fn(_point_from_coords(chart, qs + flat + list(zvars))), zs)
+    Gamma = []
+    for b in range(k):
+        acc = gz[b]
+        for a in range(k):
+            for i in range(n):
+                acc = acc + U[a][i] * dz_p[a][i][b]
+        Gamma.append(acc)
+    return hval, dq_h, Gamma, p, dz_p, U
+
+
+ZDEP_SECTIONS = [(name, key) for name in corpus.EXAMPLE_NAMES
+                 for key, entry in corpus.load(name).sections.items() if entry.kind == "zdep"]
+
+
+@pytest.mark.parametrize("name,key", ZDEP_SECTIONS)
+def test_zdep_ingredients_match_the_four_pass_build_bit_for_bit(name, key):
+    """On floats and on lanes.  The one exception is the sign of a zero in the
+    momentum gradient U: a p-partial of a term with z in it is +0.0 in the joint
+    (p, z) pass, so an exactly zero entry (dh/dp^t of the first-order model, whose
+    h has no p^t) may read 0.0 where the p-only pass read -0.0."""
+    ex = corpus.load(name)
+    entry = ex.sections[key]
+    h, gamma = ex.hamiltonian(), entry.build(dict(entry.defaults))
+    n, k = gamma.chart.n, gamma.chart.k
+    X = np.random.default_rng(5).uniform(-1.0, 1.0, (20, n + k))
+
+    def flat(build):
+        def row(x):
+            hval, dq_h, Gamma, p, dz_p, U = build(h, gamma, x[:n], x[n:])
+            return [hval, *dq_h, *Gamma, *_flat(p), *(v for a in dz_p for r in a for v in r), *_flat(U)]
+        return row
+
+    for run in (lambda build: np.array([flat(build)(x) for x in X]), lambda build: dm._rows(flat(build), X)):
+        got, want = run(hj._zdep_ingredients), run(_four_pass_ingredients)
+        got[:, -k * n:] += 0.0  # -0.0 + 0.0 is 0.0; every other entry keeps its bits
+        want[:, -k * n:] += 0.0
+        assert got.tobytes() == want.tobytes()
 
 
 def _paper_tel_C(P, mode):
@@ -731,7 +790,7 @@ def test_failed_lane_sweep_raises_the_scalar_error(case):
 
 def test_verify_complete_runs_the_samples_as_lanes():
     """Guard that the lane path is taken: each lane pass of up to ``_LANE_CHUNK``
-    samples (all 729 here) costs three h evaluations and four phi calls (three for
+    samples (all 729 here) costs two h evaluations and three phi calls (two for
     the section coefficients, one for the round trip), not that many per sample."""
     ex = corpus.load("telegrapher")
     h, h_calls = _counting(ex.hamiltonian())
@@ -746,8 +805,8 @@ def test_verify_complete_runs_the_samples_as_lanes():
     samples = np.random.default_rng(1).uniform(-1.0, 1.0, (729, 3))
     ver = kc.verify_complete(counted, h, "standard", [[0.5, -0.5]], base_samples=samples)
     passes = math.ceil(729 / dm._LANE_CHUNK)
-    assert h_calls[0] == 3 * passes < 4 * 729
-    assert phi_calls[0] == 4 * passes
+    assert h_calls[0] == 2 * passes < 4 * 729
+    assert phi_calls[0] == 3 * passes
     assert ver.failures == [] and ver.sample_count == 729
     want, _ = _run(lambda: kc.verify_complete(fam, ex.hamiltonian(), "standard", [[0.5, -0.5]],
                                               base_samples=samples), lanes=False)

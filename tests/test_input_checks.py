@@ -50,6 +50,13 @@ def _zdep_gauge_shape():
                                samples=[[0.1, 0.2, 0.3]])
 
 
+def _ragged_gauge_projection():
+    ex = corpus.load("telegrapher")
+    entry = ex.sections["zdep-family"]
+    C = kc.GaugeMatrix(lambda q, z: [[0.0, 0.0], [0.0]])  # the second row is short
+    return kc.project_zdep(ex.hamiltonian(), entry.build(dict(entry.defaults)), C).eval(1, [0.1, 0.2, 0.3])
+
+
 def _cut_zdep(name="cut"):
     """A section over Q x R^2 whose domain holds no point."""
     return kc.SectionZDep(CH12, lambda q, z: [[0.0], [z[0]]], domain=lambda q, z: False, name=name)
@@ -110,6 +117,8 @@ CASES = {
         lambda: kc.SectionZInd(CH12, gamma_p=lambda q: [[q[0]]], gamma_z=lambda q: [0.0, 0.0]).p_at([0.5]),
         kc.ShapeError, "section coefficients must form a 2 x 1 block"),
     "gauge matrix shape": (_zdep_gauge_shape, kc.ContractError, r"gauge matrix has shape \(3, 3\)"),
+    "ragged gauge matrix in a projection": (_ragged_gauge_projection, kc.ContractError,
+                                            "gauge matrix is not a 2 x 2 array of numbers"),
     "gauge element components": (lambda: kc.GaugeElement(CH12, kc.KTangent.zero(kc.ChartSpec(1, 3))),
                                  kc.ShapeError, "wrong number of components"),
     "gauge element q-block": (lambda: _gauge("q", 0), kc.ContractError, "zero q-blocks"),

@@ -160,9 +160,7 @@ SOLUTIONS = [(name, key) for name in corpus.EXAMPLE_NAMES for key in corpus.load
 @pytest.mark.parametrize("name,key", SOLUTIONS)
 def test_solution_residuals_match_the_per_node_loop(name, key):
     ex = corpus.load(name)
-    entry = ex.solutions[key]
-    P = dict(entry.defaults)
-    grid = entry.default_grid(P)
+    grid = ex.solutions[key].default_grid
     psi = corpus.analytic(name, key, grid=GridSpec(grid.origin, grid.spacing,
                                                   [min(c, 6) for c in grid.counts]))
     assert same(psi.derivatives(), ref_derivatives(psi))
