@@ -26,7 +26,7 @@ import numpy as np
 from . import corpus
 from .errors import ConfigError, DivergenceError, IntegrabilityError, KContactError
 from .geometry import ChartSpec, DarbouxPoint
-from .grids import GridSpec
+from .grids import GridSpec, _nodes
 from .hdw import map_residual
 from .hj import _check, verify_complete
 from .integrate import DEFAULT_TOLERANCES, end_to_end
@@ -263,15 +263,10 @@ def _csv_solution(psi, res, path: Path):
     cols += [f"p{a + 1}_{i + 1}" for a in range(k) for i in range(n)]
     cols += [f"z{a + 1}" for a in range(k)]
     cols += ["r_q", "r_p", "r_z"]
-    lines = [",".join(cols)]
-    for idx in psi.grid.indices():
-        t = psi.grid.t(idx)
-        row = [_fmt(v) for v in t]
-        row += [_fmt(v) for v in psi.q[idx]]
-        row += [_fmt(psi.p[idx][a, i]) for a in range(k) for i in range(n)]
-        row += [_fmt(v) for v in psi.z[idx]]
-        row += [_fmt(res.r_q[idx]), _fmt(res.r_p[idx]), _fmt(res.r_z[idx])]
-        lines.append(",".join(row))
+    T = _nodes(psi.grid)  # one row per node, in node order
+    table = np.concatenate([T] + [a.reshape(len(T), -1) for a in (psi.q, psi.p, psi.z)]
+                           + [np.stack([res.r_q, res.r_p, res.r_z], axis=-1).reshape(len(T), 3)], axis=1)
+    lines = [",".join(cols)] + [",".join(map(_fmt, row)) for row in table.tolist()]
     path.write_text("\r\n".join(lines) + "\r\n", encoding="utf-8")
 
 

@@ -18,7 +18,7 @@ from . import dual as dm
 from .errors import ConfigError, ContractError, DomainError, ShapeError
 from .fields import ScalarField, _node_gradients
 from .geometry import ChartSpec, DarbouxPoint
-from .grids import BaseMap, GridSpec, SolutionMap, grid_derivative, grid_second_derivative
+from .grids import BaseMap, GridSpec, SolutionMap, _sample, grid_derivative, grid_second_derivative
 from .hj import CompleteSolutionFamily, GaugeMatrix
 from .sections import SectionZDep, from_potentials
 
@@ -145,39 +145,48 @@ def _nonzero(P, name, what):
 # --------------------------------------------------------------------------
 
 def closed_solution_map(chart: ChartSpec, grid: GridSpec, f) -> SolutionMap:
-    """Sample a dual-capable closed map and attach exact derivatives.
+    """Sample a dual-capable closed map with its exact derivatives as the node table.
 
     ``f(t)`` returns (q-list, p-rows, z-list) for ``t`` a list of the k
-    grid variables (possibly dual numbers).
+    grid variables (possibly dual numbers or lane values).  The values and
+    derivatives are those of :func:`closed_base_map` on the flat point.
     """
     n, k = chart.n, chart.k
+    if grid.k != k:
+        raise ShapeError(f"grid has {grid.k} directions, chart has k={k}")
 
     def flat(t):
-        q, p, z = f(list(t))
-        return list(q) + [p[a][i] for a in range(k) for i in range(n)] + list(z)
+        pt = DarbouxPoint(*f(list(t)))
+        chart.check_point(pt)
+        return [*pt.q, *pt.p.reshape(-1), *pt.z]
 
-    def derivative(t):
-        _, rows = dm.jacobian(flat, [float(v) for v in t])
-        J = np.array(rows, dtype=float)  # (n + k n + k, k); column = direction
-        dq = J[:n].T
-        dp = np.transpose(J[n:n + k * n].reshape(k, n, k), (2, 0, 1))
-        dz = J[n + k * n:].T
-        return dq, dp, dz
+    def split(a):  # (..., n + k n + k) -> q, p, z: values, or derivatives with the direction first
+        return a[..., :n], a[..., n:n + k * n].reshape(a.shape[:-1] + (k, n)), a[..., n + k * n:]
 
-    return SolutionMap.from_function(chart, grid, lambda t: DarbouxPoint(*f(list(t))), derivative)
+    base = closed_base_map(grid, flat)
+    psi = SolutionMap(chart, grid, *map(np.ascontiguousarray, split(base.values)),
+                      lambda t: DarbouxPoint(*f(list(t))),
+                      lambda t: split(np.array(base.closed_derivative(t), dtype=float)))
+    DarbouxPoint(psi.q, psi.p, psi.z)  # refuses a value that is not finite
+    psi._table = lambda: split(base._table())
+    return psi
 
 
 def closed_base_map(grid: GridSpec, f) -> BaseMap:
-    """Sample a dual-capable closed base map with exact derivatives."""
+    """Sample a dual-capable closed base map, its values and exact derivatives (the node table)
+    from one jacobian pass over all nodes, on lanes where ``f`` takes them (see
+    :func:`kcontact.grids._sample`).  Its ``closed_form`` and ``closed_derivative`` take lane
+    values too."""
 
     def func(t):
-        return np.array([float(v) for v in f(list(t))], dtype=float)
+        return list(f(list(t)))
 
-    def derivative(t):
-        _, rows = dm.jacobian(lambda ts: list(f(ts)), [float(v) for v in t])
-        return np.array(rows, dtype=float).T  # (k, d)
-
-    return BaseMap.from_function(grid, func, derivative)
+    vals, J = _sample(grid, lambda t: dm.jacobian(func, t.tolist()), [None, None])
+    base = BaseMap(grid, vals, closed_form=func,
+                   closed_derivative=lambda t: list(zip(*dm.jacobian(func, list(t))[1])))
+    table = np.swapaxes(J, -1, -2)  # (k, d) on every node
+    base._table = lambda: table
+    return base
 
 
 def _mode_pair(keys, build, defaults, constraint=lambda P: None, **entry):
@@ -1097,7 +1106,8 @@ def analytic(name: str, solution_key: str, params=None, grid: GridSpec = None) -
 
 def reference_base(name: str, solution_key: str, params=None, with_z: bool = False):
     """Closed-form base map t -> q of a built-in solution (t -> (q, z) with ``with_z``), as
-    a list of floats: the reference an integrated section is compared against.
+    a list of numbers (of lane values on lanes): the reference an integrated section is
+    compared against.
 
     Entries of ``params`` that the solution does not take are ignored; its
     constraint is checked first.
@@ -1110,7 +1120,7 @@ def reference_base(name: str, solution_key: str, params=None, with_z: bool = Fal
 
     def base(t):
         q, _, z = f(list(t))
-        return [float(v) for v in (list(q) + list(z) if with_z else q)]
+        return list(q) + list(z) if with_z else list(q)
 
     return base
 

@@ -39,7 +39,12 @@ It runs a per-row function on all rows as lanes, in passes of up to
 fails the site's predicate, it runs the rows one by one in row order
 instead, which reproduces the scalar values and the first scalar error,
 and stops after the first row that fails the predicate.  A single row
-always runs as floats.
+always runs as floats.  Sampling a closed form on the nodes of a grid (the
+values and exact Jacobians of a closed solution or base map, a reference, a
+closed derivative) runs the same lane pass, :func:`_lane_rows`, first on two
+nodes and then on the others; when a pass fails, the sampler calls the closed
+form once per node in node order under the lane pass's error state, so a
+closure that refuses lanes pays one failed pass over two nodes.
 
 Record once, replay many.  A site that runs one per-row function many times (an
 RK4 step on every line, a Newton pass on every node) records it at one row with
@@ -373,6 +378,8 @@ class _Lanes:
 # the cap bounds the lane arrays one pass holds on larger inputs.
 _LANE_CHUNK = 4096
 
+_ERRSTATE = dict(over="raise", divide="raise", invalid="raise", under="ignore")  # numpy, in a lane pass
+
 
 def _lanes(fn, X: np.ndarray):
     """``fn`` on the rows of ``X`` in lane passes of up to ``_LANE_CHUNK`` rows.
@@ -382,7 +389,7 @@ def _lanes(fn, X: np.ndarray):
     any lane.
     """
     try:
-        with np.errstate(over="raise", divide="raise", invalid="raise", under="ignore"):
+        with np.errstate(**_ERRSTATE):
             return np.concatenate([fn(X[i:i + _LANE_CHUNK]) for i in range(0, len(X), _LANE_CHUNK)])
     except Exception:  # noqa: BLE001 - the row-by-row path is the reference
         return None
@@ -415,8 +422,8 @@ def _rows(fn, X: np.ndarray, ok=None) -> np.ndarray:
     ``ok``: the result then ends with that row.
     """
     if len(X) > 1:
-        out = _lanes(lambda C: _lane_array(fn(_lanes_of(C)), len(C)), X)
-        if out is not None and np.all(np.isfinite(out)) and (ok is None or np.all(ok(out))):
+        out = _lane_rows(fn, X, ok)
+        if out is not None:
             return out
     out = []
     for x in X:
@@ -424,6 +431,13 @@ def _rows(fn, X: np.ndarray, ok=None) -> np.ndarray:
         if ok is not None and not ok(out[-1]):
             break
     return np.array(out)
+
+
+def _lane_rows(fn, X: np.ndarray, ok=None):
+    """The lane pass of :func:`_rows`: its result, or ``None`` when a pass raised, a result is
+    not finite or a row fails ``ok``."""
+    out = _lanes(lambda C: _lane_array(fn(_lanes_of(C)), len(C)), X)
+    return out if out is not None and np.all(np.isfinite(out)) and (ok is None or np.all(ok(out))) else None
 
 
 def _object_array(x) -> np.ndarray:

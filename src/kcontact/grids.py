@@ -121,13 +121,48 @@ class BaseField:
         return out if any(isinstance(v, dm._Lanes) for v in out) else np.asarray(out, dtype=float)
 
 
+def _nodes(grid: GridSpec) -> np.ndarray:
+    """The coordinates of every node, one row each in node order, with the bits of :meth:`GridSpec.t`."""
+    return grid.origin + grid.spacing * np.indices(grid.shape, dtype=float).reshape(grid.k, -1).T
+
+
+def _node(grid: GridSpec, m: int) -> tuple:
+    return tuple(map(int, np.unravel_index(m, grid.shape)))
+
+
 def _sample(grid: GridSpec, fn, shapes) -> list:
     """``fn(t)`` at every node ``t`` of ``grid``, in node order: one array of shape
     ``grid.shape + s`` per entry of ``fn(t)`` and of ``shapes``, where an entry ``None`` takes
     its shape from the first node; a node whose entry has another shape raises
-    :class:`ShapeError`.  The node coordinates have the bits of :meth:`GridSpec.t`."""
-    T = grid.origin + grid.spacing * np.indices(grid.shape, dtype=float).reshape(grid.k, -1).T
-    nodes = [fn(t) for t in T]
+    :class:`ShapeError`.  ``fn`` runs in two lane passes, ``t`` an object array of lane values
+    (:mod:`kcontact.dual`): on the first two nodes, then on the others.  When a pass raises,
+    gives an entry of another shape or a value that is not finite, ``fn`` runs on each node's
+    float coordinates under the lane pass's error state, where a floating-point error raises
+    :class:`ShapeError` naming the node, and the results are converted after the last node."""
+    T = _nodes(grid)
+    got = []  # the entry shapes of each lane pass
+
+    def lanes(t):  # fn on k lane values: its entries flattened and joined, as lane values
+        out = fn(np.fromiter(t, dtype=object, count=grid.k))
+        out = [dm._lane_array(out[j], len(t[0].v)) for j in range(len(shapes))]
+        got.append([a.shape[1:] for a in out])
+        return dm._lanes_of(np.concatenate([a.reshape(len(a), -1) for a in out], axis=1))
+
+    head = dm._lane_rows(lanes, T[:2])  # a closure that refuses lanes pays a pass of two nodes
+    rest = None if head is None else dm._lane_rows(lanes, T[2:])
+    if rest is not None and all(g == got[0] for g in got) and all(
+            s is None or tuple(s) == g for s, g in zip(shapes, got[0])):
+        X, cuts = np.concatenate([head, rest]), np.cumsum([int(np.prod(s)) for s in got[0]])[:-1]
+        return [np.ascontiguousarray(a).reshape(grid.shape + s)
+                for a, s in zip(np.split(X, cuts, axis=1), got[0])]
+    nodes = []
+    with np.errstate(**dm._ERRSTATE):
+        for m, t in enumerate(T):
+            try:
+                nodes.append(fn(t))
+            except FloatingPointError as exc:
+                raise ShapeError(f"a sampled value is not finite at grid node {_node(grid, m)}: "
+                                 f"{exc}") from exc
     out = []
     for j, s in enumerate(shapes):
         vs = [v[j] for v in nodes]
@@ -142,7 +177,7 @@ def _sample(grid: GridSpec, fn, shapes) -> list:
                 raise
         m = next(m for m, v in enumerate(vs) if np.shape(v) != s)
         raise ShapeError(f"sampled entry {j} has shape {np.shape(vs[m])} at grid node "
-                         f"{tuple(map(int, np.unravel_index(m, grid.shape)))}, expected {s}")
+                         f"{_node(grid, m)}, expected {s}")
     return out
 
 

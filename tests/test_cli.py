@@ -8,6 +8,7 @@ import warnings
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 
 import kcontact
@@ -147,6 +148,49 @@ def test_simulate_solution_csv_and_determinism(tmp_path, capsys):
     assert header == "t1,t2,q1,p1_1,p2_1,z1,z2,r_q,r_p,r_z"
     assert run(args) == 0
     assert (tmp_path / "psi.csv").read_bytes() == csv1  # byte-deterministic
+
+
+def per_node_csv(psi, res, path):
+    """psi.csv one node at a time, the reference for the whole-table writer."""
+    n, k = psi.chart.n, psi.chart.k
+    cols = [f"t{b + 1}" for b in range(k)] + [f"q{i + 1}" for i in range(n)]
+    cols += [f"p{a + 1}_{i + 1}" for a in range(k) for i in range(n)] + [f"z{a + 1}" for a in range(k)]
+    lines = [",".join(cols + ["r_q", "r_p", "r_z"])]
+    for idx in psi.grid.indices():
+        row = [cli._fmt(v) for v in psi.grid.t(idx)]
+        row += [cli._fmt(v) for v in psi.q[idx]]
+        row += [cli._fmt(psi.p[idx][a, i]) for a in range(k) for i in range(n)]
+        row += [cli._fmt(v) for v in psi.z[idx]]
+        row += [cli._fmt(res.r_q[idx]), cli._fmt(res.r_p[idx]), cli._fmt(res.r_z[idx])]
+        lines.append(",".join(row))
+    path.write_text("\r\n".join(lines) + "\r\n", encoding="utf-8")
+
+
+def _integrated_section_map():
+    ex = corpus.load("telegrapher")
+    entry = ex.sections["classical-zind"]
+    gamma = entry.build(dict(entry.defaults))
+    grid = kcontact.GridSpec([0.0, 0.0], [0.02, 0.02], [6, 5])
+    sigma = kcontact.integral_section(kcontact.project_Q(ex.hamiltonian(), gamma), [1.0], grid)
+    return kcontact.lift(gamma, sigma), ex.hamiltonian()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: (corpus.analytic("hunter-saxton", "quadratic"), corpus.load("hunter-saxton").hamiltonian()),
+    lambda: (corpus.analytic("membrane", "separable"), corpus.load("membrane").hamiltonian()),
+    _integrated_section_map,
+], ids=["k=2 solution", "k=3 membrane", "integrated section"])
+def test_the_csv_table_is_byte_equal_to_the_per_node_writer(make, tmp_path):
+    psi, h = make()
+    res = kcontact.map_residual(psi, h)
+    # a negative zero, a subnormal number and a NaN residual among the entries
+    for a, i, v in ((psi.q, 1, -0.0), (psi.z, 2, 5e-324), (res.r_p, 3, float("nan")), (res.r_q, -1, 2.2e-309)):
+        a[np.unravel_index(i % a.size, a.shape)] = v
+    cli._csv_solution(psi, res, tmp_path / "table.csv")
+    per_node_csv(psi, res, tmp_path / "nodes.csv")
+    got = (tmp_path / "table.csv").read_bytes()
+    assert got == (tmp_path / "nodes.csv").read_bytes()
+    assert all(s in got for s in (b",-0,", b"4.9406564584124654e-324", b",nan,", b"e-309,"))
 
 
 def test_check_hj_report_byte_deterministic(tmp_path):
@@ -319,6 +363,9 @@ _HS_LOG = ["simulate", "--example", "hunter-saxton", "--section", "log-zind", "-
       "--set", "kappa=0"], "parameter 'kappa' must be nonzero: the effective-damping profile divides by it"),
     (["simulate", "--example", "membrane", "--solution", "separable", "--set", "c=0"],
      "parameter 'c' must be nonzero: the membrane Hamiltonian divides by it"),
+    # a closed form that overflows on every node: refused without a numpy warning
+    (["simulate", "--example", "hunter-saxton", "--solution", "quadratic", "--set", "c1=1e200"],
+     "q contains non-finite entries"),
 ])
 def test_contract_violations_exit_3_and_write_nothing(argv, message, tmp_path, capsys):
     with warnings.catch_warnings():

@@ -391,12 +391,12 @@ def test_rows_stop_after_the_first_row_failing_ok():
 
 
 def test_only_dual_runs_lane_passes():
-    """Every batched site goes through ``dual._rows``: no other module makes a lane
-    pass or catches a failed one itself."""
+    """Every batched site goes through ``dual._rows``, the node sampler through its lane pass
+    ``dual._lane_rows``: no other module makes a lane pass or catches a failed one itself."""
     import ast
     import pathlib
 
-    lane_names = {"_lanes", "_LANE_CHUNK", "_lanes_of", "_lane_array", "_rows"}
+    lane_names = {"_lanes", "_LANE_CHUNK", "_lanes_of", "_lane_array", "_rows", "_lane_rows"}
 
     def names(node):
         return {n.attr if isinstance(n, ast.Attribute) else n.id for n in ast.walk(node)

@@ -1,6 +1,7 @@
 """Sampled maps: the node sampler and the one source of node derivatives per map."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 import kcontact as kc
 from kcontact import corpus
 from kcontact import dual as dm
+from kcontact.geometry import DarbouxPoint
 from kcontact.grids import BaseMap, GridSpec, SolutionMap
 
 GRID = GridSpec([0.1, -0.3], [0.013, 0.07], [4, 3])
@@ -17,12 +19,21 @@ def per_node(fn, grid, shape):
     return np.array([fn(grid.t(idx)) for idx in grid.indices()], dtype=float).reshape(grid.shape + shape)
 
 
-def test_the_sampler_calls_once_per_node_at_the_coordinates_of_grid_t():
+def test_the_sampler_runs_lanes_at_grid_t_else_calls_once_per_node_in_node_order():
     grid = GridSpec([0.1, -0.3, 0.7], [0.013, 0.07, 1e-3], [3, 4, 5])
+    nodes = np.array([grid.t(idx) for idx in grid.indices()])
     seen = []
     base = BaseMap.from_function(grid, lambda t: seen.append(t.copy()) or [t[0] * t[2]])
-    assert [t.tobytes() for t in seen] == [grid.t(idx).tobytes() for idx in grid.indices()]
+    # two lane passes: the first two nodes, then the others
+    assert len(seen) == 2 and all(isinstance(v, dm._Lanes) for t in seen for v in t)
+    lanes = np.concatenate([np.stack([v.v for v in t], axis=1) for t in seen])
+    assert len(seen[0][0].v) == 2 and lanes.tobytes() == nodes.tobytes()
     assert base.values.tobytes() == per_node(lambda t: [t[0] * t[2]], grid, (1,)).tobytes()
+    seen.clear()  # float() refuses lanes: the refused pass of two nodes, then one call per node
+    refused = BaseMap.from_function(grid, lambda t: seen.append(t.copy()) or [float(t[0]) * t[2]])
+    assert len(seen) == 1 + len(nodes) and len(seen[0][0].v) == 2
+    assert [t.tobytes() for t in seen[1:]] == [t.tobytes() for t in nodes]
+    assert refused.values.tobytes() == base.values.tobytes()
 
 
 def test_base_map_derivatives_from_the_closed_derivative_else_from_differences():
@@ -108,3 +119,126 @@ def test_a_scalar_closed_form_samples_to_one_column():
     base = BaseMap.from_function(GRID, lambda t: t[0] * t[1])
     assert base.values.shape == GRID.shape + (1,)
     assert base.values.tobytes() == per_node(lambda t: [t[0] * t[1]], GRID, (1,)).tobytes()
+
+
+# -- whole-grid sampling against the per-node path it replaced --------------------------
+
+def per_node_solution_map(chart, grid, f):
+    """The sampled solution map one node at a time: a DarbouxPoint per node for the values, one
+    jacobian pass per node for (dq, dp, dz)."""
+    n, k = chart.n, chart.k
+
+    def flat(t):
+        q, p, z = f(list(t))
+        return list(q) + [p[a][i] for a in range(k) for i in range(n)] + list(z)
+
+    pts = [DarbouxPoint(*f(list(grid.t(idx)))) for idx in grid.indices()]
+    values = [np.array([getattr(pt, b) for pt in pts], dtype=float).reshape(grid.shape + s)
+              for b, s in (("q", (n,)), ("p", (k, n)), ("z", (k,)))]
+    derivs = []
+    for idx in grid.indices():
+        J = np.array(dm.jacobian(flat, [float(v) for v in grid.t(idx)])[1], dtype=float)
+        derivs.append((J[:n].T, np.transpose(J[n:n + k * n].reshape(k, n, k), (2, 0, 1)), J[n + k * n:].T))
+    return values, [np.array(d).reshape(grid.shape + d[0].shape) for d in zip(*derivs)]
+
+
+def per_node_reference(f, grid, with_z):
+    """``reference_base`` one node at a time, as floats."""
+    def base(t):
+        q, _, z = f(list(t))
+        return [float(v) for v in (list(q) + list(z) if with_z else q)]
+
+    return base, per_node(base, grid, (len(base(grid.t((0,) * grid.k))),))
+
+
+SOLUTIONS = [(name, key) for name in corpus.EXAMPLE_NAMES for key in corpus.load(name).solutions]
+
+
+def _grids(entry, seed):
+    """The default grid and a seeded smaller one inside its extent."""
+    g, rng = entry.default_grid, np.random.default_rng(seed)
+    return g, GridSpec(g.origin + rng.uniform(0.0, 0.5, g.k) * g.spacing,
+                       g.spacing * rng.uniform(0.5, 0.9, g.k), rng.integers(3, 7, g.k))
+
+
+@pytest.mark.parametrize("name, key", SOLUTIONS)
+def test_closed_forms_and_references_sample_bit_for_bit_as_node_by_node(name, key):
+    entry = corpus.load(name).solutions[key]
+    f = entry.build(dict(entry.defaults))
+    for grid in _grids(entry, 11):
+        psi = corpus.analytic(name, key, grid=grid)
+        values, derivs = per_node_solution_map(psi.chart, grid, f)
+        assert [a.tobytes() for a in (psi.q, psi.p, psi.z)] == [a.tobytes() for a in values]
+        assert all(a.flags.c_contiguous for a in (psi.q, psi.p, psi.z))
+        assert [a.tobytes() for a in psi.derivatives()] == [a.tobytes() for a in derivs]
+        for with_z in (False, True):
+            refusing, want = per_node_reference(f, grid, with_z)
+            lanes = BaseMap.from_function(grid, corpus.reference_base(name, key, with_z=with_z))
+            assert lanes.values.tobytes() == want.tobytes()
+            # the float() closure refuses lanes and takes the node-by-node path: the same bits
+            assert BaseMap.from_function(grid, refusing).values.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name, key, grid", [
+    ("telegrapher", "exponential", GridSpec([0.0, 0.0], [1e-3, 1e-3], [12, 10])),
+    ("membrane", "separable", GridSpec([0.0, 0.0, 0.0], [5e-4, 5e-4, 5e-4], [5, 4, 5])),
+])
+def test_second_order_residual_of_a_closed_base_map_as_node_by_node(name, key, grid):
+    ex = corpus.load(name)
+    entry = ex.solutions[key]
+    f = entry.build(dict(entry.defaults))
+    closed = corpus.closed_base_map(grid, lambda t: f(t)[0])
+
+    def func(t):  # the per-node closed base map: float values, one jacobian per node
+        return np.array([float(v) for v in f(list(t))[0]], dtype=float)
+
+    def derivative(t):
+        return np.array(dm.jacobian(lambda ts: list(f(ts)[0]), [float(v) for v in t])[1], dtype=float).T
+
+    values = per_node(func, grid, (closed.d,))
+    old = BaseMap(grid, values, closed_form=func, closed_derivative=derivative)
+    assert closed.values.tobytes() == values.tobytes()
+    assert closed.derivatives().tobytes() == per_node(derivative, grid, (grid.k, closed.d)).tobytes()
+    h = ex.hamiltonian()
+    for mode in ("standard", "evolution"):
+        got = kc.second_order_residual(h, closed, mode)
+        assert got.tobytes() == kc.second_order_residual(h, old, mode).tobytes()
+
+
+@pytest.mark.parametrize("zx", [
+    lambda t, u: u * float("inf"),  # on every node: the lane pass gives it, then the nodes refuse it
+    lambda t, u: float("inf") if t[0] == GRID.origin[0] and t[1] > GRID.origin[1] else u,  # two nodes
+])
+def test_a_non_finite_point_is_refused_as_node_by_node(zx):
+    def f(t):
+        u = 1.0 + t[0] * t[1]
+        return [u], [[u], [2.0 * u]], [u, zx(t, u)]
+
+    with pytest.raises(kc.ShapeError) as old:
+        per_node_solution_map(kc.ChartSpec(1, 2), GRID, f)
+    with pytest.raises(kc.ShapeError) as new:
+        corpus.closed_solution_map(kc.ChartSpec(1, 2), GRID, f)
+    assert str(new.value) == str(old.value) == "z contains non-finite entries"
+
+
+def test_a_closed_point_of_another_shape_is_refused_as_node_by_node():
+    def f(t):
+        u = 1.0 + t[0] * t[1]
+        return [u, u] if t[0] > GRID.origin[0] else [u], [[u], [u]], [u, u]
+
+    chart = kc.ChartSpec(1, 2)
+    with pytest.raises(kc.ShapeError, match=r"entry 0 has shape \(2,\) at grid node \(1, 0\)"):
+        SolutionMap.from_function(chart, GRID, lambda t: DarbouxPoint(*f(list(t))))
+    with pytest.raises(kc.ShapeError, match=r"point shapes \(2,\)/\(2, 1\)/\(2,\) do not fit chart n=1, k=2"):
+        corpus.closed_solution_map(chart, GRID, f)
+
+
+def test_a_floating_point_error_on_the_node_by_node_path_names_the_node():
+    """numpy scalars overflow under the error state of the lane pass: no warning, one error."""
+    grid = GridSpec([0.0, 700.0], [1.0, 5.0], [3, 4])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(kc.ShapeError, match=r"not finite at grid node \(0, 2\): overflow"):
+            BaseMap.from_function(grid, lambda t: [np.exp(t[1])])
+        nan = BaseMap.from_function(grid, lambda t: [float("nan") * t[0]])  # no floating-point error
+    assert np.isnan(nan.values).all()

@@ -305,7 +305,9 @@ def test_a_user_solution_map_with_a_per_node_derivative():
     psi = SolutionMap.from_function(psi0.chart, psi0.grid, psi0.closed_form, df)
     h = corpus.load("telegrapher").hamiltonian()
     assert same(residual_arrays(psi, h, "standard"), ref_residual(psi, h, "standard"))
-    assert len(calls) == 2 * psi.q[..., 0].size  # once per node and call
+    # once per node and call; the sampled one first tries one lane pass, which float() refuses
+    floats = [t for t in calls if not isinstance(t[0], dm._Lanes)]
+    assert len(floats) == 2 * psi.q[..., 0].size and len(calls) == len(floats) + 1
 
 
 def test_a_section_point_outside_its_domain_raises_at_the_first_such_node():
