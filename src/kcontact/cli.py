@@ -6,8 +6,9 @@ and ``gauge`` (kernel-dimension diagnostic).  Exit codes are a stable
 contract: 0 pass, 1 fail, 2 configuration, 3 contract violation,
 4 flow blow-up, 5 failed direction-order check.
 
-Run plans can come from a config file (INI-style sections [run], [params],
-[grid], [check], [output]) with command-line flags taking precedence.
+Run options can also come from a config file (INI-style sections [run], [params],
+[grid], [check], [output]; ``_CONFIG`` names each entry's option).  A flag given on
+the command line wins, even an empty one, then its config entry, then its default.
 Randomised sampling always records its seed in the report, and reports are
 byte-deterministic for a fixed plan and seed.
 """
@@ -86,20 +87,28 @@ def _parse_floats(text, what, kind=float):
     return [_number(x, what, kind) for x in str(text).replace(";", ",").split(",") if x.strip()]
 
 
-def _load_config(path):
-    if not path:
+# option -> the config section and entry that set it when its flag is not given; --tol reads
+# the [check] entry that _COMMANDS names for the command
+_CONFIG = {**{key: ("run", key) for key in ("example", "section", "family", "solution", "mode", "seed")},
+           **{key: ("grid", key) for key in ("origin", "spacing", "counts", "start")},
+           "samples": ("check", "samples"), "out": ("output", "dir")}
+
+
+def _configure(args, tolerance, kinds):
+    """Set each option of ``args`` the command line left unset (None) from its entry in the config
+    file ``args.config``; return the [params] overrides.  ``tolerance`` is the [check] entry of
+    --tol.  A run kind of ``kinds`` given on the command line keeps every config run kind out."""
+    if not args.config:
         return {}
     cp = configparser.ConfigParser()
-    read = cp.read(path)
-    if not read:
-        raise ConfigError(f"config file {path!r} not found or unreadable")
-    plan = dict(cp.items("run")) if cp.has_section("run") else {}
-    if cp.has_section("params"):
-        plan["params"] = {k: _number(v, f"[params] {k}") for k, v in cp.items("params")}
-    for name in ("grid", "check", "output"):
-        if cp.has_section(name):
-            plan[name] = dict(cp.items(name))
-    return plan
+    if not cp.read(args.config):
+        raise ConfigError(f"config file {args.config!r} not found or unreadable")
+    given = kinds if any(getattr(args, kind) is not None for kind in kinds) else ()
+    for option, (section, entry) in {**_CONFIG, "tol": ("check", tolerance)}.items():
+        if getattr(args, option, "") is None and option not in given and cp.has_option(section, entry):
+            setattr(args, option, cp.get(section, entry))
+    params = cp.items("params") if cp.has_section("params") else ()
+    return {k: _number(v, f"[params] {k}") for k, v in params}
 
 
 # -- list -------------------------------------------------------------------
@@ -133,17 +142,18 @@ def cmd_list(args) -> int:
 
 # -- run bodies ----------------------------------------------------------------
 #
-# Each takes the resolved arguments, the config plan, the example and the parameter
-# overrides, and returns its report fields (the head is added by main) plus the
-# (map, residuals) pair of psi.csv, or None.
+# Each takes the resolved arguments (flag, else config entry, else None), the example and
+# the parameter overrides, and returns its report fields (the head is added by main) plus
+# the (map, residuals) pair of psi.csv, or None.
 
-def _hj_limits(args, plan):
+def _tol(args, default, what):
+    return _number(default if args.tol is None else args.tol, what, least=0.0)
+
+
+def _hj_limits(args):
     """Tolerance and sample count of a ``check-hj`` sweep."""
-    check = plan.get("check", {})
-    tol = _number(args.tol if args.tol is not None else check.get("tolerance", 1e-10),
-                  "tolerance", least=0.0)
-    count = _number(args.samples if args.samples is not None else check.get("samples", 500),
-                    "samples", int, 1)
+    tol = _tol(args, 1e-10, "tolerance")
+    count = _number(500 if args.samples is None else args.samples, "samples", int, 1)
     return tol, count
 
 
@@ -152,7 +162,7 @@ def _section_run(example, key, overrides):
 
     Unknown section or parameter names raise :class:`ConfigError` naming the known ones.
     """
-    entry = example.sections.get(key or "")
+    entry = example.sections.get(key)
     if entry is None:
         raise ConfigError(f"example {example.name} has no section {key!r}; "
                           f"known: {sorted(example.sections)}")
@@ -161,8 +171,8 @@ def _section_run(example, key, overrides):
     return entry, params, entry.build(params), h
 
 
-def _check_family(args, plan, example, overrides):
-    tol, count = _hj_limits(args, plan)
+def _check_family(args, example, overrides):
+    tol, count = _hj_limits(args)
     build = example.families.get(args.family)
     if build is None:
         raise ConfigError(f"example {example.name} has no family {args.family!r}; "
@@ -179,8 +189,8 @@ def _check_family(args, plan, example, overrides):
             "verdict": "PASS" if ver.passed(tol, rt_tol) else "FAIL"}, None
 
 
-def _check_section(args, plan, example, overrides):
-    tol, count = _hj_limits(args, plan)
+def _check_section(args, example, overrides):
+    tol, count = _hj_limits(args)
     entry, params, gamma, h = _section_run(example, args.section, overrides)
     box = entry.box
     if args.box:
@@ -198,17 +208,9 @@ def _check_section(args, plan, example, overrides):
             "params": {k: params[k] for k in sorted(params) if params[k] is not None}}, None
 
 
-def _residual_tol(args, plan):
-    tol = args.tol if args.tol is not None else plan.get("check", {}).get("residual_tolerance")
-    if tol is None:
-        return DEFAULT_TOLERANCES["residual"]
-    return _number(tol, "residual tolerance", least=0.0)
-
-
-def _grid_from(args, plan, default) -> GridSpec:
-    g = plan.get("grid", {})
+def _grid_from(args, default) -> GridSpec:
     origin, spacing, counts = (
-        _parse_floats(getattr(args, key) or g.get(key, ""), key, kind) or default.get(key)
+        _parse_floats(getattr(args, key) or "", key, kind) or default.get(key)
         for key, kind in (("origin", float), ("spacing", float), ("counts", int)))
     if origin is None or spacing is None or counts is None:
         raise ConfigError("simulate needs a grid: pass --origin/--spacing/--counts "
@@ -216,13 +218,13 @@ def _grid_from(args, plan, default) -> GridSpec:
     return GridSpec(origin, spacing, counts)
 
 
-def _simulate_solution(args, plan, example, overrides):
-    tol = _residual_tol(args, plan)
+def _simulate_solution(args, example, overrides):
+    tol = _tol(args, DEFAULT_TOLERANCES["residual"], "residual tolerance")
     entry = corpus._solution_entry(example, args.solution)
     corpus._params({**example.defaults, **entry.defaults}, overrides, f"solution {args.solution}")
     grid = None
-    if args.origin or args.spacing or args.counts or plan.get("grid"):
-        grid = _grid_from(args, plan, {})
+    if any(getattr(args, key) is not None for key in ("origin", "spacing", "counts")):
+        grid = _grid_from(args, {})
     psi = corpus.analytic(example.name, args.solution, params=overrides, grid=grid)
     P = example.resolve({k: v for k, v in overrides.items() if k in example.defaults})
     res = map_residual(psi, example.hamiltonian(P), mode=args.mode)
@@ -234,13 +236,12 @@ def _simulate_solution(args, plan, example, overrides):
     return report, (psi, res)
 
 
-def _simulate_section(args, plan, example, overrides):
-    tol = _residual_tol(args, plan)
+def _simulate_section(args, example, overrides):
+    tol = _tol(args, DEFAULT_TOLERANCES["residual"], "residual tolerance")
     entry, params, gamma, h = _section_run(example, args.section, overrides)
     sim = entry.sim or {}
-    grid = _grid_from(args, plan, sim)
-    start = (_parse_floats(args.start or plan.get("grid", {}).get("start", ""), "start")
-             or sim.get("start"))
+    grid = _grid_from(args, sim)
+    start = _parse_floats(args.start or "", "start") or sim.get("start")
     if start is None:
         raise ConfigError("simulate needs a start point (--start or section default)")
     ref_key = args.reference or sim.get("reference")
@@ -308,12 +309,20 @@ def _emit(report, outdir, filename, csv=None) -> int:
     return EXIT_PASS if report["verdict"] == "PASS" else EXIT_FAIL
 
 
-# command -> report file, output directory without --out or [output] dir, and the body of
-# each run kind, the first named kind winning
+# command -> report file, output directory without --out or [output] dir, the [check] entry of
+# --tol, and the body of each run kind, the first given kind winning
 _COMMANDS = {
-    "check-hj": ("hj_report.json", None, {"family": _check_family, "section": _check_section}),
-    "simulate": ("summary.json", ".", {"solution": _simulate_solution, "section": _simulate_section}),
+    "check-hj": ("hj_report.json", None, "tolerance", {"family": _check_family, "section": _check_section}),
+    "simulate": ("summary.json", ".", "residual_tolerance",
+                 {"solution": _simulate_solution, "section": _simulate_section}),
 }
+
+
+# the exit code and stderr prefix of a refused run, the first matching error class winning
+_REFUSALS = ((ConfigError, EXIT_CONFIG, "config error"), (DivergenceError, EXIT_DIVERGENCE, "divergence"),
+             (IntegrabilityError, EXIT_INTEGRABILITY, "integrability"),
+             (KContactError, EXIT_CONTRACT, "contract error"),
+             (ArithmeticError, EXIT_CONTRACT, "arithmetic error"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -324,36 +333,27 @@ def build_parser() -> argparse.ArgumentParser:
     p_list = sub.add_parser("list", help="show the example registry")
     p_list.add_argument("--example", help="detail view of one example")
 
-    p_hj = sub.add_parser("check-hj", help="run a Hamilton-Jacobi residual sweep")
-    p_hj.add_argument("--config")
-    p_hj.add_argument("--example", required=False)
-    p_hj.add_argument("--section")
+    run = argparse.ArgumentParser(add_help=False)  # the options of both run commands
+    run.add_argument("--config")
+    run.add_argument("--example")
+    run.add_argument("--section")
+    run.add_argument("--mode", choices=["standard", "evolution"])
+    run.add_argument("--set", action="append", metavar="name=value")
+    run.add_argument("--tol", type=float)
+    run.add_argument("--seed", type=int)
+    run.add_argument("--out")
+
+    p_hj = sub.add_parser("check-hj", parents=[run], help="run a Hamilton-Jacobi residual sweep")
     p_hj.add_argument("--family")
-    p_hj.add_argument("--mode", choices=["standard", "evolution"])
-    p_hj.add_argument("--set", action="append", metavar="name=value")
-    p_hj.add_argument("--tol", type=float)
     p_hj.add_argument("--samples", type=int)
     p_hj.add_argument("--box", help="sampling box, e.g. '0.5,2.0' per dimension")
     p_hj.add_argument("--param-grid", type=int, default=5)
     p_hj.add_argument("--roundtrip-tol", type=float, default=1e-12)
-    p_hj.add_argument("--seed", type=int)
-    p_hj.add_argument("--out")
 
-    p_sim = sub.add_parser("simulate", help="integrate a section pipeline or sample a solution")
-    p_sim.add_argument("--config")
-    p_sim.add_argument("--example", required=False)
-    p_sim.add_argument("--section")
-    p_sim.add_argument("--solution")
-    p_sim.add_argument("--mode", choices=["standard", "evolution"])
-    p_sim.add_argument("--set", action="append", metavar="name=value")
-    p_sim.add_argument("--origin")
-    p_sim.add_argument("--spacing")
-    p_sim.add_argument("--counts")
-    p_sim.add_argument("--start")
-    p_sim.add_argument("--reference")
-    p_sim.add_argument("--tol", type=float)
-    p_sim.add_argument("--seed", type=int)
-    p_sim.add_argument("--out")
+    p_sim = sub.add_parser("simulate", parents=[run],
+                           help="integrate a section pipeline or sample a solution")
+    for flag in ("--solution", "--origin", "--spacing", "--counts", "--start", "--reference"):
+        p_sim.add_argument(flag)
 
     p_g = sub.add_parser("gauge", help="gauge-kernel dimension diagnostic")
     p_g.add_argument("--n", type=int, required=True)
@@ -375,39 +375,23 @@ def main(argv=None) -> int:
             return cmd_list(args)
         if args.command == "gauge":
             return cmd_gauge(args)
-        filename, default_dir, bodies = _COMMANDS[args.command]
-        plan = _load_config(args.config)
-        args.example = args.example or plan.get("example")
+        filename, default_dir, tolerance, bodies = _COMMANDS[args.command]
+        overrides = _configure(args, tolerance, bodies)
         if args.example is None:
             raise ConfigError("an example key is required (--example or config [run] example)")
         example = corpus.load(args.example)
-        if not any(getattr(args, kind) for kind in bodies):
-            for kind in bodies:
-                setattr(args, kind, plan.get(kind))
-        body = bodies[next((kind for kind in bodies if getattr(args, kind)), "section")]
-        overrides = dict(plan.get("params", {}))
+        body = bodies[next((kind for kind in bodies if getattr(args, kind) is not None), "section")]
         overrides.update(_parse_sets(args.set))
-        args.mode = args.mode or plan.get("mode", "standard")
-        args.seed = _number(args.seed if args.seed is not None else plan.get("seed", 0), "seed", int, 0)
-        outdir = args.out or plan.get("output", {}).get("dir") or default_dir
+        args.mode = "standard" if args.mode is None else args.mode
+        args.seed = _number(0 if args.seed is None else args.seed, "seed", int, 0)
+        outdir = default_dir if args.out is None else args.out
         head = {"command": args.command, "example": example.name, "mode": args.mode, "seed": args.seed}
-        report, csv = body(args, plan, example, overrides)
+        report, csv = body(args, example, overrides)
         return _emit({**head, **report}, outdir, filename, csv)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except DivergenceError as exc:
-        print(f"divergence: {exc}", file=sys.stderr)
-        return EXIT_DIVERGENCE
-    except IntegrabilityError as exc:
-        print(f"integrability: {exc}", file=sys.stderr)
-        return EXIT_INTEGRABILITY
-    except KContactError as exc:
-        print(f"contract error: {exc}", file=sys.stderr)
-        return EXIT_CONTRACT
-    except ArithmeticError as exc:
-        print(f"arithmetic error: {exc}", file=sys.stderr)
-        return EXIT_CONTRACT
+    except (KContactError, ArithmeticError) as exc:
+        _, code, prefix = next(refusal for refusal in _REFUSALS if isinstance(exc, refusal[0]))
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

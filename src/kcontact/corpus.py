@@ -208,16 +208,17 @@ _INVERT_MAX_EXPAND = 200  # how often that end may double before the inversion g
 _INVERT_TOL = 1e-14  # relative bracket width at which its bisection stops
 
 
-def _monotone_invert(g, w):
+def _monotone_invert(g, w, check=lambda r: None):
     """Solve g(r) = w for r > 0, g strictly monotone; dual-capable in ``w``.
 
-    First derivatives propagate through the inverse-function rule; nested
-    duals are not supported here.
+    First derivatives propagate through the inverse-function rule once ``check``
+    has passed the float root; nested duals are not supported here.
     """
     if isinstance(w, dm.Dual):
         if isinstance(w.a, dm.Dual):
             raise ContractError("monotone inversion supports one dual level")
         r0 = _monotone_invert(g, w.a)
+        check(r0)
         _, slope = dm.derive1(lambda rs: g(rs[0]), [r0])
         return dm.Dual(r0, tuple(x / slope[0] for x in w.b), w.lev)
     w = float(w)
@@ -662,12 +663,14 @@ def _hs_logarithmic(P):
 
     section = _hs_log_section({"mu": mu, "c": c, "C1": C1, "delta": delta})
 
-    def f(t):
-        w = t[1] + c * t[0] + C
-        r = _monotone_invert(G, w)
+    def base(r):  # the base point of root r, refused outside the section domain
         q = [delta * r * r - c]
         if not section.in_domain(q):
             raise DomainError(f"base point outside domain of section {section.name}")
+        return q
+
+    def f(t):  # the domain test sees the float root before a slope that may be 0 is divided by
+        q = base(_monotone_invert(G, t[1] + c * t[0] + C, base))
         return q, section.p_at(q), section.z_at(q)
 
     return f

@@ -32,6 +32,7 @@ from . import dual as dm
 from .errors import ContractError, DomainError, NoSolutionError
 from .fields import ScalarField, _p_grad, _point_from_coords
 from .grids import BaseField
+from .hdw import _check_mode
 from .sections import (
     SectionZDep,
     SectionZInd,
@@ -154,11 +155,6 @@ def _resolve_samples(samples, box, dim, count, seed):
 def _top_offenders(values, points):
     order = np.argsort(values)[::-1][:_WORST_KEPT]
     return [(float(values[i]), tuple(float(x) for x in points[i])) for i in order]
-
-
-def _known_mode(mode: str) -> None:
-    if mode not in ("standard", "evolution"):
-        raise ContractError(f"unknown mode {mode!r}")
 
 
 def _sweep(label, pts, seed, gamma, residual) -> HJReport:
@@ -354,7 +350,7 @@ def hj_zdep_residual(
     condition, and the trace of ``C`` matches the mode (-(h on section)
     for standard, 0 for evolution) at every sample.
     """
-    _known_mode(mode)
+    _check_mode(mode)
     chart = gamma.chart
     n, k = chart.n, chart.k
     pts, seed = _resolve_samples(samples, box, n + k, count, seed)
@@ -386,7 +382,7 @@ def _check(h: ScalarField, gamma, mode: str, C: GaugeMatrix = None, **sampling):
     A z-level section without ``C`` uses the diagonal gauge; a section over
     Q takes none.
     """
-    _known_mode(mode)
+    _check_mode(mode)
     if isinstance(gamma, SectionZInd):
         if C is not None:
             raise ContractError("a gauge matrix applies to sections over Q x R^k only, "
@@ -593,7 +589,7 @@ def verify_complete(
     residual, round-trip or section error is a failure of its slice and makes
     the matching sup NaN; a slice that fails before its residual makes both sups NaN.
     """
-    _known_mode(mode)
+    _check_mode(mode)
     chart = family.chart
     n, k = chart.n, chart.k
     if family.param_dim != k * n:

@@ -26,8 +26,8 @@ from functools import cache, partial
 import numpy as np
 
 from . import dual as dm
-from .errors import ContractError, DivergenceError, IntegrabilityError, KContactError
-from .fields import ScalarField
+from .errors import ContractError, DivergenceError, DomainError, IntegrabilityError, KContactError
+from .fields import ScalarField, _floats
 from .geometry import DarbouxPoint
 from .grids import BaseField, BaseMap, GridSpec, SolutionMap
 from .hdw import ResidualGrid, map_residual
@@ -201,14 +201,12 @@ def lift(gamma, sigma: BaseMap) -> SolutionMap:
         raise ContractError(f"base map dimension {sigma.d} does not match n+k={n + k}")
 
     def section_row(x):
-        """p, z over one base row: ``gamma.at`` on floats, domain test and coefficients on lanes."""
-        if not isinstance(x, list):
-            pt = gamma.at(x) if zind else gamma.at(x[:n], x[n:])
-        elif not (gamma.in_domain(x) if zind else gamma.in_domain(x[:n], x[n:])):
-            raise dm._Unbatchable("a base point outside the section domain")
-        else:
-            pt = DarbouxPoint(x[:n], gamma.p_at(x) if zind else gamma.p_at(x[:n], x[n:]),
-                              gamma.z_at(x) if zind else x[n:])
+        """p, z over one base row of floats or lanes: the domain test, then the coefficients."""
+        x = _floats(x)
+        base = (x,) if zind else (x[:n], x[n:])
+        if not gamma.in_domain(*base):
+            raise DomainError(f"base point outside domain of section {gamma.name}")
+        pt = DarbouxPoint(x[:n], gamma.p_at(*base), gamma.z_at(x) if zind else x[n:])
         return list(pt.p.reshape(-1)) + list(pt.z)
 
     pz = dm._rows(section_row, sigma.values.reshape(-1, sigma.d)).reshape(grid.shape + (-1,))

@@ -366,6 +366,9 @@ _HS_LOG = ["simulate", "--example", "hunter-saxton", "--section", "log-zind", "-
     # a closed form that overflows on every node: refused without a numpy warning
     (["simulate", "--example", "hunter-saxton", "--solution", "quadratic", "--set", "c1=1e200"],
      "q contains non-finite entries"),
+    # the default grid's origin has t1 + c t0 + C = 0: its root r -> 0 is outside the section domain
+    (["simulate", "--example", "hunter-saxton", "--solution", "logarithmic", "--set", "C=-0.5"],
+     "base point outside domain of section hs-log-zind"),
 ])
 def test_contract_violations_exit_3_and_write_nothing(argv, message, tmp_path, capsys):
     with warnings.catch_warnings():
@@ -476,3 +479,98 @@ def test_json_reports_write_non_finite_numbers_as_null():
         "sup_residual": None, "worst": [1.5, None, [None, 2]], "nested": {"x": None, "n": 3, "s": "nan"}}
     finite = {"a": 0.1, "b": [1, 2.5e-300], "c": {"d": True}}
     assert cli._json_dump(finite) == json.dumps(finite, indent=2, sort_keys=True)
+
+
+# -- one rule for every run option: a given flag, else its config entry, else the default ----------
+
+# every config entry: command, [section] entry, the option it sets, a config value, a flag value
+_CONFIG_ENTRIES = [
+    ("check-hj", "run", "example", "example", "telegrapher", "hunter-saxton"),
+    ("check-hj", "run", "section", "section", "classical-zind", "zdep-family"),
+    ("check-hj", "run", "family", "family", "complete", "other"),
+    ("simulate", "run", "solution", "solution", "exponential", "other"),
+    ("check-hj", "run", "mode", "mode", "evolution", "standard"),
+    ("simulate", "run", "seed", "seed", "7", "3"),
+    ("simulate", "grid", "origin", "origin", "0,0", "1,1"),
+    ("simulate", "grid", "spacing", "spacing", "0.1,0.1", "0.2,0.2"),
+    ("simulate", "grid", "counts", "counts", "5,5", "6,6"),
+    ("simulate", "grid", "start", "start", "1.0", "2.0"),
+    ("check-hj", "check", "samples", "samples", "40", "50"),
+    ("check-hj", "check", "tolerance", "tol", "0.25", "0.5"),
+    ("simulate", "check", "residual_tolerance", "tol", "0.25", "0.5"),
+    ("check-hj", "output", "dir", "out", "{tmp}/config-dir", "{tmp}/flag-dir"),
+]
+# an empty value that main itself refuses, before any run body
+_EMPTY_REFUSED = {"example": "unknown example ''", "seed": "seed expects an integer, got ''"}
+_TEXT_FLAGS = {"example", "section", "family", "solution", "origin", "spacing", "counts", "start", "out"}
+
+
+def _resolve(argv, config, tmp_path, capsys):
+    """Exit code, stderr, and the arguments and parameter overrides that main hands to the run
+    body, with every run body of the command replaced by one that records them."""
+    (tmp_path / "run.ini").write_text(config)
+    seen = [(None, None)]
+
+    def body(args, example, overrides):
+        seen.append((args, overrides))
+        return {"verdict": "PASS"}, None
+
+    bodies = cli._COMMANDS[argv[0]][-1]
+    with mock.patch.dict(bodies, dict.fromkeys(bodies, body)):
+        code = run(argv + ["--config", str(tmp_path / "run.ini")])
+    return (code, capsys.readouterr().err) + seen[-1]
+
+
+@pytest.mark.parametrize("command, section, entry, option, value, flag", _CONFIG_ENTRIES,
+                         ids=[f"{c}-{s}-{e}" for c, s, e, *_ in _CONFIG_ENTRIES])
+def test_each_config_entry_sets_its_option_unless_its_flag_is_given(
+        command, section, entry, option, value, flag, tmp_path, capsys):
+    value, flag = (v.format(tmp=tmp_path) for v in (value, flag))
+    argv = [command] + ["--example", "telegrapher"] * (option != "example")
+    argv += ["--out", str(tmp_path / "out")] * (option != "out")
+
+    def ini(v):
+        return f"[params]\nkappa = 2\na = 0.5\n[{section}]\n{entry} = {v}\n"
+
+    # the entry sets the option the command line leaves unset, and --set overrides [params]
+    code, err, args, overrides = _resolve(argv + ["--set", "kappa=3"], ini(value), tmp_path, capsys)
+    assert (code, err) == (0, "") and str(getattr(args, option)) == value
+    assert overrides == {"kappa": 3.0, "a": 0.5}
+    # a given flag wins, an empty one too where the flag takes text
+    for given in [flag] + [""] * (option in _TEXT_FLAGS):
+        code, err, args, _ = _resolve(argv + [f"--{option}", given], ini(value), tmp_path, capsys)
+        if given == "" and option in _EMPTY_REFUSED:
+            assert code == 2 and _EMPTY_REFUSED[option] in err
+        else:
+            assert (code, err) == (0, "") and str(getattr(args, option)) == given
+    # an empty entry counts as given: it is not replaced by the default
+    code, err, args, _ = _resolve(argv, ini(""), tmp_path, capsys)
+    if option in _EMPTY_REFUSED:
+        assert code == 2 and _EMPTY_REFUSED[option] in err
+    else:
+        assert (code, err) == (0, "") and getattr(args, option) == ""
+    # a run kind on the command line keeps every config run kind out, and no other entry
+    kinds = list(cli._COMMANDS[command][-1])
+    other = next(kind for kind in kinds if kind != option)
+    code, err, args, _ = _resolve(argv + [f"--{other}", "x"], ini(value), tmp_path, capsys)
+    assert (code, err) == (0, "") and getattr(args, other) == "x"
+    assert (getattr(args, option) is None) if option in kinds else str(getattr(args, option)) == value
+
+
+def test_each_run_command_reads_its_own_tolerance_entry(tmp_path, capsys):
+    ini = "[check]\ntolerance = 0.25\nresidual_tolerance = 0.5\n"
+    for command, want in (("check-hj", "0.25"), ("simulate", "0.5")):
+        argv = [command, "--example", "telegrapher", "--out", str(tmp_path / "out")]
+        code, err, args, _ = _resolve(argv, ini, tmp_path, capsys)
+        assert (code, err, args.tol) == (0, "", want)
+
+
+def test_a_grid_start_entry_alone_leaves_a_solution_run_its_default_grid(tmp_path, capsys):
+    # [grid] start applies to section runs only, as --start does
+    (tmp_path / "run.ini").write_text("[grid]\nstart = 1.0\n")
+    argv = ["simulate", "--example", "telegrapher", "--solution", "exponential"]
+    assert run(argv + ["--config", str(tmp_path / "run.ini"), "--out", str(tmp_path / "config")]) == 0
+    assert run(argv + ["--start", "1.0", "--out", str(tmp_path / "flag")]) == 0
+    assert run(argv + ["--out", str(tmp_path / "plain")]) == 0
+    csv = {(tmp_path / d / "psi.csv").read_bytes() for d in ("config", "flag", "plain")}
+    assert len(csv) == 1

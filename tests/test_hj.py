@@ -788,6 +788,31 @@ def test_failed_lane_sweep_raises_the_scalar_error(case):
     assert _assert_sweep_matches_rows(check, X) == (kind, message)
 
 
+def test_a_lane_gauge_of_eight_components_runs_row_by_row_bit_for_bit():
+    # numpy sums a diagonal of 8 or more entries pairwise, not left to right as a lane pass
+    # would, so a lane-valued gauge with k = 8 gives up the lane pass and the rows run one by one
+    k = 8
+    chart = kc.ChartSpec(1, k)
+    h = kc.ScalarField(chart, lambda pt: pt.q[0] * pt.z[0] + (pt.p[:, 0] * pt.p[:, 0]).sum())
+    gamma = kc.SectionZDep(chart, gamma_p=lambda q, z: [[q[0] * z[a] + 0.1 * a] for a in range(k)])
+    C = kc.GaugeMatrix(lambda q, z: [[z[a] - z[(a + 1) % k] if a == b else 0.5 * q[0] for b in range(k)]
+                                     for a in range(k)])
+    X = np.random.default_rng(3).uniform(-0.5, 0.5, (6, 1 + k))
+    refused, floats = [], hj._gauge_floats
+
+    def spy(Cm, k):
+        try:
+            return floats(Cm, k)
+        except dm._Unbatchable:
+            refused.append(k)
+            raise
+
+    with mock.patch.object(hj, "_gauge_floats", spy):
+        rep = _assert_sweep_matches_rows(
+            lambda S: kc.hj_zdep_residual(h, gamma, C, mode="evolution", samples=S), X)
+    assert refused == [k] and rep.sample_count == len(X) and rep.sup_residual > 0.0
+
+
 def test_verify_complete_runs_the_samples_as_lanes():
     """Guard that the lane path is taken: each lane pass of up to ``_LANE_CHUNK``
     samples (all 729 here) costs two h evaluations and three phi calls (two for

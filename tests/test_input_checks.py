@@ -57,6 +57,13 @@ def _ragged_gauge_projection():
     return kc.project_zdep(ex.hamiltonian(), entry.build(dict(entry.defaults)), C).eval(1, [0.1, 0.2, 0.3])
 
 
+def _flat_gauge_projection():
+    ex = corpus.load("telegrapher")
+    entry = ex.sections["zdep-family"]
+    C = kc.GaugeMatrix(lambda q, z: [1.0, 0.0])  # numbers in place of rows
+    return kc.project_zdep(ex.hamiltonian(), entry.build(dict(entry.defaults)), C).eval(1, [0.1, 0.2, 0.3])
+
+
 def _cut_zdep(name="cut"):
     """A section over Q x R^2 whose domain holds no point."""
     return kc.SectionZDep(CH12, lambda q, z: [[0.0], [z[0]]], domain=lambda q, z: False, name=name)
@@ -95,6 +102,8 @@ CASES = {
     "grid counts": (lambda: GridSpec([0.0, 0.0], [0.1, 0.1], [2, 50]), kc.ShapeError, "at least 3 nodes"),
     "solution map chart": (lambda: SolutionMap.from_function(CH12, GRID3, None),
                            kc.ShapeError, "grid has 3 directions, chart has k=2"),
+    "closed solution map chart": (lambda: corpus.closed_solution_map(CH12, GRID3, None),
+                                  kc.ShapeError, "grid has 3 directions, chart has k=2"),
     "section components": (lambda: kc.integral_section(FIELD, [1.0], GRID3),
                            kc.ContractError, "field has 2 components, grid has 3 directions"),
     "section start": (lambda: kc.integral_section(FIELD, [1.0, 2.0], GRID),
@@ -119,6 +128,8 @@ CASES = {
     "gauge matrix shape": (_zdep_gauge_shape, kc.ContractError, r"gauge matrix has shape \(3, 3\)"),
     "ragged gauge matrix in a projection": (_ragged_gauge_projection, kc.ContractError,
                                             "gauge matrix is not a 2 x 2 array of numbers"),
+    "gauge numbers in place of rows in a projection": (_flat_gauge_projection, kc.ContractError,
+                                                       "gauge matrix is not a 2 x 2 array of numbers"),
     "gauge element components": (lambda: kc.GaugeElement(CH12, kc.KTangent.zero(kc.ChartSpec(1, 3))),
                                  kc.ShapeError, "wrong number of components"),
     "gauge element q-block": (lambda: _gauge("q", 0), kc.ContractError, "zero q-blocks"),
@@ -177,12 +188,16 @@ CASES = {
         lambda: kc.ScalarField(CH12, _q0, domain=lambda pt: False)(kc.DarbouxPoint.from_flat(CH12, [0.0] * 5)),
         kc.DomainError, re.escape(f"point outside declared domain of field {_q0!r}")),
     "unknown map residual mode": (lambda: kc.map_residual(_tel_map(GRID), _tel()[0], mode="nope"),
-                                  kc.ContractError, "mode must be one of \\('standard', 'evolution'\\), got 'nope'"),
+                                  kc.ContractError, "unknown mode 'nope'"),
     "no admissible sample for the affinity check": (
         lambda: kc.second_order_residual(_cut_h(), BaseMap(GRID, np.ones(GRID.shape + (1,)))),
         kc.ContractError, "no admissible sample points for the affinity check"),
     "monotone inversion without a bracket": (lambda: corpus._monotone_invert(lambda r: r, -1.0),
                                              kc.ContractError, "could not bracket the target value"),
+    # the domain test runs on the float root, before the zero slope at r -> 0 is divided by
+    "logarithmic closed form at the edge of its section domain": (
+        lambda: corpus.analytic("hunter-saxton", "logarithmic", {"C": -0.5}),
+        kc.DomainError, "base point outside domain of section hs-log-zind"),
     "lift with every node outside the section domain": (
         lambda: kc.lift(_hs_log_zind(), BaseMap(GRID, np.full(GRID.shape + (1,), -1.0))),
         kc.DomainError, "base point outside domain of section hs-log-zind"),
