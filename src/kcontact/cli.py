@@ -101,13 +101,17 @@ def _configure(args, tolerance, kinds):
     if not args.config:
         return {}
     cp = configparser.ConfigParser()
-    if not cp.read(args.config):
-        raise ConfigError(f"config file {args.config!r} not found or unreadable")
-    given = kinds if any(getattr(args, kind) is not None for kind in kinds) else ()
-    for option, (section, entry) in {**_CONFIG, "tol": ("check", tolerance)}.items():
-        if getattr(args, option, "") is None and option not in given and cp.has_option(section, entry):
-            setattr(args, option, cp.get(section, entry))
-    params = cp.items("params") if cp.has_section("params") else ()
+    cp.optionxform = str  # entry names keep their case, as parameter names do
+    try:
+        if not cp.read(args.config):
+            raise ConfigError(f"config file {args.config!r} not found or unreadable")
+        given = kinds if any(getattr(args, kind) is not None for kind in kinds) else ()
+        for option, (section, entry) in {**_CONFIG, "tol": ("check", tolerance)}.items():
+            if getattr(args, option, "") is None and option not in given and cp.has_option(section, entry):
+                setattr(args, option, cp.get(section, entry))
+        params = cp.items("params") if cp.has_section("params") else ()
+    except (configparser.Error, UnicodeDecodeError) as exc:  # no section header, a duplicate, a bad %
+        raise ConfigError(f"config file {args.config!r} cannot be read: {str(exc).splitlines()[0]}") from None
     return {k: _number(v, f"[params] {k}") for k, v in params}
 
 

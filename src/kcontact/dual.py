@@ -43,8 +43,11 @@ always runs as floats.  Sampling a closed form on the nodes of a grid (the
 values and exact Jacobians of a closed solution or base map, a reference, a
 closed derivative) runs the same lane pass, :func:`_lane_rows`, first on two
 nodes and then on the others; when a pass fails, the sampler calls the closed
-form once per node in node order under the lane pass's error state, so a
-closure that refuses lanes pays one failed pass over two nodes.
+form once per node in node order, so a closure that refuses lanes pays one
+failed pass over two nodes.  Every row that runs one at a time, there or in
+:func:`_rows`, goes through :func:`_scalar_rows` as a row of numpy floats under
+the lane pass's error state: an overflow, invalid operation or zero divisor
+raises :class:`~kcontact.errors.ShapeError` naming the row or the grid node.
 
 Record once, replay many.  A site that runs one per-row function many times (an
 RK4 step on every line, a Newton pass on every node) records it at one row with
@@ -56,7 +59,9 @@ they read, on a row of floats or of lanes.  On lanes a test with another answer
 or a failed helper raises :class:`_Unbatchable`, so :func:`_rows` falls back as
 before; on floats any failure runs the recorded function on that row instead.
 A function that reads lane values otherwise (``float()``, :func:`_vmax`, numpy)
-records no program and runs as it is.  The recording folds ``x * 1``, ``x / 1``, ``x + -0``
+records no program and runs as it is.  A float replay computes in Python floats, which
+overflow without an error: there a non-finite value meets the site's own test (the RK4
+guard, Newton's convergence test).  The recording folds ``x * 1``, ``x / 1``, ``x + -0``
 and ``x - 0`` into x, and a lane replay reads constants as arrays kept per lane width.
 """
 
@@ -68,6 +73,8 @@ import math
 import operator
 
 import numpy as np
+
+from .errors import ShapeError
 
 __all__ = [
     "Dual",
@@ -419,18 +426,31 @@ def _rows(fn, X: np.ndarray, ok=None) -> np.ndarray:
     when a lane pass raises, a result is not finite or a row fails ``ok``,
     the rows run one by one in row order, which gives the scalar values or
     raises the first scalar error, and stop after the first row that fails
-    ``ok``: the result then ends with that row.
+    ``ok``: the result then ends with that row.  A numpy floating-point error
+    in a row raises :class:`~kcontact.errors.ShapeError` naming its values (see
+    :func:`_scalar_rows`), but a replayed :func:`_program` runs Python floats.
     """
     if len(X) > 1:
         out = _lane_rows(fn, X, ok)
         if out is not None:
             return out
+    return np.array(_scalar_rows(lambda x: np.asarray(fn(x), dtype=float), X,
+                                 lambda i: tuple(X[i].tolist()), ok))
+
+
+def _scalar_rows(fn, X: np.ndarray, where, ok=None) -> list:
+    """``fn`` on the rows of ``X`` in row order under the lane pass's error state, up to and with
+    the first result failing ``ok``; a floating-point error in row i raises ShapeError at ``where(i)``."""
     out = []
-    for x in X:
-        out.append(np.asarray(fn(x), dtype=float))
-        if ok is not None and not ok(out[-1]):
-            break
-    return np.array(out)
+    with np.errstate(**_ERRSTATE):
+        for i, x in enumerate(X):
+            try:
+                out.append(fn(x))
+                if ok is not None and not ok(out[-1]):
+                    break
+            except FloatingPointError as exc:
+                raise ShapeError(f"a value is not finite at {where(i)}: {exc}") from exc
+    return out
 
 
 def _lane_rows(fn, X: np.ndarray, ok=None):

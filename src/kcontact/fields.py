@@ -68,18 +68,6 @@ class ScalarField:
         return DomainError(f"point outside declared domain of field {self.name or repr(self.fn)}")
 
 
-def _point_from_coords(chart: ChartSpec, coords) -> DarbouxPoint:
-    n, k = chart.n, chart.k
-    # element by element, so lane values are stored as they are (see kcontact.dual)
-    flat = np.fromiter(coords, dtype=object, count=len(coords))
-    return DarbouxPoint(flat[:n], flat[n:n + n * k].reshape(k, n), flat[n + n * k:])
-
-
-def _floats(xs) -> list:
-    """Entries of a row as Python floats, lane values left as they are."""
-    return [x if isinstance(x, dm._Lanes) else float(x) for x in xs]
-
-
 def _node_gradients(h: ScalarField, q, p, z, value: bool, kvf=None):
     """d_q, d_p, d_z of h and (``value``) h at the nodes (q, p, z): ``grad(h, pt)`` and ``h(pt)``
     with their errors, first failing node first, from one :func:`kcontact.dual._rows` pass
@@ -94,7 +82,7 @@ def _node_gradients(h: ScalarField, q, p, z, value: bool, kvf=None):
         pt = DarbouxPoint(x[:n], [x[n + a * n:n + a * n + n] for a in range(k)], x[n + n * k:])
         if not h.in_domain(pt):
             raise h._outside()
-        _, g = dm.derive1(lambda xs: h.fn(_point_from_coords(chart, xs)), _floats(x))
+        _, g = dm.derive1(lambda xs: h.fn(DarbouxPoint.from_flat(chart, xs)), x)
         return g + [h.fn(pt)] if value else g
 
     G = dm._rows(row, X, None if kvf is None else lambda r: np.all(np.isfinite(r), axis=-1))
@@ -135,7 +123,7 @@ def fd_grad(h: ScalarField, pt: DarbouxPoint, step: float = 1e-5) -> Gradient:
 def _h_of_p(h: ScalarField, q, z):
     """h as a function of the flat (row-major) momentum block at fixed (q, z)."""
     chart, q, z = h.chart, list(q), list(z)
-    return lambda ps: h.fn(_point_from_coords(chart, q + list(ps) + z))
+    return lambda ps: h.fn(DarbouxPoint.from_flat(chart, q + list(ps) + z))
 
 
 def _p_grad(h: ScalarField, q, z, p_flat) -> list:
@@ -148,7 +136,7 @@ def _p_grad(h: ScalarField, q, z, p_flat) -> list:
 
 def _p_hess(h: ScalarField, q, z, p_flat) -> list:
     """Hessian of h in the flat momentum block at fixed (q, z); lanes where the row has them."""
-    return dm.derive2(_h_of_p(h, _floats(q), _floats(z)), _floats(p_flat))[2]
+    return dm.derive2(_h_of_p(h, q, z), p_flat)[2]
 
 
 def p_hessian(h: ScalarField, pt: DarbouxPoint) -> np.ndarray:
@@ -195,11 +183,8 @@ def _newton_passes(h: ScalarField, x0=None) -> tuple:
     :func:`_newton` on a row (q, z, p); with a float row ``x0``, each recorded there
     as a :func:`kcontact.dual._program` when it can be."""
     n, k = h.chart.n, h.chart.k
-
-    def split(x):  # q and z as floats, p as given (an array row, as the scalar iteration had it)
-        return _floats(x[:n]), _floats(x[n:n + k]), x[n + k:]
-
-    passes = (lambda x: _p_grad(h, *split(x)), lambda x: [v for r in _p_hess(h, *split(x)) for v in r])
+    passes = (lambda x: _p_grad(h, x[:n], x[n:n + k], x[n + k:]),
+              lambda x: [v for r in _p_hess(h, x[:n], x[n:n + k], x[n + k:]) for v in r])
     return passes if x0 is None else tuple(dm._program(f, x0) or f for f in passes)
 
 

@@ -105,18 +105,14 @@ class DarbouxPoint:
 
     @staticmethod
     def from_flat(chart: ChartSpec, x) -> "DarbouxPoint":
+        """Float arrays, checked to be finite, from numbers; object arrays from duals or lanes."""
         n, k = chart.n, chart.k
         x = list(x)
         if len(x) != chart.dim:
             raise ShapeError(f"flat point has length {len(x)}, chart needs {chart.dim}")
-        q = np.array(x[:n], dtype=object if any(not _is_num(v) for v in x) else float)
-        p = np.array(x[n:n + n * k], dtype=q.dtype).reshape(k, n)
-        z = np.array(x[n + n * k:], dtype=q.dtype)
-        return DarbouxPoint(q, p, z)
-
-
-def _is_num(v):
-    return isinstance(v, (int, float, np.floating, np.integer))
+        plain = all(isinstance(v, (int, float, np.floating, np.integer)) for v in x)
+        x = np.array(x, dtype=float) if plain else np.fromiter(x, dtype=object, count=len(x))
+        return DarbouxPoint(x[:n], x[n:n + n * k].reshape(k, n), x[n + n * k:])
 
 
 @dataclass(frozen=True)

@@ -137,8 +137,8 @@ def _sample(grid: GridSpec, fn, shapes) -> list:
     :class:`ShapeError`.  ``fn`` runs in two lane passes, ``t`` an object array of lane values
     (:mod:`kcontact.dual`): on the first two nodes, then on the others.  When a pass raises,
     gives an entry of another shape or a value that is not finite, ``fn`` runs on each node's
-    float coordinates under the lane pass's error state, where a floating-point error raises
-    :class:`ShapeError` naming the node, and the results are converted after the last node."""
+    float coordinates through :func:`kcontact.dual._scalar_rows`, where a floating-point error
+    raises :class:`ShapeError` naming the node, and the results are converted after the last node."""
     T = _nodes(grid)
     got = []  # the entry shapes of each lane pass
 
@@ -155,14 +155,7 @@ def _sample(grid: GridSpec, fn, shapes) -> list:
         X, cuts = np.concatenate([head, rest]), np.cumsum([int(np.prod(s)) for s in got[0]])[:-1]
         return [np.ascontiguousarray(a).reshape(grid.shape + s)
                 for a, s in zip(np.split(X, cuts, axis=1), got[0])]
-    nodes = []
-    with np.errstate(**dm._ERRSTATE):
-        for m, t in enumerate(T):
-            try:
-                nodes.append(fn(t))
-            except FloatingPointError as exc:
-                raise ShapeError(f"a sampled value is not finite at grid node {_node(grid, m)}: "
-                                 f"{exc}") from exc
+    nodes = dm._scalar_rows(fn, T, lambda m: f"grid node {_node(grid, m)}")
     out = []
     for j, s in enumerate(shapes):
         vs = [v[j] for v in nodes]

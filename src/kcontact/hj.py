@@ -30,7 +30,8 @@ import numpy as np
 
 from . import dual as dm
 from .errors import ContractError, DomainError, NoSolutionError
-from .fields import ScalarField, _p_grad, _point_from_coords
+from .fields import ScalarField, _p_grad
+from .geometry import DarbouxPoint
 from .grids import BaseField
 from .hdw import _check_mode
 from .sections import (
@@ -179,7 +180,7 @@ def _holonomic_samples(h: ScalarField, gamma: SectionZInd, samples, box, count, 
 
 def _h_on_zind(h: ScalarField, gamma: SectionZInd, q):
     coords = list(q) + _flat(gamma.p_at(q)) + list(gamma.z_at(q))
-    return h.fn(_point_from_coords(h.chart, coords))
+    return h.fn(DarbouxPoint.from_flat(h.chart, coords))
 
 
 def project_Q(h: ScalarField, gamma: SectionZInd) -> BaseField:
@@ -261,7 +262,7 @@ def _zdep_ingredients(h: ScalarField, gamma: SectionZDep, q, z):
     qs, zs = list(q), list(z)
 
     def composite(qvars):
-        return h.fn(_point_from_coords(chart, list(qvars) + _flat(gamma.p_at(qvars, zs)) + zs))
+        return h.fn(DarbouxPoint.from_flat(chart, list(qvars) + _flat(gamma.p_at(qvars, zs)) + zs))
 
     hval, dq_h = dm.derive1(composite, qs)
 
@@ -269,7 +270,7 @@ def _zdep_ingredients(h: ScalarField, gamma: SectionZDep, q, z):
     p = [flat[a * n:(a + 1) * n] for a in range(k)]
     dz_p = [[[rows[a * n + i][n + b] for b in range(k)] for i in range(n)] for a in range(k)]
 
-    _, g = dm.derive1(lambda pz: h.fn(_point_from_coords(chart, qs + list(pz))), flat + zs)
+    _, g = dm.derive1(lambda pz: h.fn(DarbouxPoint.from_flat(chart, qs + list(pz))), flat + zs)
     U = [[g[a * n + i] for i in range(n)] for a in range(k)]
 
     Gamma = []
@@ -304,30 +305,21 @@ def _gauge_shape(Cm, k: int) -> None:
         widths = [len(row) for row in Cm]
     except TypeError:  # a number, or numbers in place of rows
         widths = None
+    if widths and widths != [k] * k and len(set(widths)) == 1:  # rows of one width
+        raise ContractError(f"gauge matrix has shape {(len(widths), widths[0])}, expected {(k, k)}")
     if widths != [k] * k:
         raise ContractError(f"gauge matrix is not a {k} x {k} array of numbers")
 
 
 def _gauge_floats(Cm, k: int):
-    """The gauge matrix as floats, checked for shape, and its trace.
-
-    That is ``np.asarray(Cm, dtype=float)`` and ``np.trace``, or under lanes
-    the k x k rows of lane values and their diagonal summed left to right
-    from 0, which is how numpy sums a diagonal shorter than 8.
-    """
+    """The gauge matrix as k rows of floats or lane values, checked for shape, and its
+    diagonal summed left to right from 0 (a sum numpy takes pairwise from 8 entries on)."""
+    _gauge_shape(Cm, k)
     try:
-        Cm = np.asarray(Cm, dtype=float)
-    except dm._Unbatchable:
-        if k >= 8:
-            raise
-        _gauge_shape(Cm, k)
         rows = [[dm._cmp_value(c) for c in row] for row in Cm]
-        return rows, sum(rows[a][a] for a in range(k))
-    except (TypeError, ValueError):  # ragged rows, or entries that are not numbers
+    except (TypeError, ValueError):  # entries that are not numbers
         raise ContractError(f"gauge matrix is not a {k} x {k} array of numbers") from None
-    if Cm.shape != (k, k):
-        raise ContractError(f"gauge matrix has shape {Cm.shape}, expected {(k, k)}")
-    return Cm, float(np.trace(Cm))
+    return rows, sum(rows[a][a] for a in range(k))
 
 
 def _where(row):
@@ -588,6 +580,7 @@ def verify_complete(
     and reports are keyed by a slice's parameters as a tuple of floats.  A NaN
     residual, round-trip or section error is a failure of its slice and makes
     the matching sup NaN; a slice that fails before its residual makes both sups NaN.
+    A row that overflows raises ShapeError (see :func:`kcontact.dual._rows`), not a failure.
     """
     _check_mode(mode)
     chart = family.chart

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import dual as dm
 from .errors import ContractError, DivergenceError, DomainError, IntegrabilityError, KContactError
-from .fields import ScalarField, _floats
+from .fields import ScalarField
 from .geometry import DarbouxPoint
 from .grids import BaseField, BaseMap, GridSpec, SolutionMap
 from .hdw import ResidualGrid, map_residual
@@ -77,11 +77,14 @@ def commutator_defect(f: BaseField, samples) -> float:
 
 def _rk4_step(f: BaseField, axis: int, dt: float, x) -> list:
     """One RK4 step of component ``axis`` of ``f``: four evaluations, the update and the guard."""
-    k1 = f.eval(axis, x)
-    k2 = f.eval(axis, [v + 0.5 * dt * d for v, d in zip(x, k1)])
-    k3 = f.eval(axis, [v + 0.5 * dt * d for v, d in zip(x, k2)])
-    k4 = f.eval(axis, [v + dt * d for v, d in zip(x, k3)])
-    x = [v + (dt / 6.0) * (a + 2.0 * b + 2.0 * c + d) for v, a, b, c, d in zip(x, k1, k2, k3, k4)]
+    try:
+        k1 = f.eval(axis, x)
+        k2 = f.eval(axis, [v + 0.5 * dt * d for v, d in zip(x, k1)])
+        k3 = f.eval(axis, [v + 0.5 * dt * d for v, d in zip(x, k2)])
+        k4 = f.eval(axis, [v + dt * d for v, d in zip(x, k3)])
+        x = [v + (dt / 6.0) * (a + 2.0 * b + 2.0 * c + d) for v, a, b, c, d in zip(x, k1, k2, k3, k4)]
+    except FloatingPointError:  # a numpy float row overflowed (see kcontact.dual._scalar_rows)
+        x = [np.nan]
     if not all(dm._mag(v) <= BLOWUP_GUARD for v in x):  # also when not finite
         raise DivergenceError(f"flow along direction {axis} exceeded the blow-up guard")
     return x
@@ -202,7 +205,7 @@ def lift(gamma, sigma: BaseMap) -> SolutionMap:
 
     def section_row(x):
         """p, z over one base row of floats or lanes: the domain test, then the coefficients."""
-        x = _floats(x)
+        x = list(x)
         base = (x,) if zind else (x[:n], x[n:])
         if not gamma.in_domain(*base):
             raise DomainError(f"base point outside domain of section {gamma.name}")

@@ -574,3 +574,50 @@ def test_a_grid_start_entry_alone_leaves_a_solution_run_its_default_grid(tmp_pat
     assert run(argv + ["--out", str(tmp_path / "plain")]) == 0
     csv = {(tmp_path / d / "psi.csv").read_bytes() for d in ("config", "flag", "plain")}
     assert len(csv) == 1
+
+
+@pytest.mark.parametrize("argv, row", [
+    (["check-hj", "--example", "hunter-saxton", "--section", "log-zind", "--box", "0.5,1e300"],
+     "(6.369616873214544e+299,)"),
+    (["check-hj", "--example", "hunter-saxton", "--section", "log-zind", "--box", "0.5,1e300",
+      "--mode", "evolution"], "(6.369616873214544e+299,)"),
+    (_TEL_CHECK + ["--box", "1e200,1e201"], "(6.732655185893089e+200,)"),
+])
+def test_a_sample_row_that_overflows_exits_3_naming_it(argv, row, tmp_path, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy warning on the way
+        assert run(argv + ["--out", str(tmp_path / "out")]) == 3
+    out, err = capsys.readouterr()
+    assert not out and err.count("\n") == 1
+    assert err.startswith(f"contract error: a value is not finite at {row}: overflow encountered in scalar")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("example = telegrapher\n", "File contains no section headers."),
+    ("[run]\nexample = telegrapher\nexample = telegrapher\n",
+     "option 'example' in section 'run' already exists"),
+    ("[run]\nexample = telegrapher\n[run]\nsection = classical-zind\n", "section 'run' already exists"),
+    ("[run]\nexample = telegrapher\nsection = classical-zind\n[params]\nkappa = 1%\n",
+     "'%' must be followed by '%' or '(', found: '%'"),
+    ("[run]\nexample = telegr\xffapher\n", "'utf-8' codec can't decode byte 0xff"),
+])
+def test_a_config_file_that_cannot_be_parsed_exits_2_naming_it(text, message, tmp_path, capsys):
+    cfg = tmp_path / "run.ini"
+    cfg.write_bytes(text.encode("latin-1"))
+    assert run(["check-hj", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    out, err = capsys.readouterr()
+    assert not out and err.count("\n") == 1
+    assert err.startswith(f"config error: config file {str(cfg)!r} cannot be read: ") and message in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_entry_names_keep_their_case(tmp_path, capsys):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[params]\nC0 = 0.5\n")
+    reports = []
+    for extra in (["--config", str(cfg)], ["--set", "C0=0.5"]):
+        out = tmp_path / str(len(reports))
+        assert run(_TEL_CHECK + extra + ["--out", str(out)]) == 1
+        reports.append((out / "hj_report.json").read_bytes())
+    assert reports[0] == reports[1] and json.loads(reports[0])["params"]["C0"] == 0.5

@@ -1,6 +1,7 @@
 """Forward-mode engine against a central-difference oracle."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -351,10 +352,9 @@ def test_rows_run_as_lanes_in_chunks(rng):
 def test_a_failing_last_pass_runs_every_row_one_by_one(rng):
     m = 2 * dm._LANE_CHUNK + 2  # the last pass holds two rows
     X = 0.5 + rng.random((m, 1))
-    X[-1] = 0.0  # a zero divisor in the last row only: the scalar value
-    f, calls = _counting(lambda r: 1.0 / r[0])
-    with np.errstate(divide="ignore"):
-        got, want = dm._rows(f, X), [1.0 / x for x in X[:, 0]]
+    X[-1] = 0.0  # the lanes of the last pass disagree on the branch: the scalar values
+    f, calls = _counting(lambda r: 1.0 / r[0] if r[0] > 0.0 else math.inf)
+    got, want = dm._rows(f, X), [1.0 / x if x > 0.0 else math.inf for x in X[:, 0]]
     assert np.array_equal(got, want) and got[-1] == math.inf
     assert calls == [True] * 3 + [False] * m
     g, calls = _counting(lambda r: dm.log(r[0]))  # a domain error there: the scalar error
@@ -392,11 +392,12 @@ def test_rows_stop_after_the_first_row_failing_ok():
 
 def test_only_dual_runs_lane_passes():
     """Every batched site goes through ``dual._rows``, the node sampler through its lane pass
-    ``dual._lane_rows``: no other module makes a lane pass or catches a failed one itself."""
+    ``dual._lane_rows`` and its row runner ``dual._scalar_rows``: no other module makes a lane
+    pass or catches a failed one itself."""
     import ast
     import pathlib
 
-    lane_names = {"_lanes", "_LANE_CHUNK", "_lanes_of", "_lane_array", "_rows", "_lane_rows"}
+    lane_names = {"_lanes", "_LANE_CHUNK", "_lanes_of", "_lane_array", "_rows", "_lane_rows", "_scalar_rows"}
 
     def names(node):
         return {n.attr if isinstance(n, ast.Attribute) else n.id for n in ast.walk(node)
@@ -573,3 +574,15 @@ def test_one_program_replays_at_several_lane_widths(rng):
     for rows in (side, side[:7], side, side[:2]):
         assert dm._rows(f, rows).tobytes() == _scalar_rows(_branchy, rows).tobytes()
     assert calls == [True] * 4  # every width ran as one lane pass
+
+
+def test_a_row_that_overflows_raises_a_shape_error_naming_it():
+    """Rows that run one by one, and a single row, run under the lane pass's error state."""
+    X = np.array([[0.5], [1e300], [2.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy warning on the way
+        for rows in (X, X[1:2]):
+            with pytest.raises(kc.ShapeError, match=r"^a value is not finite at \(1e\+300,\): overflow"):
+                dm._rows(lambda r: r[0] * 1e10, rows)
+        with pytest.raises(kc.ShapeError, match=r"^a value is not finite at \(0\.0,\): divide by zero"):
+            dm._rows(lambda r: 1.0 / r[0], np.array([[1.0], [0.0]]))

@@ -415,3 +415,14 @@ def test_second_order_momenta_follow_the_lines_of_the_last_axis(shape):
         prev = np.zeros((k, 1)) if last is None else ref[idx[:last] + (idx[last] - 1,) + idx[last + 1:]]
         ref[idx] = kc.invert_fibre_derivative(h, values[idx], np.zeros(k), v[idx], prev)
     assert P.tobytes() == ref.tobytes()
+
+
+def test_a_map_residual_node_that_overflows_raises_a_shape_error_naming_it():
+    grid = GridSpec([0.0, 0.0], [0.1, 0.1], [3, 3])
+    q = np.full(grid.shape + (1,), 0.5)
+    q[1, 2, 0] = 1e10
+    psi = SolutionMap(CH12, grid, q, np.zeros(grid.shape + (2, 1)), np.zeros(grid.shape + (2,)))
+    h = kc.ScalarField(CH12, lambda pt: pt.q[0] * 1e300 + pt.p[0, 0])
+    node = r"\(10000000000\.0, 0\.0, 0\.0, 0\.0, 0\.0\)"  # its q, p and z
+    with pytest.raises(kc.ShapeError, match=rf"^a value is not finite at {node}: overflow"):
+        kc.map_residual(psi, h)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import kcontact as kc
 from kcontact import corpus, hj
 from kcontact import dual as dm
-from kcontact.fields import _p_grad, _point_from_coords
+from kcontact.fields import _p_grad
 from kcontact.sections import _coeff_jacobian, _flat
 
 CH12 = kc.ChartSpec(1, 2)
@@ -283,7 +283,7 @@ def _four_pass_ingredients(h, gamma, q, z):
     qs, zs = list(q), list(z)
 
     def composite(qvars):
-        return h.fn(_point_from_coords(chart, list(qvars) + _flat(gamma.p_at(qvars, zs)) + zs))
+        return h.fn(kc.DarbouxPoint.from_flat(chart, list(qvars) + _flat(gamma.p_at(qvars, zs)) + zs))
 
     hval, dq_h = dm.derive1(composite, qs)
     p = gamma.p_at(qs, zs)
@@ -292,7 +292,7 @@ def _four_pass_ingredients(h, gamma, q, z):
     flat = _flat(p)
     gp = _p_grad(h, qs, zs, flat)
     U = [[gp[a * n + i] for i in range(n)] for a in range(k)]
-    _, gz = dm.derive1(lambda zvars: h.fn(_point_from_coords(chart, qs + flat + list(zvars))), zs)
+    _, gz = dm.derive1(lambda zvars: h.fn(kc.DarbouxPoint.from_flat(chart, qs + flat + list(zvars))), zs)
     Gamma = []
     for b in range(k):
         acc = gz[b]
@@ -789,8 +789,8 @@ def test_failed_lane_sweep_raises_the_scalar_error(case):
 
 
 def test_a_lane_gauge_of_eight_components_runs_row_by_row_bit_for_bit():
-    # numpy sums a diagonal of 8 or more entries pairwise, not left to right as a lane pass
-    # would, so a lane-valued gauge with k = 8 gives up the lane pass and the rows run one by one
+    # numpy sums a diagonal of 8 or more entries pairwise; the trace of a gauge is summed left
+    # to right from 0 on lanes and on float rows alike, so the two agree bit for bit for k = 8
     k = 8
     chart = kc.ChartSpec(1, k)
     h = kc.ScalarField(chart, lambda pt: pt.q[0] * pt.z[0] + (pt.p[:, 0] * pt.p[:, 0]).sum())
@@ -798,19 +798,9 @@ def test_a_lane_gauge_of_eight_components_runs_row_by_row_bit_for_bit():
     C = kc.GaugeMatrix(lambda q, z: [[z[a] - z[(a + 1) % k] if a == b else 0.5 * q[0] for b in range(k)]
                                      for a in range(k)])
     X = np.random.default_rng(3).uniform(-0.5, 0.5, (6, 1 + k))
-    refused, floats = [], hj._gauge_floats
-
-    def spy(Cm, k):
-        try:
-            return floats(Cm, k)
-        except dm._Unbatchable:
-            refused.append(k)
-            raise
-
-    with mock.patch.object(hj, "_gauge_floats", spy):
-        rep = _assert_sweep_matches_rows(
-            lambda S: kc.hj_zdep_residual(h, gamma, C, mode="evolution", samples=S), X)
-    assert refused == [k] and rep.sample_count == len(X) and rep.sup_residual > 0.0
+    rep = _assert_sweep_matches_rows(
+        lambda S: kc.hj_zdep_residual(h, gamma, C, mode="evolution", samples=S), X)
+    assert rep.sample_count == len(X) and rep.sup_residual > 0.0
 
 
 def test_verify_complete_runs_the_samples_as_lanes():
@@ -932,27 +922,23 @@ def test_a_nan_gauge_trace_fails_in_evolution_mode():
 def test_a_nan_entry_of_the_q_gradient_fails_evolution_zind():
     # the gradient along the section is (0, NaN): the NaN is not its first entry
     chart = kc.ChartSpec(2, 1)
-    h = kc.ScalarField(chart, lambda pt: pt.q[1] * 1e300 * 1e300 * 0.0 + pt.p[0, 0] ** 2)
+    h = kc.ScalarField(chart, lambda pt: pt.q[1] * NAN + pt.p[0, 0] ** 2)
     gamma = kc.SectionZInd(chart, gamma_p=lambda q: [[0.0, 0.0]], gamma_z=lambda q: [0.0])
-    with np.errstate(over="ignore", invalid="ignore"):
-        rep = kc.hj_evolution_zind(h, gamma, count=20)
+    rep = kc.hj_evolution_zind(h, gamma, count=20)
     assert math.isnan(rep.sup_residual) and rep.verdict(1e-10) == "FAIL"
 
 
 def test_verify_complete_records_a_nan_slice_residual_as_a_failure():
-    # d p / d z is nearly 1e300 * identity, so the finite diagonal gauge of trace 0 times the
-    # z-Jacobian overflows to inf - inf in the residual while the trace check passes
-    def phi(q, lam, z):
-        return kc.DarbouxPoint([q[0]], [[1e300 * z[0] + lam[0]], [(1e300 - 1e289) * z[1] + lam[1]]],
-                               list(z))
-
-    fam = kc.CompleteSolutionFamily(CH12, phi, ((-1.0, 1.0), (-1.0, 1.0)))
-    h = kc.ScalarField(CH12, lambda pt: 1e300 * pt.q[0])
-    X = np.array([[0.0, 0.5, -0.25], [0.5, -0.75, 0.5], [-0.5, 0.25, 0.0]])
-    with np.errstate(over="ignore", invalid="ignore"):
-        ver = kc.verify_complete(fam, h, "evolution", [[0.5, -0.5]], base_samples=X)
+    # with k = 1 the diagonal gauge of the evolution mode is 0 whatever h is, so the trace
+    # check passes while the NaN q-gradient of h makes the residual NaN
+    chart = kc.ChartSpec(1, 1)
+    fam = kc.CompleteSolutionFamily(
+        chart, lambda q, lam, z: kc.DarbouxPoint([q[0]], [[lam[0] + z[0]]], list(z)), ((-1.0, 1.0),))
+    h = kc.ScalarField(chart, lambda pt: NAN * pt.q[0])
+    X = np.array([[0.0, 0.5], [0.5, -0.75], [-0.5, 0.25]])
+    ver = kc.verify_complete(fam, h, "evolution", [[0.5]], base_samples=X)
     assert math.isnan(ver.sup_residual) and not ver.passed(1e-10)
-    assert ver.failures == [((0.5, -0.5), "sup residual nan > 1.0e-10")]
+    assert ver.failures == [((0.5,), "sup residual nan > 1.0e-10")]
 
 
 def test_verify_complete_records_a_nan_gauge_trace_as_a_failure():
@@ -996,3 +982,38 @@ def test_verify_complete_counts_a_nan_section_error_as_off_the_section():
     ver = kc.verify_complete(dataclasses.replace(good, phi=phi), h, "evolution", [[0.5, -0.5]],
                              base_samples=X)
     assert ver.failures == [((0.5, -0.5), "family is not a section at (0.0, 0.5, -0.25)")]
+
+
+# -- a row that overflows raises, it never gives an inf or NaN residual ----------------
+
+def test_an_hj_sweep_row_that_overflows_raises_a_shape_error_naming_it():
+    chart = kc.ChartSpec(1, 1)
+    h = kc.ScalarField(chart, lambda pt: pt.q[0] * 1e300 + pt.p[0, 0])
+    gamma = kc.SectionZInd(chart, gamma_p=lambda q: [[0.0]], gamma_z=lambda q: [0.0])
+    for check in (kc.hj_classical_zind, kc.hj_evolution_zind):
+        with pytest.raises(kc.ShapeError, match=r"^a value is not finite at \(10000000000\.0,\): overflow"):
+            check(h, gamma, samples=[[0.5], [1e10], [0.25]])
+
+
+def test_a_plain_row_on_a_section_over_q_is_checked_for_finiteness():
+    chart = kc.ChartSpec(1, 1)
+    h = kc.ScalarField(chart, lambda pt: pt.q[0])
+    gamma = kc.SectionZInd(chart, gamma_p=lambda q: [[0.0]], gamma_z=lambda q: [0.0])
+    with pytest.raises(kc.ShapeError, match="q contains non-finite entries"):
+        hj._h_on_zind(h, gamma, [math.inf])
+
+
+def test_the_trace_of_a_float_gauge_is_summed_left_to_right():
+    # numpy sums a diagonal of 8 entries pairwise: 0.0 here, and 2.0 left to right from 0
+    d = [1e16, 1.0, -1e16, 1.0, 1.0, 1.0, -1.0, -1.0]
+    rows, tr = hj._gauge_floats(np.diag(d), 8)
+    assert np.trace(np.diag(d)) != tr == ((((((1e16 + 1.0) - 1e16) + 1.0) + 1.0) + 1.0) - 1.0) - 1.0
+    assert rows == np.diag(d).tolist()
+
+
+def test_a_gauge_entry_that_is_not_a_number_is_refused():
+    ex, h = tel()
+    gamma = ex.sections["zdep-family"].build(dict(ex.sections["zdep-family"].defaults))
+    C = kc.GaugeMatrix(lambda q, z: [[None, 0.0], [0.0, 0.0]])
+    with pytest.raises(kc.ContractError, match="gauge matrix is not a 2 x 2 array of numbers"):
+        kc.hj_zdep_residual(h, gamma, C, mode="evolution", samples=[[0.1, 0.5, -0.5], [0.2, -0.3, 0.4]])

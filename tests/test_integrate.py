@@ -3,6 +3,7 @@ end-to-end pipeline."""
 
 import itertools
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -580,16 +581,15 @@ def test_a_division_by_zero_in_an_unused_gradient_entry_still_raises(monkeypatch
 
 
 def test_a_non_finite_point_inside_a_replayed_step_raises_the_scalar_shape_error(monkeypatch):
-    # the point is built and dropped; on every line but the first its q overflows
+    # the point is built and dropped; on every line but the first its q is inf ** x0 = inf
     def axis1(x):
-        kc.DarbouxPoint([x[0] * 1e300 * 1e10], [[0.0]], [0.0])
+        kc.DarbouxPoint([math.inf ** dm._cmp_value(x[0])], [[0.0]], [0.0])  # no dual: inf * 0 is NaN
         return [0.0, 1.0]
 
     f, grid = exact_lines([1.0, 0.0], axis1)
     made = programs_made(monkeypatch)
-    with np.errstate(over="ignore"):
-        got = outcome(lambda: kc.integral_section(f, [0.0, 1.0], grid))
-        want = outcome(lambda: per_line_values(f, [0.0, 1.0], grid))
+    got = outcome(lambda: kc.integral_section(f, [0.0, 1.0], grid))
+    want = outcome(lambda: per_line_values(f, [0.0, 1.0], grid))
     assert len(made) == 2 and None not in made
     assert got == want and want == (kc.ShapeError, "q contains non-finite entries")
 
@@ -663,3 +663,15 @@ def test_end_to_end_is_the_same_with_recording_refused(name, key, mode, data):
     got = _end_to_end_outcome(run)
     with recording_refused():
         assert _end_to_end_outcome(run) == got
+
+
+@pytest.mark.parametrize("comp", [
+    lambda x: [x[0] * x[0] * 1e200],  # recorded, then replayed
+    lambda x: [x[0] * x[0] * 1e200 + 0.0 * float(x[0])],  # float() records no program
+])
+def test_a_flow_that_overflows_on_a_float_row_trips_the_blow_up_guard(comp):
+    f = BaseField(dim=1, comps=[comp, lambda x: [0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy warning on the way
+        with pytest.raises(kc.DivergenceError, match="flow along direction 0 exceeded the blow-up guard"):
+            kc.integral_section(f, [1.0], GridSpec([0, 0], [0.1, 0.1], [5, 5]))
