@@ -151,24 +151,20 @@ def closed_solution_map(chart: ChartSpec, grid: GridSpec, f) -> SolutionMap:
     grid variables (possibly dual numbers or lane values).  The values and
     derivatives are those of :func:`closed_base_map` on the flat point.
     """
-    n, k = chart.n, chart.k
-    if grid.k != k:
-        raise ShapeError(f"grid has {grid.k} directions, chart has k={k}")
+    if grid.k != chart.k:
+        raise ShapeError(f"grid has {grid.k} directions, chart has k={chart.k}")
 
     def flat(t):
         pt = DarbouxPoint(*f(list(t)))
         chart.check_point(pt)
         return [*pt.q, *pt.p.reshape(-1), *pt.z]
 
-    def split(a):  # (..., n + k n + k) -> q, p, z: values, or derivatives with the direction first
-        return a[..., :n], a[..., n:n + k * n].reshape(a.shape[:-1] + (k, n)), a[..., n + k * n:]
-
     base = closed_base_map(grid, flat)
-    psi = SolutionMap(chart, grid, *map(np.ascontiguousarray, split(base.values)),
+    psi = SolutionMap(chart, grid, *map(np.ascontiguousarray, chart.split(base.values)),
                       lambda t: DarbouxPoint(*f(list(t))),
-                      lambda t: split(np.array(base.closed_derivative(t), dtype=float)))
+                      lambda t: chart.split(np.array(base.closed_derivative(t), dtype=float)))
     DarbouxPoint(psi.q, psi.p, psi.z)  # refuses a value that is not finite
-    psi._table = lambda: split(base._table())
+    psi._table = chart.split(base._table)
     return psi
 
 
@@ -184,8 +180,7 @@ def closed_base_map(grid: GridSpec, f) -> BaseMap:
     vals, J = _sample(grid, lambda t: dm.jacobian(func, t.tolist()), [None, None])
     base = BaseMap(grid, vals, closed_form=func,
                    closed_derivative=lambda t: list(zip(*dm.jacobian(func, list(t))[1])))
-    table = np.swapaxes(J, -1, -2)  # (k, d) on every node
-    base._table = lambda: table
+    base._table = np.swapaxes(J, -1, -2)  # (k, d) on every node
     return base
 
 

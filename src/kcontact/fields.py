@@ -89,8 +89,7 @@ def _node_gradients(h: ScalarField, q, p, z, value: bool, kvf=None):
     if kvf is not None and not np.all(np.isfinite(G[-1])):
         kvf.at(DarbouxPoint.from_flat(chart, X[len(G) - 1]))
     G = G.reshape(q.shape[:-1] + (-1,))
-    g_p = G[..., n:n + n * k].reshape(p.shape)
-    return G[..., :n], g_p, G[..., n + n * k:n + n * k + k], G[..., -1] if value else None
+    return (*chart.split(G[..., :chart.dim]), G[..., -1] if value else None)
 
 
 def grad(h: ScalarField, pt: DarbouxPoint) -> Gradient:
@@ -116,8 +115,7 @@ def fd_grad(h: ScalarField, pt: DarbouxPoint, step: float = 1e-5) -> Gradient:
         if not (h.in_domain(pp) and h.in_domain(pm)):
             raise DomainError("finite-difference stencil leaves the declared domain")
         g[j] = (h.fn(pp) - h.fn(pm)) / (2.0 * step)
-    n, k = chart.n, chart.k
-    return Gradient(g[:n], g[n:n + n * k].reshape(k, n), g[n + n * k:])
+    return Gradient(*chart.split(g))
 
 
 def _h_of_p(h: ScalarField, q, z):

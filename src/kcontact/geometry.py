@@ -51,6 +51,8 @@ class ChartSpec:
     k: int
 
     def __post_init__(self):
+        if not all(isinstance(v, (int, np.integer)) for v in (self.n, self.k)):
+            raise ShapeError(f"chart needs integer n and k, got n={self.n!r}, k={self.k!r}")
         if self.n < 1 or self.k < 1:
             raise ShapeError(f"chart needs n >= 1 and k >= 1, got n={self.n}, k={self.k}")
 
@@ -63,6 +65,12 @@ class ChartSpec:
     def ktangent_dim(self) -> int:
         """Dimension of the space of k-tangents at a point."""
         return self.k * self.dim
+
+    def split(self, x):
+        """The q, p and z blocks of flat points (q, then p row by row, then z) along the
+        last axis of the array ``x``: shapes ``(..., n)``, ``(..., k, n)`` and ``(..., k)``."""
+        n, k = self.n, self.k
+        return x[..., :n], x[..., n:n + n * k].reshape(x.shape[:-1] + (k, n)), x[..., n + n * k:]
 
     def check_point(self, pt: "DarbouxPoint") -> None:
         if pt.q.shape != (self.n,) or pt.p.shape != (self.k, self.n) or pt.z.shape != (self.k,):
@@ -106,13 +114,12 @@ class DarbouxPoint:
     @staticmethod
     def from_flat(chart: ChartSpec, x) -> "DarbouxPoint":
         """Float arrays, checked to be finite, from numbers; object arrays from duals or lanes."""
-        n, k = chart.n, chart.k
         x = list(x)
         if len(x) != chart.dim:
             raise ShapeError(f"flat point has length {len(x)}, chart needs {chart.dim}")
         plain = all(isinstance(v, (int, float, np.floating, np.integer)) for v in x)
         x = np.array(x, dtype=float) if plain else np.fromiter(x, dtype=object, count=len(x))
-        return DarbouxPoint(x[:n], x[n:n + n * k].reshape(k, n), x[n + n * k:])
+        return DarbouxPoint(*chart.split(x))
 
 
 @dataclass(frozen=True)
@@ -190,12 +197,7 @@ class KTangent:
         x = np.asarray(x, dtype=float)
         if x.shape != (chart.ktangent_dim,):
             raise ShapeError(f"flat k-tangent has shape {x.shape}, chart needs ({chart.ktangent_dim},)")
-        n, k, d = chart.n, chart.k, chart.dim
-        comps = []
-        for a in range(k):
-            blk = x[a * d:(a + 1) * d]
-            comps.append(Tangent(blk[:n], blk[n:n + n * k].reshape(k, n), blk[n + n * k:]))
-        return KTangent(comps)
+        return KTangent([Tangent(*chart.split(row)) for row in x.reshape(chart.k, chart.dim)])
 
     def __add__(self, other: "KTangent") -> "KTangent":
         return KTangent([u + v for u, v in zip(self.comp, other.comp)])

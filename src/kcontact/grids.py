@@ -36,7 +36,13 @@ class GridSpec:
     def __init__(self, origin, spacing, counts):
         origin = np.atleast_1d(np.asarray(origin, dtype=float))
         spacing = np.atleast_1d(np.asarray(spacing, dtype=float))
-        counts = tuple(int(c) for c in np.atleast_1d(counts))
+        counts = np.atleast_1d(np.asarray(counts, dtype=object))
+        if counts.ndim != 1 or not len(counts):
+            raise ShapeError(f"grids need one node count per direction, at least one, got {counts.tolist()}")
+        if not all(isinstance(c, (int, float, np.integer, np.floating)) and float(c).is_integer()
+                   for c in counts):
+            raise ShapeError(f"grid node counts must be whole numbers, got {counts.tolist()}")
+        counts = tuple(int(c) for c in counts)
         if not (origin.shape == spacing.shape == (len(counts),)):
             raise ShapeError("grid origin/spacing/counts have inconsistent lengths")
         if not (np.all(np.isfinite(origin)) and np.all(np.isfinite(spacing))):
@@ -181,7 +187,8 @@ class BaseMap:
     ``values`` has shape ``grid.shape + (d,)``.  ``closed_form`` and
     ``closed_derivative`` (t -> value / t -> (k, d) array of direction
     derivatives) are optional exact descriptions.  Integrated maps are node
-    data: no closed form, and a node table only the map made with it keeps.
+    data: no closed form, and a node table (``_table``, the direction derivatives on every
+    node) that the stage making the map computes with it; a map rebuilt from its parts has none.
     """
 
     grid: GridSpec
@@ -189,9 +196,7 @@ class BaseMap:
     closed_form: callable = None
     closed_derivative: callable = None
     notes: list = field(default_factory=list)
-    # () -> the derivatives() table, set by the code that made the map; a map rebuilt from
-    # its parts starts without one
-    _table: callable = field(default=None, init=False, repr=False, compare=False)
+    _table: np.ndarray = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def d(self) -> int:
@@ -208,7 +213,7 @@ class BaseMap:
         when the map has one (:func:`kcontact.integrate.integral_section`), else the closed
         derivative at every node, else grid differences."""
         if self._table is not None:
-            return self._table().copy()
+            return self._table.copy()
         if self.closed_derivative is not None:
             return _sample(self.grid, lambda t: [self.closed_derivative(t)], [(self.grid.k, self.d)])[0]
         return np.stack([grid_derivative(self.values, self.grid, b) for b in range(self.grid.k)], axis=-2)
@@ -232,7 +237,7 @@ class SolutionMap:
     closed_form: callable = None
     closed_derivative: callable = None
     notes: list = field(default_factory=list)
-    _table: callable = field(default=None, init=False, repr=False, compare=False)  # as for BaseMap
+    _table: tuple = field(default=None, init=False, repr=False, compare=False)  # as for BaseMap
 
     def point(self, idx) -> DarbouxPoint:
         return DarbouxPoint(self.q[idx], self.p[idx], self.z[idx])
@@ -260,7 +265,7 @@ class SolutionMap:
         """
         n, k = self.chart.n, self.chart.k
         if self._table is not None:
-            return tuple(a.copy() for a in self._table())
+            return tuple(a.copy() for a in self._table)
         if self.closed_derivative is not None:
             return tuple(_sample(self.grid, self.closed_derivative, [(k, n), (k, k, n), (k, k)]))
         return tuple(np.stack([grid_derivative(a, self.grid, b) for b in range(k)], axis=k)

@@ -255,12 +255,11 @@ def evolution_lift(H: ScalarField, X: KVectorField, check_tol: float = 1e-10) ->
 def _affine_z_coefficients(h: ScalarField, rng):
     """The constant z-gradient of an affine-in-z Hamiltonian (probabilistic check)."""
     chart = h.chart
-    n, k = chart.n, chart.k
     X = np.array([x for x in sample_box(default_box(chart.dim), _AFFINE_SAMPLES, rng)
                   if h.in_domain(DarbouxPoint.from_flat(chart, x))]).reshape(-1, chart.dim)
     if not len(X):
         raise ContractError("no admissible sample points for the affinity check")
-    d_z = _node_gradients(h, X[:, :n], X[:, n:n + n * k].reshape(-1, k, n), X[:, n + n * k:], False)[2]
+    d_z = _node_gradients(h, *chart.split(X), False)[2]
     if not np.all(np.max(np.abs(d_z - d_z[0]), axis=-1) <= _AFFINE_TOL):  # per sample; NaN fails
         raise ContractError("Hamiltonian is not affine in the extra coordinates")
     return d_z[0]

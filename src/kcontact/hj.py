@@ -40,6 +40,7 @@ from .sections import (
     _coeff_jacobian,
     _domain_rows,
     _flat,
+    _lifted,
     check_holonomic,
     check_max_coisotropic,
     default_box,
@@ -140,11 +141,15 @@ class _DiagonalGauge(GaugeMatrix):
 
 
 def _resolve_samples(samples, box, dim, count, seed):
+    if seed is not None and (not isinstance(seed, (int, np.integer)) or seed < 0):
+        raise ContractError(f"sampling seed must be None or an integer >= 0, got {seed!r}")
     if samples is not None:
         try:
             pts, seed = np.atleast_2d(np.asarray(samples, dtype=float)), None
         except (TypeError, ValueError):
             raise ContractError("samples must be rows of numbers of one width") from None
+        if pts.ndim != 2:
+            raise ContractError(f"samples must be one row or rows of numbers, got shape {pts.shape}")
     else:
         pts = sample_box(box if box is not None else default_box(dim), count, np.random.default_rng(seed))
     if pts.shape[1] != dim:
@@ -178,9 +183,9 @@ def _holonomic_samples(h: ScalarField, gamma: SectionZInd, samples, box, count, 
     return pts, seed
 
 
-def _h_on_zind(h: ScalarField, gamma: SectionZInd, q):
-    coords = list(q) + _flat(gamma.p_at(q)) + list(gamma.z_at(q))
-    return h.fn(DarbouxPoint.from_flat(h.chart, coords))
+def _h_on_section(h: ScalarField, gamma, x):
+    """h at the point of ``gamma`` over the flat base row ``x`` (numbers, duals or lanes)."""
+    return h.fn(DarbouxPoint.from_flat(h.chart, _lifted(gamma, x)))
 
 
 def project_Q(h: ScalarField, gamma: SectionZInd) -> BaseField:
@@ -218,7 +223,7 @@ def hj_classical_zind(
     """sup |h on section| over the samples (section must be holonomic)."""
     pts, seed = _holonomic_samples(h, gamma, samples, box, count, seed)
     return _sweep("classical-zind", pts, seed, gamma,
-                  lambda q: dm._mag(_h_on_zind(h, gamma, list(q))))
+                  lambda q: dm._mag(_h_on_section(h, gamma, q)))
 
 
 def hj_evolution_zind(
@@ -233,7 +238,7 @@ def hj_evolution_zind(
     pts, seed = _holonomic_samples(h, gamma, samples, box, count, seed)
 
     def residual(q):
-        _, g = dm.derive1(lambda qs: _h_on_zind(h, gamma, qs), list(q))
+        _, g = dm.derive1(lambda qs: _h_on_section(h, gamma, qs), list(q))
         return dm._vmax(*(dm._mag(x) for x in g))
 
     return _sweep("evolution-zind", pts, seed, gamma, residual)
@@ -261,10 +266,7 @@ def _zdep_ingredients(h: ScalarField, gamma: SectionZDep, q, z):
     n, k = chart.n, chart.k
     qs, zs = list(q), list(z)
 
-    def composite(qvars):
-        return h.fn(DarbouxPoint.from_flat(chart, list(qvars) + _flat(gamma.p_at(qvars, zs)) + zs))
-
-    hval, dq_h = dm.derive1(composite, qs)
+    hval, dq_h = dm.derive1(lambda qvars: _h_on_section(h, gamma, list(qvars) + zs), qs)
 
     flat, rows = _coeff_jacobian(gamma, qs + zs)
     p = [flat[a * n:(a + 1) * n] for a in range(k)]

@@ -9,9 +9,10 @@ assertion.
 
 The grid lines of one sweep direction are independent, so they advance
 together as the lanes of one pass through :func:`kcontact.dual._rows`; the
-node derivatives of an integrated map and the section points and Jacobians
-of a lift are filled the same way.  Whenever the lanes cannot take them
-together, the rows run one by one, which gives the scalar values or error.
+node table of an integrated map and the points and node table of a lift are
+filled the same way, each by the stage that makes the map.  Whenever the lanes
+cannot take them together, the rows run one by one, which gives the scalar
+values or error.
 One RK4 step per direction (:func:`_rk4_step`) is recorded at the start point
 and replayed on every line and on the reversed corner path
 (:func:`kcontact.dual._program`).
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import cache, partial
+from functools import partial
 
 import numpy as np
 
@@ -32,7 +33,7 @@ from .geometry import DarbouxPoint
 from .grids import BaseField, BaseMap, GridSpec, SolutionMap
 from .hdw import ResidualGrid, map_residual
 from .hj import GaugeMatrix, _check, project_Q, project_zdep
-from .sections import SectionZInd, _coeff_jacobian
+from .sections import _coeff_jacobian, _lifted
 
 __all__ = [
     "commutator_defect",
@@ -132,13 +133,16 @@ def integral_section(
     the directions reversed and both endpoints must agree within
     ``order_tol`` (:class:`IntegrabilityError` otherwise).  A commutator
     defect above the advisory threshold is recorded in the output notes,
-    not fatal; a start point that is not finite raises :class:`ContractError`.
-    The result is node data: the values, the field on every node as its node
-    table, and no closed form (a map rebuilt from its parts differences its nodes).
+    not fatal; a start point that is not finite, or ``steps_per_cell`` other than
+    an integer >= 1, raises :class:`ContractError`.  The result is node data: the
+    values, the field on every node as its node table, computed here, and no closed
+    form (a map rebuilt from its parts differences its nodes).
     """
     k = grid.k
     if f.k != k:
         raise ContractError(f"field has {f.k} components, grid has {k} directions")
+    if not isinstance(steps_per_cell, (int, np.integer)) or steps_per_cell < 1:
+        raise ContractError(f"steps_per_cell must be an integer >= 1, got {steps_per_cell!r}")
     start = np.asarray(start, dtype=float)
     if start.shape != (f.dim,):
         raise ContractError(f"start point has shape {start.shape}, field lives on dimension {f.dim}")
@@ -173,13 +177,9 @@ def integral_section(
 
     # Node values satisfy the flow equations, so the field itself provides
     # the direction derivatives at grid nodes (no difference stencils).
-    @cache
-    def node_derivatives():
-        return dm._rows(lambda x: [f.eval(a, x) for a in range(k)],
-                        values.reshape(-1, f.dim)).reshape(grid.shape + (k, f.dim))
-
     sigma = BaseMap(grid, values, notes=notes)
-    sigma._table = node_derivatives
+    sigma._table = dm._rows(lambda x: [f.eval(a, x) for a in range(k)],
+                            values.reshape(-1, f.dim)).reshape(grid.shape + (k, f.dim))
     sigma._commutator = defect  # read by end_to_end, which reports it
     return sigma
 
@@ -187,53 +187,33 @@ def integral_section(
 def lift(gamma, sigma: BaseMap) -> SolutionMap:
     """Compose a base map with a section to get a phase-space candidate map.
 
-    Works for sections over Q (base dimension n) and over Q x R^k (base
-    dimension n + k).  The result is node data without a closed form.  A base
-    map with a node table or a closed derivative gives it a node table: the base
-    derivatives chained through the section Jacobians at the stored base values.
-    Points and section Jacobians over all nodes come from batched passes.
+    One rule for sections over Q (base dimension n) and over Q x R^k (n + k): the
+    point over a base value x is q, the section coefficients at x, then the z of x
+    (:func:`kcontact.sections._lifted`).  The result is node data without a closed form.
+    A base map with a node table or a closed derivative gives it a node table, computed
+    here from the base derivatives dx and the coefficient Jacobians J at the stored base
+    values: the q of dx, J dx, then the z of dx.  All nodes run in batched passes.
     """
-    chart = gamma.chart
-    n, k = chart.n, chart.k
-    grid = sigma.grid
+    chart, grid = gamma.chart, sigma.grid
+    name, d = gamma._base
+    if sigma.d != d:
+        raise ContractError(f"base map dimension {sigma.d} does not match {name}={d}")
 
-    zind = isinstance(gamma, SectionZInd)
-    if zind and sigma.d != n:
-        raise ContractError(f"base map dimension {sigma.d} does not match n={n}")
-    if not zind and sigma.d != n + k:
-        raise ContractError(f"base map dimension {sigma.d} does not match n+k={n + k}")
-
-    def section_row(x):
-        """p, z over one base row of floats or lanes: the domain test, then the coefficients."""
+    def point(x):
+        """The lifted point over one base row of floats or lanes: the domain test, then the rule."""
         x = list(x)
-        base = (x,) if zind else (x[:n], x[n:])
-        if not gamma.in_domain(*base):
+        if not gamma._inside(x):
             raise DomainError(f"base point outside domain of section {gamma.name}")
-        pt = DarbouxPoint(x[:n], gamma.p_at(*base), gamma.z_at(x) if zind else x[n:])
-        return list(pt.p.reshape(-1)) + list(pt.z)
+        return DarbouxPoint.from_flat(chart, _lifted(gamma, x)).flat()
 
-    pz = dm._rows(section_row, sigma.values.reshape(-1, sigma.d)).reshape(grid.shape + (-1,))
-    q, z = sigma.values[..., :n].copy(), pz[..., k * n:].copy()
-    p = pz[..., :k * n].reshape(grid.shape + (k, n))
-    psi = SolutionMap(chart, grid, q, p, z, notes=list(sigma.notes))
-    if sigma._table is None and sigma.closed_derivative is None:
-        return psi
-
-    @cache
-    def node_table():
-        """(dq, dp, dz) on every node: the base derivatives chained through the section
-        Jacobians at the stored base values, which ``p`` and ``z`` were lifted from."""
-        dx = sigma.derivatives()
-        J = dm._rows(lambda x: _coeff_jacobian(gamma, x)[1], sigma.values.reshape(-1, sigma.d))
-        J = J.reshape(grid.shape + J.shape[1:])
-        lead = grid.shape + (k, k, n)
-        if zind:  # J is (k*n + k, n): momentum rows, then z-values
-            return (dx, np.einsum("...ci,...bi->...bc", J[..., :k * n, :], dx).reshape(lead),
-                    np.einsum("...ci,...bi->...bc", J[..., k * n:, :], dx))
-        # J is (k*n, n + k)
-        return dx[..., :n], np.einsum("...cj,...bj->...bc", J, dx).reshape(lead), dx[..., n:]
-
-    psi._table = node_table
+    X = sigma.values.reshape(-1, d)
+    q, p, z = chart.split(dm._rows(point, X).reshape(grid.shape + (chart.dim,)))
+    psi = SolutionMap(chart, grid, *map(np.ascontiguousarray, (q, p, z)), notes=list(sigma.notes))
+    if sigma._table is not None or sigma.closed_derivative is not None:
+        dx, n = sigma.derivatives(), chart.n
+        J = dm._rows(lambda x: _coeff_jacobian(gamma, x)[1], X).reshape(grid.shape + (-1, d))
+        Jdx = np.einsum("...cj,...bj->...bc", J, dx)
+        psi._table = chart.split(np.concatenate([dx[..., :n], Jdx, dx[..., n:]], axis=-1))
     return psi
 
 

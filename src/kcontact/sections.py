@@ -4,6 +4,8 @@ Sections are stored as coefficient callables (dual-capable), not sampled
 grids, so every Hamilton-Jacobi check below differentiates them exactly.
 ``gamma_p`` returns the momentum coefficients as a (k, n) nested sequence;
 ``gamma_z`` the k extra-coordinate values.
+Both kinds take a flat base row x, q then (over Q x R^k) z: ``_inside(x)`` tests
+the domain, and the point over x is q, ``_coeffs(x)``, then z (:func:`_lifted`).
 """
 
 from __future__ import annotations
@@ -30,6 +32,8 @@ __all__ = [
 
 def sample_box(bounds, count: int, rng) -> np.ndarray:
     """``count`` uniform samples from the product of the given intervals, which must be finite."""
+    if not isinstance(count, (int, np.integer)) or count < 0:
+        raise ContractError(f"sample count must be an integer >= 0, got {count!r}")
     try:
         bounds = np.asarray(bounds, dtype=float)
     except (TypeError, ValueError):
@@ -63,14 +67,22 @@ class SectionZInd:
     domain: callable = None
     name: str = ""
 
+    _base = property(lambda self: ("n", self.chart.n))  # the name and dimension of the base Q
+
     def in_domain(self, q) -> bool:
         return self.domain is None or bool(self.domain(q))
+
+    def _inside(self, x) -> bool:
+        return self.in_domain(x)
 
     def p_at(self, q):
         return _mat(self.gamma_p(q), self.chart.k, self.chart.n)
 
     def z_at(self, q):
         return list(self.gamma_z(q))
+
+    def _coeffs(self, x) -> list:  # the flat momentum coefficients, then the z-values
+        return _flat(self.p_at(x)) + list(self.z_at(x))
 
     def at(self, q) -> DarbouxPoint:
         if not self.in_domain(q):
@@ -88,11 +100,19 @@ class SectionZDep:
     domain: callable = None
     name: str = ""
 
+    _base = property(lambda self: ("n+k", self.chart.n + self.chart.k))  # of the base Q x R^k
+
     def in_domain(self, q, z) -> bool:
         return self.domain is None or bool(self.domain(q, z))
 
+    def _inside(self, x) -> bool:
+        return self.in_domain(x[:self.chart.n], x[self.chart.n:])
+
     def p_at(self, q, z):
         return _mat(self.gamma_p(q, z), self.chart.k, self.chart.n)
+
+    def _coeffs(self, x) -> list:  # the flat momentum coefficients
+        return _flat(self.p_at(x[:self.chart.n], x[self.chart.n:]))
 
     def at(self, q, z) -> DarbouxPoint:
         if not self.in_domain(q, z):
@@ -122,20 +142,19 @@ def _flat(rows) -> list:
     return [x for row in rows for x in row]
 
 
-def _coeff_jacobian(gamma, x):
-    """Section coefficients and their Jacobian rows in one dual pass.
+def _lifted(gamma, x) -> list:
+    """The flat point (q, p, z) of ``gamma`` over the flat base row ``x`` (numbers, duals or
+    lanes): q, the section's coefficients, then the z of ``x`` (over Q x R^k only)."""
+    x, n = list(x), gamma.chart.n
+    return x[:n] + gamma._coeffs(x) + x[n:]
 
-    For a :class:`SectionZDep` the pass is over ``x`` = (q, z) and the
-    outputs are the flat momentum coefficients.  For a
-    :class:`SectionZInd` it is over ``x`` = q and the k z-values follow the
-    momentum coefficients.  Returns ``(vals, rows)`` as
-    :func:`kcontact.dual.jacobian` does; entries stay dual-capable when
-    ``x`` carries duals of an enclosing pass.
+
+def _coeff_jacobian(gamma, x):
+    """The section coefficients (``_coeffs``) at the flat base row ``x`` and their Jacobian
+    rows in ``x``, in one dual pass.  Returns ``(vals, rows)`` as :func:`kcontact.dual.jacobian`
+    does; entries stay dual-capable when ``x`` carries duals of an enclosing pass.
     """
-    if isinstance(gamma, SectionZDep):
-        n = gamma.chart.n
-        return dm.jacobian(lambda v: _flat(gamma.p_at(v[:n], v[n:])), list(x))
-    return dm.jacobian(lambda v: _flat(gamma.p_at(v)) + list(gamma.z_at(v)), list(x))
+    return dm.jacobian(gamma._coeffs, list(x))
 
 
 def _domain_rows(gamma, pts: np.ndarray, fn):
@@ -147,12 +166,10 @@ def _domain_rows(gamma, pts: np.ndarray, fn):
     """
     used, late = pts, None
     if gamma.domain is not None:
-        n, keep = gamma.chart.n, []
-        inside = gamma.in_domain if isinstance(gamma, SectionZInd) else (
-            lambda row: gamma.in_domain(row[:n], row[n:]))
+        keep = []
         for row in pts:
             try:
-                if inside(row):
+                if gamma._inside(row):
                     keep.append(row)
             except Exception as exc:  # noqa: BLE001 - raised below, in row order
                 late = exc

@@ -1000,7 +1000,7 @@ def test_a_plain_row_on_a_section_over_q_is_checked_for_finiteness():
     h = kc.ScalarField(chart, lambda pt: pt.q[0])
     gamma = kc.SectionZInd(chart, gamma_p=lambda q: [[0.0]], gamma_z=lambda q: [0.0])
     with pytest.raises(kc.ShapeError, match="q contains non-finite entries"):
-        hj._h_on_zind(h, gamma, [math.inf])
+        hj._h_on_section(h, gamma, [math.inf])
 
 
 def test_the_trace_of_a_float_gauge_is_summed_left_to_right():

@@ -198,6 +198,34 @@ CASES = {
     "logarithmic closed form at the edge of its section domain": (
         lambda: corpus.analytic("hunter-saxton", "logarithmic", {"C": -0.5}),
         kc.DomainError, "base point outside domain of section hs-log-zind"),
+    "sample count below zero": (lambda: kc.hj_classical_zind(*_tel(), count=-1),
+                                kc.ContractError, "sample count must be an integer >= 0, got -1"),
+    "fractional sample count": (lambda: kc.hj_classical_zind(*_tel(), count=2.5),
+                                kc.ContractError, "sample count must be an integer >= 0, got 2.5"),
+    "no sample points": (lambda: kc.hj_classical_zind(*_tel(), count=0),
+                         kc.ContractError, "no admissible sample points inside the section domain"),
+    "sampling seed below zero": (lambda: kc.hj_classical_zind(*_tel(), seed=-1),
+                                 kc.ContractError, "sampling seed must be None or an integer >= 0, got -1"),
+    "samples with three axes": (lambda: kc.hj_classical_zind(*_tel(), samples=np.ones((2, 1, 1))),
+                                kc.ContractError, r"samples must be one row or rows of numbers, got shape \(2, 1, 1\)"),
+    "complete family sample count below zero": (
+        lambda: kc.verify_complete(_tel_family(), _tel()[0], "standard", np.zeros((1, 2)), count=-1),
+        kc.ContractError, "sample count must be an integer >= 0, got -1"),
+    "end-to-end sample count below zero": (
+        lambda: kc.end_to_end(*_tel(), "standard", GRID, [1.0], hj_count=-1),
+        kc.ContractError, r"^\[stage hj\] sample count must be an integer >= 0, got -1"),
+    "sampling box count below zero": (lambda: sample_box([(0.0, 1.0)], -1, np.random.default_rng(0)),
+                                      kc.ContractError, "sample count must be an integer >= 0, got -1"),
+    "grid without a direction": (lambda: GridSpec([], [], []), kc.ShapeError,
+                                 r"grids need one node count per direction, at least one, got \[\]"),
+    "fractional grid counts": (lambda: GridSpec([0.0, 0.0], [0.1, 0.1], [3.5, 4]), kc.ShapeError,
+                               r"grid node counts must be whole numbers, got \[3.5, 4\]"),
+    "fractional chart size": (lambda: kc.ChartSpec(1.5, 2), kc.ShapeError,
+                              "chart needs integer n and k, got n=1.5, k=2"),
+    "chart size as text": (lambda: kc.ChartSpec("1", 2), kc.ShapeError,
+                           "chart needs integer n and k, got n='1', k=2"),
+    "no steps per cell": (lambda: kc.integral_section(FIELD, [1.0], GRID, steps_per_cell=0),
+                          kc.ContractError, "steps_per_cell must be an integer >= 1, got 0"),
     "lift with every node outside the section domain": (
         lambda: kc.lift(_hs_log_zind(), BaseMap(GRID, np.full(GRID.shape + (1,), -1.0))),
         kc.DomainError, "base point outside domain of section hs-log-zind"),

@@ -675,3 +675,53 @@ def test_a_flow_that_overflows_on_a_float_row_trips_the_blow_up_guard(comp):
         warnings.simplefilter("error")  # no numpy warning on the way
         with pytest.raises(kc.DivergenceError, match="flow along direction 0 exceeded the blow-up guard"):
             kc.integral_section(f, [1.0], GridSpec([0, 0], [0.1, 0.1], [5, 5]))
+
+
+# -- each stage makes its map with its node table, and owns its errors ----------------
+
+def _telegrapher_zind():
+    ex = corpus.load("telegrapher")
+    entry = ex.sections["classical-zind"]
+    return ex.hamiltonian(), entry.build(dict(entry.defaults)), GridSpec([0.0, 0.0], [0.02, 0.02], [6, 7])
+
+
+@pytest.mark.parametrize("steps", [0, -1, 2.5])
+def test_steps_per_cell_below_one_or_fractional_is_refused_before_the_commutator(steps, monkeypatch):
+    from kcontact import integrate
+
+    h, gamma, grid = _telegrapher_zind()
+    monkeypatch.setattr(integrate, "commutator_defect", mock.Mock(side_effect=AssertionError("ran")))
+    message = rf"steps_per_cell must be an integer >= 1, got {steps}"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy divide-by-zero warning either
+        with pytest.raises(kc.ContractError, match=message):
+            kc.integral_section(kc.project_Q(h, gamma), [1.0], grid, steps_per_cell=steps)
+        with pytest.raises(kc.ContractError, match=rf"^\[stage integrate\] {message}") as err:
+            kc.end_to_end(h, gamma, "standard", grid, start=[1.0], hj_count=20, steps_per_cell=steps)
+    assert err.value.stage == "integrate"
+
+
+def test_integrated_and_lifted_maps_are_made_with_their_node_tables():
+    from kcontact import integrate
+
+    h, gamma, grid = _telegrapher_zind()
+    sigma = kc.integral_section(kc.project_Q(h, gamma), [1.0], grid)
+    psi = kc.lift(gamma, sigma)
+    assert isinstance(sigma._table, np.ndarray) and all(isinstance(a, np.ndarray) for a in psi._table)
+    want = sigma.derivatives(), psi.derivatives()
+    # reading the tables evaluates neither the field nor the section again
+    with mock.patch.object(BaseField, "eval", side_effect=AssertionError("field evaluated")), \
+            mock.patch.object(integrate, "_coeff_jacobian", side_effect=AssertionError("jacobian")):
+        assert sigma.derivatives().tobytes() == want[0].tobytes()
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(psi.derivatives(), want[1]))
+
+
+def test_an_error_of_the_lift_jacobian_pass_is_tagged_with_the_lift_stage():
+    from kcontact import integrate
+
+    h, gamma, grid = _telegrapher_zind()
+    failing = mock.Mock(side_effect=kc.DomainError("section Jacobian failed"))
+    with mock.patch.object(integrate, "_coeff_jacobian", failing):
+        with pytest.raises(kc.DomainError, match=r"^\[stage lift\] section Jacobian failed") as err:
+            kc.end_to_end(h, gamma, "standard", grid, start=[1.0], hj_count=20)
+    assert err.value.stage == "lift"
