@@ -55,9 +55,14 @@ RK4 step on every line, a Newton pass on every node) records it at one row with
 and every test of a value (a comparison, ``bool``, a divisor's zero test, the
 finiteness test of an object array) is logged, a test with its answer.  The
 replay runs the outputs, the tests and every operation that can raise, with what
-they read, on a row of floats or of lanes.  On lanes a test with another answer
-or a failed helper raises :class:`_Unbatchable`, so :func:`_rows` falls back as
-before; on floats any failure runs the recorded function on that row instead.
+they read, as straight-line Python: one function per form (floats, lanes), compiled
+once per tape structure (its inputs, length, kept operations with their registers and
+answers, and outputs) and cached under a fixed bound, oldest out first.  Its source
+holds register names, ``+ - * /``, unary ``-``, ``abs`` and the six comparisons only;
+every other operation is a helper bound by name, and the constants come in as an
+argument.  On lanes a test with another answer or a failed helper raises
+:class:`_Unbatchable`, so :func:`_rows` falls back as before; on floats any failure
+runs the recorded function on that row instead.
 A function that reads lane values otherwise (``float()``, :func:`_vmax`, numpy)
 records no program and runs as it is.  A float replay computes in Python floats, which
 overflow without an error: there a non-finite value meets the site's own test (the RK4
@@ -350,7 +355,7 @@ class _Lanes:
 
     def __rpow__(self, other):
         o = self._arg(other)
-        return o if o is NotImplemented else self._each(lambda x, base: base ** x, o)
+        return o if o is NotImplemented else self._each(_rpow, o)
 
     def __neg__(self):
         return _Lanes(-self.v)
@@ -488,16 +493,22 @@ def _vmax(*xs):
 
 # -- record once, replay many: one call as a straight-line program ------------
 
-# The float and the lane form of each recorded operation.  Those in _SAFE cannot raise on
-# floats (a division follows a test of its divisor); the others are kept when dead.
-_SAFE = (operator.add, operator.sub, operator.mul, operator.truediv, operator.neg, abs,
-         operator.lt, operator.le, operator.gt, operator.ge, operator.eq, operator.ne)
-_FORMS = {**{op: (op, op) for op in _SAFE}, math.isfinite: (math.isfinite, np.isfinite)}
+# The source text of the recorded operations that cannot raise on floats (a division follows a
+# test of its divisor); a replay drops them when dead.  Every other operation is a bound helper.
+_TEXT = {operator.add: "{} + {}", operator.sub: "{} - {}", operator.mul: "{} * {}",
+         operator.truediv: "{} / {}", operator.neg: "-{}", abs: "abs({})",
+         operator.lt: "{} < {}", operator.le: "{} <= {}", operator.gt: "{} > {}",
+         operator.ge: "{} >= {}", operator.eq: "{} == {}", operator.ne: "{} != {}"}
+# The float and the lane form of each recorded operation.
+_FORMS = {**{op: (op, op) for op in _TEXT}, math.isfinite: (math.isfinite, np.isfinite)}
 # x * 1, 1 * x, x / 1, x + -0, -0 + x and x - 0 are x, bit for bit: the recording reads x.
 # Keys are (fn, reflected, constant.hex()); the hex tells -0.0 from 0.0.
 _UNITS = {(fn, reflected, c.hex()) for fn, reflected, c in (
     (operator.mul, False, 1.0), (operator.mul, True, 1.0), (operator.truediv, False, 1.0),
     (operator.add, False, -0.0), (operator.add, True, -0.0), (operator.sub, False, 0.0))}
+_COMPILED: dict = {}  # tape structure -> what _compile gives, oldest first
+_COMPILED_BOUND = 64
+_ANOTHER = "a replayed test has another answer"
 
 
 def _forms(fn):  # float() fails where a lane would leave the real numbers
@@ -505,9 +516,35 @@ def _forms(fn):  # float() fails where a lane would leave the real numbers
         fn, *(_Lanes(v) if isinstance(v, np.ndarray) else v for v in y)).v)
 
 
-def _checked(test, answer, agree, *xs):
-    if agree(test(*xs)) is not answer:
-        raise _Unbatchable("a replayed test has another answer")
+def _rpow(x, base):  # ``base ** x``: one function, so that recordings of it share a program
+    return base ** x
+
+
+def _compile(n, steps, outs):
+    """The floats and the lanes form of ``replay(x, c)``, the constant registers ``c`` holds and
+    whether the steps read each: registers 0..n-1 from the row ``x``, the constants from ``c``,
+    each step ``(fn, i, args, answer)`` as one line, then the ``outs`` registers.  The source
+    holds register names and ``_TEXT`` only; any other ``fn`` is a helper bound by name."""
+    read = {a for s in steps for a in s[2]}
+    consts = sorted((read | set(outs)) - {s[1] for s in steps} - set(range(n)))
+    text = dict(_TEXT)  # and each other operation as a call of a helper bound as f<j>
+    for fn, _, args, _ in steps:
+        text.setdefault(fn, f"f{len(text) - len(_TEXT)}({', '.join(['{}'] * len(args))})")
+    lines = ["def replay(x, c):"] + [f"    {''.join(f'r{r}, ' for r in rs)}= {arg}"
+                                     for rs, arg in ((range(n), "x"), (consts, "c")) if rs]
+    for fn, i, args, answer in steps:
+        expr = text[fn].format(*(f"r{a}" for a in args))
+        lines.append(f"    r{i} = {expr}" if answer is None else
+                     f"    if _agree({expr}) is not {bool(answer)}: raise _Unbatchable('{_ANOTHER}')")
+    lines.append(f"    return [{', '.join(f'r{o}' for o in outs)}]")
+    code = compile("\n".join(lines), "<recorded program>", "exec")
+    forms = []
+    for k, agree in enumerate((bool, _Lanes._agree)):
+        scope = {"__builtins__": {}, "abs": abs, "_agree": agree, "_Unbatchable": _Unbatchable}
+        scope.update((text[fn].split("(")[0], _forms(fn)[k]) for fn in text if fn not in _TEXT)
+        exec(code, scope)  # noqa: S102 - the text is registers and _TEXT only
+        forms.append(scope["replay"])
+    return (*forms, consts, [j in read for j in consts])
 
 
 def _logged(fn, reflected=False, test=False):
@@ -558,7 +595,7 @@ class _Reg:
     __mul__, __rmul__ = _logged(operator.mul), _logged(operator.mul, True)
     __truediv__, __rtruediv__ = _logged(operator.truediv), _logged(operator.truediv, True)
     __neg__ = _logged(operator.neg)
-    __lt__, __le__, __gt__, __ge__, __eq__, __ne__ = (_logged(op, test=True) for op in _SAFE[6:])
+    __lt__, __le__, __gt__, __ge__, __eq__, __ne__ = (_logged(op, test=True) for op in list(_TEXT)[6:])
 
 
 def _program(fn, x0):
@@ -573,37 +610,31 @@ def _program(fn, x0):
         return None
     if None in tape or not all(isinstance(o, _Reg) and o.tape is tape for o in outs):
         return None
-    # backwards, keeping the outputs, the tests, what can raise and what they read;
-    # (fn, i, a, b) sets register i to fn(r[a], r[b]), or tests them
-    outs, vals = [o.r for o in outs], [op[3] for op in tape]
-    live, on_floats, on_lanes = set(outs), [], []
-    for i in range(len(tape) - 1, len(xs) - 1, -1):
+    # backwards, keeping the outputs, the tests, what can raise and what they read
+    n, outs, steps = len(xs), [o.r for o in outs], []
+    live = set(outs)
+    for i in range(len(tape) - 1, n - 1, -1):
         op, args, answer, _ = tape[i]
-        if op is not None and (i in live or answer is not None or op not in _SAFE):
+        if op is not None and (i in live or answer is not None or op not in _TEXT):
             live.update(args)
-            for steps, f, agree in zip((on_floats, on_lanes), _forms(op), (bool, _Lanes._agree)):
-                f = f if answer is None else functools.partial(_checked, f, answer, agree)
-                steps.insert(0, (f if len(args) == 2 else lambda a, _, f=f: f(a), i, args[0], args[-1]))
-
-    # on m lanes the constants the kept steps read are lane-wide: one array per value and m
-    consts, wide = vals[len(xs):], {}
-    read = {j - len(xs) for s in on_lanes for j in s[2:] if j >= len(xs) and tape[j][0] is None}
-
-    def run(steps, x, start):
-        r = x + start
-        for f, i, a, b in steps:
-            r[i] = f(r[a], r[b])
-        return [r[o] for o in outs]
+            steps.insert(0, (op, i, tuple(args), answer))
+    key = (n, len(tape), tuple(steps), tuple(outs))
+    if key not in _COMPILED:
+        if len(_COMPILED) >= _COMPILED_BOUND:
+            del _COMPILED[next(iter(_COMPILED))]
+        _COMPILED[key] = _compile(n, steps, outs)
+    on_floats, on_lanes, cregs, lane_wide = _COMPILED[key]
+    consts, wide = [tape[j][3] for j in cregs], {}
 
     def replay(x):
-        if isinstance(x[0], _Lanes):
+        if isinstance(x[0], _Lanes):  # on m lanes the constants the steps read are arrays
             x, m = [v.v for v in x], len(x[0].v)
             if m not in wide:
-                full = {consts[j].hex(): np.full(m, consts[j]) for j in read}
-                wide[m] = [full[c.hex()] if j in read else c for j, c in enumerate(consts)]
-            return [_Lanes(v) if isinstance(v, np.ndarray) else v for v in run(on_lanes, x, wide[m])]
+                full = {c.hex(): np.full(m, c) for c, w in zip(consts, lane_wide) if w}
+                wide[m] = [full[c.hex()] if w else c for c, w in zip(consts, lane_wide)]
+            return [_Lanes(v) if isinstance(v, np.ndarray) else v for v in on_lanes(x, wide[m])]
         try:
-            return np.array(run(on_floats, [float(v) for v in x], consts))
+            return np.array(on_floats([float(v) for v in x], consts))
         except Exception:  # noqa: BLE001 - any failure: the recorded function decides
             return fn(x)
 

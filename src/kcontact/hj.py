@@ -202,7 +202,8 @@ def project_Q(h: ScalarField, gamma: SectionZInd) -> BaseField:
         def comp(q):
             qs = list(q)
             if not gamma.in_domain(qs):
-                raise DomainError(f"projected field evaluated outside the section domain at {qs}")
+                where = [dm.value(v) for v in qs]
+                raise DomainError(f"projected field evaluated outside the section domain at {where}")
             p = gamma.p_at(qs)
             gp = _p_grad(h, qs, gamma.z_at(qs), _flat(p))
             return gp[alpha * n:(alpha + 1) * n]
@@ -466,9 +467,8 @@ def project_zdep(h: ScalarField, gamma: SectionZDep, C: GaugeMatrix) -> BaseFiel
         def comp(x):
             qs, zs = list(x[:n]), list(x[n:])
             if not gamma.in_domain(qs, zs):
-                raise DomainError(
-                    f"projected field evaluated outside the section domain at {qs}, {zs}"
-                )
+                qv, zv = [dm.value(v) for v in qs], [dm.value(v) for v in zs]
+                raise DomainError(f"projected field evaluated outside the section domain at {qv}, {zv}")
             p, U_rows, Cm = C._projection_parts(h, gamma, qs, zs)
             _gauge_shape(Cm, k)
             U = U_rows[alpha]

@@ -369,6 +369,10 @@ _HS_LOG = ["simulate", "--example", "hunter-saxton", "--section", "log-zind", "-
     # the default grid's origin has t1 + c t0 + C = 0: its root r -> 0 is outside the section domain
     (["simulate", "--example", "hunter-saxton", "--solution", "logarithmic", "--set", "C=-0.5"],
      "base point outside domain of section hs-log-zind"),
+    # the flow leaves the section's domain: the error names the point in plain floats
+    (["simulate", "--example", "hunter-saxton", "--section", "log-zind", "--mode", "standard", "--origin", "0,0",
+      "--spacing", "0.05,0.05", "--counts", "5,5", "--start", "0.5"],
+     "[stage integrate] projected field evaluated outside the section domain at [-1.2131581839296544]\n"),
 ])
 def test_contract_violations_exit_3_and_write_nothing(argv, message, tmp_path, capsys):
     with warnings.catch_warnings():

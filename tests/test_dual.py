@@ -1,6 +1,8 @@
 """Forward-mode engine against a central-difference oracle."""
 
 import math
+import pathlib
+import re
 import warnings
 
 import numpy as np
@@ -586,3 +588,82 @@ def test_a_row_that_overflows_raises_a_shape_error_naming_it():
                 dm._rows(lambda r: r[0] * 1e10, rows)
         with pytest.raises(kc.ShapeError, match=r"^a value is not finite at \(0\.0,\): divide by zero"):
             dm._rows(lambda r: 1.0 / r[0], np.array([[1.0], [0.0]]))
+
+
+# -- the compiled programs: one per tape structure, from a fixed operator text -----------
+
+def compiles(monkeypatch):
+    """The source texts ``dual`` compiles from here on, with an empty program cache."""
+    texts, real = [], compile
+    monkeypatch.setattr(dm, "_COMPILED", {})
+    monkeypatch.setattr(dm, "compile", lambda text, *a: texts.append(text) or real(text, *a), raising=False)
+    return texts
+
+
+def test_a_reflected_power_recorded_twice_compiles_once(monkeypatch):
+    fn = lambda r: [2.0 ** r[0]]  # noqa: E731
+    texts = compiles(monkeypatch)
+    progs = [dm._program(fn, [0.5]), dm._program(fn, [-0.25])]
+    assert None not in progs and len(texts) == 1 and len(dm._COMPILED) == 1
+    X = np.array([[-1.5], [0.0], [0.3], [2.0], [10.0]])
+    for prog in progs:
+        assert np.array([prog(list(x)) for x in X]).tobytes() == _scalar_rows(fn, X).tobytes()
+        assert dm._rows(prog, X).tobytes() == _scalar_rows(fn, X).tobytes()
+
+
+def test_no_module_but_dual_compiles_source_text():
+    src = pathlib.Path(dm.__file__).parent
+    for path in src.glob("*.py"):
+        found = re.findall(r"(?<![\w.])(?<!def )(exec|eval|compile)\(", path.read_text())
+        assert found == ([] if path.name != "dual.py" else ["compile", "exec"]), path.name
+
+
+def _every_operation(r):
+    """Every operator of the text table, a helper, the six comparisons, finiteness tests
+    and the constants nan, -0.0 and 1e308."""
+    a, b = r
+    s = (a + b) - (a * b) / b
+    t = abs(-s)
+    assert [a < b, a <= b, a > b, a >= b, a == b, a != b] == [True, True, False, False, False, True]
+    kc.DarbouxPoint([t], [[a], [b]], [s, 0.0])
+    return [dm.exp(t) + a * 1e308, b - -0.0, s * math.nan]
+
+
+REG, TEXT = r"r\d+", r"(r\d+ [-+*/] r\d+|-r\d+|abs\(r\d+\)|f\d+\(r\d+(, r\d+)*\))"
+GRAMMAR = [rf"def replay\(x, c\):", rf"    ({REG}, )+= [xc]", rf"    {REG} = {TEXT}",
+           rf"    if _agree\((r\d+ (<|<=|>|>=|==|!=) r\d+|f\d+\(r\d+\))\) is not (True|False): "
+           r"raise _Unbatchable\('a replayed test has another answer'\)",
+           rf"    return \[{REG}(, {REG})*\]"]
+
+
+def test_the_source_of_a_recording_is_registers_and_the_operator_table(monkeypatch):
+    texts = compiles(monkeypatch)
+    prog = dm._program(_every_operation, [0.5, 1.5])
+    assert prog is not None and len(texts) == 1
+    lines = texts[0].split("\n")
+    assert all(any(re.fullmatch(g, line) for g in GRAMMAR) for line in lines), texts[0]
+    for op in ("+", "-", "*", "/", "<", "<=", ">", ">=", "==", "!="):
+        assert f" {op} r" in texts[0], op
+    assert re.search(r"= -r\d+$", texts[0], re.M) and "abs(r" in texts[0] and "f1(r" in texts[0]
+    # the constants came in as an argument: none of nan, -0.0, 1e308 is in the text
+    assert not re.search(r"\d\.|nan|inf", texts[0])
+    for x in ([0.5, 1.5], [0.25, 3.0], [-0.75, 0.5]):
+        assert prog(x).tobytes() == np.array(_every_operation(x)).tobytes()
+    X = np.array([[0.5, 1.5], [0.25, 3.0], [0.125, 2.0]])
+    lanes_out = [v.v for v in prog(dm._lanes_of(X))]
+    assert np.stack(lanes_out, axis=1).tobytes() == _scalar_rows(_every_operation, X).tobytes()
+
+
+def test_the_program_cache_keeps_its_bound_and_an_evicted_program_records_again(monkeypatch):
+    texts = compiles(monkeypatch)
+    fn = lambda r: [r[0] * r[-1] - 0.5]  # noqa: E731
+    for n in range(1, dm._COMPILED_BOUND + 6):  # n inputs: a tape structure of its own
+        assert dm._program(fn, [0.5] * n) is not None
+        assert len(dm._COMPILED) <= dm._COMPILED_BOUND
+    assert len(texts) == dm._COMPILED_BOUND + 5 and len(dm._COMPILED) == dm._COMPILED_BOUND
+    prog = dm._program(fn, [0.5])  # evicted: compiled again
+    assert len(texts) == dm._COMPILED_BOUND + 6 and len(dm._COMPILED) == dm._COMPILED_BOUND
+    X = np.array([[0.0], [-1.5], [3.0], [1e200]])
+    with np.errstate(over="ignore"):
+        assert np.array([prog(list(x)) for x in X]).tobytes() == _scalar_rows(fn, X).tobytes()
+    assert dm._rows(prog, X[:3]).tobytes() == _scalar_rows(fn, X[:3]).tobytes()

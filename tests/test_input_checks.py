@@ -177,6 +177,10 @@ CASES = {
         lambda: kc.project_zdep(corpus.load("hunter-saxton").hamiltonian(), _cut_zdep(),
                                 kc.GaugeMatrix(lambda q, z: np.eye(2))).comps[0]([0.5, 0.0, 0.0]),
         kc.DomainError, r"projected field evaluated outside the section domain at \[0.5\], \[0.0, 0.0\]"),
+    "projected field outside the section domain at a numpy row": (
+        lambda: kc.project_zdep(corpus.load("hunter-saxton").hamiltonian(), _cut_zdep(),
+                                kc.GaugeMatrix(lambda q, z: np.eye(2))).comps[0](np.array([0.5, 0.0, 0.0])),
+        kc.DomainError, r"projected field evaluated outside the section domain at \[0.5\], \[0.0, 0.0\]$"),
     "z-derivative of h outside the field domain": (
         lambda: kc.gamma_beta(_cut_h(), _zdep(), [0.5], [0.0, 0.0]),
         kc.DomainError, "point outside declared domain of field cut"),
