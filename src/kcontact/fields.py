@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dual as dm
-from .errors import ContractError, DomainError, RegularityError, SolverError
+from .errors import ContractError, DomainError, RegularityError, ShapeError, SolverError
 from .geometry import ChartSpec, DarbouxPoint
 
 __all__ = [
@@ -68,11 +68,11 @@ class ScalarField:
         return DomainError(f"point outside declared domain of field {self.name or repr(self.fn)}")
 
 
-def _node_gradients(h: ScalarField, q, p, z, value: bool, kvf=None):
+def _node_gradients(h: ScalarField, q, p, z, value: bool, where=None):
     """d_q, d_p, d_z of h and (``value``) h at the nodes (q, p, z): ``grad(h, pt)`` and ``h(pt)``
     with their errors, first failing node first, from one :func:`kcontact.dual._rows` pass
-    (h from a plain evaluation: the dual one rounds differently).  With a k-vector field
-    ``kvf``, the first node where one of them is not finite runs ``kvf.at``, which raises there."""
+    (h from a plain evaluation: the dual one rounds differently).  With ``where``, the first
+    node i where one of them is not finite raises ShapeError with the suffix ``where(i)``."""
     chart = h.chart
     n, k = chart.n, chart.k
     X = np.concatenate([a.reshape(-1, d) for a, d in ((q, n), (p, k * n), (z, k))], axis=1)
@@ -85,9 +85,9 @@ def _node_gradients(h: ScalarField, q, p, z, value: bool, kvf=None):
         _, g = dm.derive1(lambda xs: h.fn(DarbouxPoint.from_flat(chart, xs)), x)
         return g + [h.fn(pt)] if value else g
 
-    G = dm._rows(row, X, None if kvf is None else lambda r: np.all(np.isfinite(r), axis=-1))
-    if kvf is not None and not np.all(np.isfinite(G[-1])):
-        kvf.at(DarbouxPoint.from_flat(chart, X[len(G) - 1]))
+    G = dm._rows(row, X, None if where is None else lambda r: np.all(np.isfinite(r), axis=-1))
+    if where is not None and not np.all(np.isfinite(G[-1])):
+        raise ShapeError(f"gradient of h is not finite{where(len(G) - 1)}")
     G = G.reshape(q.shape[:-1] + (-1,))
     return (*chart.split(G[..., :chart.dim]), G[..., -1] if value else None)
 
@@ -251,5 +251,12 @@ def invert_fibre_derivative(
     """
     k, n = h.chart.k, h.chart.n
     row = [[float(x) for x in q]], [[float(x) for x in z]]
+    for name, a in (("v", v), ("p_init", p_init)):
+        try:
+            fits = np.asarray(a, dtype=float).shape == (k, n)
+        except (TypeError, ValueError):  # ragged rows, or entries that are not numbers
+            fits = False
+        if not fits:
+            raise ShapeError(f"{name} must be a (k, n) = {(k, n)} array of numbers, got {a!r}")
     return _newton(h, *row, np.reshape(v, (1, k * n)), np.reshape(p_init, (1, k * n)), tol,
                    max_iter)[0].reshape(k, n)

@@ -15,6 +15,7 @@ off-diagonal block.  The free directions form the gauge kernel, spanned by
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +23,7 @@ import numpy as np
 from .errors import ContractError, RegularityError, ShapeError
 from .fields import ScalarField, _newton, _newton_passes, _node_gradients, check_regularity, grad
 from .geometry import ChartSpec, DarbouxPoint, KTangent, Tangent
-from .grids import BaseMap, GridSpec, SolutionMap, grid_derivative
+from .grids import BaseMap, GridSpec, SolutionMap, _node, grid_derivative
 from .sections import default_box, sample_box
 
 __all__ = [
@@ -47,6 +48,12 @@ _AFFINE_TOL = 1e-10  # largest spread of the z-gradient it accepts
 def _check_mode(mode: str) -> None:
     if mode not in MODES:
         raise ContractError(f"unknown mode {mode!r}")
+
+
+def _check_tol(name: str, tol) -> None:
+    """Refuse a tolerance that is not a real number >= 0 (inf switches its check off)."""
+    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not tol >= 0:
+        raise ContractError(f"tolerance {name} must be a real number >= 0, got {tol!r}")
 
 
 @dataclass
@@ -304,7 +311,8 @@ def second_order_residual(
     fibre-derivative inversion; the result has shape ``grid.shape + (n,)``.
     The ``mode`` argument selects which canonical field supplies the balance
     term; for an affine coupling the two choices agree identically, and the
-    test suite holds the implementation to that.
+    test suite holds the implementation to that.  A grid node where the
+    gradient of h is not finite raises :class:`ShapeError` naming the node.
     """
     _check_mode(mode)
     chart = h.chart
@@ -348,7 +356,7 @@ def second_order_residual(
     # the balance term sum_a (X_a)_i^a of the canonical field: k shares trace_p / k, summed from 0
     inner = tuple(slice(pad, pad + c) for c in grid.counts)
     values, P = values[inner], P[inner]
-    g_q, _, g_z, _ = _node_gradients(h, values, P, np.zeros(grid.shape + (k,)), mode == "standard",
-                                     canonical_kvf(h, mode))
+    g_q, _, g_z, _ = _node_gradients(h, values, P, np.zeros(grid.shape + (k,)), False,
+                                     lambda i: f" at grid node {_node(grid, i)}")
     trace_p = -(g_q + np.einsum("...ai,...a->...i", P, g_z))
     return div_P[inner] - sum(trace_p / k for _ in range(k))

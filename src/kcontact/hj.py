@@ -33,7 +33,7 @@ from .errors import ContractError, DomainError, NoSolutionError
 from .fields import ScalarField, _p_grad
 from .geometry import DarbouxPoint
 from .grids import BaseField
-from .hdw import _check_mode
+from .hdw import _check_mode, _check_tol
 from .sections import (
     SectionZDep,
     SectionZInd,
@@ -41,6 +41,7 @@ from .sections import (
     _domain_rows,
     _flat,
     _lifted,
+    _sample_rows,
     check_holonomic,
     check_max_coisotropic,
     default_box,
@@ -104,58 +105,14 @@ class GaugeMatrix:
     def __call__(self, q, z):
         return self.fn(q, z)
 
-    def _at(self, h: ScalarField, gamma: SectionZDep, q, z):
-        """``C(q, z)`` plus the sample's :func:`_zdep_ingredients`, in that order."""
-        return self(q, z), _zdep_ingredients(h, gamma, q, z)
-
-    def _projection_parts(self, h: ScalarField, gamma: SectionZDep, q, z):
-        """What :func:`project_zdep` reads at (q, z): coefficients p, momentum-gradient rows U, C."""
-        p = gamma.p_at(q, z)
-        gp = _p_grad(h, q, z, _flat(p))
-        n, k = gamma.chart.n, gamma.chart.k
-        return p, [[gp[a * n + i] for i in range(n)] for a in range(k)], self(q, z)
-
-
-class _DiagonalGauge(GaugeMatrix):
-    """Gauge matrix of the diagonal solver.
-
-    ``fn`` is ``partial(_diag_rows, h, gamma, mode)``.  When the check runs
-    on that same ``h`` and ``gamma``, the entries are solved from the
-    ingredients the residual and the projection use, so each point builds
-    them once.
-    """
-
-    def _at(self, h, gamma, q, z):
-        own_h, own_gamma, mode = self.fn.args
-        if h is not own_h or gamma is not own_gamma:
-            return super()._at(h, gamma, q, z)
-        entries, ing = _diag_C_generic(h, gamma, mode, q, z)
-        return _diag_matrix(entries), ing
-
-    def _projection_parts(self, h, gamma, q, z):
-        own_h, own_gamma, _ = self.fn.args
-        if h is not own_h or gamma is not own_gamma:
-            return super()._projection_parts(h, gamma, q, z)
-        C, ing = self._at(h, gamma, q, z)
-        return ing[3], ing[5], C  # coefficients p, momentum-gradient rows U, C
-
 
 def _resolve_samples(samples, box, dim, count, seed):
     if seed is not None and (not isinstance(seed, (int, np.integer)) or seed < 0):
         raise ContractError(f"sampling seed must be None or an integer >= 0, got {seed!r}")
     if samples is not None:
-        try:
-            pts, seed = np.atleast_2d(np.asarray(samples, dtype=float)), None
-        except (TypeError, ValueError):
-            raise ContractError("samples must be rows of numbers of one width") from None
-        if pts.ndim != 2:
-            raise ContractError(f"samples must be one row or rows of numbers, got shape {pts.shape}")
-    else:
-        pts = sample_box(box if box is not None else default_box(dim), count, np.random.default_rng(seed))
-    if pts.shape[1] != dim:
-        raise ContractError(f"sample rows or sampling box intervals number {pts.shape[1]}, "
-                            f"the check samples {dim} coordinates")
-    return pts, seed
+        return _sample_rows(samples, dim), None
+    return _sample_rows(sample_box(box if box is not None else default_box(dim), count,
+                                   np.random.default_rng(seed)), dim), seed
 
 
 def _top_offenders(values, points):
@@ -188,6 +145,41 @@ def _h_on_section(h: ScalarField, gamma, x):
     return h.fn(DarbouxPoint.from_flat(h.chart, _lifted(gamma, x)))
 
 
+def _project(h: ScalarField, gamma, C: GaugeMatrix = None) -> BaseField:
+    """The k projected component fields of ``h`` along ``gamma`` on its flat base rows:
+    component a is the momentum-gradient row U_a of h on the section, then, with a gauge
+    matrix ``C`` (over Q x R^k), the z-blocks ``sum_j p_j^b U_a^j + C_a^b``.  The diagonal
+    gauge of this ``h`` and ``gamma`` gives p and U with its entries (:func:`_gauged`)."""
+    n, k = gamma.chart.n, gamma.chart.k
+
+    def comp(alpha, x):
+        x = list(x)
+        if not gamma._inside(x):
+            at = [dm.value(v) for v in x]
+            raise DomainError("projected field evaluated outside the section domain at "
+                              + (f"{at}" if C is None else f"{at[:n]}, {at[n:]}"))
+        if C is not None and _solved(h, gamma, C):
+            Cm, ing = _gauged(h, gamma, C, x[:n], x[n:])
+            p, U = _flat(ing[3]), ing[5][alpha]
+        else:
+            pt = _lifted(gamma, x)
+            p = pt[n:n + k * n]
+            U = _p_grad(h, pt[:n], pt[n + k * n:], p)[alpha * n:(alpha + 1) * n]
+            if C is None:
+                return U
+            Cm = C(x[:n], x[n:])
+        _gauge_shape(Cm, k)
+        zblocks = []
+        for b in range(k):
+            acc = Cm[alpha][b]
+            for j in range(n):
+                acc = acc + p[b * n + j] * U[j]
+            zblocks.append(acc)
+        return list(U) + zblocks
+
+    return BaseField(dim=gamma._base[1], comps=[partial(comp, a) for a in range(k)])
+
+
 def project_Q(h: ScalarField, gamma: SectionZInd) -> BaseField:
     """The k projected component fields on Q induced by ``h`` along ``gamma``.
 
@@ -196,21 +188,7 @@ def project_Q(h: ScalarField, gamma: SectionZInd) -> BaseField:
     ``h`` has exactly these q-blocks, so the projection does not depend on
     the representative.
     """
-    n, k = h.chart.n, h.chart.k
-
-    def make_comp(alpha):
-        def comp(q):
-            qs = list(q)
-            if not gamma.in_domain(qs):
-                where = [dm.value(v) for v in qs]
-                raise DomainError(f"projected field evaluated outside the section domain at {where}")
-            p = gamma.p_at(qs)
-            gp = _p_grad(h, qs, gamma.z_at(qs), _flat(p))
-            return gp[alpha * n:(alpha + 1) * n]
-
-        return comp
-
-    return BaseField(dim=n, comps=[make_comp(a) for a in range(k)])
+    return _project(h, gamma)
 
 
 def hj_classical_zind(
@@ -302,6 +280,11 @@ def _zdep_residual_at(gamma, C_entries, ing):
     return worst
 
 
+def _gauge_type(C) -> None:
+    if not isinstance(C, GaugeMatrix):
+        raise ContractError(f"gauge matrix must be a GaugeMatrix, got {type(C).__name__}")
+
+
 def _gauge_shape(Cm, k: int) -> None:
     """Refuse a gauge matrix of floats, lanes or duals that is not k rows of k entries."""
     try:
@@ -346,6 +329,7 @@ def hj_zdep_residual(
     for standard, 0 for evolution) at every sample.
     """
     _check_mode(mode)
+    _gauge_type(C)
     chart = gamma.chart
     n, k = chart.n, chart.k
     pts, seed = _resolve_samples(samples, box, n + k, count, seed)
@@ -354,7 +338,7 @@ def hj_zdep_residual(
         raise ContractError(f"section is not maximally coisotropic (defect {defect:.3e})")
 
     def residual(row):
-        Cm, ing = C._at(h, gamma, row[:n], row[n:])
+        Cm, ing = _gauged(h, gamma, C, row[:n], row[n:])
         Cm, tr = _gauge_floats(Cm, k)
         res, hval = _zdep_residual_at(gamma, Cm, ing), dm._cmp_value(ing[0])
         if mode == "standard":
@@ -449,8 +433,24 @@ def _diag_rows(h, gamma, mode, q, z):
 
 
 def diagonal_gauge_matrix(h: ScalarField, gamma: SectionZDep, mode: str) -> GaugeMatrix:
-    """Gauge matrix backed by the pointwise diagonal solver (dual-capable)."""
-    return _DiagonalGauge(partial(_diag_rows, h, gamma, mode), label=f"diagonal-{mode}")
+    """Gauge matrix backed by the pointwise diagonal solver (dual-capable, see :func:`_gauged`)."""
+    return GaugeMatrix(partial(_diag_rows, h, gamma, mode), label=f"diagonal-{mode}")
+
+
+def _solved(h: ScalarField, gamma: SectionZDep, C: GaugeMatrix) -> bool:
+    """Whether ``C`` is the diagonal gauge of this very ``h`` and ``gamma``."""
+    fn = C.fn
+    return isinstance(fn, partial) and fn.func is _diag_rows and fn.args[0] is h and fn.args[1] is gamma
+
+
+def _gauged(h: ScalarField, gamma: SectionZDep, C: GaugeMatrix, q, z):
+    """``C(q, z)`` and the point's :func:`_zdep_ingredients`, in that order; the entries of
+    the diagonal gauge of ``h`` and ``gamma`` (:func:`_solved`) are solved from those
+    ingredients instead, so each point builds them once."""
+    if _solved(h, gamma, C):
+        entries, ing = _diag_C_generic(h, gamma, C.fn.args[2], q, z)
+        return _diag_matrix(entries), ing
+    return C(q, z), _zdep_ingredients(h, gamma, q, z)
 
 
 def project_zdep(h: ScalarField, gamma: SectionZDep, C: GaugeMatrix) -> BaseField:
@@ -461,28 +461,8 @@ def project_zdep(h: ScalarField, gamma: SectionZDep, C: GaugeMatrix) -> BaseFiel
     it and composing with the section reproduces candidate solutions of
     the field equations.
     """
-    n, k = gamma.chart.n, gamma.chart.k
-
-    def make_comp(alpha):
-        def comp(x):
-            qs, zs = list(x[:n]), list(x[n:])
-            if not gamma.in_domain(qs, zs):
-                qv, zv = [dm.value(v) for v in qs], [dm.value(v) for v in zs]
-                raise DomainError(f"projected field evaluated outside the section domain at {qv}, {zv}")
-            p, U_rows, Cm = C._projection_parts(h, gamma, qs, zs)
-            _gauge_shape(Cm, k)
-            U = U_rows[alpha]
-            zblocks = []
-            for b in range(k):
-                acc = Cm[alpha][b]
-                for j in range(n):
-                    acc = acc + p[b][j] * U[j]
-                zblocks.append(acc)
-            return list(U) + zblocks
-
-        return comp
-
-    return BaseField(dim=n + k, comps=[make_comp(a) for a in range(k)])
+    _gauge_type(C)
+    return _project(h, gamma, C)
 
 
 @dataclass(frozen=True)
@@ -585,6 +565,8 @@ def verify_complete(
     A row that overflows raises ShapeError (see :func:`kcontact.dual._rows`), not a failure.
     """
     _check_mode(mode)
+    _check_tol("res_tol", res_tol)
+    _check_tol("rt_tol", rt_tol)
     chart = family.chart
     n, k = chart.n, chart.k
     if family.param_dim != k * n:
@@ -592,7 +574,10 @@ def verify_complete(
             f"a complete family over the extended base needs k*n = {k * n} parameters, "
             f"this one declares {family.param_dim}"
         )
-    params = np.atleast_2d(np.asarray(params, dtype=float))
+    try:
+        params = np.atleast_2d(np.asarray(params, dtype=float))
+    except (TypeError, ValueError):
+        raise ContractError("parameters must be rows of numbers of one width") from None
     if params.shape[1] != family.param_dim:
         raise ContractError(
             f"family takes {family.param_dim} parameters, got rows of length {params.shape[1]}"

@@ -31,9 +31,9 @@ from .errors import ContractError, DivergenceError, DomainError, IntegrabilityEr
 from .fields import ScalarField
 from .geometry import DarbouxPoint
 from .grids import BaseField, BaseMap, GridSpec, SolutionMap
-from .hdw import ResidualGrid, map_residual
+from .hdw import ResidualGrid, _check_tol, map_residual
 from .hj import GaugeMatrix, _check, project_Q, project_zdep
-from .sections import _coeff_jacobian, _lifted
+from .sections import _coeff_jacobian, _lifted, _sample_rows
 
 __all__ = [
     "commutator_defect",
@@ -66,7 +66,9 @@ def commutator_defect(f: BaseField, samples) -> float:
         vals, rows = dm.jacobian(lambda y: list(comp(y)), list(x))
         return rows + [vals]
 
-    X = np.atleast_2d(np.asarray(samples, dtype=float))
+    X = _sample_rows(samples, f.dim)
+    if not len(X):
+        return 0.0
     JZ = [dm._rows(partial(jacobian_and_value, comp), X) for comp in f.comps]  # one pass each
     worst = 0.0
     for a in range(f.k):
@@ -143,6 +145,7 @@ def integral_section(
         raise ContractError(f"field has {f.k} components, grid has {k} directions")
     if not isinstance(steps_per_cell, (int, np.integer)) or steps_per_cell < 1:
         raise ContractError(f"steps_per_cell must be an integer >= 1, got {steps_per_cell!r}")
+    _check_tol("order_tol", order_tol)
     start = np.asarray(start, dtype=float)
     if start.shape != (f.dim,):
         raise ContractError(f"start point has shape {start.shape}, field lives on dimension {f.dim}")
@@ -289,6 +292,8 @@ def end_to_end(
     unknown = sorted(set(tolerances or {}) - set(DEFAULT_TOLERANCES))
     if unknown:
         raise ContractError(f"unknown tolerance keys {unknown}; known: {sorted(DEFAULT_TOLERANCES)}")
+    for name, value in (tolerances or {}).items():
+        _check_tol(repr(name), value)
     tol = dict(DEFAULT_TOLERANCES)
     tol.update(tolerances or {})
     report = EndToEndReport(mode=mode, passed=False)

@@ -50,6 +50,20 @@ def default_box(d: int, half_width: float = 1.0):
     return [(-half_width, half_width)] * d
 
 
+def _sample_rows(samples, dim: int) -> np.ndarray:
+    """Sample points as an (m, dim) float array: one row or rows of ``dim`` numbers."""
+    try:
+        pts = np.atleast_2d(np.asarray(samples, dtype=float))
+    except (TypeError, ValueError):
+        raise ContractError("samples must be rows of numbers of one width") from None
+    if pts.ndim != 2:
+        raise ContractError(f"samples must be one row or rows of numbers, got shape {pts.shape}")
+    if pts.shape[1] != dim:
+        raise ContractError(f"sample rows or sampling box intervals number {pts.shape[1]}, "
+                            f"the check samples {dim} coordinates")
+    return pts
+
+
 def _mat(rows, k, n):
     out = [list(r) if hasattr(r, "__len__") else [r] for r in rows]
     if len(out) != k or any(len(r) != n for r in out):
@@ -181,10 +195,10 @@ def _domain_rows(gamma, pts: np.ndarray, fn):
     return used, out
 
 
-def _sup_gap(gamma, samples, row_gaps) -> float:
+def _sup_gap(gamma, pts: np.ndarray, row_gaps) -> float:
     """Max |entry| of ``row_gaps(row)`` over the sample rows inside the domain of
-    ``gamma`` (NaN if an entry is NaN)."""
-    _, gaps = _domain_rows(gamma, np.atleast_2d(np.asarray(samples, dtype=float)), row_gaps)
+    ``gamma`` (NaN if an entry is NaN, 0.0 without a row)."""
+    _, gaps = _domain_rows(gamma, pts, row_gaps)
     return float(np.max(np.abs(gaps), initial=0.0))
 
 
@@ -218,7 +232,7 @@ def check_holonomic(gamma: SectionZInd, samples) -> float:
     extra-coordinate functions, i.e. the section is a first-prolongation
     graph; its image is then tangent to the kernel of the structure forms.
     """
-    return _sup_gap(gamma, samples, lambda q: _holonomy_gaps(gamma, q))
+    return _sup_gap(gamma, _sample_rows(samples, gamma.chart.n), lambda q: _holonomy_gaps(gamma, q))
 
 
 def check_max_coisotropic(gamma: SectionZDep, samples) -> float:
@@ -228,15 +242,16 @@ def check_max_coisotropic(gamma: SectionZDep, samples) -> float:
     the q-derivative of the coefficients corrected by z-derivatives along
     the section; for n = 1 it is vacuous and the defect is identically 0.
     """
+    pts = _sample_rows(samples, gamma.chart.n + gamma.chart.k)
     if gamma.chart.n == 1:
         return 0.0
-    return _sup_gap(gamma, samples, lambda qz: _symmetry_gaps(gamma, qz, corrected=True))
+    return _sup_gap(gamma, pts, lambda qz: _symmetry_gaps(gamma, qz, corrected=True))
 
 
 def check_isotropic_slices(gamma: SectionZDep, z, samples) -> float:
     """Max antisymmetry defect of the q-derivatives at the fixed slice ``z`` (NaN if one is NaN)."""
+    q = _sample_rows(samples, gamma.chart.n)
     if gamma.chart.n == 1:
         return 0.0
-    q = np.atleast_2d(np.asarray(samples, dtype=float))
     qz = np.hstack([q, np.tile(np.asarray(z, dtype=float), (len(q), 1))])
     return _sup_gap(gamma, qz, lambda row: _symmetry_gaps(gamma, row, corrected=False))

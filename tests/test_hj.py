@@ -98,7 +98,8 @@ def test_project_zdep_diagonal_gauge_one_ingredient_build_per_component(name):
     C = kc.diagonal_gauge_matrix(h, gamma, "standard")
     f = kc.project_zdep(h, gamma, C)
     # the same gauge entries through the generic path: C(q, z) plus its own momentum gradient
-    generic = kc.project_zdep(h, gamma, kc.GaugeMatrix(C.fn))
+    # (the solver behind a plain function, which the projection cannot tell from any other)
+    generic = kc.project_zdep(h, gamma, kc.GaugeMatrix(lambda q, z: C.fn(q, z)))
     for x in ([0.1, 0.2, -0.3], [0.5, -0.4, 0.25], [-0.7, 0.0, 0.9]):
         for a in range(2):
             before = calls[0]
@@ -119,6 +120,34 @@ def test_a_diagonal_gauge_used_with_another_section_takes_the_plain_path():
     for x in ([0.1, 0.2, -0.3], [0.5, -0.4, 0.25]):
         for a in range(2):
             assert np.array_equal(f.eval(a, x), plain.eval(a, x))
+
+
+@pytest.mark.parametrize("name", ["telegrapher", "hunter-saxton", "first-order-dissipative"])
+def test_the_diagonal_gauge_is_solved_from_the_ingredients_only_for_its_own_h_and_section(name, rng):
+    ex = corpus.load(name)
+    entry = ex.sections["zdep-family"]
+    h, calls = _counting(ex.hamiltonian())
+    h2, calls2 = _counting(ex.hamiltonian())
+    gamma, twin = (entry.build(dict(entry.defaults)) for _ in range(2))  # equal, but not the same
+    C = kc.diagonal_gauge_matrix(h, gamma, "standard")
+    x = [0.1, 0.2, -0.3]
+
+    def per_component(G):
+        f = kc.project_zdep(h, gamma, G)
+        before, before2 = calls[0], calls2[0]
+        f.eval(1, x)
+        return calls[0] - before, calls2[0] - before2
+
+    assert per_component(C) == per_component(kc.GaugeMatrix(C.fn)) == (2, 0)
+    assert per_component(kc.diagonal_gauge_matrix(h, twin, "standard")) == (3, 0)
+    assert per_component(kc.diagonal_gauge_matrix(h2, gamma, "standard")) == (1, 2)
+    samples = 2.0 * rng.random((10, 3)) - 1.0
+    sweeps = []
+    for G in (C, kc.GaugeMatrix(C.fn), None):  # explicit, rewrapped, and the default of the check
+        before = calls[0]
+        hj._check(h, gamma, "standard", G, samples=samples)
+        sweeps.append(calls[0] - before)
+    assert sweeps[0] > 0 and sweeps == [sweeps[0]] * 3
 
 
 def test_project_q_is_representative_independent(rng):

@@ -91,6 +91,34 @@ def _hs_log_zind():
     return entry.build(dict(entry.defaults))
 
 
+def _hs_noncommuting(tolerances=None):
+    """hunter-saxton noncommuting-zind in evolution mode, on its simulate grid and start."""
+    ex = corpus.load("hunter-saxton")
+    entry = ex.sections["noncommuting-zind"]
+    P, sim = dict(entry.defaults), entry.sim
+    h = ex.hamiltonian({k: v for k, v in P.items() if k in ex.defaults})
+    return kc.end_to_end(h, entry.build(P), "evolution", GridSpec(sim["origin"], sim["spacing"], sim["counts"]),
+                         sim["start"], box=entry.box, tolerances=tolerances)
+
+
+def _tel_zdep_family():
+    ex = corpus.load("telegrapher")
+    entry = ex.sections["zdep-family"]
+    return ex.hamiltonian(), entry.build(dict(entry.defaults))
+
+
+def _tel_projection():
+    return kc.project_Q(*_tel())
+
+
+def _tolerance(name, value):
+    return kc.ContractError, re.escape(f"tolerance {name} must be a real number >= 0, got {value!r}")
+
+
+def _sample_rows_error(call, samples, message):
+    return lambda: call(samples), kc.ContractError, message
+
+
 CASES = {
     "grid lengths": (lambda: GridSpec([0.0, 0.0], [0.1], [3, 3]),
                      kc.ShapeError, "inconsistent lengths"),
@@ -233,6 +261,73 @@ CASES = {
     "lift with every node outside the section domain": (
         lambda: kc.lift(_hs_log_zind(), BaseMap(GRID, np.full(GRID.shape + (1,), -1.0))),
         kc.DomainError, "base point outside domain of section hs-log-zind"),
+    "NaN order tolerance on a direction-order failure": (
+        lambda: _hs_noncommuting({"order": float("nan")}), *_tolerance("'order'", float("nan"))),
+    "hj tolerance as text": (lambda: kc.end_to_end(*_tel(), "standard", GRID, [1.0], tolerances={"hj": "x"}),
+                             *_tolerance("'hj'", "x")),
+    "order tolerance None": (lambda: kc.end_to_end(*_tel(), "standard", GRID, [1.0], tolerances={"order": None}),
+                             *_tolerance("'order'", None)),
+    "negative residual tolerance": (
+        lambda: kc.end_to_end(*_tel(), "standard", GRID, [1.0], tolerances={"residual": -1e-6}),
+        *_tolerance("'residual'", -1e-6)),
+    "boolean hj tolerance": (lambda: kc.end_to_end(*_tel(), "standard", GRID, [1.0], tolerances={"hj": True}),
+                             *_tolerance("'hj'", True)),
+    "NaN order_tol of an integral section": (lambda: kc.integral_section(FIELD, [1.0], GRID, order_tol=np.nan),
+                                             *_tolerance("order_tol", np.nan)),
+    "complete family residual tolerance as text": (
+        lambda: kc.verify_complete(_tel_family(), _tel()[0], "standard", np.zeros((1, 2)), count=5, res_tol="x"),
+        *_tolerance("res_tol", "x")),
+    "complete family NaN round-trip tolerance": (
+        lambda: kc.verify_complete(_tel_family(), _tel()[0], "standard", np.zeros((1, 2)), count=5,
+                                   rt_tol=np.nan),
+        *_tolerance("rt_tol", np.nan)),
+    "complete family parameters as text": (
+        lambda: kc.verify_complete(_tel_family(), _tel()[0], "standard", "abc", count=5),
+        kc.ContractError, "parameters must be rows of numbers of one width"),
+    "holonomy check without a sample row": _sample_rows_error(
+        lambda x: kc.check_holonomic(_tel()[1], x), [], "intervals number 0, the check samples 1 coordinates"),
+    "holonomy check on text": _sample_rows_error(
+        lambda x: kc.check_holonomic(_tel()[1], x), "abc", "samples must be rows of numbers of one width"),
+    "holonomy check on three-axis samples": _sample_rows_error(
+        lambda x: kc.check_holonomic(_tel()[1], x), [[[0.5]]],
+        r"samples must be one row or rows of numbers, got shape \(1, 1, 1\)"),
+    "holonomy check on rows of the wrong width": _sample_rows_error(
+        lambda x: kc.check_holonomic(_tel()[1], x), [[0.5, 0.6]],
+        "intervals number 2, the check samples 1 coordinates"),
+    "coisotropy check on three-axis samples": _sample_rows_error(
+        lambda x: kc.check_max_coisotropic(_tel_zdep_family()[1], x), [[[0.5, 0.1, 0.2]]],
+        r"samples must be one row or rows of numbers, got shape \(1, 1, 3\)"),
+    "isotropy check on ragged samples": _sample_rows_error(
+        lambda x: kc.check_isotropic_slices(_tel_zdep_family()[1], [0.0, 0.0], x), [[0.5], [0.6, 0.7]],
+        "samples must be rows of numbers of one width"),
+    "commutator defect without a sample row": _sample_rows_error(
+        lambda x: kc.commutator_defect(_tel_projection(), x), [],
+        "intervals number 0, the check samples 1 coordinates"),
+    "commutator defect on three-axis samples": _sample_rows_error(
+        lambda x: kc.commutator_defect(_tel_projection(), x), [[[0.5]]],
+        r"samples must be one row or rows of numbers, got shape \(1, 1, 1\)"),
+    "commutator defect on text": _sample_rows_error(
+        lambda x: kc.commutator_defect(_tel_projection(), x), "abc", "samples must be rows of numbers of one width"),
+    "fibre inversion target of the wrong shape": (
+        lambda: kc.invert_fibre_derivative(_tel()[0], [1.0], [0.0, 0.0], [0.3, 0.4], [[0.0], [0.0]]),
+        kc.ShapeError, re.escape("v must be a (k, n) = (2, 1) array of numbers, got [0.3, 0.4]")),
+    "fibre inversion start of the wrong shape": (
+        lambda: kc.invert_fibre_derivative(_tel()[0], [1.0], [0.0, 0.0], [[0.3], [0.4]], np.zeros((1, 2))),
+        kc.ShapeError, r"p_init must be a \(k, n\) = \(2, 1\) array of numbers"),
+    "fibre inversion start that is ragged": (
+        lambda: kc.invert_fibre_derivative(_tel()[0], [1.0], [0.0, 0.0], [[0.3], [0.4]], [[0.0], [0.0, 1.0]]),
+        kc.ShapeError, r"p_init must be a \(k, n\) = \(2, 1\) array of numbers"),
+    "z-dependent check without a gauge": (
+        lambda: kc.hj_zdep_residual(*_tel_zdep_family(), None),
+        kc.ContractError, "gauge matrix must be a GaugeMatrix, got NoneType"),
+    "z-dependent check with a bare function as gauge": (
+        lambda: kc.hj_zdep_residual(*_tel_zdep_family(), lambda q, z: [[0.0, 0.0], [0.0, 0.0]]),
+        kc.ContractError, "gauge matrix must be a GaugeMatrix, got function"),
+    "projection without a gauge": (lambda: kc.project_zdep(*_tel_zdep_family(), None),
+                                   kc.ContractError, "gauge matrix must be a GaugeMatrix, got NoneType"),
+    "projection with a bare function as gauge": (
+        lambda: kc.project_zdep(*_tel_zdep_family(), lambda q, z: [[0.0, 0.0], [0.0, 0.0]]),
+        kc.ContractError, "gauge matrix must be a GaugeMatrix, got function"),
 }
 
 
@@ -241,3 +336,20 @@ def test_input_check_raises(case):
     call, error, message = CASES[case]
     with pytest.raises(error, match=message):
         call()
+
+
+def test_a_direction_order_failure_raises_under_the_default_order_tolerance():
+    # the case a NaN order tolerance used to pass (see CASES): the corpus's exit-5 simulate run
+    with pytest.raises(kc.IntegrabilityError, match="direction-order check failed"):
+        _hs_noncommuting()
+    assert _hs_noncommuting({"order": np.inf}).passed  # inf switches the check off on purpose
+
+
+@pytest.mark.parametrize("check", ["holonomic", "coisotropic", "isotropic", "commutator"])
+def test_zero_sample_rows_of_the_right_width_give_zero(check):
+    zdep = kc.SectionZDep(kc.ChartSpec(2, 2), lambda q, z: [[q[0], q[1]], [z[0], q[0] * z[1]]])  # n = 2
+    call = {"holonomic": lambda: kc.check_holonomic(_tel()[1], np.empty((0, 1))),
+            "coisotropic": lambda: kc.check_max_coisotropic(zdep, np.empty((0, 4))),
+            "isotropic": lambda: kc.check_isotropic_slices(zdep, [0.0, 0.0], np.empty((0, 2))),
+            "commutator": lambda: kc.commutator_defect(_tel_projection(), np.empty((0, 1)))}[check]
+    assert call() == 0.0
