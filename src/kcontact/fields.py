@@ -164,25 +164,28 @@ def _newton_steps(H, R, singular):
             return np.linalg.solve(H, R[..., None])[..., 0]
     except np.linalg.LinAlgError:  # a non-finite Hessian, or one the solver finds singular
         pass
-    steps = []
-    for i in range(len(H)):  # the scalar rules, one row at a time
+    for i in range(len(H)):  # the same rules one row at a time: the first row they refuse
         try:
             sv = np.linalg.svd(H[i], compute_uv=False)
-            if sv[-1] <= 1e-14 * max(sv[0], 1.0):
-                raise singular(i)
-            steps.append(np.linalg.solve(H[i:i + 1], R[i:i + 1, :, None])[..., 0])
+            if not sv[-1] > 1e-14 * max(sv[0], 1.0):  # NaN singular values refuse the row
+                break
+            np.linalg.solve(H[i], R[i])
         except np.linalg.LinAlgError as exc:
             raise singular(i) from exc
-    return np.concatenate(steps)
+    raise singular(i)  # a stack the rules refuse has a row they refuse, so the loop stops there
 
 
 def _newton_passes(h: ScalarField, x0=None) -> tuple:
-    """The residual pass (``_p_grad``) and the flat Hessian pass (``_p_hess``) of
-    :func:`_newton` on a row (q, z, p); with a float row ``x0``, each recorded there
-    as a :func:`kcontact.dual._program` when it can be."""
+    """The residual pass (``_p_grad``) and the fused pass (``derive2``'s gradient, bit for bit
+    ``_p_grad``'s, then its flat Hessian) of :func:`_newton` on a row (q, z, p); with a float
+    row ``x0``, each recorded there as a :func:`kcontact.dual._program` when it can be."""
     n, k = h.chart.n, h.chart.k
-    passes = (lambda x: _p_grad(h, x[:n], x[n:n + k], x[n + k:]),
-              lambda x: [v for r in _p_hess(h, x[:n], x[n:n + k], x[n + k:]) for v in r])
+
+    def fused(x):
+        _, g, H = dm.derive2(_h_of_p(h, x[:n], x[n:n + k]), x[n + k:])
+        return g + [v for r in H for v in r]
+
+    passes = (lambda x: _p_grad(h, x[:n], x[n:n + k], x[n + k:]), fused)
     return passes if x0 is None else tuple(dm._program(f, x0) or f for f in passes)
 
 
@@ -191,27 +194,32 @@ def _newton(h: ScalarField, Q, Z, V, P, tol: float = 1e-12, max_iter: int = 50, 
     """The momenta solving d h / d p = v at fixed (q, z), one node per row of (Q, Z, V), from
     the starts P (momenta and v flattened row-major): damped Newton, with per-row state.
 
-    The rows not yet converged (the active set) share each residual pass and Hessian pass
-    (``passes``, default :func:`_newton_passes`) as lanes of
-    :func:`kcontact.dual._rows`, so every row takes the iterates of a
-    one-row call, which runs as floats.  An error names the first failing
-    row of the failing pass with the suffix ``where(row)``.
+    The rows not yet converged (the active set) share each pass (``passes``, default
+    :func:`_newton_passes`) as lanes of :func:`kcontact.dual._rows`, so every row takes the
+    iterates of a one-row call, which runs as floats.  The fused pass gives the residuals and
+    Hessians at the starts, then the Hessians of the rows that moved; if it raises at the starts,
+    the residual pass runs there first.  An error names the first failing row of the failing
+    pass with the suffix ``where(row)``.
     """
     n, k = h.chart.n, h.chart.k
     QZ = np.concatenate([np.asarray(Q, dtype=float), np.asarray(Z, dtype=float)], axis=1)
     p, V = np.array(P, dtype=float), np.asarray(V, dtype=float)
-    grad_pass, hess_pass = passes or _newton_passes(h)
+    grad_pass, fused_pass = passes or _newton_passes(h)
 
-    def residual(rows, ps):
-        R = dm._rows(grad_pass, np.concatenate([QZ[rows], ps], axis=1)) - V[rows]
-        return R, np.max(np.abs(R), axis=1)
+    def run(fn, rows, ps):  # one pass: the residuals, their sup norms, then the flat Hessians if any
+        F = dm._rows(fn, np.concatenate([QZ[rows], ps], axis=1))
+        R = F[:, :k * n] - V[rows]
+        return R, np.max(np.abs(R), axis=1), F[:, k * n:]
 
-    res, rnorm = residual(np.arange(len(p)), p)
+    try:
+        res, rnorm, H = run(fused_pass, np.arange(len(p)), p)
+    except Exception:  # noqa: BLE001 - residuals first, then Hessians of the active rows only
+        res, rnorm, H = *run(grad_pass, np.arange(len(p)), p)[:2], None
     for _ in range(max_iter):
         act = np.flatnonzero(~(rnorm < tol))
         if not len(act):
             break
-        H = dm._rows(hess_pass, np.concatenate([QZ[act], p[act]], axis=1)).reshape(len(act), k * n, k * n)
+        H = (run(fused_pass, act, p[act])[2] if H is None else H[act]).reshape(len(act), k * n, k * n)
         step = _newton_steps(H, res[act], lambda i: RegularityError(
             f"fibre Hessian is singular during Newton iteration{where(act[i])}"))
         trial, tres, tnorm = p[act], res[act], rnorm[act]
@@ -219,12 +227,12 @@ def _newton(h: ScalarField, Q, Z, V, P, tol: float = 1e-12, max_iter: int = 50, 
         for _ in range(10):  # halve the steps of the rows whose residual did not decrease
             rows = act[halving]
             trial[halving] = p[rows] - scale[halving, None] * step[halving]
-            tres[halving], tnorm[halving] = residual(rows, trial[halving])
+            tres[halving], tnorm[halving], _ = run(grad_pass, rows, trial[halving])
             halving = halving[~((tnorm[halving] < rnorm[rows]) | (tnorm[halving] < tol))]
             if not len(halving):
                 break
             scale[halving] *= 0.5
-        p[act], res[act], rnorm[act] = trial, tres, tnorm
+        p[act], res[act], rnorm[act], H = trial, tres, tnorm, None
     if not np.all(rnorm < tol):
         i = np.flatnonzero(~(rnorm < tol))[0]
         raise SolverError(f"fibre-derivative inversion did not converge (last residual {rnorm[i]:.3e})"

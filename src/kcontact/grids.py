@@ -136,7 +136,7 @@ def _node(grid: GridSpec, m: int) -> tuple:
     return tuple(map(int, np.unravel_index(m, grid.shape)))
 
 
-def _sample(grid: GridSpec, fn, shapes) -> list:
+def _sample(grid: GridSpec, fn, shapes, index=None) -> list:
     """``fn(t)`` at every node ``t`` of ``grid``, in node order: one array of shape
     ``grid.shape + s`` per entry of ``fn(t)`` and of ``shapes``, where an entry ``None`` takes
     its shape from the first node; a node whose entry has another shape raises
@@ -144,8 +144,11 @@ def _sample(grid: GridSpec, fn, shapes) -> list:
     (:mod:`kcontact.dual`): on the first two nodes, then on the others.  When a pass raises,
     gives an entry of another shape or a value that is not finite, ``fn`` runs on each node's
     float coordinates through :func:`kcontact.dual._scalar_rows`, where a floating-point error
-    raises :class:`ShapeError` naming the node, and the results are converted after the last node."""
-    T = _nodes(grid)
+    raises :class:`ShapeError` naming the node, and the results are converted after the last node.
+    With ``index`` (flat node numbers in ``grid``), ``fn`` runs on those nodes only and the
+    arrays have shape ``(len(index),) + s``."""
+    T, lead = (_nodes(grid), grid.shape) if index is None else (_nodes(grid)[index], (len(index),))
+    index = range(len(T)) if index is None else index
     got = []  # the entry shapes of each lane pass
 
     def lanes(t):  # fn on k lane values: its entries flattened and joined, as lane values
@@ -159,9 +162,8 @@ def _sample(grid: GridSpec, fn, shapes) -> list:
     if rest is not None and all(g == got[0] for g in got) and all(
             s is None or tuple(s) == g for s, g in zip(shapes, got[0])):
         X, cuts = np.concatenate([head, rest]), np.cumsum([int(np.prod(s)) for s in got[0]])[:-1]
-        return [np.ascontiguousarray(a).reshape(grid.shape + s)
-                for a, s in zip(np.split(X, cuts, axis=1), got[0])]
-    nodes = dm._scalar_rows(fn, T, lambda m: f"grid node {_node(grid, m)}")
+        return [np.ascontiguousarray(a).reshape(lead + s) for a, s in zip(np.split(X, cuts, axis=1), got[0])]
+    nodes = dm._scalar_rows(fn, T, lambda m: f"grid node {_node(grid, index[m])}")
     out = []
     for j, s in enumerate(shapes):
         vs = [v[j] for v in nodes]
@@ -169,14 +171,14 @@ def _sample(grid: GridSpec, fn, shapes) -> list:
         try:  # one conversion; a ValueError is entries of several shapes or not numbers
             a = np.array(vs, dtype=float)
             if a.shape[1:] == s:
-                out.append(a.reshape(grid.shape + s))
+                out.append(a.reshape(lead + s))
                 continue
         except ValueError:
             if all(np.shape(v) == s for v in vs):
                 raise
         m = next(m for m, v in enumerate(vs) if np.shape(v) != s)
         raise ShapeError(f"sampled entry {j} has shape {np.shape(vs[m])} at grid node "
-                         f"{_node(grid, m)}, expected {s}")
+                         f"{_node(grid, index[m])}, expected {s}")
     return out
 
 

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import ContractError, RegularityError, ShapeError
 from .fields import ScalarField, _newton, _newton_passes, _node_gradients, check_regularity, grad
 from .geometry import ChartSpec, DarbouxPoint, KTangent, Tangent
-from .grids import BaseMap, GridSpec, SolutionMap, _node, grid_derivative
+from .grids import BaseMap, GridSpec, SolutionMap, _node, _sample, grid_derivative
 from .sections import default_box, sample_box
 
 __all__ = [
@@ -262,8 +262,9 @@ def evolution_lift(H: ScalarField, X: KVectorField, check_tol: float = 1e-10) ->
 def _affine_z_coefficients(h: ScalarField, rng):
     """The constant z-gradient of an affine-in-z Hamiltonian (probabilistic check)."""
     chart = h.chart
-    X = np.array([x for x in sample_box(default_box(chart.dim), _AFFINE_SAMPLES, rng)
-                  if h.in_domain(DarbouxPoint.from_flat(chart, x))]).reshape(-1, chart.dim)
+    X = sample_box(default_box(chart.dim), _AFFINE_SAMPLES, rng)
+    if h.domain is not None:  # admitted one by one only where there is a domain, as hj._sweep does
+        X = np.array([x for x in X if h.in_domain(DarbouxPoint.from_flat(chart, x))]).reshape(-1, chart.dim)
     if not len(X):
         raise ContractError("no admissible sample points for the affinity check")
     d_z = _node_gradients(h, *chart.split(X), False)[2]
@@ -327,19 +328,29 @@ def second_order_residual(
 
     # A closed-form base map lets us pad the grid by two rings, so every
     # difference stencil below is central on the reported nodes; otherwise
-    # the one-sided seams cost an order of accuracy near the boundary.
+    # the one-sided seams cost an order of accuracy near the boundary.  The closed forms
+    # run on the rings only: the map's nodes keep its values (and derivatives, if closed).
     # Node data (integrated flows) is not padded, and a closed form that fails on
-    # the padded rings (say a square root below the first node) uses the bare grid.
+    # the rings (say a square root below the first node) uses the bare grid.
     pad = 2 if qmap.closed_form is not None else 0
-    work = qmap
+    work, values = grid, qmap.values
     if pad:
+        work = GridSpec(grid.origin - pad * grid.spacing, grid.spacing, np.add(grid.counts, 2 * pad))
+        ring = np.pad(np.zeros(grid.shape, dtype=bool), pad, constant_values=True)
+
+        def padded(inside, fn, shape):  # ``inside`` on the map's nodes, ``fn`` on the rings
+            out = np.zeros(work.shape + inside.shape[k:])
+            out[~ring] = inside.reshape(-1, *inside.shape[k:])
+            rows = _sample(work, lambda t: [fn(t)], [shape], np.flatnonzero(ring))[0]
+            out[ring] = rows.reshape(-1, *inside.shape[k:])
+            return out
+
         try:
-            work = BaseMap.from_function(GridSpec(grid.origin - pad * grid.spacing, grid.spacing,
-                                                  [c + 2 * pad for c in grid.counts]),
-                                         qmap.closed_form, qmap.closed_derivative)
+            values = padded(values, qmap.closed_form, None)
         except (ContractError, ShapeError, ValueError, ArithmeticError):
-            pad = 0
-    values, v = work.values, work.derivatives()
+            pad, work = 0, grid
+    v = (BaseMap(work, values).derivatives() if pad and qmap.closed_derivative is None
+         else padded(qmap.derivatives(), qmap.closed_derivative, (k, n)) if pad else qmap.derivatives())
 
     prev = np.zeros((k, n)) if p_init is None else np.asarray(p_init, dtype=float)
     ok, smin = check_regularity(h, DarbouxPoint(values[(0,) * k], prev, np.zeros(k)))
@@ -349,9 +360,9 @@ def second_order_residual(
         )
     P = _fibre_momenta(h, values, v, prev)
 
-    div_P = np.zeros(work.grid.shape + (n,))
+    div_P = np.zeros(work.shape + (n,))
     for a in range(k):
-        div_P += grid_derivative(P[..., a, :], work.grid, a)
+        div_P += grid_derivative(P[..., a, :], work, a)
 
     # the balance term sum_a (X_a)_i^a of the canonical field: k shares trace_p / k, summed from 0
     inner = tuple(slice(pad, pad + c) for c in grid.counts)

@@ -83,6 +83,7 @@ class HJReport:
     seed: int = None
 
     def verdict(self, tol: float) -> str:
+        _check_tol("tol", tol)
         return "PASS" if self.sup_residual <= tol else "FAIL"
 
     def summary(self) -> dict:
@@ -507,6 +508,8 @@ class CompleteVerification:
     reports: list
 
     def passed(self, res_tol: float, rt_tol: float = 1e-12) -> bool:
+        _check_tol("res_tol", res_tol)
+        _check_tol("rt_tol", rt_tol)
         return not self.failures and self.sup_residual <= res_tol and self.sup_roundtrip <= rt_tol
 
     def summary(self) -> dict:

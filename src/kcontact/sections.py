@@ -250,8 +250,14 @@ def check_max_coisotropic(gamma: SectionZDep, samples) -> float:
 
 def check_isotropic_slices(gamma: SectionZDep, z, samples) -> float:
     """Max antisymmetry defect of the q-derivatives at the fixed slice ``z`` (NaN if one is NaN)."""
+    try:
+        zs = np.asarray(z, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        zs = np.empty(0)
+    if zs.shape != (gamma.chart.k,) or not np.all(np.isfinite(zs)):
+        raise ContractError(f"slice z must be k = {gamma.chart.k} finite numbers, got {z!r}")
     q = _sample_rows(samples, gamma.chart.n)
     if gamma.chart.n == 1:
         return 0.0
-    qz = np.hstack([q, np.tile(np.asarray(z, dtype=float), (len(q), 1))])
+    qz = np.hstack([q, np.tile(zs, (len(q), 1))])
     return _sup_gap(gamma, qz, lambda row: _symmetry_gaps(gamma, row, corrected=False))

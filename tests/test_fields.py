@@ -234,18 +234,20 @@ def test_recorded_newton_passes_give_the_scalar_rows_at_every_width_of_the_activ
     Q, Z, V, P0 = _random_nodes(h, rng, 60)
     for i in range(0, 60, 7):  # rows that start converged, so the active set shrinks at once
         P0[i] = _scalar_newton(h, Q[i], Z[i], V[i], P0[i])[0]
-    widths = []  # lane widths of the residual pass
+    widths = []  # lane widths of the residual pass and of the fused pass
 
-    def width_logged(x):
-        widths.append(len(x[0].v) if isinstance(x[0], dm._Lanes) else 1)
-        return grad_pass(x)
+    def width_logged(replay):
+        def logged(x):
+            widths.append(len(x[0].v) if isinstance(x[0], dm._Lanes) else 1)
+            return replay(x)
+        return logged
 
-    grad_pass, hess_pass = fields._newton_passes(h, np.concatenate([Q[0], Z[0], P0[0]]))
-    assert grad_pass.__name__ == hess_pass.__name__ == "replay"  # both passes were recorded
-    P = fields._newton(h, Q, Z, V, P0, passes=(width_logged, hess_pass))
+    grad_pass, fused_pass = fields._newton_passes(h, np.concatenate([Q[0], Z[0], P0[0]]))
+    assert grad_pass.__name__ == fused_pass.__name__ == "replay"  # both passes were recorded
+    P = fields._newton(h, Q, Z, V, P0, passes=(width_logged(grad_pass), width_logged(fused_pass)))
     for i in range(60):
         assert P[i].tobytes() == _scalar_newton(h, Q[i], Z[i], V[i], P0[i])[0].tobytes()
-    assert len(set(widths) - {1}) >= 2  # one program, replayed on lanes of several widths
+    assert len(set(widths) - {1}) >= 2  # the programs, replayed on lanes of several widths
 
 
 def test_batched_newton_falls_back_for_a_hamiltonian_that_refuses_lanes(rng):
@@ -269,6 +271,52 @@ def test_batched_newton_names_the_first_row_that_fails(rng):
     fo = corpus.load("first-order-dissipative").hamiltonian()
     with pytest.raises(kc.RegularityError, match="singular during Newton iteration at row 0$"):
         fields._newton(fo, Q, Z, V, P0, where=lambda i: f" at row {i}")
+
+
+def test_a_one_iteration_inversion_makes_two_row_passes(monkeypatch):
+    # h is quadratic in p, so one Newton step lands: the fused pass at the start gives the
+    # residual and the Hessian, and the residual pass checks the trial point
+    h = corpus.load("telegrapher").hamiltonian()
+    q, z, v, p0 = [0.5], [0.1, -0.2], [[0.3], [0.4]], [[0.0], [0.0]]
+    assert _scalar_newton(h, q, z, v, p0)[1] == 1
+    passes, rows = [], dm._rows
+    monkeypatch.setattr(dm, "_rows", lambda fn, X, ok=None: passes.append(len(X)) or rows(fn, X, ok))
+    p = kc.invert_fibre_derivative(h, q, z, v, p0)
+    assert passes == [1, 1]
+    assert p.reshape(-1).tobytes() == _scalar_newton(h, q, z, v, p0)[0].tobytes()
+
+
+def _overflowing_hessian():
+    """p_1 ** 0.5 at p_1 = 1e-210: its gradient is 5e104, its second derivative overflows."""
+    return kc.ScalarField(CH12, lambda pt: 0.5 * pt.p[0, 0] ** 2 + pt.p[1, 0] ** 0.5 + 0.1 * pt.q[0] * pt.p[0, 0])
+
+
+def test_a_converged_row_whose_hessian_overflows_returns_its_start():
+    h = _overflowing_hessian()
+    start = np.array([[1.0], [1e-210]])
+    with pytest.raises(kc.ShapeError, match="overflow"):  # the fused pass on that row
+        dm._rows(fields._newton_passes(h)[1], np.array([[0.5, 0.0, 0.0, 1.0, 1e-210]]))
+    v = np.asarray(fields._p_grad(h, [0.5], [0.0, 0.0], start.reshape(-1)), dtype=float).reshape(2, 1)
+    assert kc.invert_fibre_derivative(h, [0.5], [0.0, 0.0], v, start).tobytes() == start.tobytes()
+    # among rows that move, as lanes: the converged row keeps its start, the others take the
+    # iterates of one-row calls
+    Q, Z = np.array([[0.5], [0.2], [-0.3]]), np.zeros((3, 2))
+    V = np.concatenate([v.reshape(1, 2), [[0.7, 0.4], [0.1, 0.6]]])
+    P0 = np.array([start.reshape(-1), [0.5, 1.0], [0.2, 0.8]])
+    P = fields._newton(h, Q, Z, V, P0)
+    for i in range(3):
+        assert P[i].tobytes() == _scalar_newton(h, Q[i], Z[i], V[i], P0[i])[0].tobytes()
+
+
+def test_newton_steps_refuse_a_hessian_with_an_infinite_entry():
+    # an infinite entry gives NaN singular values without an error: the stacked test fails on
+    # them, and the one-row rule refuses that row, as it refuses a NaN Hessian; the rows after
+    # it pass, so the error names the refused row, not the last one
+    H = np.array([[[np.inf, 0.0], [0.0, 1.0]], [[2.0, 0.5], [0.5, 1.0]]])
+    R = np.array([[1.0, -1.0], [1.0, 2.0]])
+    assert np.isnan(np.linalg.svd(H, compute_uv=False)[0]).all()
+    with pytest.raises(kc.RegularityError, match="^row 0$"):
+        fields._newton_steps(H, R, lambda i: kc.RegularityError(f"row {i}"))
 
 
 def test_a_non_finite_fibre_hessian_is_singular():

@@ -303,6 +303,94 @@ def test_second_order_closed_form_of_another_shape_on_the_padding_uses_the_bare_
     assert got.tobytes() == kc.second_order_residual(h, BaseMap(grid, qmap.values), "standard").tobytes()
 
 
+def _ring_nodes(grid, pad=2):
+    """The coordinates of the nodes of the two padding rings, as nodes of the padded grid."""
+    counts, origin = np.add(grid.counts, 2 * pad), grid.origin - pad * grid.spacing
+    return {tuple(origin + grid.spacing * np.array(idx)) for idx in np.ndindex(*counts)
+            if any(i < pad or i >= c + pad for i, c in zip(idx, grid.counts))}
+
+
+def _work_map(monkeypatch, h, qmap):
+    """The padded values and direction derivatives that second_order_residual inverts."""
+    seen = []
+    fibre = hdw._fibre_momenta
+    monkeypatch.setattr(hdw, "_fibre_momenta", lambda h, values, v, start: seen.append((values, v)) or fibre(
+        h, values, v, start))
+    kc.second_order_residual(h, qmap)
+    return seen[0]
+
+
+def test_second_order_calls_a_float_closure_once_per_ring_node():
+    h = corpus.load("telegrapher").hamiltonian()
+    grid = GridSpec([0.01, -0.02], [1e-3, 2e-3], [6, 5])
+    calls = []
+
+    def f(t):  # refuses lanes
+        calls.append(t)
+        return [0.5 + float(t[0]) - 0.25 * float(t[1])]
+
+    qmap = BaseMap.from_function(grid, f)
+    calls.clear()
+    kc.second_order_residual(h, qmap)
+    on_floats = [tuple(float(v) for v in t) for t in calls if all(isinstance(v, float) for v in t)]
+    assert len(calls) == len(on_floats) + 1  # one refused lane pass
+    assert len(on_floats) == 10 * 9 - 6 * 5 and set(on_floats) == _ring_nodes(grid)
+
+
+def test_second_order_pads_the_map_values_and_derivatives_with_the_rings(monkeypatch):
+    ex = corpus.load("telegrapher")
+    entry = ex.solutions["exponential"]
+    f = entry.build(dict(entry.defaults))
+    grid = GridSpec([0.013, -0.007], [1e-3, 3e-3], [7, 6])
+    qmap = corpus.closed_base_map(grid, lambda t: f(t)[0])  # a closed derivative and a node table
+    values, v = _work_map(monkeypatch, ex.hamiltonian(), qmap)
+    assert values.shape == (11, 10, 1) and v.shape == (11, 10, 2, 1)
+    assert values[2:-2, 2:-2].tobytes() == qmap.values.tobytes()
+    assert v[2:-2, 2:-2].tobytes() == qmap.derivatives().tobytes()
+    for idx in np.ndindex(11, 10):
+        if not (2 <= idx[0] < 9 and 2 <= idx[1] < 8):
+            t = (grid.origin - 2 * grid.spacing) + grid.spacing * np.array(idx)
+            assert values[idx].tolist() == [float(x) for x in qmap.closed_form(t)]
+            assert v[idx].tolist() == np.array(qmap.closed_derivative(t), dtype=float).tolist()
+
+
+def test_second_order_takes_a_map_values_where_they_differ_from_its_closed_form(monkeypatch):
+    # the nodes of the map keep its own values, and the closed form fills the rings only
+    h = corpus.load("telegrapher").hamiltonian()
+    grid = GridSpec([0.0, 0.0], [1e-2, 1e-2], [5, 5])
+    closed = BaseMap.from_function(grid, lambda t: [0.5 + 0.2 * t[0] - 0.1 * t[1]])
+    bumped = BaseMap(grid, closed.values + 1e-3, closed_form=closed.closed_form)
+    values, _ = _work_map(monkeypatch, h, bumped)
+    assert values[2:-2, 2:-2].tobytes() == bumped.values.tobytes()
+    assert values[0, 0].tolist() == [float(x) for x in closed.closed_form(grid.origin - 2 * grid.spacing)]
+    assert not np.array_equal(kc.second_order_residual(h, bumped), kc.second_order_residual(h, closed))
+
+
+def test_second_order_reads_map_values_of_any_layout_and_dtype_as_floats():
+    # Fortran-ordered or integer values pad as their C-ordered float64 copy does
+    h = corpus.load("telegrapher").hamiltonian()
+    grid = GridSpec([0.0, 0.0], [1.0, 1.0], [5, 4])
+    f = BaseMap.from_function(grid, lambda t: [2.0 + t[0] - t[1]]).closed_form
+    ints = np.array([[[2 + i - j] for j in range(4)] for i in range(5)])
+    want = kc.second_order_residual(h, BaseMap(grid, ints.astype(float), closed_form=f))
+    for values in (np.asfortranarray(ints.astype(float)), ints):
+        assert kc.second_order_residual(h, BaseMap(grid, values, closed_form=f)).tobytes() == want.tobytes()
+
+
+def test_second_order_names_the_work_grid_node_where_a_ring_derivative_overflows():
+    # the closed derivative overflows numpy floats at t^0 = 4 only, on the outer ring: node (6, 0)
+    # of the work grid, the first in node order; the grid itself runs over t^0 in [0, 2]
+    h = corpus.load("telegrapher").hamiltonian()
+    grid = GridSpec([0.0, 0.0], [1.0, 1.0], [3, 3])
+
+    def derivative(t):
+        return [[np.float64(1e80) ** float(t[0]) * 1e-300], [0.0]]
+
+    qmap = BaseMap.from_function(grid, lambda t: [0.5], df=derivative)
+    with pytest.raises(kc.ShapeError, match=r"not finite at grid node \(6, 0\): overflow"):
+        kc.second_order_residual(h, qmap)
+
+
 def test_affine_examples_standard_equals_evolution_blocks(rng):
     for name in ["telegrapher", "membrane", "hunter-saxton", "first-order-dissipative"]:
         h = corpus.load(name).hamiltonian()

@@ -10,6 +10,7 @@ import pytest
 import kcontact as kc
 from kcontact import corpus
 from kcontact.grids import BaseField, BaseMap, GridSpec, SolutionMap
+from kcontact.hj import CompleteVerification, HJReport
 from kcontact.sections import sample_box
 
 CH12 = kc.ChartSpec(1, 2)
@@ -105,6 +106,10 @@ def _tel_zdep_family():
     ex = corpus.load("telegrapher")
     entry = ex.sections["zdep-family"]
     return ex.hamiltonian(), entry.build(dict(entry.defaults))
+
+
+def _zdep22():
+    return kc.SectionZDep(kc.ChartSpec(2, 2), lambda q, z: [[q[0], q[1]], [z[0], q[0] * z[1]]])
 
 
 def _tel_projection():
@@ -300,6 +305,28 @@ CASES = {
     "isotropy check on ragged samples": _sample_rows_error(
         lambda x: kc.check_isotropic_slices(_tel_zdep_family()[1], [0.0, 0.0], x), [[0.5], [0.6, 0.7]],
         "samples must be rows of numbers of one width"),
+    "isotropy check on a slice of one number for k = 2": (
+        lambda: kc.check_isotropic_slices(_zdep22(), [0.0], [[0.1, 0.2]]),
+        kc.ContractError, re.escape("slice z must be k = 2 finite numbers, got [0.0]")),
+    "isotropy check on a text slice": (
+        lambda: kc.check_isotropic_slices(_zdep22(), "ab", [[0.1, 0.2]]),
+        kc.ContractError, "slice z must be k = 2 finite numbers, got 'ab'"),
+    "isotropy check on a slice beyond the float range": (
+        lambda: kc.check_isotropic_slices(_zdep22(), [10 ** 400, 0.0], [[0.1, 0.2]]),
+        kc.ContractError, "slice z must be k = 2 finite numbers, got"),
+    "isotropy check on a NaN slice at n = 1": (  # refused before the n = 1 answer
+        lambda: kc.check_isotropic_slices(_tel_zdep_family()[1], [0.0, np.nan], [[0.5]]),
+        kc.ContractError, re.escape("slice z must be k = 2 finite numbers, got [0.0, nan]")),
+    "HJ verdict with a text tolerance": (lambda: HJReport("standard", 0.0, 1).verdict("1e-9"),
+                                         *_tolerance("tol", "1e-9")),
+    "HJ verdict with a NaN tolerance": (lambda: HJReport("standard", 0.0, 1).verdict(np.nan),
+                                        *_tolerance("tol", np.nan)),
+    "complete-family verdict with a text residual tolerance": (
+        lambda: CompleteVerification("standard", 0.0, 0.0, 1, 1, [], []).passed("1e-9"),
+        *_tolerance("res_tol", "1e-9")),
+    "complete-family verdict with a NaN round-trip tolerance": (
+        lambda: CompleteVerification("standard", 0.0, 0.0, 1, 1, [], []).passed(1e-9, np.nan),
+        *_tolerance("rt_tol", np.nan)),
     "commutator defect without a sample row": _sample_rows_error(
         lambda x: kc.commutator_defect(_tel_projection(), x), [],
         "intervals number 0, the check samples 1 coordinates"),
