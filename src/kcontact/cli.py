@@ -201,7 +201,7 @@ def _check_section(args, example, overrides):
         vals = _parse_floats(args.box, "--box")
         if len(vals) % 2:
             raise ConfigError(f"--box expects lo,hi pairs, got {args.box!r}")
-        dim = gamma.chart.n + (gamma.chart.k if entry.kind == "zdep" else 0)
+        _, dim = gamma._base
         if len(vals) != 2 * dim:
             raise ConfigError(f"--box expects {dim} lo,hi pairs for section {entry.key}, "
                               f"got {len(vals) // 2}")
@@ -249,7 +249,7 @@ def _simulate_section(args, example, overrides):
     if start is None:
         raise ConfigError("simulate needs a start point (--start or section default)")
     ref_key = args.reference or sim.get("reference")
-    reference = (corpus.reference_base(example.name, ref_key, overrides, entry.kind == "zdep")
+    reference = (corpus.reference_base(example.name, ref_key, overrides, gamma._base[0] == "n+k")
                  if ref_key else None)
     C = entry.gauge(params) if entry.gauge is not None else None
     hj_samples = None

@@ -55,7 +55,7 @@ EXAMPLE_NAMES = (
 @dataclass(frozen=True)
 class SectionEntry:
     key: str
-    kind: str  # "zind" | "zdep"
+    kind: str  # "zind" | "zdep", the label of `kcontact list`; the built section decides its base
     build: callable  # params -> SectionZInd | SectionZDep
     defaults: dict
     modes: tuple  # modes whose HJ check the section passes with default params

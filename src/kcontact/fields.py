@@ -15,7 +15,7 @@ import numpy as np
 
 from . import dual as dm
 from .errors import ContractError, DomainError, RegularityError, ShapeError, SolverError
-from .geometry import ChartSpec, DarbouxPoint
+from .geometry import ChartSpec, DarbouxPoint, _floats
 
 __all__ = [
     "ScalarField",
@@ -138,8 +138,11 @@ def _p_hess(h: ScalarField, q, z, p_flat) -> list:
 
 
 def p_hessian(h: ScalarField, pt: DarbouxPoint) -> np.ndarray:
-    """The (nk x nk) matrix of second momentum derivatives at ``pt``."""
-    return np.asarray(_p_hess(h, pt.q, pt.z, np.asarray(pt.p, dtype=float).reshape(-1)), dtype=float)
+    """The (nk x nk) matrix of second momentum derivatives at ``pt``, as a one-row pass: a value
+    that is not finite raises ShapeError naming the flat point (see :func:`kcontact.dual._rows`)."""
+    n, m = h.chart.n, h.chart.n * h.chart.k  # the flat point is q (n entries), p (m), then z
+    return dm._rows(lambda x: _p_hess(h, x[:n], x[n + m:], x[n:n + m]),
+                    np.asarray(pt.flat(), dtype=float)[None])[0]
 
 
 def check_regularity(h: ScalarField, pt: DarbouxPoint, rtol: float = 1e-9):
@@ -149,9 +152,8 @@ def check_regularity(h: ScalarField, pt: DarbouxPoint, rtol: float = 1e-9):
     smallest singular value exceeds ``rtol`` times the largest.
     """
     H = p_hessian(h, pt)
-    sv = np.linalg.svd(H, compute_uv=False)
-    smax = float(sv[0]) if sv.size else 0.0
-    smin = float(sv[-1]) if sv.size else 0.0
+    sv = np.linalg.svd(H, compute_uv=False)  # nk >= 1 singular values, largest first
+    smax, smin = float(sv[0]), float(sv[-1])
     return (smax > 0.0 and smin > rtol * smax), smin
 
 
@@ -258,13 +260,16 @@ def invert_fibre_derivative(
     :class:`SolverError` (carrying the last residual) on non-convergence.
     """
     k, n = h.chart.k, h.chart.n
-    row = [[float(x) for x in q]], [[float(x) for x in z]]
-    for name, a in (("v", v), ("p_init", p_init)):
-        try:
-            fits = np.asarray(a, dtype=float).shape == (k, n)
-        except (TypeError, ValueError):  # ragged rows, or entries that are not numbers
-            fits = False
-        if not fits:
-            raise ShapeError(f"{name} must be a (k, n) = {(k, n)} array of numbers, got {a!r}")
-    return _newton(h, *row, np.reshape(v, (1, k * n)), np.reshape(p_init, (1, k * n)), tol,
-                   max_iter)[0].reshape(k, n)
+    row = [_floats(a, ShapeError, "{} must be numbers, got {!r}", name, a).reshape(1, -1)
+           for name, a in (("q", q), ("z", z))]
+    v, p_init = (_block(name, a, k, n).reshape(1, k * n) for name, a in (("v", v), ("p_init", p_init)))
+    return _newton(h, *row, v, p_init, tol, max_iter)[0].reshape(k, n)
+
+
+def _block(name: str, a, k: int, n: int) -> np.ndarray:
+    """The caller's (k, n) momentum block ``a`` as floats; anything else raises ShapeError naming ``name``."""
+    message = "{} must be a (k, n) = {} array of numbers, got {!r}"
+    out = _floats(a, ShapeError, message, name, (k, n), a)
+    if out.shape != (k, n):
+        raise ShapeError(message.format(name, (k, n), a))
+    return out

@@ -79,15 +79,24 @@ class ChartSpec:
             )
 
 
+def _floats(x, error, message, *args, objects=False):
+    """A caller's array ``x`` as a fresh float array; with ``objects``, an array numpy builds of
+    duals or other objects is returned as it is.  Anything else (text, ragged rows, an integer
+    beyond the float range) raises ``error(message.format(*args))``, formatted only then."""
+    try:
+        arr = np.asarray(x) if objects else x
+        return arr if objects and arr.dtype == object else np.array(arr, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise error(message.format(*args)) from None
+
+
 def _as_array(x, name):
     try:
-        arr = np.asarray(x)
+        arr = _floats(x, ShapeError, "{} is not an array of numbers", name, objects=True)
     except dm._Unbatchable:  # lane values inside: stored as they are (see kcontact.dual)
         return dm._object_array(x)
-    if arr.dtype != object:
-        arr = arr.astype(float)
-        if not np.all(np.isfinite(arr)):
-            raise ShapeError(f"{name} contains non-finite entries")
+    if arr.dtype != object and not np.all(np.isfinite(arr)):
+        raise ShapeError(f"{name} contains non-finite entries")
     return arr
 
 
@@ -194,7 +203,7 @@ class KTangent:
 
     @staticmethod
     def from_flat(chart: ChartSpec, x) -> "KTangent":
-        x = np.asarray(x, dtype=float)
+        x = _floats(x, ShapeError, "flat k-tangent is not an array of numbers, got {!r}", x)
         if x.shape != (chart.ktangent_dim,):
             raise ShapeError(f"flat k-tangent has shape {x.shape}, chart needs ({chart.ktangent_dim},)")
         return KTangent([Tangent(*chart.split(row)) for row in x.reshape(chart.k, chart.dim)])

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import dual as dm
 from .errors import ContractError, ShapeError
-from .geometry import ChartSpec, DarbouxPoint
+from .geometry import ChartSpec, DarbouxPoint, _floats
 
 __all__ = [
     "GridSpec",
@@ -34,8 +34,8 @@ class GridSpec:
     counts: tuple
 
     def __init__(self, origin, spacing, counts):
-        origin = np.atleast_1d(np.asarray(origin, dtype=float))
-        spacing = np.atleast_1d(np.asarray(spacing, dtype=float))
+        origin, spacing = (np.atleast_1d(_floats(v, ShapeError, "grid {} must be numbers, got {!r}", name, v))
+                           for name, v in (("origin", origin), ("spacing", spacing)))
         counts = np.atleast_1d(np.asarray(counts, dtype=object))
         if counts.ndim != 1 or not len(counts):
             raise ShapeError(f"grids need one node count per direction, at least one, got {counts.tolist()}")

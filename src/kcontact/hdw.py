@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, RegularityError, ShapeError
-from .fields import ScalarField, _newton, _newton_passes, _node_gradients, check_regularity, grad
+from .fields import ScalarField, _block, _newton, _newton_passes, _node_gradients, check_regularity, grad
 from .geometry import ChartSpec, DarbouxPoint, KTangent, Tangent
 from .grids import BaseMap, GridSpec, SolutionMap, _node, _sample, grid_derivative
 from .sections import default_box, sample_box
@@ -352,7 +352,7 @@ def second_order_residual(
     v = (BaseMap(work, values).derivatives() if pad and qmap.closed_derivative is None
          else padded(qmap.derivatives(), qmap.closed_derivative, (k, n)) if pad else qmap.derivatives())
 
-    prev = np.zeros((k, n)) if p_init is None else np.asarray(p_init, dtype=float)
+    prev = np.zeros((k, n)) if p_init is None else _block("p_init", p_init, k, n)
     ok, smin = check_regularity(h, DarbouxPoint(values[(0,) * k], prev, np.zeros(k)))
     if not ok:
         raise RegularityError(

@@ -31,7 +31,7 @@ import numpy as np
 from . import dual as dm
 from .errors import ContractError, DomainError, NoSolutionError
 from .fields import ScalarField, _p_grad
-from .geometry import DarbouxPoint
+from .geometry import DarbouxPoint, _floats
 from .grids import BaseField
 from .hdw import _check_mode, _check_tol
 from .sections import (
@@ -577,10 +577,7 @@ def verify_complete(
             f"a complete family over the extended base needs k*n = {k * n} parameters, "
             f"this one declares {family.param_dim}"
         )
-    try:
-        params = np.atleast_2d(np.asarray(params, dtype=float))
-    except (TypeError, ValueError):
-        raise ContractError("parameters must be rows of numbers of one width") from None
+    params = np.atleast_2d(_floats(params, ContractError, "parameters must be rows of numbers of one width"))
     if params.shape[1] != family.param_dim:
         raise ContractError(
             f"family takes {family.param_dim} parameters, got rows of length {params.shape[1]}"

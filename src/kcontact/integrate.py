@@ -27,13 +27,13 @@ from functools import partial
 import numpy as np
 
 from . import dual as dm
-from .errors import ContractError, DivergenceError, DomainError, IntegrabilityError, KContactError
+from .errors import ContractError, DivergenceError, IntegrabilityError, KContactError
 from .fields import ScalarField
-from .geometry import DarbouxPoint
+from .geometry import _floats
 from .grids import BaseField, BaseMap, GridSpec, SolutionMap
 from .hdw import ResidualGrid, _check_tol, map_residual
 from .hj import GaugeMatrix, _check, project_Q, project_zdep
-from .sections import _coeff_jacobian, _lifted, _sample_rows
+from .sections import _coeff_jacobian, _point, _sample_rows
 
 __all__ = [
     "commutator_defect",
@@ -146,7 +146,7 @@ def integral_section(
     if not isinstance(steps_per_cell, (int, np.integer)) or steps_per_cell < 1:
         raise ContractError(f"steps_per_cell must be an integer >= 1, got {steps_per_cell!r}")
     _check_tol("order_tol", order_tol)
-    start = np.asarray(start, dtype=float)
+    start = _floats(start, ContractError, "start point must be numbers, got {!r}", start)
     if start.shape != (f.dim,):
         raise ContractError(f"start point has shape {start.shape}, field lives on dimension {f.dim}")
     if not np.all(np.isfinite(start)):
@@ -191,8 +191,9 @@ def lift(gamma, sigma: BaseMap) -> SolutionMap:
     """Compose a base map with a section to get a phase-space candidate map.
 
     One rule for sections over Q (base dimension n) and over Q x R^k (n + k): the
-    point over a base value x is q, the section coefficients at x, then the z of x
-    (:func:`kcontact.sections._lifted`).  The result is node data without a closed form.
+    point over a base value x is q, the section coefficients at x, then the z of x, once x
+    passes the domain test (:func:`kcontact.sections._point`, as ``.at`` does).  The result
+    is node data without a closed form.
     A base map with a node table or a closed derivative gives it a node table, computed
     here from the base derivatives dx and the coefficient Jacobians J at the stored base
     values: the q of dx, J dx, then the z of dx.  All nodes run in batched passes.
@@ -202,15 +203,8 @@ def lift(gamma, sigma: BaseMap) -> SolutionMap:
     if sigma.d != d:
         raise ContractError(f"base map dimension {sigma.d} does not match {name}={d}")
 
-    def point(x):
-        """The lifted point over one base row of floats or lanes: the domain test, then the rule."""
-        x = list(x)
-        if not gamma._inside(x):
-            raise DomainError(f"base point outside domain of section {gamma.name}")
-        return DarbouxPoint.from_flat(chart, _lifted(gamma, x)).flat()
-
     X = sigma.values.reshape(-1, d)
-    q, p, z = chart.split(dm._rows(point, X).reshape(grid.shape + (chart.dim,)))
+    q, p, z = chart.split(dm._rows(lambda x: _point(gamma, x).flat(), X).reshape(grid.shape + (chart.dim,)))
     psi = SolutionMap(chart, grid, *map(np.ascontiguousarray, (q, p, z)), notes=list(sigma.notes))
     if sigma._table is not None or sigma.closed_derivative is not None:
         dx, n = sigma.derivatives(), chart.n

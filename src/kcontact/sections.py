@@ -16,7 +16,7 @@ import numpy as np
 
 from . import dual as dm
 from .errors import ContractError, DomainError, ShapeError
-from .geometry import ChartSpec, DarbouxPoint
+from .geometry import ChartSpec, DarbouxPoint, _floats
 
 __all__ = [
     "SectionZInd",
@@ -34,10 +34,7 @@ def sample_box(bounds, count: int, rng) -> np.ndarray:
     """``count`` uniform samples from the product of the given intervals, which must be finite."""
     if not isinstance(count, (int, np.integer)) or count < 0:
         raise ContractError(f"sample count must be an integer >= 0, got {count!r}")
-    try:
-        bounds = np.asarray(bounds, dtype=float)
-    except (TypeError, ValueError):
-        raise ContractError(f"sampling box must be (d, 2) lo/hi bounds, got {bounds!r}") from None
+    bounds = _floats(bounds, ContractError, "sampling box must be (d, 2) lo/hi bounds, got {!r}", bounds)
     if bounds.ndim != 2 or bounds.shape[1] != 2:
         raise ContractError(f"sampling box must be (d, 2) lo/hi bounds, got shape {bounds.shape}")
     if not np.all(np.isfinite(bounds)):
@@ -52,10 +49,7 @@ def default_box(d: int, half_width: float = 1.0):
 
 def _sample_rows(samples, dim: int) -> np.ndarray:
     """Sample points as an (m, dim) float array: one row or rows of ``dim`` numbers."""
-    try:
-        pts = np.atleast_2d(np.asarray(samples, dtype=float))
-    except (TypeError, ValueError):
-        raise ContractError("samples must be rows of numbers of one width") from None
+    pts = np.atleast_2d(_floats(samples, ContractError, "samples must be rows of numbers of one width"))
     if pts.ndim != 2:
         raise ContractError(f"samples must be one row or rows of numbers, got shape {pts.shape}")
     if pts.shape[1] != dim:
@@ -86,8 +80,7 @@ class SectionZInd:
     def in_domain(self, q) -> bool:
         return self.domain is None or bool(self.domain(q))
 
-    def _inside(self, x) -> bool:
-        return self.in_domain(x)
+    _inside = in_domain  # the flat base row is q
 
     def p_at(self, q):
         return _mat(self.gamma_p(q), self.chart.k, self.chart.n)
@@ -99,10 +92,7 @@ class SectionZInd:
         return _flat(self.p_at(x)) + list(self.z_at(x))
 
     def at(self, q) -> DarbouxPoint:
-        if not self.in_domain(q):
-            raise DomainError(f"base point outside domain of section {self.name}")
-        q = [float(v) for v in np.atleast_1d(q)]
-        return DarbouxPoint(q, np.array(self.p_at(q), dtype=float), np.array(self.z_at(q), dtype=float))
+        return _point(self, _floats(q, ShapeError, "q must be numbers, got {!r}", q).reshape(-1).tolist())
 
 
 @dataclass(frozen=True)
@@ -129,11 +119,8 @@ class SectionZDep:
         return _flat(self.p_at(x[:self.chart.n], x[self.chart.n:]))
 
     def at(self, q, z) -> DarbouxPoint:
-        if not self.in_domain(q, z):
-            raise DomainError(f"base point outside domain of section {self.name}")
-        q = [float(v) for v in np.atleast_1d(q)]
-        z = [float(v) for v in np.atleast_1d(z)]
-        return DarbouxPoint(q, np.array(self.p_at(q, z), dtype=float), np.array(z, dtype=float))
+        return _point(self, np.append(_floats(q, ShapeError, "q must be numbers, got {!r}", q),
+                                      _floats(z, ShapeError, "z must be numbers, got {!r}", z)).tolist())
 
 
 def from_potentials(chart: ChartSpec, W, domain=None, name: str = "") -> SectionZInd:
@@ -161,6 +148,15 @@ def _lifted(gamma, x) -> list:
     lanes): q, the section's coefficients, then the z of ``x`` (over Q x R^k only)."""
     x, n = list(x), gamma.chart.n
     return x[:n] + gamma._coeffs(x) + x[n:]
+
+
+def _point(gamma, x) -> DarbouxPoint:
+    """The point of ``gamma`` over the flat base row ``x`` (numbers or lanes): the domain test,
+    then :func:`_lifted`, whose length :meth:`DarbouxPoint.from_flat` checks against the chart."""
+    x = list(x)
+    if not gamma._inside(x):
+        raise DomainError(f"base point outside domain of section {gamma.name}")
+    return DarbouxPoint.from_flat(gamma.chart, _lifted(gamma, x))
 
 
 def _coeff_jacobian(gamma, x):
@@ -250,12 +246,10 @@ def check_max_coisotropic(gamma: SectionZDep, samples) -> float:
 
 def check_isotropic_slices(gamma: SectionZDep, z, samples) -> float:
     """Max antisymmetry defect of the q-derivatives at the fixed slice ``z`` (NaN if one is NaN)."""
-    try:
-        zs = np.asarray(z, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        zs = np.empty(0)
+    message = "slice z must be k = {} finite numbers, got {!r}"
+    zs = _floats(z, ContractError, message, gamma.chart.k, z)
     if zs.shape != (gamma.chart.k,) or not np.all(np.isfinite(zs)):
-        raise ContractError(f"slice z must be k = {gamma.chart.k} finite numbers, got {z!r}")
+        raise ContractError(message.format(gamma.chart.k, z))
     q = _sample_rows(samples, gamma.chart.n)
     if gamma.chart.n == 1:
         return 0.0

@@ -514,3 +514,11 @@ def test_the_parameter_resolver_keeps_text_modes_and_none_defaults():
     assert corpus.solution_modes("telegrapher", "exponential", {"a": None}) == ("standard", "evolution")
     with pytest.raises(kc.ContractError, match="mode parameter must be standard or evolution"):
         corpus.analytic("first-order-dissipative", "standing-standard", params={"mode": "other"})
+
+
+@pytest.mark.parametrize("name", corpus.EXAMPLE_NAMES)
+def test_every_section_kind_labels_the_class_its_build_returns(name):
+    # the CLI reads the base from the built section; ``kind`` only labels ``kcontact list``
+    for key, entry in corpus.load(name).sections.items():
+        gamma = entry.build(dict(entry.defaults))
+        assert type(gamma) is {"zind": kc.SectionZInd, "zdep": kc.SectionZDep}[entry.kind], key

@@ -1,6 +1,8 @@
 """Scalar fields: exact gradients vs the difference oracle, regularity,
 and fibre-derivative inversion."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -324,3 +326,34 @@ def test_a_non_finite_fibre_hessian_is_singular():
     h = kc.ScalarField(CH12, lambda pt: 0.5 * pt.p[0, 0] ** 2 * (1.0 + pt.q[0]) + 0.5 * pt.p[1, 0] ** 2)
     with pytest.raises(kc.RegularityError, match="singular during Newton iteration$"):
         kc.invert_fibre_derivative(h, [np.nan], [0.0, 0.0], [[0.3], [0.4]], [[0.0], [0.0]])
+
+
+def _sqrt_abs_h():
+    """h = p_0^2 / 2 + |p_1|^0.5 + z_0: its fibre Hessian overflows where p_1 is tiny."""
+    return kc.ScalarField(CH12, lambda pt: pt.p[0][0] ** 2 / 2 + abs(pt.p[1][0]) ** 0.5 + pt.z[0])
+
+
+def test_a_fibre_hessian_that_overflows_raises_shape_error_naming_the_point():
+    import warnings
+
+    from kcontact.grids import BaseMap, GridSpec
+
+    h, pt = _sqrt_abs_h(), kc.DarbouxPoint([0.5], [[1.0], [1e-210]], [0.0, 0.0])
+    where = re.escape("a value is not finite at (0.5, 1.0, 1e-210, 0.0, 0.0)")
+    grid = GridSpec([0.0, 0.0], [0.1, 0.1], [3, 3])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for call in (lambda: kc.p_hessian(h, pt), lambda: kc.check_regularity(h, pt),
+                     lambda: kc.second_order_residual(h, BaseMap(grid, np.full((3, 3, 1), 0.5)),
+                                                      p_init=[[1.0], [1e-210]])):
+            with pytest.raises(kc.ShapeError, match=where):
+                call()
+
+
+def test_p_hessian_is_the_one_point_hessian_bit_for_bit(rng):
+    for name, h in corpus_hamiltonians():
+        for _ in range(5):
+            pt = random_point(h.chart, rng, 0.9)
+            if h.in_domain(pt):
+                want = np.asarray(fields._p_hess(h, pt.q, pt.z, pt.p.reshape(-1)), dtype=float)
+                assert kc.p_hessian(h, pt).tobytes() == want.tobytes(), name

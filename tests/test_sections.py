@@ -199,3 +199,45 @@ def test_non_finite_defects_are_reported_not_swallowed():
     samples = np.array([[0.3, -0.8, 0.1], [1.0, 2.0, -0.5]])
     assert np.isnan(kc.check_max_coisotropic(skew, samples))
     assert np.isnan(kc.check_isotropic_slices(skew, [0.0], samples[:, :2]))
+
+
+def _corpus_sections():
+    from kcontact import corpus
+
+    for name in corpus.EXAMPLE_NAMES:
+        for key, entry in corpus.load(name).sections.items():
+            yield f"{name}/{key}", entry, entry.build(dict(entry.defaults))
+
+
+SECTIONS = list(_corpus_sections())
+
+
+@pytest.mark.parametrize("label, entry, gamma", SECTIONS, ids=[s[0] for s in SECTIONS])
+def test_point_at_a_base_row_is_the_lifted_node_point(label, entry, gamma):
+    """``.at`` and ``lift`` share one rule for the point over a base row, bit for bit."""
+    from kcontact.grids import BaseMap, GridSpec
+
+    _, d = gamma._base
+    n, k = gamma.chart.n, gamma.chart.k
+    box = np.array(entry.box if entry.box is not None else default_box(d, 0.5), dtype=float)
+    rows = sample_box(box, 200, np.random.default_rng(3))
+    rows = np.array([x for x in rows if gamma._inside(list(x))])[:3 ** k]
+    assert len(rows) == 3 ** k, label
+    psi = kc.lift(gamma, BaseMap(GridSpec([0.0] * k, [0.1] * k, [3] * k), rows.reshape((3,) * k + (d,))))
+    lifted = np.concatenate([psi.q, psi.p.reshape(psi.p.shape[:k] + (-1,)), psi.z], axis=-1).reshape(len(rows), -1)
+    at = np.array([(gamma.at(x) if d == n else gamma.at(x[:n], x[n:])).flat() for x in rows])
+    assert at.tobytes() == lifted.tobytes(), label
+
+
+def test_point_at_refuses_a_wrong_length_base_point_or_z():
+    long_z = kc.SectionZInd(CH12, gamma_p=lambda q: [[q[0]], [0.0]], gamma_z=lambda q: [0.0, 0.0, 1.0])
+    with pytest.raises(kc.ShapeError, match="flat point has length 6, chart needs 5"):
+        long_z.at([0.5])
+    wide = kc.SectionZInd(CH12, gamma_p=lambda q: [[q[0]], [0.0]], gamma_z=lambda q: [0.0, 0.0])
+    with pytest.raises(kc.ShapeError, match="flat point has length 6, chart needs 5"):
+        wide.at([0.5, 0.6])
+    zdep = kc.SectionZDep(CH12, gamma_p=lambda q, z: [[q[0]], [z[0]]])
+    with pytest.raises(kc.ShapeError, match="flat point has length 6, chart needs 5"):
+        zdep.at([0.5], [0.0, 0.0, 0.0])
+    with pytest.raises(kc.DomainError, match="base point outside domain of section cut"):  # tested first
+        kc.SectionZInd(CH12, long_z.gamma_p, long_z.gamma_z, domain=lambda q: False, name="cut").at([0.5])
