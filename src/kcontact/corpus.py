@@ -19,6 +19,7 @@ from .errors import ConfigError, ContractError, DomainError, ShapeError
 from .fields import ScalarField, _node_gradients
 from .geometry import ChartSpec, DarbouxPoint
 from .grids import BaseMap, GridSpec, SolutionMap, _sample, grid_derivative, grid_second_derivative
+from .hdw import _residuals
 from .hj import CompleteSolutionFamily, GaugeMatrix
 from .sections import SectionZDep, from_potentials
 
@@ -1026,16 +1027,14 @@ def thermo_balance_residual(fields: ThermoFields, U, Phi, grid: GridSpec) -> The
 
     ``U(xi, beta, V)`` and ``Phi(N, T, P)`` are the two halves of the
     generating Hamiltonian h = U + Phi (``beta``, ``N``, ``P`` lists of length
-    k, ``T`` a k x k nested list); both must be dual-capable.  The blocks are
-    the q-, p- and z-field equations of h for the fields packed on
-    :func:`thermo_chart`.  Field derivatives are grid finite differences; h and
-    its gradient come from the node pass of :func:`~kcontact.hdw.map_residual`,
-    so U and Phi get lane values and a non-finite field entry raises ShapeError.
+    k, ``T`` a k x k nested list); both must be dual-capable.  The blocks are slices of
+    the signed field equations of h that :func:`~kcontact.hdw.map_residual` reduces, for
+    the fields packed on :func:`thermo_chart`, with its node pass for h and its gradient:
+    U and Phi get lane values, and a non-finite field entry raises ShapeError.
     """
     k = grid.k
-    shp = grid.shape
     tails = {"xi": (), "beta": (k,), "V": (), "N": (k,), "T": (k, k), "P": (k,), "S": (k,)}
-    if any(np.shape(getattr(fields, f)) != shp + t for f, t in tails.items()):
+    if any(np.shape(getattr(fields, f)) != grid.shape + t for f, t in tails.items()):
         raise ShapeError("thermo field arrays do not match the grid")
     q = np.concatenate([fields.xi[..., None], fields.beta, fields.V[..., None]], axis=-1, dtype=float)
     p = np.concatenate([fields.N[..., None], -np.swapaxes(fields.T, -1, -2), fields.P[..., None]],
@@ -1043,19 +1042,11 @@ def thermo_balance_residual(fields: ThermoFields, U, Phi, grid: GridSpec) -> The
     chart = thermo_chart(k)
     psi = SolutionMap(chart, grid, q, p, np.asarray(fields.S, dtype=float))
     dq, dp, dz = psi.derivatives()
-    dU, dPhi, _, hval = _node_gradients(ScalarField(chart, _thermo_fn(k, U, Phi)), psi.q, psi.p, psi.z, True)
-
-    R = dq - dPhi  # d q^i / d x^m - dh / d p_i^m
-    B = sum(dp[..., m, m, :] for m in range(k)) + dU  # sum_m d p_i^m / d x^m + dh / d q^i
-    div_S = sum(dz[..., m, m] for m in range(k))
-    # sum p dh/dp block by block, each summed as one node sums it: N, T[l][m] with l outer, P
-    pdp = psi.p * dPhi
-    source = (sum(pdp[..., m, 0] for m in range(k))
-              + np.sum(np.swapaxes(pdp[..., 1:1 + k], -1, -2).reshape(shp + (-1,)), axis=-1)
-              + sum(pdp[..., m, k + 1] for m in range(k)))
+    *g, hval = _node_gradients(ScalarField(chart, _thermo_fn(k, U, Phi)), psi.q, psi.p, psi.z, True)
+    (R, B, e_std), (_, _, e_ev) = (_residuals(dq, dp, dz, psi.p, *g, h) for h in (hval, 0.0))
     return ThermoResiduals(R[..., 0], np.swapaxes(R[..., 1:1 + k], -1, -2), R[..., k + 1],
                            B[..., 0], -B[..., 1:1 + k], B[..., k + 1],  # T = -p: its balance is -B
-                           div_S - (source - hval), div_S - source)
+                           e_std, e_ev)
 
 
 # --------------------------------------------------------------------------

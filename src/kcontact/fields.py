@@ -254,15 +254,18 @@ def invert_fibre_derivative(
     """Solve d h / d p = v for the momentum block at fixed (q, z).
 
     ``v`` and ``p_init`` are (k x n) arrays (``v[a, i]`` prescribes the
-    derivative with respect to ``p_i^a``).  Newton steps are damped by
-    halving, up to ten times, whenever the sup-norm residual fails to
-    decrease.  Raises :class:`RegularityError` on a singular Hessian and
-    :class:`SolverError` (carrying the last residual) on non-convergence.
+    derivative with respect to ``p_i^a``).  Newton steps are damped by halving, up to ten
+    times, whenever the sup-norm residual fails to decrease.  A non-finite entry of q, z, v
+    or p_init raises :class:`ShapeError` naming it, a singular Hessian :class:`RegularityError`
+    and non-convergence :class:`SolverError` (carrying the last residual).
     """
     k, n = h.chart.k, h.chart.n
     row = [_floats(a, ShapeError, "{} must be numbers, got {!r}", name, a).reshape(1, -1)
            for name, a in (("q", q), ("z", z))]
     v, p_init = (_block(name, a, k, n).reshape(1, k * n) for name, a in (("v", v), ("p_init", p_init)))
+    for name, a in zip(("q", "z", "v", "p_init"), (*row, v, p_init)):
+        if not np.all(np.isfinite(a)):
+            raise ShapeError(f"{name} contains non-finite entries")
     return _newton(h, *row, v, p_init, tol, max_iter)[0].reshape(k, n)
 
 

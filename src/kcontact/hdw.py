@@ -123,7 +123,7 @@ def kvf_residual(kvf: KVectorField, h: ScalarField, mode: str, pt: DarbouxPoint)
     X = kvf.at(pt)
     g = grad(h, pt)
     hval = h(pt) if mode == "standard" else 0.0
-    return tuple(float(r) for r in _residuals(*_blocks(X), pt.p, g.d_q, g.d_p, g.d_z, hval))
+    return tuple(float(r) for r in _node_max(*_residuals(*_blocks(X), pt.p, g.d_q, g.d_p, g.d_z, hval)))
 
 
 def _blocks(kt: KTangent) -> list:
@@ -132,14 +132,17 @@ def _blocks(kt: KTangent) -> list:
 
 
 def _residuals(dq, dp, dz, p, d_q, d_p, d_z, hval):
-    """r_q, r_p, r_z for direction derivatives (dq, dp, dz) (of a map, or a k-tangent's blocks) at
-    momenta p where h has gradient (d_q, d_p, d_z) and value ``hval`` (0 in evolution mode).
-    Leading node axes broadcast; each sum runs as numpy runs it on one node."""
+    """The signed q-, p- and z-equations, shapes (..., k, n), (..., n) and (...), for derivatives (dq, dp, dz)
+    (of a map, or a k-tangent's blocks) at momenta p where h has gradient (d_q, d_p, d_z) and value ``hval``
+    (0 in evolution mode).  Leading node axes broadcast; each sum runs as on one node, in row-major order."""
     bal = np.diagonal(dp, axis1=-3, axis2=-2).sum(axis=-1)  # sum_a d p_i^a / d t^a
     rhs = np.sum((p * d_p).reshape(p.shape[:-2] + (-1,)), axis=-1) - hval
-    return (np.max(np.abs(dq - d_p), axis=(-2, -1)),
-            np.max(np.abs(bal + d_q + np.einsum("...ai,...a->...i", p, d_z)), axis=-1),
-            np.abs(np.trace(dz, axis1=-2, axis2=-1) - rhs))
+    return dq - d_p, bal + d_q + np.einsum("...ai,...a->...i", p, d_z), np.trace(dz, axis1=-2, axis2=-1) - rhs
+
+
+def _node_max(r_q, r_p, r_z):
+    """The per-node residual triple: the max |.| of each signed equation of :func:`_residuals`."""
+    return np.max(np.abs(r_q), axis=(-2, -1)), np.max(np.abs(r_p), axis=-1), np.abs(r_z)
 
 
 def gauge_basis(chart: ChartSpec, pt: DarbouxPoint = None) -> list:
@@ -209,7 +212,7 @@ class ResidualGrid:
 
 
 def map_residual(psi: SolutionMap, h: ScalarField, mode: str = "standard") -> ResidualGrid:
-    """Field-equation residuals of a candidate map on every grid node.
+    """Field-equation residuals of a candidate map: the max |.| of each signed equation per node.
 
     Direction derivatives come from :meth:`SolutionMap.derivatives`.  h and
     its gradient on all nodes come from one batched pass
@@ -223,7 +226,7 @@ def map_residual(psi: SolutionMap, h: ScalarField, mode: str = "standard") -> Re
     chart.check_point(psi.point((0,) * chart.k))
     standard = mode == "standard"
     g_q, g_p, g_z, hval = _node_gradients(h, psi.q, psi.p, psi.z, standard)
-    return ResidualGrid(*_residuals(dq, dp, dz, psi.p, g_q, g_p, g_z, hval if standard else 0.0))
+    return ResidualGrid(*_node_max(*_residuals(dq, dp, dz, psi.p, g_q, g_p, g_z, hval if standard else 0.0)))
 
 
 def evolution_lift(H: ScalarField, X: KVectorField, check_tol: float = 1e-10) -> KVectorField:
@@ -243,7 +246,7 @@ def evolution_lift(H: ScalarField, X: KVectorField, check_tol: float = 1e-10) ->
         xt = X.at(pt)
         if np.max(np.abs(g.d_z)) > check_tol:
             raise ContractError("lift input Hamiltonian depends on the extra coordinates")
-        r_q, r_p, _ = _residuals(*_blocks(xt), pt.p, g.d_q, g.d_p, np.zeros(k), 0.0)
+        r_q, r_p, _ = _node_max(*_residuals(*_blocks(xt), pt.p, g.d_q, g.d_p, np.zeros(k), 0.0))
         defect = float(np.max([r_q, r_p]))
         if not defect <= check_tol:
             raise ContractError(
@@ -310,9 +313,9 @@ def second_order_residual(
     points) and regular.  Momenta are reconstructed from the node derivatives
     (:meth:`BaseMap.derivatives`, padded if the map has a closed form) by
     fibre-derivative inversion; the result has shape ``grid.shape + (n,)``.
-    The ``mode`` argument selects which canonical field supplies the balance
-    term; for an affine coupling the two choices agree identically, and the
-    test suite holds the implementation to that.  A grid node where the
+    ``mode`` is validated and does not change the result for an affine
+    coupling: the balance term is the momentum trace of the canonical field,
+    which the two modes share.  A grid node where the
     gradient of h is not finite raises :class:`ShapeError` naming the node.
     """
     _check_mode(mode)

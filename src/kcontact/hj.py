@@ -564,8 +564,8 @@ def verify_complete(
     ``params`` is an array of parameter tuples (one row per slice); failures
     and reports are keyed by a slice's parameters as a tuple of floats.  A NaN
     residual, round-trip or section error is a failure of its slice and makes
-    the matching sup NaN; a slice that fails before its residual makes both sups NaN.
-    A row that overflows raises ShapeError (see :func:`kcontact.dual._rows`), not a failure.
+    the matching sup NaN; a slice that fails before its residual (a non-finite parameter row first)
+    makes both sups NaN.  A row that overflows raises ShapeError (:func:`kcontact.dual._rows`), not a failure.
     """
     _check_mode(mode)
     _check_tol("res_tol", res_tol)
@@ -588,9 +588,11 @@ def verify_complete(
     sup_res, sup_rt = 0.0, 0.0
     failures, reports = [], []
     for lam in params:
-        key, gamma = tuple(float(x) for x in lam), family.section_of(lam)
+        key = tuple(float(x) for x in lam)
         try:
-            rep, _ = _check(h, gamma, mode, samples=pts)
+            if not np.all(np.isfinite(lam)):  # refused here, or the slice's check blames its gauge
+                raise ContractError(f"parameters {key} are not finite")
+            rep, _ = _check(h, family.section_of(lam), mode, samples=pts)
         except (ContractError, NoSolutionError) as exc:
             failures.append((key, str(exc)))
             sup_res = sup_rt = np.nan  # a slice without a residual leaves both sups unknown

@@ -96,17 +96,24 @@ CASES = {
     "fibre target text": (lambda: _invert(v="ab"), kc.ShapeError, "v " + SHAPE_21 + "'ab'"),
     "fibre target ragged": (lambda: _invert(v=RAGGED), kc.ShapeError, "v " + SHAPE_21),
     "fibre target beyond floats": (lambda: _invert(v=[[BIG], [0.0]]), kc.ShapeError, "v " + SHAPE_21),
-    "fibre target NaN": (lambda: _invert(v=[[NAN], [0.0]]), kc.SolverError, "did not converge"),
+    "fibre target NaN": (lambda: _invert(v=[[NAN], [0.0]]), kc.ShapeError, "^v contains non-finite entries$"),
     "fibre start text": (lambda: _invert(p_init="ab"), kc.ShapeError, "p_init " + SHAPE_21 + "'ab'"),
     "fibre start ragged": (lambda: _invert(p_init=RAGGED), kc.ShapeError, "p_init " + SHAPE_21),
     "fibre start beyond floats": (lambda: _invert(p_init=[[BIG], [0.0]]), kc.ShapeError, "p_init " + SHAPE_21),
-    "fibre start NaN": (lambda: _invert(p_init=[[NAN], [0.0]]), kc.SolverError, "did not converge"),
+    "fibre start NaN": (lambda: _invert(p_init=[[NAN], [0.0]]), kc.ShapeError,
+                        "^p_init contains non-finite entries$"),
     "fibre base point text": (lambda: kc.invert_fibre_derivative(_tel()[0], "a", [0.0, 0.0], [[0.3], [0.4]],
                                                                  [[0.0], [0.0]]),
                               kc.ShapeError, "^q must be numbers, got 'a'$"),
     "fibre z beyond floats": (lambda: kc.invert_fibre_derivative(_tel()[0], [1.0], [BIG, 0.0], [[0.3], [0.4]],
                                                                  [[0.0], [0.0]]),
                               kc.ShapeError, "^z must be numbers, got"),
+    "fibre base point NaN": (lambda: kc.invert_fibre_derivative(_tel()[0], [NAN], [0.0, 0.0], [[0.3], [0.4]],
+                                                                [[0.0], [0.0]]),
+                             kc.ShapeError, "^q contains non-finite entries$"),
+    "fibre z NaN": (lambda: kc.invert_fibre_derivative(_tel()[0], [1.0], [NAN, 0.0], [[0.3], [0.4]],
+                                                       [[0.0], [0.0]]),
+                    kc.ShapeError, "^z contains non-finite entries$"),
     "section point text": (lambda: _tel()[1].at("ab"), kc.ShapeError, "^q must be numbers, got 'ab'$"),
     "section point ragged": (lambda: _tel()[1].at(RAGGED), kc.ShapeError, "^q must be numbers"),
     "section point beyond floats": (lambda: _tel()[1].at([BIG]), kc.ShapeError, "^q must be numbers"),
@@ -176,10 +183,14 @@ def test_a_caller_array_that_is_not_numbers_raises_the_site_error(case):
 def test_nan_sample_rows_and_parameters_still_reach_the_checks():
     # NaN is a float: the sample rows of a check and the parameter rows of a complete family
     # keep it, so a NaN sample makes the check's sup NaN and a NaN slice records a failure
+    # that names its parameters, before the slice's check runs, and leaves both sups NaN
     gamma = _tel()[1]
     assert np.isnan(kc.check_holonomic(gamma, [[0.5], [NAN]]))
-    (key, _), = _params([[NAN, 0.0]]).failures
+    res = _params([[NAN, 0.0]])
+    (key, message), = res.failures
     assert np.isnan(key[0]) and key[1] == 0.0
+    assert message == "parameters (nan, 0.0) are not finite"
+    assert np.isnan(res.sup_residual) and np.isnan(res.sup_roundtrip)
 
 
 # The functions whose ``except`` clauses may name TypeError, ValueError or OverflowError:

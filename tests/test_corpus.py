@@ -365,8 +365,7 @@ def test_thermo_shape_mismatch():
 
 
 def _ref_thermo_residual(fields, U, Phi, grid):
-    """The per-node loop the balance-law residual replaced: two scalar gradient passes per
-    node.  Also returns where the plain value of h differs from the value of the dual pass."""
+    """The per-node loop the balance-law residual replaced: two scalar gradient passes per node."""
     from kcontact.grids import grid_derivative
 
     k, shp = grid.k, grid.shape
@@ -380,7 +379,6 @@ def _ref_thermo_residual(fields, U, Phi, grid):
     out = {name: np.empty(shp + tail) for name, tail in (
         ("c_xi", (k,)), ("c_beta", (k, k)), ("c_V", (k,)), ("b_N", ()), ("b_T", (k,)), ("b_P", ()),
         ("e_std", ()), ("e_ev", ()))}
-    plain_differs = np.zeros(shp, dtype=bool)
     for idx in grid.indices():
         xi, V = float(fields.xi[idx]), float(fields.V[idx])
         beta = [float(x) for x in fields.beta[idx]]
@@ -407,8 +405,7 @@ def _ref_thermo_residual(fields, U, Phi, grid):
         hval = float(uval) + float(pval)
         out["e_std"][idx] = div_S[idx] - (source - hval)
         out["e_ev"][idx] = div_S[idx] - source
-        plain_differs[idx] = U(xi, beta, V) + Phi(N, T, Pfl) != hval
-    return out, plain_differs
+    return out
 
 
 def _thermo_random_fields(grid, rng):
@@ -433,14 +430,37 @@ def test_thermo_residual_matches_the_per_node_loop(k):
     grid = GridSpec([0.0] * k, [0.07] * k, [5 - (k == 3)] * k)
     fields = _thermo_random_fields(grid, np.random.default_rng(100 + k))
     res = thermo_balance_residual(fields, _thermo_U, _thermo_Phi, grid)
-    ref, plain_differs = _ref_thermo_residual(fields, _thermo_U, _thermo_Phi, grid)
-    blocks = ("c_xi", "c_beta", "c_V", "b_N", "b_T", "b_P", "e_ev")
+    ref = _ref_thermo_residual(fields, _thermo_U, _thermo_Phi, grid)
+    blocks = ("c_xi", "c_beta", "c_V", "b_N", "b_T", "b_P")
     for name, got in zip(blocks, (res.constitutive_xi, res.constitutive_beta, res.constitutive_V,
-                                  res.balance_N, res.balance_T, res.balance_P, res.entropy_evolution)):
+                                  res.balance_N, res.balance_T, res.balance_P)):
         assert got.shape == ref[name].shape and got.tobytes() == ref[name].tobytes(), name
-    same = res.entropy_standard == ref["e_std"]
-    assert np.all(same | plain_differs)
-    assert np.all(np.abs(res.entropy_standard - ref["e_std"]) <= 1e-13 * np.abs(ref["e_std"]))
+    # the entropy source is summed in the chart's row-major order, as map_residual sums it,
+    # where the loop sums it block by block: the two agree to rounding
+    for name, got in (("e_std", res.entropy_standard), ("e_ev", res.entropy_evolution)):
+        assert np.all(np.abs(got - ref[name]) <= 1e-13 * np.abs(ref[name])), name
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("mode", ["standard", "evolution"])
+def test_thermo_blocks_are_the_map_residual_equations_bit_for_bit(k, mode):
+    # one derivation: on the packed map, the blocks reduce to map_residual's per-node triple
+    grid = GridSpec([0.0] * k, [0.07] * k, [5 - (k == 3)] * k)
+    fields = _thermo_random_fields(grid, np.random.default_rng(100 + k))
+    res = thermo_balance_residual(fields, _thermo_U, _thermo_Phi, grid)
+    q = np.concatenate([fields.xi[..., None], fields.beta, fields.V[..., None]], axis=-1)
+    p = np.concatenate([fields.N[..., None], -np.swapaxes(fields.T, -1, -2), fields.P[..., None]], axis=-1)
+    psi = kc.SolutionMap(corpus.thermo_chart(k), grid, q, p, fields.S)
+    h = kc.ScalarField(corpus.thermo_chart(k), corpus._thermo_fn(k, _thermo_U, _thermo_Phi))
+    want = kc.map_residual(psi, h, mode)
+    entropy = res.entropy_standard if mode == "standard" else res.entropy_evolution
+    constitutive = np.concatenate([res.constitutive_xi, res.constitutive_beta.reshape(grid.shape + (-1,)),
+                                   res.constitutive_V], axis=-1)
+    balance = np.concatenate([res.balance_N[..., None], res.balance_T, res.balance_P[..., None]], axis=-1)
+    for name, got, ref in (("r_z", np.abs(entropy), want.r_z),
+                           ("r_q", np.max(np.abs(constitutive), axis=-1), want.r_q),
+                           ("r_p", np.max(np.abs(balance), axis=-1), want.r_p)):
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes(), name
 
 
 def test_thermo_residual_lanes_give_the_node_by_node_values():

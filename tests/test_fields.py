@@ -268,8 +268,8 @@ def test_batched_newton_names_the_first_row_that_fails(rng):
     with pytest.raises(kc.SolverError, match=r"did not converge \(last residual nan\) at row 2$") as exc:
         fields._newton(h, Q, Z, V, P0, where=lambda i: f" at row {i}")
     assert np.isnan(exc.value.residual)
-    with pytest.raises(kc.SolverError, match=r"\(last residual nan\)$"):
-        kc.invert_fibre_derivative(h, Q[2], Z[2], V[2].reshape(2, 1), P0[2].reshape(2, 1))
+    with pytest.raises(kc.SolverError, match=r"\(last residual nan\)$"):  # one row: no suffix
+        fields._newton(h, Q[2:3], Z[2:3], V[2:3], P0[2:3])
     fo = corpus.load("first-order-dissipative").hamiltonian()
     with pytest.raises(kc.RegularityError, match="singular during Newton iteration at row 0$"):
         fields._newton(fo, Q, Z, V, P0, where=lambda i: f" at row {i}")
@@ -322,10 +322,11 @@ def test_newton_steps_refuse_a_hessian_with_an_infinite_entry():
 
 
 def test_a_non_finite_fibre_hessian_is_singular():
-    # the Hessian is NaN at the start, where numpy's SVD does not converge
+    # the Hessian is NaN at the start, where numpy's SVD does not converge (a NaN q reaches
+    # the iteration only past invert_fibre_derivative, which refuses it)
     h = kc.ScalarField(CH12, lambda pt: 0.5 * pt.p[0, 0] ** 2 * (1.0 + pt.q[0]) + 0.5 * pt.p[1, 0] ** 2)
     with pytest.raises(kc.RegularityError, match="singular during Newton iteration$"):
-        kc.invert_fibre_derivative(h, [np.nan], [0.0, 0.0], [[0.3], [0.4]], [[0.0], [0.0]])
+        fields._newton(h, [[np.nan]], [[0.0, 0.0]], [[0.3, 0.4]], [[0.0, 0.0]])
 
 
 def _sqrt_abs_h():
