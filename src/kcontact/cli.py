@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import json
 import math
 import sys
@@ -40,9 +41,8 @@ EXIT_CONTRACT = 3
 EXIT_DIVERGENCE = 4
 EXIT_INTEGRABILITY = 5
 
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+_CELL = "{:.17g}"  # one psi.csv cell: 17 significant digits, which read back as the same float
+_fmt = _CELL.format
 
 
 def _json_dump(obj, path: Path = None) -> str:
@@ -271,7 +271,8 @@ def _csv_solution(psi, res, path: Path):
     T = _nodes(psi.grid)  # one row per node, in node order
     table = np.concatenate([T] + [a.reshape(len(T), -1) for a in (psi.q, psi.p, psi.z)]
                            + [np.stack([res.r_q, res.r_p, res.r_z], axis=-1).reshape(len(T), 3)], axis=1)
-    lines = [",".join(cols)] + [",".join(map(_fmt, row)) for row in table.tolist()]
+    row = ",".join([_CELL] * len(cols)).format  # one call per row, each cell as _fmt writes it
+    lines = [",".join(cols)] + [row(*values) for values in table.tolist()]
     path.write_text("\r\n".join(lines) + "\r\n", encoding="utf-8")
 
 
@@ -368,10 +369,13 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# the parser of main, built on its first call and only read: parse_args leaves a parser as it was
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else 0
     try:

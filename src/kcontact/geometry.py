@@ -90,13 +90,21 @@ def _floats(x, error, message, *args, objects=False):
         raise error(message.format(*args)) from None
 
 
+_PASS_ENTRIES = frozenset({dm.Dual, dm._Lanes, float})  # kept unread: a pass's duals and lanes, floats
+
+
 def _as_array(x, name):
     try:
         arr = _floats(x, ShapeError, "{} is not an array of numbers", name, objects=True)
     except dm._Unbatchable:  # lane values inside: stored as they are (see kcontact.dual)
         return dm._object_array(x)
-    if arr.dtype != object and not np.all(np.isfinite(arr)):
-        raise ShapeError(f"{name} contains non-finite entries")
+    if arr.dtype != object:
+        if not np.all(np.isfinite(arr)):
+            raise ShapeError(f"{name} contains non-finite entries")
+        return arr
+    kinds = set(map(type, arr.flat))  # a block holding a dual or lane value is a pass's, kept as it is
+    if not kinds <= _PASS_ENTRIES and kinds.isdisjoint((dm.Dual, dm._Lanes)):
+        _floats(arr, ShapeError, "{} is not an array of numbers", name)  # such as an int beyond floats
     return arr
 
 
@@ -127,7 +135,8 @@ class DarbouxPoint:
         if len(x) != chart.dim:
             raise ShapeError(f"flat point has length {len(x)}, chart needs {chart.dim}")
         plain = all(isinstance(v, (int, float, np.floating, np.integer)) for v in x)
-        x = np.array(x, dtype=float) if plain else np.fromiter(x, dtype=object, count=len(x))
+        x = (_floats(x, ShapeError, "flat point is not an array of numbers") if plain
+             else np.fromiter(x, dtype=object, count=len(x)))
         return DarbouxPoint(*chart.split(x))
 
 

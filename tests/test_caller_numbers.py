@@ -161,6 +161,12 @@ CASES = {
                      "^p is not an array of numbers$"),
     "point NaN": (lambda: kc.DarbouxPoint([0.5], [[0.0], [0.0]], [NAN, 0.0]), kc.ShapeError,
                   "z contains non-finite entries"),
+    "point beyond floats": (lambda: kc.DarbouxPoint([BIG], [[0.0], [0.0]], [0.0, 0.0]), kc.ShapeError,
+                            "^q is not an array of numbers$"),
+    "point beyond floats in a row": (lambda: kc.DarbouxPoint([0.5], [[0.0], [BIG]], [0.0, 0.0]),
+                                     kc.ShapeError, "^p is not an array of numbers$"),
+    "flat point beyond floats": (lambda: kc.DarbouxPoint.from_flat(CH12, [BIG] + [0.0] * 4), kc.ShapeError,
+                                 "^flat point is not an array of numbers$"),
     "tangent text": (lambda: kc.Tangent([0.5], [[0.0], ["x"]], [0.0, 0.0]), kc.ShapeError,
                      "^p is not an array of numbers$"),
     "tangent ragged": (lambda: kc.Tangent([0.5], [[0.0], [0.0]], RAGGED), kc.ShapeError,
@@ -178,6 +184,16 @@ def test_a_caller_array_that_is_not_numbers_raises_the_site_error(case):
         with pytest.raises(kc.KContactError, match=message) as err:
             call()
     assert type(err.value) is error
+
+
+def test_an_object_block_is_read_as_numbers_only_when_no_pass_built_it():
+    # numpy keeps an int beyond int64 as an object; one that fits a float is a number, kept
+    assert kc.DarbouxPoint([10 ** 300], [[0.0], [0.0]], [0.0, 0.0]).q.dtype == object
+    # a block holding a dual or lane value is the pass's own, kept as it is with its other entries
+    lane = kc.dual._lanes_of(np.array([[0.5], [0.25]]))[0]
+    for traced in (kc.dual.Dual(0.5, (1.0,), 1), lane):
+        q = np.fromiter([traced, BIG], dtype=object, count=2)  # as DarbouxPoint.from_flat builds it
+        assert kc.DarbouxPoint(q, [[0.0], [0.0]], [0.0, 0.0]).q[1] == BIG
 
 
 def test_nan_sample_rows_and_parameters_still_reach_the_checks():

@@ -193,6 +193,56 @@ def test_the_csv_table_is_byte_equal_to_the_per_node_writer(make, tmp_path):
     assert all(s in got for s in (b",-0,", b"4.9406564584124654e-324", b",nan,", b"e-309,"))
 
 
+def test_the_csv_row_writes_each_edge_float_as_fmt_does(tmp_path):
+    # every entry of q, p, z and the residuals cycles through the floats whose text differs
+    # most between formatting rules; the t columns hold the grid's own nodes
+    edges = {float("nan"): "nan", float("inf"): "inf", -float("inf"): "-inf", -0.0: "-0",
+             5e-324: "4.9406564584124654e-324", 1e-5: "1.0000000000000001e-05",
+             1e16: "10000000000000000", 1e17: "1e+17", 0.1: "0.10000000000000001"}
+    assert [cli._fmt(v) for v in edges] == list(edges.values())
+    psi = corpus.analytic("hunter-saxton", "quadratic")
+    res = kcontact.map_residual(psi, corpus.load("hunter-saxton").hamiltonian())
+    for a in (psi.q, psi.p, psi.z, res.r_q, res.r_p, res.r_z):
+        a.flat[:] = np.resize(list(edges), a.size)
+    cli._csv_solution(psi, res, tmp_path / "table.csv")
+    per_node_csv(psi, res, tmp_path / "nodes.csv")
+    got = (tmp_path / "table.csv").read_bytes()
+    assert got == (tmp_path / "nodes.csv").read_bytes()
+    assert all(f",{text},".encode() in got for text in edges.values())
+
+
+def test_repeated_in_process_calls_give_the_same_bytes(tmp_path, capsys):
+    # main parses with one parser per process: a second pass of the same calls, after that
+    # parser has refused an option, printed its help and run each command, gives the same
+    # exit codes, output and files as the first
+    calls = [
+        (["check-hj", "--no-such-option"], 2),
+        (["--help"], 0),
+        (["check-hj", "--example", "telegrapher", "--section", "classical-zind", "--samples", "50"], 0),
+        (["simulate", "--example", "hunter-saxton", "--solution", "quadratic", "--mode", "evolution"], 0),
+        (["check-hj", "--example", "telegrapher", "--section", "zdep-family-broken-trace",
+          "--mode", "evolution"], 3),
+    ]
+    passes = []
+    for n in range(2):
+        out = tmp_path / f"pass{n}"
+        seen = []
+        for argv, code in calls:
+            assert run(argv + ["--out", str(out)] if argv[0] != "--help" else argv) == code, argv
+            files = {p.name: p.read_bytes() for p in sorted(out.glob("*"))} if out.exists() else {}
+            seen.append((*capsys.readouterr(), files))
+        passes.append(seen)
+    assert passes[0] == passes[1]
+    assert "psi.csv" in passes[0][3][2] and passes[0][1][0].startswith("usage: kcontact")
+
+    # build_parser returns a fresh parser: one that a caller changes is not the one main reads
+    ap = cli.build_parser()
+    assert ap is not cli.build_parser()
+    ap.add_argument("--extra")
+    assert ap.parse_args(["--extra", "x", "list"]).extra == "x"
+    assert run(["--extra", "x", "list"]) == 2
+
+
 def test_check_hj_report_byte_deterministic(tmp_path):
     args = ["check-hj", "--example", "hunter-saxton", "--section", "zdep-family",
             "--mode", "evolution", "--seed", "5", "--out", str(tmp_path)]
