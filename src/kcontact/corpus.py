@@ -10,16 +10,15 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import dual as dm
 from .errors import ConfigError, ContractError, DomainError, ShapeError
-from .fields import ScalarField, _node_gradients
+from .fields import ScalarField
 from .geometry import ChartSpec, DarbouxPoint
 from .grids import BaseMap, GridSpec, SolutionMap, _sample, grid_derivative, grid_second_derivative
-from .hdw import _residuals
 from .hj import CompleteSolutionFamily, GaugeMatrix
 from .sections import SectionZDep, from_potentials
 
@@ -38,9 +37,9 @@ __all__ = [
     "telegrapher_params_from_line",
     "telegrapher_quadratic_roots",
     "thermo_chart",
-    "thermo_balance_residual",
+    "thermo_hamiltonian",
+    "thermo_map",
     "ThermoFields",
-    "ThermoResiduals",
 ]
 
 EXAMPLE_NAMES = (
@@ -946,16 +945,17 @@ def thermo_chart(k: int) -> ChartSpec:
     return ChartSpec(n=k + 2, k=k)
 
 
-def _thermo_fn(k, U, Phi):
-    """h = U(xi, beta, V) + Phi(N, T, P) on :func:`thermo_chart`, with
-    N^m = p[m, 0], T[l][m] = -p[m, 1 + l] and P^m = p[m, k + 1]."""
+def thermo_hamiltonian(k: int, U, Phi) -> ScalarField:
+    """h = U(xi, beta, V) + Phi(N, T, P) on :func:`thermo_chart`, with N^m = p[m, 0],
+    T[l][m] = -p[m, 1 + l] and P^m = p[m, k + 1]: ``beta``, ``N`` and ``P`` are lists of
+    length k, ``T`` a k x k nested list, and U and Phi must be dual-capable."""
 
     def fn(pt):
         q, p = pt.q, pt.p
         T = [[-p[m, 1 + l] for m in range(k)] for l in range(k)]
         return U(q[0], list(q[1:1 + k]), q[k + 1]) + Phi(list(p[:, 0]), T, list(p[:, k + 1]))
 
-    return fn
+    return ScalarField(thermo_chart(k), fn)
 
 
 def _h_thermo(P):
@@ -970,7 +970,7 @@ def _h_thermo(P):
                 + ct * 0.5 * sum(T[l][m] * T[l][m] for m in range(k) for l in range(k))
                 + cp * 0.5 * sum(x * x for x in Pfl))
 
-    return ScalarField(thermo_chart(k), _thermo_fn(k, U, Phi), params=dict(P), name="thermo-eit")
+    return replace(thermo_hamiltonian(k, U, Phi), params=dict(P), name="thermo-eit")
 
 
 THERMO = ExampleSystem(
@@ -1001,37 +1001,10 @@ class ThermoFields:
     S: np.ndarray
 
 
-@dataclass
-class ThermoResiduals:
-    """Finite-difference residual blocks of the thermodynamic field equations (maxima NaN on a NaN)."""
-
-    constitutive_xi: np.ndarray  # grid + (k,)
-    constitutive_beta: np.ndarray  # grid + (k, k)
-    constitutive_V: np.ndarray  # grid + (k,)
-    balance_N: np.ndarray  # grid
-    balance_T: np.ndarray  # grid + (k,)
-    balance_P: np.ndarray  # grid
-    entropy_standard: np.ndarray  # grid
-    entropy_evolution: np.ndarray  # grid
-
-    def max_constitutive(self) -> float:
-        return float(np.max([np.max(np.abs(b)) for b in (self.constitutive_xi, self.constitutive_beta,
-                                                          self.constitutive_V)]))
-
-    def max_balance(self) -> float:
-        return float(np.max([np.max(np.abs(b)) for b in (self.balance_N, self.balance_T, self.balance_P)]))
-
-
-def thermo_balance_residual(fields: ThermoFields, U, Phi, grid: GridSpec) -> ThermoResiduals:
-    """Residuals of the constitutive, balance, and entropy blocks.
-
-    ``U(xi, beta, V)`` and ``Phi(N, T, P)`` are the two halves of the
-    generating Hamiltonian h = U + Phi (``beta``, ``N``, ``P`` lists of length
-    k, ``T`` a k x k nested list); both must be dual-capable.  The blocks are slices of
-    the signed field equations of h that :func:`~kcontact.hdw.map_residual` reduces, for
-    the fields packed on :func:`thermo_chart`, with its node pass for h and its gradient:
-    U and Phi get lane values, and a non-finite field entry raises ShapeError.
-    """
+def thermo_map(fields: ThermoFields, grid: GridSpec) -> SolutionMap:
+    """The fields packed on :func:`thermo_chart`, to check by ``map_residual(thermo_map(fields, grid),
+    thermo_hamiltonian(k, U, Phi), mode)``: per node, r_q is the largest constitutive residual, r_p
+    the largest balance residual and r_z the entropy residual of the mode (|.| each)."""
     k = grid.k
     tails = {"xi": (), "beta": (k,), "V": (), "N": (k,), "T": (k, k), "P": (k,), "S": (k,)}
     if any(np.shape(getattr(fields, f)) != grid.shape + t for f, t in tails.items()):
@@ -1039,14 +1012,7 @@ def thermo_balance_residual(fields: ThermoFields, U, Phi, grid: GridSpec) -> The
     q = np.concatenate([fields.xi[..., None], fields.beta, fields.V[..., None]], axis=-1, dtype=float)
     p = np.concatenate([fields.N[..., None], -np.swapaxes(fields.T, -1, -2), fields.P[..., None]],
                        axis=-1, dtype=float)
-    chart = thermo_chart(k)
-    psi = SolutionMap(chart, grid, q, p, np.asarray(fields.S, dtype=float))
-    dq, dp, dz = psi.derivatives()
-    *g, hval = _node_gradients(ScalarField(chart, _thermo_fn(k, U, Phi)), psi.q, psi.p, psi.z, True)
-    (R, B, e_std), (_, _, e_ev) = (_residuals(dq, dp, dz, psi.p, *g, h) for h in (hval, 0.0))
-    return ThermoResiduals(R[..., 0], np.swapaxes(R[..., 1:1 + k], -1, -2), R[..., k + 1],
-                           B[..., 0], -B[..., 1:1 + k], B[..., k + 1],  # T = -p: its balance is -B
-                           e_std, e_ev)
+    return SolutionMap(thermo_chart(k), grid, q, p, np.asarray(fields.S, dtype=float))
 
 
 # --------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import dual as dm
 from .errors import ContractError, DomainError, RegularityError, ShapeError, SolverError
-from .geometry import ChartSpec, DarbouxPoint, _floats
+from .geometry import ChartSpec, DarbouxPoint, _check_tol, _floats, _whole
 
 __all__ = [
     "ScalarField",
@@ -151,6 +151,7 @@ def check_regularity(h: ScalarField, pt: DarbouxPoint, rtol: float = 1e-9):
     Returns ``(is_regular, min_abs_eigenvalue)``; regular means the
     smallest singular value exceeds ``rtol`` times the largest.
     """
+    _check_tol("rtol", rtol)
     H = p_hessian(h, pt)
     sv = np.linalg.svd(H, compute_uv=False)  # nk >= 1 singular values, largest first
     smax, smin = float(sv[0]), float(sv[-1])
@@ -257,8 +258,12 @@ def invert_fibre_derivative(
     derivative with respect to ``p_i^a``).  Newton steps are damped by halving, up to ten
     times, whenever the sup-norm residual fails to decrease.  A non-finite entry of q, z, v
     or p_init raises :class:`ShapeError` naming it, a singular Hessian :class:`RegularityError`
-    and non-convergence :class:`SolverError` (carrying the last residual).
+    and non-convergence :class:`SolverError` (carrying the last residual).  ``tol`` must be a
+    real number >= 0 and ``max_iter`` an integer >= 0, or :class:`ContractError` names it.
     """
+    _check_tol("tol", tol)
+    if not _whole(max_iter, 0):
+        raise ContractError(f"max_iter must be an integer >= 0, got {max_iter!r}")
     k, n = h.chart.k, h.chart.n
     row = [_floats(a, ShapeError, "{} must be numbers, got {!r}", name, a).reshape(1, -1)
            for name, a in (("q", q), ("z", z))]

@@ -18,12 +18,13 @@ freedom of the field equations and has dimension (n+1)(k^2-1).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import dual as dm
-from .errors import ShapeError
+from .errors import ContractError, ShapeError
 
 __all__ = [
     "ChartSpec",
@@ -90,6 +91,17 @@ def _floats(x, error, message, *args, objects=False):
         raise error(message.format(*args)) from None
 
 
+def _check_tol(name: str, tol) -> None:
+    """Refuse a tolerance that is not a real number >= 0 (inf switches its check off)."""
+    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not tol >= 0:
+        raise ContractError(f"tolerance {name} must be a real number >= 0, got {tol!r}")
+
+
+def _whole(x, least: int) -> bool:
+    """Whether ``x`` is an integer >= ``least``; a bool is not one."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool) and x >= least
+
+
 _PASS_ENTRIES = frozenset({dm.Dual, dm._Lanes, float})  # kept unread: a pass's duals and lanes, floats
 
 
@@ -104,6 +116,8 @@ def _as_array(x, name):
         return arr
     kinds = set(map(type, arr.flat))  # a block holding a dual or lane value is a pass's, kept as it is
     if not kinds <= _PASS_ENTRIES and kinds.isdisjoint((dm.Dual, dm._Lanes)):
+        if not all(issubclass(t, numbers.Real) for t in kinds):  # such as None, which numpy reads as NaN
+            raise ShapeError(f"{name} is not an array of numbers")
         _floats(arr, ShapeError, "{} is not an array of numbers", name)  # such as an int beyond floats
     return arr
 

@@ -15,14 +15,13 @@ off-diagonal block.  The free directions form the gauge kernel, spanned by
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractError, RegularityError, ShapeError
 from .fields import ScalarField, _block, _newton, _newton_passes, _node_gradients, check_regularity, grad
-from .geometry import ChartSpec, DarbouxPoint, KTangent, Tangent
+from .geometry import ChartSpec, DarbouxPoint, KTangent, Tangent, _check_tol
 from .grids import BaseMap, GridSpec, SolutionMap, _node, _sample, grid_derivative
 from .sections import default_box, sample_box
 
@@ -48,12 +47,6 @@ _AFFINE_TOL = 1e-10  # largest spread of the z-gradient it accepts
 def _check_mode(mode: str) -> None:
     if mode not in MODES:
         raise ContractError(f"unknown mode {mode!r}")
-
-
-def _check_tol(name: str, tol) -> None:
-    """Refuse a tolerance that is not a real number >= 0 (inf switches its check off)."""
-    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not tol >= 0:
-        raise ContractError(f"tolerance {name} must be a real number >= 0, got {tol!r}")
 
 
 @dataclass
@@ -238,6 +231,7 @@ def evolution_lift(H: ScalarField, X: KVectorField, check_tol: float = 1e-10) ->
     sum_i p_i^a (X_a)^i, which kills the a-th structure-form contraction;
     the result solves the evolution field equations for H.
     """
+    _check_tol("check_tol", check_tol)
     chart = H.chart
     k = chart.k
 

@@ -31,9 +31,9 @@ import numpy as np
 from . import dual as dm
 from .errors import ContractError, DomainError, NoSolutionError
 from .fields import ScalarField, _p_grad
-from .geometry import DarbouxPoint, _floats
+from .geometry import DarbouxPoint, _check_tol, _floats, _whole
 from .grids import BaseField
-from .hdw import _check_mode, _check_tol
+from .hdw import _check_mode
 from .sections import (
     SectionZDep,
     SectionZInd,
@@ -108,7 +108,7 @@ class GaugeMatrix:
 
 
 def _resolve_samples(samples, box, dim, count, seed):
-    if seed is not None and (not isinstance(seed, (int, np.integer)) or seed < 0):
+    if seed is not None and not _whole(seed, 0):
         raise ContractError(f"sampling seed must be None or an integer >= 0, got {seed!r}")
     if samples is not None:
         return _sample_rows(samples, dim), None

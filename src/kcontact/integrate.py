@@ -29,9 +29,9 @@ import numpy as np
 from . import dual as dm
 from .errors import ContractError, DivergenceError, IntegrabilityError, KContactError
 from .fields import ScalarField
-from .geometry import _floats
+from .geometry import _check_tol, _floats, _whole
 from .grids import BaseField, BaseMap, GridSpec, SolutionMap
-from .hdw import ResidualGrid, _check_tol, map_residual
+from .hdw import ResidualGrid, map_residual
 from .hj import GaugeMatrix, _check, project_Q, project_zdep
 from .sections import _coeff_jacobian, _point, _sample_rows
 
@@ -143,7 +143,7 @@ def integral_section(
     k = grid.k
     if f.k != k:
         raise ContractError(f"field has {f.k} components, grid has {k} directions")
-    if not isinstance(steps_per_cell, (int, np.integer)) or steps_per_cell < 1:
+    if not _whole(steps_per_cell, 1):
         raise ContractError(f"steps_per_cell must be an integer >= 1, got {steps_per_cell!r}")
     _check_tol("order_tol", order_tol)
     start = _floats(start, ContractError, "start point must be numbers, got {!r}", start)

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import dual as dm
 from .errors import ContractError, DomainError, ShapeError
-from .geometry import ChartSpec, DarbouxPoint, _floats
+from .geometry import ChartSpec, DarbouxPoint, _floats, _whole
 
 __all__ = [
     "SectionZInd",
@@ -32,7 +32,7 @@ __all__ = [
 
 def sample_box(bounds, count: int, rng) -> np.ndarray:
     """``count`` uniform samples from the product of the given intervals, which must be finite."""
-    if not isinstance(count, (int, np.integer)) or count < 0:
+    if not _whole(count, 0):
         raise ContractError(f"sample count must be an integer >= 0, got {count!r}")
     bounds = _floats(bounds, ContractError, "sampling box must be (d, 2) lo/hi bounds, got {!r}", bounds)
     if bounds.ndim != 2 or bounds.shape[1] != 2:

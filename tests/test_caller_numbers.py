@@ -173,6 +173,15 @@ CASES = {
                        "^z is not an array of numbers$"),
     "tangent NaN": (lambda: kc.Tangent([NAN], [[0.0], [0.0]], [0.0, 0.0]), kc.ShapeError,
                     "q contains non-finite entries"),
+    # numpy reads None as NaN in a float conversion: the entry's type refuses it
+    "point None": (lambda: kc.DarbouxPoint([None], [[0.0], [0.0]], [0.0, 0.0]), kc.ShapeError,
+                   "^q is not an array of numbers$"),
+    "point None in a row": (lambda: kc.DarbouxPoint([0.5], [[0.0], [None]], [0.0, 0.0]), kc.ShapeError,
+                            "^p is not an array of numbers$"),
+    "tangent None": (lambda: kc.Tangent([0.5], [[0.0], [0.0]], [None, 0.0]), kc.ShapeError,
+                     "^z is not an array of numbers$"),
+    "covector None": (lambda: kc.Covector([None], [[0.0], [0.0]], [0.0, 0.0]), kc.ShapeError,
+                      "^dq is not an array of numbers$"),
 }
 
 

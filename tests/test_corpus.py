@@ -7,7 +7,7 @@ import pytest
 import kcontact as kc
 from kcontact import corpus
 from kcontact import dual as dm
-from kcontact.corpus import ThermoFields, thermo_balance_residual
+from kcontact.corpus import ThermoFields, thermo_hamiltonian, thermo_map
 from kcontact.grids import GridSpec
 
 from conftest import random_point
@@ -291,16 +291,19 @@ def _const_fields(grid, k, xi=0.0, N=None):
     )
 
 
-def test_thermo_pure_balance_constitutive_zero():
+def _thermo_residual(fields, U, Phi, grid, mode):
+    return kc.map_residual(thermo_map(fields, grid), thermo_hamiltonian(grid.k, U, Phi), mode)
+
+
+@pytest.mark.parametrize("mode", ["standard", "evolution"])
+def test_thermo_pure_balance_constitutive_zero(mode):
     k = 2
     grid = GridSpec([0.0, 0.0], [0.1, 0.1], [5, 5])
     fields = _const_fields(grid, k, xi=0.3)
-    res = thermo_balance_residual(fields, U=lambda xi, beta, V: 0.0,
-                                  Phi=lambda N, T, P: 0.0, grid=grid)
-    assert res.max_constitutive() <= 1e-14
-    assert res.max_balance() <= 1e-14
-    assert np.max(np.abs(res.entropy_standard)) <= 1e-14
-    assert np.max(np.abs(res.entropy_evolution)) <= 1e-14
+    res = _thermo_residual(fields, lambda xi, beta, V: 0.0, lambda N, T, P: 0.0, grid, mode)
+    assert res.r_q.max() <= 1e-14
+    assert res.r_p.max() <= 1e-14
+    assert res.r_z.max() <= 1e-14
 
 
 def test_thermo_quadratic_flux_potential_linear_intensive():
@@ -315,9 +318,9 @@ def test_thermo_quadratic_flux_potential_linear_intensive():
     def Phi(N, T, P):
         return 0.5 * sum(x * x for x in N)
 
-    res = thermo_balance_residual(fields, U=lambda xi, beta, V: 0.0, Phi=Phi, grid=grid)
-    assert np.max(np.abs(res.constitutive_xi)) <= 1e-10
-    assert res.max_balance() <= 1e-14
+    res = _thermo_residual(fields, lambda xi, beta, V: 0.0, Phi, grid, "standard")
+    assert res.r_q.max() <= 1e-10
+    assert res.r_p.max() <= 1e-14
 
 
 def test_thermo_entropy_blocks_differ_by_hamiltonian(rng):
@@ -332,13 +335,15 @@ def test_thermo_entropy_blocks_differ_by_hamiltonian(rng):
     def Phi(N, T, P):
         return 0.5 * sum(x * x for x in N) + sum(x for x in P)
 
-    res = thermo_balance_residual(fields, U=U, Phi=Phi, grid=grid)
+    std, ev = (_thermo_residual(fields, U, Phi, grid, mode) for mode in ("standard", "evolution"))
     for idx in grid.indices():
         hval = U(fields.xi[idx], fields.beta[idx], fields.V[idx]) + Phi(
             list(fields.N[idx]), [[0.0] * k] * k, list(fields.P[idx])
         )
-        # definitions differ by exactly the Hamiltonian value along the fields
-        assert res.entropy_standard[idx] - res.entropy_evolution[idx] == pytest.approx(hval)
+        source = float(np.sum(fields.N[idx] ** 2))  # sum p dh/dp: only N . dPhi/dN = |N|^2 is not 0
+        # S is constant: the standard residual is |h - source|, the evolution one |source|
+        assert std.r_z[idx] == pytest.approx(abs(hval - source), rel=1e-12)
+        assert ev.r_z[idx] == pytest.approx(source, rel=1e-12)
 
 
 def test_thermo_example_hamiltonian_consistency(rng):
@@ -360,8 +365,8 @@ def test_thermo_shape_mismatch():
     fields = _const_fields(grid, 2)
     bad = ThermoFields(fields.xi[:-1], fields.beta, fields.V, fields.N,
                        fields.T, fields.P, fields.S)
-    with pytest.raises(kc.ShapeError):
-        thermo_balance_residual(bad, U=lambda *a: 0.0, Phi=lambda *a: 0.0, grid=grid)
+    with pytest.raises(kc.ShapeError, match="^thermo field arrays do not match the grid$"):
+        _thermo_residual(bad, lambda *a: 0.0, lambda *a: 0.0, grid, "standard")
 
 
 def _ref_thermo_residual(fields, U, Phi, grid):
@@ -426,44 +431,25 @@ def _thermo_Phi(N, T, P):
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
-def test_thermo_residual_matches_the_per_node_loop(k):
-    grid = GridSpec([0.0] * k, [0.07] * k, [5 - (k == 3)] * k)
-    fields = _thermo_random_fields(grid, np.random.default_rng(100 + k))
-    res = thermo_balance_residual(fields, _thermo_U, _thermo_Phi, grid)
-    ref = _ref_thermo_residual(fields, _thermo_U, _thermo_Phi, grid)
-    blocks = ("c_xi", "c_beta", "c_V", "b_N", "b_T", "b_P")
-    for name, got in zip(blocks, (res.constitutive_xi, res.constitutive_beta, res.constitutive_V,
-                                  res.balance_N, res.balance_T, res.balance_P)):
-        assert got.shape == ref[name].shape and got.tobytes() == ref[name].tobytes(), name
-    # the entropy source is summed in the chart's row-major order, as map_residual sums it,
-    # where the loop sums it block by block: the two agree to rounding
-    for name, got in (("e_std", res.entropy_standard), ("e_ev", res.entropy_evolution)):
-        assert np.all(np.abs(got - ref[name]) <= 1e-13 * np.abs(ref[name])), name
-
-
-@pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("mode", ["standard", "evolution"])
-def test_thermo_blocks_are_the_map_residual_equations_bit_for_bit(k, mode):
-    # one derivation: on the packed map, the blocks reduce to map_residual's per-node triple
+def test_thermo_residual_matches_the_per_node_loop(k, mode):
     grid = GridSpec([0.0] * k, [0.07] * k, [5 - (k == 3)] * k)
     fields = _thermo_random_fields(grid, np.random.default_rng(100 + k))
-    res = thermo_balance_residual(fields, _thermo_U, _thermo_Phi, grid)
-    q = np.concatenate([fields.xi[..., None], fields.beta, fields.V[..., None]], axis=-1)
-    p = np.concatenate([fields.N[..., None], -np.swapaxes(fields.T, -1, -2), fields.P[..., None]], axis=-1)
-    psi = kc.SolutionMap(corpus.thermo_chart(k), grid, q, p, fields.S)
-    h = kc.ScalarField(corpus.thermo_chart(k), corpus._thermo_fn(k, _thermo_U, _thermo_Phi))
-    want = kc.map_residual(psi, h, mode)
-    entropy = res.entropy_standard if mode == "standard" else res.entropy_evolution
-    constitutive = np.concatenate([res.constitutive_xi, res.constitutive_beta.reshape(grid.shape + (-1,)),
-                                   res.constitutive_V], axis=-1)
-    balance = np.concatenate([res.balance_N[..., None], res.balance_T, res.balance_P[..., None]], axis=-1)
-    for name, got, ref in (("r_z", np.abs(entropy), want.r_z),
-                           ("r_q", np.max(np.abs(constitutive), axis=-1), want.r_q),
-                           ("r_p", np.max(np.abs(balance), axis=-1), want.r_p)):
-        assert got.shape == ref.shape and got.tobytes() == ref.tobytes(), name
+    res = _thermo_residual(fields, _thermo_U, _thermo_Phi, grid, mode)
+    ref = _ref_thermo_residual(fields, _thermo_U, _thermo_Phi, grid)
+    # r_q is the largest constitutive block and r_p the largest balance block, as the loop gives them
+    for name, got, blocks in (("r_q", res.r_q, (ref["c_xi"], ref["c_beta"], ref["c_V"])),
+                              ("r_p", res.r_p, (ref["b_N"][..., None], ref["b_T"], ref["b_P"][..., None]))):
+        want = np.max(np.abs(np.concatenate([b.reshape(grid.shape + (-1,)) for b in blocks], axis=-1)), axis=-1)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+    # the entropy source is summed in the chart's row-major order, where the loop sums it
+    # block by block: the two agree to rounding
+    want = np.abs(ref["e_std" if mode == "standard" else "e_ev"])
+    assert res.r_z.shape == want.shape and np.all(np.abs(res.r_z - want) <= 1e-13 * want)
 
 
-def test_thermo_residual_lanes_give_the_node_by_node_values():
+@pytest.mark.parametrize("mode", ["standard", "evolution"])
+def test_thermo_residual_lanes_give_the_node_by_node_values(mode):
     # float() sends the pass node by node: the values are those of the lane pass
     k = 2
     grid = GridSpec([0.0] * k, [0.07] * k, [4, 5])
@@ -472,8 +458,8 @@ def test_thermo_residual_lanes_give_the_node_by_node_values():
     def U_float(xi, beta, V):
         return _thermo_U(xi, beta, V) + 0.0 * float(xi)
 
-    lanes = thermo_balance_residual(fields, _thermo_U, _thermo_Phi, grid)
-    nodes = thermo_balance_residual(fields, U_float, _thermo_Phi, grid)
+    lanes = _thermo_residual(fields, _thermo_U, _thermo_Phi, grid, mode)
+    nodes = _thermo_residual(fields, U_float, _thermo_Phi, grid, mode)
     for a, b in zip(vars(lanes).values(), vars(nodes).values()):
         assert a.tobytes() == b.tobytes()
 
@@ -484,21 +470,7 @@ def test_thermo_non_finite_field_raises_shape_error(name):
     fields = _thermo_random_fields(grid, np.random.default_rng(3))
     getattr(fields, name)[(2, 1)] = np.nan
     with pytest.raises(kc.ShapeError, match="non-finite"):
-        thermo_balance_residual(fields, _thermo_U, _thermo_Phi, grid)
-
-
-_THERMO_BLOCKS = ("constitutive_xi", "constitutive_beta", "constitutive_V",
-                  "balance_N", "balance_T", "balance_P")
-
-
-@pytest.mark.parametrize("block", _THERMO_BLOCKS)
-def test_thermo_maxima_keep_a_nan_of_any_block(block):
-    grid = GridSpec([0.0, 0.0], [0.1, 0.1], [4, 4])
-    res = thermo_balance_residual(_const_fields(grid, 2), U=lambda *a: 0.0, Phi=lambda *a: 0.0, grid=grid)
-    getattr(res, block)[(1, 2)] = np.nan
-    constitutive = block.startswith("constitutive")
-    assert np.isnan(res.max_constitutive() if constitutive else res.max_balance())
-    assert (res.max_balance() if constitutive else res.max_constitutive()) == 0.0
+        _thermo_residual(fields, _thermo_U, _thermo_Phi, grid, "standard")
 
 
 @pytest.mark.parametrize("call, error, message", [

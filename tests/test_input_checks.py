@@ -124,6 +124,14 @@ def _sample_rows_error(call, samples, message):
     return lambda: call(samples), kc.ContractError, message
 
 
+def _fibre(**options):
+    return kc.invert_fibre_derivative(_tel()[0], [1.0], [0.0, 0.0], [[0.3], [0.4]], [[0.0], [0.0]], **options)
+
+
+def _integer(name, value):
+    return kc.ContractError, re.escape(f"{name} must be an integer >= 0, got {value!r}")
+
+
 CASES = {
     "grid lengths": (lambda: GridSpec([0.0, 0.0], [0.1], [3, 3]),
                      kc.ShapeError, "inconsistent lengths"),
@@ -253,6 +261,31 @@ CASES = {
         kc.ContractError, r"^\[stage hj\] sample count must be an integer >= 0, got -1"),
     "sampling box count below zero": (lambda: sample_box([(0.0, 1.0)], -1, np.random.default_rng(0)),
                                       kc.ContractError, "sample count must be an integer >= 0, got -1"),
+    # a bool is an int to Python but no count: each refused by name, not by numpy's TypeError
+    "boolean sample count": (lambda: kc.hj_classical_zind(*_tel(), count=True), *_integer("sample count", True)),
+    "boolean sampling box count": (lambda: sample_box([(0.0, 1.0)], False, np.random.default_rng(0)),
+                                   *_integer("sample count", False)),
+    "complete family boolean sample count": (
+        lambda: kc.verify_complete(_tel_family(), _tel()[0], "standard", np.zeros((1, 2)), count=True),
+        *_integer("sample count", True)),
+    "end-to-end boolean sample count": (
+        lambda: kc.end_to_end(*_tel(), "standard", GRID, [1.0], hj_count=True),
+        kc.ContractError, r"^\[stage hj\] sample count must be an integer >= 0, got True"),
+    "boolean sampling seed": (lambda: kc.hj_classical_zind(*_tel(), seed=True),
+                              kc.ContractError, "sampling seed must be None or an integer >= 0, got True"),
+    "boolean steps per cell": (lambda: kc.integral_section(FIELD, [1.0], GRID, steps_per_cell=True),
+                               kc.ContractError, "steps_per_cell must be an integer >= 1, got True"),
+    "fractional fibre iteration count": (lambda: _fibre(max_iter=2.5), *_integer("max_iter", 2.5)),
+    "boolean fibre iteration count": (lambda: _fibre(max_iter=True), *_integer("max_iter", True)),
+    "negative fibre iteration count": (lambda: _fibre(max_iter=-1), *_integer("max_iter", -1)),
+    "negative fibre tolerance": (lambda: _fibre(tol=-1), *_tolerance("tol", -1)),
+    "NaN fibre tolerance": (lambda: _fibre(tol=np.nan), *_tolerance("tol", np.nan)),
+    "negative regularity tolerance": (
+        lambda: kc.check_regularity(_tel()[0], kc.DarbouxPoint([0.3], [[0.1], [0.2]], [0.0, 0.0]), rtol=-1),
+        *_tolerance("rtol", -1)),
+    "evolution lift tolerance as text": (
+        lambda: kc.evolution_lift(_tel()[0], kc.canonical_kvf(_tel()[0], "evolution"), check_tol="x"),
+        *_tolerance("check_tol", "x")),
     "grid without a direction": (lambda: GridSpec([], [], []), kc.ShapeError,
                                  r"grids need one node count per direction, at least one, got \[\]"),
     "fractional grid counts": (lambda: GridSpec([0.0, 0.0], [0.1, 0.1], [3.5, 4]), kc.ShapeError,
