@@ -41,8 +41,8 @@ EXIT_CONTRACT = 3
 EXIT_DIVERGENCE = 4
 EXIT_INTEGRABILITY = 5
 
-_CELL = "{:.17g}"  # one psi.csv cell: 17 significant digits, which read back as the same float
-_fmt = _CELL.format
+_CELL = "%.17g"  # one psi.csv cell: 17 significant digits, which read back as the same float
+_fmt = _CELL.__mod__
 
 
 def _json_dump(obj, path: Path = None) -> str:
@@ -271,9 +271,8 @@ def _csv_solution(psi, res, path: Path):
     T = _nodes(psi.grid)  # one row per node, in node order
     table = np.concatenate([T] + [a.reshape(len(T), -1) for a in (psi.q, psi.p, psi.z)]
                            + [np.stack([res.r_q, res.r_p, res.r_z], axis=-1).reshape(len(T), 3)], axis=1)
-    row = ",".join([_CELL] * len(cols)).format  # one call per row, each cell as _fmt writes it
-    lines = [",".join(cols)] + [row(*values) for values in table.tolist()]
-    path.write_text("\r\n".join(lines) + "\r\n", encoding="utf-8")
+    rows = (",".join([_CELL] * len(cols)) + "\r\n") * len(T)  # one % pass, each cell as _fmt writes it
+    path.write_text(",".join(cols) + "\r\n" + rows % tuple(table.ravel().tolist()), encoding="utf-8")
 
 
 # -- gauge -------------------------------------------------------------------

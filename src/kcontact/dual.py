@@ -63,6 +63,9 @@ every other operation is a helper bound by name, and the constants come in as an
 argument.  On lanes a test with another answer or a failed helper raises
 :class:`_Unbatchable`, so :func:`_rows` falls back as before; on floats any failure
 runs the recorded function on that row instead.
+A replay on recorded values (lanes holding registers) logs its kept operations onto that
+recording, the constants as floats; a test with another answer raises :class:`_Unbatchable`
+there.  So an RK4 step is recorded from its field's evaluation program, not four dual passes.
 A function that reads lane values otherwise (``float()``, :func:`_vmax`, numpy)
 records no program and runs as it is.  A float replay computes in Python floats, which
 overflow without an error: there a non-finite value meets the site's own test (the RK4
@@ -594,7 +597,7 @@ class _Reg:
     __sub__, __rsub__ = _logged(operator.sub), _logged(operator.sub, True)
     __mul__, __rmul__ = _logged(operator.mul), _logged(operator.mul, True)
     __truediv__, __rtruediv__ = _logged(operator.truediv), _logged(operator.truediv, True)
-    __neg__ = _logged(operator.neg)
+    __neg__, __abs__ = _logged(operator.neg), _logged(abs)
     __lt__, __le__, __gt__, __ge__, __eq__, __ne__ = (_logged(op, test=True) for op in list(_TEXT)[6:])
 
 
@@ -628,8 +631,10 @@ def _program(fn, x0):
 
     def replay(x):
         if isinstance(x[0], _Lanes):  # on m lanes the constants the steps read are arrays
-            x, m = [v.v for v in x], len(x[0].v)
-            if m not in wide:
+            x = [v.v for v in x]
+            if isinstance(x[0], _Reg):  # on recorded values the steps log onto that recording
+                return [_Lanes(v) if isinstance(v, _Reg) else v for v in on_lanes(x, consts)]
+            if (m := len(x[0])) not in wide:
                 full = {c.hex(): np.full(m, c) for c, w in zip(consts, lane_wide) if w}
                 wide[m] = [full[c.hex()] if w else c for c, w in zip(consts, lane_wide)]
             return [_Lanes(v) if isinstance(v, np.ndarray) else v for v in on_lanes(x, wide[m])]

@@ -15,7 +15,10 @@ cannot take them together, the rows run one by one, which gives the scalar
 values or error.
 One RK4 step per direction (:func:`_rk4_step`) is recorded at the start point
 and replayed on every line and on the reversed corner path
-(:func:`kcontact.dual._program`).
+(:func:`kcontact.dual._program`).  It is recorded from the recording of the
+direction's evaluation, replayed at its four stage points, so the field's dual
+passes run once, not four times; where a test there answers otherwise, the step
+is recorded directly, and without an evaluation program it runs unrecorded.
 """
 
 from __future__ import annotations
@@ -159,8 +162,10 @@ def integral_section(
 
     # One step per direction, recorded at the start, which begins the first line of every
     # direction, and replayed on every line of the sweeps and of the reversed corner path.
+    evals = [dm._program(partial(f.eval, a), start) for a in range(k)]
     steps = [partial(_rk4_step, f, a, grid.spacing[a] / steps_per_cell) for a in range(k)]
-    steps = [dm._program(step, start) or step for step in steps]
+    steps = [ev and (dm._program(partial(_rk4_step, BaseField(f.dim, evals), *s.args[1:]), start)
+                     or dm._program(s, start)) or s for ev, s in zip(evals, steps)]
     values = np.empty(grid.shape + (f.dim,))
     values[(0,) * k] = start
     for axis in range(k):

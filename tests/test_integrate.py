@@ -15,7 +15,7 @@ import kcontact as kc
 from kcontact import corpus
 from kcontact import dual as dm
 from kcontact.grids import BaseField, BaseMap, GridSpec
-from kcontact.integrate import DEFAULT_TOLERANCES, _integrate_path
+from kcontact.integrate import DEFAULT_TOLERANCES, _integrate_path, _rk4_step
 
 CH12 = kc.ChartSpec(1, 2)
 
@@ -542,15 +542,47 @@ def test_end_to_end_computes_the_start_commutator_defect_once(monkeypatch):
 
 # -- one RK4 step recorded per direction and replayed on every line ------------------
 
-def programs_made(monkeypatch):
-    """The programs ``dual._program`` gives from here on, None where it refuses one."""
+def programs_made(monkeypatch, tried=None):
+    """The RK4 step programs ``dual._program`` gives from here on, None where it refuses one.
+    The programs of each direction's evaluation, from which its step is recorded, are left
+    out; ``tried``, when given, collects the direction of every recording, of either kind."""
     made, record = [], dm._program
-    monkeypatch.setattr(dm, "_program", lambda fn, x0: made.append(record(fn, x0)) or made[-1])
+
+    def program(fn, x0):
+        step = fn.func is _rk4_step
+        if tried is not None:
+            tried.append(fn.args[1] if step else fn.args[0])
+        prog = record(fn, x0)
+        if step:
+            made.append(prog)
+        return prog
+
+    monkeypatch.setattr(dm, "_program", program)
     return made
 
 
 def recording_refused():
     return mock.patch.object(dm, "_program", lambda fn, x0: None)
+
+
+def composing_refused():
+    """Each direction's evaluation program refuses to run on recorded values, as where one of
+    its tests answers otherwise there, so that every RK4 step is recorded directly."""
+    record = dm._program
+
+    def program(fn, x0):
+        prog = record(fn, x0)
+        if prog is None or fn.func is _rk4_step:
+            return prog
+
+        def replay(x):
+            if isinstance(x[0], dm._Lanes) and isinstance(x[0].v, dm._Reg):
+                raise dm._Unbatchable("refused on recorded values")
+            return prog(x)
+
+        return replay
+
+    return mock.patch.object(dm, "_program", program)
 
 
 def exact_lines(axis0, axis1, counts=(4, 5)):
@@ -600,9 +632,11 @@ def test_a_non_finite_point_inside_a_replayed_step_raises_the_scalar_shape_error
 ])
 def test_a_field_using_float_or_vmax_records_no_program(speed, monkeypatch):
     f, grid = exact_lines([1.0, 0.0], lambda x: [0.0, speed(x)])
-    made = programs_made(monkeypatch)
+    tried = []
+    made = programs_made(monkeypatch, tried)
     values = kc.integral_section(f, [0.0, 1.0], grid, order_tol=math.inf).values
-    assert made[0] is not None and made[1] is None
+    # direction 1's evaluation records no program, and its step is not tried after that
+    assert len(made) == 1 and made[0] is not None and tried.count(1) == 1
     assert np.array_equal(values, per_line_values(f, [0.0, 1.0], grid))
 
 
@@ -663,6 +697,51 @@ def test_end_to_end_is_the_same_with_recording_refused(name, key, mode, data):
     got = _end_to_end_outcome(run)
     with recording_refused():
         assert _end_to_end_outcome(run) == got
+
+
+@pytest.mark.parametrize("name, key, mode", SIMULATED)
+def test_composed_direct_and_unrecorded_steps_integrate_the_same_bits(name, key, mode, monkeypatch):
+    ex = corpus.load(name)
+    entry = ex.sections[key]
+    P = dict(entry.defaults)
+    gamma, h = entry.build(P), ex.hamiltonian({k: v for k, v in P.items() if k in ex.defaults})
+    C, sim = entry.gauge(P) if entry.gauge else None, entry.sim
+    f = kc.project_Q(h, gamma) if C is None else kc.project_zdep(h, gamma, C)
+    grid = GridSpec(sim["origin"], sim["spacing"], sim["counts"])
+    made = programs_made(monkeypatch)
+
+    def integrated():
+        del made[:]
+        sigma = kc.integral_section(f, sim["start"], grid, order_tol=math.inf)
+        return sigma.values.tobytes(), sigma.derivatives().tobytes(), sigma.notes
+
+    def pipeline():
+        return _end_to_end_outcome(lambda: kc.end_to_end(h, gamma, mode, grid, start=sim["start"], C=C,
+                                                         hj_count=20, tolerances={"hj": math.inf}))
+
+    composed = integrated()
+    assert len(made) == grid.k and None not in made
+    report = pipeline()
+    with composing_refused():
+        assert integrated() == composed
+        assert made[::2] == [None] * grid.k and None not in made[1::2]  # each recorded directly
+        assert pipeline() == report
+    with recording_refused():
+        assert integrated() == composed and pipeline() == report
+
+
+def test_a_branch_answering_otherwise_at_a_stage_point_records_the_step_directly(monkeypatch):
+    # x1 starts below the cut at 1.01, which the k2 point of the first direction-1 step,
+    # x1 = 1 + 0.5 * 0.0625 * 1, is past: the evaluation recorded at the start cannot serve there
+    f, grid = exact_lines([1.0, 0.0], lambda x: [0.0, 1.0 + x[0] if x[1] < 1.01 else 0.5])
+    made = programs_made(monkeypatch)
+    sigma = kc.integral_section(f, [0.0, 1.0], grid, order_tol=math.inf)
+    assert len(made) == 3 and made[1] is None and None not in made[::2]
+    with recording_refused():
+        ref = kc.integral_section(f, [0.0, 1.0], grid, order_tol=math.inf)
+    assert sigma.values.tobytes() == ref.values.tobytes() and sigma.notes == ref.notes
+    assert sigma.derivatives().tobytes() == ref.derivatives().tobytes()
+    assert np.array_equal(sigma.values, per_line_values(f, [0.0, 1.0], grid))
 
 
 @pytest.mark.parametrize("comp", [
