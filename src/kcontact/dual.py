@@ -33,21 +33,20 @@ checks of sections, the section and round-trip checks of complete families,
 the RK4 lines of an integral section, its node derivatives, the section points
 and Jacobians of a lift, h and its gradient on the nodes of a map residual and
 of a second-order balance, the residual and Hessian passes of the batched
-fibre-inversion Newton) goes through one helper, :func:`_rows`.
-It runs a per-row function on all rows as lanes, in passes of up to
-``_LANE_CHUNK`` rows; when a pass raises, a result is not finite or a row
-fails the site's predicate, it runs the rows one by one in row order
-instead, which reproduces the scalar values and the first scalar error,
-and stops after the first row that fails the predicate.  A single row
-always runs as floats.  Sampling a closed form on the nodes of a grid (the
-values and exact Jacobians of a closed solution or base map, a reference, a
-closed derivative) runs the same lane pass, :func:`_lane_rows`, first on two
-nodes and then on the others; when a pass fails, the sampler calls the closed
-form once per node in node order, so a closure that refuses lanes pays one
-failed pass over two nodes.  Every row that runs one at a time, there or in
-:func:`_rows`, goes through :func:`_scalar_rows` as a row of numpy floats under
-the lane pass's error state: an overflow, invalid operation or zero divisor
-raises :class:`~kcontact.errors.ShapeError` naming the row or the grid node.
+fibre-inversion Newton) goes through one helper, :func:`_rows`.  It runs a per-row
+function on all rows as lanes, in passes of up to ``_LANE_CHUNK`` rows (one pass hands
+back its C-contiguous array as it is); when a pass raises, a result is not finite or a row
+fails the site's predicate, it runs the rows one by one in row order instead, which
+reproduces the scalar values and the first scalar error, and stops after the first row
+that fails the predicate.  A single row always runs as floats.  Sampling a closed form on
+the nodes of a grid (the values and exact Jacobians of a closed solution or base map, a
+reference, a closed derivative) runs the same lane pass, :func:`_lane_rows`, first on two
+nodes and then on the others; when a pass fails, the sampler calls the closed form once
+per node in node order, so a closure that refuses lanes pays one failed pass over two
+nodes.  Every row that runs one at a time, there or in :func:`_rows`, goes through
+:func:`_scalar_rows` as a row of numpy floats under the lane pass's error state: an
+overflow, invalid operation or zero divisor raises :class:`~kcontact.errors.ShapeError`
+naming the row or the grid node.
 
 Record once, replay many.  A site that runs one per-row function many times (an
 RK4 step on every line, a Newton pass on every node) records it at one row with
@@ -405,7 +404,8 @@ def _lanes(fn, X: np.ndarray):
     """
     try:
         with np.errstate(**_ERRSTATE):
-            return np.concatenate([fn(X[i:i + _LANE_CHUNK]) for i in range(0, len(X), _LANE_CHUNK)])
+            parts = [fn(X[i:i + _LANE_CHUNK]) for i in range(0, len(X), _LANE_CHUNK)]
+            return parts[0] if len(parts) == 1 else np.concatenate(parts)
     except Exception:  # noqa: BLE001 - the row-by-row path is the reference
         return None
 
@@ -416,12 +416,15 @@ def _lanes_of(X) -> list:
 
 
 def _lane_array(x, m: int) -> np.ndarray:
-    """The output of a lane pass as floats, lanes first: a number or lanes
+    """The output of a lane pass as a C-contiguous float array, lanes first: a number or lanes
     (a plain number is broadcast), or nested sequences of them."""
-    if isinstance(x, (list, tuple, np.ndarray)):
-        return np.stack([_lane_array(v, m) for v in x], axis=1)
-    x = _strip(x)
-    return x.v if isinstance(x, _Lanes) else np.full(m, float(x))
+    def lanes_last(x):
+        if isinstance(x, (list, tuple, np.ndarray)):
+            return [lanes_last(v) for v in x]
+        x = _strip(x)
+        return x.v if isinstance(x, _Lanes) else np.full(m, float(x))
+    a = np.array(lanes_last(x))
+    return np.ascontiguousarray(a.transpose((a.ndim - 1, *range(a.ndim - 1))))
 
 
 def _rows(fn, X: np.ndarray, ok=None) -> np.ndarray:
@@ -465,7 +468,7 @@ def _lane_rows(fn, X: np.ndarray, ok=None):
     """The lane pass of :func:`_rows`: its result, or ``None`` when a pass raised, a result is
     not finite or a row fails ``ok``."""
     out = _lanes(lambda C: _lane_array(fn(_lanes_of(C)), len(C)), X)
-    return out if out is not None and np.all(np.isfinite(out)) and (ok is None or np.all(ok(out))) else None
+    return out if out is not None and np.isfinite(out).all() and (ok is None or np.all(ok(out))) else None
 
 
 def _object_array(x) -> np.ndarray:

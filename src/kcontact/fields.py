@@ -159,11 +159,17 @@ def check_regularity(h: ScalarField, pt: DarbouxPoint, rtol: float = 1e-9):
 
 
 def _newton_steps(H, R, singular):
-    """The Newton steps H_i^-1 r_i of stacked Hessians, each as a one-matrix solve gives it;
-    ``singular(i)`` for the first row i whose Hessian fails the SVD test or the solver."""
+    """The Newton steps H_i^-1 r_i of stacked (d x d) Hessians, each as a one-matrix solve gives it;
+    ``singular(i)`` for the first row i whose Hessian fails the SVD test or the solver.  A stack
+    with |det H| > 1e-12 max(|H|_F, 1) |H|_F^(d-1) on every row passes that test, sigma_min > 1e-14
+    max(sigma_max, 1), by a factor of 100 (sigma_max <= |H|_F, sigma_min >= |det H| / sigma_max^(d-1)),
+    so it takes no SVD; any other stack (undecided, near-singular or not finite) takes the test."""
+    with np.errstate(all="ignore"):  # a near-singular or non-finite stack only fails the screen
+        f = np.sqrt(np.einsum("ijk,ijk->i", H, H))
+        regular = (abs(np.linalg.det(H)) > 1e-12 * np.maximum(f, 1.0) * f ** (H.shape[-1] - 1)).all()
     try:
-        sv = np.linalg.svd(H, compute_uv=False)
-        if np.all(sv[:, -1] > 1e-14 * np.maximum(sv[:, 0], 1.0)):
+        sv = None if regular else np.linalg.svd(H, compute_uv=False)
+        if regular or np.all(sv[:, -1] > 1e-14 * np.maximum(sv[:, 0], 1.0)):
             return np.linalg.solve(H, R[..., None])[..., 0]
     except np.linalg.LinAlgError:  # a non-finite Hessian, or one the solver finds singular
         pass
@@ -197,50 +203,55 @@ def _newton(h: ScalarField, Q, Z, V, P, tol: float = 1e-12, max_iter: int = 50, 
     """The momenta solving d h / d p = v at fixed (q, z), one node per row of (Q, Z, V), from
     the starts P (momenta and v flattened row-major): damped Newton, with per-row state.
 
-    The rows not yet converged (the active set) share each pass (``passes``, default
-    :func:`_newton_passes`) as lanes of :func:`kcontact.dual._rows`, so every row takes the
-    iterates of a one-row call, which runs as floats.  The fused pass gives the residuals and
-    Hessians at the starts, then the Hessians of the rows that moved; if it raises at the starts,
-    the residual pass runs there first.  An error names the first failing row of the failing
-    pass with the suffix ``where(row)``.
+    The rows whose residual is not yet <= ``tol`` (the active set) share each pass (``passes``,
+    default :func:`_newton_passes`) as lanes of :func:`kcontact.dual._rows`, read from one (q, z, p)
+    buffer, so every row takes the iterates of a one-row call, which runs as floats.  While all rows
+    take part, an iteration runs on whole arrays: the set is indexed once a row converges or halves.
+    The fused pass gives the residuals and Hessians at the starts, then the Hessians of the rows that
+    moved; if it raises at the starts, the residual pass runs there first.  An error names the first
+    failing row of the failing pass with the suffix ``where(row)``.
     """
     n, k = h.chart.n, h.chart.k
-    QZ = np.concatenate([np.asarray(Q, dtype=float), np.asarray(Z, dtype=float)], axis=1)
-    p, V = np.array(P, dtype=float), np.asarray(V, dtype=float)
+    X = np.concatenate([np.asarray(a, dtype=float) for a in (Q, Z, P)], axis=1)
+    p, V, m = X[:, n + k:], np.asarray(V, dtype=float), len(X)  # p: the momenta of every pass
     grad_pass, fused_pass = passes or _newton_passes(h)
 
-    def run(fn, rows, ps):  # one pass: the residuals, their sup norms, then the flat Hessians if any
-        F = dm._rows(fn, np.concatenate([QZ[rows], ps], axis=1))
+    def part(idx, size):  # the rows ``idx`` of ``size`` rows: a slice while they are all of them
+        return slice(None) if len(idx) == size else idx
+
+    def run(fn, rows):  # one pass: the residuals, their sup norms, then the flat Hessians if any
+        F = dm._rows(fn, X[rows])
         R = F[:, :k * n] - V[rows]
-        return R, np.max(np.abs(R), axis=1), F[:, k * n:]
+        return R, np.abs(R).max(axis=1), F[:, k * n:]
 
     try:
-        res, rnorm, H = run(fused_pass, np.arange(len(p)), p)
+        res, rnorm, H = run(fused_pass, slice(None))
     except Exception:  # noqa: BLE001 - residuals first, then Hessians of the active rows only
-        res, rnorm, H = *run(grad_pass, np.arange(len(p)), p)[:2], None
+        res, rnorm, H = *run(grad_pass, slice(None))[:2], None
     for _ in range(max_iter):
-        act = np.flatnonzero(~(rnorm < tol))
+        act = (~(rnorm <= tol)).nonzero()[0]
         if not len(act):
             break
-        H = (run(fused_pass, act, p[act])[2] if H is None else H[act]).reshape(len(act), k * n, k * n)
-        step = _newton_steps(H, res[act], lambda i: RegularityError(
+        rows = part(act, m)
+        H = (run(fused_pass, rows)[2] if H is None else H[rows]).reshape(len(act), k * n, k * n)
+        step = _newton_steps(H, res[rows], lambda i: RegularityError(
             f"fibre Hessian is singular during Newton iteration{where(act[i])}"))
-        trial, tres, tnorm = p[act], res[act], rnorm[act]
-        scale, halving = np.ones(len(act)), np.arange(len(act))
+        p0, r0, halving, scale = p[rows].copy(), rnorm[rows].copy(), np.arange(len(act)), 1.0
         for _ in range(10):  # halve the steps of the rows whose residual did not decrease
-            rows = act[halving]
-            trial[halving] = p[rows] - scale[halving, None] * step[halving]
-            tres[halving], tnorm[halving], _ = run(grad_pass, rows, trial[halving])
-            halving = halving[~((tnorm[halving] < rnorm[rows]) | (tnorm[halving] < tol))]
+            loc = part(halving, len(act))
+            trial = part(act[loc], m)
+            p[trial] = p0[loc] - scale * step[loc]
+            res[trial], rnorm[trial], _ = run(grad_pass, trial)
+            halving = halving[~((rnorm[trial] < r0[loc]) | (rnorm[trial] <= tol))]
             if not len(halving):
                 break
-            scale[halving] *= 0.5
-        p[act], res[act], rnorm[act], H = trial, tres, tnorm, None
-    if not np.all(rnorm < tol):
-        i = np.flatnonzero(~(rnorm < tol))[0]
+            scale *= 0.5
+        H = None
+    if not (rnorm <= tol).all():
+        i = np.flatnonzero(~(rnorm <= tol))[0]
         raise SolverError(f"fibre-derivative inversion did not converge (last residual {rnorm[i]:.3e})"
                           f"{where(i)}", residual=float(rnorm[i]))
-    return p
+    return p.copy()
 
 
 def invert_fibre_derivative(

@@ -351,6 +351,37 @@ def test_rows_run_as_lanes_in_chunks(rng):
     assert np.array_equal(dm._rows(lambda r: 2.0, X[:3]), [2.0, 2.0, 2.0])
 
 
+def _stacked(x, m):
+    """A lane pass's output lanes first, stacked level by level (``np.stack(..., axis=1)``)."""
+    if isinstance(x, (list, tuple, np.ndarray)):
+        return np.stack([_stacked(v, m) for v in x], axis=1)
+    x = dm._strip(x)
+    return x.v if isinstance(x, dm._Lanes) else np.full(m, float(x))
+
+
+def test_lane_array_gives_the_bytes_of_stacking_each_level(rng):
+    m = 24
+    L = [dm._Lanes(2.0 * rng.random(m) - 1.0) for _ in range(6)]
+    dual = dm.Dual(dm.Dual(L[0], (L[1], 0.5), 90), (L[2],), 91)  # duals over lanes: their values
+    for x in (L[0], [L[0], L[1]], [[L[0], L[1]], [L[2], L[3]]],  # nested outputs
+              [1.5, L[0], 2],  # plain numbers broadcast across the lanes
+              [[L[0], L[1]], [L[2], 0.25], [L[4], L[5]]],  # a (k, n) = (3, 2) block
+              [dual, L[3]], dm._object_array([[L[0], 3.0], [L[1], L[2]]])):
+        got, want = dm._lane_array(x, m), _stacked(x, m)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert got.flags["C_CONTIGUOUS"] and got.dtype == np.float64
+
+
+def test_rows_in_several_passes_give_the_bytes_of_one_pass(monkeypatch, rng):
+    X = 2.0 * rng.random((7, 2)) - 1.0
+    f, calls = _counting(lambda r: [[r[0] * r[1], 1.0], [dm.exp(r[0]), r[1] / 3.0]])
+    one = dm._rows(f, X)
+    monkeypatch.setattr(dm, "_LANE_CHUNK", 3)
+    chunked = dm._rows(f, X)
+    assert calls == [True, True, True, True]  # one pass, then passes of 3, 3 and 1 rows
+    assert chunked.shape == one.shape == (7, 2, 2) and chunked.tobytes() == one.tobytes()
+
+
 def test_a_failing_last_pass_runs_every_row_one_by_one(rng):
     m = 2 * dm._LANE_CHUNK + 2  # the last pass holds two rows
     X = 0.5 + rng.random((m, 1))

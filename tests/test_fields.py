@@ -166,7 +166,7 @@ def _scalar_newton(h, q, z, v, p, tol=1e-12, max_iter=50):
     res = np.asarray(fields._p_grad(h, qf, zf, p), dtype=float) - v
     rnorm, steps, halvings = float(np.max(np.abs(res))), 0, 0
     for _ in range(max_iter):
-        if rnorm < tol:
+        if rnorm <= tol:
             break
         H = fields._p_hess(h, qf, zf, p)
         sv = np.linalg.svd(H, compute_uv=False)
@@ -176,11 +176,11 @@ def _scalar_newton(h, q, z, v, p, tol=1e-12, max_iter=50):
             trial = p - scale * step
             tres = np.asarray(fields._p_grad(h, qf, zf, trial), dtype=float) - v
             tnorm = float(np.max(np.abs(tres)))
-            if tnorm < rnorm or tnorm < tol:
+            if tnorm < rnorm or tnorm <= tol:
                 break
             scale, halvings = scale * 0.5, halvings + 1
         p, res, rnorm = trial, tres, tnorm
-    assert rnorm < tol
+    assert rnorm <= tol
     return p, steps, halvings
 
 
@@ -207,7 +207,8 @@ def _random_nodes(h, rng, count):
     return Q, Z, V, P0
 
 
-@pytest.mark.parametrize("name", ["hunter-saxton", "telegrapher", "membrane", "saturating"])
+@pytest.mark.parametrize("name", ["hunter-saxton", "telegrapher", "membrane", "saturating",
+                                  "telegrapher-quadratic-z", "thermo-eit"])
 def test_batched_newton_rows_reproduce_the_scalar_iteration(name, rng):
     h = _saturating() if name == "saturating" else corpus.load(name).hamiltonian()
     k, n = h.chart.k, h.chart.n
@@ -286,6 +287,66 @@ def test_a_one_iteration_inversion_makes_two_row_passes(monkeypatch):
     p = kc.invert_fibre_derivative(h, q, z, v, p0)
     assert passes == [1, 1]
     assert p.reshape(-1).tobytes() == _scalar_newton(h, q, z, v, p0)[0].tobytes()
+
+
+def test_a_face_solve_makes_two_row_passes_one_solve_and_no_svd(monkeypatch, rng):
+    # a 24-row telegrapher face: h is quadratic in p, so one full step lands every row; its
+    # Hessians pass the determinant screen, so the stacked step takes no SVD
+    h = corpus.load("telegrapher").hamiltonian()
+    Q, Z, V, P0 = _random_nodes(h, rng, 24)
+    want = [_scalar_newton(h, Q[i], Z[i], V[i], P0[i]) for i in range(24)]
+    assert {steps for _, steps, _ in want} == {1}
+    calls = {"rows": [], "solve": [], "svd": []}  # the rows of each pass and of each stacked call
+    rows, solve, svd = dm._rows, np.linalg.solve, np.linalg.svd
+    monkeypatch.setattr(dm, "_rows", lambda fn, X, ok=None: calls["rows"].append(len(X)) or rows(fn, X, ok))
+    monkeypatch.setattr(np.linalg, "solve", lambda H, *a: calls["solve"].append(len(H)) or solve(H, *a))
+    monkeypatch.setattr(np.linalg, "svd", lambda H, **kw: calls["svd"].append(len(H)) or svd(H, **kw))
+    P = fields._newton(h, Q, Z, V, P0)
+    assert calls == {"rows": [24, 24], "solve": [24], "svd": []}
+    for i in range(24):
+        assert P[i].tobytes() == want[i][0].tobytes()
+
+
+def test_a_zero_tolerance_converges_on_an_exact_residual():
+    h = corpus.load("telegrapher").hamiltonian()
+    p = kc.invert_fibre_derivative(h, [1.0], [0.0, 0.0], [[2.0], [3.0]], [[0.0], [0.0]], tol=0.0)
+    assert p.tolist() == [[2.0], [-3.0]]
+
+
+def _thin(eps):
+    """h = p_1^2 / 2 + eps(q) p_2^2 / 2 + 0.1 q p_1: its fibre Hessian is diag(1, eps(q))."""
+    return kc.ScalarField(CH12, lambda pt: 0.5 * pt.p[0, 0] ** 2 + 0.5 * eps(pt.q[0]) * pt.p[1, 0] ** 2
+                          + 0.1 * pt.q[0] * pt.p[0, 0])
+
+
+@pytest.mark.parametrize("rows", [1, 24])
+@pytest.mark.parametrize("eps, regular", [(1e-13, True), (2e-14, True), (5e-15, False)])
+def test_the_singularity_rule_holds_through_the_determinant_screen(monkeypatch, rows, eps, regular):
+    # |det H| = eps is below the screen's 1e-12 bound at all three, so the SVD rule decides:
+    # sigma_min = eps against 1e-14 sigma_max
+    h = _thin(lambda q: eps)
+    Q, Z = np.linspace(-1.0, 1.0, rows)[:, None], np.zeros((rows, 2))
+    V, P0 = np.tile([0.3, 0.0], (rows, 1)), np.zeros((rows, 2))
+    svd, calls = np.linalg.svd, []
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: calls.append(1) or svd(*a, **kw))
+    if not regular:
+        with pytest.raises(kc.RegularityError, match="singular during Newton iteration at row 0$"):
+            fields._newton(h, Q, Z, V, P0, where=lambda i: f" at row {i}")
+        return
+    P = fields._newton(h, Q, Z, V, P0)
+    assert calls
+    assert P.tolist() == [[0.3 - 0.1 * q, 0.0] for q in Q[:, 0]]  # the one step taken
+
+
+def test_a_stacked_step_names_its_near_singular_or_non_finite_row():
+    Q, Z = np.linspace(0.5, 1.0, 24)[:, None], np.zeros((24, 2))
+    V, P0 = np.tile([0.3, 0.0], (24, 1)), np.zeros((24, 2))
+    Q[3] = 5e-8  # eps = q^2 = 2.5e-15 there: near-singular
+    with pytest.raises(kc.RegularityError, match="singular during Newton iteration at row 3$"):
+        fields._newton(_thin(lambda q: q * q), Q, Z, V, P0, where=lambda i: f" at row {i}")
+    Q[3], Q[5] = 0.7, np.nan  # a NaN Hessian at row 5
+    with pytest.raises(kc.RegularityError, match="singular during Newton iteration at row 5$"):
+        fields._newton(_thin(lambda q: 1.0 + q), Q, Z, V, P0, where=lambda i: f" at row {i}")
 
 
 def _overflowing_hessian():
