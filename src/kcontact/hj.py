@@ -11,9 +11,9 @@ Four checks are provided, one per combination of section kind and mode:
 "Identically zero" is replaced by sup-norms over declared sample boxes
 (default [-1, 1]^dim, 500 points); all four checks share one sweep that
 admits the samples inside the section domain and reports the sup and the
-worst offenders.  The gauge-matrix solver implements the diagonal
-two-unknown pattern: the trace fixes the sum of the two diagonal entries
-and the uncorrected residual fixes their difference.
+worst offenders.  The diagonal gauge-matrix solver (n = 1, any k) takes the
+minimum-norm diagonal whose sum the trace fixes and whose weighted sum the
+uncorrected residual fixes; duals and lanes pass through its plain arithmetic.
 
 The sweeps and the section and round-trip checks of :func:`verify_complete`
 evaluate all admitted samples together through :func:`kcontact.dual._rows`,
@@ -42,6 +42,7 @@ from .sections import (
     _flat,
     _lifted,
     _sample_rows,
+    _sized,
     check_holonomic,
     check_max_coisotropic,
     default_box,
@@ -374,53 +375,43 @@ def _check(h: ScalarField, gamma, mode: str, C: GaugeMatrix = None, **sampling):
 
 
 def _diag_C_generic(h: ScalarField, gamma: SectionZDep, mode: str, q, z):
-    """Diagonal gauge-matrix entries at one base point, dual-capable for k <= 2.
-
-    Returns the entries and the point's :func:`_zdep_ingredients` they
-    were solved from.
-    """
-    chart = gamma.chart
-    n, k = chart.n, chart.k
+    """Diagonal gauge-matrix entries at one base point of numbers, duals or lanes (n = 1 only):
+    the minimum-norm c with sum c_a = s and sum d_a c_a = -xi, c_a = s/k + beta (d_a - dbar) (at
+    k = 2 in closed form), and the point's :func:`_zdep_ingredients` they were solved from."""
+    n, k = gamma.chart.n, gamma.chart.k
     if n != 1:
         raise ContractError("the diagonal gauge-matrix solver covers the n = 1 regime only")
     ing = _zdep_ingredients(h, gamma, q, z)
     hval, dq_h, Gamma, p, dz_p, _ = ing
     s = -hval if mode == "standard" else 0.0
-    if k == 1:
-        return [s], ing
     xi = dq_h[0]
     for b in range(k):
         xi = xi + Gamma[b] * p[b][0]
     d = [dz_p[a][0][a] for a in range(k)]
     # per lane under lanes; lanes that take different branches fall back
     scale = dm._vmax(1.0, dm._mag(xi), dm._vmax(*(dm._mag(x) for x in d)))
+    if all(dm._mag(d[0] - x) <= 1e-12 * scale for x in d[1:]):  # the two rows are parallel
+        if k > 1 and not dm._mag(s * d[0] + xi) <= 1e-9 * scale:
+            raise NoSolutionError("diagonal gauge-matrix system is singular and inconsistent at this point")
+        return [s / k] * k, ing
     if k == 2:
-        det = d[0] - d[1]
-        if dm._mag(det) <= 1e-12 * scale:
-            if dm._mag(s * d[0] + xi) <= 1e-9 * scale:
-                return [s * 0.5, s * 0.5], ing
-            raise NoSolutionError(
-                "diagonal gauge-matrix system is singular and inconsistent at this point"
-            )
-        c0 = (-xi - s * d[1]) / det
+        c0 = (-xi - s * d[1]) / (d[0] - d[1])
         return [c0, s - c0], ing
-    # k >= 3: underdetermined; return the minimum-norm solution numerically.
-    M = np.vstack([np.array([float(x) for x in d]), np.ones(k)])
-    rhs = np.array([-float(xi), float(s)])
-    sol, *_ = np.linalg.lstsq(M, rhs, rcond=None)
-    if np.max(np.abs(M @ sol - rhs)) > 1e-9 * scale:
-        raise NoSolutionError("diagonal gauge-matrix system has no solution at this point")
-    return list(sol), ing
+    dbar = sum(d) / k
+    e = [x - dbar for x in d]
+    beta = (-xi - s * dbar) / sum(x * x for x in e)
+    return [s / k + beta * x for x in e], ing
 
 
 def solve_diagonal_C(h: ScalarField, gamma: SectionZDep, mode: str, q, z) -> np.ndarray:
-    """Diagonal gauge matrix solving the z-dependent identity at one point.
+    """Diagonal gauge matrix solving the z-dependent identity at one point (n = 1, any k).
 
-    The mode's trace constraint fixes the sum of the diagonal entries and
-    the uncorrected residual fixes the rest (a two-unknown linear solve
-    for k = 2, trace-only for k = 1, minimum-norm for k >= 3).
+    The mode's trace constraint fixes the sum of the k diagonal entries and the
+    uncorrected residual their weighted sum; the entries are the minimum-norm solution.
     """
-    entries, _ = _diag_C_generic(h, gamma, mode, q, z)
+    _check_mode(mode)
+    entries, _ = _diag_C_generic(h, gamma, mode, _sized(q, "q", "n", gamma.chart.n),
+                                 _sized(z, "z", "k", gamma.chart.k))
     return np.diag([float(c) for c in entries])
 
 
@@ -435,6 +426,7 @@ def _diag_rows(h, gamma, mode, q, z):
 
 def diagonal_gauge_matrix(h: ScalarField, gamma: SectionZDep, mode: str) -> GaugeMatrix:
     """Gauge matrix backed by the pointwise diagonal solver (dual-capable, see :func:`_gauged`)."""
+    _check_mode(mode)
     return GaugeMatrix(partial(_diag_rows, h, gamma, mode), label=f"diagonal-{mode}")
 
 

@@ -58,6 +58,14 @@ def _sample_rows(samples, dim: int) -> np.ndarray:
     return pts
 
 
+def _sized(x, name: str, dim: str, size: int) -> list:
+    """A caller's ``x`` as a list of floats, refused by ``name`` unless it is the chart's ``dim`` numbers."""
+    x = _floats(x, ShapeError, name + " must be numbers, got {!r}", x).reshape(-1).tolist()
+    if len(x) != size:
+        raise ShapeError(f"{name} has {len(x)} entries, the chart needs {dim} = {size}")
+    return x
+
+
 def _mat(rows, k, n):
     out = [list(r) if hasattr(r, "__len__") else [r] for r in rows]
     if len(out) != k or any(len(r) != n for r in out):
@@ -92,7 +100,7 @@ class SectionZInd:
         return _flat(self.p_at(x)) + list(self.z_at(x))
 
     def at(self, q) -> DarbouxPoint:
-        return _point(self, _floats(q, ShapeError, "q must be numbers, got {!r}", q).reshape(-1).tolist())
+        return _point(self, _sized(q, "q", "n", self.chart.n))
 
 
 @dataclass(frozen=True)
@@ -119,8 +127,7 @@ class SectionZDep:
         return _flat(self.p_at(x[:self.chart.n], x[self.chart.n:]))
 
     def at(self, q, z) -> DarbouxPoint:
-        return _point(self, np.append(_floats(q, ShapeError, "q must be numbers, got {!r}", q),
-                                      _floats(z, ShapeError, "z must be numbers, got {!r}", z)).tolist())
+        return _point(self, _sized(q, "q", "n", self.chart.n) + _sized(z, "z", "k", self.chart.k))
 
 
 def from_potentials(chart: ChartSpec, W, domain=None, name: str = "") -> SectionZInd:

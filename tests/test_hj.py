@@ -1,10 +1,13 @@
 """Hamilton-Jacobi checks: projections, all four residuals, the diagonal
 gauge-matrix solver, and complete-solution verification."""
 
+import ast
 import contextlib
 import dataclasses
 import math
+import pathlib
 import types
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -30,6 +33,17 @@ def tel(params=None):
 def hs(params=None):
     ex = corpus.load("hunter-saxton")
     return ex, ex.hamiltonian(params)
+
+
+def wave13():
+    """A section over Q x R^3 (n = 1, k = 3) whose diagonal gauge takes the minimum-norm solve:
+    h = (p_t^2 - p_x^2 - p_y^2)/2 + z^t q and gamma = [[q + z^t q], [q/2 + 2 z^x], [q/5 + 3 z^y]]."""
+    chart = kc.ChartSpec(1, 3)
+    h = kc.ScalarField(chart, lambda pt: 0.5 * (pt.p[0, 0] * pt.p[0, 0] - pt.p[1, 0] * pt.p[1, 0]
+                                                - pt.p[2, 0] * pt.p[2, 0]) + pt.z[0] * pt.q[0])
+    gamma = kc.SectionZDep(chart, lambda q, z: [[q[0] + z[0] * q[0]], [q[0] / 2.0 + 2.0 * z[1]],
+                                                [q[0] / 5.0 + 3.0 * z[2]]], name="wave13")
+    return h, gamma
 
 
 # -- projections ---------------------------------------------------------------
@@ -700,16 +714,18 @@ def _rows(data, dim, lo=-1.0, hi=2.0, most=8):
     return np.array(data.draw(st.lists(row, min_size=1, max_size=most)), dtype=float)
 
 
-SECTIONS = [(name, key) for name in corpus.EXAMPLE_NAMES for key in corpus.load(name).sections]
+SECTIONS = {f"{name}-{key}": partial(_section_case, name, key)
+            for name in corpus.EXAMPLE_NAMES for key in corpus.load(name).sections}
+SECTIONS["wave13"] = lambda: (*wave13(), None, 4)
 
 
-@pytest.mark.parametrize("name,key", SECTIONS)
+@pytest.mark.parametrize("section", SECTIONS)
 @pytest.mark.parametrize("mode", ["standard", "evolution"])
 @settings(max_examples=10, deadline=None)
 @given(data=st.data())
-def test_lane_sweep_matches_the_rows_one_by_one(name, key, mode, data):
+def test_lane_sweep_matches_the_rows_one_by_one(section, mode, data):
     # rows from [-1, 2] straddle the domain edges of the square-root and log sections
-    h, gamma, C, dim = _section_case(name, key)
+    h, gamma, C, dim = SECTIONS[section]()
     _assert_sweep_matches_rows(lambda S: hj._check(h, gamma, mode, C, samples=S)[0],
                                _rows(data, dim))
 
@@ -915,6 +931,75 @@ def test_diagonal_gauge_for_three_components_solves_the_identity(mode):
     assert np.trace(C) == pytest.approx(want, abs=1e-12)
     rep = kc.hj_zdep_residual(h, gamma, kc.diagonal_gauge_matrix(h, gamma, mode), mode=mode, count=50)
     assert rep.sample_count == 50 and rep.sup_residual <= 1e-12
+
+
+def _tel_zdep():
+    ex = corpus.load("telegrapher")
+    entry = ex.sections["zdep-family"]
+    return ex.hamiltonian(), entry.build(dict(entry.defaults))
+
+
+def _min_norm_reference(h, gamma, mode, q, z):
+    """The minimum-norm diagonal from numpy: trace row and identity row of the n = 1 system."""
+    hval, dq_h, Gamma, p, dz_p, _ = hj._zdep_ingredients(h, gamma, q, z)
+    k = gamma.chart.k
+    xi = dq_h[0] + sum(Gamma[b] * p[b][0] for b in range(k))
+    M = np.array([[dz_p[a][0][a] for a in range(k)], [1.0] * k])
+    return np.linalg.lstsq(M, [-xi, -hval if mode == "standard" else 0.0], rcond=None)[0]
+
+
+@pytest.mark.parametrize("case", [_tel_zdep, wave13])
+@pytest.mark.parametrize("mode", ["standard", "evolution"])
+def test_projected_zdep_jacobians_match_finite_differences(case, mode):
+    # the gauge entries are solved in the projected fields, so their derivatives enter the
+    # Jacobians; at k = 3 the entries are also the minimum-norm solution numpy finds
+    h, gamma = case()
+    f = kc.project_zdep(h, gamma, kc.diagonal_gauge_matrix(h, gamma, mode))
+    step = 1e-5
+    for x in np.random.default_rng(11).uniform(-0.5, 0.5, (6, f.dim)):
+        for a in range(f.k):
+            _, rows = dm.jacobian(f.comps[a], list(x))
+            fd = [(f.eval(a, x + step * e) - f.eval(a, x - step * e)) / (2.0 * step) for e in np.eye(f.dim)]
+            assert np.abs(np.array(rows, dtype=float) - np.transpose(fd)).max() <= 1e-6
+        if gamma.chart.k == 3:
+            c = np.diag(kc.solve_diagonal_C(h, gamma, mode, x[:1], x[1:]))
+            want = _min_norm_reference(h, gamma, mode, list(x[:1]), list(x[1:]))
+            assert np.all(np.abs(c - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+
+def test_a_three_component_diagonal_gauge_sweep_runs_as_lanes():
+    """Each lane pass of the k = 3 sweep costs two h evaluations, not two per sample."""
+    h, gamma = wave13()
+    h, calls = _counting(h)
+    samples = np.random.default_rng(2).uniform(-1.0, 1.0, (50, 4))
+    rep = kc.hj_zdep_residual(h, gamma, kc.diagonal_gauge_matrix(h, gamma, "standard"), samples=samples)
+    assert calls[0] == 2 and rep.sample_count == 50 and rep.sup_residual <= 1e-12
+    want, _ = _run(lambda: kc.hj_zdep_residual(h, gamma, kc.diagonal_gauge_matrix(h, gamma, "standard"),
+                                               samples=samples), lanes=False)
+    assert repr(rep) == repr(want)
+
+
+GAUGE_PATH = {"_project", "_zdep_ingredients", "_zdep_residual_at", "_diag_C_generic"}
+
+
+def _value_drops(tree):
+    """(function, line) of each float() call or numpy.linalg use in the functions of GAUGE_PATH:
+    float() keeps the value of a dual and drops its derivatives, and numpy takes no duals or lanes."""
+    out = []
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef) and fn.name in GAUGE_PATH:
+            out += [(fn.name, node.lineno) for node in ast.walk(fn)
+                    if isinstance(node, ast.Attribute) and node.attr == "linalg"
+                    or isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float"]
+    return out
+
+
+def test_the_gauge_path_keeps_derivatives():
+    tree = ast.parse(pathlib.Path(hj.__file__).read_text())
+    assert GAUGE_PATH <= {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)}
+    assert _value_drops(tree) == []
+    copy = "def _diag_C_generic(d):\n    return [float(x) for x in d], np.linalg.norm(d)\n"
+    assert _value_drops(ast.parse(copy)) == [("_diag_C_generic", 2), ("_diag_C_generic", 2)]
 
 
 # -- a NaN residual is a failure, never a pass -------------------------------------------

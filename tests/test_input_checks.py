@@ -213,7 +213,26 @@ CASES = {
                        kc.ContractError, "samples must be rows of numbers of one width"),
     "diagonal gauge system without a solution, k = 3": (
         _membrane_zdep_no_diagonal_solution, kc.NoSolutionError,
-        "diagonal gauge-matrix system has no solution at this point"),
+        "diagonal gauge-matrix system is singular and inconsistent at this point"),
+    "unknown diagonal gauge mode": (lambda: kc.solve_diagonal_C(*_tel_zdep_family(), "bogus", [0.3], [0.1, 0.2]),
+                                    kc.ContractError, "unknown mode 'bogus'"),
+    "unknown diagonal gauge matrix mode": (lambda: kc.diagonal_gauge_matrix(*_tel_zdep_family(), "bogus"),
+                                           kc.ContractError, "unknown mode 'bogus'"),
+    "diagonal gauge at a q of two entries": (
+        lambda: kc.solve_diagonal_C(*_tel_zdep_family(), "standard", [0.3, 0.4], [0.1, 0.2]),
+        kc.ShapeError, "^q has 2 entries, the chart needs n = 1$"),
+    "diagonal gauge at a z of one entry": (
+        lambda: kc.solve_diagonal_C(*_tel_zdep_family(), "evolution", [0.3], [0.1]),
+        kc.ShapeError, "^z has 1 entries, the chart needs k = 2$"),
+    "z-dependent section point at a z of one entry": (lambda: _tel_zdep_family()[1].at([0.3], [0.1]),
+                                                      kc.ShapeError, "^z has 1 entries, the chart needs k = 2$"),
+    "z-dependent section point at a q of two entries": (
+        lambda: _tel_zdep_family()[1].at([0.3, 0.4], [0.1, 0.2]),
+        kc.ShapeError, "^q has 2 entries, the chart needs n = 1$"),
+    "section point without entries": (lambda: _tel()[1].at([]), kc.ShapeError,
+                                      "^q has 0 entries, the chart needs n = 1$"),
+    "z-derivative of h at a z of one entry": (lambda: kc.gamma_beta(*_tel_zdep_family(), [0.3], [0.1]),
+                                              kc.ShapeError, "^z has 1 entries, the chart needs k = 2$"),
     "projected field outside the section domain": (
         lambda: kc.project_zdep(corpus.load("hunter-saxton").hamiltonian(), _cut_zdep(),
                                 kc.GaugeMatrix(lambda q, z: np.eye(2))).comps[0]([0.5, 0.0, 0.0]),

@@ -234,10 +234,10 @@ def test_point_at_refuses_a_wrong_length_base_point_or_z():
     with pytest.raises(kc.ShapeError, match="flat point has length 6, chart needs 5"):
         long_z.at([0.5])
     wide = kc.SectionZInd(CH12, gamma_p=lambda q: [[q[0]], [0.0]], gamma_z=lambda q: [0.0, 0.0])
-    with pytest.raises(kc.ShapeError, match="flat point has length 6, chart needs 5"):
+    with pytest.raises(kc.ShapeError, match="^q has 2 entries, the chart needs n = 1$"):
         wide.at([0.5, 0.6])
     zdep = kc.SectionZDep(CH12, gamma_p=lambda q, z: [[q[0]], [z[0]]])
-    with pytest.raises(kc.ShapeError, match="flat point has length 6, chart needs 5"):
+    with pytest.raises(kc.ShapeError, match="^z has 3 entries, the chart needs k = 2$"):
         zdep.at([0.5], [0.0, 0.0, 0.0])
     with pytest.raises(kc.DomainError, match="base point outside domain of section cut"):  # tested first
         kc.SectionZInd(CH12, long_z.gamma_p, long_z.gamma_z, domain=lambda q: False, name="cut").at([0.5])
