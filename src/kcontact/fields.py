@@ -48,6 +48,8 @@ class ScalarField:
     scalar arithmetic (plus the ``kcontact.dual`` math helpers) so dual
     numbers can flow through it.  ``domain``, when given, is a predicate
     evaluated before ``fn``; it may compare coordinate values directly.
+    Every evaluation at a flat point runs the domain test in ``_at_flat``: the gradients,
+    the momentum passes of Newton and :func:`p_hessian`, and h on a section in :mod:`kcontact.hj`.
     """
 
     chart: ChartSpec
@@ -60,6 +62,10 @@ class ScalarField:
         if self.domain is not None and not self.domain(pt):
             raise self._outside()
         return self.fn(pt)
+
+    def _at_flat(self, x):
+        """h at the flat point ``x`` (q, then p row by row, then z; numbers, duals or lanes)."""
+        return self(DarbouxPoint.from_flat(self.chart, x))
 
     def in_domain(self, pt: DarbouxPoint) -> bool:
         return self.domain is None or bool(self.domain(pt))
@@ -77,13 +83,11 @@ def _node_gradients(h: ScalarField, q, p, z, value: bool, where=None):
     n, k = chart.n, chart.k
     X = np.concatenate([a.reshape(-1, d) for a, d in ((q, n), (p, k * n), (z, k))], axis=1)
 
-    def row(x):
+    def row(x):  # h on the node's own numbers first: its domain test, and a non-finite entry refused
         x = list(x)
-        pt = DarbouxPoint(x[:n], [x[n + a * n:n + a * n + n] for a in range(k)], x[n + n * k:])
-        if not h.in_domain(pt):
-            raise h._outside()
-        _, g = dm.derive1(lambda xs: h.fn(DarbouxPoint.from_flat(chart, xs)), x)
-        return g + [h.fn(pt)] if value else g
+        hx = h(DarbouxPoint(x[:n], [x[n + a * n:n + a * n + n] for a in range(k)], x[n + n * k:]))
+        _, g = dm.derive1(h._at_flat, x)
+        return g + [hx] if value else g
 
     G = dm._rows(row, X, None if where is None else lambda r: np.all(np.isfinite(r), axis=-1))
     if where is not None and not np.all(np.isfinite(G[-1])):
@@ -120,8 +124,8 @@ def fd_grad(h: ScalarField, pt: DarbouxPoint, step: float = 1e-5) -> Gradient:
 
 def _h_of_p(h: ScalarField, q, z):
     """h as a function of the flat (row-major) momentum block at fixed (q, z)."""
-    chart, q, z = h.chart, list(q), list(z)
-    return lambda ps: h.fn(DarbouxPoint.from_flat(chart, q + list(ps) + z))
+    q, z = list(q), list(z)
+    return lambda ps: h._at_flat(q + list(ps) + z)
 
 
 def _p_grad(h: ScalarField, q, z, p_flat) -> list:

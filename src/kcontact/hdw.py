@@ -256,8 +256,8 @@ def evolution_lift(H: ScalarField, X: KVectorField, check_tol: float = 1e-10) ->
     return KVectorField(chart, at, kind="evolution", hamiltonian=H)
 
 
-def _affine_z_coefficients(h: ScalarField, rng):
-    """The constant z-gradient of an affine-in-z Hamiltonian (probabilistic check)."""
+def _affine_z_coefficients(h: ScalarField, rng) -> None:
+    """Refuse h unless its z-gradient is the same at every admitted sample (probabilistic check)."""
     chart = h.chart
     X = sample_box(default_box(chart.dim), _AFFINE_SAMPLES, rng)
     if h.domain is not None:  # admitted one by one only where there is a domain, as hj._sweep does
@@ -267,7 +267,6 @@ def _affine_z_coefficients(h: ScalarField, rng):
     d_z = _node_gradients(h, *chart.split(X), False)[2]
     if not np.all(np.max(np.abs(d_z - d_z[0]), axis=-1) <= _AFFINE_TOL):  # per sample; NaN fails
         raise ContractError("Hamiltonian is not affine in the extra coordinates")
-    return d_z[0]
 
 
 def _fibre_momenta(h: ScalarField, values, v, start) -> np.ndarray:

@@ -14,6 +14,7 @@ admits the samples inside the section domain and reports the sup and the
 worst offenders.  The diagonal gauge-matrix solver (n = 1, any k) takes the
 minimum-norm diagonal whose sum the trace fixes and whose weighted sum the
 uncorrected residual fixes; duals and lanes pass through its plain arithmetic.
+Each z-dependent sample evaluates the section and h once (:func:`_zdep_ingredients`).
 
 The sweeps and the section and round-trip checks of :func:`verify_complete`
 evaluate all admitted samples together through :func:`kcontact.dual._rows`,
@@ -31,7 +32,7 @@ import numpy as np
 from . import dual as dm
 from .errors import ContractError, DomainError, NoSolutionError
 from .fields import ScalarField, _p_grad
-from .geometry import DarbouxPoint, _check_tol, _floats, _whole
+from .geometry import _check_tol, _floats, _whole
 from .grids import BaseField
 from .hdw import _check_mode
 from .sections import (
@@ -144,7 +145,7 @@ def _holonomic_samples(h: ScalarField, gamma: SectionZInd, samples, box, count, 
 
 def _h_on_section(h: ScalarField, gamma, x):
     """h at the point of ``gamma`` over the flat base row ``x`` (numbers, duals or lanes)."""
-    return h.fn(DarbouxPoint.from_flat(h.chart, _lifted(gamma, x)))
+    return h._at_flat(_lifted(gamma, x))
 
 
 def _project(h: ScalarField, gamma, C: GaugeMatrix = None) -> BaseField:
@@ -231,8 +232,7 @@ def gamma_beta(h: ScalarField, gamma: SectionZDep, q, z) -> np.ndarray:
     Component b is (dh/dz^b on the section) plus the momentum gradient of
     h contracted with the z^b-derivatives of the section coefficients.
     """
-    if not h.in_domain(gamma.at(q, z)):
-        raise h._outside()
+    gamma.at(q, z)  # the sizes of q and z and the section's domain; h's is tested where h runs
     return np.array([float(x) for x in _zdep_ingredients(h, gamma, q, z)[2]])
 
 
@@ -241,29 +241,22 @@ def _zdep_ingredients(h: ScalarField, gamma: SectionZDep, q, z):
 
     Returns (h value on section, d_q(h on section), Gamma, section
     coefficients, z-Jacobian of the coefficients, momentum-gradient rows U
-    of h on the section); everything is dual-capable in (q, z).
+    of h on the section); everything is dual-capable in (q, z).  One pass gives the coefficients
+    and their Jacobian, one h and its gradient at the section point; the chain rule joins them.
     """
-    chart = gamma.chart
-    n, k = chart.n, chart.k
-    qs, zs = list(q), list(z)
-
-    hval, dq_h = dm.derive1(lambda qvars: _h_on_section(h, gamma, list(qvars) + zs), qs)
-
-    flat, rows = _coeff_jacobian(gamma, qs + zs)
+    n, k = gamma.chart.n, gamma.chart.k
+    flat, rows = _coeff_jacobian(gamma, list(q) + list(z))
+    hval, g = dm.derive1(h._at_flat, list(q) + flat + list(z))
+    U = [g[n + a * n:n + (a + 1) * n] for a in range(k)]
+    d = []
+    for c in range(n + k):  # q^c, then z^(c - n)
+        acc = g[c if c < n else n + k * n + (c - n)]  # h's own entry, then through each p_i^a
+        for j in range(k * n):  # j = a * n + i
+            acc = acc + g[n + j] * rows[j][c]
+        d.append(acc)
     p = [flat[a * n:(a + 1) * n] for a in range(k)]
     dz_p = [[[rows[a * n + i][n + b] for b in range(k)] for i in range(n)] for a in range(k)]
-
-    _, g = dm.derive1(lambda pz: h.fn(DarbouxPoint.from_flat(chart, qs + list(pz))), flat + zs)
-    U = [[g[a * n + i] for i in range(n)] for a in range(k)]
-
-    Gamma = []
-    for b in range(k):
-        acc = g[k * n + b]
-        for a in range(k):
-            for i in range(n):
-                acc = acc + U[a][i] * dz_p[a][i][b]
-        Gamma.append(acc)
-    return hval, dq_h, Gamma, p, dz_p, U
+    return hval, d[:n], d[n:], p, dz_p, U
 
 
 def _zdep_residual_at(gamma, C_entries, ing):

@@ -60,7 +60,10 @@ def _sample_rows(samples, dim: int) -> np.ndarray:
 
 def _sized(x, name: str, dim: str, size: int) -> list:
     """A caller's ``x`` as a list of floats, refused by ``name`` unless it is the chart's ``dim`` numbers."""
-    x = _floats(x, ShapeError, name + " must be numbers, got {!r}", x).reshape(-1).tolist()
+    arr = _floats(x, ShapeError, name + " must be numbers, got {!r}", x, objects=True)
+    if any(isinstance(v, dm.Dual) for v in arr.reshape(-1)):  # float() would drop their derivatives
+        raise ContractError(f"{name} holds dual numbers, but this function returns floats")
+    x = _floats(arr, ShapeError, name + " must be numbers, got {!r}", x).reshape(-1).tolist()
     if len(x) != size:
         raise ShapeError(f"{name} has {len(x)} entries, the chart needs {dim} = {size}")
     return x

@@ -151,6 +151,17 @@ def test_an_outer_dual_divided_by_an_inner_dual_is_exact():
     assert grad[0] == pytest.approx(-1.0 / 0.8 ** 2, rel=1e-15)  # d/dx (-x / y^2)
 
 
+def test_an_outer_dual_plus_an_inner_dual_keeps_both_derivatives():
+    # inside the inner pass x is a dual of the outer one: x + x y^2 runs the inner dual's reflected addition
+    def value_and_d_dy(xs):
+        val, g = dm.derive1(lambda ys: xs[0] + xs[0] * ys[0] ** 2, [0.8])
+        return val + g[0]  # x (1 + y^2) + 2 x y
+
+    val, grad = dm.derive1(value_and_d_dy, [1.5])
+    assert val == pytest.approx(1.5 * 1.64 + 2.4, rel=1e-15)
+    assert grad[0] == pytest.approx(1.64 + 1.6, rel=1e-15)
+
+
 def test_powers_zero_and_one_and_a_dual_exponent_keep_their_exact_forms():
     _, g0 = dm.derive1(lambda v: v[0] ** 0, [0.7])
     v1, g1 = dm.derive1(lambda v: v[0] ** 1, [0.7])

@@ -419,3 +419,25 @@ def test_p_hessian_is_the_one_point_hessian_bit_for_bit(rng):
             if h.in_domain(pt):
                 want = np.asarray(fields._p_hess(h, pt.q, pt.z, pt.p.reshape(-1)), dtype=float)
                 assert kc.p_hessian(h, pt).tobytes() == want.tobytes(), name
+
+
+def _hand_rolled_evaluations(source: str, name: str) -> list:
+    """(file, line) of each call ``<x>.fn(<y>.from_flat(...))`` in ``source``: an evaluation of h
+    that goes round ``ScalarField._at_flat`` and so skips the field's domain test."""
+    import ast
+
+    return [(name, node.lineno) for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "fn"
+            and any(isinstance(arg, ast.Call) and isinstance(arg.func, ast.Attribute)
+                    and arg.func.attr == "from_flat" for arg in node.args)]
+
+
+def test_every_evaluation_of_h_at_a_flat_point_goes_through_the_evaluator():
+    import pathlib
+
+    found = []
+    for path in sorted(pathlib.Path(fields.__file__).parent.glob("*.py")):
+        found += _hand_rolled_evaluations(path.read_text(), path.name)
+    assert found == []
+    copy = "def f(h, x):\n    y = h.fn(pt)\n    return h.fn(DarbouxPoint.from_flat(h.chart, x))\n"
+    assert _hand_rolled_evaluations(copy, "copy.py") == [("copy.py", 3)]

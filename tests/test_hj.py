@@ -118,10 +118,10 @@ def test_project_zdep_diagonal_gauge_one_ingredient_build_per_component(name):
         for a in range(2):
             before = calls[0]
             got = f.eval(a, x)
-            assert calls[0] - before == 2
+            assert calls[0] - before == 1
             before = calls[0]
             assert np.array_equal(got, generic.eval(a, x))
-            assert calls[0] - before == 3
+            assert calls[0] - before == 2
 
 
 def test_a_diagonal_gauge_used_with_another_section_takes_the_plain_path():
@@ -152,9 +152,9 @@ def test_the_diagonal_gauge_is_solved_from_the_ingredients_only_for_its_own_h_an
         f.eval(1, x)
         return calls[0] - before, calls2[0] - before2
 
-    assert per_component(C) == per_component(kc.GaugeMatrix(C.fn)) == (2, 0)
-    assert per_component(kc.diagonal_gauge_matrix(h, twin, "standard")) == (3, 0)
-    assert per_component(kc.diagonal_gauge_matrix(h2, gamma, "standard")) == (1, 2)
+    assert per_component(C) == per_component(kc.GaugeMatrix(C.fn)) == (1, 0)
+    assert per_component(kc.diagonal_gauge_matrix(h, twin, "standard")) == (2, 0)
+    assert per_component(kc.diagonal_gauge_matrix(h2, gamma, "standard")) == (1, 1)
     samples = 2.0 * rng.random((10, 3)) - 1.0
     sweeps = []
     for G in (C, kc.GaugeMatrix(C.fn), None):  # explicit, rewrapped, and the default of the check
@@ -373,6 +373,66 @@ def test_zdep_ingredients_match_the_four_pass_build_bit_for_bit(name, key):
         got[:, -k * n:] += 0.0  # -0.0 + 0.0 is 0.0; every other entry keeps its bits
         want[:, -k * n:] += 0.0
         assert got.tobytes() == want.tobytes()
+
+
+def _nonlinear_zdep(n, k):
+    """h and a section over Q x R^k at (n, k), both nonlinear in q and z, where every momentum
+    coefficient moves with q and with each z."""
+    chart = kc.ChartSpec(n, k)
+
+    def h_fn(pt):
+        acc = pt.z[0] * pt.q[n - 1] + dm.sin(pt.z[k - 1]) + pt.p[0, 0] * pt.p[k - 1, n - 1] * pt.q[0]
+        for a in range(k):
+            for i in range(n):
+                acc = acc + (0.5 + 0.1 * a) * pt.p[a, i] * pt.p[a, i] * (1.0 + pt.q[i] * pt.z[a])
+        return acc
+
+    def gamma_p(q, z):
+        return [[dm.sin(q[i] + 0.3 * a) * z[a] + q[(i + 1) % n] * z[(a + 1) % k] ** 2 + 0.2 * z[k - 1 - a]
+                 for i in range(n)] for a in range(k)]
+
+    return kc.ScalarField(chart, h_fn), kc.SectionZDep(chart, gamma_p)
+
+
+@pytest.mark.parametrize("n,k", [(1, 2), (1, 3), (2, 2)])
+def test_zdep_ingredients_follow_central_differences_off_the_corpus(n, k):
+    """d_q(h on section) and Gamma are the q- and z-gradients of h(gamma.at(q, z)), on floats and
+    on lanes, where the corpus sections (linear in (q, z), all with n = 1) leave the chain's
+    q-dependence and its z index at n >= 2 untested."""
+    h, gamma = _nonlinear_zdep(n, k)
+    h, calls = _counting(h)
+    X = np.random.default_rng(13).uniform(-0.8, 0.8, (8, n + k))
+
+    def gradients(x):
+        _, dq_h, Gamma, *_ = hj._zdep_ingredients(h, gamma, x[:n], x[n:])
+        return [*dq_h, *Gamma]
+
+    def on_section(x):
+        return h(gamma.at(x[:n], x[n:]))
+
+    step = 1e-5
+    fd = np.array([[(on_section(x + step * e) - on_section(x - step * e)) / (2.0 * step)
+                    for e in np.eye(n + k)] for x in X])
+    floats = np.array([gradients(list(x)) for x in X], dtype=float)
+    calls[0] = 0
+    lanes = dm._rows(gradients, X)
+    assert calls[0] == 1  # one lane pass
+    for got in (floats, lanes):
+        assert np.abs(got - fd).max() <= 1e-8
+    assert np.abs(fd).min() > 1e-3  # every entry moves
+
+
+def test_a_float_gauge_refuses_the_duals_whose_derivatives_it_would_drop():
+    # the diagonal gauge solved pointwise behind a plain function: solve_diagonal_C returns floats
+    h, gamma = _tel_zdep()
+    wrapped = kc.GaugeMatrix(lambda q, z: kc.solve_diagonal_C(h, gamma, "standard", q, z))
+    f, exact = (kc.project_zdep(h, gamma, C) for C in (wrapped, kc.diagonal_gauge_matrix(h, gamma, "standard")))
+    x = [0.5, -0.4, 0.25]
+    for a in range(2):
+        assert np.array_equal(f.eval(a, x), exact.eval(a, x))
+    with pytest.raises(kc.ContractError, match="^q holds dual numbers, but this function returns floats$"):
+        kc.commutator_defect(f, [x])  # where the derivatives were dropped, a bracket of 0.736, not 1.268
+    assert kc.commutator_defect(exact, [x]) == pytest.approx(1.26759375, rel=1e-12)
 
 
 def _paper_tel_C(P, mode):
@@ -850,8 +910,8 @@ def test_a_lane_gauge_of_eight_components_runs_row_by_row_bit_for_bit():
 
 def test_verify_complete_runs_the_samples_as_lanes():
     """Guard that the lane path is taken: each lane pass of up to ``_LANE_CHUNK``
-    samples (all 729 here) costs two h evaluations and three phi calls (two for
-    the section coefficients, one for the round trip), not that many per sample."""
+    samples (all 729 here) costs one h evaluation and two phi calls (one for the
+    section coefficients, one for the round trip), not that many per sample."""
     ex = corpus.load("telegrapher")
     h, h_calls = _counting(ex.hamiltonian())
     fam = ex.families["complete"]({**ex.defaults, "a": 1.0})
@@ -865,8 +925,8 @@ def test_verify_complete_runs_the_samples_as_lanes():
     samples = np.random.default_rng(1).uniform(-1.0, 1.0, (729, 3))
     ver = kc.verify_complete(counted, h, "standard", [[0.5, -0.5]], base_samples=samples)
     passes = math.ceil(729 / dm._LANE_CHUNK)
-    assert h_calls[0] == 2 * passes < 4 * 729
-    assert phi_calls[0] == 3 * passes
+    assert h_calls[0] == passes < 2 * 729
+    assert phi_calls[0] == 2 * passes
     assert ver.failures == [] and ver.sample_count == 729
     want, _ = _run(lambda: kc.verify_complete(fam, ex.hamiltonian(), "standard", [[0.5, -0.5]],
                                               base_samples=samples), lanes=False)
@@ -968,12 +1028,12 @@ def test_projected_zdep_jacobians_match_finite_differences(case, mode):
 
 
 def test_a_three_component_diagonal_gauge_sweep_runs_as_lanes():
-    """Each lane pass of the k = 3 sweep costs two h evaluations, not two per sample."""
+    """Each lane pass of the k = 3 sweep costs one h evaluation, not one per sample."""
     h, gamma = wave13()
     h, calls = _counting(h)
     samples = np.random.default_rng(2).uniform(-1.0, 1.0, (50, 4))
     rep = kc.hj_zdep_residual(h, gamma, kc.diagonal_gauge_matrix(h, gamma, "standard"), samples=samples)
-    assert calls[0] == 2 and rep.sample_count == 50 and rep.sup_residual <= 1e-12
+    assert calls[0] == 1 and rep.sample_count == 50 and rep.sup_residual <= 1e-12
     want, _ = _run(lambda: kc.hj_zdep_residual(h, gamma, kc.diagonal_gauge_matrix(h, gamma, "standard"),
                                                samples=samples), lanes=False)
     assert repr(rep) == repr(want)

@@ -9,6 +9,7 @@ import pytest
 
 import kcontact as kc
 from kcontact import corpus
+from kcontact import dual as dm
 from kcontact.grids import BaseField, BaseMap, GridSpec, SolutionMap
 from kcontact.hj import CompleteVerification, HJReport
 from kcontact.sections import sample_box
@@ -78,6 +79,16 @@ def _cut_h():
     """The telegrapher Hamiltonian on a domain that holds no point."""
     h = _tel()[0]
     return kc.ScalarField(h.chart, h.fn, domain=lambda pt: False, name="cut")
+
+
+def _cut_zdep_check():
+    """The z-dependent check with its diagonal gauge, for h on a domain that holds no point."""
+    h, gamma = _cut_h(), _tel_zdep_family()[1]
+    return kc.hj_zdep_residual(h, gamma, kc.diagonal_gauge_matrix(h, gamma, "standard"), samples=[[0.1, 0.2, 0.3]])
+
+
+def _cut_point():
+    return kc.DarbouxPoint.from_flat(CH12, [0.5, 0.1, 0.2, 0.0, 0.0])
 
 
 def _membrane_zdep_no_diagonal_solution():
@@ -244,6 +255,34 @@ CASES = {
     "z-derivative of h outside the field domain": (
         lambda: kc.gamma_beta(_cut_h(), _zdep(), [0.5], [0.0, 0.0]),
         kc.DomainError, "point outside declared domain of field cut"),
+    "classical check over Q outside the field domain": (
+        lambda: kc.hj_classical_zind(_cut_h(), _tel()[1], samples=[[0.5]]),
+        kc.DomainError, "^point outside declared domain of field cut$"),
+    "evolution check over Q outside the field domain": (
+        lambda: kc.hj_evolution_zind(_cut_h(), _tel()[1], samples=[[0.5]]),
+        kc.DomainError, "^point outside declared domain of field cut$"),
+    "z-dependent check outside the field domain": (
+        _cut_zdep_check, kc.DomainError, "^point outside declared domain of field cut$"),
+    "projected field on Q outside the field domain": (
+        lambda: kc.project_Q(_cut_h(), _tel()[1]).eval(0, [0.5]),
+        kc.DomainError, "^point outside declared domain of field cut$"),
+    "projected field on Q x R^k outside the field domain": (
+        lambda: kc.project_zdep(_cut_h(), _tel_zdep_family()[1],
+                                kc.GaugeMatrix(lambda q, z: np.eye(2))).eval(0, [0.1, 0.2, 0.3]),
+        kc.DomainError, "^point outside declared domain of field cut$"),
+    "fibre Hessian outside the field domain": (lambda: kc.p_hessian(_cut_h(), _cut_point()),
+                                               kc.DomainError, "^point outside declared domain of field cut$"),
+    "regularity check outside the field domain": (
+        lambda: kc.check_regularity(_cut_h(), _cut_point()),
+        kc.DomainError, "^point outside declared domain of field cut$"),
+    "fibre inversion outside the field domain": (
+        lambda: kc.invert_fibre_derivative(_cut_h(), [1.0], [0.0, 0.0], [[0.3], [0.4]], [[0.0], [0.0]]),
+        kc.DomainError, "^point outside declared domain of field cut$"),
+    "diagonal gauge solve at a dual z": (
+        lambda: kc.solve_diagonal_C(*_tel_zdep_family(), "standard", [0.3], [dm.Dual(0.1, (1.0,), 0), 0.2]),
+        kc.ContractError, "^z holds dual numbers, but this function returns floats$"),
+    "section point over a dual q": (lambda: _tel()[1].at([dm.Dual(0.5, (1.0,), 0)]),
+                                    kc.ContractError, "^q holds dual numbers, but this function returns floats$"),
     "z-dependent section point outside its domain": (lambda: _cut_zdep().at([0.5], [0.0, 0.0]),
                                                      kc.DomainError, "base point outside domain of section cut"),
     "field value outside its domain": (lambda: _cut_h()(kc.DarbouxPoint.from_flat(CH12, [0.0] * 5)),
