@@ -15,9 +15,9 @@ point's array (``pt.q[0] * pt.p``) broadcasts element by element.
 
 Lanes.  Grid and sample sweeps evaluate one callable at many points in a
 single pass by handing it :class:`_Lanes` values, each carrying one float
-per point, wherever a float would go (also inside duals and the object
-arrays of a :class:`~kcontact.geometry.DarbouxPoint`, which are built
-element by element when given lane values).  Under lanes a callable may use
+per point, wherever a float would go (also inside duals and the object blocks
+of the points a pass builds with ``DarbouxPoint.from_flat``, which stores them
+unread).  Under lanes a callable may use
 ``+ - * /`` and ``**``, ``abs``, the math helpers exported here,
 elementwise arithmetic on the point's arrays, and comparisons or branches
 on which every lane agrees.  Each lane's result is bit-identical to the
@@ -38,7 +38,8 @@ function on all rows as lanes, in passes of up to ``_LANE_CHUNK`` rows (one pass
 back its C-contiguous array as it is); when a pass raises, a result is not finite or a row
 fails the site's predicate, it runs the rows one by one in row order instead, which
 reproduces the scalar values and the first scalar error, and stops after the first row
-that fails the predicate.  A single row always runs as floats.  Sampling a closed form on
+that fails the predicate.  A single row, or rows with a non-finite entry (tested once on the
+input, since a pass's points are not checked), always run as floats.  Sampling a closed form on
 the nodes of a grid (the values and exact Jacobians of a closed solution or base map, a
 reference, a closed derivative) runs the same lane pass, :func:`_lane_rows`, first on two
 nodes and then on the others; when a pass fails, the sampler calls the closed form once
@@ -52,7 +53,7 @@ Record once, replay many.  A site that runs one per-row function many times (an
 RK4 step on every line, a Newton pass on every node) records it at one row with
 :func:`_program`: the lanes then hold registers, and every float-level operation
 and every test of a value (a comparison, ``bool``, a divisor's zero test, the
-finiteness test of an object array) is logged, a test with its answer.  The
+finiteness test of a caller's list of lanes) is logged, a test with its answer.  The
 replay runs the outputs, the tests and every operation that can raise, with what
 they read, as straight-line Python: one function per form (floats, lanes), compiled
 once per tape structure (its inputs, length, kept operations with their registers and
@@ -433,15 +434,15 @@ def _rows(fn, X: np.ndarray, ok=None) -> np.ndarray:
     ``fn`` takes a row of floats (a row of ``X``) or of lanes (a list of d
     lane values) and returns a number or nested sequences of numbers.
     ``ok``, when given, takes a result row, or the stacked result rows and
-    then answers per row.  All rows run as lanes, unless there is only one;
-    when a lane pass raises, a result is not finite or a row fails ``ok``,
-    the rows run one by one in row order, which gives the scalar values or
-    raises the first scalar error, and stop after the first row that fails
-    ``ok``: the result then ends with that row.  A numpy floating-point error
-    in a row raises :class:`~kcontact.errors.ShapeError` naming its values (see
-    :func:`_scalar_rows`), but a replayed :func:`_program` runs Python floats.
+    then answers per row.  All rows run as lanes, unless there is only one or an
+    entry of ``X`` is not finite; when a lane pass raises, a result is not finite
+    or a row fails ``ok``, the rows run one by one in row order, which gives the
+    scalar values or raises the first scalar error, and stop after the first row
+    that fails ``ok``: the result then ends with that row.  A numpy floating-point
+    error in a row raises :class:`~kcontact.errors.ShapeError` naming its values
+    (see :func:`_scalar_rows`), but a replayed :func:`_program` runs Python floats.
     """
-    if len(X) > 1:
+    if len(X) > 1 and np.isfinite(X).all():
         out = _lane_rows(fn, X, ok)
         if out is not None:
             return out
@@ -472,12 +473,9 @@ def _lane_rows(fn, X: np.ndarray, ok=None):
 
 
 def _object_array(x) -> np.ndarray:
-    """Nested lists of lanes and numbers as an object array, built element by element.
-
-    ``np.asarray`` would call ``_Lanes.__array__``.  Ragged nesting raises
-    ``ValueError`` and a non-finite lane or number ``_Unbatchable``: the
-    scalar pass rejects both, so it has to decide.
-    """
+    """A caller's block of nested lists of lanes and numbers as an object array, built element by
+    element (``np.asarray`` would call ``_Lanes.__array__``).  Ragged nesting raises ``ValueError``
+    and a non-finite lane or number ``_Unbatchable``, so the scalar pass refuses it."""
     if any(isinstance(v, (list, tuple)) for v in x):
         return np.stack([_object_array(v) for v in x])
     if not all(np.isfinite(v.v).all() if isinstance(v, _Lanes) else

@@ -80,12 +80,10 @@ def _node_gradients(h: ScalarField, q, p, z, value: bool, where=None):
     (h from a plain evaluation: the dual one rounds differently).  With ``where``, the first
     node i where one of them is not finite raises ShapeError with the suffix ``where(i)``."""
     chart = h.chart
-    n, k = chart.n, chart.k
-    X = np.concatenate([a.reshape(-1, d) for a, d in ((q, n), (p, k * n), (z, k))], axis=1)
+    X = np.concatenate([q, p.reshape(p.shape[:-2] + (-1,)), z], axis=-1).reshape(-1, chart.dim)
 
-    def row(x):  # h on the node's own numbers first: its domain test, and a non-finite entry refused
-        x = list(x)
-        hx = h(DarbouxPoint(x[:n], [x[n + a * n:n + a * n + n] for a in range(k)], x[n + n * k:]))
+    def row(x):  # h on the node's own point first: its domain test, and a non-finite entry refused
+        hx = h._at_flat(x)
         _, g = dm.derive1(h._at_flat, x)
         return g + [hx] if value else g
 

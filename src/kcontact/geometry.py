@@ -42,6 +42,7 @@ __all__ = [
 ]
 
 RANK_RTOL = 1e-9  # relative singular-value threshold for numeric ranks
+_ENTRIES = (float, int, dm.Dual, dm._Lanes, numbers.Real)  # in a pass's flat point (the ABC is slowest)
 
 
 @dataclass(frozen=True)
@@ -102,23 +103,24 @@ def _whole(x, least: int) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool) and x >= least
 
 
-_PASS_ENTRIES = frozenset({dm.Dual, dm._Lanes, float})  # kept unread: a pass's duals and lanes, floats
-
-
 def _as_array(x, name):
+    """A caller's block ``x``: kept as it is when it holds a dual or lane value (lanes in a list go
+    through :func:`kcontact.dual._object_array`), else read by :func:`_floats` as real numbers that
+    must be finite, or ShapeError names it; a block numpy keeps as objects (an int beyond int64)
+    stays one."""
     try:
         arr = _floats(x, ShapeError, "{} is not an array of numbers", name, objects=True)
-    except dm._Unbatchable:  # lane values inside: stored as they are (see kcontact.dual)
+    except dm._Unbatchable:  # lane values inside a list (see kcontact.dual)
         return dm._object_array(x)
-    if arr.dtype != object:
-        if not np.all(np.isfinite(arr)):
-            raise ShapeError(f"{name} contains non-finite entries")
-        return arr
-    kinds = set(map(type, arr.flat))  # a block holding a dual or lane value is a pass's, kept as it is
-    if not kinds <= _PASS_ENTRIES and kinds.isdisjoint((dm.Dual, dm._Lanes)):
-        if not all(issubclass(t, numbers.Real) for t in kinds):  # such as None, which numpy reads as NaN
+    vals = arr
+    if arr.dtype == object:
+        if any(isinstance(v, (dm.Dual, dm._Lanes)) for v in arr.flat):
+            return arr
+        if not all(isinstance(v, numbers.Real) for v in arr.flat):  # such as None, which numpy reads as NaN
             raise ShapeError(f"{name} is not an array of numbers")
-        _floats(arr, ShapeError, "{} is not an array of numbers", name)  # such as an int beyond floats
+        vals = _floats(arr, ShapeError, "{} is not an array of numbers", name)  # such as an int beyond floats
+    if not np.all(np.isfinite(vals)):
+        raise ShapeError(f"{name} contains non-finite entries")
     return arr
 
 
@@ -126,8 +128,8 @@ def _as_array(x, name):
 class DarbouxPoint:
     """A point (q, p, z) of the chart.  ``p[a, i]`` is the momentum p_i^a.
 
-    Entries may be dual numbers while differentiating; finiteness is only
-    enforced for plain float data.
+    A caller's block must be finite real numbers, unless it holds a dual or lane value (see
+    :func:`_as_array`).  A pass builds its points with :meth:`from_flat` only.
     """
 
     q: np.ndarray
@@ -144,14 +146,20 @@ class DarbouxPoint:
 
     @staticmethod
     def from_flat(chart: ChartSpec, x) -> "DarbouxPoint":
-        """Float arrays, checked to be finite, from numbers; object arrays from duals or lanes."""
+        """A pass's point at the flat ``x`` (q, then p row by row, then z): from plain numbers, float
+        blocks checked as a caller's are; else object blocks of the entries as they are, unread, where
+        an entry that is not a real number, a dual or a lane raises ShapeError naming its block."""
         x = list(x)
         if len(x) != chart.dim:
             raise ShapeError(f"flat point has length {len(x)}, chart needs {chart.dim}")
-        plain = all(isinstance(v, (int, float, np.floating, np.integer)) for v in x)
-        x = (_floats(x, ShapeError, "flat point is not an array of numbers") if plain
-             else np.fromiter(x, dtype=object, count=len(x)))
-        return DarbouxPoint(*chart.split(x))
+        if all(isinstance(v, (int, float, np.floating, np.integer)) for v in x):
+            return DarbouxPoint(*chart.split(_floats(x, ShapeError, "flat point is not an array of numbers")))
+        pt = object.__new__(DarbouxPoint)  # the one point built without __init__
+        for name, block in zip("qpz", chart.split(np.fromiter(x, dtype=object, count=len(x)))):
+            if not all(isinstance(v, _ENTRIES) for v in block.flat):
+                raise ShapeError(f"{name} is not an array of numbers")
+            object.__setattr__(pt, name, block)
+        return pt
 
 
 @dataclass(frozen=True)
@@ -244,22 +252,13 @@ class KTangent:
 def eval_eta(chart: ChartSpec, pt: DarbouxPoint) -> list[Covector]:
     """The k structure one-forms at ``pt``: component a is dz^a - sum_i p_i^a dq^i."""
     chart.check_point(pt)
-    out = []
-    for a in range(chart.k):
-        dz = np.zeros(chart.k)
-        dz[a] = 1.0
-        out.append(Covector(-pt.p[a].astype(float), np.zeros((chart.k, chart.n)), dz))
-    return out
+    return [Covector(-pt.p[a].astype(float), np.zeros((chart.k, chart.n)), dz)
+            for a, dz in enumerate(np.eye(chart.k))]
 
 
 def reeb_fields(chart: ChartSpec) -> list[Tangent]:
     """The k distinguished vertical fields d/dz^a (constant in this chart)."""
-    out = []
-    for a in range(chart.k):
-        z = np.zeros(chart.k)
-        z[a] = 1.0
-        out.append(Tangent(np.zeros(chart.n), np.zeros((chart.k, chart.n)), z))
-    return out
+    return [Tangent(np.zeros(chart.n), np.zeros((chart.k, chart.n)), z) for z in np.eye(chart.k)]
 
 
 def pair(cov: Covector, tan: Tangent) -> float:

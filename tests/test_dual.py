@@ -419,10 +419,23 @@ def test_rows_fall_back_in_row_order():
     with pytest.raises(ValueError, match="math domain error"):  # the second row's error
         dm._rows(f, X)
     assert calls == [True, False, False]
-    # a non-finite lane result runs the rows too, and keeps their values
+    # a non-finite input row starts no lane pass: the rows run one by one and keep their values
     g, calls = _counting(lambda r: r[0] + 1.0)
     assert np.array_equal(dm._rows(g, np.array([[0.0], [math.inf]])), [1.0, math.inf])
+    assert calls == [False, False]
+    # a non-finite lane result from finite rows runs the rows too, and keeps their values
+    g, calls = _counting(lambda r: r[0] + math.inf)
+    assert np.array_equal(dm._rows(g, np.array([[0.0], [1.0]])), [math.inf, math.inf])
     assert calls == [True, False, False]
+
+
+def test_a_caller_s_point_of_lanes_refuses_a_non_finite_lane_and_the_rows_decide():
+    # inf made inside fn from finite rows: the caller's constructor refuses the lane, as it
+    # refuses the float, so the rows run one by one and the first raises the scalar error
+    f, calls = _counting(lambda r: kc.DarbouxPoint([r[0] + math.inf], [[0.0]], [0.0]).z[0])
+    with pytest.raises(kc.ShapeError, match="^q contains non-finite entries$"):
+        dm._rows(f, np.array([[0.0], [1.0]]))
+    assert calls == [True, False]
 
 
 def test_rows_stop_after_the_first_row_failing_ok():

@@ -5,6 +5,10 @@ finite difference of the one-form along constant extensions, so the chi
 values are cross-checked without reusing the closed-form contraction.
 """
 
+import ast
+import math
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -169,3 +173,89 @@ def test_shape_errors():
         kc.ChartSpec(0, 2)
     with pytest.raises(kc.ShapeError):
         kc.DarbouxPoint([np.nan], [[0.0], [0.0]], [0.0, 0.0])
+
+
+CH12 = kc.ChartSpec(1, 2)
+
+
+def _objects(*entries):
+    return np.fromiter(entries, dtype=object, count=len(entries))
+
+
+@pytest.mark.parametrize("build, names", [(kc.DarbouxPoint, "qz"), (kc.Tangent, "qz"),
+                                          (kc.Covector, ("dq", "dz"))])
+@pytest.mark.parametrize("block, entries", [(0, (math.inf,)), (0, (np.float64("nan"),)), (1, (3, -math.inf))])
+def test_an_object_block_of_numbers_must_be_finite(build, names, block, entries):
+    # an object block without a dual or lane value is a caller's numbers, read and checked as floats
+    q, z = [0.5], [0.0, 0.0]
+    blocks = [_objects(*entries), z] if block == 0 else [q, _objects(*entries)]
+    with pytest.raises(kc.ShapeError, match=f"^{names[block]} contains non-finite entries$"):
+        build(blocks[0], [[0.0], [0.0]], blocks[1])
+
+
+DUAL = kc.dual.Dual(0.5, (1.0,), 1)
+
+
+@pytest.mark.parametrize("x, message", [
+    ([None, 0, 0, 0, 0], "q is not an array of numbers"),
+    (["a", 0, 0, 0, 0], "q is not an array of numbers"),
+    ([DUAL, 0, 0, 0, None], "z is not an array of numbers"),
+    ([10 ** 400, 0, 0, 0, 0], "flat point is not an array of numbers"),
+])
+def test_from_flat_refuses_an_entry_that_is_not_a_number(x, message):
+    with pytest.raises(kc.ShapeError, match=f"^{message}$"):
+        kc.DarbouxPoint.from_flat(CH12, x)
+
+
+def test_from_flat_keeps_a_pass_s_entries_unread_and_checks_plain_numbers():
+    # a NaN beside a dual is the pass's own float (a Newton row's q), for h to meet
+    pt = kc.DarbouxPoint.from_flat(CH12, [math.nan, DUAL, 0.0, 0.5, 1])
+    assert pt.q.dtype == object and math.isnan(pt.q[0]) and pt.p[0, 0] is DUAL and pt.z.tolist() == [0.5, 1]
+    with pytest.raises(kc.ShapeError, match="^z contains non-finite entries$"):
+        kc.DarbouxPoint.from_flat(CH12, [0.5, 0.0, 0.0, math.inf, 1])
+
+
+def _points_built_round_the_checks(source: str, name: str) -> list:
+    """(file, line) of each place in ``source`` that builds a DarbouxPoint round the caller's
+    constructor or from a flat row split by hand: a ``__new__`` call naming DarbouxPoint outside
+    ``DarbouxPoint.from_flat``, and a ``DarbouxPoint(...)`` call with slices of one array in two
+    or more of its arguments (``from_flat`` takes the row whole)."""
+    found = []
+
+    def slice_bases(arg):
+        return {ast.dump(node.value) for node in ast.walk(arg)
+                if isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Slice)}
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                func = child.func
+                named = {n.id for n in ast.walk(child) if isinstance(n, ast.Name)} | set(scope)
+                if (isinstance(func, ast.Attribute) and func.attr == "__new__" and "DarbouxPoint" in named
+                        and scope[-2:] != ("DarbouxPoint", "from_flat")):
+                    found.append((name, child.lineno))
+                callee = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                bases = [b for arg in child.args for b in slice_bases(arg)]
+                if callee == "DarbouxPoint" and len(bases) > len(set(bases)):
+                    found.append((name, child.lineno))
+            inner = (child.name,) if isinstance(child, (ast.ClassDef, ast.FunctionDef)) else ()
+            visit(child, scope + inner)
+
+    visit(ast.parse(source), ())
+    return found
+
+
+def test_only_from_flat_builds_a_point_round_the_caller_s_checks():
+    found = []
+    for path in sorted(pathlib.Path(kc.__file__).parent.glob("*.py")):
+        found += _points_built_round_the_checks(path.read_text(), path.name)
+    assert found == []
+    copy = ("class DarbouxPoint:\n"
+            "    def from_flat(chart, x):\n"
+            "        return object.__new__(DarbouxPoint)\n"
+            "    def copy(self):\n"
+            "        return DarbouxPoint.__new__(DarbouxPoint)\n"
+            "def row(x, n):\n"
+            "    pt = DarbouxPoint(x[:n], [x[n + a:n + a + 1] for a in range(2)], x[n + 2:])\n"
+            "    return object.__new__(DarbouxPoint), DarbouxPoint(x[0], p[:1], z[1:])\n")
+    assert _points_built_round_the_checks(copy, "copy.py") == [("copy.py", 5), ("copy.py", 7), ("copy.py", 8)]

@@ -1191,3 +1191,14 @@ def test_a_gauge_entry_that_is_not_a_number_is_refused():
     C = kc.GaugeMatrix(lambda q, z: [[None, 0.0], [0.0, 0.0]])
     with pytest.raises(kc.ContractError, match="gauge matrix is not a 2 x 2 array of numbers"):
         kc.hj_zdep_residual(h, gamma, C, mode="evolution", samples=[[0.1, 0.5, -0.5], [0.2, -0.3, 0.4]])
+
+
+def test_a_non_finite_sample_row_raises_in_a_sweep_as_it_does_alone():
+    # h does not read q, so only the point refuses a NaN q: beside a finite row, as alone,
+    # the NaN row must reach it as floats, not as one lane of a pass
+    h = kc.ScalarField(CH12, lambda pt: pt.p[0][0] ** 2 - pt.p[1][0] ** 2 - 3)
+    gamma = kc.SectionZInd(CH12, lambda q: [[1.0], [2.0]], lambda q: [q[0], 2 * q[0]])
+    assert kc.hj_classical_zind(h, gamma, samples=[[0.5], [0.25]]).sup_residual == 6.0
+    for samples in ([[math.nan]], [[math.nan], [0.5]], [[0.5], [math.inf]]):
+        with pytest.raises(kc.ShapeError, match="^q contains non-finite entries$"):
+            kc.hj_classical_zind(h, gamma, samples=samples)
