@@ -29,8 +29,8 @@ from . import corpus
 from .errors import ConfigError, DivergenceError, IntegrabilityError, KContactError
 from .geometry import ChartSpec, DarbouxPoint
 from .grids import GridSpec, _nodes
-from .hdw import map_residual
-from .hj import _check, verify_complete
+from .hdw import MODES, map_residual
+from .hj import DEFAULT_SAMPLES, _check, verify_complete
 from .integrate import DEFAULT_TOLERANCES, end_to_end
 from .sections import sample_box
 
@@ -118,7 +118,6 @@ def _configure(args, tolerance, kinds):
 # -- list -------------------------------------------------------------------
 
 def cmd_list(args) -> int:
-    names = corpus.EXAMPLE_NAMES
     if args.example:
         ex = corpus.load(args.example)
         print(f"{ex.name}: n={ex.chart.n}, k={ex.chart.k}")
@@ -137,7 +136,7 @@ def cmd_list(args) -> int:
             print("  complete families:", ", ".join(ex.families))
         return EXIT_PASS
     print(f"{'example':26s} {'n':>2s} {'k':>2s}  sections/solutions")
-    for name in names:
+    for name in corpus.EXAMPLE_NAMES:
         ex = corpus.load(name)
         print(f"{name:26s} {ex.chart.n:2d} {ex.chart.k:2d}  "
               f"{len(ex.sections)} sections, {len(ex.solutions)} solutions")
@@ -157,7 +156,7 @@ def _tol(args, default, what):
 def _hj_limits(args):
     """Tolerance and sample count of a ``check-hj`` sweep."""
     tol = _tol(args, 1e-10, "tolerance")
-    count = _number(500 if args.samples is None else args.samples, "samples", int, 1)
+    count = _number(DEFAULT_SAMPLES if args.samples is None else args.samples, "samples", int, 1)
     return tol, count
 
 
@@ -341,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--config")
     run.add_argument("--example")
     run.add_argument("--section")
-    run.add_argument("--mode", choices=["standard", "evolution"])
+    run.add_argument("--mode", choices=MODES)
     run.add_argument("--set", action="append", metavar="name=value")
     run.add_argument("--tol", type=float)
     run.add_argument("--seed", type=int)

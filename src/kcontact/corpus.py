@@ -19,6 +19,7 @@ from .errors import ConfigError, ContractError, DomainError, ShapeError
 from .fields import ScalarField
 from .geometry import ChartSpec, DarbouxPoint
 from .grids import BaseMap, GridSpec, SolutionMap, _sample, grid_derivative, grid_second_derivative
+from .hdw import MODES
 from .hj import CompleteSolutionFamily, GaugeMatrix
 from .sections import SectionZDep, from_potentials
 
@@ -41,16 +42,6 @@ __all__ = [
     "thermo_map",
     "ThermoFields",
 ]
-
-EXAMPLE_NAMES = (
-    "telegrapher",
-    "telegrapher-quadratic-z",
-    "hunter-saxton",
-    "first-order-dissipative",
-    "membrane",
-    "thermo-eit",
-)
-
 
 @dataclass(frozen=True)
 class SectionEntry:
@@ -190,12 +181,12 @@ def _mode_pair(keys, build, defaults, constraint=lambda P: None, **entry):
 
     def checked(P):
         constraint(P)
-        if P["mode"] not in ("standard", "evolution"):
+        if P["mode"] not in MODES:
             raise ContractError("mode parameter must be standard or evolution")
 
     return {key: SolutionEntry(key, build, {**defaults, "mode": mode}, modes=(mode,),
                                constraint=checked, **entry)
-            for key, mode in zip(keys, ("standard", "evolution"))}
+            for key, mode in zip(keys, MODES)}
 
 
 _INVERT_R_MAX = 1.0  # first upper end of the bracket of a monotone inversion
@@ -218,9 +209,9 @@ def _monotone_invert(g, w, check=lambda r: None):
         return dm.Dual(r0, tuple(x / slope[0] for x in w.b), w.lev)
     w = float(w)
     lo, hi = 1e-300, _INVERT_R_MAX
+    glo = g(lo)
     for _ in range(_INVERT_MAX_EXPAND):
-        glo, ghi = g(lo), g(hi)
-        if (glo - w) * (ghi - w) <= 0.0:
+        if (glo - w) * (g(hi) - w) <= 0.0:
             break
         hi *= 2.0
     else:
@@ -228,10 +219,10 @@ def _monotone_invert(g, w, check=lambda r: None):
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         gm = g(mid)
-        if (g(lo) - w) * (gm - w) <= 0.0:
+        if (glo - w) * (gm - w) <= 0.0:
             hi = mid
         else:
-            lo = mid
+            lo, glo = mid, gm
         if hi - lo < _INVERT_TOL * max(1.0, abs(mid)):
             break
     return 0.5 * (lo + hi)
@@ -339,7 +330,7 @@ def _h_telegrapher(P, coupling=lambda lam, z: lam * z, name="telegrapher"):
         pt_, px = pt.p[0, 0], pt.p[1, 0]
         return 0.5 * (pt_ * pt_ - px * px / kappa) + 0.5 * eps * u * u + coupling(lam, pt.z[0])
 
-    return ScalarField(CHART_12, fn, params=dict(P), name=name)
+    return ScalarField(CHART_12, fn, name=name)
 
 
 def _tel_resolve_a(P):
@@ -413,7 +404,7 @@ def _damped_wave(speed2, mass, field_damping=False):
 
 
 def _broken_trace_gauge(P):
-    return GaugeMatrix(lambda q, z: [[1.0, 0.0], [0.0, 1.0]], label="broken-trace")
+    return GaugeMatrix(lambda q, z: [[1.0, 0.0], [0.0, 1.0]])
 
 
 TELEGRAPHER = ExampleSystem(
@@ -542,7 +533,7 @@ def _h_hs(P):
         pt_, px = pt.p[0, 0], pt.p[1, 0]
         return -2.0 * pt_ * px + 2.0 * u * pt_ * pt_ + mu * pt_ + 2.0 * mu * pt.z[0]
 
-    return ScalarField(CHART_12, fn, params=dict(P), name="hunter-saxton")
+    return ScalarField(CHART_12, fn, name="hunter-saxton")
 
 
 def _hs_zind_section(P):
@@ -611,7 +602,7 @@ def _hs_quadratic_gauge(P):
     def fn(q, z):
         return [[1.0, -2.0 * z[0] * (0.5 * mu - z[0])], [0.0, -1.0]]
 
-    return GaugeMatrix(fn, label="hs-quadratic-commuting")
+    return GaugeMatrix(fn)
 
 
 def _hs_linear(P):
@@ -798,7 +789,7 @@ def _h_first_order(P):
         px = pt.p[1, 0]
         return 0.5 * (u * u + px * px) + lam * pt.z[0]
 
-    return ScalarField(CHART_12, fn, params=dict(P), name="first-order-dissipative")
+    return ScalarField(CHART_12, fn, name="first-order-dissipative")
 
 
 def _fo_standing(P):
@@ -860,7 +851,7 @@ def _h_membrane(P):
         return (0.5 * (pt_ * pt_ - (px * px + py * py) / (c * c))
                 + 0.5 * kappa * u * u + lam * pt.z[0])
 
-    return ScalarField(CHART_13, fn, params=dict(P), name="membrane")
+    return ScalarField(CHART_13, fn, name="membrane")
 
 
 def _membrane_growth(P):
@@ -970,7 +961,7 @@ def _h_thermo(P):
                 + ct * 0.5 * sum(T[l][m] * T[l][m] for m in range(k) for l in range(k))
                 + cp * 0.5 * sum(x * x for x in Pfl))
 
-    return replace(thermo_hamiltonian(k, U, Phi), params=dict(P), name="thermo-eit")
+    return replace(thermo_hamiltonian(k, U, Phi), name="thermo-eit")
 
 
 THERMO = ExampleSystem(
@@ -1023,6 +1014,7 @@ _REGISTRY = {
     ex.name: ex
     for ex in (TELEGRAPHER, TELEGRAPHER_QZ, HUNTER_SAXTON, FIRST_ORDER, MEMBRANE, THERMO)
 }
+EXAMPLE_NAMES = tuple(_REGISTRY)
 
 
 def load(name: str) -> ExampleSystem:

@@ -9,7 +9,7 @@ damped Newton iteration on the momentum block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,7 +54,6 @@ class ScalarField:
 
     chart: ChartSpec
     fn: callable
-    params: dict = field(default_factory=dict)
     domain: callable = None
     name: str = ""
 

@@ -124,8 +124,20 @@ def _as_array(x, name):
     return arr
 
 
+class _Blocks:
+    """A record of the chart's three blocks, q-, p- and z-shaped in its dataclass fields' order: each
+    field a caller passes is read by :func:`_as_array` under its own name."""
+
+    def __post_init__(self):
+        for name in self.__dataclass_fields__:
+            object.__setattr__(self, name, _as_array(getattr(self, name), name))
+
+    def flat(self) -> np.ndarray:
+        return np.concatenate([getattr(self, name).reshape(-1) for name in self.__dataclass_fields__])
+
+
 @dataclass(frozen=True)
-class DarbouxPoint:
+class DarbouxPoint(_Blocks):
     """A point (q, p, z) of the chart.  ``p[a, i]`` is the momentum p_i^a.
 
     A caller's block must be finite real numbers, unless it holds a dual or lane value (see
@@ -135,14 +147,6 @@ class DarbouxPoint:
     q: np.ndarray
     p: np.ndarray
     z: np.ndarray
-
-    def __init__(self, q, p, z):
-        object.__setattr__(self, "q", _as_array(q, "q"))
-        object.__setattr__(self, "p", _as_array(p, "p"))
-        object.__setattr__(self, "z", _as_array(z, "z"))
-
-    def flat(self) -> np.ndarray:
-        return np.concatenate([self.q.reshape(-1), self.p.reshape(-1), self.z.reshape(-1)])
 
     @staticmethod
     def from_flat(chart: ChartSpec, x) -> "DarbouxPoint":
@@ -163,44 +167,28 @@ class DarbouxPoint:
 
 
 @dataclass(frozen=True)
-class Covector:
+class Covector(_Blocks):
     """Components of a one-form at a point, in the (dq, dp, dz) blocks."""
 
     dq: np.ndarray
     dp: np.ndarray
     dz: np.ndarray
 
-    def __init__(self, dq, dp, dz):
-        object.__setattr__(self, "dq", _as_array(dq, "dq"))
-        object.__setattr__(self, "dp", _as_array(dp, "dp"))
-        object.__setattr__(self, "dz", _as_array(dz, "dz"))
-
-    def flat(self) -> np.ndarray:
-        return np.concatenate([self.dq.reshape(-1), self.dp.reshape(-1), self.dz.reshape(-1)])
-
     def norm(self) -> float:
         return float(np.max(np.abs(self.flat()))) if self.flat().size else 0.0
 
 
 @dataclass(frozen=True)
-class Tangent:
+class Tangent(_Blocks):
     """One tangent vector, blocks (q: n, p: k x n, z: k).  ``p[b, i]`` multiplies d/dp_i^b."""
 
     q: np.ndarray
     p: np.ndarray
     z: np.ndarray
 
-    def __init__(self, q, p, z):
-        object.__setattr__(self, "q", _as_array(q, "q"))
-        object.__setattr__(self, "p", _as_array(p, "p"))
-        object.__setattr__(self, "z", _as_array(z, "z"))
-
     @staticmethod
     def zero(chart: ChartSpec) -> "Tangent":
         return Tangent(np.zeros(chart.n), np.zeros((chart.k, chart.n)), np.zeros(chart.k))
-
-    def flat(self) -> np.ndarray:
-        return np.concatenate([self.q.reshape(-1), self.p.reshape(-1), self.z.reshape(-1)])
 
     def __add__(self, other: "Tangent") -> "Tangent":
         return Tangent(self.q + other.q, self.p + other.p, self.z + other.z)

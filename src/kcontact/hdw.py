@@ -61,7 +61,6 @@ class KVectorField:
     chart: ChartSpec
     at: callable
     kind: str = "custom"
-    hamiltonian: ScalarField = None
 
 
 @dataclass(frozen=True)
@@ -106,7 +105,7 @@ def canonical_kvf(h: ScalarField, mode: str = "standard") -> KVectorField:
             comps.append(Tangent(g.d_p[a], P, Z))
         return KTangent(comps)
 
-    return KVectorField(chart, at, kind=mode, hamiltonian=h)
+    return KVectorField(chart, at, kind=mode)
 
 
 def kvf_residual(kvf: KVectorField, h: ScalarField, mode: str, pt: DarbouxPoint):
@@ -179,7 +178,7 @@ def add_gauge(kvf: KVectorField, gauge: GaugeElement) -> KVectorField:
     def at(pt):
         return kvf.at(pt) + gauge.coeffs
 
-    return KVectorField(kvf.chart, at, kind="custom", hamiltonian=kvf.hamiltonian)
+    return KVectorField(kvf.chart, at, kind="custom")
 
 
 @dataclass
@@ -253,7 +252,7 @@ def evolution_lift(H: ScalarField, X: KVectorField, check_tol: float = 1e-10) ->
             comps.append(Tangent(xt.comp[a].q.copy(), xt.comp[a].p.copy(), Z))
         return KTangent(comps)
 
-    return KVectorField(chart, at, kind="evolution", hamiltonian=H)
+    return KVectorField(chart, at, kind="evolution")
 
 
 def _affine_z_coefficients(h: ScalarField, rng) -> None:

@@ -103,7 +103,6 @@ class GaugeMatrix:
     """
 
     fn: callable
-    label: str = ""
 
     def __call__(self, q, z):
         return self.fn(q, z)
@@ -420,7 +419,7 @@ def _diag_rows(h, gamma, mode, q, z):
 def diagonal_gauge_matrix(h: ScalarField, gamma: SectionZDep, mode: str) -> GaugeMatrix:
     """Gauge matrix backed by the pointwise diagonal solver (dual-capable, see :func:`_gauged`)."""
     _check_mode(mode)
-    return GaugeMatrix(partial(_diag_rows, h, gamma, mode), label=f"diagonal-{mode}")
+    return GaugeMatrix(partial(_diag_rows, h, gamma, mode))
 
 
 def _solved(h: ScalarField, gamma: SectionZDep, C: GaugeMatrix) -> bool:

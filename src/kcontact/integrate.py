@@ -35,7 +35,7 @@ from .fields import ScalarField
 from .geometry import _check_tol, _floats, _whole
 from .grids import BaseField, BaseMap, GridSpec, SolutionMap
 from .hdw import ResidualGrid, map_residual
-from .hj import GaugeMatrix, _check, project_Q, project_zdep
+from .hj import DEFAULT_SAMPLES, GaugeMatrix, _check, project_Q, project_zdep
 from .sections import _coeff_jacobian, _point, _sample_rows
 
 __all__ = [
@@ -270,7 +270,7 @@ def end_to_end(
     C: GaugeMatrix = None,
     hj_samples=None,
     box=None,
-    hj_count: int = 500,
+    hj_count: int = DEFAULT_SAMPLES,
     reference=None,
     tolerances: dict = None,
     steps_per_cell: int = 4,

@@ -90,6 +90,33 @@ def test_cli_corpus_reports_match_recorded_digests(tmp_path, monkeypatch):
     assert plan.reports == json.loads((bench / "cli_digests.json").read_text())["0"]
 
 
+def test_the_benchmark_tracer_wraps_every_listed_name_and_restores_it(monkeypatch):
+    """Each name the benchmark's tracer wraps is found in its own module or class ``__dict__``
+    (``DarbouxPoint.__init__`` and ``Tangent.__init__`` among them), is swapped for a wrapper by
+    install, re-exports such as ``kcontact.grad`` too, and is the original object after uninstall."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import tracer
+
+    def resolve(modname, path):
+        owner = sys.modules[f"kcontact.{modname}"]
+        if "." in path:
+            cls_name, attr = path.split(".")
+            return vars(getattr(owner, cls_name))[attr]
+        return getattr(owner, path)
+
+    before = {(modname, path): resolve(modname, path) for modname, path, _ in tracer.WRAPPED}
+    grad = kcontact.grad
+    t = tracer.Tracer()
+    try:
+        t.install()
+        kept = [key for key, original in before.items() if resolve(*key) is original]
+        assert kept == [] and kcontact.grad is not grad
+    finally:
+        t.uninstall()
+    assert [key for key, original in before.items() if resolve(*key) is original] == list(before)
+    assert kcontact.grad is grad
+
+
 def test_simulate_solution_unknown_parameter_exit_2(capsys, tmp_path):
     code = run(["simulate", "--example", "telegrapher", "--solution", "exponential",
                 "--set", "zeta=1", "--out", str(tmp_path)])

@@ -14,10 +14,10 @@ from conftest import random_point
 
 
 def test_registry_and_unknown_key():
-    assert set(corpus.EXAMPLE_NAMES) == {
+    assert corpus.EXAMPLE_NAMES == (
         "telegrapher", "telegrapher-quadratic-z", "hunter-saxton",
         "first-order-dissipative", "membrane", "thermo-eit",
-    }
+    )
     with pytest.raises(kc.ConfigError):
         corpus.load("nope")
     with pytest.raises(kc.ConfigError):
@@ -180,6 +180,20 @@ def _lifted_logarithmic(P, grid):
         return [delta * r * r - c]
 
     return kc.lift(section, corpus.closed_base_map(grid, base)), base, section
+
+
+def test_monotone_inversion_evaluates_g_at_the_lower_end_once():
+    """g(lo) is carried through the bracket doublings and the bisection, so g runs once at the
+    lower end, once per upper end tried (1, 2, 4) and once per bisection step (47 to halve the
+    bracket [0, 4] below 1e-14 * 3)."""
+    calls = []
+
+    def g(r):
+        calls.append(r)
+        return r * r
+
+    assert corpus._monotone_invert(g, 9.0) == pytest.approx(3.0, rel=1e-13)
+    assert len(calls) <= 1 + 3 + 47
 
 
 @pytest.mark.parametrize("over,grid", [

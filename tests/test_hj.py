@@ -230,6 +230,15 @@ def test_evolution_zind_hs_constant_energy():
     assert vals[0] == pytest.approx(2.0 * entry.defaults["K"])
 
 
+def test_evolution_zind_reads_every_entry_of_the_q_gradient():
+    # at n = 2, h on the section is 0.7 - 1.3 q^2: only the second entry of its q-gradient is nonzero
+    chart = kc.ChartSpec(2, 1)
+    h = kc.ScalarField(chart, lambda pt: pt.p[0, 0] + pt.p[0, 1])
+    gamma = kc.from_potentials(chart, lambda q: [0.7 * q[0] - 0.65 * q[1] ** 2])
+    rep = kc.hj_evolution_zind(h, gamma, samples=[[0.1, 0.2], [-0.4, 0.3], [0.5, -0.6]])
+    assert rep.sup_residual == 1.3
+
+
 def test_evolution_zind_detects_non_root():
     ex, h = tel()
     entry = ex.sections["classical-zind-wrong-root"]

@@ -130,6 +130,16 @@ def test_isotropic_slices():
     assert val == pytest.approx(0.9)  # |d gamma_1 / d q^2 - d gamma_2 / d q^1| = |0 - q^2|
 
 
+def test_the_z_correction_of_the_coisotropy_check_enters_with_its_sign(rng):
+    # at n = 2 the term gamma_i^b d gamma_j^a / dz^b is nonzero; with its sign flipped the two
+    # corrected checks below would read 1.5 and 1.6
+    linear = kc.SectionZDep(CH21, gamma_p=lambda q, z: [[q[1], z[0]]])
+    assert kc.check_max_coisotropic(linear, [[0.0, 0.5, 0.0]]) == 0.5  # |q^2 - 1|
+    sheared = kc.SectionZDep(CH21, gamma_p=lambda q, z: [[0.8, z[0] - 0.8 * q[0]]])
+    assert kc.check_max_coisotropic(sheared, 2.0 * rng.random((10, 3)) - 1.0) == 0.0  # |-0.8 + 0.8 - 0|
+    assert kc.check_isotropic_slices(sheared, [0.4], [[0.3, -0.2]]) == pytest.approx(0.8)
+
+
 def test_coisotropy_defect_terms_antisymmetric(rng):
     chart = kc.ChartSpec(3, 2)
 
