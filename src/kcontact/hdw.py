@@ -51,16 +51,10 @@ def _check_mode(mode: str) -> None:
 
 @dataclass
 class KVectorField:
-    """A field of k-tangents over the chart.
-
-    ``kind`` records how it was built; for the two canonical kinds the
-    residual of the defining equations vanishes identically by
-    construction, which the test suite asserts.
-    """
+    """A field of k-tangents over the chart."""
 
     chart: ChartSpec
     at: callable
-    kind: str = "custom"
 
 
 @dataclass(frozen=True)
@@ -105,7 +99,7 @@ def canonical_kvf(h: ScalarField, mode: str = "standard") -> KVectorField:
             comps.append(Tangent(g.d_p[a], P, Z))
         return KTangent(comps)
 
-    return KVectorField(chart, at, kind=mode)
+    return KVectorField(chart, at)
 
 
 def kvf_residual(kvf: KVectorField, h: ScalarField, mode: str, pt: DarbouxPoint):
@@ -178,7 +172,7 @@ def add_gauge(kvf: KVectorField, gauge: GaugeElement) -> KVectorField:
     def at(pt):
         return kvf.at(pt) + gauge.coeffs
 
-    return KVectorField(kvf.chart, at, kind="custom")
+    return KVectorField(kvf.chart, at)
 
 
 @dataclass
@@ -252,7 +246,7 @@ def evolution_lift(H: ScalarField, X: KVectorField, check_tol: float = 1e-10) ->
             comps.append(Tangent(xt.comp[a].q.copy(), xt.comp[a].p.copy(), Z))
         return KTangent(comps)
 
-    return KVectorField(chart, at, kind="evolution")
+    return KVectorField(chart, at)
 
 
 def _affine_z_coefficients(h: ScalarField, rng) -> None:
@@ -271,24 +265,15 @@ def _affine_z_coefficients(h: ScalarField, rng) -> None:
 def _fibre_momenta(h: ScalarField, values, v, start) -> np.ndarray:
     """Momenta inverting the fibre derivative (d h / d p = v at z = 0) on the nodes of a grid.
 
-    The first node starts from ``start``; then, axis by axis, each step along
-    the axis is one batched Newton over the lines of the face swept so far
-    (later indices 0), each node started from its predecessor on its line.
+    One batched Newton over every node, each started from ``start``: a node takes the iterates
+    of its one-node call from there, and an error names the first failing node in row-major order.
     """
     n, k = h.chart.n, h.chart.k
-    shape, nodes = values.shape[:-1], np.arange(values[..., 0].size).reshape(values.shape[:-1])
-    Q, V, P = values.reshape(-1, n), v.reshape(-1, k * n), np.empty((nodes.size, k * n))
-    passes = _newton_passes(h, np.concatenate([Q[0], np.zeros(k), start.reshape(-1)]))  # the first row
-
-    def solve(rows, starts):
-        P[rows] = _newton(h, Q[rows], np.zeros((len(rows), k)), V[rows], starts, where=lambda i: (
-            f" at work-grid node {tuple(int(c) for c in np.unravel_index(rows[i], shape))}"), passes=passes)
-
-    solve(nodes[(0,) * k].reshape(1), start.reshape(1, -1))
-    for axis in range(k):
-        face = nodes[(slice(None),) * (axis + 1) + (0,) * (k - axis - 1)]
-        for j in range(1, shape[axis]):
-            solve(face[..., j].reshape(-1), P[face[..., j - 1].reshape(-1)])
+    shape, Q = values.shape[:-1], values.reshape(-1, n)
+    starts = np.broadcast_to(start.reshape(1, -1), (len(Q), k * n))
+    P = _newton(h, Q, np.zeros((len(Q), k)), v.reshape(-1, k * n), starts,
+                where=lambda i: f" at work-grid node {tuple(int(c) for c in np.unravel_index(i, shape))}",
+                passes=_newton_passes(h, np.concatenate([Q[0], np.zeros(k), start.reshape(-1)])))
     return P.reshape(shape + (k, n))
 
 
@@ -304,7 +289,8 @@ def second_order_residual(
     Requires ``h`` affine in the extra coordinates (checked on random
     points) and regular.  Momenta are reconstructed from the node derivatives
     (:meth:`BaseMap.derivatives`, padded if the map has a closed form) by
-    fibre-derivative inversion; the result has shape ``grid.shape + (n,)``.
+    fibre-derivative inversion, ``p_init`` (default zeros) the Newton start of
+    every node, not only of the first; the result has shape ``grid.shape + (n,)``.
     ``mode`` is validated and does not change the result for an affine
     coupling: the balance term is the momentum trace of the canonical field,
     which the two modes share.  A grid node where the
@@ -347,13 +333,13 @@ def second_order_residual(
     v = (BaseMap(work, values).derivatives() if pad and qmap.closed_derivative is None
          else padded(qmap.derivatives(), qmap.closed_derivative, (k, n)) if pad else qmap.derivatives())
 
-    prev = np.zeros((k, n)) if p_init is None else _block("p_init", p_init, k, n)
-    ok, smin = check_regularity(h, DarbouxPoint(values[(0,) * k], prev, np.zeros(k)))
+    start = np.zeros((k, n)) if p_init is None else _block("p_init", p_init, k, n)
+    ok, smin = check_regularity(h, DarbouxPoint(values[(0,) * k], start, np.zeros(k)))
     if not ok:
         raise RegularityError(
             f"fibre Hessian is singular near the reconstruction start (min singular value {smin:.3e})"
         )
-    P = _fibre_momenta(h, values, v, prev)
+    P = _fibre_momenta(h, values, v, start)
 
     div_P = np.zeros(work.shape + (n,))
     for a in range(k):

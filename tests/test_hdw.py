@@ -485,24 +485,45 @@ def test_second_order_names_the_node_where_the_inversion_fails():
         grid, qmap.closed_form, df=lambda t: [[0.5], [-0.25]]))).all()
 
 
+def test_second_order_names_the_first_failing_node_in_row_major_order():
+    # NaN direction derivatives at grid nodes (1, 2) and (3, 0): work-grid nodes (3, 4) and (5, 2)
+    h = corpus.load("telegrapher").hamiltonian()
+    grid = GridSpec([0.0, 0.0], [1e-3, 1e-3], [4, 4])
+
+    def derivative(t):
+        bad = any(abs(t[0] - a) < 1e-9 and abs(t[1] - b) < 1e-9 for a, b in ((1e-3, 2e-3), (3e-3, 0.0)))
+        return [[NAN if bad else 0.5], [-0.25]]
+
+    qmap = BaseMap.from_function(grid, lambda t: [0.5 * t[0] - 0.25 * t[1]], df=derivative)
+    with pytest.raises(kc.SolverError, match=r"\(last residual nan\) at work-grid node \(3, 4\)$"):
+        kc.second_order_residual(h, qmap)
+
+
+@pytest.mark.parametrize("scale", [0.9, 0.999])
 @pytest.mark.parametrize("shape", [(6,), (4, 5), (3, 4, 3)])
-def test_second_order_momenta_follow_the_lines_of_the_last_axis(shape):
-    # each node is warm-started from its predecessor on its line along the last axis, and
-    # the face at last index 0 the same way one dimension lower: the one-node inversions
-    # chained in that order give the momenta bit for bit
+def test_second_order_momenta_are_one_node_inversions_from_the_common_start(shape, scale):
+    # every node starts from the same momenta: its one-node inversion from there gives it bit for bit
     k = len(shape)
     chart = kc.ChartSpec(1, k)
     h = kc.ScalarField(chart, lambda pt: sum(dm.sqrt(1.0 + (a + 1.0 + pt.q[0] ** 2) * pt.p[a, 0] ** 2)
                                              for a in range(k)) + pt.z[0])
     rng = np.random.default_rng(7)
-    values, v = rng.random(shape + (1,)), 0.9 * (2.0 * rng.random(shape + (k, 1)) - 1.0)
+    values, v = rng.random(shape + (1,)), scale * (2.0 * rng.random(shape + (k, 1)) - 1.0)
     P = hdw._fibre_momenta(h, values, v, np.zeros((k, 1)))
     ref = np.empty_like(P)
     for idx in np.ndindex(*shape):
-        last = max((a for a in range(k) if idx[a]), default=None)
-        prev = np.zeros((k, 1)) if last is None else ref[idx[:last] + (idx[last] - 1,) + idx[last + 1:]]
-        ref[idx] = kc.invert_fibre_derivative(h, values[idx], np.zeros(k), v[idx], prev)
+        ref[idx] = kc.invert_fibre_derivative(h, values[idx], np.zeros(k), v[idx], np.zeros((k, 1)))
     assert P.tobytes() == ref.tobytes()
+
+
+def test_second_order_inverts_the_whole_work_grid_in_one_newton_stack(monkeypatch):
+    # the membrane on 5^3 nodes, padded by two rings to 9^3: one Newton call of 729 rows
+    rows, newton = [], hdw._newton
+    monkeypatch.setattr(hdw, "_newton", lambda h, Q, *a, **kw: rows.append(len(Q)) or newton(h, Q, *a, **kw))
+    grid = GridSpec([0.0, 0.0, 0.0], [1e-3, 1e-3, 1e-3], [5, 5, 5])
+    qmap = BaseMap.from_function(grid, lambda t: [0.5 * np.exp(-t[0]) * np.cos(t[1]) * np.cos(2.0 * t[2])])
+    res = kc.second_order_residual(corpus.load("membrane").hamiltonian(), qmap)
+    assert rows == [729] and res.shape == (5, 5, 5, 1)
 
 
 def test_a_map_residual_node_that_overflows_raises_a_shape_error_naming_it():
