@@ -53,7 +53,6 @@ class SectionEntry:
     gauge: callable = None  # params -> GaugeMatrix (z-dependent sections only)
     box: tuple = None  # default sampling box for the HJ check
     sim: dict = None  # default simulate plan: origin/spacing/counts/start/reference
-    note: str = ""
 
 
 @dataclass(frozen=True)
@@ -65,7 +64,6 @@ class SolutionEntry:
     constraint: callable  # params -> None, raises ContractError naming the equation
     default_grid: GridSpec
     tol: float = 1e-10
-    note: str = ""
 
 
 @dataclass(frozen=True)
@@ -83,7 +81,6 @@ class ExpectedCase:
     mode: str
     verdict: str
     solution: str = None
-    note: str = ""
 
 
 @dataclass(frozen=True)
@@ -420,14 +417,12 @@ TELEGRAPHER = ExampleSystem(
             box=((0.5, 2.0),),
             sim={"origin": [0.0, 0.0], "spacing": [0.02, 0.02], "counts": [50, 50],
                  "start": [1.0], "reference": "exponential"},
-            note="quadratic-slope family; defaults pick the nonzero root and C0 + c*C1 = 0",
         ),
         "classical-zind-wrong-root": SectionEntry(
             "classical-zind-wrong-root", "zind", _tel_zind_section,
             {"kappa": 1.0, "lambda": 1.0, "epsilon": 0.0, "c": 2.0, "a": 2.0 / 3.0, "C0": 0.0, "C1": 0.0},
             modes=(),
             box=((0.5, 2.0),),
-            note="sign-flipped slope: not a root of the slope quadratic",
         ),
         "zdep-family": SectionEntry(
             "zdep-family", "zdep", _tel_zdep_section,
@@ -439,7 +434,6 @@ TELEGRAPHER = ExampleSystem(
             {"kappa": 1.0, "lambda": 1.0, "epsilon": 0.0, "a": 1.0, "mu": 0.0, "nu": 0.0},
             modes=(),
             gauge=_broken_trace_gauge,
-            note="identity gauge matrix: violates both trace constraints",
         ),
     },
     solutions={
@@ -697,7 +691,6 @@ HUNTER_SAXTON = ExampleSystem(
             modes=("evolution",),
             sim={"origin": [0.0, 0.0], "spacing": [0.05, 0.05], "counts": [9, 9],
                  "start": [0.0], "reference": "linear"},
-            note="nonzero energy offset K: passes the evolution check, fails the standard one",
         ),
         "log-zind": SectionEntry(
             "log-zind", "zind", _hs_log_section,
@@ -712,7 +705,6 @@ HUNTER_SAXTON = ExampleSystem(
             box=((0.8, 1.6),),
             sim={"origin": [0.0, 0.0], "spacing": [0.01, 0.01], "counts": [9, 9],
                  "start": [1.0]},
-            note="passes the evolution check but projects onto non-commuting directions",
         ),
         "zdep-family": SectionEntry(
             "zdep-family", "zdep", _linear_zdep_section("hs-zdep", ("rho", "sigma")),
@@ -726,7 +718,6 @@ HUNTER_SAXTON = ExampleSystem(
             gauge=_hs_quadratic_gauge,
             sim={"origin": [0.0, 0.0], "spacing": [0.05, 0.05], "counts": [9, 9],
                  "start": [0.0, 0.0, 0.0], "reference": "quadratic"},
-            note="z-level section whose commuting representative integrates to a quadratic profile",
         ),
     },
     solutions={
@@ -753,7 +744,6 @@ HUNTER_SAXTON = ExampleSystem(
             constraint=_hs_log_constraint,
             default_grid=GridSpec([0.0, 0.5], [0.02, 0.02], [9, 9]),
             tol=1e-6,
-            note="square-root slope branch: base map by monotone inversion, lifted through log-zind",
         ),
     },
     families={"complete": _linear_family("hs-complete")},

@@ -49,8 +49,8 @@ nodes.  Every row that runs one at a time, there or in :func:`_rows`, goes throu
 overflow, invalid operation or zero divisor raises :class:`~kcontact.errors.ShapeError`
 naming the row or the grid node.
 
-Record once, replay many.  A site that runs one per-row function many times (an
-RK4 step on every line, a Newton pass on every node) records it at one row with
+Record once, replay many.  A site that runs one per-row function many times (the
+RK4 step on every line) records it at one row with
 :func:`_program`: the lanes then hold registers, and every float-level operation
 and every test of a value (a comparison, ``bool``, a divisor's zero test, the
 finiteness test of a caller's list of lanes) is logged, a test with its answer.  The
@@ -69,7 +69,7 @@ there.  So an RK4 step is recorded from its field's evaluation program, not four
 A function that reads lane values otherwise (``float()``, :func:`_vmax`, numpy)
 records no program and runs as it is.  A float replay computes in Python floats, which
 overflow without an error: there a non-finite value meets the site's own test (the RK4
-guard, Newton's convergence test).  The recording folds ``x * 1``, ``x / 1``, ``x + -0``
+guard).  The recording folds ``x * 1``, ``x / 1``, ``x + -0``
 and ``x - 0`` into x, and a lane replay reads constants as arrays kept per lane width.
 """
 

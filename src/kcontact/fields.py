@@ -185,27 +185,24 @@ def _newton_steps(H, R, singular):
     raise singular(i)  # a stack the rules refuse has a row they refuse, so the loop stops there
 
 
-def _newton_passes(h: ScalarField, x0=None) -> tuple:
+def _newton_passes(h: ScalarField) -> tuple:
     """The residual pass (``_p_grad``) and the fused pass (``derive2``'s gradient, bit for bit
-    ``_p_grad``'s, then its flat Hessian) of :func:`_newton` on a row (q, z, p); with a float
-    row ``x0``, each recorded there as a :func:`kcontact.dual._program` when it can be."""
+    ``_p_grad``'s, then its flat Hessian) of :func:`_newton` on a row (q, z, p)."""
     n, k = h.chart.n, h.chart.k
 
     def fused(x):
         _, g, H = dm.derive2(_h_of_p(h, x[:n], x[n:n + k]), x[n + k:])
         return g + [v for r in H for v in r]
 
-    passes = (lambda x: _p_grad(h, x[:n], x[n:n + k], x[n + k:]), fused)
-    return passes if x0 is None else tuple(dm._program(f, x0) or f for f in passes)
+    return lambda x: _p_grad(h, x[:n], x[n:n + k], x[n + k:]), fused
 
 
-def _newton(h: ScalarField, Q, Z, V, P, tol: float = 1e-12, max_iter: int = 50, where=lambda i: "",
-            passes=None):
+def _newton(h: ScalarField, Q, Z, V, P, tol: float = 1e-12, max_iter: int = 50, where=lambda i: ""):
     """The momenta solving d h / d p = v at fixed (q, z), one node per row of (Q, Z, V), from
     the starts P (momenta and v flattened row-major): damped Newton, with per-row state.
 
-    The rows whose residual is not yet <= ``tol`` (the active set) share each pass (``passes``,
-    default :func:`_newton_passes`) as lanes of :func:`kcontact.dual._rows`, read from one (q, z, p)
+    The rows whose residual is not yet <= ``tol`` (the active set) share each pass of
+    :func:`_newton_passes` as lanes of :func:`kcontact.dual._rows`, read from one (q, z, p)
     buffer, so every row takes the iterates of a one-row call, which runs as floats.  While all rows
     take part, an iteration runs on whole arrays: the set is indexed once a row converges or halves.
     The fused pass gives the residuals and Hessians at the starts, then the Hessians of the rows that
@@ -215,7 +212,7 @@ def _newton(h: ScalarField, Q, Z, V, P, tol: float = 1e-12, max_iter: int = 50, 
     n, k = h.chart.n, h.chart.k
     X = np.concatenate([np.asarray(a, dtype=float) for a in (Q, Z, P)], axis=1)
     p, V, m = X[:, n + k:], np.asarray(V, dtype=float), len(X)  # p: the momenta of every pass
-    grad_pass, fused_pass = passes or _newton_passes(h)
+    grad_pass, fused_pass = _newton_passes(h)
 
     def part(idx, size):  # the rows ``idx`` of ``size`` rows: a slice while they are all of them
         return slice(None) if len(idx) == size else idx

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, RegularityError, ShapeError
-from .fields import ScalarField, _block, _newton, _newton_passes, _node_gradients, check_regularity, grad
+from .fields import ScalarField, _block, _newton, _node_gradients, check_regularity, grad
 from .geometry import ChartSpec, DarbouxPoint, KTangent, Tangent, _check_tol
 from .grids import BaseMap, GridSpec, SolutionMap, _node, _sample, grid_derivative
 from .sections import default_box, sample_box
@@ -262,18 +262,19 @@ def _affine_z_coefficients(h: ScalarField, rng) -> None:
         raise ContractError("Hamiltonian is not affine in the extra coordinates")
 
 
-def _fibre_momenta(h: ScalarField, values, v, start) -> np.ndarray:
-    """Momenta inverting the fibre derivative (d h / d p = v at z = 0) on the nodes of a grid.
+def _fibre_momenta(h: ScalarField, values, v, start, live) -> np.ndarray:
+    """Momenta inverting the fibre derivative (d h / d p = v at z = 0) on the ``live`` nodes of a grid.
 
-    One batched Newton over every node, each started from ``start``: a node takes the iterates
+    One batched Newton over those nodes, each started from ``start``: a node takes the iterates
     of its one-node call from there, and an error names the first failing node in row-major order.
+    Every other node's momenta are zero.
     """
     n, k = h.chart.n, h.chart.k
-    shape, Q = values.shape[:-1], values.reshape(-1, n)
-    starts = np.broadcast_to(start.reshape(1, -1), (len(Q), k * n))
-    P = _newton(h, Q, np.zeros((len(Q), k)), v.reshape(-1, k * n), starts,
-                where=lambda i: f" at work-grid node {tuple(int(c) for c in np.unravel_index(i, shape))}",
-                passes=_newton_passes(h, np.concatenate([Q[0], np.zeros(k), start.reshape(-1)])))
+    shape, rows = values.shape[:-1], np.flatnonzero(live)
+    P = np.zeros((live.size, k * n))
+    P[rows] = _newton(h, values.reshape(-1, n)[rows], np.zeros((len(rows), k)), v.reshape(-1, k * n)[rows],
+                      np.broadcast_to(start.reshape(1, -1), (len(rows), k * n)), where=lambda i:
+                      f" at work-grid node {tuple(map(int, np.unravel_index(rows[i], shape)))}")
     return P.reshape(shape + (k, n))
 
 
@@ -307,31 +308,37 @@ def second_order_residual(
     rng = np.random.default_rng(0) if rng is None else rng
     _affine_z_coefficients(h, rng)
 
-    # A closed-form base map lets us pad the grid by two rings, so every
-    # difference stencil below is central on the reported nodes; otherwise
-    # the one-sided seams cost an order of accuracy near the boundary.  The closed forms
-    # run on the rings only: the map's nodes keep its values (and derivatives, if closed).
-    # Node data (integrated flows) is not padded, and a closed form that fails on
-    # the rings (say a square root below the first node) uses the bare grid.
+    # A closed-form base map lets us pad the grid by two rings, so every difference stencil
+    # below is central on the reported nodes; otherwise the one-sided seams cost an order of
+    # accuracy near the boundary.  Only what the reported nodes' stencils read is filled: momenta
+    # at reach <= 1 (a node's steps outside the grid, summed over the directions), the values
+    # their derivatives read, at reach <= 2 (<= 1 with a closed derivative), and the far corner,
+    # where the regularity check runs.  The map's nodes keep its values (and derivatives, if
+    # closed); every other entry stays zero.  Node data (integrated flows) is not padded, and a
+    # closed form that fails where it is called (say a square root below the first node) uses
+    # the bare grid.
     pad = 2 if qmap.closed_form is not None else 0
-    work, values = grid, qmap.values
+    work, values, reach = grid, qmap.values, np.zeros(grid.shape, dtype=int)
     if pad:
         work = GridSpec(grid.origin - pad * grid.spacing, grid.spacing, np.add(grid.counts, 2 * pad))
-        ring = np.pad(np.zeros(grid.shape, dtype=bool), pad, constant_values=True)
+        ramps = (np.pad(np.zeros(c, int), pad, "linear_ramp", end_values=pad) for c in grid.counts)
+        reach = sum(np.ix_(*ramps))  # 2, 1, 0, ..., 0, 1, 2 along each direction, summed
 
-        def padded(inside, fn, shape):  # ``inside`` on the map's nodes, ``fn`` on the rings
-            out = np.zeros(work.shape + inside.shape[k:])
-            out[~ring] = inside.reshape(-1, *inside.shape[k:])
-            rows = _sample(work, lambda t: [fn(t)], [shape], np.flatnonzero(ring))[0]
-            out[ring] = rows.reshape(-1, *inside.shape[k:])
-            return out
+        def padded(inside, fn, shape, ring):  # ``inside`` on the map's nodes, ``fn`` on the ring nodes
+            out = np.zeros((reach.size,) + inside.shape[k:])
+            out[reach.reshape(-1) == 0] = inside.reshape(-1, *inside.shape[k:])
+            out[ring] = _sample(work, lambda t: [fn(t)], [shape], ring)[0].reshape(-1, *inside.shape[k:])
+            return out.reshape(work.shape + inside.shape[k:])
 
+        ring = (reach > 0) & (reach <= (1 if qmap.closed_derivative is not None else 2))
+        ring.flat[0] = True  # the far corner
         try:
-            values = padded(values, qmap.closed_form, None)
+            values = padded(values, qmap.closed_form, None, np.flatnonzero(ring))
         except (ContractError, ShapeError, ValueError, ArithmeticError):
-            pad, work = 0, grid
+            pad, work, reach = 0, grid, np.zeros(grid.shape, dtype=int)
     v = (BaseMap(work, values).derivatives() if pad and qmap.closed_derivative is None
-         else padded(qmap.derivatives(), qmap.closed_derivative, (k, n)) if pad else qmap.derivatives())
+         else padded(qmap.derivatives(), qmap.closed_derivative, (k, n), np.flatnonzero(reach == 1)) if pad
+         else qmap.derivatives())
 
     start = np.zeros((k, n)) if p_init is None else _block("p_init", p_init, k, n)
     ok, smin = check_regularity(h, DarbouxPoint(values[(0,) * k], start, np.zeros(k)))
@@ -339,7 +346,7 @@ def second_order_residual(
         raise RegularityError(
             f"fibre Hessian is singular near the reconstruction start (min singular value {smin:.3e})"
         )
-    P = _fibre_momenta(h, values, v, start)
+    P = _fibre_momenta(h, values, v, start, reach <= 1)
 
     div_P = np.zeros(work.shape + (n,))
     for a in range(k):

@@ -231,28 +231,6 @@ def test_batched_newton_rows_reproduce_the_scalar_iteration(name, rng):
         assert max(steps) >= 6 and halvings > 50
 
 
-@pytest.mark.parametrize("name", ["hunter-saxton", "saturating"])
-def test_recorded_newton_passes_give_the_scalar_rows_at_every_width_of_the_active_set(name, rng):
-    h = _saturating() if name == "saturating" else corpus.load(name).hamiltonian()
-    Q, Z, V, P0 = _random_nodes(h, rng, 60)
-    for i in range(0, 60, 7):  # rows that start converged, so the active set shrinks at once
-        P0[i] = _scalar_newton(h, Q[i], Z[i], V[i], P0[i])[0]
-    widths = []  # lane widths of the residual pass and of the fused pass
-
-    def width_logged(replay):
-        def logged(x):
-            widths.append(len(x[0].v) if isinstance(x[0], dm._Lanes) else 1)
-            return replay(x)
-        return logged
-
-    grad_pass, fused_pass = fields._newton_passes(h, np.concatenate([Q[0], Z[0], P0[0]]))
-    assert grad_pass.__name__ == fused_pass.__name__ == "replay"  # both passes were recorded
-    P = fields._newton(h, Q, Z, V, P0, passes=(width_logged(grad_pass), width_logged(fused_pass)))
-    for i in range(60):
-        assert P[i].tobytes() == _scalar_newton(h, Q[i], Z[i], V[i], P0[i])[0].tobytes()
-    assert len(set(widths) - {1}) >= 2  # the programs, replayed on lanes of several widths
-
-
 def test_batched_newton_falls_back_for_a_hamiltonian_that_refuses_lanes(rng):
     hs = corpus.load("hunter-saxton").hamiltonian()
     h = kc.ScalarField(CH12, lambda pt: hs.fn(pt) + 0.0 * float(dm.value(pt.q[0])))

@@ -303,24 +303,35 @@ def test_second_order_closed_form_of_another_shape_on_the_padding_uses_the_bare_
     assert got.tobytes() == kc.second_order_residual(h, BaseMap(grid, qmap.values), "standard").tobytes()
 
 
-def _ring_nodes(grid, pad=2):
-    """The coordinates of the nodes of the two padding rings, as nodes of the padded grid."""
-    counts, origin = np.add(grid.counts, 2 * pad), grid.origin - pad * grid.spacing
-    return {tuple(origin + grid.spacing * np.array(idx)) for idx in np.ndindex(*counts)
-            if any(i < pad or i >= c + pad for i, c in zip(idx, grid.counts))}
+def _reach(idx, counts, pad=2):
+    """The number of steps outside the grid of ``counts`` nodes of node ``idx`` of that grid padded
+    by ``pad`` rings, summed over the directions."""
+    return sum(max(pad - i, 0, i - (c + pad - 1)) for i, c in zip(idx, counts))
+
+
+def _support_ring(grid, most, pad=2):
+    """The ring nodes of reach at most ``most`` and the far corner, as indices of the padded grid."""
+    return {idx for idx in np.ndindex(*np.add(grid.counts, 2 * pad))
+            if 0 < _reach(idx, grid.counts, pad) <= most or not any(idx)}
+
+
+def _work_t(grid, idx, pad=2):
+    """The coordinates of node ``idx`` of the padded grid."""
+    return (grid.origin - pad * grid.spacing) + grid.spacing * np.array(idx)
 
 
 def _work_map(monkeypatch, h, qmap):
-    """The padded values and direction derivatives that second_order_residual inverts."""
+    """The padded values, direction derivatives and live nodes that second_order_residual inverts."""
     seen = []
     fibre = hdw._fibre_momenta
-    monkeypatch.setattr(hdw, "_fibre_momenta", lambda h, values, v, start: seen.append((values, v)) or fibre(
-        h, values, v, start))
+    monkeypatch.setattr(hdw, "_fibre_momenta", lambda h, values, v, start, live: seen.append(
+        (values, v, live)) or fibre(h, values, v, start, live))
     kc.second_order_residual(h, qmap)
     return seen[0]
 
 
-def test_second_order_calls_a_float_closure_once_per_ring_node():
+def test_second_order_calls_a_float_closure_once_per_support_ring_node():
+    # values at reach <= 2 (the differences of the momenta at reach <= 1 read them) and the far corner
     h = corpus.load("telegrapher").hamiltonian()
     grid = GridSpec([0.01, -0.02], [1e-3, 2e-3], [6, 5])
     calls = []
@@ -334,35 +345,57 @@ def test_second_order_calls_a_float_closure_once_per_ring_node():
     kc.second_order_residual(h, qmap)
     on_floats = [tuple(float(v) for v in t) for t in calls if all(isinstance(v, float) for v in t)]
     assert len(calls) == len(on_floats) + 1  # one refused lane pass
-    assert len(on_floats) == 10 * 9 - 6 * 5 and set(on_floats) == _ring_nodes(grid)
+    assert len(on_floats) == 49 and len(set(on_floats)) == 49
+    assert set(on_floats) == {tuple(_work_t(grid, idx)) for idx in _support_ring(grid, 2)}
 
 
-def test_second_order_pads_the_map_values_and_derivatives_with_the_rings(monkeypatch):
+@pytest.mark.parametrize("closed_derivative", [True, False])
+def test_second_order_pads_the_map_values_and_derivatives_on_the_stencil_support(monkeypatch,
+                                                                                 closed_derivative):
+    # momenta at reach <= 1; values at reach <= 1 with a closed derivative, else at reach <= 2; and
+    # the far corner's values.  Every other ring entry is zero and no momenta are taken there.
     ex = corpus.load("telegrapher")
     entry = ex.solutions["exponential"]
     f = entry.build(dict(entry.defaults))
     grid = GridSpec([0.013, -0.007], [1e-3, 3e-3], [7, 6])
-    qmap = corpus.closed_base_map(grid, lambda t: f(t)[0])  # a closed derivative and a node table
-    values, v = _work_map(monkeypatch, ex.hamiltonian(), qmap)
+    qmap = (corpus.closed_base_map(grid, lambda t: f(t)[0]) if closed_derivative  # and a node table
+            else BaseMap.from_function(grid, lambda t: f(list(t))[0]))
+    values, v, live = _work_map(monkeypatch, ex.hamiltonian(), qmap)
     assert values.shape == (11, 10, 1) and v.shape == (11, 10, 2, 1)
     assert values[2:-2, 2:-2].tobytes() == qmap.values.tobytes()
-    assert v[2:-2, 2:-2].tobytes() == qmap.derivatives().tobytes()
+    if closed_derivative:
+        assert v[2:-2, 2:-2].tobytes() == qmap.derivatives().tobytes()
+    else:  # the differences of the closed form on every node of the padded grid
+        full = BaseMap.from_function(GridSpec(grid.origin - 2 * grid.spacing, grid.spacing, [11, 10]),
+                                     qmap.closed_form).derivatives()
+    ring = _support_ring(grid, 1 if closed_derivative else 2)
     for idx in np.ndindex(11, 10):
-        if not (2 <= idx[0] < 9 and 2 <= idx[1] < 8):
-            t = (grid.origin - 2 * grid.spacing) + grid.spacing * np.array(idx)
-            assert values[idx].tolist() == [float(x) for x in qmap.closed_form(t)]
-            assert v[idx].tolist() == np.array(qmap.closed_derivative(t), dtype=float).tolist()
+        reach = _reach(idx, grid.counts)
+        assert live[idx] == (reach <= 1)
+        if not reach:
+            continue
+        t = _work_t(grid, idx)
+        want = [float(x) for x in qmap.closed_form(t)] if idx in ring else [0.0]
+        assert values[idx].tolist() == want
+        if closed_derivative:
+            want = np.array(qmap.closed_derivative(t), dtype=float) if reach == 1 else np.zeros((2, 1))
+            assert v[idx].tolist() == want.tolist()
+        elif reach == 1:  # the differences read the values a padding of every ring node gives
+            assert v[idx].tolist() == full[idx].tolist()
 
 
 def test_second_order_takes_a_map_values_where_they_differ_from_its_closed_form(monkeypatch):
-    # the nodes of the map keep its own values, and the closed form fills the rings only
+    # the nodes of the map keep its own values, and the closed form fills the support ring only
     h = corpus.load("telegrapher").hamiltonian()
     grid = GridSpec([0.0, 0.0], [1e-2, 1e-2], [5, 5])
     closed = BaseMap.from_function(grid, lambda t: [0.5 + 0.2 * t[0] - 0.1 * t[1]])
     bumped = BaseMap(grid, closed.values + 1e-3, closed_form=closed.closed_form)
-    values, _ = _work_map(monkeypatch, h, bumped)
+    values, _, _ = _work_map(monkeypatch, h, bumped)
     assert values[2:-2, 2:-2].tobytes() == bumped.values.tobytes()
-    assert values[0, 0].tolist() == [float(x) for x in closed.closed_form(grid.origin - 2 * grid.spacing)]
+    for idx in [(0, 0), (0, 2), (1, 1), (1, 3)]:  # the far corner and nodes of reach 2 and 1
+        want = [float(x) for x in closed.closed_form(_work_t(grid, idx))]
+        assert values[idx].tolist() == want and want != [0.0]
+    assert values[0, 1].tolist() == values[1, 0].tolist() == [0.0]  # reach 3, read by no reported node
     assert not np.array_equal(kc.second_order_residual(h, bumped), kc.second_order_residual(h, closed))
 
 
@@ -378,16 +411,17 @@ def test_second_order_reads_map_values_of_any_layout_and_dtype_as_floats():
 
 
 def test_second_order_names_the_work_grid_node_where_a_ring_derivative_overflows():
-    # the closed derivative overflows numpy floats at t^0 = 4 only, on the outer ring: node (6, 0)
-    # of the work grid, the first in node order; the grid itself runs over t^0 in [0, 2]
+    # the closed derivative overflows numpy floats from t^0 = 3 on, on the inner ring: node (5, 2)
+    # of the work grid, the first in node order of reach 1 there (the nodes of t^0 = 4 have reach 2
+    # and need no derivative); the grid itself runs over t^0 in [0, 2]
     h = corpus.load("telegrapher").hamiltonian()
     grid = GridSpec([0.0, 0.0], [1.0, 1.0], [3, 3])
 
     def derivative(t):
-        return [[np.float64(1e80) ** float(t[0]) * 1e-300], [0.0]]
+        return [[np.float64(1e103) ** float(t[0]) * 1e-300], [0.0]]
 
     qmap = BaseMap.from_function(grid, lambda t: [0.5], df=derivative)
-    with pytest.raises(kc.ShapeError, match=r"not finite at grid node \(6, 0\): overflow"):
+    with pytest.raises(kc.ShapeError, match=r"not finite at grid node \(5, 2\): overflow"):
         kc.second_order_residual(h, qmap)
 
 
@@ -502,28 +536,98 @@ def test_second_order_names_the_first_failing_node_in_row_major_order():
 @pytest.mark.parametrize("scale", [0.9, 0.999])
 @pytest.mark.parametrize("shape", [(6,), (4, 5), (3, 4, 3)])
 def test_second_order_momenta_are_one_node_inversions_from_the_common_start(shape, scale):
-    # every node starts from the same momenta: its one-node inversion from there gives it bit for bit
+    # every live node starts from the same momenta: its one-node inversion from there gives it bit
+    # for bit; every other node's momenta are zero, whatever its values and derivatives
     k = len(shape)
     chart = kc.ChartSpec(1, k)
     h = kc.ScalarField(chart, lambda pt: sum(dm.sqrt(1.0 + (a + 1.0 + pt.q[0] ** 2) * pt.p[a, 0] ** 2)
                                              for a in range(k)) + pt.z[0])
     rng = np.random.default_rng(7)
     values, v = rng.random(shape + (1,)), scale * (2.0 * rng.random(shape + (k, 1)) - 1.0)
-    P = hdw._fibre_momenta(h, values, v, np.zeros((k, 1)))
-    ref = np.empty_like(P)
-    for idx in np.ndindex(*shape):
+    live = rng.random(shape) < 0.6
+    live.flat[-1] = False
+    v[np.unravel_index(live.size - 1, shape)] = 2.0  # out of the fibre derivative's reach
+    P = hdw._fibre_momenta(h, values, v, np.zeros((k, 1)), live)
+    ref = np.zeros_like(P)
+    for idx in zip(*np.nonzero(live)):
         ref[idx] = kc.invert_fibre_derivative(h, values[idx], np.zeros(k), v[idx], np.zeros((k, 1)))
-    assert P.tobytes() == ref.tobytes()
+    assert 0 < live.sum() < live.size and P.tobytes() == ref.tobytes()
 
 
-def test_second_order_inverts_the_whole_work_grid_in_one_newton_stack(monkeypatch):
-    # the membrane on 5^3 nodes, padded by two rings to 9^3: one Newton call of 729 rows
+def test_second_order_inverts_the_stencil_support_in_one_newton_stack(monkeypatch):
+    # the membrane on 5^3 nodes, padded by two rings to 9^3: one Newton call of 5^3 + 6 * 5^2 = 275
+    # rows, the nodes of reach <= 1
     rows, newton = [], hdw._newton
     monkeypatch.setattr(hdw, "_newton", lambda h, Q, *a, **kw: rows.append(len(Q)) or newton(h, Q, *a, **kw))
     grid = GridSpec([0.0, 0.0, 0.0], [1e-3, 1e-3, 1e-3], [5, 5, 5])
     qmap = BaseMap.from_function(grid, lambda t: [0.5 * np.exp(-t[0]) * np.cos(t[1]) * np.cos(2.0 * t[2])])
     res = kc.second_order_residual(corpus.load("membrane").hamiltonian(), qmap)
-    assert rows == [729] and res.shape == (5, 5, 5, 1)
+    assert rows == [275] and res.shape == (5, 5, 5, 1)
+
+
+def _solution_base_map(name, key, grid, with_derivative, outside=None):
+    """The Hamiltonian of a corpus example and a closed base map of its solution ``key`` on ``grid``:
+    ``outside(t, q)`` in place of q at the nodes of the padded grid (from two rings) where it is
+    given and not None."""
+    ex = corpus.load(name)
+    entry = ex.solutions[key]
+    P = dict(entry.defaults)
+    f = entry.build(P)
+    h = ex.hamiltonian({k: P[k] for k in ex.defaults})
+
+    def q(t):
+        got = f(list(t))[0]
+        return got if outside is None else outside(t, got)
+
+    return h, corpus.closed_base_map(grid, q) if with_derivative else BaseMap.from_function(grid, q)
+
+
+@pytest.mark.parametrize("with_derivative", [False, True])
+@pytest.mark.parametrize("wild", ["value", "raise"])
+@pytest.mark.parametrize("name, key, counts", [("telegrapher", "exponential", (6, 5)),
+                                               ("membrane", "separable", (4, 3, 4))])
+def test_second_order_never_reads_the_padding_outside_the_stencil_support(name, key, counts, wild,
+                                                                          with_derivative):
+    # a closed form that is wild (a large finite value, or an error) at every node of the padded
+    # grid of reach >= 3 (>= 2 with a closed derivative) but the far corner gives the same bits:
+    # no such node is evaluated, and none reaches a reported node
+    grid = GridSpec([0.2] * len(counts), [0.01] * len(counts), counts)
+    cut = 2 if with_derivative else 3
+
+    def outside(t, q):
+        idx = np.rint((np.array([float(x) for x in t]) - grid.origin) / grid.spacing).astype(int) + 2
+        if _reach(idx, counts) < cut or not idx.any():
+            return q
+        if wild == "raise":
+            raise ValueError("evaluated outside the stencil support")
+        return [1e6 * (1.0 + float(idx.sum()))]
+
+    h, plain = _solution_base_map(name, key, grid, with_derivative)
+    _, wild_map = _solution_base_map(name, key, grid, with_derivative, outside)
+    want = kc.second_order_residual(h, BaseMap(grid, plain.values, plain.closed_form,
+                                               plain.closed_derivative))
+    got = kc.second_order_residual(h, BaseMap(grid, plain.values, wild_map.closed_form,
+                                              wild_map.closed_derivative))
+    assert got.tobytes() == want.tobytes()
+    assert not got.tobytes() == kc.second_order_residual(h, BaseMap(grid, plain.values)).tobytes()
+
+
+@pytest.mark.parametrize("with_derivative", [False, True])
+@pytest.mark.parametrize("name, key, k", [("telegrapher", "exponential", 2), ("membrane", "separable", 3)])
+def test_second_order_residual_is_second_order_accurate(name, key, k, with_derivative):
+    # on [0.2, 0.4]^k at spacings 0.1, 0.05 and 0.025 (3, 5 and 9 nodes a side) the maximum over every
+    # reported node falls by 4.00-4.01 per halving (measured); the band is [3.8, 4.2], an observed
+    # order within 2 +- 0.07.  The boundary nodes' stencils read the padding, so a support that
+    # drops a node they need breaks the order there.
+    ratios, last = [], None
+    for j in range(3):
+        grid = GridSpec([0.2] * k, [0.1 / 2 ** j] * k, [2 ** (j + 1) + 1] * k)
+        h, qmap = _solution_base_map(name, key, grid, with_derivative)
+        top = float(np.max(np.abs(kc.second_order_residual(h, qmap))))
+        if last is not None:
+            ratios.append(last / top)
+        last = top
+    assert all(3.8 <= r <= 4.2 for r in ratios), ratios
 
 
 def test_a_map_residual_node_that_overflows_raises_a_shape_error_naming_it():
