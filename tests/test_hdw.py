@@ -566,9 +566,8 @@ def test_second_order_inverts_the_stencil_support_in_one_newton_stack(monkeypatc
 
 
 def _solution_base_map(name, key, grid, with_derivative, outside=None):
-    """The Hamiltonian of a corpus example and a closed base map of its solution ``key`` on ``grid``:
-    ``outside(t, q)`` in place of q at the nodes of the padded grid (from two rings) where it is
-    given and not None."""
+    """The Hamiltonian of a corpus example and a closed base map of its solution ``key`` on ``grid``;
+    with ``outside``, the closed form gives ``outside(t, q)`` in place of its value q at t."""
     ex = corpus.load(name)
     entry = ex.solutions[key]
     P = dict(entry.defaults)
