@@ -1,11 +1,14 @@
 """Built-in examples: registry, closed-form self-tests, parameter
 identifications, the effective-damping variant, and the balance-law model."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
 import kcontact as kc
-from kcontact import corpus
+from kcontact import cli, corpus
 from kcontact import dual as dm
 from kcontact.corpus import ThermoFields, thermo_hamiltonian, thermo_map
 from kcontact.grids import GridSpec
@@ -528,3 +531,31 @@ def test_every_section_kind_labels_the_class_its_build_returns(name):
     for key, entry in corpus.load(name).sections.items():
         gamma = entry.build(dict(entry.defaults))
         assert type(gamma) is {"zind": kc.SectionZInd, "zdep": kc.SectionZDep}[entry.kind], key
+
+
+# sha256 of the materialized registry and of every ``kcontact list`` listing; see below
+_REGISTRY_DIGEST = "57cf3f371e3122e890b4522044cc02f07b86d5761ae312c2fac3e6cdb13d140f"
+
+
+def test_the_materialized_registry_and_its_listings_are_pinned(capsys):
+    """Each entry as the registry hands it out: its order, key, kind, defaults in key order,
+    modes (a callable's read at the defaults), box, sim, whether a gauge is given, default grid
+    and tol; then the stdout of ``kcontact list`` and of ``kcontact list --example`` for every
+    example.  A refactor of how the entries are declared must leave all of it unchanged."""
+    record = []
+    for name in corpus.EXAMPLE_NAMES:
+        ex = corpus.load(name)
+        for key, e in ex.sections.items():
+            record.append([name, "section", key, e.key, e.kind, list(e.defaults.items()),
+                           list(e.modes), e.box, e.sim, e.gauge is not None])
+        for key, e in ex.solutions.items():
+            modes = ["by params", list(e.modes(dict(e.defaults)))] if callable(e.modes) else list(e.modes)
+            grid = e.default_grid
+            record.append([name, "solution", key, e.key, list(e.defaults.items()), modes,
+                           grid.origin.tolist(), grid.spacing.tolist(), list(grid.counts), e.tol])
+        assert cli.main(["list", "--example", name]) == 0
+        record.append(capsys.readouterr().out)
+    assert cli.main(["list"]) == 0
+    record.append(capsys.readouterr().out)
+    digest = hashlib.sha256(json.dumps(record).encode()).hexdigest()
+    assert digest == _REGISTRY_DIGEST, json.dumps(record, indent=1)
