@@ -224,7 +224,7 @@ def _grid_from(args, default) -> GridSpec:
 def _simulate_solution(args, example, overrides):
     tol = _tol(args, DEFAULT_TOLERANCES["residual"], "residual tolerance")
     entry = corpus._solution_entry(example, args.solution)
-    corpus._params({**example.defaults, **entry.defaults}, overrides, f"solution {args.solution}")
+    corpus._params(entry.defaults, overrides, f"solution {args.solution}")
     grid = None
     if any(getattr(args, key) is not None for key in ("origin", "spacing", "counts")):
         grid = _grid_from(args, {})

@@ -4,6 +4,11 @@ deliberately broken), closed-form solutions, and expected verdicts.
 Each closed-form solution is a dual-capable map t -> (q, p, z), the logarithmic one a
 base map composed with its section; one jacobian pass produces the exact direction
 derivatives of every one of them, so no derivative formula is transcribed by hand.
+
+An entry declares only its own parameters: its example's come first in its defaults, then
+its own, so a ``mode`` that a standard/evolution pair adds comes last.  A section's ``kind``
+is read from the class of the section its defaults build.  Each ``zdep-family`` section is
+the slice of its example's complete family at the parameters its defaults give c_t and c_x.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from .geometry import ChartSpec, DarbouxPoint
 from .grids import BaseMap, GridSpec, SolutionMap, _sample, grid_derivative, grid_second_derivative
 from .hdw import MODES
 from .hj import CompleteSolutionFamily, GaugeMatrix
-from .sections import SectionZDep, from_potentials
+from .sections import SectionZDep, SectionZInd, from_potentials
 
 __all__ = [
     "ExampleSystem",
@@ -46,20 +51,25 @@ __all__ = [
 @dataclass(frozen=True)
 class SectionEntry:
     key: str
-    kind: str  # "zind" | "zdep", the label of `kcontact list`; the built section decides its base
     build: callable  # params -> SectionZInd | SectionZDep
-    defaults: dict
+    defaults: dict  # its own parameters; its example's come first once it is registered
     modes: tuple  # modes whose HJ check the section passes with default params
     gauge: callable = None  # params -> GaugeMatrix (z-dependent sections only)
     box: tuple = None  # default sampling box for the HJ check
     sim: dict = None  # default simulate plan: origin/spacing/counts/start/reference
+
+    @property
+    def kind(self) -> str:
+        """The label of ``kcontact list``, "zind" or "zdep": the class of the section the
+        defaults build (the CLI reads the base from the built section itself)."""
+        return "zind" if isinstance(self.build(dict(self.defaults)), SectionZInd) else "zdep"
 
 
 @dataclass(frozen=True)
 class SolutionEntry:
     key: str
     build: callable  # params -> closed-form map t -> (q, p, z) of the grid variables
-    defaults: dict
+    defaults: dict  # its own parameters; its example's come first once it is registered
     modes: tuple  # modes whose map residual the solution passes, or params -> those modes
     constraint: callable  # params -> None, raises ContractError naming the equation
     default_grid: GridSpec
@@ -89,12 +99,19 @@ class ExampleSystem:
     chart: ChartSpec
     make_h: callable  # params -> ScalarField
     defaults: dict
-    sections: dict = field(default_factory=dict)
-    solutions: dict = field(default_factory=dict)
+    sections: tuple = ()  # SectionEntry values, held as {entry.key: entry} (see __post_init__)
+    solutions: tuple = ()  # SolutionEntry values, held the same way
     families: dict = field(default_factory=dict)  # key -> params -> CompleteSolutionFamily
     pde_residual: callable = None  # (fields dict, grid, params) -> residual grid
     expected: tuple = ()
     note: str = ""
+
+    def __post_init__(self):
+        """Key each entry by its own key, in declaration order, its defaults those of this
+        example followed by its own."""
+        for name in ("sections", "solutions"):
+            object.__setattr__(self, name, {e.key: replace(e, defaults={**self.defaults, **e.defaults})
+                                            for e in getattr(self, name)})
 
     def resolve(self, overrides=None) -> dict:
         return _params(self.defaults, overrides, f"example {self.name}")
@@ -174,16 +191,17 @@ def closed_base_map(grid: GridSpec, f) -> BaseMap:
 
 def _mode_pair(keys, build, defaults, constraint=lambda P: None, **entry):
     """The standard and evolution entries, named by ``keys`` in that order, of one closed form
-    with a ``mode`` parameter: each defaults to its own mode, last, and passes that mode only."""
+    with a ``mode`` parameter: each defaults to its own mode, after ``defaults``, and passes that
+    mode only."""
 
     def checked(P):
         constraint(P)
         if P["mode"] not in MODES:
             raise ContractError("mode parameter must be standard or evolution")
 
-    return {key: SolutionEntry(key, build, {**defaults, "mode": mode}, modes=(mode,),
+    return tuple(SolutionEntry(key, build, {**defaults, "mode": mode}, modes=(mode,),
                                constraint=checked, **entry)
-            for key, mode in zip(keys, MODES)}
+                 for key, mode in zip(keys, MODES))
 
 
 _INVERT_R_MAX = 1.0  # first upper end of the bracket of a monotone inversion
@@ -249,17 +267,6 @@ def _linear_p(a, lam):
     return rows
 
 
-def _linear_zdep_section(name, offsets, damping=None):
-    """Builder of the z-level section of :func:`_linear_p`; ``offsets`` name c_t, c_x."""
-
-    def build(P):
-        rows = _linear_p(P["a"], P[damping] if damping else None)
-        ct, cx = P[offsets[0]], P[offsets[1]]
-        return SectionZDep(CHART_12, lambda q, z: rows(q[0], z, ct, cx), name=name)
-
-    return build
-
-
 def _linear_family(name, damping=None):
     """Builder of the complete family with parameters c_t, c_x of :func:`_linear_p`."""
 
@@ -283,6 +290,12 @@ def _linear_family(name, damping=None):
                                       phi_inverse=phi_inverse, name=name)
 
     return build
+
+
+def _family_slice(family, ct, cx):
+    """Builder of the section of the complete family ``family`` whose c_t and c_x are the
+    parameters named ``ct`` and ``cx``: the z-level section of :func:`_linear_p`."""
+    return lambda P: family(P).section_of([P[ct], P[cx]])
 
 
 # --------------------------------------------------------------------------
@@ -347,7 +360,8 @@ def _tel_zind_section(P):
     return from_potentials(CHART_12, W, name="telegrapher-zind")
 
 
-_tel_zdep_section = _linear_zdep_section("telegrapher-zdep", ("mu", "nu"), damping="lambda")
+_TEL_FAMILY = _linear_family("telegrapher-complete", damping="lambda")
+_tel_zdep_section = _family_slice(_TEL_FAMILY, "mu", "nu")
 
 
 def _tel_exponential(P):
@@ -409,44 +423,24 @@ TELEGRAPHER = ExampleSystem(
     chart=CHART_12,
     make_h=_h_telegrapher,
     defaults={"kappa": 1.0, "lambda": 1.0, "epsilon": 0.0},
-    sections={
-        "classical-zind": SectionEntry(
-            "classical-zind", "zind", _tel_zind_section,
-            {"kappa": 1.0, "lambda": 1.0, "epsilon": 0.0, "c": 2.0, "a": None, "C0": 0.0, "C1": 0.0},
-            modes=("standard", "evolution"),
-            box=((0.5, 2.0),),
-            sim={"origin": [0.0, 0.0], "spacing": [0.02, 0.02], "counts": [50, 50],
-                 "start": [1.0], "reference": "exponential"},
-        ),
-        "classical-zind-wrong-root": SectionEntry(
-            "classical-zind-wrong-root", "zind", _tel_zind_section,
-            {"kappa": 1.0, "lambda": 1.0, "epsilon": 0.0, "c": 2.0, "a": 2.0 / 3.0, "C0": 0.0, "C1": 0.0},
-            modes=(),
-            box=((0.5, 2.0),),
-        ),
-        "zdep-family": SectionEntry(
-            "zdep-family", "zdep", _tel_zdep_section,
-            {"kappa": 1.0, "lambda": 1.0, "epsilon": 0.0, "a": 1.0, "mu": 0.0, "nu": 0.0},
-            modes=("standard", "evolution"),
-        ),
-        "zdep-family-broken-trace": SectionEntry(
-            "zdep-family-broken-trace", "zdep", _tel_zdep_section,
-            {"kappa": 1.0, "lambda": 1.0, "epsilon": 0.0, "a": 1.0, "mu": 0.0, "nu": 0.0},
-            modes=(),
-            gauge=_broken_trace_gauge,
-        ),
-    },
-    solutions={
-        "exponential": SolutionEntry(
-            "exponential", _tel_exponential,
-            {"kappa": 1.0, "lambda": 1.0, "epsilon": 0.0, "c": 2.0, "a": None,
-             "u0": 1.0, "C0": 0.0, "C1": 0.0},
-            modes=_tel_exp_modes,
-            constraint=_tel_exp_constraint,
-            default_grid=GridSpec([0.0, 0.0], [0.02, 0.02], [50, 50]),
-        ),
-    },
-    families={"complete": _linear_family("telegrapher-complete", damping="lambda")},
+    sections=(
+        SectionEntry("classical-zind", _tel_zind_section, {"c": 2.0, "a": None, "C0": 0.0, "C1": 0.0},
+                     modes=("standard", "evolution"), box=((0.5, 2.0),),
+                     sim={"origin": [0.0, 0.0], "spacing": [0.02, 0.02], "counts": [50, 50],
+                          "start": [1.0], "reference": "exponential"}),
+        SectionEntry("classical-zind-wrong-root", _tel_zind_section,
+                     {"c": 2.0, "a": 2.0 / 3.0, "C0": 0.0, "C1": 0.0}, modes=(), box=((0.5, 2.0),)),
+        SectionEntry("zdep-family", _tel_zdep_section, {"a": 1.0, "mu": 0.0, "nu": 0.0},
+                     modes=("standard", "evolution")),
+        SectionEntry("zdep-family-broken-trace", _tel_zdep_section, {"a": 1.0, "mu": 0.0, "nu": 0.0},
+                     modes=(), gauge=_broken_trace_gauge),
+    ),
+    solutions=(
+        SolutionEntry("exponential", _tel_exponential, {"c": 2.0, "a": None, "u0": 1.0, "C0": 0.0, "C1": 0.0},
+                      modes=_tel_exp_modes, constraint=_tel_exp_constraint,
+                      default_grid=GridSpec([0.0, 0.0], [0.02, 0.02], [50, 50])),
+    ),
+    families={"complete": _TEL_FAMILY},
     pde_residual=_damped_wave(lambda P: P["kappa"], "epsilon"),
     expected=(
         ExpectedCase("check-hj", "classical-zind", "standard", "PASS"),
@@ -506,7 +500,7 @@ TELEGRAPHER_QZ = ExampleSystem(
     defaults={"kappa": 1.0, "lambda": 1.0, "epsilon": 0.0},
     solutions=_mode_pair(
         ("exponential-effective-damping", "exponential-effective-damping-evolution"), _tel_qz_solution,
-        {"kappa": 1.0, "lambda": 1.0, "epsilon": 0.0, "c": 2.0, "a": -2.0 / 3.0, "u0": 1.0},
+        {"c": 2.0, "a": -2.0 / 3.0, "u0": 1.0},
         constraint=_tel_qz_constraint,
         default_grid=GridSpec([0.0, 0.0], [0.01, 0.01], [21, 21]),
     ),
@@ -663,6 +657,9 @@ def _hs_log_constraint(P):
         raise ContractError("branch selector delta must be +1 or -1")
 
 
+_HS_FAMILY = _linear_family("hs-complete")
+
+
 def _hs_pde(fields, grid, P):
     u = fields["u"]
     u_t = grid_derivative(u, grid, 0)
@@ -677,76 +674,40 @@ HUNTER_SAXTON = ExampleSystem(
     chart=CHART_12,
     make_h=_h_hs,
     defaults={"mu": 3.0},
-    sections={
-        "standard-zind": SectionEntry(
-            "standard-zind", "zind", _hs_zind_section,
-            {"mu": 3.0, "c": 0.5, "C1": 0.0, "K": 0.0},
-            modes=("standard", "evolution"),
-            sim={"origin": [0.0, 0.0], "spacing": [0.05, 0.05], "counts": [9, 9],
-                 "start": [0.0], "reference": "linear"},
-        ),
-        "evolution-zind-K": SectionEntry(
-            "evolution-zind-K", "zind", _hs_zind_section,
-            {"mu": 3.0, "c": 0.5, "C1": 0.0, "K": 2.0},
-            modes=("evolution",),
-            sim={"origin": [0.0, 0.0], "spacing": [0.05, 0.05], "counts": [9, 9],
-                 "start": [0.0], "reference": "linear"},
-        ),
-        "log-zind": SectionEntry(
-            "log-zind", "zind", _hs_log_section,
-            {"mu": 3.0, "c": 0.5, "C1": 0.0, "delta": 1.0},
-            modes=("standard", "evolution"),
-            box=((0.2, 1.8),),
-        ),
-        "noncommuting-zind": SectionEntry(
-            "noncommuting-zind", "zind", _hs_noncommuting_section,
-            {"mu": 3.0, "c": 0.5, "C1": 0.0, "delta": 1.0, "W": 1.0},
-            modes=("evolution",),
-            box=((0.8, 1.6),),
-            sim={"origin": [0.0, 0.0], "spacing": [0.01, 0.01], "counts": [9, 9],
-                 "start": [1.0]},
-        ),
-        "zdep-family": SectionEntry(
-            "zdep-family", "zdep", _linear_zdep_section("hs-zdep", ("rho", "sigma")),
-            {"mu": 3.0, "a": 1.0, "rho": 0.0, "sigma": 0.0},
-            modes=("standard", "evolution"),
-        ),
-        "zdep-quadratic": SectionEntry(
-            "zdep-quadratic", "zdep", _hs_quadratic_section,
-            {"mu": 3.0},
-            modes=("evolution",),
-            gauge=_hs_quadratic_gauge,
-            sim={"origin": [0.0, 0.0], "spacing": [0.05, 0.05], "counts": [9, 9],
-                 "start": [0.0, 0.0, 0.0], "reference": "quadratic"},
-        ),
-    },
-    solutions={
-        "linear": SolutionEntry(
-            "linear", _hs_linear,
-            {"mu": 3.0, "c": 0.5, "C1": 0.0, "K": 0.0, "u0": 0.0},
-            modes=_hs_linear_modes,
-            constraint=_hs_linear_constraint,
-            default_grid=GridSpec([0.0, 0.0], [0.05, 0.05], [9, 9]),
-            tol=1e-12,
-        ),
-        "quadratic": SolutionEntry(
-            "quadratic", _hs_quadratic,
-            {"mu": 3.0, "c0": 0.0, "c1": 0.0, "c2": 0.0},
-            modes=("evolution",),
-            constraint=lambda P: None,
-            default_grid=GridSpec([0.0, 0.0], [0.05, 0.05], [9, 9]),
-            tol=1e-12,
-        ),
-        "logarithmic": SolutionEntry(
-            "logarithmic", _hs_logarithmic,
-            {"mu": 3.0, "c": 0.5, "C1": 0.0, "C": 1.0, "delta": -1.0},
-            modes=("standard", "evolution"),
-            constraint=_hs_log_constraint,
-            default_grid=GridSpec([0.0, 0.5], [0.02, 0.02], [9, 9]),
-            tol=1e-6,
-        ),
-    },
-    families={"complete": _linear_family("hs-complete")},
+    sections=(
+        SectionEntry("standard-zind", _hs_zind_section, {"c": 0.5, "C1": 0.0, "K": 0.0},
+                     modes=("standard", "evolution"),
+                     sim={"origin": [0.0, 0.0], "spacing": [0.05, 0.05], "counts": [9, 9],
+                          "start": [0.0], "reference": "linear"}),
+        SectionEntry("evolution-zind-K", _hs_zind_section, {"c": 0.5, "C1": 0.0, "K": 2.0},
+                     modes=("evolution",),
+                     sim={"origin": [0.0, 0.0], "spacing": [0.05, 0.05], "counts": [9, 9],
+                          "start": [0.0], "reference": "linear"}),
+        SectionEntry("log-zind", _hs_log_section, {"c": 0.5, "C1": 0.0, "delta": 1.0},
+                     modes=("standard", "evolution"), box=((0.2, 1.8),)),
+        SectionEntry("noncommuting-zind", _hs_noncommuting_section,
+                     {"c": 0.5, "C1": 0.0, "delta": 1.0, "W": 1.0}, modes=("evolution",), box=((0.8, 1.6),),
+                     sim={"origin": [0.0, 0.0], "spacing": [0.01, 0.01], "counts": [9, 9],
+                          "start": [1.0]}),
+        SectionEntry("zdep-family", _family_slice(_HS_FAMILY, "rho", "sigma"),
+                     {"a": 1.0, "rho": 0.0, "sigma": 0.0}, modes=("standard", "evolution")),
+        SectionEntry("zdep-quadratic", _hs_quadratic_section, {}, modes=("evolution",),
+                     gauge=_hs_quadratic_gauge,
+                     sim={"origin": [0.0, 0.0], "spacing": [0.05, 0.05], "counts": [9, 9],
+                          "start": [0.0, 0.0, 0.0], "reference": "quadratic"}),
+    ),
+    solutions=(
+        SolutionEntry("linear", _hs_linear, {"c": 0.5, "C1": 0.0, "K": 0.0, "u0": 0.0},
+                      modes=_hs_linear_modes, constraint=_hs_linear_constraint,
+                      default_grid=GridSpec([0.0, 0.0], [0.05, 0.05], [9, 9]), tol=1e-12),
+        SolutionEntry("quadratic", _hs_quadratic, {"c0": 0.0, "c1": 0.0, "c2": 0.0},
+                      modes=("evolution",), constraint=lambda P: None,
+                      default_grid=GridSpec([0.0, 0.0], [0.05, 0.05], [9, 9]), tol=1e-12),
+        SolutionEntry("logarithmic", _hs_logarithmic, {"c": 0.5, "C1": 0.0, "C": 1.0, "delta": -1.0},
+                      modes=("standard", "evolution"), constraint=_hs_log_constraint,
+                      default_grid=GridSpec([0.0, 0.5], [0.02, 0.02], [9, 9]), tol=1e-6),
+    ),
+    families={"complete": _HS_FAMILY},
     pde_residual=_hs_pde,
     expected=(
         ExpectedCase("check-hj", "standard-zind", "standard", "PASS"),
@@ -798,24 +759,22 @@ def _fo_standing(P):
     return f
 
 
+_FO_FAMILY = _linear_family("first-order-complete")
 FIRST_ORDER = ExampleSystem(
     name="first-order-dissipative",
     chart=CHART_12,
     make_h=_h_first_order,
     defaults={"lambda": 1.0},
-    sections={
-        "zdep-family": SectionEntry(
-            "zdep-family", "zdep", _linear_zdep_section("first-order-zdep", ("rho", "sigma")),
-            {"lambda": 1.0, "a": 1.0, "rho": 0.0, "sigma": 0.0},
-            modes=("standard", "evolution"),
-        ),
-    },
+    sections=(
+        SectionEntry("zdep-family", _family_slice(_FO_FAMILY, "rho", "sigma"),
+                     {"a": 1.0, "rho": 0.0, "sigma": 0.0}, modes=("standard", "evolution")),
+    ),
     solutions=_mode_pair(
-        ("standing-standard", "standing-evolution"), _fo_standing, {"lambda": 1.0, "Z": 0.0},
+        ("standing-standard", "standing-evolution"), _fo_standing, {"Z": 0.0},
         default_grid=GridSpec([0.0, 0.0], [0.05, 0.05], [9, 9]),
         tol=1e-12,
     ),
-    families={"complete": _linear_family("first-order-complete")},
+    families={"complete": _FO_FAMILY},
     expected=(
         ExpectedCase("check-hj", "zdep-family", "standard", "PASS"),
         ExpectedCase("check-hj", "zdep-family", "evolution", "PASS"),
@@ -905,7 +864,7 @@ MEMBRANE = ExampleSystem(
     defaults={"c": 1.0, "kappa": 1.0, "lambda": 4.0},
     solutions=_mode_pair(
         ("separable", "separable-evolution"), _membrane_solution,
-        {"c": 1.0, "kappa": 1.0, "lambda": 4.0, "a": 1.0, "b": 1.0, "u0": 0.5, "branch": 1.0},
+        {"a": 1.0, "b": 1.0, "u0": 0.5, "branch": 1.0},
         constraint=_membrane_constraint,
         default_grid=GridSpec([0.0, 0.0, 0.0], [0.0005, 0.0005, 0.0005], [9, 9, 9]),
     ),

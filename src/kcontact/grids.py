@@ -123,8 +123,20 @@ class BaseField:
     def eval(self, a: int, x) -> np.ndarray:
         """Component ``a`` at ``x`` as floats; a list of lanes at a point of lanes (see
         :mod:`kcontact.dual`)."""
-        out = [dm._cmp_value(v) for v in self.comps[a](list(x))]
+        out = [dm._cmp_value(v) for v in self._at(a, list(x))]
         return out if any(isinstance(v, dm._Lanes) for v in out) else np.asarray(out, dtype=float)
+
+    def _at(self, a: int, x):
+        """Component ``a`` at ``x`` as it returns it, refused by :class:`ShapeError` unless
+        it is a sequence of ``dim`` entries (read by type and length: ``np.shape`` would turn
+        lanes into an array)."""
+        out = self.comps[a](x)
+        if not (isinstance(out, (list, tuple)) or isinstance(out, np.ndarray) and out.ndim == 1):
+            raise ShapeError(f"component {a} of the base field returns a value of type {type(out).__name__}, "
+                             f"not a sequence of dim = {self.dim} entries")
+        if len(out) != self.dim:
+            raise ShapeError(f"component {a} of the base field has {len(out)} entries, dim = {self.dim}")
+        return out
 
 
 def _nodes(grid: GridSpec) -> np.ndarray:

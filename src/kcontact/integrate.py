@@ -65,14 +65,14 @@ def commutator_defect(f: BaseField, samples) -> float:
     J_b Z_a - J_a Z_b; a zero value on a region is the integrability
     criterion for the flow composition below.
     """
-    def jacobian_and_value(comp, x):  # the Jacobian rows of comp at x, then its value
-        vals, rows = dm.jacobian(lambda y: list(comp(y)), list(x))
+    def jacobian_and_value(a, x):  # the Jacobian rows of component a at x, then its value
+        vals, rows = dm.jacobian(lambda y: list(f._at(a, y)), list(x))
         return rows + [vals]
 
     X = _sample_rows(samples, f.dim)
     if not len(X):
         return 0.0
-    JZ = [dm._rows(partial(jacobian_and_value, comp), X) for comp in f.comps]  # one pass each
+    JZ = [dm._rows(partial(jacobian_and_value, a), X) for a in range(f.k)]  # one pass each
     worst = 0.0
     for a in range(f.k):
         for b in range(a + 1, f.k):
@@ -280,7 +280,8 @@ def end_to_end(
     integration, lift, and field-equation residuals of the lifted map.
 
     ``reference``, when given, is a closed-form base map (t -> base point)
-    compared against the integrated one.  ``tolerances`` overrides entries
+    compared against the integrated one in the ``compare`` stage, which refuses one of
+    another dimension with :class:`ContractError`.  ``tolerances`` overrides entries
     of :data:`DEFAULT_TOLERANCES`: ``hj`` (sup HJ residual), ``residual``
     (map residual) and ``order`` (direction-order check); any other key
     raises :class:`ContractError`.  Failures of the residual checks
@@ -329,8 +330,11 @@ def end_to_end(
         return report
 
     if reference is not None:
-        ref = BaseMap.from_function(grid, reference).values
-        report.compare_error = float(np.max(np.abs(sigma.values - ref)))
+        with _tagged("compare"):
+            ref = BaseMap.from_function(grid, reference)
+            if ref.d != sigma.d:
+                raise ContractError(f"reference has dimension {ref.d}, the integrated base map {sigma.d}")
+        report.compare_error = float(np.max(np.abs(sigma.values - ref.values)))
 
     report.passed = True
     return report

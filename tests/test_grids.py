@@ -115,6 +115,30 @@ def test_second_differences_are_exact_on_a_quadratic(counts):
         assert got == pytest.approx(np.full(grid.shape, want), rel=1e-12)
 
 
+@pytest.mark.parametrize("stencil, counts, node, order", [
+    # measured: first derivative 2.03 (first node), 2.00 (interior), 1.97 (last node);
+    # second derivative 2.05, 2.00, 1.96, and 1.02 and 0.98 on the 3-point boundary
+    (kc.grid_derivative, 5, 0, 2.0),
+    (kc.grid_derivative, 5, 2, 2.0),
+    (kc.grid_derivative, 5, -1, 2.0),
+    (kc.grids.grid_second_derivative, 4, 0, 2.0),
+    (kc.grids.grid_second_derivative, 5, 2, 2.0),
+    (kc.grids.grid_second_derivative, 4, -1, 2.0),
+    (kc.grids.grid_second_derivative, 3, 0, 1.0),  # below 4 nodes the boundary is first order
+    (kc.grids.grid_second_derivative, 3, 1, 2.0),
+    (kc.grids.grid_second_derivative, 3, -1, 1.0),
+])
+def test_difference_stencils_have_their_documented_order_of_accuracy(stencil, counts, node, order):
+    """The slope of log|error| against log h on exp(t), whose derivatives are all exp(t), with
+    the node kept at t = 0.3 while the spacing halves from 0.1 to 0.0125."""
+    hs = 0.1 / 2.0 ** np.arange(4)
+    errors = []
+    for h in hs:
+        grid = GridSpec([0.3 - (node % counts) * h], [h], [counts])
+        errors.append(abs(stencil(np.exp(grid.axis(0)), grid, 0)[node] - np.exp(0.3)))
+    assert np.polyfit(np.log(hs), np.log(errors), 1)[0] == pytest.approx(order, abs=0.3)
+
+
 def test_a_scalar_closed_form_samples_to_one_column():
     base = BaseMap.from_function(GRID, lambda t: t[0] * t[1])
     assert base.values.shape == GRID.shape + (1,)
