@@ -221,7 +221,7 @@ def _monotone_invert(g, w, check=lambda r: None):
         r0 = _monotone_invert(g, w.a)
         check(r0)
         _, slope = dm.derive1(lambda rs: g(rs[0]), [r0])
-        return dm.Dual(r0, tuple(x / slope[0] for x in w.b), w.lev)
+        return dm.Dual(r0, tuple(x / slope[0] for x in dm._entries(w.b)), w.lev)
     w = float(w)
     lo, hi = 1e-300, _INVERT_R_MAX
     glo = g(lo)
@@ -254,17 +254,17 @@ _FAMILY_SLOPE = 1.0
 
 
 def _linear_p(a, lam):
-    """Momentum rows p^t = a z^t - lam u + c_t and p^x = -a z^x + c_x.
+    """Momenta [p^t, p^x], p^t = a z^t - lam u + c_t and p^x = -a z^x + c_x.
 
     ``lam`` None leaves the u term out rather than adding ``- 0.0 * u``,
     which could turn a zero's sign.
     """
 
-    def rows(u, z, ct, cx):
+    def momenta(u, z, ct, cx):
         pt = a * z[0] + ct if lam is None else a * z[0] - lam * u + ct
-        return [[pt], [-a * z[1] + cx]]
+        return [pt, -a * z[1] + cx]
 
-    return rows
+    return momenta
 
 
 def _linear_family(name, damping=None):
@@ -273,11 +273,11 @@ def _linear_family(name, damping=None):
     def build(P):
         a = P.get("a", _FAMILY_SLOPE)
         lam = P[damping] if damping else None
-        rows = _linear_p(a, lam)
+        momenta = _linear_p(a, lam)
 
         def phi(q, par, z):
             u = q[0]
-            return DarbouxPoint([u], rows(u, z, par[0], par[1]), list(z))
+            return DarbouxPoint.from_flat(CHART_12, [u, *momenta(u, z, par[0], par[1]), *z])
 
         def phi_inverse(pt):
             u = pt.q[0]

@@ -26,7 +26,13 @@ and the helpers apply the scalar ``math``/Python operation lane by lane.
 Anything else (a zero divisor, a math domain error, ``float()`` of a lane
 value, a branch on which lanes disagree, a numpy function or a new numpy
 array made from lane values) raises :class:`_Unbatchable` or another
-exception.
+exception.  A dual over lanes with P >= 2 partials holds them as one block, a float
+array of P rows of m lanes (row i partial i), once an operation meets plain lanes
+or a block (:func:`_lane`): ``+ - * /``, negation, ``**`` and the helpers' chain rule
+then take one numpy call per term for the whole block, each entry computed in the
+order of the tuple, so with the same bits (:func:`_part`).  A dual whose partials are
+duals of an enclosing pass keeps a tuple, as do recordings (below); :func:`derive1` and
+:func:`jacobian` read the rows as lanes.
 
 Every batched site (the Hamilton-Jacobi sweeps, the holonomy and symmetry
 checks of sections, the section and round-trip checks of complete families,
@@ -67,7 +73,8 @@ A replay on recorded values (lanes holding registers) logs its kept operations o
 recording, the constants as floats; a test with another answer raises :class:`_Unbatchable`
 there.  So an RK4 step is recorded from its field's evaluation program, not four dual passes.
 A function that reads lane values otherwise (``float()``, :func:`_vmax`, numpy)
-records no program and runs as it is.  A float replay computes in Python floats, which
+records no program and runs as it is.  A dual over registers keeps a tuple of partials,
+each operation on them logged.  A float replay computes in Python floats, which
 overflow without an error: there a non-finite value meets the site's own test (the RK4
 guard).  The recording folds ``x * 1``, ``x / 1``, ``x + -0``
 and ``x - 0`` into x, and a lane replay reads constants as arrays kept per lane width.
@@ -108,7 +115,8 @@ class Dual:
 
     ``b`` is a tuple with one entry per seed variable of the pass the dual
     belongs to; the entries are themselves numbers (floats, or duals of an
-    enclosing pass when nested).
+    enclosing pass when nested).  Over lanes it may be a block instead: a
+    (P, m) float array, row i the lanes of partial i (see :func:`_part`).
     """
 
     __slots__ = ("a", "b", "lev")
@@ -138,13 +146,18 @@ class Dual:
         oa, ob = self._split(other)
         if oa is NotImplemented:
             return other.__radd__(self)
+        a = self.a + oa
         if ob is None:
-            return Dual(self.a + oa, self.b, self.lev)
-        return Dual(self.a + oa, tuple(x + y for x, y in zip(self.b, ob)), self.lev)
+            return Dual(a, self.b, self.lev)
+        if _lane(self.b, ob):
+            return Dual(a, _part(lambda x, y: x + y, (), self.b, ob), self.lev)
+        return Dual(a, tuple(x + y for x, y in zip(self.b, ob)), self.lev)
 
     __radd__ = __add__
 
     def __neg__(self):
+        if _lane(self.b):
+            return Dual(-self.a, _part(lambda x: -x, (), self.b), self.lev)
         return Dual(-self.a, tuple(-x for x in self.b), self.lev)
 
     def __sub__(self, other):
@@ -159,13 +172,14 @@ class Dual:
         oa, ob = self._split(other)
         if oa is NotImplemented:
             return other.__rmul__(self)
+        a = self.a * oa
         if ob is None:
-            return Dual(self.a * oa, tuple(x * oa for x in self.b), self.lev)
-        return Dual(
-            self.a * oa,
-            tuple(x * oa + self.a * y for x, y in zip(self.b, ob)),
-            self.lev,
-        )
+            if _lane(self.b, oa):
+                return Dual(a, _part(lambda oa, x: x * oa, (oa,), self.b), self.lev)
+            return Dual(a, tuple(x * oa for x in self.b), self.lev)
+        if _lane(self.b, ob, oa, self.a):
+            return Dual(a, _part(lambda oa, sa, x, y: x * oa + sa * y, (oa, self.a), self.b, ob), self.lev)
+        return Dual(a, tuple(x * oa + self.a * y for x, y in zip(self.b, ob)), self.lev)
 
     __rmul__ = __mul__
 
@@ -176,9 +190,14 @@ class Dual:
         if oa is NotImplemented:
             return other.__rtruediv__(self)
         if ob is None:
-            return Dual(self.a / oa, tuple(x / oa for x in self.b), self.lev)
+            a = self.a / oa
+            if _lane(self.b, oa):
+                return Dual(a, _part(lambda oa, x: x / oa, (oa,), self.b), self.lev)
+            return Dual(a, tuple(x / oa for x in self.b), self.lev)
         inv = 1.0 / oa
         av = self.a * inv
+        if _lane(self.b, ob, av, inv):
+            return Dual(av, _part(lambda av, inv, x, y: (x - av * y) * inv, (av, inv), self.b, ob), self.lev)
         return Dual(av, tuple((x - av * y) * inv for x, y in zip(self.b, ob)), self.lev)
 
     def __rtruediv__(self, other):
@@ -186,19 +205,21 @@ class Dual:
             return _bcast(lambda x: x / self, other)
         inv_a = 1.0 / self.a
         av = other * inv_a
+        if _lane(self.b, av, inv_a):
+            return Dual(av, _part(lambda av, inv_a, x: -av * inv_a * x, (av, inv_a), self.b), self.lev)
         return Dual(av, tuple(-av * inv_a * x for x in self.b), self.lev)
 
     def __pow__(self, n):
         if isinstance(n, Dual):
             return exp(log(self) * n)
         if n == 0:
-            return Dual(1.0, tuple(0.0 * x for x in self.b), self.lev)
+            return self._chain(1.0, 0.0)
         if n == 1:
             return self
         if n == 2:
             return self * self
         c = n * self.a ** (n - 1)
-        return Dual(self.a ** n, tuple(c * x for x in self.b), self.lev)
+        return self._chain(self.a ** n, c)
 
     def __rpow__(self, base):
         return exp(self * math.log(base))
@@ -222,9 +243,11 @@ class Dual:
         return float(value(self))
 
     def __repr__(self):
-        return f"Dual({self.a!r}, {self.b!r}, lev={self.lev})"
+        return f"Dual({self.a!r}, {tuple(_entries(self.b))!r}, lev={self.lev})"
 
     def _chain(self, fa, dfa):
+        if _lane(self.b, dfa):
+            return Dual(fa, _part(lambda dfa, x: dfa * x, (dfa,), self.b), self.lev)
         return Dual(fa, tuple(dfa * x for x in self.b), self.lev)
 
 
@@ -235,6 +258,40 @@ def _bcast(fn, arr):
     for i in range(flat.size):
         res[i] = fn(flat[i])
     return out
+
+
+def _lane(b, *xs) -> bool:
+    """Whether an operation on the partials ``b`` with the other partials or factors ``xs`` runs
+    through :func:`_part`: ``b`` is a block, or it holds two or more partials and one of ``xs``
+    is a block or plain lanes."""
+    if type(b) is np.ndarray:
+        return True
+    for x in xs if len(b) > 1 else ():
+        if type(x) is np.ndarray or type(x) is _Lanes and type(x.v) is np.ndarray:
+            return True
+    return False
+
+
+def _part(fn, ks, *bs):
+    """The partials ``fn(*ks, x, ...)``, x, ... running over the partials ``bs`` in step, where
+    :func:`_lane` holds.  When every factor of ``ks`` is a float, an int or plain lanes and every
+    partial a block or floats (a (P, 1) column), ``fn`` runs once on the whole block and gives a
+    (P, m) array, row i partial i, each entry computed as the tuple computes it; otherwise the
+    tuple, a block read as lanes (:func:`_entries`)."""
+    vs = [k.v if type(k) is _Lanes else k for k in ks]
+    if _BLOCK.issuperset(map(type, vs)) and all(
+            type(b) is np.ndarray or _FLOATS.issuperset(map(type, b)) for b in bs):
+        return fn(*vs, *(b if type(b) is np.ndarray else np.array(b)[:, None] for b in bs))
+    return tuple(fn(*ks, *xs) for xs in zip(*map(_entries, bs)))
+
+
+_FLOATS = {float, np.float64}
+_BLOCK = {np.ndarray, int, *_FLOATS}  # the factors of a block operation
+
+
+def _entries(b):
+    """The partials of a dual one by one: a tuple, or the rows of a block as lanes."""
+    return map(_Lanes, b) if type(b) is np.ndarray else b
 
 
 def _strip(x):
@@ -691,7 +748,7 @@ def _seed(xs, lev):
 
 def _parts(out, m, lev):
     if isinstance(out, Dual) and out.lev == lev:
-        return out.a, list(out.b)
+        return out.a, list(_entries(out.b))
     return out, [0.0] * m
 
 

@@ -471,7 +471,12 @@ class CompleteSolutionFamily:
         return len(self.param_box)
 
     def section_of(self, lam) -> SectionZDep:
-        lam = list(lam)
+        """The section at the parameters ``lam``, which must be ``param_dim`` finite real numbers."""
+        message = "family {} takes {} finite real parameters, got {!r}"
+        vals = _floats(lam, ContractError, message, self.name, self.param_dim, lam)
+        if vals.shape != (self.param_dim,) or not np.all(np.isfinite(vals)):
+            raise ContractError(message.format(self.name, self.param_dim, lam))
+        lam = vals.tolist()
 
         def gamma_p(q, z):
             return self.phi(q, lam, z).p

@@ -67,6 +67,7 @@ def _grid(origin=(0.0, 0.0), spacing=(0.1, 0.1)):
 
 NUMBERS = "rows of numbers of one width"
 SHAPE_21 = r"must be a \(k, n\) = \(2, 1\) array of numbers, got "
+FAMILY = "^family telegrapher-complete takes 2 finite real parameters, got "
 # case -> (call, the KContactError subclass it raises, a pattern of its message)
 CASES = {
     "sampling box text": (lambda: _box("ab"), kc.ContractError, r"lo/hi bounds, got 'ab'"),
@@ -93,6 +94,14 @@ CASES = {
     "family parameters text": (lambda: _params("ab"), kc.ContractError, "parameters must be " + NUMBERS),
     "family parameters ragged": (lambda: _params([[0.5, 0.5], [0.5]]), kc.ContractError, "parameters must be"),
     "family parameters beyond floats": (lambda: _params([[BIG, 0.0]]), kc.ContractError, "parameters must be"),
+    "family section too few parameters": (lambda: _family().section_of([0.5]).p_at([0.1], [0.2, 0.3]),
+                                          kc.ContractError, FAMILY + r"\[0\.5\]$"),
+    "family section text": (lambda: _family().section_of(["a", "b"]), kc.ContractError, FAMILY + r"\['a', 'b'\]$"),
+    "family section a number": (lambda: _family().section_of(0.5), kc.ContractError, FAMILY + "0.5$"),
+    "family section rows": (lambda: _family().section_of([[0.5, 0.5]]), kc.ContractError, FAMILY),
+    "family section beyond floats": (lambda: _family().section_of([BIG, 0.0]), kc.ContractError, FAMILY),
+    "family section NaN": (lambda: _family().section_of([NAN, 0.0]), kc.ContractError, FAMILY + r"\[nan, 0\.0\]$"),
+    "family section inf": (lambda: _family().section_of([0.0, -np.inf]), kc.ContractError, FAMILY),
     "fibre target text": (lambda: _invert(v="ab"), kc.ShapeError, "v " + SHAPE_21 + "'ab'"),
     "fibre target ragged": (lambda: _invert(v=RAGGED), kc.ShapeError, "v " + SHAPE_21),
     "fibre target beyond floats": (lambda: _invert(v=[[BIG], [0.0]]), kc.ShapeError, "v " + SHAPE_21),
@@ -216,6 +225,11 @@ def test_nan_sample_rows_and_parameters_still_reach_the_checks():
     assert np.isnan(key[0]) and key[1] == 0.0
     assert message == "parameters (nan, 0.0) are not finite"
     assert np.isnan(res.sup_residual) and np.isnan(res.sup_roundtrip)
+
+
+def test_a_family_section_is_named_by_its_parameters_as_floats():
+    for lam in ([0.0, 0.0], (0, 0), np.zeros(2)):
+        assert _family().section_of(lam).name == "telegrapher-complete[[0.0, 0.0]]"
 
 
 # The functions whose ``except`` clauses may name TypeError, ValueError or OverflowError:

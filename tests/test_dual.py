@@ -272,12 +272,18 @@ def _per_point(fn, X):
         return exc
 
 
+def _same_bits(a, b) -> bool:
+    """Whether two float arrays hold the same shape and bit patterns (-0.0 is not 0.0)."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
 def _check_lane_pass(lane_fn, ref):
     if isinstance(ref, Exception):
         with pytest.raises(Exception):
             lane_fn()
     else:
-        assert np.array_equal(lane_fn(), ref)
+        assert _same_bits(lane_fn(), ref)
 
 
 @pytest.mark.parametrize("name,key,mode", SECTION_CASES)
@@ -293,6 +299,110 @@ def test_lane_pass_matches_per_point_scalar_pass(name, key, mode, data):
     ref = _per_point(lambda x: np.asarray(_coeff_jacobian(gamma, x)[1], dtype=float), X)
     _check_lane_pass(lambda: dm._lane_array(_coeff_jacobian(gamma, dm._lanes_of(X))[1], len(X)),
                      ref)
+
+
+# -- lane partials as one block ---------------------------------------------------
+
+_UNARY = [lambda e: -e, lambda e: e ** 0, lambda e: e ** 1, lambda e: e ** 2, lambda e: e ** 3,
+          lambda e: dm.exp(0.25 * e), lambda e: dm.log(e * e + 0.5), lambda e: dm.sqrt(e * e + 0.25),
+          dm.sin, dm.cos, dm.tanh]
+_BINARY = [lambda e, f: e + f, lambda e, f: e - f, lambda e, f: e * f, lambda e, f: e / f,
+           lambda e, f: e / (f * f + 0.5)]
+_CONSTANTS = [0.5, -2.0, 3.0, 0.0, -0.0, 1e-3]
+_EXTREMES = [0.0, -0.0, 1e150, -1e154, 1e300, -1e-300]
+
+
+def _expression(rng, p: int, depth: int):
+    """A random function of a list of p numbers, duals or lanes, built from the dual operations."""
+    r = rng.random()
+    if depth == 0 or r < 0.2:
+        if r < 0.04:
+            c = float(rng.choice(_CONSTANTS))
+            return lambda v: c
+        i = int(rng.integers(p))
+        return lambda v: v[i]
+    if r < 0.5:
+        op, e = _UNARY[rng.integers(len(_UNARY))], _expression(rng, p, depth - 1)
+        return lambda v: op(e(v))
+    op = _BINARY[rng.integers(len(_BINARY))]
+    e, f = _expression(rng, p, depth - 1), _expression(rng, p, depth - 1)
+    return lambda v: op(e(v), f(v))
+
+
+def _inputs(rng, p: int, extreme: bool) -> np.ndarray:
+    """Six rows of p entries: uniform in [-2, 2], about a fifth of them -0.0 or 0.0, and with
+    ``extreme`` about a fifth of them from ``_EXTREMES``."""
+    X = rng.uniform(-2.0, 2.0, (6, p))
+    X[rng.random(X.shape) < 0.2] = -0.0
+    X[rng.random(X.shape) < 0.1] = 0.0
+    if extreme:
+        X[rng.random(X.shape) < 0.2] = rng.choice(_EXTREMES)
+    return X
+
+
+def _lane_pass_and_rows(fn, X):
+    """``fn`` on the rows of ``X`` as one lane pass (None when it raises) and row by row on numpy
+    floats (an exception where a row raises), both under the lane pass's error state."""
+    with np.errstate(**dm._ERRSTATE):
+        try:
+            lane = dm._lane_array(fn(dm._lanes_of(X)), len(X))
+        except Exception:  # noqa: BLE001 - a site falls back to the rows
+            lane = None
+        rows = []
+        for x in X:
+            try:
+                rows.append(np.asarray(fn(list(x)), dtype=float))
+            except Exception as exc:  # noqa: BLE001 - any scalar error
+                rows.append(exc)
+    return lane, rows
+
+
+def _first_order(f):
+    return lambda xs: (lambda out: [out[0], *out[1]])(dm.derive1(f, xs))
+
+
+def _second_order(f):
+    return lambda xs: (lambda out: [out[0], *out[1], *(x for row in out[2] for x in row)])(dm.derive2(f, xs))
+
+
+@pytest.mark.parametrize("order,count", [(_first_order, 200), (_second_order, 40)])
+def test_a_lane_pass_with_block_partials_gives_the_bits_of_the_scalar_rows(order, count, monkeypatch):
+    blocks, part = [], dm._part
+    monkeypatch.setattr(dm, "_part", lambda *args: blocks.append(type(b := part(*args)) is np.ndarray) or b)
+    rng, compared = np.random.default_rng(38), 0
+    for case in range(count):
+        p = int(rng.integers(1, 7))
+        f = _expression(rng, p, depth=4)
+        X = _inputs(rng, p, extreme=case % 3 == 0)
+        lane, rows = _lane_pass_and_rows(order(f), X)
+        if lane is not None:  # a pass that raises sends its site to the rows
+            compared += 1
+            for got, want in zip(lane, rows):
+                assert not isinstance(want, Exception) and _same_bits(got, want)
+    assert compared >= count // 2 and any(blocks)
+
+
+def test_a_block_times_a_dual_of_an_enclosing_pass_gives_its_partials_one_by_one(monkeypatch):
+    # the inner pass's partials form a block over the lanes of w; the outer dual u[0] then
+    # multiplies and divides it partial by partial, each partial a dual of the outer pass
+    def inner(u, ys):
+        return dm.derive1(lambda w: w[0] * w[1] * u[0] + w[1] / u[0], ys)[1]
+
+    def grad(r):
+        vals, rows = dm.jacobian(lambda u: inner(u, r[1:]), r[:1])
+        return [*vals, *(x for row in rows for x in row)]
+
+    split, part = [], dm._part
+
+    def spy(fn, ks, *bs):
+        out = part(fn, ks, *bs)
+        split.append(np.ndarray in map(type, bs) and type(out) is tuple)
+        return out
+
+    monkeypatch.setattr(dm, "_part", spy)
+    X = np.array([[0.5, -0.0, 1.5], [-2.0, 3.0, 0.25], [1.0, 1e-300, -1.0]])
+    lane, rows = _lane_pass_and_rows(grad, X)
+    assert any(split) and all(_same_bits(got, want) for got, want in zip(lane, rows))
 
 
 # -- comparisons and operators on duals -----------------------------------------
