@@ -55,29 +55,32 @@ nodes.  Every row that runs one at a time, there or in :func:`_rows`, goes throu
 overflow, invalid operation or zero divisor raises :class:`~kcontact.errors.ShapeError`
 naming the row or the grid node.
 
-Record once, replay many.  A site that runs one per-row function many times (the
-RK4 step on every line) records it at one row with
-:func:`_program`: the lanes then hold registers, and every float-level operation
-and every test of a value (a comparison, ``bool``, a divisor's zero test, the
-finiteness test of a caller's list of lanes) is logged, a test with its answer.  The
-replay runs the outputs, the tests and every operation that can raise, with what
-they read, as straight-line Python: one function per form (floats, lanes), compiled
-once per tape structure (its inputs, length, kept operations with their registers and
-answers, and outputs) and cached under a fixed bound, oldest out first.  Its source
-holds register names, ``+ - * /``, unary ``-``, ``abs`` and the six comparisons only;
-every other operation is a helper bound by name, and the constants come in as an
-argument.  On lanes a test with another answer or a failed helper raises
-:class:`_Unbatchable`, so :func:`_rows` falls back as before; on floats any failure
-runs the recorded function on that row instead.
-A replay on recorded values (lanes holding registers) logs its kept operations onto that
-recording, the constants as floats; a test with another answer raises :class:`_Unbatchable`
-there.  So an RK4 step is recorded from its field's evaluation program, not four dual passes.
-A function that reads lane values otherwise (``float()``, :func:`_vmax`, numpy)
-records no program and runs as it is.  A dual over registers keeps a tuple of partials,
-each operation on them logged.  A float replay computes in Python floats, which
-overflow without an error: there a non-finite value meets the site's own test (the RK4
-guard).  The recording folds ``x * 1``, ``x / 1``, ``x + -0``
-and ``x - 0`` into x, and a lane replay reads constants as arrays kept per lane width.
+Record once, replay many.  A site that runs one per-row function many times (the RK4 step on every
+line) records it at one row with :func:`_program`: the lanes then hold registers, and every
+float-level operation and every test of a value (a comparison, ``bool``, a divisor's zero test, the
+finiteness test of a caller's list of lanes) is logged, a test with its answer.  Each value is
+logged once: equal constants (by their bits, so -0.0 is not 0.0) share a register, as do equal
+operations, the operands of ``+`` and ``*`` taken in register order and ``a + -b`` and ``-b + a``
+read as ``a - b``, each giving the same bits (but a NaN's sign).  The recording folds ``x * 1``, ``x
+/ 1``, ``x + -0`` and ``x - 0`` into x; ``x + 0`` and ``x * 0`` stay operations (they change -0 and
+inf).  The replay runs the outputs, the tests and every operation that can raise, with what they
+read, as straight-line Python: one source text holds a floats and a lanes form, compiled once per
+tape structure (its inputs, length, kept operations with their registers and answers, and outputs)
+and cached under a fixed bound, oldest out first.  Its source holds register names, ``+ - * /``,
+unary ``-``, ``abs`` and the six comparisons, and in the lanes form the ufuncs of the first six,
+each writing an intermediate into a buffer ``B[j]`` of the pass's width that is taken again once its
+register is last read (an output gets none); every other operation is a helper bound by name, and
+the constants come in as an argument.  A lane replay keeps its buffers and its constants as arrays
+per lane width.  On lanes a test with another answer or a failed helper raises
+:class:`_Unbatchable`, so :func:`_rows` falls back as before; on floats any failure runs the
+recorded function on that row instead.  A replay on recorded values (lanes holding registers) runs
+the lanes form without buffers, its ufuncs logging its kept operations onto that recording, the
+constants as floats; a test with another answer raises :class:`_Unbatchable` there.  So an RK4 step
+is recorded from its field's evaluation program, not four dual passes.  A function that reads lane
+values otherwise (``float()``, :func:`_vmax`, numpy) records no program and runs as it is.  A dual
+over registers keeps a tuple of partials, each operation on them logged.  A float replay computes in
+Python floats, which overflow without an error: there a non-finite value meets the site's own test
+(the RK4 guard).
 """
 
 from __future__ import annotations
@@ -86,6 +89,8 @@ import functools
 import itertools
 import math
 import operator
+import struct
+import types
 
 import numpy as np
 
@@ -560,6 +565,9 @@ _TEXT = {operator.add: "{} + {}", operator.sub: "{} - {}", operator.mul: "{} * {
          operator.truediv: "{} / {}", operator.neg: "-{}", abs: "abs({})",
          operator.lt: "{} < {}", operator.le: "{} <= {}", operator.gt: "{} > {}",
          operator.ge: "{} >= {}", operator.eq: "{} == {}", operator.ne: "{} != {}"}
+# The ufunc by which a lane replay writes an operation of the first six into a buffer.
+_UFUNCS = dict(zip(_TEXT, (np.add, np.subtract, np.multiply, np.divide, np.negative, np.absolute)))
+_UFUNC_OPS = {u: fn for fn, u in _UFUNCS.items()} | {np.isfinite: math.isfinite}
 # The float and the lane form of each recorded operation.
 _FORMS = {**{op: (op, op) for op in _TEXT}, math.isfinite: (math.isfinite, np.isfinite)}
 # x * 1, 1 * x, x / 1, x + -0, -0 + x and x - 0 are x, bit for bit: the recording reads x.
@@ -582,30 +590,46 @@ def _rpow(x, base):  # ``base ** x``: one function, so that recordings of it sha
 
 
 def _compile(n, steps, outs):
-    """The floats and the lanes form of ``replay(x, c)``, the constant registers ``c`` holds and
-    whether the steps read each: registers 0..n-1 from the row ``x``, the constants from ``c``,
-    each step ``(fn, i, args, answer)`` as one line, then the ``outs`` registers.  The source
-    holds register names and ``_TEXT`` only; any other ``fn`` is a helper bound by name."""
+    """The floats form of ``replay(x, c)``, the constant registers ``c`` holds and the lanes form at
+    a width m (0: recorded values, no buffers): registers 0..n-1 from the row ``x``, the constants
+    from ``c``, each step ``(fn, i, args, answer)`` as one line, then the ``outs`` registers.  The
+    source holds register names, ``_TEXT`` and the ``_UFUNCS`` of the lanes form; any other ``fn``
+    is a helper bound by name."""
     read = {a for s in steps for a in s[2]}
     consts = sorted((read | set(outs)) - {s[1] for s in steps} - set(range(n)))
     text = dict(_TEXT)  # and each other operation as a call of a helper bound as f<j>
     for fn, _, args, _ in steps:
         text.setdefault(fn, f"f{len(text) - len(_TEXT)}({', '.join(['{}'] * len(args))})")
-    lines = ["def replay(x, c):"] + [f"    {''.join(f'r{r}, ' for r in rs)}= {arg}"
-                                     for rs, arg in ((range(n), "x"), (consts, "c")) if rs]
-    for fn, i, args, answer in steps:
+    head = ["def replay(x, c):"] + [f"    {''.join(f'r{r}, ' for r in rs)}= {arg}"
+                                    for rs, arg in ((range(n), "x"), (consts, "c")) if rs]
+    last = {a: j for j, s in enumerate(steps) for a in s[2]}
+    floats, lanes, slot, free, nbuf = [], [], {}, [], 0
+    for j, (fn, i, args, answer) in enumerate(steps):
         expr = text[fn].format(*(f"r{a}" for a in args))
-        lines.append(f"    r{i} = {expr}" if answer is None else
-                     f"    if _agree({expr}) is not {bool(answer)}: raise _Unbatchable('{_ANOTHER}')")
-    lines.append(f"    return [{', '.join(f'r{o}' for o in outs)}]")
-    code = compile("\n".join(lines), "<recorded program>", "exec")
-    forms = []
-    for k, agree in enumerate((bool, _Lanes._agree)):
-        scope = {"__builtins__": {}, "abs": abs, "_agree": agree, "_Unbatchable": _Unbatchable}
+        line = (f"    r{i} = {expr}" if answer is None else
+                f"    if _agree({expr}) is not {bool(answer)}: raise _Unbatchable('{_ANOTHER}')")
+        floats.append(line)
+        free += [slot.pop(a) for a in dict.fromkeys(args) if a in slot and last[a] == j]
+        if fn in _UFUNCS and i not in outs:
+            slot[i], nbuf = (free.pop(), nbuf) if free else (nbuf, nbuf + 1)
+            line = f"    r{i} = {_UFUNCS[fn].__name__}({''.join(f'r{a}, ' for a in args)}B[{slot[i]}])"
+        lanes.append(line)
+    ret = [f"    return [{', '.join(f'r{o}' for o in outs)}]"]
+    code = compile("\n".join(head + floats + ret + head + lanes + ret), "<recorded program>", "exec")
+    scopes = [{"__builtins__": {}, "abs": abs, "_agree": agree, "_Unbatchable": _Unbatchable,
+               **{u.__name__: u for u in _UFUNCS.values()}} for agree in (bool, _Lanes._agree)]
+    for k, scope in enumerate(scopes):
         scope.update((text[fn].split("(")[0], _forms(fn)[k]) for fn in text if fn not in _TEXT)
-        exec(code, scope)  # noqa: S102 - the text is registers and _TEXT only
-        forms.append(scope["replay"])
-    return (*forms, consts, [j in read for j in consts])
+    on_floats, on_lanes = (c for c in code.co_consts if isinstance(c, types.CodeType))
+    return types.FunctionType(on_floats, scopes[0]), consts, lambda m: types.FunctionType(
+        on_lanes, {**scopes[1], "B": [np.empty(m) if m else None for _ in range(nbuf)]})
+
+
+class _Tape(list):
+    """The log of one recording (see :class:`_Reg`), with the ``memo`` of :meth:`_Reg.log`."""
+
+    def __init__(self):
+        self.memo = {}
 
 
 def _logged(fn, reflected=False, test=False):
@@ -630,26 +654,40 @@ class _Reg:
 
     def log(self, fn, *other, reflected=False, test=False):
         """``fn`` on this register and ``other`` registers or numbers (``other`` first when
-        ``reflected``): a new register, this one for an identity of ``_UNITS``, or a test's
-        answer as a lane mask."""
+        ``reflected``): this one for an identity of ``_UNITS``, a test's answer as a lane mask, or
+        the register the tape's ``memo`` holds under the bits of a constant or an operation's
+        canonical form (the module notes), made on first use."""
         if len(other) == 1 and isinstance(other[0], _REAL) and (
                 fn, reflected, float(other[0]).hex()) in _UNITS:
             return self
-        xs = other + (self,) if reflected else (self,) + other
-        xs = [_Reg(self.tape, None, (), float(x)) if isinstance(x, _REAL) else x for x in xs]
-        if not all(isinstance(x, _Reg) and x.tape is self.tape for x in xs):
-            self.fail("a value the recording did not make")
-        try:
-            val = _forms(fn)[0](*[x.x for x in xs])
-        except Exception as exc:  # noqa: BLE001 - the site then runs without a program
-            self.fail(f"a recorded operation failed: {exc!r}")
-        out = _Reg(self.tape, fn, [x.r for x in xs], val, val if test else None)
-        return np.array([val]) if test else out
+        tape, memo, args = self.tape, self.tape.memo, []
+        for x in other + (self,) if reflected else (self,) + other:
+            if isinstance(x, _REAL):
+                x = memo.get(k := struct.pack("<d", x)) or memo.setdefault(k, _Reg(tape, None, (), float(x)))
+            elif not isinstance(x, _Reg) or x.tape is not tape:
+                self.fail("a value the recording did not make")
+            args.append(x.r)
+        if fn is operator.add or fn is operator.mul:
+            args.sort()
+            for a, b in (args, args[::-1]) if fn is operator.add else ():
+                if tape[b][0] is operator.neg:
+                    fn, args = operator.sub, [a, tape[b][1][0]]
+                    break
+        if (fn, args := tuple(args)) not in memo:
+            try:
+                val = _forms(fn)[0](*[tape[a][3] for a in args])
+            except Exception as exc:  # noqa: BLE001 - the site then runs without a program
+                self.fail(f"a recorded operation failed: {exc!r}")
+            memo[fn, args] = _Reg(tape, fn, args, val, val if test else None)
+        out = memo[fn, args]
+        return np.array([out.x]) if test else out
 
-    def __array_ufunc__(self, ufunc, method, *xs, **kwargs):  # np.abs, and np.isfinite
-        if ufunc not in (np.absolute, np.isfinite) or len(xs) != 1 or kwargs:
+    def __array_ufunc__(self, ufunc, method, *xs, **kwargs):  # a lane replay's ufuncs, np.isfinite
+        fn = _UFUNC_OPS.get(ufunc)
+        if fn is None or method != "__call__" or kwargs:
             self.fail("numpy used on a recorded value")
-        return self.log(abs) if ufunc is np.absolute else self.log(math.isfinite, test=True)
+        i = 0 if xs[0] is self else 1
+        return self.log(fn, *xs[:i], *xs[i + 1:], reflected=i == 1, test=fn is math.isfinite)
 
     __add__, __radd__ = _logged(operator.add), _logged(operator.add, True)
     __sub__, __rsub__ = _logged(operator.sub), _logged(operator.sub, True)
@@ -663,7 +701,7 @@ def _program(fn, x0):
     """``fn`` (a row to a flat sequence of numbers, as for :func:`_rows`) recorded at the
     float row ``x0``: a replay that takes a row of floats or of lanes, or ``None`` when the
     recording failed or met a value it did not make.  See the module notes."""
-    tape = []
+    tape = _Tape()
     xs = [_Lanes(_Reg(tape, None, (), float(v))) for v in x0]
     try:
         outs = [v.v if isinstance(v, _Lanes) else _Reg(tape, None, (), float(v)) for v in map(_strip, fn(xs))]
@@ -678,24 +716,21 @@ def _program(fn, x0):
         op, args, answer, _ = tape[i]
         if op is not None and (i in live or answer is not None or op not in _TEXT):
             live.update(args)
-            steps.insert(0, (op, i, tuple(args), answer))
+            steps.insert(0, (op, i, args, answer))
     key = (n, len(tape), tuple(steps), tuple(outs))
     if key not in _COMPILED:
         if len(_COMPILED) >= _COMPILED_BOUND:
             del _COMPILED[next(iter(_COMPILED))]
         _COMPILED[key] = _compile(n, steps, outs)
-    on_floats, on_lanes, cregs, lane_wide = _COMPILED[key]
-    consts, wide = [tape[j][3] for j in cregs], {}
+    on_floats, cregs, lanes = _COMPILED[key]
+    consts, forms = [tape[j][3] for j in cregs], {}
 
     def replay(x):
-        if isinstance(x[0], _Lanes):  # on m lanes the constants the steps read are arrays
+        if isinstance(x[0], _Lanes):  # the lanes form of their width, with its buffers and constants
             x = [v.v for v in x]
-            if isinstance(x[0], _Reg):  # on recorded values the steps log onto that recording
-                return [_Lanes(v) if isinstance(v, _Reg) else v for v in on_lanes(x, consts)]
-            if (m := len(x[0])) not in wide:
-                full = {c.hex(): np.full(m, c) for c, w in zip(consts, lane_wide) if w}
-                wide[m] = [full[c.hex()] if w else c for c, w in zip(consts, lane_wide)]
-            return [_Lanes(v) if isinstance(v, np.ndarray) else v for v in on_lanes(x, wide[m])]
+            if (m := 0 if isinstance(x[0], _Reg) else len(x[0])) not in forms:  # 0: recorded values
+                forms[m] = lanes(m), [np.full(m, c) for c in consts] if m else consts
+            return [v if type(v) is float else _Lanes(v) for v in forms[m][0](x, forms[m][1])]
         try:
             return np.array(on_floats([float(v) for v in x], consts))
         except Exception:  # noqa: BLE001 - any failure: the recorded function decides

@@ -83,11 +83,17 @@ class ChartSpec:
 
 def _floats(x, error, message, *args, objects=False):
     """A caller's array ``x`` as a fresh float array; with ``objects``, an array numpy builds of
-    duals or other objects is returned as it is.  Anything else (text, ragged rows, an integer
-    beyond the float range) raises ``error(message.format(*args))``, formatted only then."""
+    duals or other objects is returned as it is.  Anything else (text, also text that reads as a
+    number, ragged rows, an integer beyond the float range) raises ``error(message.format(*args))``,
+    formatted only then."""
     try:
-        arr = np.asarray(x) if objects else x
-        return arr if objects and arr.dtype == object else np.array(arr, dtype=float)
+        arr = np.asarray(x)
+        if objects and arr.dtype == object:
+            return arr
+        if arr.dtype.kind in "UST" or (arr.dtype == object
+                                       and any(isinstance(v, (str, bytes)) for v in arr.flat)):
+            raise TypeError("text is not a number")
+        return np.array(arr, dtype=float)
     except (TypeError, ValueError, OverflowError):
         raise error(message.format(*args)) from None
 

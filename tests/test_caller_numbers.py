@@ -80,6 +80,7 @@ CASES = {
     "HJ samples ragged": (lambda: _samples([[0.5], [0.6, 0.7]]), kc.ContractError, NUMBERS),
     "HJ samples beyond floats": (lambda: _samples([[BIG]]), kc.ContractError, NUMBERS),
     "holonomy samples beyond floats": (lambda: kc.check_holonomic(_tel()[1], [[BIG]]), kc.ContractError, NUMBERS),
+    "holonomy samples numeric text": (lambda: kc.check_holonomic(_tel()[1], [["0.5"]]), kc.ContractError, NUMBERS),
     "holonomy samples ragged": (lambda: kc.check_holonomic(_tel()[1], RAGGED), kc.ContractError, NUMBERS),
     "commutator samples beyond floats": (lambda: kc.commutator_defect(kc.project_Q(*_tel()), [[BIG]]),
                                          kc.ContractError, NUMBERS),
@@ -92,11 +93,14 @@ CASES = {
     "isotropy slice beyond floats": (lambda: _slice([BIG, 0.0]), kc.ContractError, "slice z must be k = 2"),
     "isotropy slice NaN": (lambda: _slice([NAN, 0.0]), kc.ContractError, "slice z must be k = 2 finite"),
     "family parameters text": (lambda: _params("ab"), kc.ContractError, "parameters must be " + NUMBERS),
+    "family parameters numeric text": (lambda: _params([["0.5", "0.5"]]), kc.ContractError, "parameters must be"),
     "family parameters ragged": (lambda: _params([[0.5, 0.5], [0.5]]), kc.ContractError, "parameters must be"),
     "family parameters beyond floats": (lambda: _params([[BIG, 0.0]]), kc.ContractError, "parameters must be"),
     "family section too few parameters": (lambda: _family().section_of([0.5]).p_at([0.1], [0.2, 0.3]),
                                           kc.ContractError, FAMILY + r"\[0\.5\]$"),
     "family section text": (lambda: _family().section_of(["a", "b"]), kc.ContractError, FAMILY + r"\['a', 'b'\]$"),
+    "family section numeric text": (lambda: _family().section_of(["1", "2"]), kc.ContractError,
+                                    FAMILY + r"\['1', '2'\]$"),
     "family section a number": (lambda: _family().section_of(0.5), kc.ContractError, FAMILY + "0.5$"),
     "family section rows": (lambda: _family().section_of([[0.5, 0.5]]), kc.ContractError, FAMILY),
     "family section beyond floats": (lambda: _family().section_of([BIG, 0.0]), kc.ContractError, FAMILY),
@@ -131,6 +135,8 @@ CASES = {
     "z-dependent section point ragged q": (lambda: _tel_zdep().at(RAGGED, [0.0, 0.0]), kc.ShapeError,
                                            "^q must be numbers"),
     "grid origin text": (lambda: _grid(origin="ab"), kc.ShapeError, "grid origin must be numbers, got 'ab'"),
+    "grid origin numeric text": (lambda: _grid(origin=["0", "0"]), kc.ShapeError,
+                                 r"grid origin must be numbers, got \['0', '0'\]"),
     "grid origin ragged": (lambda: _grid(origin=RAGGED), kc.ShapeError, "grid origin must be numbers"),
     "grid origin beyond floats": (lambda: _grid(origin=[BIG, 0.0]), kc.ShapeError, "grid origin must be numbers"),
     "grid origin NaN": (lambda: _grid(origin=[NAN, 0.0]), kc.ContractError, "origin and spacing must be finite"),

@@ -1,9 +1,11 @@
 """Forward-mode engine against a central-difference oracle."""
 
+import inspect
 import math
 import pathlib
 import re
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -780,7 +782,7 @@ def test_no_module_but_dual_compiles_source_text():
     src = pathlib.Path(dm.__file__).parent
     for path in src.glob("*.py"):
         found = re.findall(r"(?<![\w.])(?<!def )(exec|eval|compile)\(", path.read_text())
-        assert found == ([] if path.name != "dual.py" else ["compile", "exec"]), path.name
+        assert found == ([] if path.name != "dual.py" else ["compile"]), path.name
 
 
 def _every_operation(r):
@@ -798,7 +800,8 @@ REG, TEXT = r"r\d+", r"(r\d+ [-+*/] r\d+|-r\d+|abs\(r\d+\)|f\d+\(r\d+(, r\d+)*\)
 GRAMMAR = [rf"def replay\(x, c\):", rf"    ({REG}, )+= [xc]", rf"    {REG} = {TEXT}",
            rf"    if _agree\((r\d+ (<|<=|>|>=|==|!=) r\d+|f\d+\(r\d+\))\) is not (True|False): "
            r"raise _Unbatchable\('a replayed test has another answer'\)",
-           rf"    return \[{REG}(, {REG})*\]"]
+           rf"    return \[{REG}(, {REG})*\]",
+           rf"    {REG} = (add|subtract|multiply|divide|negative|absolute)\(({REG}, )+B\[\d+\]\)"]
 
 
 def test_the_source_of_a_recording_is_registers_and_the_operator_table(monkeypatch):
@@ -807,6 +810,9 @@ def test_the_source_of_a_recording_is_registers_and_the_operator_table(monkeypat
     assert prog is not None and len(texts) == 1
     lines = texts[0].split("\n")
     assert all(any(re.fullmatch(g, line) for g in GRAMMAR) for line in lines), texts[0]
+    assert re.search(r"= multiply\(r\d+, r\d+, B\[\d+\]\)$", texts[0], re.M)  # lanes write in place
+    for line in ("    r3 = power(r1, r2, B[0])", "    r3 = add(r1, r2, C[0])", "    r3 = add(r1, r2)"):
+        assert not any(re.fullmatch(g, line) for g in GRAMMAR), line
     for op in ("+", "-", "*", "/", "<", "<=", ">", ">=", "==", "!="):
         assert f" {op} r" in texts[0], op
     assert re.search(r"= -r\d+$", texts[0], re.M) and "abs(r" in texts[0] and "f1(r" in texts[0]
@@ -832,3 +838,114 @@ def test_the_program_cache_keeps_its_bound_and_an_evicted_program_records_again(
     with np.errstate(over="ignore"):
         assert np.array([prog(list(x)) for x in X]).tobytes() == _scalar_rows(fn, X).tobytes()
     assert dm._rows(prog, X[:3]).tobytes() == _scalar_rows(fn, X[:3]).tobytes()
+
+
+# -- value numbering: each constant and each operation once -----------------------------------
+
+# Operations of a random program: (a, b) operands, c a constant; b is an input, so values stay small.
+OPS = [lambda a, b, c: a * b, lambda a, b, c: b * a, lambda a, b, c: a + -b, lambda a, b, c: -b + a,
+       lambda a, b, c: a - b, lambda a, b, c: a * c, lambda a, b, c: c * a, lambda a, b, c: a + c,
+       lambda a, b, c: a - c, lambda a, b, c: dm.sqrt(a * a + 1.0), lambda a, b, c: dm.log(a * a + b),
+       lambda a, b, c: a * abs(b) ** 1.5, lambda a, b, c: a / (1.0 + b * b)]
+CONSTS = [0.5, float("0.5"), 0.0, -0.0, 1.5, -1.5]
+
+
+def _random_program(seed):
+    """A straight-line function of three inputs in [0.5, 1.5], built to hold duplicates: operations
+    repeated and commuted, equal constants, 0.0 beside -0.0, ``a + -b`` beside ``-b + a`` and
+    ``a - b``, the sqrt, log and ``**`` helpers, and divisions, each testing its divisor for 0."""
+    plan = np.random.default_rng(seed)
+    twin = {0: 1, 1: 0, 2: 3, 3: 2, 5: 6, 6: 5}  # a * b and b * a, a + -b and -b + a, a * c and c * a
+    ops = []
+    for i in range(3, 35):
+        if ops and plan.random() < 0.3:  # an operation again on the same registers, or its twin
+            op, a, b, c = ops[plan.integers(len(ops))]
+            ops.append((twin.get(op, op) if plan.random() < 0.5 else op, a, b, c))
+        else:
+            ops.append((plan.integers(len(OPS)), plan.integers(i), plan.integers(3), plan.integers(len(CONSTS))))
+
+    def fn(r):
+        v = list(r)
+        for op, a, b, c in ops:
+            v.append(OPS[op](v[a], v[b], CONSTS[c]))
+        return v[3::4] + v[-3:]
+
+    return fn
+
+
+def _rhs(floats):
+    """The right-hand side of each line of a compiled floats form, the operands of + and * in order
+    (the lanes form runs the same steps)."""
+    out = []
+    for m in re.finditer(r"^    (?:r\d+ = (.*)|if _agree\((.*)\) is not)", floats, re.M):
+        expr = m[1] or m[2]
+        a = re.fullmatch(r"(r\d+) ([+*]) (r\d+)", expr)
+        out.append((a[2], *sorted((a[1], a[3]))) if a else expr)
+    return out
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_a_replay_of_a_random_program_has_the_bits_of_the_unrecorded_function(seed, monkeypatch):
+    fn, texts = _random_program(seed), compiles(monkeypatch)
+    X = 0.5 + np.random.default_rng(100 + seed).random((50, 3))
+    prog = dm._program(fn, X[0].tolist())
+    assert prog is not None and len(texts) == 1
+    want = _scalar_rows(fn, X).view(np.uint64)
+    assert np.array([prog(list(x)) for x in X]).view(np.uint64).tolist() == want.tolist()
+    with np.errstate(**dm._ERRSTATE):
+        for m in (2, 7, 50):
+            got = dm._lane_array(prog(dm._lanes_of(X[:m])), m)
+            assert got.view(np.uint64).tolist() == want[:m].tolist(), m
+    rhs = _rhs(texts[0].split("def replay(x, c):")[1])  # the floats form
+    assert len(rhs) == len(set(rhs)), texts[0]
+
+
+def test_a_recording_logs_each_constant_and_operation_once(monkeypatch):
+    texts = compiles(monkeypatch)
+
+    def fn(r):
+        a, b = r
+        return [a * b + b * a, a + -b, -b + a, a - b, (a * 0.5) * (0.5 * a), a * 0.0, a * -0.0, a + 0.0]
+
+    prog = dm._program(fn, [0.5, 1.5])
+    floats = texts[0].split("def replay(x, c):")[1]
+    # 0.5 once, 0.0 and -0.0 apart; a * b once; a + -b, -b + a and a - b one line, -b dead
+    assert floats.split("\n")[1:] == [
+        "    r0, r1, = x", "    r6, r9, r11, = c", "    r2 = r0 * r1", "    r3 = r2 + r2", "    r5 = r0 - r1",
+        "    r7 = r0 * r6", "    r8 = r7 * r7", "    r10 = r0 * r9", "    r12 = r0 * r11", "    r13 = r0 + r9",
+        "    return [r3, r5, r5, r5, r8, r10, r12, r13]", ""]
+    assert np.array(prog([0.5, 1.5])).view(np.uint64).tolist() == np.array(fn([0.5, 1.5])).view(np.uint64).tolist()
+
+
+def test_a_lane_replay_leaves_the_outputs_of_an_earlier_call_as_they_were():
+    fn = _random_program(0)
+    X = 0.5 + np.random.default_rng(7).random((14, 3))
+    prog = dm._program(fn, X[0].tolist())
+    with np.errstate(**dm._ERRSTATE):
+        first = prog(dm._lanes_of(X[:7]))
+        prog(dm._lanes_of(X[7:]))  # the same width: the same buffers
+    assert dm._lane_array(first, 7).tobytes() == _scalar_rows(fn, X[:7]).tobytes()
+
+
+def test_a_wide_lane_replay_holds_no_more_buffers_than_live_intermediates(monkeypatch):
+    from kcontact.integrate import _rk4_step
+
+    texts = compiles(monkeypatch)
+    ex = corpus.load("telegrapher")
+    P = dict(ex.sections["classical-zind"].defaults)
+    f = kc.project_Q(ex.hamiltonian({k: P[k] for k in ex.defaults}), ex.sections["classical-zind"].build(P))
+    start = np.full(f.dim, 0.75)
+    evals = [dm._program(partial(f.eval, a), start) for a in range(f.k)]
+    prog = dm._program(partial(_rk4_step, kc.BaseField(f.dim, evals), 0, 0.01), start)
+    X = start + 0.5 * np.random.default_rng(3).random((4096, f.dim))
+    with np.errstate(**dm._ERRSTATE):
+        got = dm._lane_array(prog(dm._lanes_of(X)), len(X))
+    unrecorded = partial(_rk4_step, f, 0, 0.01)
+    assert got[:64].tobytes() == _scalar_rows(unrecorded, X[:64]).tobytes()
+    # the lanes form of the step: the intermediates written in place, each live up to its last read
+    lines = texts[-1].split("def replay(x, c):")[2].split("\n")
+    made = {m.group(1): j for j, line in enumerate(lines) if (m := re.match(r"    (r\d+) = \w+\(.*B\[", line))}
+    last = {r: j for j, line in enumerate(lines) for r in re.findall(r"(?<!= )\b(r\d+)\b(?! =)", line)}
+    peak = max(sum(made[r] <= j < last[r] for r in made) for j in range(len(lines)))
+    B = inspect.getclosurevars(prog).nonlocals["forms"][4096][0].__globals__["B"]
+    assert 0 < len(B) <= peak and all(b.shape == (4096,) for b in B)
